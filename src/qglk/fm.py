@@ -471,8 +471,12 @@ def find_intertwiner(n, seed=0xC0FFEE):
     for k in range(n, -1, -1):
         w = n - 2 * k
         s = commutator_scalar(n, k).inv()
-        p_n = (f_norm.get(w + 2, algebra_matrix(n, "F", w + 2)) @ e_norm[w]).scale(s)
-        p_g = (f_geom.get(w + 2, lowering_matrix(n, w + 2)) @ e_geom[w]).scale(s)
+        if w + 2 in f_norm:
+            f_n, f_g = f_norm[w + 2], f_geom[w + 2]
+        else:  # nothing above the top weight: F acts from an empty block
+            f_n = f_g = FunctorMatrix.zeros(n, w + 2, w)
+        p_n = (f_n @ e_norm[w]).scale(s)
+        p_g = (f_g @ e_geom[w]).scale(s)
         pn_cols = _image_basis(p_n)
         pg_cols = _image_basis(p_g)
         proj_n[w] = pn_cols

@@ -4,7 +4,13 @@ Entries can be anything supporting +, -, *, ==, and is_zero(); a zero
 element of the ring is carried explicitly so that empty and all-zero
 matrices stay well defined.  Weight blocks at the extreme weights give
 genuinely empty (0 x m) matrices, so the degenerate shapes matter.
+
+Products of rational-function matrices sum each dot product in one
+:meth:`RationalFunction.sum`, which cancels against the shared
+denominator once instead of after every pairwise addition.
 """
+
+from .ratfunc import RationalFunction
 
 
 class Matrix:
@@ -85,6 +91,16 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions do not match")
         out = Matrix.zeros(self.nrows, other.ncols, self.zero)
+        if isinstance(self.zero, RationalFunction):
+            cols = list(zip(*other.rows)) if self.ncols else [()] * other.ncols
+            for row, orow in zip(self.rows, out.rows):
+                for j, col in enumerate(cols):
+                    terms = [a * b for a, b in zip(row, col) if a and b]
+                    if len(terms) == 1:
+                        orow[j] = terms[0]
+                    elif terms:
+                        orow[j] = RationalFunction.sum(self.zero.nvars, terms)
+            return out
         for i in range(self.nrows):
             row = self.rows[i]
             for k in range(self.ncols):

@@ -10,13 +10,20 @@ value, so instances can be shared freely.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
+from operator import add, mul, sub
 from typing import NamedTuple
 
 
 def term_key(exps):
     """Total-degree-then-lexicographic sort key for an exponent tuple."""
     return (sum(exps), exps)
+
+
+def _term_divides(e, c, de, dc, off):
+    """Whether the term dc * X^de divides c * X^e with quotient exponent >= off."""
+    return not c % dc and all(a - b >= o for a, b, o in zip(e, de, off))
 
 
 class Monomial(NamedTuple):
@@ -60,7 +67,8 @@ class Monomial(NamedTuple):
 class Poly:
     """Sparse Laurent polynomial over the integers."""
 
-    __slots__ = ("nvars", "terms", "_hash")
+    # _floor and _ends_cache hold exponent_floor() and _ends() once computed
+    __slots__ = ("nvars", "terms", "_hash", "_floor", "_ends_cache")
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
@@ -73,6 +81,8 @@ class Poly:
                     clean[tuple(exps)] = coeff
         self.terms = clean
         self._hash = None
+        self._floor = None
+        self._ends_cache = None
 
     @classmethod
     def zero(cls, nvars):
@@ -155,7 +165,7 @@ class Poly:
         out = {}
         for e1, c1 in small.items():
             for e2, c2 in big.items():
-                e = tuple(e1[i] + e2[i] for i in range(n))
+                e = tuple(map(add, e1, e2))
                 nc = out.get(e, 0) + c1 * c2
                 if nc:
                     out[e] = nc
@@ -187,10 +197,19 @@ class Poly:
             self._hash = hash((self.nvars, frozenset(self.terms.items())))
         return self._hash
 
+    def _ends(self):
+        """(leading, trailing) exponents in the term order."""
+        if self._ends_cache is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading term")
+            self._ends_cache = (
+                max(self.terms, key=term_key),
+                min(self.terms, key=term_key),
+            )
+        return self._ends_cache
+
     def leading_exps(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return max(self.terms, key=term_key)
+        return self._ends()[0]
 
     def leading_coeff(self):
         return self.terms[self.leading_exps()]
@@ -206,17 +225,11 @@ class Poly:
 
     def exponent_floor(self):
         """Componentwise minimum exponent over all terms."""
-        if not self.terms:
-            raise ValueError("zero polynomial")
-        mins = None
-        for e in self.terms:
-            if mins is None:
-                mins = list(e)
-            else:
-                for i, v in enumerate(e):
-                    if v < mins[i]:
-                        mins[i] = v
-        return tuple(mins)
+        if self._floor is None:
+            if not self.terms:
+                raise ValueError("zero polynomial")
+            self._floor = tuple(map(min, zip(*self.terms)))
+        return self._floor
 
     def shift_exps(self, shift):
         n = self.nvars
@@ -233,10 +246,16 @@ class Poly:
         """
         shift = self.exponent_floor()
         g = self.content()
-        shifted = self.shift_exps(tuple(-s for s in shift))
-        sign = 1 if shifted.leading_coeff() > 0 else -1
+        sign = 1 if self.leading_coeff() > 0 else -1
+        if g == 1 and sign > 0 and not any(shift):
+            return self, shift, 1, 1
+        n = self.nvars
         canonical = Poly(
-            self.nvars, {e: c // (sign * g) for e, c in shifted.terms.items()}
+            n,
+            {
+                tuple(e[i] - shift[i] for i in range(n)): c // (sign * g)
+                for e, c in self.terms.items()
+            },
         )
         return canonical, shift, sign, g
 
@@ -245,6 +264,21 @@ class Poly:
 
         Division is taken in the Laurent ring, so monomial factors never
         obstruct divisibility.
+
+        This is sparse heap division (Johnson 1974; Monagan and Pearce,
+        CASC 2007).  Exponents are packed into single integers whose
+        order is the term order, so a monomial product is one integer
+        addition, and the leading term of the remainder is taken from a
+        heap with cancelled terms deleted lazily.
+
+        Two cheap rejects come first.  The term order is compatible with
+        multiplication, so the leading and trailing terms of h * other
+        are the products of those of h and other; floors add because the
+        integers have no zero divisors, so every term of h lies at or
+        above ``floor(self) - floor(other)``.  Hence if self = h * other,
+        the leading (and trailing) term of other divides that of self
+        with a quotient exponent at or above that offset.  Both tests are
+        only necessary: a pair that passes them may still fail below.
         """
         self._check(other)
         if not other.terms:
@@ -252,34 +286,70 @@ class Poly:
         if not self.terms:
             return Poly.zero(self.nvars)
         n = self.nvars
-        shift_s = self.exponent_floor()
-        shift_o = other.exponent_floor()
-        num = {
-            tuple(e[i] - shift_s[i] for i in range(n)): c for e, c in self.terms.items()
-        }
-        den = {
-            tuple(e[i] - shift_o[i] for i in range(n)): c for e, c in other.terms.items()
-        }
-        dlead = max(den, key=term_key)
-        dlc = den[dlead]
-        quo = {}
-        while num:
-            lead = max(num, key=term_key)
-            c = num[lead]
-            qexp = tuple(lead[i] - dlead[i] for i in range(n))
-            if any(e < 0 for e in qexp) or c % dlc:
+        floor_s = self.exponent_floor()
+        floor_o = other.exponent_floor()
+        off = tuple(map(sub, floor_s, floor_o))
+        lead, trail = self._ends()
+        dlead, dtrail = other._ends()
+        dlc = other.terms[dlead]
+        if not (
+            _term_divides(lead, self.terms[lead], dlead, dlc, off)
+            and _term_divides(trail, self.terms[trail], dtrail, other.terms[dtrail], off)
+        ):
+            return None
+
+        # Packed key of e relative to a floor f: the total degree of e - f
+        # in the top field, then each coordinate of e - f, most significant
+        # first.  Every remainder term t satisfies floor_s <= t with total
+        # degree at most that of lead, so each field lies in [0, span] and
+        # one spare top bit per field catches a negative quotient
+        # coordinate as a borrow.
+        span = sum(lead) - sum(floor_s)
+        bits = span.bit_length() + 1
+        weights = [(1 << (bits * n)) + (1 << (bits * (n - 1 - i))) for i in range(n)]
+        guard = sum(1 << (bits * i + bits - 1) for i in range(n + 1))
+        base_s = sum(map(mul, floor_s, weights))
+        base_o = sum(map(mul, floor_o, weights))
+        rem = {sum(map(mul, e, weights)) - base_s: c for e, c in self.terms.items()}
+        dkey = sum(map(mul, dlead, weights)) - base_o
+        den = [
+            (sum(map(mul, e, weights)) - base_o, c)
+            for e, c in other.terms.items()
+            if e != dlead
+        ]
+        heap = [-k for k in rem]
+        heapify(heap)
+        quo = []
+        while heap:
+            k = -heappop(heap)
+            c = rem.pop(k, 0)
+            if not c:
+                continue
+            qk = k - dkey
+            if qk & guard or c % dlc:
                 return None
             qc = c // dlc
-            quo[qexp] = qc
-            for e, dc in den.items():
-                t = tuple(qexp[i] + e[i] for i in range(n))
-                nc = num.get(t, 0) - qc * dc
-                if nc:
-                    num[t] = nc
+            quo.append((qk, qc))
+            for e, dc in den:
+                t = qk + e
+                old = rem.get(t)
+                if old is None:
+                    rem[t] = -qc * dc
+                    heappush(heap, -t)
+                elif old == qc * dc:
+                    del rem[t]
                 else:
-                    num.pop(t, None)
-        off = tuple(shift_s[i] - shift_o[i] for i in range(n))
-        return Poly(n, {tuple(e[i] + off[i] for i in range(n)): c for e, c in quo.items()})
+                    rem[t] = old - qc * dc
+
+        mask = (1 << bits) - 1
+        shifts = [bits * (n - 1 - i) for i in range(n)]
+        return Poly(
+            n,
+            {
+                tuple([((k >> s) & mask) + o for s, o in zip(shifts, off)]): c
+                for k, c in quo
+            },
+        )
 
     def evaluate(self, point):
         """Evaluate at a tuple of Fractions ordered (x_1, ..., x_N, q)."""

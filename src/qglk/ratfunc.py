@@ -7,10 +7,17 @@ zero, positive leading coefficient); monomial and constant content is
 absorbed into the numerator and the scalar on construction.  Cancellation
 runs factor by factor through exact division, so no multivariate gcd is
 ever needed.
+
+Negation and multiplication by a nonzero integer skip that cancellation:
+they keep the reduced denominator and only re-take the gcd of the
+numerator content with the scalar.  No remaining factor divides the
+reduced numerator, and by Gauss's lemma a primitive factor that divides
+c * num already divides num, so the trial divisions would all fail.
 """
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from .laurent import LaurentScalar
 from .poly import Poly
@@ -68,8 +75,6 @@ class RationalFunction:
                 m -= 1
             merged[f] = m
 
-        from math import gcd
-
         g = gcd(num.content(), den_scalar)
         if g > 1:
             num = Poly(nvars, {e: c // g for e, c in num.terms.items()})
@@ -84,6 +89,17 @@ class RationalFunction:
         self._den_poly = None
 
     # -- constructors ----------------------------------------------------
+
+    @classmethod
+    def _reduced(cls, nvars, num, den_factors, den_scalar):
+        """Wrap parts that are already in canonical form, skipping __init__."""
+        out = object.__new__(cls)
+        out.nvars = nvars
+        out.num = num
+        out.den_scalar = den_scalar
+        out.den_factors = den_factors
+        out._den_poly = None
+        return out
 
     @classmethod
     def zero(cls, nvars):
@@ -160,7 +176,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(
+        return RationalFunction._reduced(
             self.nvars, -self.num, self.den_factors, self.den_scalar
         )
 
@@ -174,8 +190,14 @@ class RationalFunction:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return RationalFunction(
-                self.nvars, self.num * other, self.den_factors, self.den_scalar
+            if other == 0 or self.num.is_zero():
+                return RationalFunction.zero(self.nvars)
+            num = self.num * other
+            g = gcd(num.content(), self.den_scalar)
+            if g > 1:
+                num = Poly(self.nvars, {e: c // g for e, c in num.terms.items()})
+            return RationalFunction._reduced(
+                self.nvars, num, self.den_factors, self.den_scalar // g
             )
         if isinstance(other, Poly):
             other = RationalFunction.from_poly(other)
@@ -231,8 +253,6 @@ class RationalFunction:
         ]
         if not items:
             return cls.zero(nvars)
-        from math import gcd
-
         common = {}
         scalar = 1
         for it in items:

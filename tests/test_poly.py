@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qglk.poly import Monomial, Poly
+from qglk.poly import Monomial, Poly, term_key
 
 
 def small_polys(nvars=3, max_terms=5):
@@ -12,6 +12,69 @@ def small_polys(nvars=3, max_terms=5):
     return st.dictionaries(exps, st.integers(-9, 9), max_size=max_terms).map(
         lambda d: Poly(nvars, d)
     )
+
+
+def reference_exact_div(a, b):
+    """Plain sparse division that rescans the remainder for its leading term.
+
+    Slow but obviously right: the reference for Poly.exact_div.
+    """
+    if not b.terms:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not a.terms:
+        return Poly.zero(a.nvars)
+    n = a.nvars
+    shift_s = a.exponent_floor()
+    shift_o = b.exponent_floor()
+    num = {tuple(e[i] - shift_s[i] for i in range(n)): c for e, c in a.terms.items()}
+    den = {tuple(e[i] - shift_o[i] for i in range(n)): c for e, c in b.terms.items()}
+    dlead = max(den, key=term_key)
+    dlc = den[dlead]
+    quo = {}
+    while num:
+        lead = max(num, key=term_key)
+        c = num[lead]
+        qexp = tuple(lead[i] - dlead[i] for i in range(n))
+        if any(e < 0 for e in qexp) or c % dlc:
+            return None
+        qc = c // dlc
+        quo[qexp] = qc
+        for e, dc in den.items():
+            t = tuple(qexp[i] + e[i] for i in range(n))
+            nc = num.get(t, 0) - qc * dc
+            if nc:
+                num[t] = nc
+            else:
+                num.pop(t, None)
+    off = tuple(shift_s[i] - shift_o[i] for i in range(n))
+    return Poly(n, {tuple(e[i] + off[i] for i in range(n)): c for e, c in quo.items()})
+
+
+def laurent_polys(nvars, max_terms):
+    exps = st.tuples(*([st.integers(-2, 2)] * nvars))
+    return st.dictionaries(exps, st.integers(-5, 5), max_size=max_terms).map(
+        lambda d: Poly(nvars, d)
+    )
+
+
+@st.composite
+def laurent_pairs(draw):
+    """(nvars, a, b): 4-6 variables, negative exponents, b nonzero, a * b
+    with up to 40 terms."""
+    nvars = draw(st.integers(4, 6))
+    a = draw(laurent_polys(nvars, 8))
+    b = draw(laurent_polys(nvars, 5).filter(bool))
+    return nvars, a, b
+
+
+@st.composite
+def euler_binomials(draw, nvars):
+    """A product of the canonical factors 1 - w^{-1} built by euler_class_rf."""
+    out = Poly.one(nvars)
+    for _ in range(draw(st.integers(1, 3))):
+        w = draw(st.tuples(*([st.integers(-1, 1)] * nvars)).filter(any))
+        out = out * (Poly.one(nvars) - Monomial.from_exps(w).inverse().to_poly())
+    return out
 
 
 class TestBasics:
@@ -104,6 +167,56 @@ class TestUnitsAndDivision:
     def test_content(self):
         assert (6 * Poly.x(2, 1) + 4 * Poly.q(2)).content() == 2
         assert Poly.zero(2).content() == 0
+
+
+class TestDivisionAgainstReference:
+    @given(laurent_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_exact_products(self, nab):
+        _, a, b = nab
+        p = a * b
+        assert p.exact_div(b) == reference_exact_div(p, b) == a
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_perturbed_products(self, data):
+        nvars, a, b = data.draw(laurent_pairs())
+        r = data.draw(laurent_polys(nvars, 3))
+        p = a * b + r
+        assert p.exact_div(b) == reference_exact_div(p, b)
+        if r:
+            assert p.exact_div(r) == reference_exact_div(p, r)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_euler_class_divisors(self, data):
+        nvars, a, _ = data.draw(laurent_pairs())
+        d = data.draw(euler_binomials(nvars))
+        f = data.draw(euler_binomials(nvars))
+        assert (a * d).exact_div(d) == a
+        for p in (a * d, a * d * f, a * f + d):
+            assert p.exact_div(f) == reference_exact_div(p, f)
+
+    def test_cancelled_term_reenters_remainder(self):
+        # The remainder term x1^3*q^2 cancels at the first quotient step
+        # and is created again at the second, so the heap holds a stale key
+        # for it that must be skipped.
+        a = Poly(2, {(2, 0): 1, (2, 1): 1, (1, 0): 2})
+        b = Poly(2, {(1, 1): 2, (1, 2): -2, (2, 2): 1})
+        p = a * b
+        assert p.exact_div(b) == reference_exact_div(p, b) == a
+        bad = p + Poly.monomial(2, (0, 0), 3)
+        assert bad.exact_div(b) is None and reference_exact_div(bad, b) is None
+
+    def test_rejects_on_leading_and_trailing_terms(self):
+        x, q = Poly.x(2, 1), Poly.q(2)
+        one = Poly.one(2)
+        # leading coefficient 3 does not divide 2
+        assert (2 * x * x + one).exact_div(3 * x + one) is None
+        # leading terms divide, trailing coefficients do not
+        assert (x * x + 2 * one).exact_div(x + 3 * one) is None
+        # the leading quotient exponent is negative in q
+        assert (x + q).exact_div(x * q + one) is None
 
 
 class TestMonomial:

@@ -28,6 +28,20 @@ def small_rfs():
     ).map(lambda ab: RationalFunction(NV, ab[0], ((ab[1], 1),)))
 
 
+def scaled_rfs():
+    """Fractions with two denominator factors and a signed integer scalar."""
+    return st.tuples(
+        small_polys(),
+        small_polys(max_terms=3).filter(bool),
+        small_polys(max_terms=2).filter(bool),
+        st.integers(-12, 12).filter(bool),
+    ).map(lambda t: RationalFunction(NV, 6 * t[0], ((t[1], 1), (t[2], 2)), t[3]))
+
+
+def fields(r):
+    return r.num, r.den_factors, r.den_scalar
+
+
 class TestNormalization:
     def test_monomial_factor_absorbed(self):
         # 1 / x1 is a Laurent polynomial, not a genuine fraction
@@ -59,6 +73,20 @@ class TestNormalization:
         b = rf("-1/(x1 - q)")
         assert a.den_factors == b.den_factors
         assert a == b
+
+
+class TestReducedFastPaths:
+    @given(scaled_rfs(), st.integers(-12, 12))
+    @settings(max_examples=80, deadline=None)
+    def test_neg_and_int_scaling_match_constructor(self, a, c):
+        # negation and integer scaling skip the trial divisions; they must
+        # still land on exactly what the full constructor produces
+        assert fields(-a) == fields(
+            RationalFunction(NV, -a.num, a.den_factors, a.den_scalar)
+        )
+        full = RationalFunction(NV, a.num * c, a.den_factors, a.den_scalar)
+        assert fields(a * c) == fields(full)
+        assert fields(c * a) == fields(full)
 
 
 class TestFieldOps:
