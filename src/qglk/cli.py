@@ -13,7 +13,7 @@ from . import fm, koszul, superrep
 
 ALGEBRA_CAP = 6
 GEOMETRY_CAP = 5
-INTERTWINER_CAP = 4
+INTERTWINER_CAP = 5
 KOSZUL_RANK_CAP = 5
 DEFAULT_SEED = 0xC0FFEE
 
@@ -172,7 +172,8 @@ def build_parser():
         "--seed",
         type=_seed,
         default=DEFAULT_SEED,
-        help="seed for the random-point invertibility certificates",
+        help="seed for the rational sample points behind the intertwiner's "
+        "pivot columns and invertibility certificates",
     )
     pv.set_defaults(func=cmd_verify)
 

@@ -32,14 +32,7 @@ from .grassmann import (
     tangent_gr,
     weight_monomial,
 )
-from .linalg import (
-    SingularMatrixError,
-    certify_invertible,
-    column_basis,
-    columns,
-    hstack,
-    invert_matrix,
-)
+from .linalg import certify_invertible, column_basis, columns, hstack, invert_matrix
 from .matrix import Matrix
 from .poly import Monomial, Poly
 from .ratfunc import RationalFunction
@@ -429,120 +422,139 @@ def witness_str(m, ok=None):
     return "" if ok else str(m)
 
 
-def _image_basis(fm):
-    """Columns spanning the image of an idempotent block operator."""
-    piv = column_basis(fm.mat)
-    return columns(fm.mat, piv)
+def _located_witness(side, w, identity, op, split, got, want, offset=0):
+    """Where got and want first differ, as a short witness; "" if equal.
+
+    Rows are labelled by the target fixed points of op, columns by their
+    index in B[w] = [P | E*P], whose first `split` columns are P.
+    """
+    for i, (rg, rw) in enumerate(zip(got.rows, want.rows)):
+        for j, (a, b) in enumerate(zip(rg, rw)):
+            if a != b:
+                subset = ",".join(str(x) for x in op.rows_points[i])
+                block = "P" if j + offset < split else "E*P"
+                return (
+                    f"{side} side, weight {w}: {identity} fails first at row {i} "
+                    f"(subset {{{subset}}}), column {j + offset} (block {block})"
+                )
+    return ""
+
+
+def _prove_intertwiner(n, seed):
+    """The proof described in find_intertwiner.  Returns the report and,
+    when the transported bases are square, {weight: (B_alg, B_geo)}."""
+    rep = Report(f"intertwiner at n={n}")
+    nvars = n + 1
+    zero = RationalFunction.zero(nvars)
+    weights = [n - 2 * k for k in range(n + 1)]
+    sides = {
+        "algebra": {w: (algebra_matrix(n, "E", w), algebra_matrix(n, "F", w)) for w in weights},
+        "geometric": {w: (raising_matrix(n, w), lowering_matrix(n, w)) for w in weights},
+    }
+    proj = {side: {} for side in sides}  # P_w, pivot columns of p_w
+    lifted = {side: {} for side in sides}  # E_{w-2} P_{w-2}
+    basis = {side: {} for side in sides}  # B[w] = [P_w | E_{w-2} P_{w-2}]
+    ok_bases = True
+    for w in reversed(weights):
+        s = commutator_scalar(n, k_of(n, w)).inv()
+        for side, ops in sides.items():
+            if w == n:  # E leaves the top weight for an empty block
+                p = FunctorMatrix.zeros(n, w, w).mat
+            else:
+                p = (ops[w + 2][1] @ ops[w][0]).scale(s).mat
+            proj[side][w] = columns(p, column_basis(p, nvars, seed))
+        r_alg, r_geo = (proj[side][w].ncols for side in sides)
+        if r_alg != r_geo:
+            why = f"algebra rank {r_alg}, geometric rank {r_geo}"
+            rep.add(f"projector ranks agree at weight {w}", False, why)
+            ok_bases = False
+            continue
+        short = []
+        for side, ops in sides.items():
+            if w > -n:
+                lifted[side][w] = ops[w - 2][0].mat @ proj[side][w - 2]
+            else:  # nothing below the bottom weight
+                lifted[side][w] = Matrix.zeros(proj[side][w].nrows, 0, zero)
+            b = basis[side][w] = hstack(proj[side][w], lifted[side][w])
+            if b.ncols != b.nrows:
+                short.append(f"{side}: {b.ncols} columns for a dim-{b.nrows} block")
+        rep.add(f"transported bases fill the weight-{w} block", not short, "; ".join(short))
+        ok_bases = ok_bases and not short
+
+    if not ok_bases:
+        return rep, None
+
+    for w in weights:
+        why = []
+        for side in sides:
+            ok, msg = certify_invertible(basis[side][w], nvars, seed=seed)
+            if not ok:
+                why.append(f"{side} basis: {msg}")
+        rep.add(f"phi at weight {w} is invertible", not why, "; ".join(why))
+
+    for w in weights:
+        k = k_of(n, w)
+        if w < n:
+            bad = ""
+            for side, ops in sides.items():
+                e, split = ops[w][0], proj[side][w].ncols
+                got = e.mat @ lifted[side][w]
+                want = Matrix.zeros(got.nrows, got.ncols, zero)
+                bad = bad or _located_witness(
+                    side, w, "E*B = [E*P | 0]", e, split, got, want, offset=split
+                )
+            rep.add(f"phi intertwines E at weight {w}", not bad, bad)
+        if w > -n:
+            s_low = commutator_scalar(n, k + 1)
+            bad = ""
+            for side, ops in sides.items():
+                f, split = ops[w][1], proj[side][w].ncols
+                got = f.mat @ basis[side][w]
+                want = hstack(
+                    Matrix.zeros(got.nrows, split, zero), proj[side][w - 2].scale(s_low)
+                )
+                bad = bad or _located_witness(side, w, "F*B = [0 | s*P]", f, split, got, want)
+            rep.add(f"phi intertwines F at weight {w}", not bad, bad)
+    return rep, {w: (basis["algebra"][w], basis["geometric"][w]) for w in weights}
 
 
 def find_intertwiner(n, seed=0xC0FFEE):
-    """Builds a block-diagonal intertwiner from the normalized algebra
-    action to the geometric one, one invertible matrix per weight.
+    """Proves that the normalized algebra action and the geometric one are
+    intertwined by a block-diagonal phi, then builds phi.
 
-    Each weight block splits under the idempotent p = FE / scalar into
-    the image of p and a complement which E maps isomorphically onto the
-    image of p one weight lower... more precisely E carries im(p) at
-    weight w to a complement of im(p) at weight w+2.  Matching the two
-    splittings and transporting along E produces an intertwiner; any
-    basis choice works, so the pivot columns of p are used.
+    The proof never inverts a matrix.  On each side and at each weight w,
+    p_w = F_{w+2} E_w / s_w is an idempotent (s_w is the commutator
+    scalar, whose sign flips from weight to weight).  Its pivot columns
+    P_w, chosen by exact elimination over Q at a point drawn from `seed`,
+    and the columns E_{w-2} P_{w-2} transported up from the weight below
+    form a basis B[w] = [P_w | E_{w-2} P_{w-2}].  The checks:
 
-    Returns (phi, report) where phi maps each weight to a Matrix over the
-    fraction field.
+    * projector ranks agree, and B[w] is square on both sides (exact);
+    * "phi at weight w is invertible": det B_alg[w] and det B_geo[w] are
+      nonzero at a seeded rational point.  This is a one-sided
+      certificate: a nonzero value proves the symbolic determinant
+      nonzero, and an unlucky point can only fail the check;
+    * "phi intertwines E at weight w": E_w B[w] = [E_w P_w | 0] on both
+      sides, an exact identity.  E_w P_w is the second block of B[w+2];
+    * "phi intertwines F at weight w": F_w B[w] = [0 | s_{w-2} P_{w-2}]
+      on both sides, an exact identity.
+
+    So X B[w] = B[w'] M_X with the same structure matrix M_X on both
+    sides for X = E, F, and phi_w = B_geo[w] B_alg[w]^-1 satisfies
+    phi_{w'} X_alg = X_geo phi_w.  The seed picks the sample points but
+    never decides a PASS.
+
+    Returns (phi, report); phi maps each weight to a Matrix over the
+    fraction field, and is empty unless every check passed.
     """
-    rep = Report(f"intertwiner at n={n}")
-    one = RationalFunction.one(n + 1)
-
-    e_norm = {}
-    e_geom = {}
-    f_norm = {}
-    f_geom = {}
-    for k in range(n + 1):
-        w = n - 2 * k
-        e_norm[w] = algebra_matrix(n, "E", w)
-        f_norm[w] = algebra_matrix(n, "F", w)
-        e_geom[w] = raising_matrix(n, w)
-        f_geom[w] = lowering_matrix(n, w)
-
-    basis_n = {}
-    basis_g = {}
-    proj_n = {}
-    proj_g = {}
-    ok_bases = True
-    for k in range(n, -1, -1):
-        w = n - 2 * k
-        s = commutator_scalar(n, k).inv()
-        if w + 2 in f_norm:
-            f_n, f_g = f_norm[w + 2], f_geom[w + 2]
-        else:  # nothing above the top weight: F acts from an empty block
-            f_n = f_g = FunctorMatrix.zeros(n, w + 2, w)
-        p_n = (f_n @ e_norm[w]).scale(s)
-        p_g = (f_g @ e_geom[w]).scale(s)
-        pn_cols = _image_basis(p_n)
-        pg_cols = _image_basis(p_g)
-        proj_n[w] = pn_cols
-        proj_g[w] = pg_cols
-        if pn_cols.ncols != pg_cols.ncols:
-            rep.add(
-                f"projector ranks agree at weight {w}",
-                False,
-                f"normalized rank {pn_cols.ncols}, geometric rank {pg_cols.ncols}",
-            )
-            ok_bases = False
-            continue
-        low = n - 2 * (k + 1)
-        if k + 1 <= n:
-            bn = hstack(pn_cols, e_norm[low].mat @ proj_n[low])
-            bg = hstack(pg_cols, e_geom[low].mat @ proj_g[low])
-        else:
-            bn, bg = pn_cols, pg_cols
-        basis_n[w] = bn
-        basis_g[w] = bg
-        full = bn.ncols == bn.nrows and bg.ncols == bg.nrows
-        rep.add(
-            f"transported bases fill the weight-{w} block",
-            full,
-            "" if full else f"{bn.ncols} columns for a dim-{bn.nrows} block",
-        )
-        ok_bases = ok_bases and full
-
-    if not ok_bases:
+    rep, bases = _prove_intertwiner(n, seed)
+    if not rep.passed:
         return {}, rep
-
-    phi = {}
-    for k in range(n + 1):
-        w = n - 2 * k
-        try:
-            phi[w] = basis_g[w] @ invert_matrix(basis_n[w], one)
-        except SingularMatrixError as err:
-            rep.add(f"basis change at weight {w} is invertible", False, str(err))
-            return {}, rep
-        # full symbolic inversion of phi is needlessly heavy; an exact
-        # nonzero determinant at a sample point already proves invertibility
-        ok, why = certify_invertible(phi[w], n + 1, seed=seed)
-        rep.add(f"phi at weight {w} is invertible", ok, "" if ok else why)
-
-    for k in range(n + 1):
-        w = n - 2 * k
-        if w + 2 in phi:
-            lhs = phi[w + 2] @ e_norm[w].mat
-            rhs = e_geom[w].mat @ phi[w]
-            ok = lhs == rhs
-            rep.add(
-                f"phi intertwines E at weight {w}",
-                ok,
-                "" if ok else str(lhs - rhs),
-            )
-        if w - 2 in phi:
-            lhs = phi[w - 2] @ f_norm[w].mat
-            rhs = f_geom[w].mat @ phi[w]
-            ok = lhs == rhs
-            rep.add(
-                f"phi intertwines F at weight {w}",
-                ok,
-                "" if ok else str(lhs - rhs),
-            )
+    one = RationalFunction.one(n + 1)
+    phi = {w: b_geo @ invert_matrix(b_alg, one) for w, (b_alg, b_geo) in bases.items()}
     return phi, rep
 
 
 def intertwiner_report(n, seed=0xC0FFEE):
-    return find_intertwiner(n, seed)[1]
+    """The checks of find_intertwiner, without building phi."""
+    return _prove_intertwiner(n, seed)[0]

@@ -1,4 +1,9 @@
-"""Small exact linear algebra over the rational-function field."""
+"""Small exact linear algebra over the rational-function field.
+
+Pivots and invertibility certificates run exact Gaussian elimination over
+Q at a seeded random rational point, never symbolically.  The seed only
+picks the point: a bad point can cost a certificate, never fake one.
+"""
 
 import random
 from fractions import Fraction
@@ -11,35 +16,55 @@ def _complexity(entry):
     return len(entry.num.terms) + sum(m for _, m in entry.den_factors)
 
 
-def column_basis(mat):
-    """Indices of a maximal independent set of columns, by elimination."""
-    work = [list(r) for r in mat.rows]
-    nr, nc = mat.nrows, mat.ncols
-    pivots = []
-    row = 0
-    for col in range(nc):
-        if row >= nr:
-            break
-        best = None
-        for r in range(row, nr):
-            if not work[r][col].is_zero():
-                c = _complexity(work[r][col])
-                if best is None or c < best[1]:
-                    best = (r, c)
-        if best is None:
+def specializations(mat, nvars, seed, attempts=72):
+    """Yields mat evaluated exactly (rows over Q) at successive seeded
+    random rational points, skipping points where an entry has a pole.
+    At most `attempts` points are drawn."""
+    rng = random.Random(seed)
+    for _ in range(attempts):
+        point = tuple(
+            Fraction(rng.randint(2, 10**6), rng.randint(2, 997))
+            for _ in range(nvars)
+        )
+        try:
+            rows = [[e.evaluate(point) for e in r] for r in mat.rows]
+        except PoleError:
             continue
-        r = best[0]
-        work[row], work[r] = work[r], work[row]
-        piv = work[row][col]
-        inv = piv.inv()
-        work[row] = [e * inv for e in work[row]]
-        for r2 in range(nr):
-            if r2 != row and not work[r2][col].is_zero():
-                f = work[r2][col]
-                work[r2] = [a - f * b for a, b in zip(work[r2], work[row])]
+        yield rows
+
+
+def pivot_columns(rows, ncols):
+    """Pivot columns of exact Gaussian elimination over Q: from left to
+    right, each column not in the span of the columns before it.  The
+    rows are reduced in place."""
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[top], rows[piv] = rows[piv], rows[top]
+        head = rows[top]
+        inv = 1 / head[col]
+        for r in range(top + 1, len(rows)):
+            f = rows[r][col] * inv
+            if f:
+                rows[r] = [a - f * b for a, b in zip(rows[r], head)]
         pivots.append(col)
-        row += 1
     return pivots
+
+
+def column_basis(mat, nvars, seed=0xC0FFEE):
+    """Indices of independent columns, chosen at one seeded sample point.
+
+    The columns returned are independent over the fraction field.  They
+    span the column space unless the point is a common root of the
+    maximal minors, in which case fewer columns come back and the checks
+    that count them fail.
+    """
+    for rows in specializations(mat, nvars, seed):
+        return pivot_columns(rows, mat.ncols)
+    raise PoleError("every sample point hit a pole")
 
 
 def columns(mat, indices):
@@ -63,30 +88,10 @@ def hstack(a, b):
     )
 
 
-class SingularMatrixError(ValueError):
-    pass
-
-
-def _fraction_det_nonzero(rows):
-    n = len(rows)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return False
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            f = rows[r][col] * inv
-            if f:
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return True
-
-
 def certify_invertible(mat, nvars, seed=0xC0FFEE, attempts=72):
     """Certificate that a matrix over the fraction field is invertible.
 
-    Exact evaluation at a random rational point turns the matrix into one
-    over Q, and a nonsingular specialization proves the symbolic
+    A nonsingular specialization at a rational point proves the symbolic
     determinant is a nonzero rational function.  Points hitting poles or
     a vanishing determinant are redrawn, so only a long run of unlucky
     samples leaves a genuinely invertible matrix unproved.
@@ -95,23 +100,18 @@ def certify_invertible(mat, nvars, seed=0xC0FFEE, attempts=72):
         return False, "not square"
     if mat.nrows == 0:
         return True, "empty matrix"
-    rng = random.Random(seed)
-    for _ in range(attempts):
-        point = tuple(
-            Fraction(rng.randint(2, 10**6), rng.randint(2, 997))
-            for _ in range(nvars)
-        )
-        try:
-            rows = [[e.evaluate(point) for e in r] for r in mat.rows]
-        except PoleError:
-            continue
-        if _fraction_det_nonzero(rows):
+    for rows in specializations(mat, nvars, seed, attempts):
+        if len(pivot_columns(rows, mat.ncols)) == mat.nrows:
             return True, "nonzero determinant at a sample point"
     return False, f"determinant vanished or hit poles at {attempts} sample points"
 
 
 def invert_matrix(mat, one):
-    """Exact inverse by Gauss-Jordan elimination; raises if singular."""
+    """Exact inverse by symbolic Gauss-Jordan elimination.
+
+    Only for matrices already certified invertible; raises ValueError if
+    the matrix turns out singular.
+    """
     n = mat.nrows
     if mat.ncols != n:
         raise ValueError("only square matrices invert")
@@ -125,7 +125,7 @@ def invert_matrix(mat, one):
                 if best is None or c < best[1]:
                     best = (r, c)
         if best is None:
-            raise SingularMatrixError(f"matrix is singular at column {col}")
+            raise ValueError(f"matrix is singular at column {col}")
         r = best[0]
         work[col], work[r] = work[r], work[col]
         aug[col], aug[r] = aug[r], aug[col]

@@ -132,14 +132,6 @@ class Matrix:
             self.nrows, self.ncols, [[fn(a) for a in r] for r in self.rows], fn(self.zero)
         )
 
-    def transpose(self):
-        return Matrix(
-            self.ncols,
-            self.nrows,
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            self.zero,
-        )
-
     def __str__(self):
         if self.nrows == 0 or self.ncols == 0:
             return f"<empty {self.nrows}x{self.ncols} matrix>"

@@ -200,12 +200,6 @@ def block_matrix(n, gen, source_weight):
     return RepMatrix(n, words_out, words_in, mat)
 
 
-def _scalar_matrix(n, coeff):
-    dim = 2**n
-    zero = LaurentScalar.zero()
-    return Matrix.diagonal([coeff] * dim, zero)
-
-
 def verify_relations(n):
     """Check the defining relations on the full N-site space."""
     rep = Report(f"defining relations on {n} tensor factors")

@@ -105,6 +105,13 @@ class TestNormalizedRepAndIntertwiner:
                 assert block.nrows == block.ncols == comb(n, k)
         assert time.perf_counter() - start < 120.0
 
+    def test_intertwiner_proof_at_n5_under_60s(self):
+        start = time.perf_counter()
+        rep = fm.intertwiner_report(5)
+        assert rep.passed, fail_text(rep)
+        assert len(rep.checks) == 22
+        assert time.perf_counter() - start < 60.0
+
     def test_intertwiner_equations_rechecked_directly(self):
         # independent restatement of the defining equations at n = 2
         n = 2

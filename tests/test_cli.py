@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from qglk import fm
 from qglk.cli import main
+from qglk.report import Report
 
 
 def run(capsys, *argv):
@@ -45,6 +47,24 @@ class TestVerify:
         assert code == 0
         assert "geometry battery skipped" in out
         assert "intertwiner solve skipped" in out
+
+    def test_n5_runs_the_intertwiner(self, capsys, monkeypatch):
+        # the batteries are stubbed: this pins the caps, not the mathematics
+        seen = []
+
+        def stub(n, *args, **kwargs):
+            seen.append((n, kwargs.get("seed")))
+            rep = Report("stub")
+            rep.add("stub check", True)
+            return rep
+
+        for name in ("nilpotency_report", "commutator_report", "normalized_rep_report"):
+            monkeypatch.setattr(fm, name, stub)
+        monkeypatch.setattr(fm, "intertwiner_report", stub)
+        code, out, _ = run(capsys, "verify", "--n", "5", "--seed", "9")
+        assert code == 0
+        assert seen[-1] == (5, 9) and len(seen) == 4
+        assert "skipped" not in out
 
     def test_max_weight_filter(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "3", "--max-weight", "1")

@@ -2,6 +2,8 @@ from math import comb
 
 import pytest
 
+from qglk import fm
+from qglk.cli import main
 from qglk.fm import (
     FunctorMatrix,
     algebra_matrix,
@@ -12,6 +14,7 @@ from qglk.fm import (
     correspondence_tangent,
     epsilon_sign,
     find_intertwiner,
+    intertwiner_report,
     k_of,
     kernel_value,
     lowering_matrix,
@@ -23,6 +26,7 @@ from qglk.fm import (
     scalar_block,
 )
 from qglk.grassmann import Character, Space, fixed_points, weight_monomial
+from qglk.poly import Poly
 from qglk.ratfunc import RationalFunction, parse
 
 
@@ -245,3 +249,74 @@ class TestIntertwiner:
                 lhs = phi[w - 2] @ algebra_matrix(n, "F", w).mat
                 rhs = lowering_matrix(n, w).mat @ phi[w]
                 assert lhs == rhs
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_report_matches_find_intertwiner(self, n):
+        rep = intertwiner_report(n, seed=7)
+        assert rep.passed, "\n".join(rep.summary_lines())
+        assert [c.name for c in rep.checks] == [
+            c.name for c in find_intertwiner(n, seed=7)[1].checks
+        ]
+        assert len(rep.checks) == 4 * n + 2
+
+
+def _negate_lowering_column(monkeypatch, weight, col):
+    raw = fm.lowering_matrix
+
+    def corrupted(n, source_weight, normalized=True):
+        m = raw(n, source_weight, normalized)
+        if source_weight == weight:
+            for row in m.mat.rows:
+                row[col] = -row[col]
+        return m
+
+    monkeypatch.setattr(fm, "lowering_matrix", corrupted)
+
+
+def _located(check, side, weight, subset):
+    assert check.witness.startswith(f"{side} side, weight {weight}: ")
+    assert f"(subset {subset})" in check.witness
+    assert "column" in check.witness and "\n" not in check.witness
+    assert len(check.witness) < 300
+
+
+class TestIntertwinerNegativeControls:
+    def test_negated_lowering_column_fails_with_a_located_witness(self, monkeypatch, capsys):
+        _negate_lowering_column(monkeypatch, weight=1, col=2)
+        rep = intertwiner_report(3)
+        assert [c.name for c in rep.failures] == ["phi intertwines F at weight 1"]
+        assert len(rep.checks) == 14
+        _located(rep.failures[0], "geometric", 1, "{1,3}")
+        assert "F*B" in rep.failures[0].witness
+        assert find_intertwiner(3)[0] == {}
+        assert main(["verify", "--n", "3"]) == 1
+        assert "phi intertwines F at weight 1" in capsys.readouterr().out
+
+    def test_broken_e_relation_is_located(self, monkeypatch):
+        raw = fm.raising_matrix
+
+        def corrupted(n, source_weight):
+            m = raw(n, source_weight)
+            if source_weight == -1:
+                m.mat.rows[0][0] = m.mat.rows[0][0] + RationalFunction.one(n + 1)
+            return m
+
+        monkeypatch.setattr(fm, "raising_matrix", corrupted)
+        rep = intertwiner_report(3)
+        assert "phi intertwines E at weight 1" in [c.name for c in rep.failures]
+        bad = next(c for c in rep.failures if c.name == "phi intertwines E at weight 1")
+        _located(bad, "geometric", 1, "{}")
+        assert "E*B" in bad.witness and "(block E*P)" in bad.witness
+
+    def test_dropped_commutator_sign_fails_without_a_crash(self, monkeypatch):
+        def unsigned(n, k):
+            return RationalFunction(n + 1, Poly.one(n + 1) - Poly.q(n + 1, 2 * n))
+
+        monkeypatch.setattr(fm, "commutator_scalar", unsigned)
+        rep = intertwiner_report(3)
+        assert len(rep.checks) == 14
+        names = [c.name for c in rep.failures]
+        assert names and all(name.startswith("phi intertwines F") for name in names)
+        for check in rep.failures:
+            assert check.witness.startswith("algebra side, weight ")
+            assert len(check.witness) < 300

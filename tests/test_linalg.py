@@ -1,0 +1,146 @@
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qglk import fm
+from qglk.linalg import (
+    certify_invertible,
+    column_basis,
+    columns,
+    invert_matrix,
+    pivot_columns,
+    specializations,
+)
+from qglk.matrix import Matrix
+from qglk.poly import Poly
+from qglk.ratfunc import RationalFunction
+
+NV = 3  # x1, x2, q
+
+
+def _complexity(entry):
+    return len(entry.num.terms) + sum(m for _, m in entry.den_factors)
+
+
+def reference_column_basis(mat):
+    """Pivot columns by symbolic elimination over the fraction field."""
+    work = [list(r) for r in mat.rows]
+    nr, nc = mat.nrows, mat.ncols
+    pivots = []
+    row = 0
+    for col in range(nc):
+        if row >= nr:
+            break
+        best = None
+        for r in range(row, nr):
+            if not work[r][col].is_zero():
+                c = _complexity(work[r][col])
+                if best is None or c < best[1]:
+                    best = (r, c)
+        if best is None:
+            continue
+        r = best[0]
+        work[row], work[r] = work[r], work[row]
+        piv = work[row][col]
+        inv = piv.inv()
+        work[row] = [e * inv for e in work[row]]
+        for r2 in range(nr):
+            if r2 != row and not work[r2][col].is_zero():
+                f = work[r2][col]
+                work[r2] = [a - f * b for a, b in zip(work[r2], work[row])]
+        pivots.append(col)
+        row += 1
+    return pivots
+
+
+def projectors(n):
+    """p_w = F_{w+2} E_w / s_w below the top weight, on both sides."""
+    for k in range(1, n + 1):
+        w = n - 2 * k
+        s = fm.commutator_scalar(n, k).inv()
+        yield (fm.algebra_matrix(n, "F", w + 2) @ fm.algebra_matrix(n, "E", w)).scale(s)
+        yield (fm.lowering_matrix(n, w + 2) @ fm.raising_matrix(n, w)).scale(s)
+
+
+class TestColumnBasis:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_point_pivots_match_symbolic_pivots_on_projectors(self, n):
+        for p in projectors(n):
+            assert column_basis(p.mat, n + 1) == reference_column_basis(p.mat)
+
+    def test_empty_and_zero_matrices(self):
+        zero = RationalFunction.zero(NV)
+        assert column_basis(Matrix.zeros(0, 3, zero), NV) == []
+        assert column_basis(Matrix.zeros(3, 0, zero), NV) == []
+        assert column_basis(Matrix.zeros(2, 2, zero), NV) == []
+
+    def test_redraws_a_point_at_a_pole(self):
+        # x1 - a/b vanishes at the first point the seed draws
+        rng = random.Random(5)
+        a, b = rng.randint(2, 10**6), rng.randint(2, 997)
+        den = Poly.const(NV, b) * Poly.x(NV, 1) - Poly.const(NV, a)
+        entry = RationalFunction(NV, Poly.one(NV), ((den, 1),))
+        mat = Matrix(1, 2, [[RationalFunction.zero(NV), entry]], RationalFunction.zero(NV))
+        assert den.evaluate((Fraction(a, b), Fraction(1), Fraction(1))) == 0
+        assert column_basis(mat, NV, seed=5) == [1]
+
+
+def small_polys():
+    exps = st.tuples(*([st.integers(-1, 1)] * NV))
+    return st.dictionaries(exps, st.integers(-3, 3), max_size=3).map(
+        lambda d: Poly(NV, d)
+    )
+
+
+def rf_entries():
+    dens = st.sampled_from(
+        [Poly.one(NV), Poly.one(NV) - Poly.x(NV, 1), Poly.x(NV, 1) - Poly.q(NV, 1)]
+    )
+    return st.tuples(small_polys(), dens).map(
+        lambda t: RationalFunction(NV, t[0], ((t[1], 1),))
+    )
+
+
+@st.composite
+def low_rank_products(draw):
+    """Products A·C with a small inner dimension, so rank deficient."""
+    m, inner, c = draw(st.integers(1, 4)), draw(st.integers(0, 2)), draw(st.integers(1, 4))
+    zero = RationalFunction.zero(NV)
+    a = Matrix(m, inner, [[draw(rf_entries()) for _ in range(inner)] for _ in range(m)], zero)
+    b = Matrix(inner, c, [[draw(rf_entries()) for _ in range(c)] for _ in range(inner)], zero)
+    return a @ b
+
+
+class TestColumnBasisProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(low_rank_products())
+    def test_pivots_are_independent_and_as_many_as_the_rank(self, mat):
+        piv = column_basis(mat, NV)
+        assert piv == sorted(set(piv))
+        assert len(piv) == len(reference_column_basis(mat))
+        chosen = columns(mat, piv)
+        fresh = next(specializations(chosen, NV, seed=2024))
+        assert len(pivot_columns(fresh, chosen.ncols)) == len(piv)
+
+
+class TestCertificates:
+    def test_certify_invertible(self):
+        zero, one = RationalFunction.zero(NV), RationalFunction.one(NV)
+        x = RationalFunction.from_poly(Poly.x(NV, 1))
+        assert certify_invertible(Matrix(2, 2, [[one, x], [x, one]], zero), NV)[0]
+        singular = Matrix(2, 2, [[one, x], [x, x * x]], zero)
+        ok, why = certify_invertible(singular, NV, attempts=3)
+        assert not ok and "3 sample points" in why
+        assert certify_invertible(Matrix.zeros(2, 3, zero), NV) == (False, "not square")
+        assert certify_invertible(Matrix.zeros(0, 0, zero), NV)[0]
+
+    def test_invert_matrix(self):
+        zero, one = RationalFunction.zero(NV), RationalFunction.one(NV)
+        x = RationalFunction.from_poly(Poly.x(NV, 1))
+        m = Matrix(2, 2, [[one, x], [zero, one]], zero)
+        assert m @ invert_matrix(m, one) == Matrix.identity(2, one, zero)
+        with pytest.raises(ValueError, match="singular"):
+            invert_matrix(Matrix(2, 2, [[one, x], [x, x * x]], zero), one)
