@@ -12,7 +12,8 @@ import sys
 from . import fm, koszul, superrep
 
 ALGEBRA_CAP = 6
-GEOMETRY_CAP = 5
+GEOMETRY_CAP = 6
+GEOMETRY_DUMP_CAP = 5  # `matrices --side geometry` prints whole blocks
 INTERTWINER_CAP = 5
 KOSZUL_RANK_CAP = 5
 DEFAULT_SEED = 0xC0FFEE
@@ -101,8 +102,8 @@ def cmd_matrices(args):
     k = (n - w) // 2
     if not 0 <= k <= n:
         return _usage_error(f"weight {w} is outside [-{n}, {n}]")
-    if args.side == "geometry" and n > GEOMETRY_CAP:
-        return _usage_error(f"geometry side is capped at n={GEOMETRY_CAP}")
+    if args.side == "geometry" and n > GEOMETRY_DUMP_CAP:
+        return _usage_error(f"geometry side is capped at n={GEOMETRY_DUMP_CAP}")
 
     blocks = _algebra_blocks(n, w) if args.side == "algebra" else _geometry_blocks(n, w)
     if args.json:

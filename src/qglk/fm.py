@@ -21,6 +21,7 @@ the commutator of the two functors is the scalar
 side after E is scaled by q^(-n) and F by (-1)^(n-k-1) q^(2n).
 """
 
+import random
 from math import comb
 
 from .grassmann import (
@@ -35,7 +36,7 @@ from .grassmann import (
 from .linalg import certify_invertible, column_basis, columns, hstack, invert_matrix
 from .matrix import Matrix
 from .poly import Monomial, Poly
-from .ratfunc import RationalFunction
+from .ratfunc import PoleError, RationalFunction
 from .report import Report
 from .superrep import block_matrix, weight_block_words
 
@@ -289,18 +290,10 @@ def _weights(n, max_weight):
 def nilpotency_report(n, max_weight=None):
     rep = Report(f"geometric nilpotency at n={n}")
     for w in _weights(n, max_weight):
-        ee = raising_matrix(n, w + 2) @ raising_matrix(n, w)
-        rep.add(
-            f"raising twice from weight {w} vanishes",
-            ee.is_zero(),
-            "" if ee.is_zero() else str(ee),
-        )
-        ff = lowering_matrix(n, w - 2) @ lowering_matrix(n, w)
-        rep.add(
-            f"lowering twice from weight {w} vanishes",
-            ff.is_zero(),
-            "" if ff.is_zero() else str(ff),
-        )
+        bad = _entry_witness(raising_matrix(n, w + 2) @ raising_matrix(n, w))
+        rep.add(f"raising twice from weight {w} vanishes", not bad, bad)
+        bad = _entry_witness(lowering_matrix(n, w - 2) @ lowering_matrix(n, w))
+        rep.add(f"lowering twice from weight {w} vanishes", not bad, bad)
     return rep
 
 
@@ -309,22 +302,17 @@ def commutator_report(n, max_weight=None):
     the observed sign against the parity (-1)^(n-k-1)."""
     rep = Report(f"geometric commutator scalars at n={n}")
     base = RationalFunction(n + 1, Poly.one(n + 1) - Poly.q(n + 1, 2 * n))
+    signed = {1: base, -1: -base}
     for w in _weights(n, max_weight):
         k = k_of(n, w)
         d = commutator_matrix(n, w)
         dim = comb(n, k)
-        eps = None
-        for cand in (1, -1):
-            s = base if cand > 0 else -base
-            if d == FunctorMatrix.identity(n, w).scale(s):
-                eps = cand
-                break
-        pred = epsilon_sign(n, k)
-        rep.add(
-            f"weight {w} commutator is a (1-q^{2*n}) scalar on a dim-{dim} block",
-            eps is not None,
-            "" if eps is not None else str(d),
+        eps = next(
+            (c for c, s in signed.items() if d == FunctorMatrix.identity(n, w).scale(s)), None
         )
+        pred = epsilon_sign(n, k)
+        bad = "" if eps else _entry_witness(d, FunctorMatrix.identity(n, w).scale(signed[pred]))
+        rep.add(f"weight {w} commutator is a (1-q^{2*n}) scalar on a dim-{dim} block", not bad, bad)
         if eps is not None:
             rep.add(
                 f"weight {w} sign matches (-1)^(n-k-1)",
@@ -386,40 +374,70 @@ def normalized_rep_report(n, max_weight=None):
     q2 = RationalFunction.q(n + 1, 2)
     for w in _weights(n, max_weight):
         k = k_of(n, w)
-        ee = algebra_matrix(n, "E", w + 2) @ algebra_matrix(n, "E", w)
-        rep.add(f"E^2 vanishes from weight {w}", ee.is_zero(), witness_str(ee))
-        ff = algebra_matrix(n, "F", w - 2) @ algebra_matrix(n, "F", w)
-        rep.add(f"F^2 vanishes from weight {w}", ff.is_zero(), witness_str(ff))
+        bad = _entry_witness(algebra_matrix(n, "E", w + 2) @ algebra_matrix(n, "E", w))
+        rep.add(f"E^2 vanishes from weight {w}", not bad, bad)
+        bad = _entry_witness(algebra_matrix(n, "F", w - 2) @ algebra_matrix(n, "F", w))
+        rep.add(f"F^2 vanishes from weight {w}", not bad, bad)
         d = algebra_matrix(n, "F", w + 2) @ algebra_matrix(n, "E", w) - (
             algebra_matrix(n, "E", w - 2) @ algebra_matrix(n, "F", w)
         )
-        target = FunctorMatrix.identity(n, w).scale(commutator_scalar(n, k))
-        ok = d == target
-        rep.add(f"FE - EF is eps*(1-q^{2*n}) at weight {w}", ok, witness_str(d, ok))
+        bad = _entry_witness(d, FunctorMatrix.identity(n, w).scale(commutator_scalar(n, k)))
+        rep.add(f"FE - EF is eps*(1-q^{2*n}) at weight {w}", not bad, bad)
         e = algebra_matrix(n, "E", w)
         f = algebra_matrix(n, "F", w)
-        ke = scalar_block(n, w + 2, n) @ e - e @ scalar_block(n, w, n)
-        rep.add(f"K is central through E at weight {w}", ke.is_zero(), witness_str(ke))
-        he = scalar_block(n, w + 2, w + 2) @ e - (e @ scalar_block(n, w, w)).scale(q2)
-        rep.add(
-            f"H conjugation scales E by q^2 at weight {w}",
-            he.is_zero(),
-            witness_str(he),
+        bad = _entry_witness(scalar_block(n, w + 2, n) @ e - e @ scalar_block(n, w, n))
+        rep.add(f"K is central through E at weight {w}", not bad, bad)
+        bad = _entry_witness(
+            scalar_block(n, w + 2, w + 2) @ e - (e @ scalar_block(n, w, w)).scale(q2)
         )
-        hf = scalar_block(n, w - 2, w - 2) @ f - (f @ scalar_block(n, w, w)).scale(
-            RationalFunction.q(n + 1, -2)
+        rep.add(f"H conjugation scales E by q^2 at weight {w}", not bad, bad)
+        bad = _entry_witness(
+            scalar_block(n, w - 2, w - 2) @ f
+            - (f @ scalar_block(n, w, w)).scale(RationalFunction.q(n + 1, -2))
         )
-        rep.add(
-            f"H conjugation scales F by q^-2 at weight {w}",
-            hf.is_zero(),
-            witness_str(hf),
-        )
+        rep.add(f"H conjugation scales F by q^-2 at weight {w}", not bad, bad)
     return rep
 
 
-def witness_str(m, ok=None):
-    ok = m.is_zero() if ok is None else ok
-    return "" if ok else str(m)
+def _first_difference(got, want=None):
+    """(row, column, got - want) at the first entry where two matrices
+    differ, or None; want=None stands for the zero matrix."""
+    for i, row in enumerate(got.rows):
+        for j, a in enumerate(row):
+            if want is None:
+                if not a.is_zero():
+                    return i, j, a
+            elif a != want.rows[i][j]:
+                return i, j, a - want.rows[i][j]
+    return None
+
+
+def _subset(points, i):
+    return "{" + ",".join(str(x) for x in points[i]) + "}"
+
+
+def _entry_witness(got, want=None):
+    """Where the FunctorMatrix got first differs from want (zero when
+    None), as a short witness: the entry's row and column with their
+    subsets and the difference at a seeded integer point; "" if equal."""
+    bad = _first_difference(got.mat, None if want is None else want.mat)
+    if bad is None:
+        return ""
+    i, j, diff = bad
+    where = (
+        f"first bad entry at row {i} (subset {_subset(got.rows_points, i)}), "
+        f"column {j} (subset {_subset(got.cols_points, j)})"
+    )
+    rng = random.Random(0xC0FFEE)
+    for _ in range(64):
+        point = tuple(rng.randint(2, 99) for _ in range(diff.nvars))
+        try:
+            value = str(diff.evaluate(point))
+        except PoleError:
+            continue
+        value = value if len(value) <= 80 else value[:77] + "..."
+        return f"{where} is off by {value} at (x1, ..., q) = {point}"
+    return f"{where} is off by a nonzero rational function"
 
 
 def _located_witness(side, w, identity, op, split, got, want, offset=0):
@@ -428,16 +446,15 @@ def _located_witness(side, w, identity, op, split, got, want, offset=0):
     Rows are labelled by the target fixed points of op, columns by their
     index in B[w] = [P | E*P], whose first `split` columns are P.
     """
-    for i, (rg, rw) in enumerate(zip(got.rows, want.rows)):
-        for j, (a, b) in enumerate(zip(rg, rw)):
-            if a != b:
-                subset = ",".join(str(x) for x in op.rows_points[i])
-                block = "P" if j + offset < split else "E*P"
-                return (
-                    f"{side} side, weight {w}: {identity} fails first at row {i} "
-                    f"(subset {{{subset}}}), column {j + offset} (block {block})"
-                )
-    return ""
+    bad = _first_difference(got, want)
+    if bad is None:
+        return ""
+    i, j = bad[0], bad[1] + offset
+    block = "P" if j < split else "E*P"
+    return (
+        f"{side} side, weight {w}: {identity} fails first at row {i} "
+        f"(subset {_subset(op.rows_points, i)}), column {j} (block {block})"
+    )
 
 
 def _prove_intertwiner(n, seed):

@@ -239,13 +239,6 @@ class Space:
         self.points = fixed_points(n, k)
         self._inv_euler = {}
 
-    @classmethod
-    def from_weight(cls, n, weight, with_fiber=True):
-        k2 = n - weight
-        if k2 % 2:
-            raise ValueError(f"weight {weight} has wrong parity for n={n}")
-        return cls(n, k2 // 2, with_fiber)
-
     @property
     def weight(self):
         return self.n - 2 * self.k

@@ -13,7 +13,7 @@ from .ratfunc import PoleError
 
 
 def _complexity(entry):
-    return len(entry.num.terms) + sum(m for _, m in entry.den_factors)
+    return len(entry.num.keys) + sum(m for _, m in entry.den_factors)
 
 
 def specializations(mat, nvars, seed, attempts=72):

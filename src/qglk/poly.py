@@ -5,15 +5,36 @@ exponent is a tuple of N+1 integers with the q exponent in the last slot;
 exponents may be negative.  ``nvars`` always counts q, so a polynomial in
 x_1, x_2, q has ``nvars == 3``.
 
+Inside a Poly each exponent is one packed integer key (``Poly.keys``).
+The top field holds the total degree; below it sits one 16-bit field per
+variable, x_1 first and q last, holding the exponent plus a bias of 2^14.
+Integer order on keys is then the term order of :func:`term_key`, and the
+key of a monomial product is ``k1 + k2 - zero``.  Exponents must lie in
+[-2^14, 2^14): the constructor checks both ends, products and shifts
+check the top (guard) bit of each field, and exact division checks its
+exponent box up front.  Out of range raises ``OverflowError``; nothing
+returns a wrong polynomial.  Exponent tuples exist only at the boundary.
+
 Values are immutable once constructed and every operation returns a fresh
 value, so instances can be shared freely.
 """
 
+from collections import namedtuple
 from fractions import Fraction
+from functools import cache, reduce
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import add, mul, sub
+from operator import mul, or_
+from types import MappingProxyType
 from typing import NamedTuple
+
+_BITS = 16
+_BIAS = 1 << 14
+_MASK = (1 << _BITS) - 1
+
+# per nvars: key step of each variable, field offsets, degree-field offset,
+# key of the exponent 0, a 1 in every field, the guard bit of every field
+_Layout = namedtuple("_Layout", "weights shifts top zero ones guard")
 
 
 def term_key(exps):
@@ -21,9 +42,25 @@ def term_key(exps):
     return (sum(exps), exps)
 
 
-def _term_divides(e, c, de, dc, off):
-    """Whether the term dc * X^de divides c * X^e with quotient exponent >= off."""
-    return not c % dc and all(a - b >= o for a, b, o in zip(e, de, off))
+@cache
+def _layout(n):
+    top = _BITS * n
+    shifts = tuple(_BITS * (n - 1 - i) for i in range(n))
+    ones = sum(1 << s for s in shifts)
+    weights = tuple((1 << top) + (1 << s) for s in shifts)
+    return _Layout(weights, shifts, top, _BIAS * ones, ones, ones << (_BITS - 1))
+
+
+def _unpack(lay, k):
+    return tuple([(k >> s & _MASK) - _BIAS for s in lay.shifts])
+
+
+def _check_fields(lay, keys):
+    """Raise unless no key has a guard bit set.  Sound when every field
+    value before wrapping lies in [-2^15, 2^16): the lowest bad field then
+    borrows nothing from below and shows its guard bit."""
+    if reduce(or_, keys, 0) & lay.guard:
+        raise OverflowError("exponent outside [-2^14, 2^14)")
 
 
 class Monomial(NamedTuple):
@@ -67,22 +104,29 @@ class Monomial(NamedTuple):
 class Poly:
     """Sparse Laurent polynomial over the integers."""
 
-    # _floor and _ends_cache hold exponent_floor() and _ends() once computed
-    __slots__ = ("nvars", "terms", "_hash", "_floor", "_ends_cache")
+    # _floor and _ends_cache hold the keys of exponent_floor() and _ends()
+    __slots__ = ("nvars", "keys", "_hash", "_floor", "_ends_cache")
 
     def __init__(self, nvars, terms=None):
-        self.nvars = nvars
-        clean = {}
+        lay = _layout(nvars)
+        keys = {}
         if terms:
             for exps, coeff in terms.items():
                 if coeff:
                     if len(exps) != nvars:
                         raise ValueError("exponent tuple has wrong length")
-                    clean[tuple(exps)] = coeff
-        self.terms = clean
-        self._hash = None
-        self._floor = None
-        self._ends_cache = None
+                    if not all(-_BIAS <= a < _BIAS for a in exps):
+                        raise OverflowError("exponent outside [-2^14, 2^14)")
+                    keys[lay.zero + sum(map(mul, exps, lay.weights))] = coeff
+        self.nvars, self.keys, self._hash, self._floor, self._ends_cache = nvars, keys, None, None, None
+
+    @classmethod
+    def _raw(cls, nvars, keys, floor=None, ends=None):
+        """Wrap a key dict that Poly built itself: nonzero coefficients,
+        every key in range, and the caches, when given, exact."""
+        out = object.__new__(cls)
+        out.nvars, out.keys, out._hash, out._floor, out._ends_cache = nvars, keys, None, floor, ends
+        return out
 
     @classmethod
     def zero(cls, nvars):
@@ -90,7 +134,7 @@ class Poly:
 
     @classmethod
     def const(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: c})
+        return cls._raw(nvars, {_layout(nvars).zero: c} if c else {})
 
     @classmethod
     def one(cls, nvars):
@@ -101,19 +145,21 @@ class Poly:
         """The variable x_i (1-based); valid for 1 <= i <= nvars - 1."""
         if not 1 <= i <= nvars - 1:
             raise ValueError("x index out of range")
-        exps = [0] * nvars
-        exps[i - 1] = 1
-        return cls(nvars, {tuple(exps): 1})
+        return cls.monomial(nvars, [int(j == i - 1) for j in range(nvars)])
 
     @classmethod
     def q(cls, nvars, e=1):
-        exps = [0] * nvars
-        exps[-1] = e
-        return cls(nvars, {tuple(exps): 1})
+        return cls.monomial(nvars, (0,) * (nvars - 1) + (e,))
 
     @classmethod
     def monomial(cls, nvars, exps, coeff=1):
         return cls(nvars, {tuple(exps): coeff})
+
+    @property
+    def terms(self):
+        """Read-only {exponent tuple: coefficient} view, built on access."""
+        lay = _layout(self.nvars)
+        return MappingProxyType({_unpack(lay, k): c for k, c in self.keys.items()})
 
     def _check(self, other):
         if not isinstance(other, Poly):
@@ -122,56 +168,66 @@ class Poly:
             raise ValueError("variable-count mismatch")
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.keys)
 
     def is_zero(self):
-        return not self.terms
+        return not self.keys
 
     def is_one(self):
-        return self.terms == {(0,) * self.nvars: 1}
-
-    def is_constant(self):
-        return all(not any(e) for e in self.terms)
+        return self.keys == {_layout(self.nvars).zero: 1}
 
     def is_monomial(self):
-        return len(self.terms) == 1
+        return len(self.keys) == 1
 
     def __add__(self, other):
         self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            nc = terms.get(e, 0) + c
+        keys = dict(self.keys)
+        for k, c in other.keys.items():
+            nc = keys.get(k, 0) + c
             if nc:
-                terms[e] = nc
+                keys[k] = nc
             else:
-                terms.pop(e, None)
-        return Poly(self.nvars, terms)
+                keys.pop(k, None)
+        return Poly._raw(self.nvars, keys)
 
     def __neg__(self):
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly._raw(
+            self.nvars, {k: -c for k, c in self.keys.items()}, self._floor, self._ends_cache
+        )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return Poly(self.nvars, {e: c * other for e, c in self.terms.items()})
+            if not other:
+                return Poly.zero(self.nvars)
+            return Poly._raw(
+                self.nvars,
+                {k: c * other for k, c in self.keys.items()},
+                self._floor,
+                self._ends_cache,
+            )
         self._check(other)
-        if len(self.terms) > len(other.terms):
-            big, small = self.terms, other.terms
+        if len(self.keys) > len(other.keys):
+            big, small = self.keys, other.keys
         else:
-            big, small = other.terms, self.terms
-        n = self.nvars
+            big, small = other.keys, self.keys
+        lay = _layout(self.nvars)
+        zero = lay.zero
         out = {}
-        for e1, c1 in small.items():
-            for e2, c2 in big.items():
-                e = tuple(map(add, e1, e2))
-                nc = out.get(e, 0) + c1 * c2
+        for k1, c1 in small.items():
+            k1 -= zero
+            for k2, c2 in big.items():
+                k = k1 + k2
+                nc = out.get(k, 0) + c1 * c2
                 if nc:
-                    out[e] = nc
+                    out[k] = nc
                 else:
-                    del out[e]
-        return Poly(n, out)
+                    del out[k]
+        # each field sums two in-range exponents, so the check is sound
+        _check_fields(lay, out)
+        return Poly._raw(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -190,52 +246,59 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self.keys == other.keys
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.nvars, frozenset(self.terms.items())))
+            self._hash = hash((self.nvars, frozenset(self.keys.items())))
         return self._hash
 
     def _ends(self):
-        """(leading, trailing) exponents in the term order."""
+        """(leading, trailing) keys in the term order."""
         if self._ends_cache is None:
-            if not self.terms:
+            if not self.keys:
                 raise ValueError("zero polynomial has no leading term")
-            self._ends_cache = (
-                max(self.terms, key=term_key),
-                min(self.terms, key=term_key),
-            )
+            self._ends_cache = (max(self.keys), min(self.keys))
         return self._ends_cache
 
     def leading_exps(self):
-        return self._ends()[0]
+        return _unpack(_layout(self.nvars), self._ends()[0])
 
     def leading_coeff(self):
-        return self.terms[self.leading_exps()]
+        return self.keys[self._ends()[0]]
 
     def content(self):
         """gcd of the absolute values of all coefficients (0 for the zero poly)."""
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, abs(c))
-            if g == 1:
-                return 1
-        return g
+        return gcd(*self.keys.values())
+
+    def _floor_key(self):
+        """Key of the componentwise minimum exponent over all terms."""
+        if self._floor is None:
+            if not self.keys:
+                raise ValueError("zero polynomial")
+            lay = _layout(self.nvars)
+            lows = [min([k >> s & _MASK for k in self.keys]) - _BIAS for s in lay.shifts]
+            self._floor = lay.zero + sum(map(mul, lows, lay.weights))
+        return self._floor
 
     def exponent_floor(self):
         """Componentwise minimum exponent over all terms."""
-        if self._floor is None:
-            if not self.terms:
-                raise ValueError("zero polynomial")
-            self._floor = tuple(map(min, zip(*self.terms)))
-        return self._floor
+        return _unpack(_layout(self.nvars), self._floor_key())
+
+    def _translate(self, d, unit=1):
+        """self * X^s / unit, for d = sum(s_i * weights_i) with every s_i in
+        [-2^15, 2^15) and unit dividing every coefficient; caches move along."""
+        lay = _layout(self.nvars)
+        keys = {k + d: c // unit for k, c in self.keys.items()}
+        _check_fields(lay, keys)
+        floor = None if self._floor is None else self._floor + d
+        ends = self._ends_cache and (self._ends_cache[0] + d, self._ends_cache[1] + d)
+        return Poly._raw(self.nvars, keys, floor, ends)
 
     def shift_exps(self, shift):
-        n = self.nvars
-        return Poly(
-            n, {tuple(e[i] + shift[i] for i in range(n)): c for e, c in self.terms.items()}
-        )
+        if not all(-2 * _BIAS <= s < 2 * _BIAS for s in shift):
+            raise OverflowError("exponent shift outside [-2^15, 2^15)")
+        return self._translate(sum(map(mul, shift, _layout(self.nvars).weights)))
 
     def extract_unit(self):
         """Write self = sign * content * X^shift * canonical.
@@ -249,15 +312,8 @@ class Poly:
         sign = 1 if self.leading_coeff() > 0 else -1
         if g == 1 and sign > 0 and not any(shift):
             return self, shift, 1, 1
-        n = self.nvars
-        canonical = Poly(
-            n,
-            {
-                tuple(e[i] - shift[i] for i in range(n)): c // (sign * g)
-                for e, c in self.terms.items()
-            },
-        )
-        return canonical, shift, sign, g
+        d = _layout(self.nvars).zero - self._floor_key()
+        return self._translate(d, sign * g), shift, sign, g
 
     def exact_div(self, other):
         """Exact quotient self / other, or None when it does not divide.
@@ -266,70 +322,70 @@ class Poly:
         obstruct divisibility.
 
         This is sparse heap division (Johnson 1974; Monagan and Pearce,
-        CASC 2007).  Exponents are packed into single integers whose
-        order is the term order, so a monomial product is one integer
-        addition, and the leading term of the remainder is taken from a
-        heap with cancelled terms deleted lazily.
+        CASC 2007) on the packed keys, whose order is the term order: a
+        monomial product is one integer addition, and the leading term of
+        the remainder is taken from a heap with cancelled terms deleted
+        lazily.
 
         Two cheap rejects come first.  The term order is compatible with
         multiplication, so the leading and trailing terms of h * other
         are the products of those of h and other; floors add because the
         integers have no zero divisors, so every term of h lies at or
-        above ``floor(self) - floor(other)``.  Hence if self = h * other,
-        the leading (and trailing) term of other divides that of self
-        with a quotient exponent at or above that offset.  Both tests are
-        only necessary: a pair that passes them may still fail below.
+        above ``off = floor(self) - floor(other)``.  Hence if self = h *
+        other, the leading (and trailing) term of other divides that of
+        self with a quotient exponent at or above ``off``.  Both tests
+        are only necessary: a pair that passes them may still fail below.
+        The same facts make the quotient's floor ``off`` and its end
+        terms the quotients of the end terms, so it is born with them.
         """
         self._check(other)
-        if not other.terms:
+        if not other.keys:
             raise ZeroDivisionError("polynomial division by zero")
-        if not self.terms:
+        if not self.keys:
             return Poly.zero(self.nvars)
-        n = self.nvars
-        floor_s = self.exponent_floor()
-        floor_o = other.exponent_floor()
-        off = tuple(map(sub, floor_s, floor_o))
+        _, _, top, zero, ones, guard = _layout(self.nvars)
+        num, dnum = self.keys, other.keys
         lead, trail = self._ends()
         dlead, dtrail = other._ends()
-        dlc = other.terms[dlead]
-        if not (
-            _term_divides(lead, self.terms[lead], dlead, dlc, off)
-            and _term_divides(trail, self.terms[trail], dtrail, other.terms[dtrail], off)
+        floor_s, floor_o = self._floor_key(), other._floor_key()
+        off = floor_s - floor_o + zero
+        # field i of k - base is (quotient exponent - off)_i, in (-2^15,
+        # 2^15): a negative one borrows and shows its guard bit
+        dshift = dlead - zero
+        base = dshift + off
+        dlc = dnum[dlead]
+        if (
+            (lead - base) & guard
+            or num[lead] % dlc
+            or (trail - dtrail - off + zero) & guard
+            or num[trail] % dnum[dtrail]
         ):
             return None
 
-        # Packed key of e relative to a floor f: the total degree of e - f
-        # in the top field, then each coordinate of e - f, most significant
-        # first.  Every remainder term t satisfies floor_s <= t with total
-        # degree at most that of lead, so each field lies in [0, span] and
-        # one spare top bit per field catches a negative quotient
-        # coordinate as a borrow.
-        span = sum(lead) - sum(floor_s)
-        bits = span.bit_length() + 1
-        weights = [(1 << (bits * n)) + (1 << (bits * (n - 1 - i))) for i in range(n)]
-        guard = sum(1 << (bits * i + bits - 1) for i in range(n + 1))
-        base_s = sum(map(mul, floor_s, weights))
-        base_o = sum(map(mul, floor_o, weights))
-        rem = {sum(map(mul, e, weights)) - base_s: c for e, c in self.terms.items()}
-        dkey = sum(map(mul, dlead, weights)) - base_o
-        den = [
-            (sum(map(mul, e, weights)) - base_o, c)
-            for e, c in other.terms.items()
-            if e != dlead
-        ]
+        # remainder terms lie in floor_s + [0, span], quotient terms in
+        # off + [0, qspan], field by field
+        span = (lead >> top) - (floor_s >> top)
+        qspan = span - ((dlead >> top) - (floor_o >> top))
+        if span >> (_BITS - 1) or (
+            (floor_s + span * ones) | off | (off + qspan * ones)
+        ) & guard:
+            raise OverflowError("division leaves the exponent range [-2^14, 2^14)")
+
+        rem = dict(num)
+        den = [(k - zero, c) for k, c in dnum.items() if k != dlead]
         heap = [-k for k in rem]
         heapify(heap)
-        quo = []
+        quo = {}
         while heap:
             k = -heappop(heap)
             c = rem.pop(k, 0)
             if not c:
                 continue
-            qk = k - dkey
-            if qk & guard or c % dlc:
+            if (k - base) & guard or c % dlc:
                 return None
+            qk = k - dshift
             qc = c // dlc
-            quo.append((qk, qc))
+            quo[qk] = qc
             for e, dc in den:
                 t = qk + e
                 old = rem.get(t)
@@ -340,44 +396,45 @@ class Poly:
                     del rem[t]
                 else:
                     rem[t] = old - qc * dc
-
-        mask = (1 << bits) - 1
-        shifts = [bits * (n - 1 - i) for i in range(n)]
-        return Poly(
-            n,
-            {
-                tuple([((k >> s) & mask) + o for s, o in zip(shifts, off)]): c
-                for k, c in quo
-            },
-        )
+        return Poly._raw(self.nvars, quo, off, (lead - dshift, trail - dtrail + zero))
 
     def evaluate(self, point):
-        """Evaluate at a tuple of Fractions ordered (x_1, ..., x_N, q)."""
+        """Evaluate at a tuple of rationals ordered (x_1, ..., x_N, q).
+
+        With x_i = a_i / b_i and exponents of x_i in [lo_i, hi_i], a term
+        c * X^e is the integer c * prod a_i^(e_i - lo_i) b_i^(hi_i - e_i)
+        times prod a_i^lo_i / b_i^hi_i, so the terms sum as integers.
+        """
         if len(point) != self.nvars:
             raise ValueError("point has wrong length")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = Fraction(c)
-            for base, exp in zip(point, e):
-                if exp:
-                    v *= Fraction(base) ** exp
-            total += v
-        return total
-
-    def var_name(self, i):
-        return "q" if i == self.nvars - 1 else f"x{i + 1}"
+        terms = self.terms
+        num = den = 1
+        tables = []
+        for v, col in zip(map(Fraction, point), zip(*terms)):
+            a, b = v.numerator, v.denominator
+            lo, hi = min(col), max(col)
+            num *= a ** max(lo, 0) * b ** max(-hi, 0)
+            den *= a ** max(-lo, 0) * b ** max(hi, 0)
+            tables.append((lo, [a**i * b ** (hi - lo - i) for i in range(hi - lo + 1)]))
+        total = 0
+        for e, c in terms.items():
+            for x, (lo, table) in zip(e, tables):
+                c *= table[x - lo]
+            total += c
+        return Fraction(total * num, den)
 
     def __str__(self):
-        if not self.terms:
+        if not self.keys:
             return "0"
+        lay = _layout(self.nvars)
         parts = []
-        for e in sorted(self.terms, key=term_key, reverse=True):
-            c = self.terms[e]
+        for k in sorted(self.keys, reverse=True):
+            c = self.keys[k]
             factors = []
-            for i, exp in enumerate(e):
+            for i, exp in enumerate(_unpack(lay, k)):
                 if exp == 0:
                     continue
-                name = self.var_name(i)
+                name = "q" if i == self.nvars - 1 else f"x{i + 1}"
                 factors.append(name if exp == 1 else f"{name}^{exp}")
             if not factors:
                 body = str(abs(c))

@@ -28,7 +28,7 @@ class PoleError(ZeroDivisionError):
 
 
 class RationalFunction:
-    __slots__ = ("nvars", "num", "den_scalar", "den_factors", "_den_poly")
+    __slots__ = ("nvars", "num", "den_scalar", "den_factors")
 
     def __init__(self, nvars, num, den_factors=(), den_scalar=1):
         if not isinstance(num, Poly) or num.nvars != nvars:
@@ -61,11 +61,10 @@ class RationalFunction:
             self.num = num
             self.den_scalar = 1
             self.den_factors = ()
-            self._den_poly = None
             return
 
         # cancel small factors first: they divide out most often
-        for f in sorted(merged, key=lambda p: (len(p.terms), term_sort_key(p))):
+        for f in sorted(merged, key=lambda p: (len(p.keys), term_sort_key(p))):
             m = merged[f]
             while m > 0:
                 quo = num.exact_div(f)
@@ -77,7 +76,7 @@ class RationalFunction:
 
         g = gcd(num.content(), den_scalar)
         if g > 1:
-            num = Poly(nvars, {e: c // g for e, c in num.terms.items()})
+            num = Poly._raw(nvars, {k: c // g for k, c in num.keys.items()})
             den_scalar //= g
 
         self.nvars = nvars
@@ -86,7 +85,6 @@ class RationalFunction:
         self.den_factors = tuple(
             sorted(((f, m) for f, m in merged.items() if m), key=lambda fm: term_sort_key(fm[0]))
         )
-        self._den_poly = None
 
     # -- constructors ----------------------------------------------------
 
@@ -98,7 +96,6 @@ class RationalFunction:
         out.num = num
         out.den_scalar = den_scalar
         out.den_factors = den_factors
-        out._den_poly = None
         return out
 
     @classmethod
@@ -126,14 +123,6 @@ class RationalFunction:
         return cls(nvars, Poly.q(nvars, e))
 
     # -- structure -------------------------------------------------------
-
-    def den_poly(self):
-        if self._den_poly is None:
-            d = Poly.const(self.nvars, self.den_scalar)
-            for f, m in self.den_factors:
-                d = d * f**m
-            self._den_poly = d
-        return self._den_poly
 
     def is_zero(self):
         return self.num.is_zero()
@@ -195,7 +184,7 @@ class RationalFunction:
             num = self.num * other
             g = gcd(num.content(), self.den_scalar)
             if g > 1:
-                num = Poly(self.nvars, {e: c // g for e, c in num.terms.items()})
+                num = Poly._raw(self.nvars, {k: c // g for k, c in num.keys.items()})
             return RationalFunction._reduced(
                 self.nvars, num, self.den_factors, self.den_scalar // g
             )
@@ -306,9 +295,9 @@ class RationalFunction:
             return num
         dparts = [] if self.den_scalar == 1 else [str(self.den_scalar)]
         for f, m in self.den_factors:
-            body = f"({f})" if len(f.terms) > 1 else str(f)
+            body = f"({f})" if len(f.keys) > 1 else str(f)
             dparts.append(body if m == 1 else f"{body}^{m}")
-        if len(self.num.terms) > 1:
+        if len(self.num.keys) > 1:
             num = f"({num})"
         den = "*".join(dparts)
         if len(dparts) > 1:
@@ -321,7 +310,7 @@ class RationalFunction:
 
 def term_sort_key(p):
     """Deterministic order on canonical polynomials, for stable factor tuples."""
-    return tuple(sorted(p.terms.items()))
+    return tuple(sorted(p.keys.items()))
 
 
 def sz_equal(a, b, trials=8, seed=0xC0FFEE, retries=64):

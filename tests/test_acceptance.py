@@ -56,6 +56,21 @@ class TestGeometricNilpotency:
         assert time.perf_counter() - start < 60.0
 
 
+class TestGeometryBatteriesAtN6:
+    # the three geometry batteries that `qglk verify --n 6` runs
+    def test_nilpotency_commutator_and_normalized_at_n6_under_60s(self):
+        start = time.perf_counter()
+        for battery, count in (
+            (fm.nilpotency_report, 14),
+            (fm.commutator_report, 14),
+            (fm.normalized_rep_report, 42),
+        ):
+            rep = battery(6)
+            assert rep.passed, f"{battery.__name__}: {fail_text(rep)}"
+            assert len(rep.checks) == count
+        assert time.perf_counter() - start < 60.0
+
+
 class TestCommutatorScalar:
     def test_commutator_is_signed_scalar_to_n5_under_120s(self):
         start = time.perf_counter()

@@ -42,11 +42,27 @@ class TestVerify:
         # stable ordering: re-serializing with sorted keys is the identity
         assert json.dumps(doc, sort_keys=True, indent=2) == out.strip()
 
-    def test_n6_skips_geometry(self, capsys):
+    def test_n6_runs_geometry_and_skips_the_intertwiner(self, capsys, monkeypatch):
+        # the batteries are stubbed: this pins the caps, not the mathematics
+        seen = []
+
+        def stub(name):
+            def battery(n, *args, **kwargs):
+                seen.append((name, n))
+                rep = Report("stub")
+                rep.add("stub check", True)
+                return rep
+
+            return battery
+
+        geometry = ("nilpotency_report", "commutator_report", "normalized_rep_report")
+        for name in geometry + ("intertwiner_report",):
+            monkeypatch.setattr(fm, name, stub(name))
         code, out, _ = run(capsys, "verify", "--n", "6")
         assert code == 0
-        assert "geometry battery skipped" in out
-        assert "intertwiner solve skipped" in out
+        assert seen == [(name, 6) for name in geometry]
+        assert "geometry battery skipped" not in out
+        assert "intertwiner solve skipped: n=6 exceeds the cap 5" in out
 
     def test_n5_runs_the_intertwiner(self, capsys, monkeypatch):
         # the batteries are stubbed: this pins the caps, not the mathematics

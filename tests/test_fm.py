@@ -320,3 +320,34 @@ class TestIntertwinerNegativeControls:
         for check in rep.failures:
             assert check.witness.startswith("algebra side, weight ")
             assert len(check.witness) < 300
+
+
+class TestGeometryBatteryNegativeControls:
+    def test_negated_lowering_column_gives_located_witnesses(self, monkeypatch):
+        _negate_lowering_column(monkeypatch, weight=1, col=2)
+        failures = nilpotency_report(3).failures + commutator_report(3).failures
+        assert [c.name for c in failures] == [
+            "lowering twice from weight 3 vanishes",
+            "weight 1 commutator is a (1-q^6) scalar on a dim-3 block",
+            "weight -1 commutator is a (1-q^6) scalar on a dim-3 block",
+        ]
+        for check in failures:
+            assert check.witness.startswith("first bad entry at row ")
+            assert "(subset {" in check.witness and "column " in check.witness
+            assert " at (x1, ..., q) = (" in check.witness
+            assert "\n" not in check.witness and len(check.witness) < 300
+        # negated column 2 is subset {3} of Gr(1, 3)
+        assert "row 0 (subset {1}), column 2 (subset {3})" in failures[1].witness
+
+    def test_witness_names_the_first_bad_entry(self):
+        d = commutator_matrix(2, 0)
+        target = FunctorMatrix.identity(2, 0).scale(commutator_scalar(2, 1))
+        assert fm._entry_witness(d, target) == ""
+        d.mat.rows[1][0] = d.mat.rows[1][0] + RationalFunction.q(3, 1)
+        witness = fm._entry_witness(d, target)
+        assert witness.startswith(
+            "first bad entry at row 1 (subset {2}), column 0 (subset {1}) is off by "
+        )
+        # the added q is the whole difference, so the value is q's coordinate
+        value, point = witness.split(" is off by ")[1].split(" at (x1, ..., q) = ")
+        assert value == point.strip("()").split(", ")[-1]

@@ -1,10 +1,14 @@
 from fractions import Fraction
+from math import gcd
+from operator import add
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qglk.poly import Monomial, Poly, term_key
+
+LIMIT = 1 << 14  # exponents lie in [-LIMIT, LIMIT)
 
 
 def small_polys(nvars=3, max_terms=5):
@@ -48,6 +52,48 @@ def reference_exact_div(a, b):
                 num.pop(t, None)
     off = tuple(shift_s[i] - shift_o[i] for i in range(n))
     return Poly(n, {tuple(e[i] + off[i] for i in range(n)): c for e, c in quo.items()})
+
+
+def reference_evaluate(p, point):
+    """The Fraction-per-term evaluation: the reference for Poly.evaluate."""
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        v = Fraction(c)
+        for base, exp in zip(point, e):
+            if exp:
+                v *= Fraction(base) ** exp
+        total += v
+    return total
+
+
+def reference_mul(a, b):
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def reference_floor(p):
+    return tuple(map(min, zip(*p.terms)))
+
+
+def reference_extract_unit(p):
+    shift = reference_floor(p)
+    g = 0
+    for c in p.terms.values():
+        g = gcd(g, abs(c))
+    sign = 1 if p.terms[max(p.terms, key=term_key)] > 0 else -1
+    canonical = {
+        tuple(a - s for a, s in zip(e, shift)): c // (sign * g) for e, c in p.terms.items()
+    }
+    return canonical, shift, sign, g
+
+
+def fresh(p):
+    """The same polynomial built from its terms, with no cached fields."""
+    return Poly(p.nvars, dict(p.terms))
 
 
 def laurent_polys(nvars, max_terms):
@@ -226,3 +272,138 @@ class TestMonomial:
         assert m.mul(m.inverse()).is_trivial()
         assert m.power(2) == Monomial((2, -4), 6)
         assert m.to_poly(-2) == Poly(3, {(1, -2, 3): -2})
+
+
+class TestPackedRepresentation:
+    @given(laurent_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_mul_matches_tuple_reference(self, nab):
+        _, a, b = nab
+        assert (a * b).terms == reference_mul(a, b)
+        assert (a * 3).terms == {e: 3 * c for e, c in a.terms.items()}
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_shift_floor_and_leading_match_tuple_references(self, data):
+        nvars = data.draw(st.integers(1, 6))
+        p = data.draw(laurent_polys(nvars, 8).filter(bool))
+        s = data.draw(st.tuples(*([st.integers(-5, 5)] * nvars)))
+        assert p.shift_exps(s).terms == {
+            tuple(map(add, e, s)): c for e, c in p.terms.items()
+        }
+        assert p.exponent_floor() == reference_floor(p)
+        assert p.leading_exps() == max(p.terms, key=term_key)
+        assert p.leading_coeff() == p.terms[max(p.terms, key=term_key)]
+        canon, shift, sign, g = p.extract_unit()
+        want, *rest = reference_extract_unit(p)
+        assert canon.terms == want and (shift, sign, g) == tuple(rest)
+        assert str(p) == str(fresh(p))
+
+    @given(small_polys(), st.tuples(*([st.fractions(max_denominator=9)] * 3)))
+    @settings(max_examples=150, deadline=None)
+    def test_evaluate_matches_fraction_reference(self, p, point):
+        try:
+            want = reference_evaluate(p, point)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                p.evaluate(point)
+            return
+        assert p.evaluate(point) == want
+
+    def test_evaluate_at_integers_and_zero(self):
+        p = Poly(3, {(-2, 1, 0): 3, (1, 0, -1): -5, (0, 0, 0): 7})
+        assert p.evaluate((2, -3, 5)) == reference_evaluate(p, (2, -3, 5))
+        assert Poly(3, {(1, 2, 0): 4}).evaluate((0, 1, 1)) == 0
+        with pytest.raises(ZeroDivisionError):
+            p.evaluate((0, 1, 1))
+        assert Poly.zero(3).evaluate((1, 2, 3)) == 0
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_inherited_caches_equal_fresh_ones(self, data):
+        nvars, a, b = data.draw(laurent_pairs())
+        if not a:
+            return
+        p = a * b
+        quo = p.exact_div(b)
+        derived = [quo, -p, p * -4, quo * 7, -quo]
+        for d in derived:
+            f = fresh(d)
+            assert d._floor is not None and d._ends_cache is not None
+            assert d._floor == f._floor_key() and d._ends_cache == f._ends()
+        canon = p.extract_unit()[0]
+        shifted = p.shift_exps((1,) * nvars)
+        for d in (canon, shifted):
+            f = fresh(d)
+            assert d._floor in (None, f._floor_key())
+            assert d._ends_cache in (None, f._ends())
+
+
+class TestExponentRange:
+    def test_constructor_checks_both_ends(self):
+        assert Poly(2, {(-LIMIT, LIMIT - 1): 1}).terms == {(-LIMIT, LIMIT - 1): 1}
+        with pytest.raises(OverflowError):
+            Poly(2, {(LIMIT, 0): 1})
+        with pytest.raises(OverflowError):
+            Poly(2, {(0, -LIMIT - 1): 1})
+
+    def test_products_crossing_either_end_raise(self):
+        top = Poly.monomial(2, (LIMIT - 1, 0)) + Poly.one(2)
+        bottom = Poly.monomial(2, (0, -LIMIT)) + Poly.one(2)
+        assert (top * Poly.monomial(2, (0, 5))).terms == {(LIMIT - 1, 5): 1, (0, 5): 1}
+        with pytest.raises(OverflowError):
+            top * Poly.x(2, 1)
+        with pytest.raises(OverflowError):
+            bottom * Poly.monomial(2, (0, -1))
+        with pytest.raises(OverflowError):
+            top * top
+        with pytest.raises(OverflowError):
+            bottom ** 2
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_products_near_the_edges_raise_exactly_when_out_of_range(self, data):
+        edge = st.one_of(st.integers(-LIMIT, -LIMIT + 3), st.integers(LIMIT - 4, LIMIT - 1))
+        exps = st.tuples(edge | st.integers(-3, 3), edge | st.integers(-3, 3))
+        a, b = (
+            Poly(2, data.draw(st.dictionaries(exps, st.integers(-3, 3), max_size=4)))
+            for _ in range(2)
+        )
+        want = reference_mul(a, b)
+        if all(-LIMIT <= x < LIMIT for e in want for x in e):
+            assert (a * b).terms == want
+        else:
+            with pytest.raises(OverflowError):
+                a * b
+
+    def test_shift_exps_checks_the_range(self):
+        p = Poly.monomial(3, (LIMIT - 2, 0, -LIMIT + 2))
+        assert p.shift_exps((1, 0, -2)).terms == {(LIMIT - 1, 0, -LIMIT): 1}
+        for shift in ((2, 0, 0), (0, 0, -3), (0, 2 * LIMIT, 0), (0, -2 * LIMIT - 1, 0)):
+            with pytest.raises(OverflowError):
+                p.shift_exps(shift)
+
+    def test_extract_unit_out_of_range_raises(self):
+        p = Poly(2, {(-LIMIT + 1, 0): 1, (LIMIT - 1, 0): 1})
+        with pytest.raises(OverflowError):
+            p.extract_unit()
+
+    def test_division_whose_box_does_not_fit_raises(self):
+        # the remainder box floor + [0, span] leaves the range in x2
+        p = Poly(3, {(-LIMIT + 400, 0, 0): 1, (0, LIMIT - 400, 0): 1})
+        with pytest.raises(OverflowError):
+            p.exact_div(Poly.one(3))
+        # the quotient x1^(2^14) leaves the range
+        with pytest.raises(OverflowError):
+            Poly.one(2).exact_div(Poly.monomial(2, (-LIMIT, 0)))
+        # the quotient floor x1^(-2^14 - 1) leaves the range; its top does not
+        low = Poly(2, {(-LIMIT, 0): 1, (-LIMIT + 2, 0): 1})
+        with pytest.raises(OverflowError):
+            low.exact_div(Poly.x(2, 1))
+        # the quotient floor fits, its top x1^(2^14) does not
+        high = Poly(2, {(0, 0): 1, (LIMIT - 1, 0): 1})
+        with pytest.raises(OverflowError):
+            high.exact_div(Poly.monomial(2, (-1, 0)))
+        assert Poly.one(2).exact_div(Poly.monomial(2, (-LIMIT + 1, 0))) == Poly.monomial(
+            2, (LIMIT - 1, 0)
+        )
