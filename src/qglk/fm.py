@@ -25,13 +25,12 @@ import random
 from math import comb
 
 from .grassmann import (
-    Character,
     det_tau_restrict,
     euler_class_rf,
     fixed_points,
     hom_fiber,
+    ratio_character,
     tangent_gr,
-    weight_monomial,
 )
 from .linalg import certify_invertible, column_basis, columns, hstack, invert_matrix
 from .matrix import Matrix
@@ -71,8 +70,8 @@ def correspondence_tangent(n, S_small, S_big):
     if len(extra) != 1 or not small <= big:
         raise ValueError("expected nested subsets differing by one index")
     b = next(iter(extra))
-    line = [weight_monomial(n, (j,), (b,)) for j in range(1, n + 1) if j not in big]
-    return tangent_gr(n, S_small) + Character.from_monomials(line) + hom_fiber(n, S_small)
+    line = ratio_character(n, [(j, b) for j in range(1, n + 1) if j not in big])
+    return tangent_gr(n, S_small) + line + hom_fiber(n, S_small)
 
 
 def _transfer_index(S_small, S_big):

@@ -13,8 +13,10 @@ prod(1 - w^{-1}).
 """
 
 from itertools import combinations
+from operator import mul
+from types import MappingProxyType
 
-from .poly import Monomial, Poly
+from .poly import _BIAS, Monomial, Poly, _check_fields, _layout, _unpack
 from .ratfunc import RationalFunction
 
 
@@ -23,21 +25,32 @@ class NonIsolatedFixedPointError(ValueError):
 
 
 class Character:
-    """Finite multiset of monomial weights with integer multiplicities."""
+    """Finite multiset of monomial weights with integer multiplicities.
 
-    __slots__ = ("weights",)
+    A thin view over a :class:`Poly`: the packed key of each weight maps
+    to its multiplicity.  Sums, differences and tensor products are Poly's
+    key arithmetic, a twist adds one integer to every key and the dual
+    reflects each key about ``2 * zero``, all with Poly's range checks.
+    Monomials appear only at the boundary: the constructors, ``weights``,
+    ``monomial_list`` and ``det``.  A character built from no weights has
+    no variables and is the zero of every arity.
+    """
+
+    __slots__ = ("poly",)
 
     def __init__(self, weights=None):
-        clean = {}
-        if weights:
-            for w, m in weights.items():
-                if m:
-                    clean[w] = m
-        self.weights = clean
+        terms = {w.exps(): m for w, m in weights.items()} if weights else {}
+        self.poly = Poly(len(next(iter(terms), ())), terms)
+
+    @classmethod
+    def _of(cls, poly):
+        out = object.__new__(cls)
+        out.poly = poly
+        return out
 
     @classmethod
     def zero(cls):
-        return cls()
+        return cls._of(Poly.zero(0))
 
     @classmethod
     def from_monomials(cls, monos):
@@ -48,63 +61,74 @@ class Character:
 
     @classmethod
     def line(cls, mono):
-        return cls({mono: 1})
+        return cls._of(mono.to_poly())
+
+    @property
+    def nvars(self):
+        return self.poly.nvars
+
+    @property
+    def weights(self):
+        """Read-only {Monomial: multiplicity} view, built on access."""
+        return MappingProxyType(
+            {Monomial.from_exps(e): m for e, m in self.poly.terms.items()}
+        )
 
     def items(self):
         return self.weights.items()
 
+    def __bool__(self):
+        return bool(self.poly.keys)
+
     def rank(self):
-        return sum(self.weights.values())
+        return sum(self.poly.keys.values())
 
     def is_genuine(self):
-        return all(m >= 0 for m in self.weights.values())
+        return all(m >= 0 for m in self.poly.keys.values())
 
-    def monomial_list(self):
+    def _key_list(self):
         if not self.is_genuine():
             raise ValueError("virtual character has no weight list")
-        out = []
-        for w, m in sorted(self.weights.items()):
-            out.extend([w] * m)
-        return out
+        return [k for k, m in self.poly.keys.items() for _ in range(m)]
+
+    def monomial_list(self):
+        lay = _layout(self.poly.nvars)
+        return sorted(Monomial.from_exps(_unpack(lay, k)) for k in self._key_list())
 
     def __add__(self, other):
-        out = dict(self.weights)
-        for w, m in other.weights.items():
-            nm = out.get(w, 0) + m
-            if nm:
-                out[w] = nm
-            else:
-                del out[w]
-        return Character(out)
+        if not other.poly.keys:
+            return self
+        if not self.poly.keys:
+            return other
+        return Character._of(self.poly + other.poly)
 
     def __neg__(self):
-        return Character({w: -m for w, m in self.weights.items()})
+        return Character._of(-self.poly)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         """Tensor product of (virtual) characters."""
-        out = {}
-        for w1, m1 in self.weights.items():
-            for w2, m2 in other.weights.items():
-                w = w1.mul(w2)
-                nm = out.get(w, 0) + m1 * m2
-                if nm:
-                    out[w] = nm
-                else:
-                    del out[w]
-        return Character(out)
+        if not self.poly.keys or not other.poly.keys:
+            return Character.zero()
+        return Character._of(self.poly * other.poly)
 
     def twist(self, mono):
-        if mono.is_trivial():
+        if mono.is_trivial() or not self.poly.keys:
             # identity twist; also keeps rank-0 characters (whose trivial
-            # monomial carries no variable slots) out of arity checks
+            # weight carries no x variables) out of arity checks
             return self
-        return Character({w.mul(mono): m for w, m in self.weights.items()})
+        return Character._of(self.poly.shift_exps(mono.exps()))
 
     def dual(self):
-        return Character({w.inverse(): m for w, m in self.weights.items()})
+        """Each key k becomes 2 * zero - k; a field -e + 2^14 that reaches
+        2^15 (e = -2^14) shows its guard bit."""
+        p = self.poly
+        lay = _layout(p.nvars)
+        keys = {2 * lay.zero - k: m for k, m in p.keys.items()}
+        _check_fields(lay, keys)
+        return Character._of(Poly._raw(p.nvars, keys))
 
     def det(self):
         """Top weight of a genuine character, as a Monomial."""
@@ -116,42 +140,46 @@ class Character:
             out = out.mul(w)
         return out
 
+    def _exterior_levels(self, j):
+        """Lambda^0 .. Lambda^j by the elementary symmetric recursion, one
+        key offset per weight."""
+        keys = self._key_list()
+        nvars = self.poly.nvars or 1
+        zero = _layout(nvars).zero
+        levels = [Poly.one(nvars)] + [Poly.zero(nvars)] * j
+        for i, k in enumerate(keys):
+            d = k - zero
+            for t in range(min(j, i + 1), 0, -1):
+                levels[t] = levels[t] + levels[t - 1]._translate(d)
+        return [Character._of(p) for p in levels]
+
     def exterior_power(self, j):
         """Elementary symmetric expansion over the weight multiset."""
         if j < 0:
             raise ValueError("negative exterior power")
-        monos = self.monomial_list()
-        n_x = len(monos[0].x_exps) if monos else 0
-        # dp over e_0..e_j, adding one weight at a time
-        levels = [Character({Monomial.one(n_x): 1})] + [Character.zero()] * j
-        for w in monos:
-            for t in range(j, 0, -1):
-                levels[t] = levels[t] + levels[t - 1].twist(w)
-        return levels[j]
+        return self._exterior_levels(j)[j]
 
     def all_exterior_powers(self):
-        monos = self.monomial_list()
-        n_x = len(monos[0].x_exps) if monos else 0
-        r = len(monos)
-        levels = [Character({Monomial.one(n_x): 1})] + [Character.zero()] * r
-        for w in monos:
-            for t in range(r, 0, -1):
-                levels[t] = levels[t] + levels[t - 1].twist(w)
-        return levels
+        return self._exterior_levels(self.rank())
 
     def as_poly(self, nvars):
-        return Poly(nvars, {w.exps(): m for w, m in self.weights.items()})
+        if not self.poly.keys:
+            return Poly.zero(nvars)
+        if nvars != self.poly.nvars:
+            raise ValueError("variable-count mismatch")
+        return self.poly
 
     def __eq__(self, other):
         if not isinstance(other, Character):
             return NotImplemented
-        return self.weights == other.weights
+        a, b = self.poly, other.poly
+        return a.keys == b.keys and (not a.keys or a.nvars == b.nvars)
 
     def __hash__(self):
-        return hash(frozenset(self.weights.items()))
+        return hash(frozenset(self.poly.keys.items()))
 
     def __str__(self):
-        if not self.weights:
+        if not self.poly.keys:
             return "0"
         parts = []
         for w, m in sorted(self.weights.items()):
@@ -170,6 +198,21 @@ def weight_monomial(n, num=(), den=(), q_exp=0):
     return Monomial(tuple(exps), q_exp)
 
 
+def ratio_character(n, pairs, q_exp=0):
+    """Character with one weight x_i / x_j * q^q_exp per pair (i, j),
+    packed straight into keys."""
+    if not -_BIAS <= q_exp < _BIAS:
+        raise OverflowError("exponent outside [-2^14, 2^14)")
+    lay = _layout(n + 1)
+    w = lay.weights
+    base = lay.zero + q_exp * w[n]
+    keys = {}
+    for i, j in pairs:
+        k = base + w[i - 1] - w[j - 1]
+        keys[k] = keys.get(k, 0) + 1
+    return Character._of(Poly._raw(n + 1, keys))
+
+
 def fixed_points(n, k):
     if k < 0 or k > n:
         return []
@@ -179,21 +222,12 @@ def fixed_points(n, k):
 def tangent_gr(n, S):
     """Tangent weights of Gr(k,n) at S: x_j/x_i for i in S, j outside."""
     Sset = set(S)
-    monos = []
-    for i in S:
-        for j in range(1, n + 1):
-            if j not in Sset:
-                monos.append(weight_monomial(n, (j,), (i,)))
-    return Character.from_monomials(monos)
+    return ratio_character(n, [(j, i) for i in S for j in range(1, n + 1) if j not in Sset])
 
 
 def hom_fiber(n, S):
     """Weights of Hom(C^n, tau) at S, scaled by q^2."""
-    monos = []
-    for i in S:
-        for j in range(1, n + 1):
-            monos.append(weight_monomial(n, (i,), (j,), 2))
-    return Character.from_monomials(monos)
+    return ratio_character(n, [(i, j) for i in S for j in range(1, n + 1)], 2)
 
 
 def euler_class_rf(char, nvars, invert=False):
@@ -202,23 +236,44 @@ def euler_class_rf(char, nvars, invert=False):
     Positive multiplicities land in the numerator and negative ones in the
     factored denominator; invert=True swaps the roles, which is the cheap
     way to divide by the Euler class of a large genuine character.
+
+    Each binomial is built canonical from the weight's key: with w = X^e
+    and e = e+ - e- split into its positive and negative parts,
+    1 - X^-e = X^-e+ (X^e+ - X^e-), and X^e+ - X^e- is primitive with
+    floor zero; its sign is fixed so the leading term is positive.  The
+    units X^-e+ and the signs collect into the numerator.
     """
+    if char and char.nvars != nvars:
+        raise ValueError("variable-count mismatch")
+    lay = _layout(nvars)
+    zero = lay.zero
     num = Poly.one(nvars)
     den = []
-    for w, m in char.items():
-        if m == 0:
-            continue
-        if w.is_trivial():
+    shift = [0] * nvars
+    sign = 1
+    for k, m in char.poly.keys.items():
+        if k == zero:
             raise NonIsolatedFixedPointError(
                 "trivial weight of multiplicity %d in an Euler class" % m
             )
-        p = Poly.one(nvars) - w.inverse().to_poly()
-        e = -m if invert else m
-        if e > 0:
-            num = num * p**e
+        power = -m if invert else m
+        pos = [max(a, 0) for a in _unpack(lay, k)]
+        hi = zero + sum(map(mul, pos, lay.weights))
+        lo = hi - k + zero
+        # a field of X^e- holds -a for a negative exponent a: -2^14 overflows
+        _check_fields(lay, (lo,))
+        if hi < lo:
+            hi, lo = lo, hi
+            if power % 2:
+                sign = -sign
+        canon = Poly._raw(nvars, {hi: 1, lo: -1}, zero, (hi, lo))
+        shift = [s - a * power for s, a in zip(shift, pos)]
+        if power > 0:
+            num = num * canon**power
         else:
-            den.append((p, -e))
-    return RationalFunction(nvars, num, tuple(den))
+            den.append((canon, -power))
+    num = num.shift_exps(shift)
+    return RationalFunction(nvars, num if sign > 0 else -num, tuple(den))
 
 
 def det_tau_restrict(n, S, m=1):

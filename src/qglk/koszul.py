@@ -38,7 +38,7 @@ class GradedComplex:
         clean = {}
         if terms:
             for d, char in terms.items():
-                if char.weights:
+                if char:
                     clean[d] = char
         self.terms = clean
 
@@ -48,8 +48,7 @@ class GradedComplex:
         acc = {}
         for d, qt, char in triples:
             if qt:
-                n_x = _char_nx(char)
-                char = char.twist(Monomial((0,) * n_x, qt))
+                char = char.twist(Monomial((0,) * (char.nvars - 1), qt))
             acc[d] = acc.get(d, Character.zero()) + char
         return cls(acc)
 
@@ -95,12 +94,6 @@ class GradedComplex:
         return "\n".join(self.dump_lines())
 
 
-def _char_nx(char):
-    for w in char.weights:
-        return len(w.x_exps)
-    raise ValueError("cannot infer variable count from the zero character")
-
-
 def _line_monomial(L):
     if isinstance(L, Monomial):
         return L
@@ -120,14 +113,27 @@ def koszul_complex(V, section_q_weight=0):
     )
 
 
+def _twist(char, ell_inv, power, q_exp):
+    """char (L^dual)^power q^q_exp: one key offset on every weight."""
+    return char.twist(
+        Monomial(tuple(a * power for a in ell_inv.x_exps), ell_inv.q_exp * power + q_exp)
+    )
+
+
+def _interpolating(duals, ell_inv, I, section_q_weight):
+    """K^I from the exterior powers of V^dual."""
+    return GradedComplex(
+        {
+            -j: _twist(lam, ell_inv, d_of(I, j), section_q_weight * j)
+            for j, lam in enumerate(duals)
+        }
+    )
+
+
 def generalized_koszul(I, L, V, section_q_weight=0):
     """The interpolating complex: degree -j twisted by (L^dual)^{d(I,j)}."""
-    ell_inv = _line_monomial(L).inverse()
     duals = V.dual().all_exterior_powers()
-    return GradedComplex.from_triples(
-        (-j, section_q_weight * j, duals[j].twist(ell_inv.power(d_of(I, j))))
-        for j in range(len(duals))
-    )
+    return _interpolating(duals, _line_monomial(L).inverse(), I, section_q_weight)
 
 
 def cone_class(src, tgt):
@@ -146,6 +152,18 @@ def _step_block(char_top, ell_inv, degree):
     )
 
 
+def _source(duals, ell_inv, I, i, section_q_weight):
+    if i not in I:
+        raise ValueError(f"{i} is not in I")
+    if i + 1 in I:
+        raise ValueError(f"{i + 1} already in I")
+    if i < 0:
+        raise ValueError("negative exterior power")
+    lam = duals[i] if i < len(duals) else Character.zero()
+    top = _twist(lam, ell_inv, d_of(I, i) - 1, section_q_weight * i)
+    return _step_block(top, ell_inv, -i)
+
+
 def proposition_source(I, i, L, V, section_q_weight=0):
     """Source complex of the one-step cone that moves i in I to i+1.
 
@@ -154,26 +172,60 @@ def proposition_source(I, i, L, V, section_q_weight=0):
     class(K^{I'}) = class(K^I) - class(source), I' = (I minus {i}) + {i+1},
     fixes the twist normalization.
     """
-    if i not in I:
-        raise ValueError(f"{i} is not in I")
-    if i + 1 in I:
-        raise ValueError(f"{i + 1} already in I")
-    ell_inv = _line_monomial(L).inverse()
-    lam = V.dual().exterior_power(i)
-    d = d_of(I, i)
-    n_x = _char_nx(lam) if lam.weights else len(ell_inv.x_exps)
-    top = lam.twist(ell_inv.power(d - 1)).twist(Monomial((0,) * n_x, section_q_weight * i))
-    return _step_block(top, ell_inv, -i)
+    duals = V.dual().all_exterior_powers()
+    return _source(duals, _line_monomial(L).inverse(), I, i, section_q_weight)
+
+
+def _proposition(duals, ell_inv, I, i, section_q_weight):
+    """The two sides of the one-step cone identity, as complexes:
+    K^{I'} and the cone on the source into K^I."""
+    I = sorted(set(I))
+    Iprime = sorted((set(I) - {i}) | {i + 1})
+    lhs = _interpolating(duals, ell_inv, Iprime, section_q_weight)
+    src = _source(duals, ell_inv, I, i, section_q_weight)
+    return lhs, cone_class(src, _interpolating(duals, ell_inv, I, section_q_weight))
 
 
 def proposition_check(I, i, L, V, section_q_weight=0):
     """Verify the one-step cone identity at total-class level."""
-    I = sorted(set(I))
-    Iprime = sorted((set(I) - {i}) | {i + 1})
-    lhs = generalized_koszul(Iprime, L, V, section_q_weight).total_class()
-    src = proposition_source(I, i, L, V, section_q_weight)
-    rhs = cone_class(src, generalized_koszul(I, L, V, section_q_weight)).total_class()
+    duals = V.dual().all_exterior_powers()
+    lhs, rhs = _proposition(duals, _line_monomial(L).inverse(), I, i, section_q_weight)
+    lhs, rhs = lhs.total_class(), rhs.total_class()
     return lhs == rhs, lhs, rhs
+
+
+def located_witness(a, b, names, by_class=False):
+    """Where two complexes differ: a degree, a weight (as a monomial) and
+    the weight's multiplicity in both complexes at that degree.
+
+    By terms, the degree is the first whose terms differ and the weight
+    the leading one of their difference.  By class, the weight is the
+    leading one of the total-class difference and the degree the first
+    where its multiplicities differ (one does, or the classes would agree
+    there); both class multiplicities follow.
+    """
+    degrees = sorted(set(a.terms) | set(b.terms))
+    if by_class:
+        ca, cb = a.total_class(), b.total_class()
+        diff = ca - cb
+        k = max(diff.poly.keys)
+        d = next(d for d in degrees if _mult(a.term(d), k) != _mult(b.term(d), k))
+    else:
+        d = next(d for d in degrees if a.term(d) != b.term(d))
+        diff = a.term(d) - b.term(d)
+        k = max(diff.poly.keys)
+    weight = str(Poly._raw(diff.nvars, {k: 1}))[:80]
+    text = (
+        f"degree {d:+d}, weight {weight}: "
+        f"{names[0]} {_mult(a.term(d), k)}, {names[1]} {_mult(b.term(d), k)}"
+    )
+    if by_class:
+        text += f"; total class {_mult(ca, k)} vs {_mult(cb, k)}"
+    return text
+
+
+def _mult(char, key):
+    return char.poly.keys.get(key, 0)
 
 
 class IteratedCones:
@@ -224,13 +276,12 @@ def iterated_cone_classes(N, k, L, V, section_q_weight=2):
     P = N - k
     qw = section_q_weight
     duals = V.dual().all_exterior_powers()
-    n_x = len(ell.x_exps)
 
     def lam_twisted(j, ell_power):
-        return duals[j].twist(ell_inv.power(ell_power)).twist(Monomial((0,) * n_x, qw * j))
+        return _twist(duals[j], ell_inv, ell_power, qw * j)
 
     # descending route: seed K^{[1,N]}, peel tokens top-first
-    minus = generalized_koszul(range(1, N + 1), L, V, qw)
+    minus = _interpolating(duals, ell_inv, range(1, N + 1), qw)
     minus_indices = []
     for a in range(k, 0, -1):
         for p in range(P + a, N + 1):
@@ -240,9 +291,9 @@ def iterated_cone_classes(N, k, L, V, section_q_weight=2):
     minus_indices.sort()
 
     # ascending route: seed the plain Koszul complex, inject then climb
-    plus = koszul_complex(V, qw)
+    plus = _interpolating(duals, ell_inv, (), qw)
     plus_indices = []
-    one = Character({Monomial((0,) * n_x, 0): 1})
+    one = Character.line(Monomial.one(len(ell.x_exps)))
     for a in range(1, P + 1):
         piece = _step_block(one.twist(ell.power(a)), ell_inv, 0)
         plus = cone_class(piece, plus)
@@ -252,7 +303,7 @@ def iterated_cone_classes(N, k, L, V, section_q_weight=2):
             plus = cone_class(piece, plus)
             plus_indices.append((a, i + 1))
 
-    target_minus = generalized_koszul(range(1, P + 1), L, V, qw)
+    target_minus = _interpolating(duals, ell_inv, range(1, P + 1), qw)
     target_plus = target_minus.twist(ell.power(P))
     return IteratedCones(minus, plus, minus_indices, plus_indices, target_minus, target_plus)
 
@@ -274,42 +325,52 @@ def generic_bundle_data(N):
 def endpoint_report(rank, section_q_weight=2):
     """Interpolation endpoints: an empty index set reproduces the plain
     complex, and the full set [1, rank] reproduces the complex of the
-    L-twisted bundle, one L^dual per exterior degree."""
+    L-twisted bundle, one L^dual per exterior degree.  Then the one-step
+    cone identity for every valid move, all on one set of exterior powers."""
     from itertools import combinations
 
     from .report import Report
 
+    qw = section_q_weight
     V, L = generic_bundle_data(rank)
+    ell_inv = L.inverse()
+    duals = V.dual().all_exterior_powers()
     rep = Report(f"interpolating complex endpoints, rank {rank}")
-    plain = koszul_complex(V, section_q_weight)
-    ok = generalized_koszul((), L, V, section_q_weight) == plain
-    rep.add("empty index set gives the plain complex", ok, "" if ok else "terms differ")
-    full = generalized_koszul(range(1, rank + 1), L, V, section_q_weight)
-    twisted = koszul_complex(V.twist(L), section_q_weight)
+    empty = _interpolating(duals, ell_inv, (), qw)
+    plain = koszul_complex(V, qw)
+    ok = empty == plain
+    rep.add(
+        "empty index set gives the plain complex",
+        ok,
+        "" if ok else located_witness(empty, plain, ("K^()", "plain")),
+    )
+    full = _interpolating(duals, ell_inv, range(1, rank + 1), qw)
+    twisted = koszul_complex(V.twist(L), qw)
     ok = full == twisted
     rep.add(
         "full index set gives the complex of the twisted bundle",
         ok,
-        "" if ok else "terms differ",
+        "" if ok else located_witness(full, twisted, ("K^[1,r]", "twisted")),
     )
-    good = 0
     total = 0
     bad = []
+    first = ""
     for size in range(rank + 1):
         for I in combinations(range(1, rank + 1), size):
             for i in I:
                 if i + 1 in I:
                     continue
                 total += 1
-                ok, _, _ = proposition_check(I, i, L, V, section_q_weight)
-                good += ok
-                if not ok:
+                lhs, rhs = _proposition(duals, ell_inv, I, i, qw)
+                if lhs.total_class() != rhs.total_class():
+                    if not bad:
+                        first = located_witness(lhs, rhs, ("K^I'", "cone"), by_class=True)
                     bad.append((I, i))
-    rep.add(
-        f"one-step cone identity holds for all {total} valid (I, i)",
-        good == total,
-        "" if good == total else f"failing moves: {bad}",
-    )
+    witness = ""
+    if bad:
+        shown = ", ".join(f"({I}, {i})" for I, i in bad[:3]) + (", ..." if len(bad) > 3 else "")
+        witness = f"{len(bad)} of {total} moves fail, (I, i) = {shown}; at the first, {first}"
+    rep.add(f"one-step cone identity holds for all {total} valid (I, i)", not bad, witness)
     return rep
 
 
@@ -333,13 +394,13 @@ def iterated_cone_report(N, k, section_q_weight=2):
     rep.add(
         "descending route reaches the interpolating complex",
         ok,
-        "" if ok else "total classes differ",
+        "" if ok else located_witness(res.minus, res.target_minus, ("route", "target"), True),
     )
     ok = res.plus_matches()
     rep.add(
         "ascending route reaches it after the global twist",
         ok,
-        "" if ok else "total classes differ",
+        "" if ok else located_witness(res.plus, res.target_plus, ("route", "target"), True),
     )
     rep.note(
         "descending indices (a,p): a=1..k, p=N-k+a..N; used "

@@ -101,17 +101,12 @@ class Matrix:
                     elif terms:
                         orow[j] = RationalFunction.sum(self.zero.nvars, terms)
             return out
-        for i in range(self.nrows):
-            row = self.rows[i]
-            for k in range(self.ncols):
-                a = row[k]
-                if a.is_zero():
-                    continue
-                brow = other.rows[k]
-                orow = out.rows[i]
-                for j in range(other.ncols):
-                    b = brow[j]
-                    if not b.is_zero():
+        # each row of other as its nonzero (column, entry) pairs, once
+        sparse = [[(j, b) for j, b in enumerate(brow) if not b.is_zero()] for brow in other.rows]
+        for row, orow in zip(self.rows, out.rows):
+            for a, brow in zip(row, sparse):
+                if brow and not a.is_zero():
+                    for j, b in brow:
                         orow[j] = orow[j] + a * b
         return out
 

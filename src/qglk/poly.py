@@ -239,8 +239,9 @@ class Poly:
         while m:
             if m & 1:
                 out = out * base
-            base = base * base
             m >>= 1
+            if m:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -296,7 +297,9 @@ class Poly:
         return Poly._raw(self.nvars, keys, floor, ends)
 
     def shift_exps(self, shift):
-        if not all(-2 * _BIAS <= s < 2 * _BIAS for s in shift):
+        if len(shift) != self.nvars:
+            raise ValueError("exponent shift has wrong length")
+        if min(shift, default=0) < -2 * _BIAS or max(shift, default=0) >= 2 * _BIAS:
             raise OverflowError("exponent shift outside [-2^15, 2^15)")
         return self._translate(sum(map(mul, shift, _layout(self.nvars).weights)))
 

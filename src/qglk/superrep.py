@@ -212,8 +212,10 @@ def verify_relations(n):
     q2 = LaurentScalar.q(2)
     qm2 = LaurentScalar.q(-2)
 
-    rep.add("E^2 = 0", (E @ E).is_zero(), witness_or_empty((E @ E).is_zero(), "E^2"))
-    rep.add("F^2 = 0", (F @ F).is_zero(), witness_or_empty((F @ F).is_zero(), "F^2"))
+    ok = (E @ E).is_zero()
+    rep.add("E^2 = 0", ok, witness_or_empty(ok, "E^2"))
+    ok = (F @ F).is_zero()
+    rep.add("F^2 = 0", ok, witness_or_empty(ok, "F^2"))
     ok = (E @ F + F @ E) == (K - Kinv)
     rep.add("EF + FE = K - Kinv", ok, witness_or_empty(ok, "anticommutator"))
     ok = (H @ E) == (E @ H).scale(q2)
@@ -224,8 +226,10 @@ def verify_relations(n):
         ok = (K @ M) == (M @ K)
         rep.add(f"K central against {name}", ok, witness_or_empty(ok, f"K vs {name}"))
     one = Matrix.identity(2**n, LaurentScalar.const(1), LaurentScalar.zero())
-    rep.add("K Kinv = 1", (K @ Kinv) == one, witness_or_empty((K @ Kinv) == one, "K unit"))
-    rep.add("H Hinv = 1", (H @ Hinv) == one, witness_or_empty((H @ Hinv) == one, "H unit"))
+    ok = (K @ Kinv) == one
+    rep.add("K Kinv = 1", ok, witness_or_empty(ok, "K unit"))
+    ok = (H @ Hinv) == one
+    rep.add("H Hinv = 1", ok, witness_or_empty(ok, "H unit"))
     rep.note(f"EF + FE acts by K - Kinv = {LaurentScalar.q(n) - LaurentScalar.q(-n)}")
     rep.note(
         f"naming: K is the global scalar q^{n} and H grades blocks by q^lambda; "

@@ -1,7 +1,10 @@
+import json
+import re
 from itertools import combinations
 
 import pytest
 
+from qglk import cli, koszul
 from qglk.grassmann import Character, euler_class_rf
 from qglk.koszul import (
     GradedComplex,
@@ -12,6 +15,7 @@ from qglk.koszul import (
     iterated_cone_classes,
     iterated_cone_report,
     koszul_complex,
+    located_witness,
     proposition_check,
     proposition_source,
 )
@@ -179,3 +183,61 @@ class TestIteratedCones:
             iterated_cone_classes(2, 5, L, V)
         with pytest.raises(ValueError):
             iterated_cone_classes(3, 1, L, V)  # rank mismatch
+
+
+class TestLocatedWitnesses:
+    def test_by_terms_names_degree_weight_and_both_multiplicities(self):
+        w = mono(1, x1=1)
+        a = GradedComplex({0: Character.line(w), -1: Character.from_monomials([w, w])})
+        b = GradedComplex({0: Character.line(w), -1: Character.line(w)})
+        assert located_witness(a, b, ("a", "b")) == "degree -1, weight x1: a 2, b 1"
+
+    def test_by_class_finds_a_degree_where_the_weight_differs(self):
+        w, w2 = mono(1, x1=1), mono(1, x1=2)
+        a = GradedComplex({-1: Character.line(w), 0: Character.line(w)})  # class 0
+        b = GradedComplex({0: Character.line(w2)})
+        assert located_witness(a, b, ("a", "b"), by_class=True) == (
+            "degree +0, weight x1^2: a 0, b 1; total class 0 vs 1"
+        )
+
+
+class TestNegativeControl:
+    """A cone block without its L^dual twist must fail, with located witnesses."""
+
+    @pytest.fixture
+    def untwisted_step_block(self, monkeypatch):
+        def untwisted(char_top, ell_inv, degree):
+            return GradedComplex.from_triples([(degree, 0, char_top), (degree + 1, 0, char_top)])
+
+        monkeypatch.setattr(koszul, "_step_block", untwisted)
+
+    def test_cli_exits_one_with_bounded_located_witnesses(self, untwisted_step_block, capsys):
+        assert cli.main(["koszul", "--rank", "3", "--k", "1", "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        failing = {
+            c["name"]: c["witness"] for r in doc["reports"] for c in r["checks"] if not c["passed"]
+        }
+        assert set(failing) == {
+            "one-step cone identity holds for all 8 valid (I, i)",
+            "descending route reaches the interpolating complex",
+            "ascending route reaches it after the global twist",
+        }
+        assert all(len(w) < 300 for w in failing.values())
+        sweep = failing["one-step cone identity holds for all 8 valid (I, i)"]
+        assert sweep == (
+            "8 of 8 moves fail, (I, i) = ((1,), 1), ((2,), 2), ((3,), 3), ...; "
+            "at the first, degree -2, weight x3^-1*q^2: K^I' 0, cone 1; total class -1 vs 0"
+        )
+        for name in ("descending", "ascending"):
+            witness = next(w for n, w in failing.items() if n.startswith(name))
+            assert witness.startswith("degree ") and ": route " in witness
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+    def test_every_sweep_fails_with_a_short_witness(self, untwisted_step_block, rank):
+        rep = koszul.endpoint_report(rank)
+        assert [c.name for c in rep.failures] == [rep.checks[-1].name]
+        witness = rep.failures[0].witness
+        moves = re.findall(r"\(\([\d, ]*\), \d+\)", witness)
+        assert len(witness) < 300 and 1 <= len(moves) <= 3
+        total = re.search(r"all (\d+) valid", rep.failures[0].name).group(1)
+        assert re.match(rf"\d+ of {total} moves fail, ", witness)

@@ -383,6 +383,12 @@ class TestExponentRange:
             with pytest.raises(OverflowError):
                 p.shift_exps(shift)
 
+    def test_shift_exps_checks_the_length(self):
+        p = Poly.monomial(3, (1, 2, 3))
+        for shift in ((1, 0), (1, 0, 0, 0)):
+            with pytest.raises(ValueError):
+                p.shift_exps(shift)
+
     def test_extract_unit_out_of_range_raises(self):
         p = Poly(2, {(-LIMIT + 1, 0): 1, (LIMIT - 1, 0): 1})
         with pytest.raises(OverflowError):
