@@ -12,7 +12,6 @@ import sys
 from . import fm, koszul, superrep
 
 ALGEBRA_CAP = 6
-GEOMETRY_CAP = 6
 GEOMETRY_DUMP_CAP = 5  # `matrices --side geometry` prints whole blocks
 INTERTWINER_CAP = 5
 KOSZUL_RANK_CAP = 5
@@ -40,14 +39,11 @@ def cmd_verify(args):
         superrep.verify_relations(n),
         superrep.weight_structure_report(n),
         superrep.antipode_report(),
+        fm.nilpotency_report(n, args.max_weight),
+        fm.commutator_report(n, args.max_weight),
+        fm.normalized_rep_report(n, args.max_weight),
     ]
     notes = []
-    if n <= GEOMETRY_CAP:
-        reports.append(fm.nilpotency_report(n, args.max_weight))
-        reports.append(fm.commutator_report(n, args.max_weight))
-        reports.append(fm.normalized_rep_report(n, args.max_weight))
-    else:
-        notes.append(f"geometry battery skipped: n={n} exceeds the cap {GEOMETRY_CAP}")
     if n <= INTERTWINER_CAP:
         reports.append(fm.intertwiner_report(n, seed=args.seed))
     else:
@@ -93,6 +89,44 @@ def _geometry_blocks(n, weight):
     }
 
 
+def _block_json(block, label):
+    """Schema-1 layout of a block; label turns a subset into a row or
+    column name."""
+    rows = [label(S) for S in block.rows_points]
+    cols = [label(S) for S in block.cols_points]
+    return {
+        "rows": rows,
+        "cols": cols,
+        "entries": {
+            f"{rows[i]}|{cols[j]}": str(v)
+            for i, row in enumerate(block.mat.rows)
+            for j, v in enumerate(row)
+            if not v.is_zero()
+        },
+    }
+
+
+def _algebra_json(block):
+    def word(S):
+        return "".join(map(str, superrep.word_from_subset(block.n, S)))
+
+    return {"shape": [block.mat.nrows, block.mat.ncols], **_block_json(block, word)}
+
+
+def _geometry_json(block):
+    return {
+        "n": block.n,
+        "source_weight": block.source_weight,
+        "target_weight": block.target_weight,
+        **_block_json(block, lambda S: ",".join(map(str, S))),
+    }
+
+
+def _geometry_text(block):
+    head = f"FunctorMatrix n={block.n} weight {block.source_weight} -> {block.target_weight}"
+    return head + "\n" + str(block.mat)
+
+
 def cmd_matrices(args):
     n, w = args.n, args.weight
     if n < 1 or n > ALGEBRA_CAP:
@@ -105,19 +139,22 @@ def cmd_matrices(args):
     if args.side == "geometry" and n > GEOMETRY_DUMP_CAP:
         return _usage_error(f"geometry side is capped at n={GEOMETRY_DUMP_CAP}")
 
-    blocks = _algebra_blocks(n, w) if args.side == "algebra" else _geometry_blocks(n, w)
+    if args.side == "algebra":
+        blocks, to_json, to_text = _algebra_blocks(n, w), _algebra_json, lambda b: str(b.mat)
+    else:
+        blocks, to_json, to_text = _geometry_blocks(n, w), _geometry_json, _geometry_text
     if args.json:
         _print_json(
             {
                 "command": "matrices",
                 "parameters": {"n": n, "weight": w, "side": args.side},
-                "blocks": {g: b.to_json() for g, b in blocks.items()},
+                "blocks": {g: to_json(b) for g, b in blocks.items()},
             }
         )
     else:
         for g in ("E", "F", "K", "H"):
             print(f"-- {g} on the weight-{w} block (n={n}, {args.side}) --")
-            print(blocks[g])
+            print(to_text(blocks[g]))
     return 0
 
 

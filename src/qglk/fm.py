@@ -19,9 +19,13 @@ Lowering is normalized by the global unit q^(2n) / (x_1 ... x_n); with it
 the commutator of the two functors is the scalar
 (-1)^(n-k-1) * (1 - q^(2n)) on each weight block, matching the algebra
 side after E is scaled by q^(-n) and F by (-1)^(n-k-1) q^(2n).
+
+Every matrix here is a :class:`qglk.matrix.WeightBlock` over the fraction
+field, rows and columns labelled by fixed points.  algebra_matrix lifts
+the algebra blocks of :mod:`qglk.superrep`, the same type over Poly, into
+that field, so the two actions are compared block by block.
 """
 
-import random
 from math import comb
 
 from .grassmann import (
@@ -33,19 +37,11 @@ from .grassmann import (
     tangent_gr,
 )
 from .linalg import certify_invertible, column_basis, columns, hstack, invert_matrix
-from .matrix import Matrix
+from .matrix import Matrix, WeightBlock, entry_witness, first_difference, k_of, subset_label
 from .poly import Monomial, Poly
-from .ratfunc import PoleError, RationalFunction
+from .ratfunc import RationalFunction
 from .report import Report
-from .superrep import block_matrix, weight_block_words
-
-
-def k_of(n, weight):
-    """Number of odd tensor slots for the given weight; may fall outside
-    [0, n], in which case the corresponding block is empty."""
-    if (n - weight) % 2:
-        raise ValueError(f"weight {weight} has wrong parity for n={n}")
-    return (n - weight) // 2
+from .superrep import block_matrix
 
 
 def correspondence_pairs(n, k_small):
@@ -117,127 +113,9 @@ def lowering_unit(n):
     return RationalFunction.from_poly(Monomial((-1,) * n, 2 * n).to_poly())
 
 
-class FunctorMatrix:
-    """Localized matrix of an operator between two weight models.
-
-    Rows are indexed by the target fixed points and columns by the source
-    fixed points, both in subset-lex order, matching the tensor basis
-    order of the weight blocks on the algebra side.
-    """
-
-    __slots__ = ("n", "source_weight", "target_weight", "cols_points", "rows_points", "mat")
-
-    def __init__(self, n, source_weight, target_weight, mat):
-        self.n = n
-        self.source_weight = source_weight
-        self.target_weight = target_weight
-        self.cols_points = fixed_points(n, k_of(n, source_weight))
-        self.rows_points = fixed_points(n, k_of(n, target_weight))
-        if mat.nrows != len(self.rows_points) or mat.ncols != len(self.cols_points):
-            raise ValueError("matrix shape does not match the weight blocks")
-        self.mat = mat
-
-    @classmethod
-    def zeros(cls, n, source_weight, target_weight):
-        nr = len(fixed_points(n, k_of(n, target_weight)))
-        nc = len(fixed_points(n, k_of(n, source_weight)))
-        return cls(
-            n,
-            source_weight,
-            target_weight,
-            Matrix.zeros(nr, nc, RationalFunction.zero(n + 1)),
-        )
-
-    @classmethod
-    def identity(cls, n, weight):
-        d = len(fixed_points(n, k_of(n, weight)))
-        one = RationalFunction.one(n + 1)
-        return cls(
-            n, weight, weight, Matrix.identity(d, one, RationalFunction.zero(n + 1))
-        )
-
-    def entry(self, S_t, S_s):
-        return self.mat[(self.rows_points.index(tuple(S_t)), self.cols_points.index(tuple(S_s)))]
-
-    def _same_shape(self, other):
-        if self.n != other.n:
-            raise ValueError("mixed n")
-        if (
-            self.source_weight != other.source_weight
-            or self.target_weight != other.target_weight
-        ):
-            raise ValueError("weight mismatch")
-
-    def __add__(self, other):
-        self._same_shape(other)
-        return FunctorMatrix(self.n, self.source_weight, self.target_weight, self.mat + other.mat)
-
-    def __sub__(self, other):
-        self._same_shape(other)
-        return FunctorMatrix(self.n, self.source_weight, self.target_weight, self.mat - other.mat)
-
-    def __neg__(self):
-        return FunctorMatrix(self.n, self.source_weight, self.target_weight, -self.mat)
-
-    def scale(self, s):
-        return FunctorMatrix(self.n, self.source_weight, self.target_weight, self.mat.scale(s))
-
-    def __matmul__(self, other):
-        if self.n != other.n:
-            raise ValueError("mixed n")
-        if self.source_weight != other.target_weight:
-            raise ValueError(
-                f"cannot compose: left source weight {self.source_weight} "
-                f"!= right target weight {other.target_weight}"
-            )
-        return FunctorMatrix(
-            self.n, other.source_weight, self.target_weight, self.mat @ other.mat
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, FunctorMatrix):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.source_weight == other.source_weight
-            and self.target_weight == other.target_weight
-            and self.mat == other.mat
-        )
-
-    def is_zero(self):
-        return self.mat.is_zero()
-
-    def to_json(self):
-        def label(S):
-            return ",".join(str(i) for i in S)
-
-        entries = {}
-        for i, St in enumerate(self.rows_points):
-            for j, Ss in enumerate(self.cols_points):
-                v = self.mat[(i, j)]
-                if not v.is_zero():
-                    entries[f"{label(St)}|{label(Ss)}"] = str(v)
-        return {
-            "n": self.n,
-            "source_weight": self.source_weight,
-            "target_weight": self.target_weight,
-            "rows": [label(S) for S in self.rows_points],
-            "cols": [label(S) for S in self.cols_points],
-            "entries": entries,
-        }
-
-    def __str__(self):
-        head = (
-            f"FunctorMatrix n={self.n} "
-            f"weight {self.source_weight} -> {self.target_weight}"
-        )
-        return head + "\n" + str(self.mat)
-
-
 def raising_matrix(n, source_weight):
     """Localized matrix of the raising functor from the given weight."""
-    k = k_of(n, source_weight)
-    out = FunctorMatrix.zeros(n, source_weight, source_weight + 2)
+    out = WeightBlock.zeros(n, source_weight, source_weight + 2, RationalFunction.zero(n + 1))
     for j, Ss in enumerate(out.cols_points):
         sset = set(Ss)
         for i, St in enumerate(out.rows_points):
@@ -248,7 +126,7 @@ def raising_matrix(n, source_weight):
 
 def lowering_matrix(n, source_weight, normalized=True):
     """Localized matrix of the lowering functor from the given weight."""
-    out = FunctorMatrix.zeros(n, source_weight, source_weight - 2)
+    out = WeightBlock.zeros(n, source_weight, source_weight - 2, RationalFunction.zero(n + 1))
     u = lowering_unit(n) if normalized else None
     for j, Ss in enumerate(out.cols_points):
         sset = set(Ss)
@@ -289,9 +167,9 @@ def _weights(n, max_weight):
 def nilpotency_report(n, max_weight=None):
     rep = Report(f"geometric nilpotency at n={n}")
     for w in _weights(n, max_weight):
-        bad = _entry_witness(raising_matrix(n, w + 2) @ raising_matrix(n, w))
+        bad = entry_witness(raising_matrix(n, w + 2) @ raising_matrix(n, w))
         rep.add(f"raising twice from weight {w} vanishes", not bad, bad)
-        bad = _entry_witness(lowering_matrix(n, w - 2) @ lowering_matrix(n, w))
+        bad = entry_witness(lowering_matrix(n, w - 2) @ lowering_matrix(n, w))
         rep.add(f"lowering twice from weight {w} vanishes", not bad, bad)
     return rep
 
@@ -306,11 +184,9 @@ def commutator_report(n, max_weight=None):
         k = k_of(n, w)
         d = commutator_matrix(n, w)
         dim = comb(n, k)
-        eps = next(
-            (c for c, s in signed.items() if d == FunctorMatrix.identity(n, w).scale(s)), None
-        )
+        eps = next((c for c, s in signed.items() if d == WeightBlock.scalar(n, w, s)), None)
         pred = epsilon_sign(n, k)
-        bad = "" if eps else _entry_witness(d, FunctorMatrix.identity(n, w).scale(signed[pred]))
+        bad = "" if eps else entry_witness(d, WeightBlock.scalar(n, w, signed[pred]))
         rep.add(f"weight {w} commutator is a (1-q^{2*n}) scalar on a dim-{dim} block", not bad, bad)
         if eps is not None:
             rep.add(
@@ -323,7 +199,7 @@ def commutator_report(n, max_weight=None):
 
 
 def algebra_matrix(n, gen, source_weight, normalized=True):
-    """Algebra generator on a weight block, in the geometric index order.
+    """Algebra generator on a weight block, lifted to the fraction field.
 
     Normalization: E picks up q^(-n) and F picks up (-1)^(n-k-1) q^(2n),
     where k is taken at the source weight; with these units the algebra
@@ -331,27 +207,19 @@ def algebra_matrix(n, gen, source_weight, normalized=True):
     """
     if gen not in ("E", "F"):
         raise ValueError("only E and F have functor counterparts")
-    step = 2 if gen == "E" else -2
-    nvars = n + 1
-    words = weight_block_words(n, source_weight)
-    if not words:
-        return FunctorMatrix.zeros(n, source_weight, source_weight + step)
-    mat = block_matrix(n, gen, source_weight).to_rational(nvars)
+    block = block_matrix(n, gen, source_weight)
+    mat = block.mat
     if normalized:
         if gen == "E":
-            mat = mat.scale(RationalFunction.q(nvars, -n))
+            mat = mat.scale(Poly.q(n + 1, -n))
         else:
-            k = k_of(n, source_weight)
-            s = RationalFunction.q(nvars, 2 * n)
-            if epsilon_sign(n, k) < 0:
-                s = -s
-            mat = mat.scale(s)
-    return FunctorMatrix(n, source_weight, source_weight + step, mat)
+            mat = mat.scale(Poly.q(n + 1, 2 * n) * epsilon_sign(n, k_of(n, source_weight)))
+    return WeightBlock(n, source_weight, block.target_weight, mat.map(RationalFunction.from_poly))
 
 
 def scalar_block(n, weight, q_exp):
     """q^q_exp times the identity on the weight block."""
-    return FunctorMatrix.identity(n, weight).scale(RationalFunction.q(n + 1, q_exp))
+    return WeightBlock.scalar(n, weight, RationalFunction.q(n + 1, q_exp))
 
 
 def normalized_family(n, weight):
@@ -373,70 +241,29 @@ def normalized_rep_report(n, max_weight=None):
     q2 = RationalFunction.q(n + 1, 2)
     for w in _weights(n, max_weight):
         k = k_of(n, w)
-        bad = _entry_witness(algebra_matrix(n, "E", w + 2) @ algebra_matrix(n, "E", w))
+        bad = entry_witness(algebra_matrix(n, "E", w + 2) @ algebra_matrix(n, "E", w))
         rep.add(f"E^2 vanishes from weight {w}", not bad, bad)
-        bad = _entry_witness(algebra_matrix(n, "F", w - 2) @ algebra_matrix(n, "F", w))
+        bad = entry_witness(algebra_matrix(n, "F", w - 2) @ algebra_matrix(n, "F", w))
         rep.add(f"F^2 vanishes from weight {w}", not bad, bad)
         d = algebra_matrix(n, "F", w + 2) @ algebra_matrix(n, "E", w) - (
             algebra_matrix(n, "E", w - 2) @ algebra_matrix(n, "F", w)
         )
-        bad = _entry_witness(d, FunctorMatrix.identity(n, w).scale(commutator_scalar(n, k)))
+        bad = entry_witness(d, WeightBlock.scalar(n, w, commutator_scalar(n, k)))
         rep.add(f"FE - EF is eps*(1-q^{2*n}) at weight {w}", not bad, bad)
         e = algebra_matrix(n, "E", w)
         f = algebra_matrix(n, "F", w)
-        bad = _entry_witness(scalar_block(n, w + 2, n) @ e - e @ scalar_block(n, w, n))
+        bad = entry_witness(scalar_block(n, w + 2, n) @ e - e @ scalar_block(n, w, n))
         rep.add(f"K is central through E at weight {w}", not bad, bad)
-        bad = _entry_witness(
+        bad = entry_witness(
             scalar_block(n, w + 2, w + 2) @ e - (e @ scalar_block(n, w, w)).scale(q2)
         )
         rep.add(f"H conjugation scales E by q^2 at weight {w}", not bad, bad)
-        bad = _entry_witness(
+        bad = entry_witness(
             scalar_block(n, w - 2, w - 2) @ f
             - (f @ scalar_block(n, w, w)).scale(RationalFunction.q(n + 1, -2))
         )
         rep.add(f"H conjugation scales F by q^-2 at weight {w}", not bad, bad)
     return rep
-
-
-def _first_difference(got, want=None):
-    """(row, column, got - want) at the first entry where two matrices
-    differ, or None; want=None stands for the zero matrix."""
-    for i, row in enumerate(got.rows):
-        for j, a in enumerate(row):
-            if want is None:
-                if not a.is_zero():
-                    return i, j, a
-            elif a != want.rows[i][j]:
-                return i, j, a - want.rows[i][j]
-    return None
-
-
-def _subset(points, i):
-    return "{" + ",".join(str(x) for x in points[i]) + "}"
-
-
-def _entry_witness(got, want=None):
-    """Where the FunctorMatrix got first differs from want (zero when
-    None), as a short witness: the entry's row and column with their
-    subsets and the difference at a seeded integer point; "" if equal."""
-    bad = _first_difference(got.mat, None if want is None else want.mat)
-    if bad is None:
-        return ""
-    i, j, diff = bad
-    where = (
-        f"first bad entry at row {i} (subset {_subset(got.rows_points, i)}), "
-        f"column {j} (subset {_subset(got.cols_points, j)})"
-    )
-    rng = random.Random(0xC0FFEE)
-    for _ in range(64):
-        point = tuple(rng.randint(2, 99) for _ in range(diff.nvars))
-        try:
-            value = str(diff.evaluate(point))
-        except PoleError:
-            continue
-        value = value if len(value) <= 80 else value[:77] + "..."
-        return f"{where} is off by {value} at (x1, ..., q) = {point}"
-    return f"{where} is off by a nonzero rational function"
 
 
 def _located_witness(side, w, identity, op, split, got, want, offset=0):
@@ -445,14 +272,14 @@ def _located_witness(side, w, identity, op, split, got, want, offset=0):
     Rows are labelled by the target fixed points of op, columns by their
     index in B[w] = [P | E*P], whose first `split` columns are P.
     """
-    bad = _first_difference(got, want)
+    bad = first_difference(got, want)
     if bad is None:
         return ""
     i, j = bad[0], bad[1] + offset
     block = "P" if j < split else "E*P"
     return (
         f"{side} side, weight {w}: {identity} fails first at row {i} "
-        f"(subset {_subset(op.rows_points, i)}), column {j} (block {block})"
+        f"(subset {subset_label(op.rows_points[i])}), column {j} (block {block})"
     )
 
 
@@ -475,7 +302,7 @@ def _prove_intertwiner(n, seed):
         s = commutator_scalar(n, k_of(n, w)).inv()
         for side, ops in sides.items():
             if w == n:  # E leaves the top weight for an empty block
-                p = FunctorMatrix.zeros(n, w, w).mat
+                p = WeightBlock.zeros(n, w, w, zero).mat
             else:
                 p = (ops[w + 2][1] @ ops[w][0]).scale(s).mat
             proj[side][w] = columns(p, column_basis(p, nvars, seed))

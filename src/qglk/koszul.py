@@ -77,9 +77,6 @@ class GradedComplex:
             total = total + (char if d % 2 == 0 else -char)
         return total
 
-    def total_class_poly(self, nvars):
-        return self.total_class().as_poly(nvars)
-
     def __eq__(self, other):
         if not isinstance(other, GradedComplex):
             return NotImplemented

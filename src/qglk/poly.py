@@ -176,9 +176,6 @@ class Poly:
     def is_one(self):
         return self.keys == {_layout(self.nvars).zero: 1}
 
-    def is_monomial(self):
-        return len(self.keys) == 1
-
     def __add__(self, other):
         self._check(other)
         keys = dict(self.keys)

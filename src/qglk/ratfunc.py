@@ -15,11 +15,9 @@ reduced numerator, and by Gauss's lemma a primitive factor that divides
 c * num already divides num, so the trial divisions would all fail.
 """
 
-import random
 from fractions import Fraction
 from math import gcd
 
-from .laurent import LaurentScalar
 from .poly import Poly
 
 
@@ -137,16 +135,6 @@ class RationalFunction:
         if not self.is_polynomial():
             raise ValueError(f"not a Laurent polynomial: {self}")
         return self.num
-
-    def as_laurent_scalar(self):
-        """Convert an x-free polynomial value to a LaurentScalar in q."""
-        p = self.as_poly()
-        out = {}
-        for e, c in p.terms.items():
-            if any(e[:-1]):
-                raise ValueError(f"value depends on the x variables: {self}")
-            out[e[-1]] = c
-        return LaurentScalar(out)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -311,34 +299,6 @@ class RationalFunction:
 def term_sort_key(p):
     """Deterministic order on canonical polynomials, for stable factor tuples."""
     return tuple(sorted(p.keys.items()))
-
-
-def sz_equal(a, b, trials=8, seed=0xC0FFEE, retries=64):
-    """Probabilistic equality at seeded random rational points.
-
-    Samples are drawn away from small integers so the usual difference
-    denominators stay nonzero; a sample hitting a pole is redrawn.
-    """
-    if a.nvars != b.nvars:
-        return False
-    rng = random.Random(seed)
-    done = 0
-    attempts = 0
-    while done < trials:
-        attempts += 1
-        if attempts > trials + retries:
-            raise PoleError("could not find pole-free sample points")
-        point = tuple(
-            Fraction(rng.randint(2, 10**6), rng.randint(2, 997))
-            for _ in range(a.nvars)
-        )
-        try:
-            if a.evaluate(point) != b.evaluate(point):
-                return False
-        except PoleError:
-            continue
-        done += 1
-    return True
 
 
 # -- parsing ----------------------------------------------------------------

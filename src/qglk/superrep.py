@@ -11,18 +11,22 @@ left of the active slot) whenever the odd operators E or F move past a
 letter.  The raising operator E sends the weight-m block to weight m+2,
 F sends it to m-2, and H acts on a word with k odd letters by q^(N-2k).
 
-Block bases are ordered by the set of odd-letter positions, smallest set
-first in lexicographic order; the localization side orders its fixed
-points the same way, so block indices line up across the two models.
+Coefficients are Poly in x_1..x_N and q (nvars = N + 1) that depend on q
+alone: the ring whose fraction field holds the functor matrices of
+:mod:`qglk.fm`.  A word is labelled by its set of odd-letter positions,
+and block_matrix builds each generator as a
+:class:`qglk.matrix.WeightBlock` between two weight blocks, rows and
+columns in lexicographic subset order; the localization side orders its
+fixed points the same way, so block indices line up across the two
+models.  The relation batteries check every identity block by block,
+with located witnesses.
 """
 
-from itertools import combinations
 from math import comb
 
-from .laurent import LaurentScalar
-from .matrix import Matrix
+from .grassmann import fixed_points
+from .matrix import Matrix, WeightBlock, entry_witness
 from .poly import Poly
-from .ratfunc import RationalFunction
 from .report import Report
 
 GENERATORS = ("E", "F", "K", "Kinv", "H", "Hinv")
@@ -47,11 +51,9 @@ def subset_from_word(word):
 
 def weight_block_words(n, weight):
     """Basis words of the given weight, ordered by odd-position subset."""
-    k2 = n - weight
-    if k2 < 0 or k2 % 2 or k2 > 2 * n:
+    if (n - weight) % 2:
         return []
-    k = k2 // 2
-    return [word_from_subset(n, s) for s in combinations(range(1, n + 1), k)]
+    return [word_from_subset(n, s) for s in fixed_points(n, (n - weight) // 2)]
 
 
 def weight_blocks(n):
@@ -69,23 +71,27 @@ def apply_generator(gen, word):
     """Image of a basis word under a generator, as (word, coefficient) pairs."""
     n = len(word)
     k = sum(word)
+
+    def q(e):
+        return Poly.q(n + 1, e)
+
     if gen == "K":
-        return [(word, LaurentScalar.q(n))]
+        return [(word, q(n))]
     if gen == "Kinv":
-        return [(word, LaurentScalar.q(-n))]
+        return [(word, q(-n))]
     if gen == "H":
-        return [(word, LaurentScalar.q(n - 2 * k))]
+        return [(word, q(n - 2 * k))]
     if gen == "Hinv":
-        return [(word, LaurentScalar.q(2 * k - n))]
+        return [(word, q(2 * k - n))]
     out = []
     sign = 1
     if gen == "E":
-        unit = LaurentScalar({1: 1, -1: -1})  # q - q^-1, the one-site E entry
         for j in range(1, n + 1):
             if word[j - 1] == 1:
                 flipped = word[: j - 1] + (0,) + word[j:]
-                # Kinv tail on slots j+1..n contributes q^-(n-j)
-                out.append((flipped, sign * unit * LaurentScalar.q(-(n - j))))
+                # the one-site entry q - q^-1 times the Kinv tail q^-(n-j)
+                # on slots j+1..n
+                out.append((flipped, (q(1 + j - n) - q(j - n - 1)) * sign))
                 sign = -sign
         return out
     if gen == "F":
@@ -93,144 +99,99 @@ def apply_generator(gen, word):
             if word[j - 1] == 0:
                 flipped = word[: j - 1] + (1,) + word[j:]
                 # K head on slots 1..j-1 contributes q^(j-1)
-                out.append((flipped, LaurentScalar.q(j - 1) * sign))
+                out.append((flipped, q(j - 1) * sign))
             else:
                 sign = -sign
         return out
     raise ValueError(f"unknown generator {gen!r}")
 
 
-class RepMatrix:
-    """A generator matrix with its row and column words attached."""
-
-    __slots__ = ("n", "words_out", "words_in", "mat")
-
-    def __init__(self, n, words_out, words_in, mat):
-        self.n = n
-        self.words_out = tuple(words_out)
-        self.words_in = tuple(words_in)
-        self.mat = mat
-
-    @classmethod
-    def build(cls, n, gen, words_in, words_out):
-        index = {w: i for i, w in enumerate(words_out)}
-        mat = Matrix.zeros(len(words_out), len(words_in), LaurentScalar.zero())
-        for j, w in enumerate(words_in):
-            for w2, coeff in apply_generator(gen, w):
-                i = index.get(w2)
-                if i is None:
-                    raise ValueError(f"image word {w2} missing from the target basis")
-                mat.rows[i][j] = mat.rows[i][j] + coeff
-        return cls(n, words_out, words_in, mat)
-
-    def entry(self, word_out, word_in):
-        return self.mat[self.words_out.index(word_out), self.words_in.index(word_in)]
-
-    def __matmul__(self, other):
-        if self.words_in != other.words_out:
-            raise ValueError("bases do not compose")
-        return RepMatrix(self.n, self.words_out, other.words_in, self.mat @ other.mat)
-
-    def __add__(self, other):
-        return RepMatrix(self.n, self.words_out, self.words_in, self.mat + other.mat)
-
-    def __sub__(self, other):
-        return RepMatrix(self.n, self.words_out, self.words_in, self.mat - other.mat)
-
-    def scale(self, s):
-        return RepMatrix(self.n, self.words_out, self.words_in, self.mat.scale(s))
-
-    def __eq__(self, other):
-        if not isinstance(other, RepMatrix):
-            return NotImplemented
-        return (
-            self.words_out == other.words_out
-            and self.words_in == other.words_in
-            and self.mat == other.mat
-        )
-
-    def is_zero(self):
-        return self.mat.is_zero()
-
-    def to_rational(self, nvars):
-        """Lift entries into the rational-function field (q-only values)."""
-
-        def lift(s):
-            return RationalFunction(
-                nvars, Poly(nvars, {(0,) * (nvars - 1) + (e,): c for e, c in s.coeffs.items()})
-            )
-
-        return self.mat.map(lift)
-
-    def to_json(self):
-        entries = {}
-        for i, wo in enumerate(self.words_out):
-            for j, wi in enumerate(self.words_in):
-                v = self.mat[i, j]
-                if not v.is_zero():
-                    key = "".join(map(str, wo)) + "|" + "".join(map(str, wi))
-                    entries[key] = str(v)
-        return {
-            "shape": [len(self.words_out), len(self.words_in)],
-            "rows": ["".join(map(str, w)) for w in self.words_out],
-            "cols": ["".join(map(str, w)) for w in self.words_in],
-            "entries": entries,
-        }
-
-    def __str__(self):
-        return str(self.mat)
+def _image_matrix(gen, words_in, words_out, nvars):
+    """Matrix of gen from words_in to words_out.  Raises ValueError when
+    an image word is not among words_out."""
+    index = {w: i for i, w in enumerate(words_out)}
+    mat = Matrix.zeros(len(words_out), len(words_in), Poly.zero(nvars))
+    for j, w in enumerate(words_in):
+        for w2, coeff in apply_generator(gen, w):
+            i = index.get(w2)
+            if i is None:
+                raise ValueError(f"image word {w2} of {gen} falls outside the target block")
+            mat.rows[i][j] = mat.rows[i][j] + coeff
+    return mat
 
 
 def full_matrix(n, gen):
+    """The dense 2^n x 2^n matrix of a generator in the basis_words order.
+
+    A reference for tests; the relation batteries never form it."""
     words = basis_words(n)
-    return RepMatrix.build(n, gen, words, words)
+    return _image_matrix(gen, words, words, n + 1)
 
 
 def block_matrix(n, gen, source_weight):
-    """Generator matrix from the weight block to its image block."""
-    words_in = weight_block_words(n, source_weight)
-    words_out = weight_block_words(n, source_weight + WEIGHT_STEP[gen])
-    if not words_in:
-        raise ValueError(f"no weight-{source_weight} block at n={n}")
-    index = {w: i for i, w in enumerate(words_out)}
-    mat = Matrix.zeros(len(words_out), len(words_in), LaurentScalar.zero())
-    for j, w in enumerate(words_in):
-        for w2, coeff in apply_generator(gen, w):
-            mat.rows[index[w2]][j] = mat.rows[index[w2]][j] + coeff
-    return RepMatrix(n, words_out, words_in, mat)
+    """Generator matrix from the weight block to its image block.
+
+    A block outside [-n, n] is empty.  Raises ValueError when the
+    generator sends a word of the source block outside the target block,
+    so the blocks of a generator are the whole generator."""
+    target_weight = source_weight + WEIGHT_STEP[gen]
+    mat = _image_matrix(
+        gen,
+        weight_block_words(n, source_weight),
+        weight_block_words(n, target_weight),
+        n + 1,
+    )
+    return WeightBlock(n, source_weight, target_weight, mat)
+
+
+def _witness(pairs):
+    """The located witness of the first (got, want) pair of blocks that
+    differ, want None standing for zero; "" if none does."""
+    for got, want in pairs:
+        bad = entry_witness(got, want)
+        if bad:
+            return f"weight {got.source_weight} -> {got.target_weight}: {bad}"
+    return ""
 
 
 def verify_relations(n):
-    """Check the defining relations on the full N-site space."""
-    rep = Report(f"defining relations on {n} tensor factors")
-    E = full_matrix(n, "E").mat
-    F = full_matrix(n, "F").mat
-    K = full_matrix(n, "K").mat
-    Kinv = full_matrix(n, "Kinv").mat
-    H = full_matrix(n, "H").mat
-    Hinv = full_matrix(n, "Hinv").mat
-    q2 = LaurentScalar.q(2)
-    qm2 = LaurentScalar.q(-2)
+    """Check the defining relations on the N-site space, block by block.
 
-    ok = (E @ E).is_zero()
-    rep.add("E^2 = 0", ok, witness_or_empty(ok, "E^2"))
-    ok = (F @ F).is_zero()
-    rep.add("F^2 = 0", ok, witness_or_empty(ok, "F^2"))
-    ok = (E @ F + F @ E) == (K - Kinv)
-    rep.add("EF + FE = K - Kinv", ok, witness_or_empty(ok, "anticommutator"))
-    ok = (H @ E) == (E @ H).scale(q2)
-    rep.add("HE = q^2 EH", ok, witness_or_empty(ok, "H-E exchange"))
-    ok = (H @ F) == (F @ H).scale(qm2)
-    rep.add("HF = q^-2 FH", ok, witness_or_empty(ok, "H-F exchange"))
-    for name, M in (("E", E), ("F", F), ("H", H)):
-        ok = (K @ M) == (M @ K)
-        rep.add(f"K central against {name}", ok, witness_or_empty(ok, f"K vs {name}"))
-    one = Matrix.identity(2**n, LaurentScalar.const(1), LaurentScalar.zero())
-    ok = (K @ Kinv) == one
-    rep.add("K Kinv = 1", ok, witness_or_empty(ok, "K unit"))
-    ok = (H @ Hinv) == one
-    rep.add("H Hinv = 1", ok, witness_or_empty(ok, "H unit"))
-    rep.note(f"EF + FE acts by K - Kinv = {LaurentScalar.q(n) - LaurentScalar.q(-n)}")
+    Every generator is the direct sum of its weight blocks (block_matrix
+    raises otherwise), so a relation holds on the whole space exactly
+    when it holds from every weight block.  Each check aggregates the
+    blocks and reports the first failing one; no 2^N x 2^N matrix is
+    formed.
+    """
+    rep = Report(f"defining relations on {n} tensor factors")
+    nvars = n + 1
+    # the empty blocks one step beyond either end close every product
+    g = {(x, w): block_matrix(n, x, w) for x in GENERATORS for w in range(-n - 2, n + 3, 2)}
+    one = Poly.one(nvars)
+    q2 = Poly.q(nvars, 2)
+    qm2 = Poly.q(nvars, -2)
+    relations = {
+        "E^2 = 0": lambda w: (g["E", w + 2] @ g["E", w], None),
+        "F^2 = 0": lambda w: (g["F", w - 2] @ g["F", w], None),
+        "EF + FE = K - Kinv": lambda w: (
+            g["E", w - 2] @ g["F", w] + g["F", w + 2] @ g["E", w],
+            g["K", w] - g["Kinv", w],
+        ),
+        "HE = q^2 EH": lambda w: (g["H", w + 2] @ g["E", w], (g["E", w] @ g["H", w]).scale(q2)),
+        "HF = q^-2 FH": lambda w: (g["H", w - 2] @ g["F", w], (g["F", w] @ g["H", w]).scale(qm2)),
+    }
+    for x in "EFH":
+        relations[f"K central against {x}"] = lambda w, x=x: (
+            g["K", w + WEIGHT_STEP[x]] @ g[x, w],
+            g[x, w] @ g["K", w],
+        )
+    relations["K Kinv = 1"] = lambda w: (g["K", w] @ g["Kinv", w], WeightBlock.scalar(n, w, one))
+    relations["H Hinv = 1"] = lambda w: (g["H", w] @ g["Hinv", w], WeightBlock.scalar(n, w, one))
+    weights = [n - 2 * k for k in range(n + 1)]
+    for name, relation in relations.items():
+        bad = _witness(relation(w) for w in weights)
+        rep.add(name, not bad, bad)
+    rep.note(f"EF + FE acts by K - Kinv = {Poly.q(nvars, n) - Poly.q(nvars, -n)}")
     rep.note(
         f"naming: K is the global scalar q^{n} and H grades blocks by q^lambda; "
         "swapping the two names is incompatible with the anticommutator value"
@@ -257,7 +218,7 @@ def weight_structure_report(n):
             ok,
             "" if ok else f"got {len(words)}, expected {comb(n, k)}",
         )
-        expected = LaurentScalar.q(m)
+        expected = Poly.q(n + 1, m)
         bad = [w for w in words for w2, c in apply_generator("H", w) if w2 != w or c != expected]
         rep.add(
             f"H acts by q^{m} on weight {m}",
@@ -268,43 +229,31 @@ def weight_structure_report(n):
 
 
 def antipode_report():
-    """One-site antipode axioms: both convolution inverses of the identity."""
+    """One-site antipode axioms: S(E) = -E K and S(F) = -Kinv F make S a
+    convolution inverse of the identity on both sides.  On one site E
+    raises the weight -1 block to 1 and F lowers 1 to -1."""
     rep = Report("one-site antipode axioms")
-    zero = LaurentScalar.zero()
-    one = LaurentScalar.const(1)
-
-    def m2(rows):
-        return Matrix(2, 2, rows, zero)
-
-    unit = LaurentScalar({1: 1, -1: -1})
-    E1 = m2([[zero, unit], [zero, zero]])
-    F1 = m2([[zero, zero], [one, zero]])
-    K1 = Matrix.diagonal([LaurentScalar.q(), LaurentScalar.q()], zero)
-    K1i = Matrix.diagonal([LaurentScalar.q(-1), LaurentScalar.q(-1)], zero)
-    H1 = Matrix.diagonal([LaurentScalar.q(), LaurentScalar.q(-1)], zero)
-    H1i = Matrix.diagonal([LaurentScalar.q(-1), LaurentScalar.q()], zero)
-    I2 = Matrix.identity(2, one, zero)
-
-    SE = -(E1 @ K1)
-    SF = -(K1i @ F1)
-
-    # Delta(E) = E (x) Kinv + 1 (x) E, counit 0
-    lhs = SE @ K1i + E1
-    rep.add("S * id on E", lhs.is_zero(), witness_or_empty(lhs.is_zero(), "S(E)Kinv + E"))
-    lhs = E1 @ K1 + SE
-    rep.add("id * S on E", lhs.is_zero(), witness_or_empty(lhs.is_zero(), "E S(Kinv) + S(E)"))
-    # Delta(F) = F (x) 1 + K (x) F, counit 0
-    lhs = SF + K1i @ F1
-    rep.add("S * id on F", lhs.is_zero(), witness_or_empty(lhs.is_zero(), "S(F) + S(K)F"))
-    lhs = F1 + K1 @ SF
-    rep.add("id * S on F", lhs.is_zero(), witness_or_empty(lhs.is_zero(), "F + K S(F)"))
-    # grouplike generators
-    ok = (K1i @ K1) == I2 and (K1 @ K1i) == I2
-    rep.add("S on K inverts it", ok, witness_or_empty(ok, "S(K)K"))
-    ok = (H1i @ H1) == I2 and (H1 @ H1i) == I2
-    rep.add("S on H inverts it", ok, witness_or_empty(ok, "S(H)H"))
+    g = {(x, w): block_matrix(1, x, w) for x in GENERATORS for w in (1, -1)}
+    E, F = g["E", -1], g["F", 1]
+    SE = -(E @ g["K", -1])
+    SF = -(g["Kinv", -1] @ F)
+    one = {w: WeightBlock.scalar(1, w, Poly.one(2)) for w in (1, -1)}
+    checks = {
+        # Delta(E) = E (x) Kinv + 1 (x) E, counit 0
+        "S * id on E": [(SE @ g["Kinv", -1] + E, None)],
+        "id * S on E": [(E @ g["K", -1] + SE, None)],
+        # Delta(F) = F (x) 1 + K (x) F, counit 0
+        "S * id on F": [(SF + g["Kinv", -1] @ F, None)],
+        "id * S on F": [(F + g["K", -1] @ SF, None)],
+    }
+    # grouplike generators: S(K) = Kinv and S(H) = Hinv
+    for x in "KH":
+        checks[f"S on {x} inverts it"] = [
+            (a @ b, one[w])
+            for w in (1, -1)
+            for a, b in ((g[x + "inv", w], g[x, w]), (g[x, w], g[x + "inv", w]))
+        ]
+    for name, pairs in checks.items():
+        bad = _witness(pairs)
+        rep.add(name, not bad, bad)
     return rep
-
-
-def witness_or_empty(ok, label):
-    return "" if ok else f"{label} is not the expected matrix"

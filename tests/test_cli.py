@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +134,19 @@ class TestMatrices:
     def test_invalid_side(self, capsys):
         code, _, _ = run(capsys, "matrices", "--n", "2", "--weight", "0", "--side", "both")
         assert code == 2
+
+
+# `qglk matrices` output for n <= 3 at every weight, both sides, text and
+# --json; the schema-1 layouts and the text format must not drift
+GOLDEN = json.loads((Path(__file__).parent / "data" / "matrices_golden.json").read_text())
+
+
+class TestMatricesGolden:
+    @pytest.mark.parametrize("args", sorted(GOLDEN))
+    def test_output_is_byte_identical(self, capsys, args):
+        code, out, _ = run(capsys, "matrices", *args.split())
+        assert code == 0
+        assert out == GOLDEN[args]
 
 
 class TestKoszul:

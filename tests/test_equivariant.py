@@ -333,7 +333,7 @@ class TestEulerClasses:
             [weight_monomial(2, (1,), (2,)), weight_monomial(2, (2,), (1,))]
         )
         inv = euler_class_rf(c, 3, invert=True)
-        assert inv.num.is_monomial()
+        assert len(inv.num.keys) == 1
         assert len(inv.den_factors) >= 1
         direct = euler_class_rf(c, 3)
         assert inv * direct == RationalFunction.one(3)

@@ -2,10 +2,9 @@ from math import comb
 
 import pytest
 
-from qglk import fm
+from qglk import cli, fm
 from qglk.cli import main
 from qglk.fm import (
-    FunctorMatrix,
     algebra_matrix,
     commutator_matrix,
     commutator_report,
@@ -26,6 +25,7 @@ from qglk.fm import (
     scalar_block,
 )
 from qglk.grassmann import Character, Space, fixed_points, weight_monomial
+from qglk.matrix import WeightBlock, entry_witness
 from qglk.poly import Poly
 from qglk.ratfunc import RationalFunction, parse
 
@@ -133,14 +133,15 @@ class TestFunctorMatrices:
 
     def test_identity_and_scale(self):
         e = raising_matrix(2, 0)
-        assert FunctorMatrix.identity(2, 2) @ e == e
-        assert e @ FunctorMatrix.identity(2, 0) == e
+        one = RationalFunction.one(3)
+        assert WeightBlock.scalar(2, 2, one) @ e == e
+        assert e @ WeightBlock.scalar(2, 0, one) == e
         two = RationalFunction.const(3, 2)
         assert (e.scale(two) - e) == e
 
     def test_json_shape(self):
-        m = raising_matrix(2, 0)
-        d = m.to_json()
+        # the schema-1 layout lives in the CLI
+        d = cli._geometry_json(raising_matrix(2, 0))
         assert d["rows"] == [""]
         assert d["cols"] == ["1", "2"]
         assert set(d["entries"]) == {"|1", "|2"}
@@ -341,10 +342,10 @@ class TestGeometryBatteryNegativeControls:
 
     def test_witness_names_the_first_bad_entry(self):
         d = commutator_matrix(2, 0)
-        target = FunctorMatrix.identity(2, 0).scale(commutator_scalar(2, 1))
-        assert fm._entry_witness(d, target) == ""
+        target = WeightBlock.scalar(2, 0, commutator_scalar(2, 1))
+        assert entry_witness(d, target) == ""
         d.mat.rows[1][0] = d.mat.rows[1][0] + RationalFunction.q(3, 1)
-        witness = fm._entry_witness(d, target)
+        witness = entry_witness(d, target)
         assert witness.startswith(
             "first bad entry at row 1 (subset {2}), column 0 (subset {1}) is off by "
         )

@@ -87,7 +87,7 @@ class TestKoszulComplex:
         nvars = 4
         # twisting every weight down by q^qw matches the per-term q^(qw j)
         shifted = V.twist(mono(3, q_exp=-qw))
-        total = RationalFunction.from_poly(c.total_class_poly(nvars))
+        total = RationalFunction.from_poly(c.total_class().as_poly(nvars))
         assert total == euler_class_rf(shifted, nvars)
 
 

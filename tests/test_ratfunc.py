@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qglk.laurent import LaurentScalar
 from qglk.poly import Poly
-from qglk.ratfunc import PoleError, RationalFunction, parse, sz_equal
+from qglk.ratfunc import PoleError, RationalFunction, parse
 
 NV = 3  # x1, x2, q
 
@@ -136,13 +135,6 @@ class TestEvaluationAndSampling:
         with pytest.raises(PoleError):
             rf("1/(x1 - x2)").evaluate((Fraction(1), Fraction(1), Fraction(2)))
 
-    def test_sz_agrees_with_exact(self):
-        a = rf("(x1^2 - x2^2)/(x1 - x2)")
-        b = rf("x1 + x2")
-        assert a == b
-        assert sz_equal(a, b)
-        assert not sz_equal(a, b + rf("q"))
-
 
 class TestParsePrintRoundtrip:
     CASES = [
@@ -162,20 +154,3 @@ class TestParsePrintRoundtrip:
         for bad in ["x9", "x1 +", "(q", "x", "1/(0)"]:
             with pytest.raises((ValueError, ZeroDivisionError)):
                 rf(bad)
-
-
-class TestLaurentScalarBridge:
-    def test_as_laurent_scalar(self):
-        v = rf("q^2 - q^-2").as_laurent_scalar()
-        assert v == LaurentScalar({2: 1, -2: -1})
-        with pytest.raises(ValueError):
-            rf("x1").as_laurent_scalar()
-        with pytest.raises(ValueError):
-            rf("1/(1 - q)").as_laurent_scalar()
-
-    def test_laurent_scalar_ops(self):
-        q = LaurentScalar.q()
-        assert (q - q) == LaurentScalar.zero()
-        assert q * LaurentScalar.q(-1) == 1
-        assert str(LaurentScalar({2: 1, 0: -3})) == "q^2 - 3"
-        assert LaurentScalar({1: 2}).evaluate(Fraction(1, 2)) == 1

@@ -2,8 +2,12 @@ from math import comb
 
 import pytest
 
-from qglk.laurent import LaurentScalar
+from qglk import cli, superrep
+from qglk.cli import main
+from qglk.matrix import Matrix
+from qglk.poly import Poly
 from qglk.superrep import (
+    GENERATORS,
     antipode_report,
     apply_generator,
     basis_words,
@@ -19,8 +23,9 @@ from qglk.superrep import (
 )
 
 
-def ls(coeffs):
-    return LaurentScalar(coeffs)
+def qp(n, coeffs):
+    """The Laurent polynomial sum c q^e over coeffs {e: c}, in x_1..x_n, q."""
+    return Poly(n + 1, {(0,) * n + (e,): c for e, c in coeffs.items()})
 
 
 class TestBasis:
@@ -47,35 +52,35 @@ class TestBasis:
 
 class TestGeneratorAction:
     def test_one_site(self):
-        assert apply_generator("E", (1,)) == [((0,), ls({1: 1, -1: -1}))]
+        assert apply_generator("E", (1,)) == [((0,), qp(1, {1: 1, -1: -1}))]
         assert apply_generator("E", (0,)) == []
-        assert apply_generator("F", (0,)) == [((1,), ls({0: 1}))]
+        assert apply_generator("F", (0,)) == [((1,), qp(1, {0: 1}))]
         assert apply_generator("F", (1,)) == []
-        assert apply_generator("K", (1,)) == [((1,), ls({1: 1}))]
-        assert apply_generator("H", (1,)) == [((1,), ls({-1: 1}))]
+        assert apply_generator("K", (1,)) == [((1,), qp(1, {1: 1}))]
+        assert apply_generator("H", (1,)) == [((1,), qp(1, {-1: 1}))]
 
     def test_two_site_raising_with_sign(self):
         # E(v1 (x) v1) = (q - q^-1) q^-1 v0 (x) v1 - (q - q^-1) v1 (x) v0
         img = dict(apply_generator("E", (1, 1)))
-        assert img[(0, 1)] == ls({0: 1, -2: -1})
-        assert img[(1, 0)] == ls({1: -1, -1: 1})
+        assert img[(0, 1)] == qp(2, {0: 1, -2: -1})
+        assert img[(1, 0)] == qp(2, {1: -1, -1: 1})
 
     def test_two_site_lowering(self):
         # F(v0 (x) v0) = v1 (x) v0 + q v0 (x) v1
         img = dict(apply_generator("F", (0, 0)))
-        assert img[(1, 0)] == ls({0: 1})
-        assert img[(0, 1)] == ls({1: 1})
+        assert img[(1, 0)] == qp(2, {0: 1})
+        assert img[(0, 1)] == qp(2, {1: 1})
         # F(v1 (x) v0) picks up the Koszul sign in slot 2
         img = dict(apply_generator("F", (1, 0)))
-        assert img[(1, 1)] == ls({1: -1})
+        assert img[(1, 1)] == qp(2, {1: -1})
 
     def test_anticommutator_is_central_scalar(self):
         n = 2
-        E, F, K, Kinv = (full_matrix(n, g).mat for g in ("E", "F", "K", "Kinv"))
+        E, F, K, Kinv = (full_matrix(n, g) for g in ("E", "F", "K", "Kinv"))
         D = E @ F + F @ E
         for i in range(2**n):
             for j in range(2**n):
-                expected = ls({n: 1, -n: -1}) if i == j else ls({})
+                expected = qp(n, {n: 1, -n: -1}) if i == j else qp(n, {})
                 assert D[i, j] == expected
         assert D == (K - Kinv)
 
@@ -110,27 +115,126 @@ class TestBlockMatrices:
 
     def test_blocks_assemble_to_full(self):
         n = 3
-        E_full = full_matrix(n, "E")
-        for m in weight_blocks(n):
-            blk = block_matrix(n, "E", m)
-            for wo in blk.words_out:
-                for wi in blk.words_in:
-                    assert blk.entry(wo, wi) == E_full.entry(wo, wi)
+        index = {w: i for i, w in enumerate(basis_words(n))}
+        for g in GENERATORS:
+            full = full_matrix(n, g)
+            for m in weight_blocks(n):
+                blk = block_matrix(n, g, m)
+                for St in blk.rows_points:
+                    for Ss in blk.cols_points:
+                        i = index[word_from_subset(n, St)]
+                        j = index[word_from_subset(n, Ss)]
+                        assert blk.entry(St, Ss) == full[i, j]
 
     def test_entry_accessor_and_json(self):
+        # rows and columns are odd-slot subsets; the CLI labels them by words
         m = block_matrix(2, "F", 2)
-        assert m.entry((1, 0), (0, 0)) == ls({0: 1})
-        assert m.entry((0, 1), (0, 0)) == ls({1: 1})
-        d = m.to_json()
+        assert m.entry((1,), ()) == qp(2, {0: 1})
+        assert m.entry((2,), ()) == qp(2, {1: 1})
+        d = cli._algebra_json(m)
         assert d["shape"] == [2, 1]
         assert d["entries"]["10|00"] == "1"
         assert d["entries"]["01|00"] == "q"
 
-    def test_to_rational_lift(self):
-        m = block_matrix(2, "E", 0)
-        r = m.to_rational(3)
-        from qglk.ratfunc import parse
+    def test_blocks_beyond_the_ends_are_empty(self):
+        m = block_matrix(2, "F", 4)
+        assert (m.mat.nrows, m.mat.ncols) == (1, 0)
+        with pytest.raises(ValueError, match="parity"):
+            block_matrix(2, "E", 1)
 
-        assert r[0, 0] == parse("(q - q^-1)*q^-1", 3)
-        # no sign: the letter left of slot 2 in (0,1) is even
-        assert r[0, 1] == parse("q - q^-1", 3)
+    def test_out_of_block_image_word_raises(self, monkeypatch):
+        # an E that keeps the weight sends every word outside its target block
+        monkeypatch.setattr(superrep, "apply_generator", lambda gen, word: [(word, qp(2, {0: 1}))])
+        with pytest.raises(ValueError, match="outside the target block"):
+            block_matrix(2, "E", 0)
+
+
+APPLY = superrep.apply_generator
+
+
+def unsigned(gen, word):
+    """apply_generator without the Koszul sign of the odd letters left of
+    the active slot."""
+    out = APPLY(gen, word)
+    if gen not in ("E", "F"):
+        return out
+    signed = []
+    for w2, c in out:
+        slot = next(i for i, (a, b) in enumerate(zip(word, w2)) if a != b)
+        signed.append((w2, c * (-1) ** sum(word[:slot])))
+    return signed
+
+
+def swapped(gen, word):
+    """apply_generator with the names K and H exchanged."""
+    swap = {"K": "H", "H": "K", "Kinv": "Hinv", "Hinv": "Kinv"}
+    return APPLY(swap.get(gen, gen), word)
+
+
+def dense_relations(n):
+    """The relation battery on dense 2^n x 2^n matrices: {check name: holds}."""
+    E, F, K, Kinv, H, Hinv = (full_matrix(n, g) for g in GENERATORS)
+    nvars = n + 1
+    one = Matrix.diagonal([Poly.one(nvars)] * 2**n, Poly.zero(nvars))
+    return {
+        "E^2 = 0": (E @ E).is_zero(),
+        "F^2 = 0": (F @ F).is_zero(),
+        "EF + FE = K - Kinv": E @ F + F @ E == K - Kinv,
+        "HE = q^2 EH": H @ E == (E @ H).scale(Poly.q(nvars, 2)),
+        "HF = q^-2 FH": H @ F == (F @ H).scale(Poly.q(nvars, -2)),
+        "K central against E": K @ E == E @ K,
+        "K central against F": K @ F == F @ K,
+        "K central against H": K @ H == H @ K,
+        "K Kinv = 1": K @ Kinv == one,
+        "H Hinv = 1": H @ Hinv == one,
+    }
+
+
+def _located(check):
+    assert check.witness.startswith("weight ")
+    assert " first bad entry at row " in check.witness
+    assert "(subset {" in check.witness and " at (x1, ..., q) = (" in check.witness
+    assert "\n" not in check.witness and len(check.witness) < 300
+
+
+class TestNegativeControls:
+    def test_dropped_koszul_sign_fails_with_a_located_witness(self, monkeypatch, capsys):
+        monkeypatch.setattr(superrep, "apply_generator", unsigned)
+        rep = verify_relations(3)
+        names = [c.name for c in rep.failures]
+        assert "E^2 = 0" in names and "F^2 = 0" in names
+        for check in rep.failures:
+            _located(check)
+        assert main(["verify", "--n", "3"]) == 1
+        assert "[FAIL] E^2 = 0" in capsys.readouterr().out
+
+    def test_swapped_k_and_h_fail_the_anticommutator(self, monkeypatch):
+        monkeypatch.setattr(superrep, "apply_generator", swapped)
+        rep = verify_relations(3)
+        bad = next(c for c in rep.failures if c.name == "EF + FE = K - Kinv")
+        _located(bad)
+
+    @pytest.mark.parametrize("mutation", [None, unsigned, swapped])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_per_block_battery_matches_the_dense_reference(self, monkeypatch, n, mutation):
+        if mutation:
+            monkeypatch.setattr(superrep, "apply_generator", mutation)
+        rep = verify_relations(n)
+        assert {c.name: c.passed for c in rep.checks} == dense_relations(n)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_battery_forms_no_full_space_matrix(self, monkeypatch, n):
+        def refuse(n, gen):
+            raise AssertionError("the battery built a dense generator")
+
+        shapes = []
+        matmul = Matrix.__matmul__
+
+        def recording(a, b):
+            shapes.append((a.nrows, a.ncols, b.ncols))
+            return matmul(a, b)
+
+        monkeypatch.setattr(superrep, "full_matrix", refuse)
+        monkeypatch.setattr(Matrix, "__matmul__", recording)
+        assert verify_relations(n).passed
+        assert shapes and max(map(max, shapes)) == comb(n, n // 2)
