@@ -26,6 +26,7 @@ the algebra blocks of :mod:`qglk.superrep`, the same type over Poly, into
 that field, so the two actions are compared block by block.
 """
 
+from itertools import chain, islice
 from math import comb
 
 from .grassmann import (
@@ -36,10 +37,11 @@ from .grassmann import (
     ratio_character,
     tangent_gr,
 )
-from .linalg import certify_invertible, column_basis, columns, hstack, invert_matrix
-from .matrix import Matrix, WeightBlock, entry_witness, first_difference, k_of, subset_label
+from .linalg import column_basis  # noqa: F401  (still importable from fm)
+from .linalg import columns, hstack, invert_matrix, pivot_columns, sample_points
+from .matrix import Matrix, WeightBlock, entry_witness, k_of
 from .poly import Monomial, Poly
-from .ratfunc import RationalFunction
+from .ratfunc import PoleError, RationalFunction
 from .report import Report
 from .superrep import block_matrix
 
@@ -80,21 +82,6 @@ def _twist(n, S_small, S_big, raising):
     b = _transfer_index(S_small, S_big)
     e = n - len(S_big)
     return Monomial(tuple(e if i + 1 == b else 0 for i in range(n)), 0)
-
-
-def kernel_value(n, S_small, S_big, raising):
-    """Kernel class at the fixed pair: twist times e(N_W), with
-    N_W = T(Y_source) + T(Y_target) - T(W) restricted to the pair."""
-    S_src, S_tgt = (S_big, S_small) if raising else (S_small, S_big)
-    nW = (
-        tangent_gr(n, S_src)
-        + hom_fiber(n, S_src)
-        + tangent_gr(n, S_tgt)
-        + hom_fiber(n, S_tgt)
-        - correspondence_tangent(n, S_small, S_big)
-    )
-    tw = RationalFunction.from_poly(_twist(n, S_small, S_big, raising).to_poly())
-    return tw * euler_class_rf(nW, n + 1)
 
 
 def _pair_entry(n, S_small, S_big, raising):
@@ -150,51 +137,115 @@ def commutator_scalar(n, k):
     return RationalFunction(nvars, p)
 
 
-def commutator_matrix(n, weight, normalized=True):
+def commutator_matrix(n, weight):
     """FE - EF on the weight block, built from the localized matrices."""
-    fe = lowering_matrix(n, weight + 2, normalized) @ raising_matrix(n, weight)
-    ef = raising_matrix(n, weight - 2) @ lowering_matrix(n, weight, normalized)
-    return fe - ef
+    return Blocks(n).difference("geometric", weight)
 
 
-def _weights(n, max_weight):
+def _weights(n, max_weight=None):
     ws = [n - 2 * k for k in range(n + 1)]
     if max_weight is None:
         return ws
     return [w for w in ws if abs(w) <= max_weight]
 
 
-def nilpotency_report(n, max_weight=None):
+SIDES = ("algebra", "geometric")
+
+
+def _signed_scalars(n):
+    """{+1: 1 - q^(2n), -1: q^(2n) - 1}, the candidate commutator scalars."""
+    base = RationalFunction(n + 1, Poly.one(n + 1) - Poly.q(n + 1, 2 * n))
+    return {1: base, -1: -base}
+
+
+class Blocks:
+    """The E and F blocks of both sides at one n, and the relation checks
+    on them, each built once.
+
+    The batteries and the intertwiner of one verification share an
+    instance, so every premise the intertwiner cites is the outcome its
+    battery reports.  Blocks come from the module-level raising_matrix,
+    lowering_matrix and algebra_matrix on first use.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        self._memo = {}
+
+    def _once(self, key, make):
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
+
+    def op(self, side, gen, w):
+        """The normalized generator gen (E or F) from weight w on one side."""
+        if side == "algebra":
+            return self._once((side, gen, w), lambda: algebra_matrix(self.n, gen, w))
+        build = raising_matrix if gen == "E" else lowering_matrix
+        return self._once((side, gen, w), lambda: build(self.n, w))
+
+    def square(self, side, gen, w):
+        """(name, witness) of the check that gen twice from weight w vanishes."""
+        if side == "algebra":
+            name = f"{gen}^2 vanishes from weight {w}"
+        else:
+            name = f"{'raising' if gen == 'E' else 'lowering'} twice from weight {w} vanishes"
+        step = 2 if gen == "E" else -2
+        return name, self._once(
+            name, lambda: entry_witness(self.op(side, gen, w + step) @ self.op(side, gen, w))
+        )
+
+    def difference(self, side, w):
+        """FE - EF on the weight-w block of one side."""
+        op = self.op
+        return op(side, "F", w + 2) @ op(side, "E", w) - op(side, "E", w - 2) @ op(side, "F", w)
+
+    def commutator(self, side, w):
+        """[(name, witness)] of the commutator checks at weight w, and on
+        the geometric side the note on the observed sign (else None)."""
+        return self._once(("commutator", side, w), lambda: self._commutator(side, w))
+
+    def _commutator(self, side, w):
+        n, k = self.n, k_of(self.n, w)
+        d = self.difference(side, w)
+        if side == "algebra":
+            bad = entry_witness(d, WeightBlock.scalar(n, w, commutator_scalar(n, k)))
+            return [(f"FE - EF is eps*(1-q^{2*n}) at weight {w}", bad)], None
+        signed = _signed_scalars(n)
+        eps = next((c for c, s in signed.items() if d == WeightBlock.scalar(n, w, s)), None)
+        pred = epsilon_sign(n, k)
+        bad = "" if eps == pred else entry_witness(d, WeightBlock.scalar(n, w, signed[pred]))
+        name = f"weight {w} commutator is a (1-q^{2*n}) scalar on a dim-{comb(n, k)} block"
+        if eps is None:
+            return [(name, bad)], None
+        sign = f"observed {eps:+d}, parity {pred:+d}; {bad}" if bad else ""
+        note = f"weight {w}: epsilon={eps:+d}, parity (-1)^(n-k-1)={pred:+d}"
+        return [(name, ""), (f"weight {w} sign matches (-1)^(n-k-1)", sign)], note
+
+
+def _add(rep, checks):
+    for name, bad in checks:
+        rep.add(name, not bad, bad)
+
+
+def nilpotency_report(n, max_weight=None, blocks=None):
+    blocks = Blocks(n) if blocks is None else blocks
     rep = Report(f"geometric nilpotency at n={n}")
     for w in _weights(n, max_weight):
-        bad = entry_witness(raising_matrix(n, w + 2) @ raising_matrix(n, w))
-        rep.add(f"raising twice from weight {w} vanishes", not bad, bad)
-        bad = entry_witness(lowering_matrix(n, w - 2) @ lowering_matrix(n, w))
-        rep.add(f"lowering twice from weight {w} vanishes", not bad, bad)
+        _add(rep, [blocks.square("geometric", gen, w) for gen in "EF"])
     return rep
 
 
-def commutator_report(n, max_weight=None):
+def commutator_report(n, max_weight=None, blocks=None):
     """Checks FE - EF = eps * (1 - q^(2n)) Id per weight block and records
     the observed sign against the parity (-1)^(n-k-1)."""
+    blocks = Blocks(n) if blocks is None else blocks
     rep = Report(f"geometric commutator scalars at n={n}")
-    base = RationalFunction(n + 1, Poly.one(n + 1) - Poly.q(n + 1, 2 * n))
-    signed = {1: base, -1: -base}
     for w in _weights(n, max_weight):
-        k = k_of(n, w)
-        d = commutator_matrix(n, w)
-        dim = comb(n, k)
-        eps = next((c for c, s in signed.items() if d == WeightBlock.scalar(n, w, s)), None)
-        pred = epsilon_sign(n, k)
-        bad = "" if eps else entry_witness(d, WeightBlock.scalar(n, w, signed[pred]))
-        rep.add(f"weight {w} commutator is a (1-q^{2*n}) scalar on a dim-{dim} block", not bad, bad)
-        if eps is not None:
-            rep.add(
-                f"weight {w} sign matches (-1)^(n-k-1)",
-                eps == pred,
-                "" if eps == pred else f"observed {eps:+d}, parity {pred:+d}",
-            )
-            rep.note(f"weight {w}: epsilon={eps:+d}, parity (-1)^(n-k-1)={pred:+d}")
+        checks, note = blocks.commutator("geometric", w)
+        _add(rep, checks)
+        if note:
+            rep.note(note)
     return rep
 
 
@@ -222,36 +273,18 @@ def scalar_block(n, weight, q_exp):
     return WeightBlock.scalar(n, weight, RationalFunction.q(n + 1, q_exp))
 
 
-def normalized_family(n, weight):
-    """The four normalized generators on one weight block: E and F as
-    localized functor matrices, K central as q^n, H grading as q^weight."""
-    return {
-        "E": algebra_matrix(n, "E", weight),
-        "F": algebra_matrix(n, "F", weight),
-        "K": scalar_block(n, weight, n),
-        "H": scalar_block(n, weight, weight),
-    }
-
-
-def normalized_rep_report(n, max_weight=None):
+def normalized_rep_report(n, max_weight=None, blocks=None):
     """Full relation battery for the normalized algebra blocks: nilpotency,
     the commutator scalar matching the geometric one, K centrality, and the
     H-grading conjugation."""
+    blocks = Blocks(n) if blocks is None else blocks
     rep = Report(f"normalized algebra blocks at n={n}")
     q2 = RationalFunction.q(n + 1, 2)
     for w in _weights(n, max_weight):
-        k = k_of(n, w)
-        bad = entry_witness(algebra_matrix(n, "E", w + 2) @ algebra_matrix(n, "E", w))
-        rep.add(f"E^2 vanishes from weight {w}", not bad, bad)
-        bad = entry_witness(algebra_matrix(n, "F", w - 2) @ algebra_matrix(n, "F", w))
-        rep.add(f"F^2 vanishes from weight {w}", not bad, bad)
-        d = algebra_matrix(n, "F", w + 2) @ algebra_matrix(n, "E", w) - (
-            algebra_matrix(n, "E", w - 2) @ algebra_matrix(n, "F", w)
-        )
-        bad = entry_witness(d, WeightBlock.scalar(n, w, commutator_scalar(n, k)))
-        rep.add(f"FE - EF is eps*(1-q^{2*n}) at weight {w}", not bad, bad)
-        e = algebra_matrix(n, "E", w)
-        f = algebra_matrix(n, "F", w)
+        _add(rep, [blocks.square("algebra", gen, w) for gen in "EF"])
+        _add(rep, blocks.commutator("algebra", w)[0])
+        e = blocks.op("algebra", "E", w)
+        f = blocks.op("algebra", "F", w)
         bad = entry_witness(scalar_block(n, w + 2, n) @ e - e @ scalar_block(n, w, n))
         rep.add(f"K is central through E at weight {w}", not bad, bad)
         bad = entry_witness(
@@ -266,138 +299,165 @@ def normalized_rep_report(n, max_weight=None):
     return rep
 
 
-def _located_witness(side, w, identity, op, split, got, want, offset=0):
-    """Where got and want first differ, as a short witness; "" if equal.
-
-    Rows are labelled by the target fixed points of op, columns by their
-    index in B[w] = [P | E*P], whose first `split` columns are P.
-    """
-    bad = first_difference(got, want)
-    if bad is None:
-        return ""
-    i, j = bad[0], bad[1] + offset
-    block = "P" if j < split else "E*P"
-    return (
-        f"{side} side, weight {w}: {identity} fails first at row {i} "
-        f"(subset {subset_label(op.rows_points[i])}), column {j} (block {block})"
-    )
+def _product(a, b, ncols):
+    """a @ b over Q, for matrices as lists of rows; b has ncols columns."""
+    cols = [[row[j] for row in b] for j in range(ncols)]
+    return [[sum(x * y for x, y in zip(row, col) if x and y) for col in cols] for row in a]
 
 
-def _prove_intertwiner(n, seed):
+def _at_points(blocks, seed):
+    """Yields, at successive seeded rational points, the E blocks and the
+    projectors p_w = F_{w+2} E_w / s_w of both sides over Q, skipping a
+    point where an entry of an E or F block has a pole or some s_w
+    vanishes (q = 1 can be drawn)."""
+    n = blocks.n
+    weights = _weights(n)
+    keys = [(side, gen, w) for side in SIDES for w in weights + [n + 2] for gen in "EF"]
+    for point in sample_points(n + 1, seed):
+        s = {w: commutator_scalar(n, k_of(n, w)).evaluate(point) for w in weights}
+        if not all(s.values()):
+            continue
+        try:
+            at = {
+                key: [[e.evaluate(point) if e else 0 for e in r] for r in blocks.op(*key).mat.rows]
+                for key in keys
+            }
+        except PoleError:
+            continue
+        for side in SIDES:
+            for w in weights:
+                f, e = at[side, "F", w + 2], at[side, "E", w]
+                fe = _product(f, e, len(f))  # E_w has as many columns as F_{w+2} rows
+                at[side, "p", w] = [[v / s[w] for v in row] for row in fe]
+        yield at
+
+
+def _failed_premises(blocks, gen, w):
+    """A witness for each failing premise of "phi intertwines gen at
+    weight w" (see find_intertwiner), algebra side first."""
+    n = blocks.n
+    out = []
+    for side in SIDES:
+        checks = [blocks.square(side, "F", w + 2)] if gen == "F" and w < n else []
+        checks += [blocks.square(side, "E", w - 2)] if w > -n else []
+        checks += blocks.commutator(side, w)[0] if gen == "F" else []
+        out += [(side, name, bad) for name, bad in checks]
+    if gen == "F":
+        s = [commutator_scalar(n, k) for k in (k_of(n, w), k_of(n, w) + 1)]
+        geo = [_signed_scalars(n)[epsilon_sign(n, k)] for k in (k_of(n, w), k_of(n, w) + 1)]
+        ok = s[0] == -s[1] and s == geo
+        bad = "" if ok else f"s = {s[0]}, {s[1]}; geometric {geo[0]}, {geo[1]}"
+        out.append(("algebra", f"sign relation s_{w} = -s_{w - 2}", bad))
+    return [f"{side} side, weight {w}: {name} fails: {bad}" for side, name, bad in out if bad]
+
+
+def _prove_intertwiner(n, seed, blocks):
     """The proof described in find_intertwiner.  Returns the report and,
-    when the transported bases are square, {weight: (B_alg, B_geo)}."""
+    when the transported bases are square, the pivot columns
+    {(side, w): indices} of each p_w."""
     rep = Report(f"intertwiner at n={n}")
-    nvars = n + 1
-    zero = RationalFunction.zero(nvars)
-    weights = [n - 2 * k for k in range(n + 1)]
-    sides = {
-        "algebra": {w: (algebra_matrix(n, "E", w), algebra_matrix(n, "F", w)) for w in weights},
-        "geometric": {w: (raising_matrix(n, w), lowering_matrix(n, w)) for w in weights},
-    }
-    proj = {side: {} for side in sides}  # P_w, pivot columns of p_w
-    lifted = {side: {} for side in sides}  # E_{w-2} P_{w-2}
-    basis = {side: {} for side in sides}  # B[w] = [P_w | E_{w-2} P_{w-2}]
+    weights = _weights(n)
+    dims = {w: comb(n, k_of(n, w)) for w in weights}
+    first = next(_at_points(blocks, seed), None)
+    if first is None:
+        raise PoleError("every sample point hit a pole or a vanishing commutator scalar")
+    pivots = {}
     ok_bases = True
     for w in reversed(weights):
-        s = commutator_scalar(n, k_of(n, w)).inv()
-        for side, ops in sides.items():
-            if w == n:  # E leaves the top weight for an empty block
-                p = WeightBlock.zeros(n, w, w, zero).mat
-            else:
-                p = (ops[w + 2][1] @ ops[w][0]).scale(s).mat
-            proj[side][w] = columns(p, column_basis(p, nvars, seed))
-        r_alg, r_geo = (proj[side][w].ncols for side in sides)
+        for side in SIDES:
+            pivots[side, w] = pivot_columns([list(r) for r in first[side, "p", w]], dims[w])
+        r_alg, r_geo = (len(pivots[side, w]) for side in SIDES)
         if r_alg != r_geo:
             why = f"algebra rank {r_alg}, geometric rank {r_geo}"
             rep.add(f"projector ranks agree at weight {w}", False, why)
             ok_bases = False
             continue
         short = []
-        for side, ops in sides.items():
-            if w > -n:
-                lifted[side][w] = ops[w - 2][0].mat @ proj[side][w - 2]
-            else:  # nothing below the bottom weight
-                lifted[side][w] = Matrix.zeros(proj[side][w].nrows, 0, zero)
-            b = basis[side][w] = hstack(proj[side][w], lifted[side][w])
-            if b.ncols != b.nrows:
-                short.append(f"{side}: {b.ncols} columns for a dim-{b.nrows} block")
+        for side in SIDES:
+            ncols = len(pivots[side, w]) + (len(pivots[side, w - 2]) if w > -n else 0)
+            if ncols != dims[w]:
+                short.append(f"{side}: {ncols} columns for a dim-{dims[w]} block")
         rep.add(f"transported bases fill the weight-{w} block", not short, "; ".join(short))
         ok_bases = ok_bases and not short
-
     if not ok_bases:
         return rep, None
 
+    def basis(at, side, w):  # B[w] over Q at one point
+        def proj(v):
+            return [[row[j] for j in pivots[side, v]] for row in at[side, "p", v]]
+
+        if w == -n:
+            return proj(w)
+        lifted = _product(at[side, "E", w - 2], proj(w - 2), len(pivots[side, w - 2]))
+        return [a + b for a, b in zip(proj(w), lifted)]
+
     for w in weights:
         why = []
-        for side in sides:
-            ok, msg = certify_invertible(basis[side][w], nvars, seed=seed)
-            if not ok:
-                why.append(f"{side} basis: {msg}")
+        for side in SIDES:
+            # the pivot point first, then further points with the same pivots
+            tries = chain([first], islice(_at_points(blocks, seed), 1, None))
+            if all(len(pivot_columns(basis(at, side, w), dims[w])) < dims[w] for at in tries):
+                why.append(f"{side} basis: determinant vanished at every pole-free sample point")
         rep.add(f"phi at weight {w} is invertible", not why, "; ".join(why))
 
     for w in weights:
-        k = k_of(n, w)
-        if w < n:
-            bad = ""
-            for side, ops in sides.items():
-                e, split = ops[w][0], proj[side][w].ncols
-                got = e.mat @ lifted[side][w]
-                want = Matrix.zeros(got.nrows, got.ncols, zero)
-                bad = bad or _located_witness(
-                    side, w, "E*B = [E*P | 0]", e, split, got, want, offset=split
-                )
-            rep.add(f"phi intertwines E at weight {w}", not bad, bad)
-        if w > -n:
-            s_low = commutator_scalar(n, k + 1)
-            bad = ""
-            for side, ops in sides.items():
-                f, split = ops[w][1], proj[side][w].ncols
-                got = f.mat @ basis[side][w]
-                want = hstack(
-                    Matrix.zeros(got.nrows, split, zero), proj[side][w - 2].scale(s_low)
-                )
-                bad = bad or _located_witness(side, w, "F*B = [0 | s*P]", f, split, got, want)
-            rep.add(f"phi intertwines F at weight {w}", not bad, bad)
-    return rep, {w: (basis["algebra"][w], basis["geometric"][w]) for w in weights}
+        for gen in [g for g, applies in (("E", w < n), ("F", w > -n)) if applies]:
+            bad = next(iter(_failed_premises(blocks, gen, w)), "")
+            rep.add(f"phi intertwines {gen} at weight {w}", not bad, bad)
+    return rep, pivots
 
 
 def find_intertwiner(n, seed=0xC0FFEE):
     """Proves that the normalized algebra action and the geometric one are
     intertwined by a block-diagonal phi, then builds phi.
 
-    The proof never inverts a matrix.  On each side and at each weight w,
-    p_w = F_{w+2} E_w / s_w is an idempotent (s_w is the commutator
-    scalar, whose sign flips from weight to weight).  Its pivot columns
-    P_w, chosen by exact elimination over Q at a point drawn from `seed`,
-    and the columns E_{w-2} P_{w-2} transported up from the weight below
-    form a basis B[w] = [P_w | E_{w-2} P_{w-2}].  The checks:
+    On each side, with s_w the commutator scalar and p_w = F_{w+2} E_w / s_w,
+    the pivot columns P_w of p_w and E_{w-2} P_{w-2} form the basis
+    B[w] = [P_w | E_{w-2} P_{w-2}].  Ranks, squareness and "phi at weight
+    w is invertible" (det B[w] nonzero on both sides) come from E and F
+    evaluated over Q at one seeded point, redrawn while an entry has a
+    pole or an s_w vanishes there, so evaluation is a ring homomorphism.
+    If B is singular there, further points are tried with the same
+    pivots: the certificate is one-sided.  The other checks are derived
+    from premises that the relation batteries prove exactly:
 
-    * projector ranks agree, and B[w] is square on both sides (exact);
-    * "phi at weight w is invertible": det B_alg[w] and det B_geo[w] are
-      nonzero at a seeded rational point.  This is a one-sided
-      certificate: a nonzero value proves the symbolic determinant
-      nonzero, and an unlucky point can only fail the check;
-    * "phi intertwines E at weight w": E_w B[w] = [E_w P_w | 0] on both
-      sides, an exact identity.  E_w P_w is the second block of B[w+2];
-    * "phi intertwines F at weight w": F_w B[w] = [0 | s_{w-2} P_{w-2}]
-      on both sides, an exact identity.
+    * "phi intertwines E at weight w", E_w B[w] = [E_w P_w | 0], follows
+      from E_w E_{w-2} = 0: "E^2 vanishes from weight w-2" and "raising
+      twice from weight w-2 vanishes".  At w = -n it has no premise.
+    * "phi intertwines F at weight w", F_w B[w] = [0 | s_{w-2} P_{w-2}]:
+      F_w P_w = 0 by F^2 = 0 from w+2, and F^2 = 0, E^2 = 0 and the
+      commutator at w give p_{w-2}^2 = (-s_w / s_{w-2}) p_{w-2}.  Its
+      premises on both sides: F^2 from w+2, E^2 from w-2, the commutator
+      at w (geometric: the scalar and its sign), and the exact sign
+      relation s_w = -s_{w-2} with s the geometric scalar.
 
-    So X B[w] = B[w'] M_X with the same structure matrix M_X on both
-    sides for X = E, F, and phi_w = B_geo[w] B_alg[w]^-1 satisfies
-    phi_{w'} X_alg = X_geo phi_w.  The seed picks the sample points but
-    never decides a PASS.
-
-    Returns (phi, report); phi maps each weight to a Matrix over the
-    fraction field, and is empty unless every check passed.
+    A failure quotes the first failing premise and its witness.  E and F
+    then act on B_alg and B_geo by the same structure matrices, so
+    phi_w = B_geo[w] B_alg[w]^-1 intertwines; only after the proof passes
+    is it built.  Returns (phi, report); phi maps each weight to a Matrix
+    over the fraction field, and is empty unless every check passed.
     """
-    rep, bases = _prove_intertwiner(n, seed)
+    blocks = Blocks(n)
+    rep, pivots = _prove_intertwiner(n, seed, blocks)
     if not rep.passed:
         return {}, rep
-    one = RationalFunction.one(n + 1)
-    phi = {w: b_geo @ invert_matrix(b_alg, one) for w, (b_alg, b_geo) in bases.items()}
+    proj, phi = {}, {}
+    for w in reversed(_weights(n)):
+        basis = {}
+        for side in SIDES:
+            p = (blocks.op(side, "F", w + 2) @ blocks.op(side, "E", w)).mat
+            s = commutator_scalar(n, k_of(n, w)).inv()
+            proj[side, w] = columns(p, pivots[side, w]).scale(s)
+            if w > -n:
+                lifted = blocks.op(side, "E", w - 2).mat @ proj[side, w - 2]
+            else:
+                lifted = Matrix.zeros(p.nrows, 0, p.zero)
+            basis[side] = hstack(proj[side, w], lifted)
+        phi[w] = basis["geometric"] @ invert_matrix(basis["algebra"], RationalFunction.one(n + 1))
     return phi, rep
 
 
-def intertwiner_report(n, seed=0xC0FFEE):
-    """The checks of find_intertwiner, without building phi."""
-    return _prove_intertwiner(n, seed)[0]
+def intertwiner_report(n, seed=0xC0FFEE, blocks=None):
+    """The checks of find_intertwiner, without building phi.  With its
+    premises already in `blocks` it forms no symbolic product."""
+    return _prove_intertwiner(n, seed, Blocks(n) if blocks is None else blocks)[0]

@@ -266,7 +266,8 @@ def euler_class_rf(char, nvars, invert=False):
             hi, lo = lo, hi
             if power % 2:
                 sign = -sign
-        canon = Poly._raw(nvars, {hi: 1, lo: -1}, zero, (hi, lo))
+        # hi and lo share no variable, so hi + lo - zero keys the ceiling
+        canon = Poly._raw(nvars, {hi: 1, lo: -1}, (zero, hi + lo - zero), (hi, lo))
         shift = [s - a * power for s, a in zip(shift, pos)]
         if power > 0:
             num = num * canon**power
@@ -330,46 +331,3 @@ class Space:
                 det_tau_restrict(n, S, m).to_poly()
             )
         )
-
-
-def schur_rectangular(n, k, m):
-    """Schur polynomial of the k x m rectangle in x_1..x_n, by tableaux.
-
-    Semistandard fillings: rows weakly increase, columns strictly increase.
-    Serves as an independent oracle for Grassmannian pushforwards.
-    """
-    nvars = n + 1
-    if k == 0 or m == 0:
-        return Poly.one(nvars)
-    if k > n:
-        return Poly.zero(nvars)
-
-    rows = []
-
-    def extend_row(prefix, lower_bound_row):
-        if len(prefix) == m:
-            rows.append(tuple(prefix))
-            return
-        j = len(prefix)
-        lo = max(prefix[-1] if prefix else 1, lower_bound_row[j] + 1 if lower_bound_row else 1)
-        for v in range(lo, n + 1):
-            extend_row(prefix + [v], lower_bound_row)
-
-    total = Poly.zero(nvars)
-
-    def build(tableau):
-        nonlocal total
-        if len(tableau) == k:
-            exps = [0] * nvars
-            for row in tableau:
-                for v in row:
-                    exps[v - 1] += 1
-            total = total + Poly.monomial(nvars, tuple(exps))
-            return
-        rows.clear()
-        extend_row([], tableau[-1] if tableau else None)
-        for row in list(rows):
-            build(tableau + [row])
-
-    build([])
-    return total

@@ -16,16 +16,21 @@ def _complexity(entry):
     return len(entry.num.keys) + sum(m for _, m in entry.den_factors)
 
 
+def sample_points(nvars, seed, attempts=72):
+    """Yields `attempts` seeded random rational points (x_1, ..., q)."""
+    rng = random.Random(seed)
+    for _ in range(attempts):
+        yield tuple(
+            Fraction(rng.randint(2, 10**6), rng.randint(2, 997))
+            for _ in range(nvars)
+        )
+
+
 def specializations(mat, nvars, seed, attempts=72):
     """Yields mat evaluated exactly (rows over Q) at successive seeded
     random rational points, skipping points where an entry has a pole.
     At most `attempts` points are drawn."""
-    rng = random.Random(seed)
-    for _ in range(attempts):
-        point = tuple(
-            Fraction(rng.randint(2, 10**6), rng.randint(2, 997))
-            for _ in range(nvars)
-        )
+    for point in sample_points(nvars, seed, attempts):
         try:
             rows = [[e.evaluate(point) for e in r] for r in mat.rows]
         except PoleError:

@@ -104,8 +104,8 @@ class Monomial(NamedTuple):
 class Poly:
     """Sparse Laurent polynomial over the integers."""
 
-    # _floor and _ends_cache hold the keys of exponent_floor() and _ends()
-    __slots__ = ("nvars", "keys", "_hash", "_floor", "_ends_cache")
+    # _box and _ends_cache hold the keys of _box_keys() and _ends()
+    __slots__ = ("nvars", "keys", "_hash", "_box", "_ends_cache")
 
     def __init__(self, nvars, terms=None):
         lay = _layout(nvars)
@@ -118,14 +118,14 @@ class Poly:
                     if not all(-_BIAS <= a < _BIAS for a in exps):
                         raise OverflowError("exponent outside [-2^14, 2^14)")
                     keys[lay.zero + sum(map(mul, exps, lay.weights))] = coeff
-        self.nvars, self.keys, self._hash, self._floor, self._ends_cache = nvars, keys, None, None, None
+        self.nvars, self.keys, self._hash, self._box, self._ends_cache = nvars, keys, None, None, None
 
     @classmethod
-    def _raw(cls, nvars, keys, floor=None, ends=None):
+    def _raw(cls, nvars, keys, box=None, ends=None):
         """Wrap a key dict that Poly built itself: nonzero coefficients,
         every key in range, and the caches, when given, exact."""
         out = object.__new__(cls)
-        out.nvars, out.keys, out._hash, out._floor, out._ends_cache = nvars, keys, None, floor, ends
+        out.nvars, out.keys, out._hash, out._box, out._ends_cache = nvars, keys, None, box, ends
         return out
 
     @classmethod
@@ -189,7 +189,7 @@ class Poly:
 
     def __neg__(self):
         return Poly._raw(
-            self.nvars, {k: -c for k, c in self.keys.items()}, self._floor, self._ends_cache
+            self.nvars, {k: -c for k, c in self.keys.items()}, self._box, self._ends_cache
         )
 
     def __sub__(self, other):
@@ -202,7 +202,7 @@ class Poly:
             return Poly._raw(
                 self.nvars,
                 {k: c * other for k, c in self.keys.items()},
-                self._floor,
+                self._box,
                 self._ends_cache,
             )
         self._check(other)
@@ -269,19 +269,27 @@ class Poly:
         """gcd of the absolute values of all coefficients (0 for the zero poly)."""
         return gcd(*self.keys.values())
 
-    def _floor_key(self):
-        """Key of the componentwise minimum exponent over all terms."""
-        if self._floor is None:
+    def _box_keys(self):
+        """Keys of the componentwise minimum and maximum exponents over all
+        terms: the floor and the ceiling of the exponent box."""
+        if self._box is None:
             if not self.keys:
                 raise ValueError("zero polynomial")
-            lay = _layout(self.nvars)
-            lows = [min([k >> s & _MASK for k in self.keys]) - _BIAS for s in lay.shifts]
-            self._floor = lay.zero + sum(map(mul, lows, lay.weights))
-        return self._floor
+            if len(self.keys) == 1:  # a monomial's key is both corners
+                (k,) = self.keys
+                self._box = (k, k)
+            else:
+                lay = _layout(self.nvars)
+                fields = [[k >> s & _MASK for k in self.keys] for s in lay.shifts]
+                self._box = tuple(
+                    lay.zero + sum(map(mul, [pick(f) - _BIAS for f in fields], lay.weights))
+                    for pick in (min, max)
+                )
+        return self._box
 
     def exponent_floor(self):
         """Componentwise minimum exponent over all terms."""
-        return _unpack(_layout(self.nvars), self._floor_key())
+        return _unpack(_layout(self.nvars), self._box_keys()[0])
 
     def _translate(self, d, unit=1):
         """self * X^s / unit, for d = sum(s_i * weights_i) with every s_i in
@@ -289,9 +297,9 @@ class Poly:
         lay = _layout(self.nvars)
         keys = {k + d: c // unit for k, c in self.keys.items()}
         _check_fields(lay, keys)
-        floor = None if self._floor is None else self._floor + d
+        box = self._box and (self._box[0] + d, self._box[1] + d)
         ends = self._ends_cache and (self._ends_cache[0] + d, self._ends_cache[1] + d)
-        return Poly._raw(self.nvars, keys, floor, ends)
+        return Poly._raw(self.nvars, keys, box, ends)
 
     def shift_exps(self, shift):
         if len(shift) != self.nvars:
@@ -312,7 +320,7 @@ class Poly:
         sign = 1 if self.leading_coeff() > 0 else -1
         if g == 1 and sign > 0 and not any(shift):
             return self, shift, 1, 1
-        d = _layout(self.nvars).zero - self._floor_key()
+        d = _layout(self.nvars).zero - self._box_keys()[0]
         return self._translate(d, sign * g), shift, sign, g
 
     def exact_div(self, other):
@@ -343,11 +351,13 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         if not self.keys:
             return Poly.zero(self.nvars)
-        _, _, top, zero, ones, guard = _layout(self.nvars)
+        lay = _layout(self.nvars)
+        zero, guard = lay.zero, lay.guard
         num, dnum = self.keys, other.keys
         lead, trail = self._ends()
         dlead, dtrail = other._ends()
-        floor_s, floor_o = self._floor_key(), other._floor_key()
+        floor_s, ceil_s = self._box_keys()
+        floor_o, ceil_o = other._box_keys()
         off = floor_s - floor_o + zero
         # field i of k - base is (quotient exponent - off)_i, in (-2^15,
         # 2^15): a negative one borrows and shows its guard bit
@@ -362,13 +372,12 @@ class Poly:
         ):
             return None
 
-        # remainder terms lie in floor_s + [0, span], quotient terms in
-        # off + [0, qspan], field by field
-        span = (lead >> top) - (floor_s >> top)
-        qspan = span - ((dlead >> top) - (floor_o >> top))
-        if span >> (_BITS - 1) or (
-            (floor_s + span * ones) | off | (off + qspan * ones)
-        ) & guard:
+        # Newt(h * other) = Newt(h) + Newt(other) (Ostrowski), so field by
+        # field the quotient lies in the box [off, ceil], the dividend's
+        # box minus the divisor's.  A popped term outside it returns None,
+        # so every remainder key stays inside the dividend's box.
+        ceil = ceil_s - ceil_o + zero
+        if (off | ceil) & guard:
             raise OverflowError("division leaves the exponent range [-2^14, 2^14)")
 
         rem = dict(num)
@@ -381,9 +390,9 @@ class Poly:
             c = rem.pop(k, 0)
             if not c:
                 continue
-            if (k - base) & guard or c % dlc:
-                return None
             qk = k - dshift
+            if ((k - base) | (ceil - qk)) & guard or c % dlc:
+                return None
             qc = c // dlc
             quo[qk] = qc
             for e, dc in den:
@@ -396,7 +405,7 @@ class Poly:
                     del rem[t]
                 else:
                     rem[t] = old - qc * dc
-        return Poly._raw(self.nvars, quo, off, (lead - dshift, trail - dtrail + zero))
+        return Poly._raw(self.nvars, quo, (off, ceil), (lead - dshift, trail - dtrail + zero))
 
     def evaluate(self, point):
         """Evaluate at a tuple of rationals ordered (x_1, ..., x_N, q).

@@ -11,7 +11,8 @@ from math import comb
 
 from qglk import fm, koszul, superrep
 from qglk.grassmann import Space
-from qglk.ratfunc import RationalFunction, parse
+from qglk.ratfunc import RationalFunction
+from rf_parser import parse
 
 
 def fail_text(report):
@@ -125,6 +126,14 @@ class TestNormalizedRepAndIntertwiner:
         rep = fm.intertwiner_report(5)
         assert rep.passed, fail_text(rep)
         assert len(rep.checks) == 22
+        assert time.perf_counter() - start < 60.0
+
+    def test_intertwiner_at_n6_under_60s(self):
+        # with no shared blocks the report also builds all of its premises
+        start = time.perf_counter()
+        rep = fm.intertwiner_report(6)
+        assert rep.passed, fail_text(rep)
+        assert len(rep.checks) == 26
         assert time.perf_counter() - start < 60.0
 
     def test_intertwiner_equations_rechecked_directly(self):

@@ -43,7 +43,7 @@ class TestVerify:
         # stable ordering: re-serializing with sorted keys is the identity
         assert json.dumps(doc, sort_keys=True, indent=2) == out.strip()
 
-    def test_n6_runs_geometry_and_skips_the_intertwiner(self, capsys, monkeypatch):
+    def test_n6_runs_all_four_fm_batteries(self, capsys, monkeypatch):
         # the batteries are stubbed: this pins the caps, not the mathematics
         seen = []
 
@@ -56,14 +56,18 @@ class TestVerify:
 
             return battery
 
-        geometry = ("nilpotency_report", "commutator_report", "normalized_rep_report")
-        for name in geometry + ("intertwiner_report",):
+        batteries = (
+            "nilpotency_report",
+            "commutator_report",
+            "normalized_rep_report",
+            "intertwiner_report",
+        )
+        for name in batteries:
             monkeypatch.setattr(fm, name, stub(name))
-        code, out, _ = run(capsys, "verify", "--n", "6")
+        code, out, _ = run(capsys, "verify", "--n", "6", "--json")
         assert code == 0
-        assert seen == [(name, 6) for name in geometry]
-        assert "geometry battery skipped" not in out
-        assert "intertwiner solve skipped: n=6 exceeds the cap 5" in out
+        assert seen == [(name, 6) for name in batteries]
+        assert json.loads(out)["skipped"] == []
 
     def test_n5_runs_the_intertwiner(self, capsys, monkeypatch):
         # the batteries are stubbed: this pins the caps, not the mathematics
@@ -87,6 +91,36 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--n", "3", "--max-weight", "1")
         assert code == 0
         assert "weight 3" not in out.split("geometric nilpotency")[1].split("==")[0]
+
+    def test_max_weight_keeps_every_intertwiner_premise(self, capsys, monkeypatch):
+        def intertwiner(out):
+            doc = json.loads(out)
+            return next(r for r in doc["reports"] if r["title"] == "intertwiner at n=4")
+
+        code, out, _ = run(capsys, "verify", "--n", "4", "--max-weight", "0", "--json")
+        assert code == 0
+        assert len(intertwiner(out)["checks"]) == 18
+
+        # a broken F on the top block, outside the window, still fails
+        raw = fm.lowering_matrix
+
+        def corrupted(n, source_weight, normalized=True):
+            m = raw(n, source_weight, normalized)
+            if source_weight == 4:
+                m.mat.rows[0][0] = -m.mat.rows[0][0]
+            return m
+
+        monkeypatch.setattr(fm, "lowering_matrix", corrupted)
+        code, out, _ = run(capsys, "verify", "--n", "4", "--max-weight", "0", "--json")
+        assert code == 1
+        doc = json.loads(out)
+        checks = [(r["title"], c) for r in doc["reports"] for c in r["checks"]]
+        failed = [(title, c["name"]) for title, c in checks if not c["passed"]]
+        assert failed == [
+            ("intertwiner at n=4", "phi intertwines F at weight 4"),
+            ("intertwiner at n=4", "phi intertwines F at weight 2"),
+        ]
+        assert len(intertwiner(out)["checks"]) == 18
 
     def test_negative_max_weight_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "2", "--max-weight", "-1")

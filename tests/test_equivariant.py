@@ -14,12 +14,56 @@ from qglk.grassmann import (
     fixed_points,
     hom_fiber,
     ratio_character,
-    schur_rectangular,
     tangent_gr,
     weight_monomial,
 )
 from qglk.poly import Monomial, Poly
-from qglk.ratfunc import RationalFunction, parse
+from qglk.ratfunc import RationalFunction
+from rf_parser import parse
+
+
+def schur_rectangular(n, k, m):
+    """Schur polynomial of the k x m rectangle in x_1..x_n, by tableaux.
+
+    Semistandard fillings: rows weakly increase, columns strictly increase.
+    Serves as an independent oracle for Grassmannian pushforwards.
+    """
+    nvars = n + 1
+    if k == 0 or m == 0:
+        return Poly.one(nvars)
+    if k > n:
+        return Poly.zero(nvars)
+
+    rows = []
+
+    def extend_row(prefix, lower_bound_row):
+        if len(prefix) == m:
+            rows.append(tuple(prefix))
+            return
+        j = len(prefix)
+        lo = max(prefix[-1] if prefix else 1, lower_bound_row[j] + 1 if lower_bound_row else 1)
+        for v in range(lo, n + 1):
+            extend_row(prefix + [v], lower_bound_row)
+
+    total = Poly.zero(nvars)
+
+    def build(tableau):
+        nonlocal total
+        if len(tableau) == k:
+            exps = [0] * nvars
+            for row in tableau:
+                for v in row:
+                    exps[v - 1] += 1
+            total = total + Poly.monomial(nvars, tuple(exps))
+            return
+        rows.clear()
+        extend_row([], tableau[-1] if tableau else None)
+        for row in list(rows):
+            build(tableau + [row])
+
+    build([])
+    return total
+
 
 LIMIT = 1 << 14  # exponents lie in [-LIMIT, LIMIT)
 
@@ -382,7 +426,7 @@ class TestEulerClasses:
                 for f, _ in got.den_factors:
                     assert f.extract_unit()[0] is f
                     fresh = Poly(nvars, f.terms)
-                    assert (f._floor, f._ends_cache) == (fresh._floor_key(), fresh._ends())
+                    assert (f._box, f._ends_cache) == (fresh._box_keys(), fresh._ends())
 
 
 class TestPushforwards:

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -15,19 +16,48 @@ from qglk.fm import (
     find_intertwiner,
     intertwiner_report,
     k_of,
-    kernel_value,
     lowering_matrix,
     lowering_unit,
     nilpotency_report,
-    normalized_family,
     normalized_rep_report,
     raising_matrix,
     scalar_block,
 )
-from qglk.grassmann import Character, Space, fixed_points, weight_monomial
-from qglk.matrix import WeightBlock, entry_witness
+from qglk.grassmann import (
+    Character,
+    Space,
+    euler_class_rf,
+    fixed_points,
+    hom_fiber,
+    ratio_character,
+    tangent_gr,
+    weight_monomial,
+)
+from qglk.linalg import certify_invertible, column_basis, columns, hstack
+from qglk.matrix import Matrix, WeightBlock, entry_witness, first_difference, subset_label
 from qglk.poly import Poly
-from qglk.ratfunc import RationalFunction, parse
+from qglk.ratfunc import PoleError, RationalFunction
+from qglk.report import Report
+from rf_parser import parse
+
+
+def kernel_value(n, S_small, S_big, raising):
+    """Kernel class at the fixed pair: twist times e(N_W), with
+    N_W = T(Y_source) + T(Y_target) - T(W) restricted to the pair.
+
+    The reference for the functor-matrix entries, which cancel T(Y_source)
+    against the source Euler class at the character level.
+    """
+    S_src, S_tgt = (S_big, S_small) if raising else (S_small, S_big)
+    nW = (
+        tangent_gr(n, S_src)
+        + hom_fiber(n, S_src)
+        + tangent_gr(n, S_tgt)
+        + hom_fiber(n, S_tgt)
+        - correspondence_tangent(n, S_small, S_big)
+    )
+    tw = RationalFunction.from_poly(fm._twist(n, S_small, S_big, raising).to_poly())
+    return tw * euler_class_rf(nW, n + 1)
 
 
 class TestCorrespondence:
@@ -201,7 +231,14 @@ class TestNormalizedBlocks:
             algebra_matrix(2, "K", 0)
 
     def test_scalar_blocks(self):
-        fam = normalized_family(3, 1)
+        # the four normalized generators on one weight block: E and F as
+        # localized functor matrices, K central as q^n, H grading as q^weight
+        fam = {
+            "E": algebra_matrix(3, "E", 1),
+            "F": algebra_matrix(3, "F", 1),
+            "K": scalar_block(3, 1, 3),
+            "H": scalar_block(3, 1, 1),
+        }
         assert fam["K"] == scalar_block(3, 1, 3)
         assert fam["H"].mat[(0, 0)] == RationalFunction.q(4, 1)
         assert fam["E"].target_weight == 3
@@ -261,6 +298,96 @@ class TestIntertwiner:
         assert len(rep.checks) == 4 * n + 2
 
 
+def reference_prove_intertwiner(n, seed):
+    """The symbolic proof of the intertwiner, the reference for the
+    derived one: on both sides it forms B[w] = [P_w | E_{w-2} P_{w-2}]
+    over the fraction field and checks E*B = [E*P | 0] and
+    F*B = [0 | s*P] as exact identities; pivots and invertibility come
+    from linalg at seeded points of the symbolic matrices."""
+    rep = Report(f"intertwiner at n={n}")
+    nvars = n + 1
+    zero = RationalFunction.zero(nvars)
+    weights = [n - 2 * k for k in range(n + 1)]
+    sides = {
+        "algebra": {
+            w: (fm.algebra_matrix(n, "E", w), fm.algebra_matrix(n, "F", w)) for w in weights
+        },
+        "geometric": {w: (fm.raising_matrix(n, w), fm.lowering_matrix(n, w)) for w in weights},
+    }
+    proj = {side: {} for side in sides}
+    lifted = {side: {} for side in sides}
+    basis = {side: {} for side in sides}
+
+    def witness(side, w, identity, op, split, got, want, offset=0):
+        bad = first_difference(got, want)
+        if bad is None:
+            return ""
+        i, j = bad[0], bad[1] + offset
+        return (
+            f"{side} side, weight {w}: {identity} fails first at row {i} "
+            f"(subset {subset_label(op.rows_points[i])}), column {j}"
+        )
+
+    ok_bases = True
+    for w in reversed(weights):
+        s = fm.commutator_scalar(n, k_of(n, w)).inv()
+        for side, ops in sides.items():
+            if w == n:
+                p = WeightBlock.zeros(n, w, w, zero).mat
+            else:
+                p = (ops[w + 2][1] @ ops[w][0]).scale(s).mat
+            proj[side][w] = columns(p, column_basis(p, nvars, seed))
+        r_alg, r_geo = (proj[side][w].ncols for side in sides)
+        if r_alg != r_geo:
+            rep.add(f"projector ranks agree at weight {w}", False, f"{r_alg} != {r_geo}")
+            ok_bases = False
+            continue
+        short = []
+        for side, ops in sides.items():
+            if w > -n:
+                lifted[side][w] = ops[w - 2][0].mat @ proj[side][w - 2]
+            else:
+                lifted[side][w] = Matrix.zeros(proj[side][w].nrows, 0, zero)
+            b = basis[side][w] = hstack(proj[side][w], lifted[side][w])
+            if b.ncols != b.nrows:
+                short.append(f"{side}: {b.ncols} columns for a dim-{b.nrows} block")
+        rep.add(f"transported bases fill the weight-{w} block", not short, "; ".join(short))
+        ok_bases = ok_bases and not short
+    if not ok_bases:
+        return rep
+
+    for w in weights:
+        why = []
+        for side in sides:
+            ok, msg = certify_invertible(basis[side][w], nvars, seed=seed)
+            if not ok:
+                why.append(f"{side} basis: {msg}")
+        rep.add(f"phi at weight {w} is invertible", not why, "; ".join(why))
+
+    for w in weights:
+        k = k_of(n, w)
+        if w < n:
+            bad = ""
+            for side, ops in sides.items():
+                e, split = ops[w][0], proj[side][w].ncols
+                got = e.mat @ lifted[side][w]
+                want = Matrix.zeros(got.nrows, got.ncols, zero)
+                bad = bad or witness(side, w, "E*B = [E*P | 0]", e, split, got, want, split)
+            rep.add(f"phi intertwines E at weight {w}", not bad, bad)
+        if w > -n:
+            s_low = fm.commutator_scalar(n, k + 1)
+            bad = ""
+            for side, ops in sides.items():
+                f, split = ops[w][1], proj[side][w].ncols
+                got = f.mat @ basis[side][w]
+                want = hstack(
+                    Matrix.zeros(got.nrows, split, zero), proj[side][w - 2].scale(s_low)
+                )
+                bad = bad or witness(side, w, "F*B = [0 | s*P]", f, split, got, want)
+            rep.add(f"phi intertwines F at weight {w}", not bad, bad)
+    return rep
+
+
 def _negate_lowering_column(monkeypatch, weight, col):
     raw = fm.lowering_matrix
 
@@ -274,53 +401,144 @@ def _negate_lowering_column(monkeypatch, weight, col):
     monkeypatch.setattr(fm, "lowering_matrix", corrupted)
 
 
+def _break_raising_entry(monkeypatch, weight):
+    raw = fm.raising_matrix
+
+    def corrupted(n, source_weight):
+        m = raw(n, source_weight)
+        if source_weight == weight:
+            m.mat.rows[0][0] = m.mat.rows[0][0] + RationalFunction.one(n + 1)
+        return m
+
+    monkeypatch.setattr(fm, "raising_matrix", corrupted)
+
+
+def _drop_commutator_sign(monkeypatch):
+    def unsigned(n, k):
+        return RationalFunction(n + 1, Poly.one(n + 1) - Poly.q(n + 1, 2 * n))
+
+    monkeypatch.setattr(fm, "commutator_scalar", unsigned)
+
+
+# the three intertwiner mutations, placed for each n: column min(2, n - 1)
+# of the lowering block from weight n - 2 (from weight 1 at n = 1)
+# negated, one raising entry off by one, the unsigned commutator scalar
+INTERTWINER_MUTATIONS = {
+    "negated lowering column": lambda mp, n: _negate_lowering_column(
+        mp, n - 2 if n > 1 else 1, min(2, n - 1)
+    ),
+    "broken raising entry": lambda mp, n: _break_raising_entry(mp, -n),
+    "unsigned commutator scalar": lambda mp, n: _drop_commutator_sign(mp),
+}
+
+
+class TestDerivedIntertwiner:
+    @pytest.mark.parametrize("mutation", [None, *INTERTWINER_MUTATIONS])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_agrees_with_the_symbolic_reference(self, monkeypatch, n, mutation):
+        if mutation:
+            INTERTWINER_MUTATIONS[mutation](monkeypatch, n)
+        for seed in (7, 0xC0FFEE):
+            ref = reference_prove_intertwiner(n, seed)
+            rep = intertwiner_report(n, seed)
+            assert [c.name for c in rep.checks] == [c.name for c in ref.checks]
+            assert rep.passed == ref.passed
+            assert {c.name for c in ref.failures} <= {c.name for c in rep.failures}
+            assert rep.passed == (mutation is None)
+
+    def test_prefilled_blocks_make_no_symbolic_product(self, monkeypatch):
+        blocks = fm.Blocks(3)
+        for battery in (nilpotency_report, commutator_report, normalized_rep_report):
+            assert battery(3, blocks=blocks).passed
+        calls = []
+        matmul = Matrix.__matmul__
+        monkeypatch.setattr(
+            Matrix, "__matmul__", lambda a, b: (calls.append((a.nrows, b.ncols)), matmul(a, b))[1]
+        )
+        rep = intertwiner_report(3, blocks=blocks)
+        assert rep.passed and len(rep.checks) == 14
+        assert calls == []
+
+    def test_verify_builds_each_block_once(self, monkeypatch):
+        counts = {}
+        for name in ("raising_matrix", "lowering_matrix", "algebra_matrix"):
+            raw = getattr(fm, name)
+
+            def counted(*args, raw=raw, name=name, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return raw(*args, **kwargs)
+
+            monkeypatch.setattr(fm, name, counted)
+        assert main(["verify", "--n", "4", "--json"]) == 0
+        # weights -6..6 in steps of 2: the five blocks and one beyond each end
+        assert counts == {"raising_matrix": 7, "lowering_matrix": 7, "algebra_matrix": 14}
+
+    def test_points_with_a_pole_or_a_vanishing_scalar_are_redrawn(self, monkeypatch):
+        n = 2
+        at_q_one = (Fraction(3), Fraction(7, 2), Fraction(5, 5))
+        on_a_pole = (Fraction(3), Fraction(3), Fraction(2))
+        assert commutator_scalar(n, 0).evaluate(at_q_one) == 0
+        with pytest.raises(PoleError):
+            raising_matrix(n, 0).mat[(0, 0)].evaluate(on_a_pole)
+        drawn = []
+
+        def points(nvars, seed, attempts=72):
+            for point in (at_q_one, on_a_pole, (Fraction(5), Fraction(9, 4), Fraction(3))):
+                drawn.append(point)
+                yield point
+
+        monkeypatch.setattr(fm, "sample_points", points)
+        rep = intertwiner_report(n)
+        assert rep.passed, "\n".join(rep.summary_lines())
+        assert len(drawn) == 3
+
+
 def _located(check, side, weight, subset):
     assert check.witness.startswith(f"{side} side, weight {weight}: ")
     assert f"(subset {subset})" in check.witness
-    assert "column" in check.witness and "\n" not in check.witness
-    assert len(check.witness) < 300
+    assert "column" in check.witness and " at (x1, ..., q) = (" in check.witness
+    assert "\n" not in check.witness and len(check.witness) < 300
 
 
 class TestIntertwinerNegativeControls:
     def test_negated_lowering_column_fails_with_a_located_witness(self, monkeypatch, capsys):
         _negate_lowering_column(monkeypatch, weight=1, col=2)
         rep = intertwiner_report(3)
-        assert [c.name for c in rep.failures] == ["phi intertwines F at weight 1"]
+        # both commutators that contain the broken F_1, at weights 1 and -1
+        assert [c.name for c in rep.failures] == [
+            "phi intertwines F at weight 1",
+            "phi intertwines F at weight -1",
+        ]
         assert len(rep.checks) == 14
         _located(rep.failures[0], "geometric", 1, "{1,3}")
-        assert "F*B" in rep.failures[0].witness
+        assert "lowering twice from weight 3 vanishes fails: " in rep.failures[0].witness
+        _located(rep.failures[1], "geometric", -1, "{1,3}")
+        assert "weight -1 commutator is a (1-q^6) scalar on a dim-3 block fails: " in (
+            rep.failures[1].witness
+        )
         assert find_intertwiner(3)[0] == {}
         assert main(["verify", "--n", "3"]) == 1
         assert "phi intertwines F at weight 1" in capsys.readouterr().out
 
     def test_broken_e_relation_is_located(self, monkeypatch):
-        raw = fm.raising_matrix
-
-        def corrupted(n, source_weight):
-            m = raw(n, source_weight)
-            if source_weight == -1:
-                m.mat.rows[0][0] = m.mat.rows[0][0] + RationalFunction.one(n + 1)
-            return m
-
-        monkeypatch.setattr(fm, "raising_matrix", corrupted)
+        _break_raising_entry(monkeypatch, -1)
         rep = intertwiner_report(3)
         assert "phi intertwines E at weight 1" in [c.name for c in rep.failures]
         bad = next(c for c in rep.failures if c.name == "phi intertwines E at weight 1")
         _located(bad, "geometric", 1, "{}")
-        assert "E*B" in bad.witness and "(block E*P)" in bad.witness
+        assert "raising twice from weight -1 vanishes fails: " in bad.witness
 
     def test_dropped_commutator_sign_fails_without_a_crash(self, monkeypatch):
-        def unsigned(n, k):
-            return RationalFunction(n + 1, Poly.one(n + 1) - Poly.q(n + 1, 2 * n))
-
-        monkeypatch.setattr(fm, "commutator_scalar", unsigned)
+        _drop_commutator_sign(monkeypatch)
         rep = intertwiner_report(3)
         assert len(rep.checks) == 14
         names = [c.name for c in rep.failures]
-        assert names and all(name.startswith("phi intertwines F") for name in names)
+        assert names == [f"phi intertwines F at weight {w}" for w in (3, 1, -1)]
         for check in rep.failures:
             assert check.witness.startswith("algebra side, weight ")
-            assert len(check.witness) < 300
+            assert "\n" not in check.witness and len(check.witness) < 300
+            premise = check.witness.split(": ", 1)[1]
+            assert premise.startswith(("FE - EF is eps*(1-q^6) at weight ", "sign relation s_"))
 
 
 class TestGeometryBatteryNegativeControls:
@@ -352,3 +570,69 @@ class TestGeometryBatteryNegativeControls:
         # the added q is the whole difference, so the value is q's coordinate
         value, point = witness.split(" is off by ")[1].split(" at (x1, ..., q) = ")
         assert value == point.strip("()").split(", ")[-1]
+
+
+def _geometry_failures(n):
+    blocks = fm.Blocks(n)
+    reports = [
+        battery(n, blocks=blocks)
+        for battery in (nilpotency_report, commutator_report, normalized_rep_report)
+    ]
+    reports.append(intertwiner_report(n, blocks=blocks))
+    return {c.name: c.witness for r in reports for c in r.failures}
+
+
+def _entry_located(witness, row_subset):
+    assert f"first bad entry at row 0 (subset {row_subset}), column 0 (subset " in witness
+    assert " at (x1, ..., q) = (" in witness
+    assert "\n" not in witness and len(witness) < 300
+
+
+class TestMutationFixtures:
+    def test_flipped_parity_sign_fails_the_sign_checks(self, monkeypatch):
+        raw = fm.epsilon_sign
+        monkeypatch.setattr(fm, "epsilon_sign", lambda n, k: -raw(n, k))
+        failures = _geometry_failures(3)
+        # algebra F and its scalar flip together; the geometric sign does not
+        assert list(failures) == [
+            f"weight {w} sign matches (-1)^(n-k-1)" for w in (3, 1, -1, -3)
+        ] + [f"phi intertwines F at weight {w}" for w in (3, 1, -1)]
+        assert failures["weight 1 sign matches (-1)^(n-k-1)"].startswith(
+            "observed -1, parity +1; "
+        )
+        _entry_located(failures["weight 1 sign matches (-1)^(n-k-1)"], "{1}")
+        assert failures["phi intertwines F at weight 1"].startswith(
+            "geometric side, weight 1: weight 1 sign matches (-1)^(n-k-1) fails: "
+        )
+        assert main(["verify", "--n", "3"]) == 1
+
+    def test_lowering_unit_off_by_q2_fails_the_commutator(self, monkeypatch):
+        def unit(n):
+            return RationalFunction.from_poly(Poly.monomial(n + 1, (-1,) * n + (2 * n - 2,)))
+
+        monkeypatch.setattr(fm, "lowering_unit", unit)
+        failures = _geometry_failures(3)
+        dims = {3: 1, 1: 3, -1: 3, -3: 1}
+        assert list(failures) == [
+            f"weight {w} commutator is a (1-q^6) scalar on a dim-{d} block" for w, d in dims.items()
+        ] + [f"phi intertwines F at weight {w}" for w in (3, 1, -1)]
+        bad = failures["weight -1 commutator is a (1-q^6) scalar on a dim-3 block"]
+        _entry_located(bad, "{1,2}")
+        assert main(["verify", "--n", "3"]) == 1
+
+    def test_perturbed_correspondence_weight_fails_nilpotency(self, monkeypatch):
+        raw = fm.correspondence_tangent
+
+        def perturbed(n, S_small, S_big):
+            t = raw(n, S_small, S_big)
+            if (tuple(S_small), tuple(S_big)) == ((1,), (1, 2)):
+                # the flag line x3/x2 picks up a stray q
+                t = t - ratio_character(n, [(3, 2)]) + ratio_character(n, [(3, 2)], 1)
+            return t
+
+        monkeypatch.setattr(fm, "correspondence_tangent", perturbed)
+        failures = _geometry_failures(3)
+        _entry_located(failures["raising twice from weight -1 vanishes"], "{}")
+        _entry_located(failures["weight 1 commutator is a (1-q^6) scalar on a dim-3 block"], "{1}")
+        assert "projector ranks agree at weight -1" in failures
+        assert main(["verify", "--n", "3"]) == 1

@@ -1,11 +1,12 @@
 from fractions import Fraction
 from math import gcd
-from operator import add
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qglk import poly as poly_module
 from qglk.poly import Monomial, Poly, term_key
 
 LIMIT = 1 << 14  # exponents lie in [-LIMIT, LIMIT)
@@ -77,6 +78,10 @@ def reference_mul(a, b):
 
 def reference_floor(p):
     return tuple(map(min, zip(*p.terms)))
+
+
+def reference_ceil(p):
+    return tuple(map(max, zip(*p.terms)))
 
 
 def reference_extract_unit(p):
@@ -329,13 +334,13 @@ class TestPackedRepresentation:
         derived = [quo, -p, p * -4, quo * 7, -quo]
         for d in derived:
             f = fresh(d)
-            assert d._floor is not None and d._ends_cache is not None
-            assert d._floor == f._floor_key() and d._ends_cache == f._ends()
+            assert d._box is not None and d._ends_cache is not None
+            assert d._box == f._box_keys() and d._ends_cache == f._ends()
         canon = p.extract_unit()[0]
         shifted = p.shift_exps((1,) * nvars)
         for d in (canon, shifted):
             f = fresh(d)
-            assert d._floor in (None, f._floor_key())
+            assert d._box in (None, f._box_keys())
             assert d._ends_cache in (None, f._ends())
 
 
@@ -394,11 +399,59 @@ class TestExponentRange:
         with pytest.raises(OverflowError):
             p.extract_unit()
 
+    def test_division_spanning_the_range_returns_the_quotient(self):
+        # floor + total-degree span would leave the range; every term fits
+        for p in (
+            Poly(3, {(-LIMIT + 400, 0, 0): 1, (0, LIMIT - 400, 0): 1}),
+            Poly(3, {(-16000, 0, 0): 1, (0, 16000, 0): 1}),
+        ):
+            assert p.exact_div(Poly.one(3)) == p
+            g = Poly.x(3, 1) - Poly.q(3)
+            assert (p * g).exact_div(g) == p
+            assert p.exact_div(g) is None
+
+    def test_division_stops_at_a_quotient_term_above_its_box(self, monkeypatch):
+        # the box of (x1^15000 + x2^5) / (x1^5 + x2^5) has x2 in [0, 0], so
+        # the second quotient term x1^14990 x2^5 ends the division
+        pushes = []
+        push = poly_module.heappush
+        monkeypatch.setattr(
+            poly_module, "heappush", lambda heap, k: (pushes.append(k), push(heap, k))
+        )
+        f = Poly(3, {(15000, 0, 0): 1, (0, 5, 0): 1})
+        g = Poly(3, {(5, 0, 0): 1, (0, 5, 0): 1})
+        assert f.exact_div(g) is None
+        assert len(pushes) == 1
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_division_near_the_edges_answers_whenever_its_box_fits(self, data):
+        edge = st.one_of(st.integers(-LIMIT, -LIMIT + 3), st.integers(LIMIT - 4, LIMIT - 1))
+        exps = st.tuples(edge | st.integers(-3, 3), edge | st.integers(-3, 3))
+        coeffs = st.integers(-3, 3).filter(bool)
+        a, b = (
+            Poly(2, data.draw(st.dictionaries(exps, coeffs, min_size=1, max_size=4)))
+            for _ in range(2)
+        )
+        dividends = [a]
+        if all(-LIMIT <= x < LIMIT for e in reference_mul(a, b) for x in e):
+            dividends.append(a * b)
+        for f in dividends:
+            # the quotient's box is [floor f - floor b, ceil f - ceil b]
+            lows = map(sub, reference_floor(f), reference_floor(b))
+            highs = map(sub, reference_ceil(f), reference_ceil(b))
+            if all(-LIMIT <= lo and hi < LIMIT for lo, hi in zip(lows, highs)):
+                assert f.exact_div(b) == reference_exact_div(f, b)
+            else:
+                # no quotient fits, so a reject and a raise are both right
+                try:
+                    assert f.exact_div(b) is None
+                except OverflowError:
+                    pass
+        if len(dividends) == 2:
+            assert dividends[1].exact_div(b) == a
+
     def test_division_whose_box_does_not_fit_raises(self):
-        # the remainder box floor + [0, span] leaves the range in x2
-        p = Poly(3, {(-LIMIT + 400, 0, 0): 1, (0, LIMIT - 400, 0): 1})
-        with pytest.raises(OverflowError):
-            p.exact_div(Poly.one(3))
         # the quotient x1^(2^14) leaves the range
         with pytest.raises(OverflowError):
             Poly.one(2).exact_div(Poly.monomial(2, (-LIMIT, 0)))

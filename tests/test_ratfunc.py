@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qglk.poly import Poly
-from qglk.ratfunc import PoleError, RationalFunction, parse
+from qglk.ratfunc import PoleError, RationalFunction
+from rf_parser import parse
 
 NV = 3  # x1, x2, q
 
