@@ -317,9 +317,13 @@ def _at_points(blocks, seed):
         s = {w: commutator_scalar(n, k_of(n, w)).evaluate(point) for w in weights}
         if not all(s.values()):
             continue
+        values = {}  # the blocks share their Euler factors: each once per point
         try:
             at = {
-                key: [[e.evaluate(point) if e else 0 for e in r] for r in blocks.op(*key).mat.rows]
+                key: [
+                    [e.evaluate(point, values) if e else 0 for e in r]
+                    for r in blocks.op(*key).mat.rows
+                ]
                 for key in keys
             }
         except PoleError:

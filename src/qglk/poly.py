@@ -231,15 +231,15 @@ class Poly:
     def __pow__(self, m):
         if m < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly.one(self.nvars)
+        out = None
         base = self
         while m:
             if m & 1:
-                out = out * base
+                out = base if out is None else out * base
             m >>= 1
             if m:
                 base = base * base
-        return out
+        return Poly.one(self.nvars) if out is None else out
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -291,12 +291,15 @@ class Poly:
         """Componentwise minimum exponent over all terms."""
         return _unpack(_layout(self.nvars), self._box_keys()[0])
 
-    def _translate(self, d, unit=1):
-        """self * X^s / unit, for d = sum(s_i * weights_i) with every s_i in
-        [-2^15, 2^15) and unit dividing every coefficient; caches move along."""
-        lay = _layout(self.nvars)
-        keys = {k + d: c // unit for k, c in self.keys.items()}
-        _check_fields(lay, keys)
+    def _translate(self, d, scale=1, unit=1):
+        """self * scale * X^s / unit for d = sum(s_i * weights_i), every s_i in
+        [-2^15, 2^15), scale != 0 and unit dividing each scale * c; caches move along."""
+        items = self.keys.items()
+        if scale == unit == 1:  # a pure shift, as in the character sweeps
+            keys = {k + d: c for k, c in items}
+        else:
+            keys = {k + d: c * scale // unit for k, c in items}
+        _check_fields(_layout(self.nvars), keys)
         box = self._box and (self._box[0] + d, self._box[1] + d)
         ends = self._ends_cache and (self._ends_cache[0] + d, self._ends_cache[1] + d)
         return Poly._raw(self.nvars, keys, box, ends)
@@ -321,7 +324,7 @@ class Poly:
         if g == 1 and sign > 0 and not any(shift):
             return self, shift, 1, 1
         d = _layout(self.nvars).zero - self._box_keys()[0]
-        return self._translate(d, sign * g), shift, sign, g
+        return self._translate(d, unit=sign * g), shift, sign, g
 
     def exact_div(self, other):
         """Exact quotient self / other, or None when it does not divide.
@@ -345,6 +348,14 @@ class Poly:
         are only necessary: a pair that passes them may still fail below.
         The same facts make the quotient's floor ``off`` and its end
         terms the quotients of the end terms, so it is born with them.
+
+        A two-term divisor c_h X^h + c_l X^l (an Euler binomial) skips the
+        heap.  A quotient term at X^e touches only X^(e+h) and X^(e+l), so
+        keys differing by multiples of h - l form lines that never meet: from
+        each dividend key still in the remainder, in descending order, walk
+        down its line carrying -(c / c_h) * c_l until the carry cancels.  The
+        rejects and range check precede the branch and the quotient is unique,
+        so both loops return it when it exists and None otherwise.
         """
         self._check(other)
         if not other.keys:
@@ -381,30 +392,42 @@ class Poly:
             raise OverflowError("division leaves the exponent range [-2^14, 2^14)")
 
         rem = dict(num)
-        den = [(k - zero, c) for k, c in dnum.items() if k != dlead]
-        heap = [-k for k in rem]
-        heapify(heap)
         quo = {}
-        while heap:
-            k = -heappop(heap)
-            c = rem.pop(k, 0)
-            if not c:
-                continue
-            qk = k - dshift
-            if ((k - base) | (ceil - qk)) & guard or c % dlc:
-                return None
-            qc = c // dlc
-            quo[qk] = qc
-            for e, dc in den:
-                t = qk + e
-                old = rem.get(t)
-                if old is None:
-                    rem[t] = -qc * dc
-                    heappush(heap, -t)
-                elif old == qc * dc:
-                    del rem[t]
-                else:
-                    rem[t] = old - qc * dc
+        if len(dnum) == 2:
+            step, dtc = dlead - dtrail, dnum[dtrail]
+            for k in sorted(num, reverse=True):
+                c = rem.pop(k, 0)
+                while c:
+                    qk = k - dshift
+                    if ((k - base) | (ceil - qk)) & guard or c % dlc:
+                        return None
+                    qc = quo[qk] = c // dlc
+                    k -= step
+                    c = rem.pop(k, 0) - qc * dtc
+        else:
+            den = [(k - zero, c) for k, c in dnum.items() if k != dlead]
+            heap = [-k for k in rem]
+            heapify(heap)
+            while heap:
+                k = -heappop(heap)
+                c = rem.pop(k, 0)
+                if not c:
+                    continue
+                qk = k - dshift
+                if ((k - base) | (ceil - qk)) & guard or c % dlc:
+                    return None
+                qc = c // dlc
+                quo[qk] = qc
+                for e, dc in den:
+                    t = qk + e
+                    old = rem.get(t)
+                    if old is None:
+                        rem[t] = -qc * dc
+                        heappush(heap, -t)
+                    elif old == qc * dc:
+                        del rem[t]
+                    else:
+                        rem[t] = old - qc * dc
         return Poly._raw(self.nvars, quo, (off, ceil), (lead - dshift, trail - dtrail + zero))
 
     def evaluate(self, point):

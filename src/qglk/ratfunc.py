@@ -8,17 +8,18 @@ absorbed into the numerator and the scalar on construction.  Cancellation
 runs factor by factor through exact division, so no multivariate gcd is
 ever needed.
 
-Negation and multiplication by a nonzero integer skip that cancellation:
-they keep the reduced denominator and only re-take the gcd of the
-numerator content with the scalar.  No remaining factor divides the
-reduced numerator, and by Gauss's lemma a primitive factor that divides
-c * num already divides num, so the trial divisions would all fail.
+Units skip that cancellation.  A one-term numerator c * X^e is a unit
+times an integer, which no canonical factor (two or more terms) divides
+(Ostrowski).  Negation and multiplication by c or by c * X^e keep the
+reduced denominator and only re-take the gcd of the numerator content
+with the scalar: X^e is a unit, and by Gauss's lemma a primitive factor
+that divides c * num already divides num, so trial divisions would fail.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from .poly import Poly
+from .poly import Poly, _layout
 
 
 class PoleError(ZeroDivisionError):
@@ -61,8 +62,9 @@ class RationalFunction:
             self.den_factors = ()
             return
 
-        # cancel small factors first: they divide out most often
-        for f in sorted(merged, key=lambda p: (len(p.keys), term_sort_key(p))):
+        # small factors first: they divide out most often; none divides a monomial
+        by_size = lambda p: (len(p.keys), term_sort_key(p))  # noqa: E731
+        for f in sorted(merged, key=by_size) if len(num.keys) > 1 else ():
             m = merged[f]
             while m > 0:
                 quo = num.exact_div(f)
@@ -165,20 +167,25 @@ class RationalFunction:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _times_unit(self, c, d=0):
+        """self * c * X^s for an integer c != 0 and d the key offset of X^s
+        (see Poly._translate); the reduced denominator stays."""
+        g = gcd(self.num.content() * c, self.den_scalar)
+        num = self.num._translate(d, c, g)
+        return RationalFunction._reduced(self.nvars, num, self.den_factors, self.den_scalar // g)
+
     def __mul__(self, other):
         if isinstance(other, int):
             if other == 0 or self.num.is_zero():
                 return RationalFunction.zero(self.nvars)
-            num = self.num * other
-            g = gcd(num.content(), self.den_scalar)
-            if g > 1:
-                num = Poly._raw(self.nvars, {k: c // g for k, c in num.keys.items()})
-            return RationalFunction._reduced(
-                self.nvars, num, self.den_factors, self.den_scalar // g
-            )
+            return self._times_unit(other)
         if isinstance(other, Poly):
             other = RationalFunction.from_poly(other)
         self._check(other)
+        for a, b in ((self, other), (other, self)):
+            if b.is_polynomial() and len(b.num.keys) == 1:
+                ((k, c),) = b.num.keys.items()
+                return a._times_unit(c, k - _layout(self.nvars).zero)
         return RationalFunction(
             self.nvars,
             self.num * other.num,
@@ -268,10 +275,15 @@ class RationalFunction:
             return self.num == other.num
         return (self - other).is_zero()
 
-    def evaluate(self, point):
+    def evaluate(self, point, factor_values=None):
+        """Exact value at a rational point.  ``factor_values``, a dict of factor
+        values at this same point, lets fractions evaluate shared factors once."""
+        values = {} if factor_values is None else factor_values
         den = Fraction(self.den_scalar)
         for f, m in self.den_factors:
-            v = f.evaluate(point)
+            v = values.get(f)
+            if v is None:
+                v = values[f] = f.evaluate(point)
             if v == 0:
                 raise PoleError("denominator vanishes at the sample point")
             den *= v**m

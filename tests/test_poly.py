@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qglk import poly as poly_module
 from qglk.poly import Monomial, Poly, term_key
 
 LIMIT = 1 << 14  # exponents lie in [-LIMIT, LIMIT)
@@ -101,6 +100,45 @@ def fresh(p):
     return Poly(p.nvars, dict(p.terms))
 
 
+class HeapKeys(dict):
+    """A binomial's key dict that reports a third term, so that
+    Poly.exact_div divides by it on the heap instead of the line walk."""
+
+    def __len__(self):
+        return 3
+
+
+def on_heap(b):
+    """b as a divisor that takes the heap path; b must have two terms."""
+    assert len(b.keys) == 2
+    return Poly._raw(b.nvars, HeapKeys(b.keys))
+
+
+def outcome(f, b):
+    """f.exact_div(b), or OverflowError when it raises that."""
+    try:
+        return f.exact_div(b)
+    except OverflowError:
+        return OverflowError
+
+
+class CountedCoefficient(int):
+    """A divisor coefficient that records each ``c % self`` made against
+    it, and fails once there are more than ``limit``: the leading
+    coefficient sees one test in the rejects and one per quotient term
+    that passes its box test."""
+
+    def __new__(cls, value, limit):
+        out = super().__new__(cls, value)
+        out.calls, out.limit = [], limit
+        return out
+
+    def __rmod__(self, c):
+        self.calls.append(c)
+        assert len(self.calls) <= self.limit, "the division went on past its box"
+        return c % int(self)
+
+
 def laurent_polys(nvars, max_terms):
     exps = st.tuples(*([st.integers(-2, 2)] * nvars))
     return st.dictionaries(exps, st.integers(-5, 5), max_size=max_terms).map(
@@ -170,6 +208,14 @@ class TestArithmetic:
             2, {(3, 0): 1, (2, 0): 3, (1, 0): 3, (0, 0): 1}
         )
         assert (x ** 0).is_one()
+
+    @given(small_polys(max_terms=3))
+    @settings(max_examples=40, deadline=None)
+    def test_pow_equals_repeated_products(self, p):
+        want = Poly.one(3)
+        for m in range(6):
+            assert p**m == want
+            want = want * p
 
     @given(small_polys(), small_polys())
     @settings(max_examples=40, deadline=None)
@@ -268,6 +314,87 @@ class TestDivisionAgainstReference:
         assert (x * x + 2 * one).exact_div(x + 3 * one) is None
         # the leading quotient exponent is negative in q
         assert (x + q).exact_div(x * q + one) is None
+
+
+@st.composite
+def binomials(draw, nvars, span=3):
+    """c_h X^h + c_l X^l with mixed-sign exponents and coefficients
+    other than +-1."""
+    exps = st.tuples(*([st.integers(-span, span)] * nvars))
+    h, l = draw(st.lists(exps, min_size=2, max_size=2, unique=True))
+    ch, cl = draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=2, max_size=2))
+    return Poly(nvars, {h: ch, l: cl})
+
+
+class TestBinomialWalk:
+    """Two-term divisors take the line walk; it must agree with the
+    reference division and with the heap on the same divisor."""
+
+    def check(self, f, b):
+        got = outcome(f, b)
+        assert got == outcome(f, on_heap(b))
+        if got is not OverflowError:
+            assert got == reference_exact_div(f, b)
+        if isinstance(got, Poly) and got:
+            fr = fresh(got)
+            assert got._box == fr._box_keys() and got._ends_cache == fr._ends()
+        return got
+
+    def test_non_unit_coefficients(self):
+        x1, x2 = Poly.x(3, 1), Poly.x(3, 2)
+        b = 2 * x1 - 3 * x2 * x2
+        a = x1 * x1 - 5 * x2 + Poly.q(3, -2)
+        assert self.check(a * b, b) == a
+        assert self.check(a * b + x1, b) is None
+        # a coefficient c / c_h inside the line that is not an integer
+        # fails, although both end terms divide and the rational quotient
+        # x1^2 + x1 / 2 + 1 exists
+        one = Poly.one(3)
+        f = (2 * x1 * x1 + x1 + 2 * one) * (x1 + one)
+        assert self.check(f, 2 * x1 + 2 * one) is None
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_exact_and_perturbed_products(self, data):
+        nvars = data.draw(st.integers(2, 5))
+        b = data.draw(binomials(nvars))
+        a = data.draw(laurent_polys(nvars, 8))
+        r = data.draw(laurent_polys(nvars, 3))
+        assert self.check(a * b, b) == a
+        self.check(a * b + r, b)
+        self.check(a, b)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_lines_with_gaps(self, data):
+        # X^(k v) - c^k over X^v - c: the dividend has two terms and the
+        # walk crosses k - 1 keys that are not in it
+        nvars = data.draw(st.integers(2, 4))
+        v = data.draw(st.tuples(*([st.integers(-3, 3)] * nvars)).filter(any))
+        k = data.draw(st.integers(1, 9))
+        c = data.draw(st.sampled_from([-2, -1, 1, 2]))
+        lift = data.draw(st.tuples(*([st.integers(-2, 2)] * nvars)))
+        xv = Poly.monomial(nvars, v)
+        b = xv - Poly.const(nvars, c)
+        f = (xv**k - Poly.const(nvars, c**k)).shift_exps(lift)
+        line = (tuple(j * e + s for e, s in zip(v, lift)) for j in range(k))
+        want = Poly(nvars, {e: c ** (k - 1 - j) for j, e in enumerate(line)})
+        assert self.check(f, b) == want
+        assert self.check(f + Poly.monomial(nvars, lift), b) is None
+        # the quotient's top coefficient is 1, which 2 does not divide
+        assert self.check(f, 2 * b) is None
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_near_the_edges_of_the_exponent_range(self, data):
+        edge = st.one_of(st.integers(-LIMIT, -LIMIT + 3), st.integers(LIMIT - 4, LIMIT - 1))
+        exps = st.tuples(edge | st.integers(-3, 3), edge | st.integers(-3, 3))
+        coeffs = st.integers(-3, 3).filter(bool)
+        f = Poly(2, data.draw(st.dictionaries(exps, coeffs, min_size=1, max_size=4)))
+        b = Poly(2, data.draw(st.dictionaries(exps, coeffs, min_size=2, max_size=2)))
+        self.check(f, b)
+        if all(-LIMIT <= x < LIMIT for e in reference_mul(f, b) for x in e):
+            assert self.check(f * b, b) == f
 
 
 class TestMonomial:
@@ -410,18 +537,31 @@ class TestExponentRange:
             assert (p * g).exact_div(g) == p
             assert p.exact_div(g) is None
 
-    def test_division_stops_at_a_quotient_term_above_its_box(self, monkeypatch):
-        # the box of (x1^15000 + x2^5) / (x1^5 + x2^5) has x2 in [0, 0], so
-        # the second quotient term x1^14990 x2^5 ends the division
-        pushes = []
-        push = poly_module.heappush
-        monkeypatch.setattr(
-            poly_module, "heappush", lambda heap, k: (pushes.append(k), push(heap, k))
-        )
+    def test_division_stops_at_a_quotient_term_above_its_box(self):
+        # The box of x1^15000 + x2^5 over either divisor has x2 in [0, 0].
+        # The first quotient term x1^14995 passes; the second, x1^14990 x2^5
+        # on the line walk of the binomial and x1^14992 x2^3 on the heap of
+        # the trinomial, lies above the box and ends the division before
+        # its coefficient is tested.
         f = Poly(3, {(15000, 0, 0): 1, (0, 5, 0): 1})
-        g = Poly(3, {(5, 0, 0): 1, (0, 5, 0): 1})
-        assert f.exact_div(g) is None
-        assert len(pushes) == 1
+        for extra in ({}, {(2, 3, 0): 1}):
+            lc = CountedCoefficient(1, limit=3)
+            g = Poly(3, {(5, 0, 0): lc, (0, 5, 0): 1, **extra})
+            assert f.exact_div(g) is None
+            assert lc.calls == [1, 1]  # the reject, then x1^14995
+
+    def test_division_stops_at_a_quotient_term_below_its_box(self):
+        # The quotient floor of (x1 + 2) / (x1 + 1) and of
+        # (x1^3 + x1^2 + x1 + 2) / (x1^2 + x1 + 1) is x1^0.  After the first
+        # quotient term the remainder is 1 or 2 at x1^0, which would need
+        # the quotient term x1^-1 (line walk) or x1^-2 (heap) below the box.
+        for f, g in (((1, 2), (1, 1)), ((1, 1, 1, 2), (1, 1, 1))):
+            lc = CountedCoefficient(1, limit=3)
+            coeffs = (lc,) + g[1:]
+            f = Poly(2, {(len(f) - 1 - i, 0): c for i, c in enumerate(f)})
+            g = Poly(2, {(len(g) - 1 - i, 0): c for i, c in enumerate(coeffs)})
+            assert f.exact_div(g) is None
+            assert lc.calls == [1, f.leading_coeff()]
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)

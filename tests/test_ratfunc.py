@@ -38,8 +38,23 @@ def scaled_rfs():
     ).map(lambda t: RationalFunction(NV, 6 * t[0], ((t[1], 1), (t[2], 2)), t[3]))
 
 
+def units():
+    """c * X^e with mixed-sign exponents and c other than +-1."""
+    exps = st.tuples(*([st.integers(-2, 2)] * NV))
+    coeffs = st.integers(-6, 6).filter(bool)
+    return st.builds(lambda e, c: Poly.monomial(NV, e, c), exps, coeffs)
+
+
+class ReportsTwoTerms(dict):
+    """A one-term numerator's key dict that reports a second term, so that
+    the constructor runs its trial divisions on it."""
+
+    def __len__(self):
+        return 2
+
+
 def fields(r):
-    return r.num, r.den_factors, r.den_scalar
+    return r.nvars, r.num, r.den_factors, r.den_scalar
 
 
 class TestNormalization:
@@ -88,6 +103,46 @@ class TestReducedFastPaths:
         assert fields(a * c) == fields(full)
         assert fields(c * a) == fields(full)
 
+    @given(scaled_rfs(), units())
+    @settings(max_examples=80, deadline=None)
+    def test_unit_products_match_constructor(self, a, u):
+        # a denominator-free one-term factor keeps a's reduced denominator
+        full = RationalFunction(NV, a.num * u, a.den_factors, a.den_scalar)
+        unit = RationalFunction.from_poly(u)
+        for got in (a * unit, unit * a, a * u):
+            assert fields(got) == fields(full)
+
+    def test_unit_product_retakes_the_content_gcd(self):
+        a = RationalFunction(NV, 2 * Poly.x(NV, 1), ((Poly.x(NV, 2) - Poly.q(NV), 1),), 9)
+        u = RationalFunction.from_poly(Poly.monomial(NV, (-1, 2, 0), 6))
+        assert a.den_scalar == 9
+        full = RationalFunction(NV, a.num * u.num, a.den_factors, 9)
+        assert fields(a * u) == fields(u * a) == fields(full)
+        assert full.den_scalar == 3 and full.num == Poly.monomial(NV, (0, 2, 0), 4)
+
+    @given(scaled_rfs(), units())
+    @settings(max_examples=80, deadline=None)
+    def test_one_term_numerator_matches_trial_division(self, a, u):
+        # the constructor makes no trial division for a one-term numerator;
+        # forced through them, every one fails and the fields are the same
+        calls = []
+        exact_div = Poly.exact_div
+
+        def counted(p, f):
+            calls.append(f)
+            return exact_div(p, f)
+
+        Poly.exact_div = counted
+        try:
+            got = RationalFunction(NV, u, a.den_factors, a.den_scalar)
+            assert calls == []
+            forced = Poly._raw(NV, ReportsTwoTerms(u.keys))
+            trial = RationalFunction(NV, forced, a.den_factors, a.den_scalar)
+        finally:
+            Poly.exact_div = exact_div
+        assert len(calls) == len(a.den_factors)
+        assert fields(got) == fields(trial)
+
 
 class TestFieldOps:
     @given(small_rfs(), small_rfs(), small_rfs())
@@ -135,6 +190,22 @@ class TestEvaluationAndSampling:
     def test_pole(self):
         with pytest.raises(PoleError):
             rf("1/(x1 - x2)").evaluate((Fraction(1), Fraction(1), Fraction(2)))
+
+    def test_shared_factor_values(self):
+        # fractions that share factors read each value from one dict per point
+        d, e = Poly.x(NV, 1) - Poly.x(NV, 2), Poly.one(NV) - Poly.q(NV)
+        items = [rf("1/(x1 - x2)"), RationalFunction(NV, Poly.q(NV), ((-d, 2), (e, 1))), rf("x1")]
+        pt = (Fraction(2), Fraction(5), Fraction(1, 2))
+        values = {}
+        for r in items:
+            assert r.evaluate(pt, values) == r.evaluate(pt)
+        assert len(values) == 2
+        pole = (Fraction(1), Fraction(1), Fraction(2))
+        values = {}
+        for r in items[:2]:
+            with pytest.raises(PoleError):
+                r.evaluate(pole, values)
+        assert values[d] == 0
 
 
 class TestParsePrintRoundtrip:
