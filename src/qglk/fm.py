@@ -40,7 +40,7 @@ from .grassmann import (
 from .linalg import column_basis  # noqa: F401  (still importable from fm)
 from .linalg import columns, hstack, invert_matrix, pivot_columns, sample_points
 from .matrix import Matrix, WeightBlock, entry_witness, k_of
-from .poly import Monomial, Poly
+from .poly import Poly
 from .ratfunc import PoleError, RationalFunction
 from .report import Report
 from .superrep import block_matrix
@@ -80,8 +80,7 @@ def _twist(n, S_small, S_big, raising):
     if raising:
         return det_tau_restrict(n, S_big)
     b = _transfer_index(S_small, S_big)
-    e = n - len(S_big)
-    return Monomial(tuple(e if i + 1 == b else 0 for i in range(n)), 0)
+    return Poly.x(n + 1, b) ** (n - len(S_big))
 
 
 def _pair_entry(n, S_small, S_big, raising):
@@ -91,13 +90,13 @@ def _pair_entry(n, S_small, S_big, raising):
         + hom_fiber(n, S_tgt)
         - correspondence_tangent(n, S_small, S_big)
     )
-    tw = RationalFunction.from_poly(_twist(n, S_small, S_big, raising).to_poly())
-    return tw * euler_class_rf(char, n + 1)
+    tw = RationalFunction.from_poly(_twist(n, S_small, S_big, raising))
+    return tw * euler_class_rf(char)
 
 
 def lowering_unit(n):
     """The unit q^(2n) / (x_1 ... x_n) applied to every lowering matrix."""
-    return RationalFunction.from_poly(Monomial((-1,) * n, 2 * n).to_poly())
+    return RationalFunction.from_poly(Poly.monomial(n + 1, (-1,) * n + (2 * n,)))
 
 
 def raising_matrix(n, source_weight):

@@ -20,8 +20,11 @@ The ascending route accumulates one global L^dual twist per injected
 token, which is where its overall (L^dual)^(k-N) twist comes from.
 """
 
-from .grassmann import Character
-from .poly import Monomial, Poly
+from itertools import combinations
+
+from .grassmann import dual, exterior_powers
+from .poly import Poly
+from .report import Report
 
 
 def d_of(I, j):
@@ -30,107 +33,95 @@ def d_of(I, j):
 
 
 class GradedComplex:
-    """Characters indexed by cohomological degree; equal degrees merge."""
+    """Characters in nvars variables indexed by cohomological degree;
+    equal degrees merge and a missing degree holds the zero character."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("nvars", "terms")
 
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for d, char in terms.items():
-                if char:
-                    clean[d] = char
-        self.terms = clean
+    def __init__(self, nvars, terms=None):
+        self.nvars = nvars
+        self.terms = {d: char for d, char in (terms or {}).items() if char}
 
     @classmethod
-    def from_triples(cls, triples):
+    def from_triples(cls, nvars, triples):
         """Build from (degree, q_twist, character) entries."""
         acc = {}
         for d, qt, char in triples:
-            if qt:
-                char = char.twist(Monomial((0,) * (char.nvars - 1), qt))
-            acc[d] = acc.get(d, Character.zero()) + char
-        return cls(acc)
+            char = char.shift_exps([0] * (nvars - 1) + [qt])
+            acc[d] = acc[d] + char if d in acc else char
+        return cls(nvars, acc)
 
     def degrees(self):
         return sorted(self.terms)
 
     def term(self, d):
-        return self.terms.get(d, Character.zero())
+        return self.terms.get(d) or Poly.zero(self.nvars)
 
     def merge(self, other):
         acc = dict(self.terms)
         for d, char in other.terms.items():
-            acc[d] = acc.get(d, Character.zero()) + char
-        return GradedComplex(acc)
+            acc[d] = self.term(d) + char
+        return GradedComplex(self.nvars, acc)
 
     def shift(self, n):
         """Homological shift [n]: cohomological degree d moves to d - n."""
-        return GradedComplex({d - n: char for d, char in self.terms.items()})
+        return GradedComplex(self.nvars, {d - n: char for d, char in self.terms.items()})
 
-    def twist(self, mono):
-        return GradedComplex({d: char.twist(mono) for d, char in self.terms.items()})
+    def twist(self, shift):
+        """Every term times X^shift."""
+        return GradedComplex(
+            self.nvars, {d: char.shift_exps(shift) for d, char in self.terms.items()}
+        )
 
     def total_class(self):
-        total = Character.zero()
+        total = Poly.zero(self.nvars)
         for d, char in self.terms.items():
-            total = total + (char if d % 2 == 0 else -char)
+            total = total + char if d % 2 == 0 else total - char
         return total
 
     def __eq__(self, other):
         if not isinstance(other, GradedComplex):
             return NotImplemented
-        return self.terms == other.terms
-
-    def dump_lines(self):
-        if not self.terms:
-            return ["<zero complex>"]
-        return [f"deg {d:+d}: {self.terms[d]}" for d in self.degrees()]
-
-    def __str__(self):
-        return "\n".join(self.dump_lines())
+        return self.nvars == other.nvars and self.terms == other.terms
 
 
-def _line_monomial(L):
-    if isinstance(L, Monomial):
-        return L
-    if isinstance(L, Character):
-        monos = L.monomial_list()
-        if len(monos) != 1:
-            raise ValueError("line bundle character must have rank 1")
-        return monos[0]
-    raise TypeError("expected a Monomial or rank-1 Character")
+def _dual_line(L):
+    """Exponents of L^dual for a line bundle L: one weight, multiplicity 1."""
+    if len(L.keys) != 1 or L.leading_coeff() != 1:
+        raise ValueError("line bundle character must have rank 1")
+    return [-a for a in L.leading_exps()]
 
 
 def koszul_complex(V, section_q_weight=0):
     """Exterior algebra resolution: degree -j term is Lambda^j of V^dual."""
-    duals = V.dual().all_exterior_powers()
+    duals = exterior_powers(dual(V))
     return GradedComplex.from_triples(
-        (-j, section_q_weight * j, duals[j]) for j in range(len(duals))
+        V.nvars, ((-j, section_q_weight * j, duals[j]) for j in range(len(duals)))
     )
 
 
-def _twist(char, ell_inv, power, q_exp):
-    """char (L^dual)^power q^q_exp: one key offset on every weight."""
-    return char.twist(
-        Monomial(tuple(a * power for a in ell_inv.x_exps), ell_inv.q_exp * power + q_exp)
-    )
+def _twist(char, ell_inv, power, q_exp=0):
+    """char (L^dual)^power q^q_exp: one exponent shift on every weight."""
+    shift = [a * power for a in ell_inv]
+    shift[-1] += q_exp
+    return char.shift_exps(shift)
 
 
 def _interpolating(duals, ell_inv, I, section_q_weight):
     """K^I from the exterior powers of V^dual."""
     return GradedComplex(
+        duals[0].nvars,
         {
             -j: _twist(lam, ell_inv, d_of(I, j), section_q_weight * j)
             for j, lam in enumerate(duals)
-        }
+        },
     )
 
 
 def generalized_koszul(I, L, V, section_q_weight=0):
     """The interpolating complex: degree -j twisted by (L^dual)^{d(I,j)}."""
-    duals = V.dual().all_exterior_powers()
-    return _interpolating(duals, _line_monomial(L).inverse(), I, section_q_weight)
+    duals = exterior_powers(dual(V))
+    return _interpolating(duals, _dual_line(L), I, section_q_weight)
 
 
 def cone_class(src, tgt):
@@ -145,7 +136,7 @@ def _step_block(char_top, ell_inv, degree):
     its untwisted copy sits in cohomological degree degree+1.
     """
     return GradedComplex.from_triples(
-        [(degree, 0, char_top.twist(ell_inv)), (degree + 1, 0, char_top)]
+        char_top.nvars, [(degree, 0, _twist(char_top, ell_inv, 1)), (degree + 1, 0, char_top)]
     )
 
 
@@ -156,7 +147,7 @@ def _source(duals, ell_inv, I, i, section_q_weight):
         raise ValueError(f"{i + 1} already in I")
     if i < 0:
         raise ValueError("negative exterior power")
-    lam = duals[i] if i < len(duals) else Character.zero()
+    lam = duals[i] if i < len(duals) else Poly.zero(duals[0].nvars)
     top = _twist(lam, ell_inv, d_of(I, i) - 1, section_q_weight * i)
     return _step_block(top, ell_inv, -i)
 
@@ -169,8 +160,8 @@ def proposition_source(I, i, L, V, section_q_weight=0):
     class(K^{I'}) = class(K^I) - class(source), I' = (I minus {i}) + {i+1},
     fixes the twist normalization.
     """
-    duals = V.dual().all_exterior_powers()
-    return _source(duals, _line_monomial(L).inverse(), I, i, section_q_weight)
+    duals = exterior_powers(dual(V))
+    return _source(duals, _dual_line(L), I, i, section_q_weight)
 
 
 def _proposition(duals, ell_inv, I, i, section_q_weight):
@@ -185,8 +176,8 @@ def _proposition(duals, ell_inv, I, i, section_q_weight):
 
 def proposition_check(I, i, L, V, section_q_weight=0):
     """Verify the one-step cone identity at total-class level."""
-    duals = V.dual().all_exterior_powers()
-    lhs, rhs = _proposition(duals, _line_monomial(L).inverse(), I, i, section_q_weight)
+    duals = exterior_powers(dual(V))
+    lhs, rhs = _proposition(duals, _dual_line(L), I, i, section_q_weight)
     lhs, rhs = lhs.total_class(), rhs.total_class()
     return lhs == rhs, lhs, rhs
 
@@ -205,12 +196,12 @@ def located_witness(a, b, names, by_class=False):
     if by_class:
         ca, cb = a.total_class(), b.total_class()
         diff = ca - cb
-        k = max(diff.poly.keys)
+        k = max(diff.keys)
         d = next(d for d in degrees if _mult(a.term(d), k) != _mult(b.term(d), k))
     else:
         d = next(d for d in degrees if a.term(d) != b.term(d))
         diff = a.term(d) - b.term(d)
-        k = max(diff.poly.keys)
+        k = max(diff.keys)
     weight = str(Poly._raw(diff.nvars, {k: 1}))[:80]
     text = (
         f"degree {d:+d}, weight {weight}: "
@@ -222,7 +213,7 @@ def located_witness(a, b, names, by_class=False):
 
 
 def _mult(char, key):
-    return char.poly.keys.get(key, 0)
+    return char.keys.get(key, 0)
 
 
 class IteratedCones:
@@ -266,13 +257,12 @@ def iterated_cone_classes(N, k, L, V, section_q_weight=2):
     """
     if not 0 <= k <= N:
         raise ValueError(f"need 0 <= k <= {N}, got {k}")
-    if V.rank() != N:
+    if sum(V.keys.values()) != N:
         raise ValueError(f"V must have rank {N}")
-    ell = _line_monomial(L)
-    ell_inv = ell.inverse()
+    ell_inv = _dual_line(L)
     P = N - k
     qw = section_q_weight
-    duals = V.dual().all_exterior_powers()
+    duals = exterior_powers(dual(V))
 
     def lam_twisted(j, ell_power):
         return _twist(duals[j], ell_inv, ell_power, qw * j)
@@ -290,9 +280,8 @@ def iterated_cone_classes(N, k, L, V, section_q_weight=2):
     # ascending route: seed the plain Koszul complex, inject then climb
     plus = _interpolating(duals, ell_inv, (), qw)
     plus_indices = []
-    one = Character.line(Monomial.one(len(ell.x_exps)))
     for a in range(1, P + 1):
-        piece = _step_block(one.twist(ell.power(a)), ell_inv, 0)
+        piece = _step_block(_twist(Poly.one(V.nvars), ell_inv, -a), ell_inv, 0)
         plus = cone_class(piece, plus)
         plus_indices.append((a, 1))
         for i in range(1, P - a + 1):
@@ -301,7 +290,7 @@ def iterated_cone_classes(N, k, L, V, section_q_weight=2):
             plus_indices.append((a, i + 1))
 
     target_minus = _interpolating(duals, ell_inv, range(1, P + 1), qw)
-    target_plus = target_minus.twist(ell.power(P))
+    target_plus = target_minus.twist([-a * P for a in ell_inv])
     return IteratedCones(minus, plus, minus_indices, plus_indices, target_minus, target_plus)
 
 
@@ -311,12 +300,9 @@ def generic_bundle_data(N):
     The extra slot keeps the line-bundle class transcendental over the
     bundle weights, so endpoint identities are checked generically.
     """
-    n_x = N + 1
-    V = Character.from_monomials(
-        Monomial(tuple(1 if t == i else 0 for t in range(n_x)), 0) for i in range(N)
-    )
-    L = Monomial(tuple(1 if t == N else 0 for t in range(n_x)), 0)
-    return V, L
+    nvars = N + 2
+    V = Poly(nvars, {tuple(int(t == i) for t in range(nvars)): 1 for i in range(N)})
+    return V, Poly.x(nvars, N + 1)
 
 
 def endpoint_report(rank, section_q_weight=2):
@@ -324,14 +310,10 @@ def endpoint_report(rank, section_q_weight=2):
     complex, and the full set [1, rank] reproduces the complex of the
     L-twisted bundle, one L^dual per exterior degree.  Then the one-step
     cone identity for every valid move, all on one set of exterior powers."""
-    from itertools import combinations
-
-    from .report import Report
-
     qw = section_q_weight
     V, L = generic_bundle_data(rank)
-    ell_inv = L.inverse()
-    duals = V.dual().all_exterior_powers()
+    ell_inv = _dual_line(L)
+    duals = exterior_powers(dual(V))
     rep = Report(f"interpolating complex endpoints, rank {rank}")
     empty = _interpolating(duals, ell_inv, (), qw)
     plain = koszul_complex(V, qw)
@@ -342,7 +324,7 @@ def endpoint_report(rank, section_q_weight=2):
         "" if ok else located_witness(empty, plain, ("K^()", "plain")),
     )
     full = _interpolating(duals, ell_inv, range(1, rank + 1), qw)
-    twisted = koszul_complex(V.twist(L), qw)
+    twisted = koszul_complex(V * L, qw)
     ok = full == twisted
     rep.add(
         "full index set gives the complex of the twisted bundle",
@@ -373,8 +355,6 @@ def endpoint_report(rank, section_q_weight=2):
 
 def koszul_battery_report(rank, k, section_q_weight=2):
     """Endpoints, the one-step cone sweep, and both iterated routes."""
-    from .report import Report
-
     rep = Report(f"koszul battery, rank {rank}, k={k}")
     rep.extend(endpoint_report(rank, section_q_weight))
     rep.extend(iterated_cone_report(rank, k, section_q_weight))
@@ -382,8 +362,6 @@ def koszul_battery_report(rank, k, section_q_weight=2):
 
 
 def iterated_cone_report(N, k, section_q_weight=2):
-    from .report import Report
-
     V, L = generic_bundle_data(N)
     res = iterated_cone_classes(N, k, L, V, section_q_weight)
     rep = Report(f"iterated cone routes, rank {N}, k={k}")

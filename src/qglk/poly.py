@@ -26,7 +26,6 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import mul, or_
 from types import MappingProxyType
-from typing import NamedTuple
 
 _BITS = 16
 _BIAS = 1 << 14
@@ -61,44 +60,6 @@ def _check_fields(lay, keys):
     borrows nothing from below and shows its guard bit."""
     if reduce(or_, keys, 0) & lay.guard:
         raise OverflowError("exponent outside [-2^14, 2^14)")
-
-
-class Monomial(NamedTuple):
-    """A single Laurent monomial: x_1^a_1 ... x_N^a_N q^b."""
-
-    x_exps: tuple
-    q_exp: int
-
-    @classmethod
-    def from_exps(cls, exps):
-        return cls(tuple(exps[:-1]), exps[-1])
-
-    @classmethod
-    def one(cls, n_x):
-        return cls((0,) * n_x, 0)
-
-    def exps(self):
-        return self.x_exps + (self.q_exp,)
-
-    def mul(self, other):
-        if len(other.x_exps) != len(self.x_exps):
-            raise ValueError("variable-count mismatch")
-        return Monomial(
-            tuple(a + b for a, b in zip(self.x_exps, other.x_exps)),
-            self.q_exp + other.q_exp,
-        )
-
-    def inverse(self):
-        return Monomial(tuple(-a for a in self.x_exps), -self.q_exp)
-
-    def power(self, m):
-        return Monomial(tuple(a * m for a in self.x_exps), self.q_exp * m)
-
-    def is_trivial(self):
-        return self.q_exp == 0 and not any(self.x_exps)
-
-    def to_poly(self, coeff=1):
-        return Poly(len(self.x_exps) + 1, {self.exps(): coeff})
 
 
 class Poly:
@@ -305,8 +266,11 @@ class Poly:
         return Poly._raw(self.nvars, keys, box, ends)
 
     def shift_exps(self, shift):
+        """self * X^shift; a zero shift returns self."""
         if len(shift) != self.nvars:
             raise ValueError("exponent shift has wrong length")
+        if not any(shift):
+            return self
         if min(shift, default=0) < -2 * _BIAS or max(shift, default=0) >= 2 * _BIAS:
             raise OverflowError("exponent shift outside [-2^15, 2^15)")
         return self._translate(sum(map(mul, shift, _layout(self.nvars).weights)))

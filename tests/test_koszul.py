@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from qglk import cli, koszul
-from qglk.grassmann import Character, euler_class_rf
+from qglk.grassmann import dual, euler_class_rf, exterior_powers
 from qglk.koszul import (
     GradedComplex,
     cone_class,
@@ -19,15 +19,17 @@ from qglk.koszul import (
     proposition_check,
     proposition_source,
 )
-from qglk.poly import Monomial
+from qglk.poly import Poly
 from qglk.ratfunc import RationalFunction
+from weights import rank
 
 
 def mono(n_x, q_exp=0, **xs):
-    exps = [0] * n_x
+    """The weight q^q_exp * prod x_i^e_i in x_1..x_n_x and q."""
+    exps = [0] * n_x + [q_exp]
     for name, e in xs.items():
         exps[int(name[1:]) - 1] = e
-    return Monomial(tuple(exps), q_exp)
+    return Poly.monomial(n_x + 1, exps)
 
 
 class TestDOf:
@@ -41,54 +43,53 @@ class TestDOf:
 class TestGradedComplex:
     def test_merge_and_shift(self):
         w = mono(1, x1=1)
-        a = GradedComplex({0: Character.line(w)})
+        a = GradedComplex(2, {0: w})
         b = a.shift(2)
         assert b.degrees() == [-2]
         assert a.shift(1).shift(1) == a.shift(2)
         merged = a.merge(a)
-        assert merged.term(0).weights == {w: 2}
+        assert merged.term(0) == 2 * w
+        assert merged.term(1) == Poly.zero(2)
 
     def test_shift_sign(self):
         w = mono(1, x1=1)
-        a = GradedComplex({0: Character.line(w), -1: Character.line(w.power(2))})
+        a = GradedComplex(2, {0: w, -1: w**2})
         assert a.shift(1).total_class() == -a.total_class()
         assert a.shift(3).total_class() == a.shift(1).shift(2).total_class()
 
     def test_cone_of_identity_map_has_zero_class(self):
-        a = GradedComplex({0: Character.line(mono(1, x1=1))})
-        assert cone_class(a, a).total_class() == Character.zero()
+        a = GradedComplex(2, {0: mono(1, x1=1)})
+        assert cone_class(a, a).total_class() == Poly.zero(2)
+        assert GradedComplex(2).total_class() == Poly.zero(2)
 
     def test_q_twist_folding(self):
         w = mono(1, x1=-1)
-        c = GradedComplex.from_triples([(-1, 2, Character.line(w))])
-        assert c.term(-1).weights == {mono(1, q_exp=2, x1=-1): 1}
+        c = GradedComplex.from_triples(2, [(-1, 2, w), (-1, 0, w)])
+        assert c.term(-1) == mono(1, q_exp=2, x1=-1) + w
 
 
 class TestKoszulComplex:
     def test_rank_one(self):
         w = mono(1, x1=1)
-        c = koszul_complex(Character.line(w))
+        c = koszul_complex(w)
         assert c.degrees() == [-1, 0]
-        assert c.term(0).weights == {mono(1): 1}
-        assert c.term(-1).weights == {w.inverse(): 1}
+        assert c.term(0) == mono(1)
+        assert c.term(-1) == mono(1, x1=-1)
 
     def test_rank_two_top_term(self):
-        V = Character.from_monomials([mono(2, x1=1), mono(2, x2=1)])
+        V = mono(2, x1=1) + mono(2, x2=1)
         c = koszul_complex(V)
-        assert c.term(-2).weights == {mono(2, x1=-1, x2=-1): 1}
-        assert c.term(-1).rank() == 2
+        assert c.term(-2) == mono(2, x1=-1, x2=-1)
+        assert rank(c.term(-1)) == 2
 
     @pytest.mark.parametrize("qw", [0, 2])
     def test_total_class_is_euler_class(self, qw):
-        V = Character.from_monomials(
-            [mono(3, x1=1), mono(3, x2=1), mono(3, x3=1, q_exp=1)]
-        )
+        V = mono(3, x1=1) + mono(3, x2=1) + mono(3, x3=1, q_exp=1)
         c = koszul_complex(V, section_q_weight=qw)
-        nvars = 4
         # twisting every weight down by q^qw matches the per-term q^(qw j)
-        shifted = V.twist(mono(3, q_exp=-qw))
-        total = RationalFunction.from_poly(c.total_class().as_poly(nvars))
-        assert total == euler_class_rf(shifted, nvars)
+        shifted = V * mono(3, q_exp=-qw)
+        total = RationalFunction.from_poly(c.total_class())
+        assert total == euler_class_rf(shifted)
 
 
 class TestGeneralizedKoszul:
@@ -98,7 +99,8 @@ class TestGeneralizedKoszul:
 
     def test_full_index_set_twists_by_line(self):
         V, L = generic_bundle_data(3)
-        VL = Character({w.mul(L): m for w, m in V.items()})
+        ell = L.leading_exps()
+        VL = Poly(V.nvars, {tuple(map(sum, zip(w, ell))): m for w, m in V.terms.items()})
         assert generalized_koszul([1, 2, 3], L, V) == koszul_complex(VL)
         assert generalized_koszul([1, 2, 3], L, V, 2) == koszul_complex(VL, 2)
 
@@ -108,7 +110,7 @@ class TestGeneralizedKoszul:
         plain = koszul_complex(V)
         assert c.term(0) == plain.term(0)
         assert c.term(-1) == plain.term(-1)
-        assert c.term(-2) == plain.term(-2).twist(L.inverse())
+        assert c.term(-2) == plain.term(-2) * dual(L)
 
 
 class TestProposition:
@@ -137,8 +139,28 @@ class TestProposition:
         src = proposition_source([1], 1, L, V)
         # d(1) = 1: degree -1 holds Lambda^1 V^dual (L^dual), degree 0 the untwisted copy
         assert src.degrees() == [-1, 0]
-        assert src.term(-1) == V.dual().exterior_power(1).twist(L.inverse())
-        assert src.term(0) == V.dual().exterior_power(1)
+        assert src.term(-1) == exterior_powers(dual(V))[1] * dual(L)
+        assert src.term(0) == exterior_powers(dual(V))[1]
+
+
+class TestLineBundleArgument:
+    """L must be one weight of multiplicity 1."""
+
+    @pytest.mark.parametrize("bad", ["two weights", "multiplicity 2", "coefficient -1"])
+    def test_rejected_by_every_entry_point(self, bad):
+        V, L = generic_bundle_data(2)
+        L = {
+            "two weights": L + mono(3, x1=1),
+            "multiplicity 2": 2 * L,
+            "coefficient -1": -L,
+        }[bad]
+        for call in (
+            lambda: generalized_koszul([1], L, V),
+            lambda: proposition_check([1], 1, L, V),
+            lambda: iterated_cone_classes(2, 1, L, V),
+        ):
+            with pytest.raises(ValueError, match="line bundle character must have rank 1"):
+                call()
 
 
 class TestIteratedCones:
@@ -188,14 +210,14 @@ class TestIteratedCones:
 class TestLocatedWitnesses:
     def test_by_terms_names_degree_weight_and_both_multiplicities(self):
         w = mono(1, x1=1)
-        a = GradedComplex({0: Character.line(w), -1: Character.from_monomials([w, w])})
-        b = GradedComplex({0: Character.line(w), -1: Character.line(w)})
+        a = GradedComplex(2, {0: w, -1: 2 * w})
+        b = GradedComplex(2, {0: w, -1: w})
         assert located_witness(a, b, ("a", "b")) == "degree -1, weight x1: a 2, b 1"
 
     def test_by_class_finds_a_degree_where_the_weight_differs(self):
         w, w2 = mono(1, x1=1), mono(1, x1=2)
-        a = GradedComplex({-1: Character.line(w), 0: Character.line(w)})  # class 0
-        b = GradedComplex({0: Character.line(w2)})
+        a = GradedComplex(2, {-1: w, 0: w})  # class 0
+        b = GradedComplex(2, {0: w2})
         assert located_witness(a, b, ("a", "b"), by_class=True) == (
             "degree +0, weight x1^2: a 0, b 1; total class 0 vs 1"
         )
@@ -207,7 +229,7 @@ class TestNegativeControl:
     @pytest.fixture
     def untwisted_step_block(self, monkeypatch):
         def untwisted(char_top, ell_inv, degree):
-            return GradedComplex.from_triples([(degree, 0, char_top), (degree + 1, 0, char_top)])
+            return GradedComplex(char_top.nvars, {degree: char_top, degree + 1: char_top})
 
         monkeypatch.setattr(koszul, "_step_block", untwisted)
 
