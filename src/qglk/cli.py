@@ -91,7 +91,7 @@ def _block_json(block, label):
         "cols": cols,
         "entries": {
             f"{rows[i]}|{cols[j]}": str(v)
-            for i, row in enumerate(block.mat.rows)
+            for i, row in enumerate(block.rows)
             for j, v in enumerate(row)
             if not v.is_zero()
         },
@@ -102,7 +102,7 @@ def _algebra_json(block):
     def word(S):
         return "".join(map(str, superrep.word_from_subset(block.n, S)))
 
-    return {"shape": [block.mat.nrows, block.mat.ncols], **_block_json(block, word)}
+    return {"shape": [block.nrows, block.ncols], **_block_json(block, word)}
 
 
 def _geometry_json(block):
@@ -116,7 +116,7 @@ def _geometry_json(block):
 
 def _geometry_text(block):
     head = f"FunctorMatrix n={block.n} weight {block.source_weight} -> {block.target_weight}"
-    return head + "\n" + str(block.mat)
+    return head + "\n" + str(block)
 
 
 def cmd_matrices(args):
@@ -132,7 +132,7 @@ def cmd_matrices(args):
         return _usage_error(f"geometry side is capped at n={GEOMETRY_DUMP_CAP}")
 
     if args.side == "algebra":
-        blocks, to_json, to_text = _algebra_blocks(n, w), _algebra_json, lambda b: str(b.mat)
+        blocks, to_json, to_text = _algebra_blocks(n, w), _algebra_json, str
     else:
         blocks, to_json, to_text = _geometry_blocks(n, w), _geometry_json, _geometry_text
     if args.json:

@@ -20,10 +20,12 @@ the commutator of the two functors is the scalar
 (-1)^(n-k-1) * (1 - q^(2n)) on each weight block, matching the algebra
 side after E is scaled by q^(-n) and F by (-1)^(n-k-1) q^(2n).
 
-Every matrix here is a :class:`qglk.matrix.WeightBlock` over the fraction
-field, rows and columns labelled by fixed points.  algebra_matrix lifts
-the algebra blocks of :mod:`qglk.superrep`, the same type over Poly, into
-that field, so the two actions are compared block by block.
+Every matrix here is a weight block, a :class:`qglk.matrix.Matrix` over
+the fraction field that carries its two weights, rows and columns
+labelled by fixed points.  algebra_matrix lifts the algebra blocks of
+:mod:`qglk.superrep`, the same type over Poly, into that field, so the
+two actions are compared block by block; the intertwiner's proof
+evaluates both at rational points, the same type over Q.
 """
 
 from itertools import chain, islice
@@ -39,7 +41,7 @@ from .grassmann import (
 )
 from .linalg import column_basis  # noqa: F401  (still importable from fm)
 from .linalg import columns, hstack, invert_matrix, pivot_columns, sample_points
-from .matrix import Matrix, WeightBlock, entry_witness, k_of
+from .matrix import Matrix, entry_witness, k_of
 from .poly import Poly
 from .ratfunc import PoleError, RationalFunction
 from .report import Report
@@ -101,25 +103,25 @@ def lowering_unit(n):
 
 def raising_matrix(n, source_weight):
     """Localized matrix of the raising functor from the given weight."""
-    out = WeightBlock.zeros(n, source_weight, source_weight + 2, RationalFunction.zero(n + 1))
+    out = Matrix.zero_block(n, source_weight, source_weight + 2, RationalFunction.zero(n + 1))
     for j, Ss in enumerate(out.cols_points):
         sset = set(Ss)
         for i, St in enumerate(out.rows_points):
             if set(St) <= sset:
-                out.mat.rows[i][j] = _pair_entry(n, St, Ss, raising=True)
+                out.rows[i][j] = _pair_entry(n, St, Ss, raising=True)
     return out
 
 
 def lowering_matrix(n, source_weight, normalized=True):
     """Localized matrix of the lowering functor from the given weight."""
-    out = WeightBlock.zeros(n, source_weight, source_weight - 2, RationalFunction.zero(n + 1))
+    out = Matrix.zero_block(n, source_weight, source_weight - 2, RationalFunction.zero(n + 1))
     u = lowering_unit(n) if normalized else None
     for j, Ss in enumerate(out.cols_points):
         sset = set(Ss)
         for i, St in enumerate(out.rows_points):
             if sset <= set(St):
                 v = _pair_entry(n, Ss, St, raising=False)
-                out.mat.rows[i][j] = v * u if normalized else v
+                out.rows[i][j] = v * u if normalized else v
     return out
 
 
@@ -208,12 +210,12 @@ class Blocks:
         n, k = self.n, k_of(self.n, w)
         d = self.difference(side, w)
         if side == "algebra":
-            bad = entry_witness(d, WeightBlock.scalar(n, w, commutator_scalar(n, k)))
+            bad = entry_witness(d, Matrix.scalar_block(n, w, commutator_scalar(n, k)))
             return [(f"FE - EF is eps*(1-q^{2*n}) at weight {w}", bad)], None
         signed = _signed_scalars(n)
-        eps = next((c for c, s in signed.items() if d == WeightBlock.scalar(n, w, s)), None)
+        eps = next((c for c, s in signed.items() if d == Matrix.scalar_block(n, w, s)), None)
         pred = epsilon_sign(n, k)
-        bad = "" if eps == pred else entry_witness(d, WeightBlock.scalar(n, w, signed[pred]))
+        bad = "" if eps == pred else entry_witness(d, Matrix.scalar_block(n, w, signed[pred]))
         name = f"weight {w} commutator is a (1-q^{2*n}) scalar on a dim-{comb(n, k)} block"
         if eps is None:
             return [(name, bad)], None
@@ -258,18 +260,17 @@ def algebra_matrix(n, gen, source_weight, normalized=True):
     if gen not in ("E", "F"):
         raise ValueError("only E and F have functor counterparts")
     block = block_matrix(n, gen, source_weight)
-    mat = block.mat
     if normalized:
         if gen == "E":
-            mat = mat.scale(Poly.q(n + 1, -n))
+            block = block.scale(Poly.q(n + 1, -n))
         else:
-            mat = mat.scale(Poly.q(n + 1, 2 * n) * epsilon_sign(n, k_of(n, source_weight)))
-    return WeightBlock(n, source_weight, block.target_weight, mat.map(RationalFunction.from_poly))
+            block = block.scale(Poly.q(n + 1, 2 * n) * epsilon_sign(n, k_of(n, source_weight)))
+    return block.map(RationalFunction.from_poly)
 
 
 def scalar_block(n, weight, q_exp):
     """q^q_exp times the identity on the weight block."""
-    return WeightBlock.scalar(n, weight, RationalFunction.q(n + 1, q_exp))
+    return Matrix.scalar_block(n, weight, RationalFunction.q(n + 1, q_exp))
 
 
 def normalized_rep_report(n, max_weight=None, blocks=None):
@@ -298,20 +299,29 @@ def normalized_rep_report(n, max_weight=None, blocks=None):
     return rep
 
 
-def _product(a, b, ncols):
-    """a @ b over Q, for matrices as lists of rows; b has ncols columns."""
-    cols = [[row[j] for row in b] for j in range(ncols)]
-    return [[sum(x * y for x, y in zip(row, col) if x and y) for col in cols] for row in a]
+def _block_keys(n):
+    """The (side, gen, w) keys of the E and F blocks the intertwiner uses."""
+    return [(side, gen, w) for side in SIDES for w in _weights(n) + [n + 2] for gen in "EF"]
+
+
+def _with_projectors(at, n, inverse_scalars):
+    """Adds to the blocks at[side, gen, w] the projectors
+    at[side, "p", w] = F_{w+2} E_w / s_w of both sides, given 1 / s_w by
+    weight; over Q at a sample point and over the fraction field alike."""
+    for side in SIDES:
+        for w in _weights(n):
+            p = at[side, "F", w + 2] @ at[side, "E", w]
+            at[side, "p", w] = p.scale(inverse_scalars[w])
+    return at
 
 
 def _at_points(blocks, seed):
-    """Yields, at successive seeded rational points, the E blocks and the
-    projectors p_w = F_{w+2} E_w / s_w of both sides over Q, skipping a
-    point where an entry of an E or F block has a pole or some s_w
-    vanishes (q = 1 can be drawn)."""
+    """Yields, at successive seeded rational points, the E and F blocks
+    and the projectors p_w of both sides over Q, skipping a point where
+    an entry of an E or F block has a pole or some s_w vanishes (q = 1
+    can be drawn)."""
     n = blocks.n
     weights = _weights(n)
-    keys = [(side, gen, w) for side in SIDES for w in weights + [n + 2] for gen in "EF"]
     for point in sample_points(n + 1, seed):
         s = {w: commutator_scalar(n, k_of(n, w)).evaluate(point) for w in weights}
         if not all(s.values()):
@@ -319,20 +329,23 @@ def _at_points(blocks, seed):
         values = {}  # the blocks share their Euler factors: each once per point
         try:
             at = {
-                key: [
-                    [e.evaluate(point, values) if e else 0 for e in r]
-                    for r in blocks.op(*key).mat.rows
-                ]
-                for key in keys
+                key: blocks.op(*key).map(lambda e: e.evaluate(point, values) if e else 0)
+                for key in _block_keys(n)
             }
         except PoleError:
             continue
-        for side in SIDES:
-            for w in weights:
-                f, e = at[side, "F", w + 2], at[side, "E", w]
-                fe = _product(f, e, len(f))  # E_w has as many columns as F_{w+2} rows
-                at[side, "p", w] = [[v / s[w] for v in row] for row in fe]
-        yield at
+        yield _with_projectors(at, n, {w: 1 / v for w, v in s.items()})
+
+
+def _transported_basis(at, side, w, pivots):
+    """B[w] = [P_w | E_{w-2} P_{w-2}] on one side (B[-n] = P_-n), where
+    P_v holds the columns pivots[side, v] of the projector at[side, "p", v]
+    and E_v is at[side, "E", v]."""
+    proj = columns(at[side, "p", w], pivots[side, w])
+    if (side, w - 2) not in pivots:
+        return proj
+    below = columns(at[side, "p", w - 2], pivots[side, w - 2])
+    return hstack(proj, at[side, "E", w - 2] @ below)
 
 
 def _failed_premises(blocks, gen, w):
@@ -368,7 +381,7 @@ def _prove_intertwiner(n, seed, blocks):
     ok_bases = True
     for w in reversed(weights):
         for side in SIDES:
-            pivots[side, w] = pivot_columns([list(r) for r in first[side, "p", w]], dims[w])
+            pivots[side, w] = pivot_columns(first[side, "p", w])
         r_alg, r_geo = (len(pivots[side, w]) for side in SIDES)
         if r_alg != r_geo:
             why = f"algebra rank {r_alg}, geometric rank {r_geo}"
@@ -385,21 +398,13 @@ def _prove_intertwiner(n, seed, blocks):
     if not ok_bases:
         return rep, None
 
-    def basis(at, side, w):  # B[w] over Q at one point
-        def proj(v):
-            return [[row[j] for j in pivots[side, v]] for row in at[side, "p", v]]
-
-        if w == -n:
-            return proj(w)
-        lifted = _product(at[side, "E", w - 2], proj(w - 2), len(pivots[side, w - 2]))
-        return [a + b for a, b in zip(proj(w), lifted)]
-
     for w in weights:
         why = []
         for side in SIDES:
             # the pivot point first, then further points with the same pivots
             tries = chain([first], islice(_at_points(blocks, seed), 1, None))
-            if all(len(pivot_columns(basis(at, side, w), dims[w])) < dims[w] for at in tries):
+            bases = (_transported_basis(at, side, w, pivots) for at in tries)
+            if all(len(pivot_columns(b)) < dims[w] for b in bases):
                 why.append(f"{side} basis: determinant vanished at every pole-free sample point")
         rep.add(f"phi at weight {w} is invertible", not why, "; ".join(why))
 
@@ -444,19 +449,12 @@ def find_intertwiner(n, seed=0xC0FFEE):
     rep, pivots = _prove_intertwiner(n, seed, blocks)
     if not rep.passed:
         return {}, rep
-    proj, phi = {}, {}
+    inverse = {w: commutator_scalar(n, k_of(n, w)).inv() for w in _weights(n)}
+    at = _with_projectors({key: blocks.op(*key) for key in _block_keys(n)}, n, inverse)
+    phi = {}
     for w in reversed(_weights(n)):
-        basis = {}
-        for side in SIDES:
-            p = (blocks.op(side, "F", w + 2) @ blocks.op(side, "E", w)).mat
-            s = commutator_scalar(n, k_of(n, w)).inv()
-            proj[side, w] = columns(p, pivots[side, w]).scale(s)
-            if w > -n:
-                lifted = blocks.op(side, "E", w - 2).mat @ proj[side, w - 2]
-            else:
-                lifted = Matrix.zeros(p.nrows, 0, p.zero)
-            basis[side] = hstack(proj[side, w], lifted)
-        phi[w] = basis["geometric"] @ invert_matrix(basis["algebra"], RationalFunction.one(n + 1))
+        alg, geo = (_transported_basis(at, side, w, pivots) for side in SIDES)
+        phi[w] = geo @ invert_matrix(alg, RationalFunction.one(n + 1))
     return phi, rep
 
 

@@ -1,8 +1,13 @@
 """Small exact linear algebra over the rational-function field.
 
-Pivots and invertibility certificates run exact Gaussian elimination over
-Q at a seeded random rational point, never symbolically.  The seed only
-picks the point: a bad point can cost a certificate, never fake one.
+At a point: specializations, pivot_columns, column_basis and
+certify_invertible evaluate a matrix exactly at seeded random rational
+points and run Gaussian elimination over Q.  The seed only picks the
+point: a bad point can cost a certificate, never fake one.
+
+Symbolically: columns and hstack rearrange entries over any ring, and
+invert_matrix is Gauss-Jordan elimination over the fraction field, used
+only by fm.find_intertwiner to build phi once its proof has passed.
 """
 
 import random
@@ -27,23 +32,24 @@ def sample_points(nvars, seed, attempts=72):
 
 
 def specializations(mat, nvars, seed, attempts=72):
-    """Yields mat evaluated exactly (rows over Q) at successive seeded
+    """Yields mat evaluated exactly (a Matrix over Q) at successive seeded
     random rational points, skipping points where an entry has a pole.
     At most `attempts` points are drawn."""
     for point in sample_points(nvars, seed, attempts):
         try:
-            rows = [[e.evaluate(point) for e in r] for r in mat.rows]
+            at = mat.map(lambda e: e.evaluate(point))
         except PoleError:
             continue
-        yield rows
+        yield at
 
 
-def pivot_columns(rows, ncols):
-    """Pivot columns of exact Gaussian elimination over Q: from left to
-    right, each column not in the span of the columns before it.  The
-    rows are reduced in place."""
+def pivot_columns(mat):
+    """Pivot columns of exact Gaussian elimination on a matrix over Q:
+    from left to right, each column not in the span of the columns
+    before it."""
+    rows = [list(r) for r in mat.rows]
     pivots = []
-    for col in range(ncols):
+    for col in range(mat.ncols):
         top = len(pivots)
         piv = next((r for r in range(top, len(rows)) if rows[r][col]), None)
         if piv is None:
@@ -67,8 +73,8 @@ def column_basis(mat, nvars, seed=0xC0FFEE):
     maximal minors, in which case fewer columns come back and the checks
     that count them fail.
     """
-    for rows in specializations(mat, nvars, seed):
-        return pivot_columns(rows, mat.ncols)
+    for at in specializations(mat, nvars, seed):
+        return pivot_columns(at)
     raise PoleError("every sample point hit a pole")
 
 
@@ -105,8 +111,8 @@ def certify_invertible(mat, nvars, seed=0xC0FFEE, attempts=72):
         return False, "not square"
     if mat.nrows == 0:
         return True, "empty matrix"
-    for rows in specializations(mat, nvars, seed, attempts):
-        if len(pivot_columns(rows, mat.ncols)) == mat.nrows:
+    for at in specializations(mat, nvars, seed, attempts):
+        if len(pivot_columns(at)) == mat.nrows:
             return True, "nonzero determinant at a sample point"
     return False, f"determinant vanished or hit poles at {attempts} sample points"
 

@@ -1,41 +1,85 @@
-"""Dense matrices over Poly or RationalFunction, and labelled weight blocks.
+"""Dense matrices over Poly, RationalFunction or Fraction; weight blocks.
 
 A Matrix carries the zero of its ring explicitly so that empty and
 all-zero matrices stay well defined.  Weight blocks at the extreme
 weights give genuinely empty (0 x m) matrices, so the degenerate shapes
-matter.
+matter.  Entries test zero by truthiness, so the same type holds the
+symbolic blocks and their values over Q at a sample point.
 
 Products of rational-function matrices sum each dot product in one
 :meth:`RationalFunction.sum`, which cancels against the shared
 denominator once instead of after every pairwise addition.
 
-A WeightBlock is one operator between two weight blocks of the N-site
+A weight block is a Matrix that also carries n, source_weight and
+target_weight: one operator between two weight blocks of the N-site
 space, with its rows and columns labelled by k-subsets.  Both
 realizations use it: the algebra blocks over Poly in x_1..x_N, q (they
 depend on q alone) and the functor matrices over the fraction field.
+Sums, products and comparisons of two blocks check their labels and
+give a block; with a plain matrix on either side they give a plain one.
 A failing comparison of two blocks is reported by :func:`entry_witness`.
 """
 
 import random
+from functools import cache
+from operator import add, sub
 
 from .grassmann import fixed_points
 from .ratfunc import PoleError, RationalFunction
 
 
-class Matrix:
-    __slots__ = ("nrows", "ncols", "rows", "zero")
+def k_of(n, weight):
+    """Number of odd tensor slots for the given weight; may fall outside
+    [0, n], in which case the corresponding block is empty."""
+    if (n - weight) % 2:
+        raise ValueError(f"weight {weight} has wrong parity for n={n}")
+    return (n - weight) // 2
 
-    def __init__(self, nrows, ncols, rows, zero):
+
+@cache
+def block_points(n, weight):
+    """The k-subsets labelling the weight block, shared by every block of
+    that weight; empty outside [-n, n]."""
+    return tuple(fixed_points(n, k_of(n, weight)))
+
+
+class Matrix:
+    """A dense matrix; with block = (n, source_weight, target_weight) the
+    operator from the weight-source_weight block of the n-site space to
+    the weight-target_weight block.
+
+    A block's rows are the target block's k-subsets of {1..n} and its
+    columns the source block's, in lexicographic order: the odd slots of
+    the tensor basis words on the algebra side
+    (``superrep.subset_from_word``), the torus-fixed points of Gr(k, n)
+    on the geometry side.  On a plain matrix the three labels are None.
+    """
+
+    __slots__ = ("nrows", "ncols", "rows", "zero", "n", "source_weight", "target_weight")
+
+    def __init__(self, nrows, ncols, rows, zero, block=(None, None, None)):
         if len(rows) != nrows or any(len(r) != ncols for r in rows):
             raise ValueError("row data does not match the declared shape")
         self.nrows = nrows
         self.ncols = ncols
         self.rows = [list(r) for r in rows]
         self.zero = zero
+        self.n, self.source_weight, self.target_weight = block
+        if self.n is not None and (nrows, ncols) != (
+            len(self.rows_points),
+            len(self.cols_points),
+        ):
+            raise ValueError("matrix shape does not match the weight blocks")
 
     @classmethod
     def zeros(cls, nrows, ncols, zero):
         return cls(nrows, ncols, [[zero] * ncols for _ in range(nrows)], zero)
+
+    @classmethod
+    def zero_block(cls, n, source_weight, target_weight, zero):
+        nr, nc = len(block_points(n, target_weight)), len(block_points(n, source_weight))
+        rows = [[zero] * nc for _ in range(nr)]
+        return cls(nr, nc, rows, zero, (n, source_weight, target_weight))
 
     @classmethod
     def diagonal(cls, diag, zero):
@@ -44,89 +88,117 @@ class Matrix:
             m.rows[i][i] = d
         return m
 
+    @classmethod
+    def scalar_block(cls, n, weight, s):
+        """s (a Poly or a RationalFunction) times the identity on the block."""
+        d, zero = len(block_points(n, weight)), type(s).zero(s.nvars)
+        return cls(d, d, cls.diagonal([s] * d, zero).rows, zero, (n, weight, weight))
+
+    @property
+    def block(self):
+        return self.n, self.source_weight, self.target_weight
+
+    @property
+    def rows_points(self):
+        return block_points(self.n, self.target_weight)
+
+    @property
+    def cols_points(self):
+        return block_points(self.n, self.source_weight)
+
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
 
-    def _check_shape(self, other, same=True):
+    def entry(self, S_t, S_s):
+        """The entry of a block at row subset S_t and column subset S_s."""
+        return self.rows[self.rows_points.index(tuple(S_t))][self.cols_points.index(tuple(S_s))]
+
+    def _labels(self, other, compose=False):
+        """The block of self + other, or with compose of self @ other:
+        all None unless both are blocks, which must then match."""
         if not isinstance(other, Matrix):
             raise TypeError("expected a Matrix")
-        if same and (self.nrows != other.nrows or self.ncols != other.ncols):
+        if self.n is None or other.n is None:
+            return None, None, None
+        if self.n != other.n:
+            raise ValueError("mixed n")
+        if not compose:
+            if self.block != other.block:
+                raise ValueError("weight mismatch")
+            return self.block
+        if self.source_weight != other.target_weight:
+            raise ValueError(
+                f"cannot compose: left source weight {self.source_weight} "
+                f"!= right target weight {other.target_weight}"
+            )
+        return self.n, other.source_weight, self.target_weight
+
+    def _zip(self, other, op):
+        block = self._labels(other)
+        if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape mismatch")
+        rows = [list(map(op, ra, rb)) for ra, rb in zip(self.rows, other.rows)]
+        return Matrix(self.nrows, self.ncols, rows, self.zero, block)
 
     def __add__(self, other):
-        self._check_shape(other)
-        return Matrix(
-            self.nrows,
-            self.ncols,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-            self.zero,
-        )
+        return self._zip(other, add)
 
     def __sub__(self, other):
-        self._check_shape(other)
-        return Matrix(
-            self.nrows,
-            self.ncols,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-            self.zero,
-        )
+        return self._zip(other, sub)
 
     def __neg__(self):
-        return Matrix(
-            self.nrows, self.ncols, [[-a for a in r] for r in self.rows], self.zero
-        )
+        return self.map(lambda a: -a)
 
     def scale(self, s):
         return Matrix(
-            self.nrows, self.ncols, [[s * a for a in r] for r in self.rows], self.zero
+            self.nrows, self.ncols, [[s * a for a in r] for r in self.rows], self.zero, self.block
         )
 
     def __matmul__(self, other):
-        self._check_shape(other, same=False)
+        block = self._labels(other, compose=True)
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions do not match")
-        out = Matrix.zeros(self.nrows, other.ncols, self.zero)
+        out = [[self.zero] * other.ncols for _ in range(self.nrows)]
         if isinstance(self.zero, RationalFunction):
             cols = list(zip(*other.rows)) if self.ncols else [()] * other.ncols
-            for row, orow in zip(self.rows, out.rows):
+            for row, orow in zip(self.rows, out):
                 for j, col in enumerate(cols):
                     terms = [a * b for a, b in zip(row, col) if a and b]
                     if len(terms) == 1:
                         orow[j] = terms[0]
                     elif terms:
                         orow[j] = RationalFunction.sum(self.zero.nvars, terms)
-            return out
-        # each row of other as its nonzero (column, entry) pairs, once
-        sparse = [[(j, b) for j, b in enumerate(brow) if not b.is_zero()] for brow in other.rows]
-        for row, orow in zip(self.rows, out.rows):
-            for a, brow in zip(row, sparse):
-                if brow and not a.is_zero():
-                    for j, b in brow:
-                        orow[j] = orow[j] + a * b
-        return out
+        else:
+            # each row of other as its nonzero (column, entry) pairs, once
+            sparse = [[(j, b) for j, b in enumerate(brow) if b] for brow in other.rows]
+            for row, orow in zip(self.rows, out):
+                for a, brow in zip(row, sparse):
+                    if brow and a:
+                        for j, b in brow:
+                            orow[j] = orow[j] + a * b
+        return Matrix(self.nrows, other.ncols, out, self.zero, block)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.nrows != other.nrows or self.ncols != other.ncols:
+        if (self.nrows, self.ncols, self.block) != (other.nrows, other.ncols, other.block):
             return False
         return all(
             a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
         )
 
     def is_zero(self):
-        return all(a.is_zero() for r in self.rows for a in r)
+        return not any(a for r in self.rows for a in r)
 
     def map(self, fn):
+        """fn applied to every entry and to the zero; a block stays one."""
         return Matrix(
-            self.nrows, self.ncols, [[fn(a) for a in r] for r in self.rows], fn(self.zero)
+            self.nrows,
+            self.ncols,
+            [[fn(a) for a in r] for r in self.rows],
+            fn(self.zero),
+            self.block,
         )
 
     def __str__(self):
@@ -141,106 +213,13 @@ class Matrix:
         return "\n".join(lines)
 
 
-def k_of(n, weight):
-    """Number of odd tensor slots for the given weight; may fall outside
-    [0, n], in which case the corresponding block is empty."""
-    if (n - weight) % 2:
-        raise ValueError(f"weight {weight} has wrong parity for n={n}")
-    return (n - weight) // 2
-
-
-class WeightBlock:
-    """An operator from the weight-source_weight block of the n-site space
-    to the weight-target_weight block, as a Matrix.
-
-    Rows are the target block's k-subsets of {1..n} and columns the
-    source block's, in lexicographic order: the odd slots of the tensor
-    basis words on the algebra side (``superrep.subset_from_word``), the
-    torus-fixed points of Gr(k, n) on the geometry side.  A weight
-    outside [-n, n] has an empty block.
-    """
-
-    __slots__ = ("n", "source_weight", "target_weight", "cols_points", "rows_points", "mat")
-
-    def __init__(self, n, source_weight, target_weight, mat):
-        self.n = n
-        self.source_weight = source_weight
-        self.target_weight = target_weight
-        self.cols_points = fixed_points(n, k_of(n, source_weight))
-        self.rows_points = fixed_points(n, k_of(n, target_weight))
-        if mat.nrows != len(self.rows_points) or mat.ncols != len(self.cols_points):
-            raise ValueError("matrix shape does not match the weight blocks")
-        self.mat = mat
-
-    @classmethod
-    def zeros(cls, n, source_weight, target_weight, zero):
-        nr = len(fixed_points(n, k_of(n, target_weight)))
-        nc = len(fixed_points(n, k_of(n, source_weight)))
-        return cls(n, source_weight, target_weight, Matrix.zeros(nr, nc, zero))
-
-    @classmethod
-    def scalar(cls, n, weight, s):
-        """s (a Poly or a RationalFunction) times the identity on the block."""
-        d = len(fixed_points(n, k_of(n, weight)))
-        return cls(n, weight, weight, Matrix.diagonal([s] * d, type(s).zero(s.nvars)))
-
-    def entry(self, S_t, S_s):
-        return self.mat[(self.rows_points.index(tuple(S_t)), self.cols_points.index(tuple(S_s)))]
-
-    def _same_shape(self, other):
-        if self.n != other.n:
-            raise ValueError("mixed n")
-        if (
-            self.source_weight != other.source_weight
-            or self.target_weight != other.target_weight
-        ):
-            raise ValueError("weight mismatch")
-
-    def __add__(self, other):
-        self._same_shape(other)
-        return WeightBlock(self.n, self.source_weight, self.target_weight, self.mat + other.mat)
-
-    def __sub__(self, other):
-        self._same_shape(other)
-        return WeightBlock(self.n, self.source_weight, self.target_weight, self.mat - other.mat)
-
-    def __neg__(self):
-        return WeightBlock(self.n, self.source_weight, self.target_weight, -self.mat)
-
-    def scale(self, s):
-        return WeightBlock(self.n, self.source_weight, self.target_weight, self.mat.scale(s))
-
-    def __matmul__(self, other):
-        if self.n != other.n:
-            raise ValueError("mixed n")
-        if self.source_weight != other.target_weight:
-            raise ValueError(
-                f"cannot compose: left source weight {self.source_weight} "
-                f"!= right target weight {other.target_weight}"
-            )
-        return WeightBlock(self.n, other.source_weight, self.target_weight, self.mat @ other.mat)
-
-    def __eq__(self, other):
-        if not isinstance(other, WeightBlock):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.source_weight == other.source_weight
-            and self.target_weight == other.target_weight
-            and self.mat == other.mat
-        )
-
-    def is_zero(self):
-        return self.mat.is_zero()
-
-
 def first_difference(got, want=None):
     """(row, column, got - want) at the first entry where two matrices
     differ, or None; want=None stands for the zero matrix."""
     for i, row in enumerate(got.rows):
         for j, a in enumerate(row):
             if want is None:
-                if not a.is_zero():
+                if a:
                     return i, j, a
             elif a != want.rows[i][j]:
                 return i, j, a - want.rows[i][j]
@@ -252,10 +231,10 @@ def subset_label(S):
 
 
 def entry_witness(got, want=None):
-    """Where the WeightBlock got first differs from want (zero when
-    None), as a short witness: the entry's row and column with their
-    subsets and the difference at a seeded integer point; "" if equal."""
-    bad = first_difference(got.mat, None if want is None else want.mat)
+    """Where the block got first differs from want (zero when None), as
+    a short witness: the entry's row and column with their subsets and
+    the difference at a seeded integer point; "" if equal."""
+    bad = first_difference(got, want)
     if bad is None:
         return ""
     i, j, diff = bad

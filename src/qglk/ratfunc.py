@@ -133,11 +133,6 @@ class RationalFunction:
     def is_polynomial(self):
         return not self.den_factors and self.den_scalar == 1
 
-    def as_poly(self):
-        if not self.is_polynomial():
-            raise ValueError(f"not a Laurent polynomial: {self}")
-        return self.num
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other):

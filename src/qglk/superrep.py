@@ -14,8 +14,8 @@ F sends it to m-2, and H acts on a word with k odd letters by q^(N-2k).
 Coefficients are Poly in x_1..x_N and q (nvars = N + 1) that depend on q
 alone: the ring whose fraction field holds the functor matrices of
 :mod:`qglk.fm`.  A word is labelled by its set of odd-letter positions,
-and block_matrix builds each generator as a
-:class:`qglk.matrix.WeightBlock` between two weight blocks, rows and
+and block_matrix builds each generator as a weight block, a
+:class:`qglk.matrix.Matrix` that carries its two weights, rows and
 columns in lexicographic subset order; the localization side orders its
 fixed points the same way, so block indices line up across the two
 models.  The relation batteries check every identity block by block,
@@ -25,7 +25,7 @@ with located witnesses.
 from math import comb
 
 from .grassmann import fixed_points
-from .matrix import Matrix, WeightBlock, entry_witness
+from .matrix import Matrix, entry_witness
 from .poly import Poly
 from .report import Report
 
@@ -106,11 +106,11 @@ def apply_generator(gen, word):
     raise ValueError(f"unknown generator {gen!r}")
 
 
-def _image_matrix(gen, words_in, words_out, nvars):
-    """Matrix of gen from words_in to words_out.  Raises ValueError when
-    an image word is not among words_out."""
+def _image_matrix(gen, words_in, words_out, mat):
+    """Fills the zero matrix mat with gen from words_in to words_out and
+    returns it.  Raises ValueError when an image word is not among
+    words_out."""
     index = {w: i for i, w in enumerate(words_out)}
-    mat = Matrix.zeros(len(words_out), len(words_in), Poly.zero(nvars))
     for j, w in enumerate(words_in):
         for w2, coeff in apply_generator(gen, w):
             i = index.get(w2)
@@ -125,7 +125,7 @@ def full_matrix(n, gen):
 
     A reference for tests; the relation batteries never form it."""
     words = basis_words(n)
-    return _image_matrix(gen, words, words, n + 1)
+    return _image_matrix(gen, words, words, Matrix.zeros(2**n, 2**n, Poly.zero(n + 1)))
 
 
 def block_matrix(n, gen, source_weight):
@@ -135,13 +135,12 @@ def block_matrix(n, gen, source_weight):
     generator sends a word of the source block outside the target block,
     so the blocks of a generator are the whole generator."""
     target_weight = source_weight + WEIGHT_STEP[gen]
-    mat = _image_matrix(
+    return _image_matrix(
         gen,
         weight_block_words(n, source_weight),
         weight_block_words(n, target_weight),
-        n + 1,
+        Matrix.zero_block(n, source_weight, target_weight, Poly.zero(n + 1)),
     )
-    return WeightBlock(n, source_weight, target_weight, mat)
 
 
 def _witness(pairs):
@@ -185,8 +184,8 @@ def verify_relations(n):
             g["K", w + WEIGHT_STEP[x]] @ g[x, w],
             g[x, w] @ g["K", w],
         )
-    relations["K Kinv = 1"] = lambda w: (g["K", w] @ g["Kinv", w], WeightBlock.scalar(n, w, one))
-    relations["H Hinv = 1"] = lambda w: (g["H", w] @ g["Hinv", w], WeightBlock.scalar(n, w, one))
+    relations["K Kinv = 1"] = lambda w: (g["K", w] @ g["Kinv", w], Matrix.scalar_block(n, w, one))
+    relations["H Hinv = 1"] = lambda w: (g["H", w] @ g["Hinv", w], Matrix.scalar_block(n, w, one))
     weights = [n - 2 * k for k in range(n + 1)]
     for name, relation in relations.items():
         bad = _witness(relation(w) for w in weights)
@@ -237,7 +236,7 @@ def antipode_report():
     E, F = g["E", -1], g["F", 1]
     SE = -(E @ g["K", -1])
     SF = -(g["Kinv", -1] @ F)
-    one = {w: WeightBlock.scalar(1, w, Poly.one(2)) for w in (1, -1)}
+    one = {w: Matrix.scalar_block(1, w, Poly.one(2)) for w in (1, -1)}
     checks = {
         # Delta(E) = E (x) Kinv + 1 (x) E, counit 0
         "S * id on E": [(SE @ g["Kinv", -1] + E, None)],

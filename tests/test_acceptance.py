@@ -58,7 +58,7 @@ class TestGeometricNilpotency:
 
 
 class TestGeometryBatteriesAtN6:
-    # the three geometry batteries that `qglk verify --n 6` runs
+    # each battery on its own, building the N = 6 premises it needs
     def test_nilpotency_commutator_and_normalized_at_n6_under_60s(self):
         start = time.perf_counter()
         for battery, count in (
@@ -67,6 +67,22 @@ class TestGeometryBatteriesAtN6:
             (fm.normalized_rep_report, 42),
         ):
             rep = battery(6)
+            assert rep.passed, f"{battery.__name__}: {fail_text(rep)}"
+            assert len(rep.checks) == count
+        assert time.perf_counter() - start < 60.0
+
+    # the four fm batteries as `qglk verify --n 6` runs them, on one shared
+    # set of blocks, so the N = 6 premises are built once
+    def test_all_four_on_shared_blocks_under_60s(self):
+        start = time.perf_counter()
+        blocks = fm.Blocks(6)
+        for battery, count in (
+            (fm.nilpotency_report, 14),
+            (fm.commutator_report, 14),
+            (fm.normalized_rep_report, 42),
+            (fm.intertwiner_report, 26),
+        ):
+            rep = battery(6, blocks=blocks)
             assert rep.passed, f"{battery.__name__}: {fail_text(rep)}"
             assert len(rep.checks) == count
         assert time.perf_counter() - start < 60.0
@@ -141,12 +157,12 @@ class TestNormalizedRepAndIntertwiner:
         n = 2
         phi, _ = fm.find_intertwiner(n)
         for w in (-2, 0):
-            e_alg = fm.algebra_matrix(n, "E", w).mat
-            e_geo = fm.raising_matrix(n, w).mat
+            e_alg = fm.algebra_matrix(n, "E", w)
+            e_geo = fm.raising_matrix(n, w)
             assert phi[w + 2] @ e_alg == e_geo @ phi[w]
         for w in (2, 0):
-            f_alg = fm.algebra_matrix(n, "F", w).mat
-            f_geo = fm.lowering_matrix(n, w).mat
+            f_alg = fm.algebra_matrix(n, "F", w)
+            f_geo = fm.lowering_matrix(n, w)
             assert phi[w - 2] @ f_alg == f_geo @ phi[w]
 
 

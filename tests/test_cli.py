@@ -107,7 +107,7 @@ class TestVerify:
         def corrupted(n, source_weight, normalized=True):
             m = raw(n, source_weight, normalized)
             if source_weight == 4:
-                m.mat.rows[0][0] = -m.mat.rows[0][0]
+                m.rows[0][0] = -m.rows[0][0]
             return m
 
         monkeypatch.setattr(fm, "lowering_matrix", corrupted)
@@ -181,6 +181,18 @@ class TestMatricesGolden:
         code, out, _ = run(capsys, "matrices", *args.split())
         assert code == 0
         assert out == GOLDEN[args]
+
+
+CLI_GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
+
+class TestCliGolden:
+    # `verify --n 1..4 --json` and `koszul --rank r --k k --json` (r <= 3)
+    @pytest.mark.parametrize("args", sorted(CLI_GOLDEN))
+    def test_output_and_exit_code_are_byte_identical(self, capsys, args):
+        code, out, _ = run(capsys, *args.split())
+        assert code == CLI_GOLDEN[args]["exit"]
+        assert out == CLI_GOLDEN[args]["out"]
 
 
 class TestKoszul:

@@ -32,7 +32,7 @@ from qglk.grassmann import (
     tangent_gr,
 )
 from qglk.linalg import certify_invertible, column_basis, columns, hstack
-from qglk.matrix import Matrix, WeightBlock, entry_witness, first_difference, subset_label
+from qglk.matrix import Matrix, entry_witness, first_difference, subset_label
 from qglk.poly import Poly
 from qglk.ratfunc import PoleError, RationalFunction
 from qglk.report import Report
@@ -119,7 +119,7 @@ class TestKernelValues:
 class TestFunctorMatrices:
     def test_raising_n1_value(self):
         m = raising_matrix(1, -1)
-        assert (m.mat.nrows, m.mat.ncols) == (1, 1)
+        assert (m.nrows, m.ncols) == (1, 1)
         assert m.entry((), (1,)) == parse("x1", 2)
 
     def test_lowering_n1_values(self):
@@ -147,11 +147,11 @@ class TestFunctorMatrices:
 
     def test_empty_blocks(self):
         top = raising_matrix(2, 2)
-        assert (top.mat.nrows, top.mat.ncols) == (0, 1)
+        assert (top.nrows, top.ncols) == (0, 1)
         bottom = lowering_matrix(2, -2)
-        assert (bottom.mat.nrows, bottom.mat.ncols) == (0, 1)
+        assert (bottom.nrows, bottom.ncols) == (0, 1)
         beyond = raising_matrix(2, 4)
-        assert (beyond.mat.nrows, beyond.mat.ncols) == (0, 0)
+        assert (beyond.nrows, beyond.ncols) == (0, 0)
 
     def test_compose_weight_check(self):
         e0 = raising_matrix(2, 0)
@@ -163,8 +163,8 @@ class TestFunctorMatrices:
     def test_identity_and_scale(self):
         e = raising_matrix(2, 0)
         one = RationalFunction.one(3)
-        assert WeightBlock.scalar(2, 2, one) @ e == e
-        assert e @ WeightBlock.scalar(2, 0, one) == e
+        assert Matrix.scalar_block(2, 2, one) @ e == e
+        assert e @ Matrix.scalar_block(2, 0, one) == e
         two = RationalFunction.const(3, 2)
         assert (e.scale(two) - e) == e
 
@@ -194,16 +194,16 @@ class TestRelationBatteries:
         # top block: FE = 0, so the commutator is the lone EF composition
         top = commutator_matrix(n, n)
         s_top = commutator_scalar(n, 0)
-        assert top.mat[(0, 0)] == s_top
+        assert top[(0, 0)] == s_top
         assert epsilon_sign(n, 0) == (-1) ** (n - 1)
         # bottom block: EF = 0
         bot = commutator_matrix(n, -n)
-        assert bot.mat[(0, 0)] == commutator_scalar(n, n)
+        assert bot[(0, 0)] == commutator_scalar(n, n)
         assert epsilon_sign(n, n) == -1
 
     def test_commutator_magnitude_is_x_free(self):
         d = commutator_matrix(3, 1)
-        s = d.mat[(0, 0)]
+        s = d[(0, 0)]
         assert s == parse("1 - q^6", 4) or s == parse("q^6 - 1", 4)
 
     def test_scalar_helper_signs(self):
@@ -239,7 +239,7 @@ class TestNormalizedBlocks:
             "H": scalar_block(3, 1, 1),
         }
         assert fam["K"] == scalar_block(3, 1, 3)
-        assert fam["H"].mat[(0, 0)] == RationalFunction.q(4, 1)
+        assert fam["H"][(0, 0)] == RationalFunction.q(4, 1)
         assert fam["E"].target_weight == 3
         assert fam["F"].target_weight == -1
 
@@ -279,12 +279,12 @@ class TestIntertwiner:
         for k in range(n + 1):
             w = n - 2 * k
             if w + 2 in phi:
-                lhs = phi[w + 2] @ algebra_matrix(n, "E", w).mat
-                rhs = raising_matrix(n, w).mat @ phi[w]
+                lhs = phi[w + 2] @ algebra_matrix(n, "E", w)
+                rhs = raising_matrix(n, w) @ phi[w]
                 assert lhs == rhs
             if w - 2 in phi:
-                lhs = phi[w - 2] @ algebra_matrix(n, "F", w).mat
-                rhs = lowering_matrix(n, w).mat @ phi[w]
+                lhs = phi[w - 2] @ algebra_matrix(n, "F", w)
+                rhs = lowering_matrix(n, w) @ phi[w]
                 assert lhs == rhs
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -332,9 +332,9 @@ def reference_prove_intertwiner(n, seed):
         s = fm.commutator_scalar(n, k_of(n, w)).inv()
         for side, ops in sides.items():
             if w == n:
-                p = WeightBlock.zeros(n, w, w, zero).mat
+                p = Matrix.zero_block(n, w, w, zero)
             else:
-                p = (ops[w + 2][1] @ ops[w][0]).scale(s).mat
+                p = (ops[w + 2][1] @ ops[w][0]).scale(s)
             proj[side][w] = columns(p, column_basis(p, nvars, seed))
         r_alg, r_geo = (proj[side][w].ncols for side in sides)
         if r_alg != r_geo:
@@ -344,7 +344,7 @@ def reference_prove_intertwiner(n, seed):
         short = []
         for side, ops in sides.items():
             if w > -n:
-                lifted[side][w] = ops[w - 2][0].mat @ proj[side][w - 2]
+                lifted[side][w] = ops[w - 2][0] @ proj[side][w - 2]
             else:
                 lifted[side][w] = Matrix.zeros(proj[side][w].nrows, 0, zero)
             b = basis[side][w] = hstack(proj[side][w], lifted[side][w])
@@ -369,7 +369,7 @@ def reference_prove_intertwiner(n, seed):
             bad = ""
             for side, ops in sides.items():
                 e, split = ops[w][0], proj[side][w].ncols
-                got = e.mat @ lifted[side][w]
+                got = e @ lifted[side][w]
                 want = Matrix.zeros(got.nrows, got.ncols, zero)
                 bad = bad or witness(side, w, "E*B = [E*P | 0]", e, split, got, want, split)
             rep.add(f"phi intertwines E at weight {w}", not bad, bad)
@@ -378,7 +378,7 @@ def reference_prove_intertwiner(n, seed):
             bad = ""
             for side, ops in sides.items():
                 f, split = ops[w][1], proj[side][w].ncols
-                got = f.mat @ basis[side][w]
+                got = f @ basis[side][w]
                 want = hstack(
                     Matrix.zeros(got.nrows, split, zero), proj[side][w - 2].scale(s_low)
                 )
@@ -393,7 +393,7 @@ def _negate_lowering_column(monkeypatch, weight, col):
     def corrupted(n, source_weight, normalized=True):
         m = raw(n, source_weight, normalized)
         if source_weight == weight:
-            for row in m.mat.rows:
+            for row in m.rows:
                 row[col] = -row[col]
         return m
 
@@ -406,7 +406,7 @@ def _break_raising_entry(monkeypatch, weight):
     def corrupted(n, source_weight):
         m = raw(n, source_weight)
         if source_weight == weight:
-            m.mat.rows[0][0] = m.mat.rows[0][0] + RationalFunction.one(n + 1)
+            m.rows[0][0] = m.rows[0][0] + RationalFunction.one(n + 1)
         return m
 
     monkeypatch.setattr(fm, "raising_matrix", corrupted)
@@ -451,9 +451,14 @@ class TestDerivedIntertwiner:
             assert battery(3, blocks=blocks).passed
         calls = []
         matmul = Matrix.__matmul__
-        monkeypatch.setattr(
-            Matrix, "__matmul__", lambda a, b: (calls.append((a.nrows, b.ncols)), matmul(a, b))[1]
-        )
+
+        def counted(a, b):
+            # products over Q at the sample points are the proof's own work
+            if isinstance(a.zero, RationalFunction):
+                calls.append((a.nrows, b.ncols))
+            return matmul(a, b)
+
+        monkeypatch.setattr(Matrix, "__matmul__", counted)
         rep = intertwiner_report(3, blocks=blocks)
         assert rep.passed and len(rep.checks) == 14
         assert calls == []
@@ -478,7 +483,7 @@ class TestDerivedIntertwiner:
         on_a_pole = (Fraction(3), Fraction(3), Fraction(2))
         assert commutator_scalar(n, 0).evaluate(at_q_one) == 0
         with pytest.raises(PoleError):
-            raising_matrix(n, 0).mat[(0, 0)].evaluate(on_a_pole)
+            raising_matrix(n, 0)[(0, 0)].evaluate(on_a_pole)
         drawn = []
 
         def points(nvars, seed, attempts=72):
@@ -559,9 +564,9 @@ class TestGeometryBatteryNegativeControls:
 
     def test_witness_names_the_first_bad_entry(self):
         d = commutator_matrix(2, 0)
-        target = WeightBlock.scalar(2, 0, commutator_scalar(2, 1))
+        target = Matrix.scalar_block(2, 0, commutator_scalar(2, 1))
         assert entry_witness(d, target) == ""
-        d.mat.rows[1][0] = d.mat.rows[1][0] + RationalFunction.q(3, 1)
+        d.rows[1][0] = d.rows[1][0] + RationalFunction.q(3, 1)
         witness = entry_witness(d, target)
         assert witness.startswith(
             "first bad entry at row 1 (subset {2}), column 0 (subset {1}) is off by "

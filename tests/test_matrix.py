@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -80,3 +81,41 @@ class TestMatmul:
         prod = Matrix(2, 0, [[], []], zero) @ Matrix(0, 2, [], zero)
         assert (prod.nrows, prod.ncols) == (2, 2) and prod.is_zero()
         assert (row @ Matrix(2, 0, [[], []], zero)).ncols == 0
+
+
+def pole_free_points():
+    # rf_entries' denominators are 1 - x1 and x1 - x2; no coordinate is zero
+    coord = st.fractions(min_value=1, max_value=20, max_denominator=7)
+    return st.tuples(coord, coord, coord).filter(lambda p: p[0] != 1 and p[0] != p[1])
+
+
+class TestEvaluation:
+    @given(matrix_pairs(rf_entries(), RationalFunction.zero(NV)), pole_free_points())
+    @settings(max_examples=60, deadline=None)
+    def test_evaluation_is_multiplicative(self, ab, point):
+        # evaluation is a ring homomorphism: a product over Q at a point
+        # equals the value of the symbolic product there
+        a, b = ab
+
+        def ev(e):
+            return e.evaluate(point)
+
+        assert (a @ b).map(ev) == a.map(ev) @ b.map(ev)
+
+
+class TestWeightBlocks:
+    def test_labels_are_checked_and_kept(self):
+        one = Poly.one(3)
+        e = Matrix.zero_block(2, 0, 2, Poly.zero(3))
+        assert (e @ Matrix.scalar_block(2, 0, one)).block == (2, 0, 2)
+        assert (-e).block == e.map(RationalFunction.from_poly).block == (2, 0, 2)
+        plain = Matrix.zeros(1, 2, Poly.zero(3))
+        assert (e + plain).block == (None, None, None) and e != plain
+        with pytest.raises(ValueError, match="mixed n"):
+            e + Matrix.zero_block(1, -1, 1, Poly.zero(2))
+        with pytest.raises(ValueError, match="weight mismatch"):
+            e - Matrix.zero_block(2, -2, 0, Poly.zero(3))
+        with pytest.raises(ValueError, match="cannot compose: left source weight 0 != right"):
+            e @ e
+        with pytest.raises(ValueError, match="does not match the weight blocks"):
+            Matrix(1, 1, [[one]], Poly.zero(3), (2, 0, 2))

@@ -104,14 +104,14 @@ class TestRelations:
 class TestBlockMatrices:
     def test_raising_kills_top_block(self):
         m = block_matrix(3, "E", 3)
-        assert m.mat.nrows == 0 and m.mat.ncols == 1
+        assert m.nrows == 0 and m.ncols == 1
 
     def test_block_shapes(self):
         # raising from weight -1 at n=3: 3-dim block to 3-dim block
         m = block_matrix(3, "E", -1)
-        assert (m.mat.nrows, m.mat.ncols) == (3, 3)
+        assert (m.nrows, m.ncols) == (3, 3)
         m = block_matrix(4, "F", 0)
-        assert (m.mat.nrows, m.mat.ncols) == (4, 6)
+        assert (m.nrows, m.ncols) == (4, 6)
 
     def test_blocks_assemble_to_full(self):
         n = 3
@@ -138,7 +138,7 @@ class TestBlockMatrices:
 
     def test_blocks_beyond_the_ends_are_empty(self):
         m = block_matrix(2, "F", 4)
-        assert (m.mat.nrows, m.mat.ncols) == (1, 0)
+        assert (m.nrows, m.ncols) == (1, 0)
         with pytest.raises(ValueError, match="parity"):
             block_matrix(2, "E", 1)
 
