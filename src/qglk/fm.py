@@ -25,7 +25,9 @@ the fraction field that carries its two weights, rows and columns
 labelled by fixed points.  algebra_matrix lifts the algebra blocks of
 :mod:`qglk.superrep`, the same type over Poly, into that field, so the
 two actions are compared block by block; the intertwiner's proof
-evaluates both at rational points, the same type over Q.
+evaluates both at rational points, the same type over Q, and
+find_intertwiner returns phi as the pair of bases it maps between,
+never inverting a matrix.
 """
 
 from itertools import chain, islice
@@ -34,27 +36,16 @@ from math import comb
 from .grassmann import (
     det_tau_restrict,
     euler_class_rf,
-    fixed_points,
     hom_fiber,
     ratio_character,
     tangent_gr,
 )
-from .linalg import column_basis  # noqa: F401  (still importable from fm)
-from .linalg import columns, hstack, invert_matrix, pivot_columns, sample_points
+from .linalg import columns, hstack, pivot_columns, sample_points
 from .matrix import Matrix, entry_witness, k_of
 from .poly import Poly
 from .ratfunc import PoleError, RationalFunction
 from .report import Report
 from .superrep import block_matrix
-
-
-def correspondence_pairs(n, k_small):
-    """Fixed points of the one-step correspondence: nested pairs."""
-    out = []
-    for Sb in fixed_points(n, k_small + 1):
-        for b in Sb:
-            out.append((tuple(i for i in Sb if i != b), Sb))
-    return out
 
 
 def correspondence_tangent(n, S_small, S_big):
@@ -112,16 +103,16 @@ def raising_matrix(n, source_weight):
     return out
 
 
-def lowering_matrix(n, source_weight, normalized=True):
-    """Localized matrix of the lowering functor from the given weight."""
+def lowering_matrix(n, source_weight):
+    """Localized matrix of the lowering functor from the given weight,
+    times lowering_unit(n)."""
     out = Matrix.zero_block(n, source_weight, source_weight - 2, RationalFunction.zero(n + 1))
-    u = lowering_unit(n) if normalized else None
+    u = lowering_unit(n)
     for j, Ss in enumerate(out.cols_points):
         sset = set(Ss)
         for i, St in enumerate(out.rows_points):
             if sset <= set(St):
-                v = _pair_entry(n, Ss, St, raising=False)
-                out.rows[i][j] = v * u if normalized else v
+                out.rows[i][j] = _pair_entry(n, Ss, St, raising=False) * u
     return out
 
 
@@ -136,11 +127,6 @@ def commutator_scalar(n, k):
     if epsilon_sign(n, k) < 0:
         p = -p
     return RationalFunction(nvars, p)
-
-
-def commutator_matrix(n, weight):
-    """FE - EF on the weight block, built from the localized matrices."""
-    return Blocks(n).difference("geometric", weight)
 
 
 def _weights(n, max_weight=None):
@@ -250,7 +236,7 @@ def commutator_report(n, max_weight=None, blocks=None):
     return rep
 
 
-def algebra_matrix(n, gen, source_weight, normalized=True):
+def algebra_matrix(n, gen, source_weight):
     """Algebra generator on a weight block, lifted to the fraction field.
 
     Normalization: E picks up q^(-n) and F picks up (-1)^(n-k-1) q^(2n),
@@ -259,13 +245,11 @@ def algebra_matrix(n, gen, source_weight, normalized=True):
     """
     if gen not in ("E", "F"):
         raise ValueError("only E and F have functor counterparts")
-    block = block_matrix(n, gen, source_weight)
-    if normalized:
-        if gen == "E":
-            block = block.scale(Poly.q(n + 1, -n))
-        else:
-            block = block.scale(Poly.q(n + 1, 2 * n) * epsilon_sign(n, k_of(n, source_weight)))
-    return block.map(RationalFunction.from_poly)
+    if gen == "E":
+        unit = Poly.q(n + 1, -n)
+    else:
+        unit = Poly.q(n + 1, 2 * n) * epsilon_sign(n, k_of(n, source_weight))
+    return block_matrix(n, gen, source_weight).scale(unit).map(RationalFunction.from_poly)
 
 
 def scalar_block(n, weight, q_exp):
@@ -376,7 +360,10 @@ def _prove_intertwiner(n, seed, blocks):
     dims = {w: comb(n, k_of(n, w)) for w in weights}
     first = next(_at_points(blocks, seed), None)
     if first is None:
-        raise PoleError("every sample point hit a pole or a vanishing commutator scalar")
+        drawn = sum(1 for _ in sample_points(n + 1, seed))
+        why = f"all {drawn} points drawn with seed {seed:#x} hit a pole or a vanishing s_w"
+        rep.add("a pole-free sample point exists", False, why)
+        return rep, None
     pivots = {}
     ok_bases = True
     for w in reversed(weights):
@@ -417,7 +404,7 @@ def _prove_intertwiner(n, seed, blocks):
 
 def find_intertwiner(n, seed=0xC0FFEE):
     """Proves that the normalized algebra action and the geometric one are
-    intertwined by a block-diagonal phi, then builds phi.
+    intertwined by a block-diagonal phi, and returns phi in factored form.
 
     On each side, with s_w the commutator scalar and p_w = F_{w+2} E_w / s_w,
     the pivot columns P_w of p_w and E_{w-2} P_{w-2} form the basis
@@ -441,9 +428,10 @@ def find_intertwiner(n, seed=0xC0FFEE):
 
     A failure quotes the first failing premise and its witness.  E and F
     then act on B_alg and B_geo by the same structure matrices, so
-    phi_w = B_geo[w] B_alg[w]^-1 intertwines; only after the proof passes
-    is it built.  Returns (phi, report); phi maps each weight to a Matrix
+    phi_w = B_geo[w] B_alg[w]^-1 intertwines.  Returns (bases, report):
+    bases maps each weight w to (B_alg[w], B_geo[w]), square matrices
     over the fraction field, and is empty unless every check passed.
+    Nothing is inverted; the bases are built only after the proof passes.
     """
     blocks = Blocks(n)
     rep, pivots = _prove_intertwiner(n, seed, blocks)
@@ -451,11 +439,10 @@ def find_intertwiner(n, seed=0xC0FFEE):
         return {}, rep
     inverse = {w: commutator_scalar(n, k_of(n, w)).inv() for w in _weights(n)}
     at = _with_projectors({key: blocks.op(*key) for key in _block_keys(n)}, n, inverse)
-    phi = {}
-    for w in reversed(_weights(n)):
-        alg, geo = (_transported_basis(at, side, w, pivots) for side in SIDES)
-        phi[w] = geo @ invert_matrix(alg, RationalFunction.one(n + 1))
-    return phi, rep
+    bases = {
+        w: tuple(_transported_basis(at, side, w, pivots) for side in SIDES) for w in _weights(n)
+    }
+    return bases, rep
 
 
 def intertwiner_report(n, seed=0xC0FFEE, blocks=None):

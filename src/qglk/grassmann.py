@@ -166,9 +166,6 @@ class Space:
     def nvars(self):
         return self.n + 1
 
-    def tangent(self, S):
-        return _tangent(self.n, S, self.with_fiber)
-
     def inv_euler(self, S):
         return _inv_euler(self.n, S, self.with_fiber)
 

@@ -118,12 +118,6 @@ def _interpolating(duals, ell_inv, I, section_q_weight):
     )
 
 
-def generalized_koszul(I, L, V, section_q_weight=0):
-    """The interpolating complex: degree -j twisted by (L^dual)^{d(I,j)}."""
-    duals = exterior_powers(dual(V))
-    return _interpolating(duals, _dual_line(L), I, section_q_weight)
-
-
 def cone_class(src, tgt):
     """Class of the cone on a map src -> tgt: tgt plus src shifted by one."""
     return tgt.merge(src.shift(1))
@@ -152,18 +146,6 @@ def _source(duals, ell_inv, I, i, section_q_weight):
     return _step_block(top, ell_inv, -i)
 
 
-def proposition_source(I, i, L, V, section_q_weight=0):
-    """Source complex of the one-step cone that moves i in I to i+1.
-
-    Terms: degree -i carries Lambda^i V^dual (L^dual)^{d(I,i)} and degree
-    -i+1 carries the same with one fewer L^dual; the class identity
-    class(K^{I'}) = class(K^I) - class(source), I' = (I minus {i}) + {i+1},
-    fixes the twist normalization.
-    """
-    duals = exterior_powers(dual(V))
-    return _source(duals, _dual_line(L), I, i, section_q_weight)
-
-
 def _proposition(duals, ell_inv, I, i, section_q_weight):
     """The two sides of the one-step cone identity, as complexes:
     K^{I'} and the cone on the source into K^I."""
@@ -172,14 +154,6 @@ def _proposition(duals, ell_inv, I, i, section_q_weight):
     lhs = _interpolating(duals, ell_inv, Iprime, section_q_weight)
     src = _source(duals, ell_inv, I, i, section_q_weight)
     return lhs, cone_class(src, _interpolating(duals, ell_inv, I, section_q_weight))
-
-
-def proposition_check(I, i, L, V, section_q_weight=0):
-    """Verify the one-step cone identity at total-class level."""
-    duals = exterior_powers(dual(V))
-    lhs, rhs = _proposition(duals, _dual_line(L), I, i, section_q_weight)
-    lhs, rhs = lhs.total_class(), rhs.total_class()
-    return lhs == rhs, lhs, rhs
 
 
 def located_witness(a, b, names, by_class=False):

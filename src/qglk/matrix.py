@@ -51,7 +51,7 @@ class Matrix:
     A block's rows are the target block's k-subsets of {1..n} and its
     columns the source block's, in lexicographic order: the odd slots of
     the tensor basis words on the algebra side
-    (``superrep.subset_from_word``), the torus-fixed points of Gr(k, n)
+    (``superrep.word_from_subset``), the torus-fixed points of Gr(k, n)
     on the geometry side.  On a plain matrix the three labels are None.
     """
 
@@ -109,10 +109,6 @@ class Matrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
-
-    def entry(self, S_t, S_s):
-        """The entry of a block at row subset S_t and column subset S_s."""
-        return self.rows[self.rows_points.index(tuple(S_t))][self.cols_points.index(tuple(S_s))]
 
     def _labels(self, other, compose=False):
         """The block of self + other, or with compose of self @ other:

@@ -8,11 +8,11 @@ x_1, x_2, q has ``nvars == 3``.
 Inside a Poly each exponent is one packed integer key (``Poly.keys``).
 The top field holds the total degree; below it sits one 16-bit field per
 variable, x_1 first and q last, holding the exponent plus a bias of 2^14.
-Integer order on keys is then the term order of :func:`term_key`, and the
-key of a monomial product is ``k1 + k2 - zero``.  Exponents must lie in
-[-2^14, 2^14): the constructor checks both ends, products and shifts
-check the top (guard) bit of each field, and exact division checks its
-exponent box up front.  Out of range raises ``OverflowError``; nothing
+Integer order on keys is then the term order (total degree, then
+lexicographic on exponent tuples), and the key of a monomial product is
+``k1 + k2 - zero``.  Exponents must lie in [-2^14, 2^14): the
+constructor checks both ends, products and shifts check the top (guard)
+bit of each field, and exact division checks its exponent box up front.  Out of range raises ``OverflowError``; nothing
 returns a wrong polynomial.  Exponent tuples exist only at the boundary.
 
 Values are immutable once constructed and every operation returns a fresh
@@ -34,11 +34,6 @@ _MASK = (1 << _BITS) - 1
 # per nvars: key step of each variable, field offsets, degree-field offset,
 # key of the exponent 0, a 1 in every field, the guard bit of every field
 _Layout = namedtuple("_Layout", "weights shifts top zero ones guard")
-
-
-def term_key(exps):
-    """Total-degree-then-lexicographic sort key for an exponent tuple."""
-    return (sum(exps), exps)
 
 
 @cache

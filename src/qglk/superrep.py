@@ -34,19 +34,11 @@ GENERATORS = ("E", "F", "K", "Kinv", "H", "Hinv")
 WEIGHT_STEP = {"E": 2, "F": -2, "K": 0, "Kinv": 0, "H": 0, "Hinv": 0}
 
 
-def word_weight(word):
-    return len(word) - 2 * sum(word)
-
-
 def word_from_subset(n, subset):
     w = [0] * n
     for i in subset:
         w[i - 1] = 1
     return tuple(w)
-
-
-def subset_from_word(word):
-    return tuple(i + 1 for i, p in enumerate(word) if p)
 
 
 def weight_block_words(n, weight):
@@ -58,13 +50,6 @@ def weight_block_words(n, weight):
 
 def weight_blocks(n):
     return {n - 2 * k: weight_block_words(n, n - 2 * k) for k in range(n + 1)}
-
-
-def basis_words(n):
-    out = []
-    for k in range(n + 1):
-        out.extend(weight_block_words(n, n - 2 * k))
-    return out
 
 
 def apply_generator(gen, word):
@@ -118,14 +103,6 @@ def _image_matrix(gen, words_in, words_out, mat):
                 raise ValueError(f"image word {w2} of {gen} falls outside the target block")
             mat.rows[i][j] = mat.rows[i][j] + coeff
     return mat
-
-
-def full_matrix(n, gen):
-    """The dense 2^n x 2^n matrix of a generator in the basis_words order.
-
-    A reference for tests; the relation batteries never form it."""
-    words = basis_words(n)
-    return _image_matrix(gen, words, words, Matrix.zeros(2**n, 2**n, Poly.zero(n + 1)))
 
 
 def block_matrix(n, gen, source_weight):

@@ -12,6 +12,7 @@ from math import comb
 from qglk import fm, koszul, superrep
 from qglk.grassmann import Space
 from qglk.ratfunc import RationalFunction
+from reference import basis_words, entry, phi_from_bases
 from rf_parser import parse
 
 
@@ -40,7 +41,7 @@ class TestWeightDimensions:
                 assert len(words) == comb(n, k)
                 total += len(words)
             assert total == 2**n
-            assert len(superrep.basis_words(n)) == 2**n
+            assert len(basis_words(n)) == 2**n
             rep = superrep.weight_structure_report(n)
             assert rep.passed, f"n={n}: {fail_text(rep)}"
         assert time.perf_counter() - start < 1.0
@@ -113,8 +114,9 @@ class TestExtremeWeightClosedForms:
             plain = parse(f"1 - q^{2 * n}", n + 1)
             top_point = ()
             bot_point = tuple(range(1, n + 1))
-            top = fm.commutator_matrix(n, n).entry(top_point, top_point)
-            bot = fm.commutator_matrix(n, -n).entry(bot_point, bot_point)
+            blocks = fm.Blocks(n)
+            top = entry(blocks.difference("geometric", n), top_point, top_point)
+            bot = entry(blocks.difference("geometric", -n), bot_point, bot_point)
             assert top in (plain, -plain)
             assert bot in (plain, -plain)
             assert top == fm.commutator_scalar(n, 0)
@@ -128,8 +130,9 @@ class TestNormalizedRepAndIntertwiner:
             rep = fm.normalized_rep_report(n)
             assert rep.passed, f"n={n}: {fail_text(rep)}"
 
-            phi, irep = fm.find_intertwiner(n)
+            bases, irep = fm.find_intertwiner(n)
             assert irep.passed, f"n={n}: {fail_text(irep)}"
+            phi = phi_from_bases(n, bases)
             # one invertible square block per weight: block-diagonal by shape
             assert sorted(phi) == [2 * k - n for k in range(n + 1)]
             for k in range(n + 1):
@@ -155,7 +158,7 @@ class TestNormalizedRepAndIntertwiner:
     def test_intertwiner_equations_rechecked_directly(self):
         # independent restatement of the defining equations at n = 2
         n = 2
-        phi, _ = fm.find_intertwiner(n)
+        phi = phi_from_bases(n, fm.find_intertwiner(n)[0])
         for w in (-2, 0):
             e_alg = fm.algebra_matrix(n, "E", w)
             e_geo = fm.raising_matrix(n, w)

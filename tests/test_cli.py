@@ -104,8 +104,8 @@ class TestVerify:
         # a broken F on the top block, outside the window, still fails
         raw = fm.lowering_matrix
 
-        def corrupted(n, source_weight, normalized=True):
-            m = raw(n, source_weight, normalized)
+        def corrupted(n, source_weight):
+            m = raw(n, source_weight)
             if source_weight == 4:
                 m.rows[0][0] = -m.rows[0][0]
             return m

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qglk.fm import correspondence_pairs, correspondence_tangent
+from qglk.fm import correspondence_tangent
 from qglk.grassmann import (
     NonIsolatedFixedPointError,
     Space,
@@ -19,8 +19,16 @@ from qglk.grassmann import (
 )
 from qglk.poly import Poly
 from qglk.ratfunc import RationalFunction
+from reference import correspondence_pairs
 from rf_parser import parse
 from weights import mult, rank, weight_monomial
+
+
+def tangent(space, S):
+    """Tangent character of a fixed-point space at S: the Grassmannian
+    directions, plus the Hom fiber when the space carries it."""
+    t = tangent_gr(space.n, S)
+    return t + hom_fiber(space.n, S) if space.with_fiber else t
 
 
 def schur_rectangular(n, k, m):
@@ -352,10 +360,10 @@ class TestTangentData:
     def test_tangent_dimensions(self):
         sp = Space(4, 2, with_fiber=True)
         for S in sp.points:
-            assert rank(sp.tangent(S)) == 2 * 2 + 2 * 4
+            assert rank(tangent(sp, S)) == 2 * 2 + 2 * 4
         base = Space(4, 2, with_fiber=False)
         for S in base.points:
-            assert rank(base.tangent(S)) == 4
+            assert rank(tangent(base, S)) == 4
 
 
 class TestEulerClasses:
@@ -395,7 +403,7 @@ class TestEulerClasses:
         at n."""
         nvars = n + 1
         chars = [
-            Space(n, k, fiber).tangent(S)
+            tangent(Space(n, k, fiber), S)
             for k in range(n + 1)
             for fiber in (False, True)
             for S in fixed_points(n, k)
@@ -474,7 +482,7 @@ class TestPushforwards:
                 7,
                 [
                     RationalFunction.from_poly(det_tau_restrict(6, S, m))
-                    * euler_class_rf(sp.tangent(S), invert=True)
+                    * euler_class_rf(tangent(sp, S), invert=True)
                     for S in sp.points
                 ],
             )

@@ -7,10 +7,8 @@ from qglk import cli, fm
 from qglk.cli import main
 from qglk.fm import (
     algebra_matrix,
-    commutator_matrix,
     commutator_report,
     commutator_scalar,
-    correspondence_pairs,
     correspondence_tangent,
     epsilon_sign,
     find_intertwiner,
@@ -31,11 +29,19 @@ from qglk.grassmann import (
     ratio_character,
     tangent_gr,
 )
-from qglk.linalg import certify_invertible, column_basis, columns, hstack
+from qglk.linalg import columns, hstack
 from qglk.matrix import Matrix, entry_witness, first_difference, subset_label
 from qglk.poly import Poly
 from qglk.ratfunc import PoleError, RationalFunction
 from qglk.report import Report
+from qglk.superrep import block_matrix
+from reference import (
+    certify_invertible,
+    column_basis,
+    correspondence_pairs,
+    entry,
+    phi_from_bases,
+)
 from rf_parser import parse
 from weights import mult, rank, weight_monomial
 
@@ -104,14 +110,14 @@ class TestKernelValues:
     def test_entry_is_kernel_over_source_euler(self, n):
         for k_small in range(n):
             up = raising_matrix(n, n - 2 * (k_small + 1))
-            down = lowering_matrix(n, n - 2 * k_small, normalized=False)
+            down = lowering_matrix(n, n - 2 * k_small).scale(lowering_unit(n).inv())
             src_up = Space(n, k_small + 1)
             src_down = Space(n, k_small)
             for Ss, Sb in correspondence_pairs(n, k_small):
-                assert up.entry(Ss, Sb) == kernel_value(
+                assert entry(up, Ss, Sb) == kernel_value(
                     n, Ss, Sb, raising=True
                 ) * src_up.inv_euler(Sb)
-                assert down.entry(Sb, Ss) == kernel_value(
+                assert entry(down, Sb, Ss) == kernel_value(
                     n, Ss, Sb, raising=False
                 ) * src_down.inv_euler(Ss)
 
@@ -120,30 +126,29 @@ class TestFunctorMatrices:
     def test_raising_n1_value(self):
         m = raising_matrix(1, -1)
         assert (m.nrows, m.ncols) == (1, 1)
-        assert m.entry((), (1,)) == parse("x1", 2)
+        assert entry(m, (), (1,)) == parse("x1", 2)
 
     def test_lowering_n1_values(self):
-        raw = lowering_matrix(1, 1, normalized=False)
-        assert raw.entry((1,), ()) == parse("1 - q^-2", 2)
+        raw = lowering_matrix(1, 1).scale(lowering_unit(1).inv())
+        assert entry(raw, (1,), ()) == parse("1 - q^-2", 2)
         norm = lowering_matrix(1, 1)
-        assert norm.entry((1,), ()) == parse("(q^2 - 1)/x1", 2)
+        assert entry(norm, (1,), ()) == parse("(q^2 - 1)/x1", 2)
 
     def test_raising_n2_closed_forms(self):
         m = raising_matrix(2, 0)
-        assert m.entry((), (1,)) == parse("x1*x2/(x2 - x1)", 3)
-        assert m.entry((), (2,)) == parse("x1*x2/(x1 - x2)", 3)
+        assert entry(m, (), (1,)) == parse("x1*x2/(x2 - x1)", 3)
+        assert entry(m, (), (2,)) == parse("x1*x2/(x1 - x2)", 3)
 
     def test_lowering_n2_closed_form(self):
         m = lowering_matrix(2, 2)
         expected = parse("((q^4 - q^2)*x1 - (q^2 - 1)*x2) / (x1*x2)", 3)
-        assert m.entry((1,), ()) == expected
+        assert entry(m, (1,), ()) == expected
 
     def test_lowering_unit(self):
         assert lowering_unit(2) == parse("q^4/(x1*x2)", 3)
-        raw = lowering_matrix(3, 1, normalized=False)
+        raw = kernel_value(3, (1,), (1, 2), raising=False) * Space(3, 1).inv_euler((1,))
         norm = lowering_matrix(3, 1)
-        u = lowering_unit(3)
-        assert norm.entry((1, 2), (1,)) == raw.entry((1, 2), (1,)) * u
+        assert entry(norm, (1, 2), (1,)) == raw * lowering_unit(3)
 
     def test_empty_blocks(self):
         top = raising_matrix(2, 2)
@@ -192,17 +197,17 @@ class TestRelationBatteries:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_extreme_weight_signs(self, n):
         # top block: FE = 0, so the commutator is the lone EF composition
-        top = commutator_matrix(n, n)
+        top = fm.Blocks(n).difference("geometric", n)
         s_top = commutator_scalar(n, 0)
         assert top[(0, 0)] == s_top
         assert epsilon_sign(n, 0) == (-1) ** (n - 1)
         # bottom block: EF = 0
-        bot = commutator_matrix(n, -n)
+        bot = fm.Blocks(n).difference("geometric", -n)
         assert bot[(0, 0)] == commutator_scalar(n, n)
         assert epsilon_sign(n, n) == -1
 
     def test_commutator_magnitude_is_x_free(self):
-        d = commutator_matrix(3, 1)
+        d = fm.Blocks(3).difference("geometric", 1)
         s = d[(0, 0)]
         assert s == parse("1 - q^6", 4) or s == parse("q^6 - 1", 4)
 
@@ -213,17 +218,17 @@ class TestRelationBatteries:
 
 class TestNormalizedBlocks:
     def test_unnormalized_matches_superrep(self):
-        e = algebra_matrix(2, "E", 0, normalized=False)
-        assert e.entry((), (1,)) == parse("(q - q^-1)*q^-1", 3)
-        assert e.entry((), (2,)) == parse("q - q^-1", 3)
+        e = block_matrix(2, "E", 0).map(RationalFunction.from_poly)
+        assert entry(e, (), (1,)) == parse("(q - q^-1)*q^-1", 3)
+        assert entry(e, (), (2,)) == parse("q - q^-1", 3)
 
     def test_normalization_units(self):
         e = algebra_matrix(2, "E", 0)
-        assert e.entry((), (1,)) == parse("(q - q^-1)*q^-3", 3)
+        assert entry(e, (), (1,)) == parse("(q - q^-1)*q^-3", 3)
         f = algebra_matrix(2, "F", 2)
         # k=0 at the source, so the sign is (-1)^(2-0-1) = -1
-        assert f.entry((1,), ()) == parse("-q^4", 3)
-        assert f.entry((2,), ()) == parse("-q^5", 3)
+        assert entry(f, (1,), ()) == parse("-q^4", 3)
+        assert entry(f, (2,), ()) == parse("-q^5", 3)
 
     def test_only_e_and_f(self):
         with pytest.raises(ValueError):
@@ -251,16 +256,21 @@ class TestNormalizedBlocks:
 
 
 class TestIntertwiner:
+    """phi_w = B_geo[w] B_alg[w]^-1, rebuilt from the bases find_intertwiner
+    returns by the Gauss-Jordan reference of the tests."""
+
     def test_n1_pinned_blocks(self):
-        phi, rep = find_intertwiner(1)
+        bases, rep = find_intertwiner(1)
         assert rep.passed, "\n".join(rep.summary_lines())
+        phi = phi_from_bases(1, bases)
         assert phi[-1][(0, 0)] == RationalFunction.one(2)
         assert phi[1][(0, 0)] == parse("q^2*x1/(q^2 - 1)", 2)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_exists_and_verifies(self, n):
-        phi, rep = find_intertwiner(n)
+        bases, rep = find_intertwiner(n)
         assert rep.passed, "\n".join(rep.summary_lines())
+        phi = phi_from_bases(n, bases)
         for k in range(n + 1):
             w = n - 2 * k
             b = phi[w]
@@ -268,14 +278,14 @@ class TestIntertwiner:
 
     def test_n2_off_diagonal(self):
         # a diagonal change of basis cannot intertwine both E and F at n=2
-        phi, _ = find_intertwiner(2)
+        phi = phi_from_bases(2, find_intertwiner(2)[0])
         middle = phi[0]
         off = [middle[(0, 1)], middle[(1, 0)]]
         assert any(not v.is_zero() for v in off)
 
     def test_intertwining_equations_directly(self):
         n = 2
-        phi, _ = find_intertwiner(n)
+        phi = phi_from_bases(n, find_intertwiner(n)[0])
         for k in range(n + 1):
             w = n - 2 * k
             if w + 2 in phi:
@@ -296,13 +306,27 @@ class TestIntertwiner:
         ]
         assert len(rep.checks) == 4 * n + 2
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bases_match_the_symbolic_reference(self, n):
+        for seed in (7, 0xC0FFEE):
+            bases, rep = find_intertwiner(n, seed)
+            assert rep.passed, "\n".join(rep.summary_lines())
+            ref, basis = reference_prove_intertwiner(n, seed)
+            assert sorted(bases) == sorted(basis["algebra"]) == [2 * k - n for k in range(n + 1)]
+            for w, (alg, geo) in bases.items():
+                d = comb(n, k_of(n, w))
+                assert (alg.nrows, alg.ncols) == (geo.nrows, geo.ncols) == (d, d)
+                assert alg == basis["algebra"][w]
+                assert geo == basis["geometric"][w]
+
 
 def reference_prove_intertwiner(n, seed):
     """The symbolic proof of the intertwiner, the reference for the
     derived one: on both sides it forms B[w] = [P_w | E_{w-2} P_{w-2}]
     over the fraction field and checks E*B = [E*P | 0] and
     F*B = [0 | s*P] as exact identities; pivots and invertibility come
-    from linalg at seeded points of the symbolic matrices."""
+    from the point-sampled references at seeded points of the symbolic
+    matrices.  Returns the report and the bases {side: {w: B[w]}}."""
     rep = Report(f"intertwiner at n={n}")
     nvars = n + 1
     zero = RationalFunction.zero(nvars)
@@ -353,7 +377,7 @@ def reference_prove_intertwiner(n, seed):
         rep.add(f"transported bases fill the weight-{w} block", not short, "; ".join(short))
         ok_bases = ok_bases and not short
     if not ok_bases:
-        return rep
+        return rep, basis
 
     for w in weights:
         why = []
@@ -384,14 +408,14 @@ def reference_prove_intertwiner(n, seed):
                 )
                 bad = bad or witness(side, w, "F*B = [0 | s*P]", f, split, got, want)
             rep.add(f"phi intertwines F at weight {w}", not bad, bad)
-    return rep
+    return rep, basis
 
 
 def _negate_lowering_column(monkeypatch, weight, col):
     raw = fm.lowering_matrix
 
-    def corrupted(n, source_weight, normalized=True):
-        m = raw(n, source_weight, normalized)
+    def corrupted(n, source_weight):
+        m = raw(n, source_weight)
         if source_weight == weight:
             for row in m.rows:
                 row[col] = -row[col]
@@ -438,7 +462,7 @@ class TestDerivedIntertwiner:
         if mutation:
             INTERTWINER_MUTATIONS[mutation](monkeypatch, n)
         for seed in (7, 0xC0FFEE):
-            ref = reference_prove_intertwiner(n, seed)
+            ref, _ = reference_prove_intertwiner(n, seed)
             rep = intertwiner_report(n, seed)
             assert [c.name for c in rep.checks] == [c.name for c in ref.checks]
             assert rep.passed == ref.passed
@@ -545,6 +569,22 @@ class TestIntertwinerNegativeControls:
             assert premise.startswith(("FE - EF is eps*(1-q^6) at weight ", "sign relation s_"))
 
 
+    def test_no_usable_sample_point_fails_without_a_crash(self, monkeypatch, capsys):
+        # every s_w vanishes, so every point drawn is rejected
+        monkeypatch.setattr(fm, "commutator_scalar", lambda n, k: RationalFunction.zero(n + 1))
+        rep = intertwiner_report(2)
+        assert [(c.name, c.passed) for c in rep.checks] == [
+            ("a pole-free sample point exists", False)
+        ]
+        assert rep.failures[0].witness == (
+            "all 72 points drawn with seed 0xc0ffee hit a pole or a vanishing s_w"
+        )
+        assert "seed 0x7 " in intertwiner_report(2, seed=7).failures[0].witness
+        assert find_intertwiner(2)[0] == {}
+        assert cli.main(["verify", "--n", "2"]) == 1
+        assert "[FAIL] a pole-free sample point exists" in capsys.readouterr().out
+
+
 class TestGeometryBatteryNegativeControls:
     def test_negated_lowering_column_gives_located_witnesses(self, monkeypatch):
         _negate_lowering_column(monkeypatch, weight=1, col=2)
@@ -563,7 +603,7 @@ class TestGeometryBatteryNegativeControls:
         assert "row 0 (subset {1}), column 2 (subset {3})" in failures[1].witness
 
     def test_witness_names_the_first_bad_entry(self):
-        d = commutator_matrix(2, 0)
+        d = fm.Blocks(2).difference("geometric", 0)
         target = Matrix.scalar_block(2, 0, commutator_scalar(2, 1))
         assert entry_witness(d, target) == ""
         d.rows[1][0] = d.rows[1][0] + RationalFunction.q(3, 1)

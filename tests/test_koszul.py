@@ -8,20 +8,48 @@ from qglk import cli, koszul
 from qglk.grassmann import dual, euler_class_rf, exterior_powers
 from qglk.koszul import (
     GradedComplex,
+    _dual_line,
+    _interpolating,
+    _proposition,
+    _source,
     cone_class,
     d_of,
-    generalized_koszul,
     generic_bundle_data,
     iterated_cone_classes,
     iterated_cone_report,
     koszul_complex,
     located_witness,
-    proposition_check,
-    proposition_source,
 )
 from qglk.poly import Poly
 from qglk.ratfunc import RationalFunction
 from weights import rank
+
+
+def generalized_koszul(I, L, V, section_q_weight=0):
+    """The interpolating complex: degree -j twisted by (L^dual)^{d(I,j)}."""
+    duals = exterior_powers(dual(V))
+    return _interpolating(duals, _dual_line(L), I, section_q_weight)
+
+
+def proposition_source(I, i, L, V, section_q_weight=0):
+    """Source complex of the one-step cone that moves i in I to i+1.
+
+    Terms: degree -i carries Lambda^i V^dual (L^dual)^{d(I,i)} and degree
+    -i+1 carries the same with one fewer L^dual; the class identity
+    class(K^{I'}) = class(K^I) - class(source), I' = (I minus {i}) + {i+1},
+    fixes the twist normalization.
+    """
+    duals = exterior_powers(dual(V))
+    return _source(duals, _dual_line(L), I, i, section_q_weight)
+
+
+def proposition_check(I, i, L, V, section_q_weight=0):
+    """The one-step cone identity at total-class level, one move at a
+    time: the reference for the sweep of koszul.endpoint_report."""
+    duals = exterior_powers(dual(V))
+    lhs, rhs = _proposition(duals, _dual_line(L), I, i, section_q_weight)
+    lhs, rhs = lhs.total_class(), rhs.total_class()
+    return lhs == rhs, lhs, rhs
 
 
 def mono(n_x, q_exp=0, **xs):
