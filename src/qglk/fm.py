@@ -28,9 +28,20 @@ two actions are compared block by block; the intertwiner's proof
 evaluates both at rational points, the same type over Q, and
 find_intertwiner returns phi as the pair of bases it maps between,
 never inverting a matrix.
+
+S_n permutes x_1..x_n and the fixed points together, and the geometric
+blocks are equivariant: E[sigma S, sigma T] = sigma(E[S, T]).  So the
+squares and commutators are checked on one entry per S_n-orbit of
+positions.  sigma is a ring automorphism of Q(x, q), so products and
+differences of equivariant blocks are equivariant, and the targets 0
+and s * Id are S_n-invariant.  Orbits of (S, T) with fixed sizes are
+classified by |S & T|.  An exact gate, is_equivariant, first checks
+each factor block against the two generators (1 2) and (1 2 ... n) of
+S_n; if any factor fails it, every position is checked.
 """
 
-from itertools import chain, islice
+from functools import cache
+from itertools import chain, islice, product
 from math import comb
 
 from .grassmann import (
@@ -41,7 +52,7 @@ from .grassmann import (
     tangent_gr,
 )
 from .linalg import columns, hstack, pivot_columns, sample_points
-from .matrix import Matrix, entry_witness, k_of
+from .matrix import Matrix, block_points, dot, entry_witness, k_of, witness_at
 from .poly import Poly
 from .ratfunc import PoleError, RationalFunction
 from .report import Report
@@ -145,6 +156,66 @@ def _signed_scalars(n):
     return {1: base, -1: -base}
 
 
+def _generators(n):
+    """(1 2) and (1 2 ... n), which generate S_n, as tuples of images."""
+    return ((2, 1, *range(3, n + 1)), (*range(2, n + 1), 1)) if n > 1 else ()
+
+
+def _image(perm, S):
+    return tuple(sorted(perm[i - 1] for i in S))
+
+
+def is_equivariant(block):
+    """Whether block[sigma S, sigma T] == sigma(block[S, T]) for every
+    sigma in S_n, with sigma permuting x_1..x_n and the subsets.
+
+    Checking the two generators suffices, and so does checking nonzero
+    entries only: sigma is a bijection on positions, so if it maps every
+    nonzero entry onto a nonzero one it maps the zeros onto zeros."""
+    rows = {S: i for i, S in enumerate(block.rows_points)}
+    cols = {T: j for j, T in enumerate(block.cols_points)}
+    for perm in _generators(block.n):
+        factors = {}  # the entries share their Euler factors: each permuted once
+        for S, i in rows.items():
+            row = block.rows[rows[_image(perm, S)]]
+            for T, j in cols.items():
+                e = block.rows[i][j]
+                if e and row[cols[_image(perm, T)]] != e.permute(perm, factors):
+                    return False
+    return True
+
+
+@cache
+def orbit_representatives(n, source_weight, target_weight):
+    """The first position (i, j) in row-major order of each S_n-orbit of
+    the entries of a block: pairs (S, T) of subsets of fixed sizes lie in
+    one orbit exactly when their |S & T| agree."""
+    first = {}
+    for i, S in enumerate(block_points(n, target_weight)):
+        for j, T in enumerate(block_points(n, source_weight)):
+            first.setdefault(len(set(S) & set(T)), (i, j))
+    return sorted(first.values())
+
+
+def _first_off(values, s=None):
+    """(i, j, value - target) at the first of the (i, j, value) whose
+    value differs from s times the identity (zero when s is None)."""
+    for i, j, v in values:
+        if s is not None and i == j:
+            if v != s:
+                return i, j, v - s
+        elif v:
+            return i, j, v
+    return None
+
+
+def _witness(block, values, s=None):
+    """witness_at the first of the (i, j, value) of a block that differs
+    from s times the identity (zero when s is None); "" if none does."""
+    bad = _first_off(values, s)
+    return "" if bad is None else witness_at(block, *bad)
+
+
 class Blocks:
     """The E and F blocks of both sides at one n, and the relation checks
     on them, each built once.
@@ -153,6 +224,11 @@ class Blocks:
     instance, so every premise the intertwiner cites is the outcome its
     battery reports.  Blocks come from the module-level raising_matrix,
     lowering_matrix and algebra_matrix on first use.
+
+    A square or commutator is checked on orbit representatives when every
+    factor block passed is_equivariant, else on every entry (see the
+    module docstring).  Every entry of a bad orbit is bad, so the first
+    bad representative is the first bad entry: the witness is the same.
     """
 
     def __init__(self, n):
@@ -171,6 +247,30 @@ class Blocks:
         build = raising_matrix if gen == "E" else lowering_matrix
         return self._once((side, gen, w), lambda: build(self.n, w))
 
+    def equivariant(self, side, gen, w):
+        """is_equivariant of the block op(side, gen, w)."""
+        return self._once(("gate", side, gen, w), lambda: is_equivariant(self.op(side, gen, w)))
+
+    def _values(self, side, products):
+        """The block of A @ B, or of A @ B - C @ D for two products, and its
+        (i, j, entry) in row-major order, on orbit representatives when every
+        factor is equivariant; each entry is formed as Matrix.__matmul__
+        forms it."""
+        ops = [(self.op(side, *left), self.op(side, *right)) for left, right in products]
+        first, last = ops[0]
+        block = (self.n, last.source_weight, first.target_weight)
+        if all(self.equivariant(side, *key) for pair in products for key in pair):
+            positions = orbit_representatives(*block)
+        else:
+            positions = product(range(first.nrows), range(last.ncols))
+
+        def values():
+            for i, j in positions:
+                parts = [dot(a.zero, a.rows[i], [r[j] for r in b.rows]) for a, b in ops]
+                yield i, j, parts[0] if len(parts) == 1 else parts[0] - parts[1]
+
+        return block, values()
+
     def square(self, side, gen, w):
         """(name, witness) of the check that gen twice from weight w vanishes."""
         if side == "algebra":
@@ -179,13 +279,8 @@ class Blocks:
             name = f"{'raising' if gen == 'E' else 'lowering'} twice from weight {w} vanishes"
         step = 2 if gen == "E" else -2
         return name, self._once(
-            name, lambda: entry_witness(self.op(side, gen, w + step) @ self.op(side, gen, w))
+            name, lambda: _witness(*self._values(side, [((gen, w + step), (gen, w))]))
         )
-
-    def difference(self, side, w):
-        """FE - EF on the weight-w block of one side."""
-        op = self.op
-        return op(side, "F", w + 2) @ op(side, "E", w) - op(side, "E", w - 2) @ op(side, "F", w)
 
     def commutator(self, side, w):
         """[(name, witness)] of the commutator checks at weight w, and on
@@ -194,14 +289,15 @@ class Blocks:
 
     def _commutator(self, side, w):
         n, k = self.n, k_of(self.n, w)
-        d = self.difference(side, w)
+        block, values = self._values(side, [(("F", w + 2), ("E", w)), (("E", w - 2), ("F", w))])
+        values = list(values)
         if side == "algebra":
-            bad = entry_witness(d, Matrix.scalar_block(n, w, commutator_scalar(n, k)))
+            bad = _witness(block, values, commutator_scalar(n, k))
             return [(f"FE - EF is eps*(1-q^{2*n}) at weight {w}", bad)], None
         signed = _signed_scalars(n)
-        eps = next((c for c, s in signed.items() if d == Matrix.scalar_block(n, w, s)), None)
+        eps = next((c for c, s in signed.items() if _first_off(values, s) is None), None)
         pred = epsilon_sign(n, k)
-        bad = "" if eps == pred else entry_witness(d, Matrix.scalar_block(n, w, signed[pred]))
+        bad = "" if eps == pred else _witness(block, values, signed[pred])
         name = f"weight {w} commutator is a (1-q^{2*n}) scalar on a dim-{comb(n, k)} block"
         if eps is None:
             return [(name, bad)], None

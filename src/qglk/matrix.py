@@ -160,11 +160,7 @@ class Matrix:
             cols = list(zip(*other.rows)) if self.ncols else [()] * other.ncols
             for row, orow in zip(self.rows, out):
                 for j, col in enumerate(cols):
-                    terms = [a * b for a, b in zip(row, col) if a and b]
-                    if len(terms) == 1:
-                        orow[j] = terms[0]
-                    elif terms:
-                        orow[j] = RationalFunction.sum(self.zero.nvars, terms)
+                    orow[j] = dot(self.zero, row, col)
         else:
             # each row of other as its nonzero (column, entry) pairs, once
             sparse = [[(j, b) for j, b in enumerate(brow) if b] for brow in other.rows]
@@ -209,6 +205,15 @@ class Matrix:
         return "\n".join(lines)
 
 
+def dot(zero, row, col):
+    """The entry of a rational-function product from one row and one
+    column: the nonzero products summed in one RationalFunction.sum."""
+    terms = [a * b for a, b in zip(row, col) if a and b]
+    if len(terms) == 1:
+        return terms[0]
+    return RationalFunction.sum(zero.nvars, terms) if terms else zero
+
+
 def first_difference(got, want=None):
     """(row, column, got - want) at the first entry where two matrices
     differ, or None; want=None stands for the zero matrix."""
@@ -231,12 +236,17 @@ def entry_witness(got, want=None):
     a short witness: the entry's row and column with their subsets and
     the difference at a seeded integer point; "" if equal."""
     bad = first_difference(got, want)
-    if bad is None:
-        return ""
-    i, j, diff = bad
+    return "" if bad is None else witness_at(got.block, *bad)
+
+
+def witness_at(block, i, j, diff):
+    """The witness of entry_witness for a bad entry (i, j) of a weight
+    block (n, source_weight, target_weight) that is off by diff."""
+    n, source_weight, target_weight = block
+    row, col = block_points(n, target_weight)[i], block_points(n, source_weight)[j]
     where = (
-        f"first bad entry at row {i} (subset {subset_label(got.rows_points[i])}), "
-        f"column {j} (subset {subset_label(got.cols_points[j])})"
+        f"first bad entry at row {i} (subset {subset_label(row)}), "
+        f"column {j} (subset {subset_label(col)})"
     )
     rng = random.Random(0xC0FFEE)
     for _ in range(64):

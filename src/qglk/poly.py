@@ -49,6 +49,17 @@ def _unpack(lay, k):
     return tuple([(k >> s & _MASK) - _BIAS for s in lay.shifts])
 
 
+@cache
+def _permutation(n, perm):
+    """(keep, moves) of Poly.permute: the mask that clears the fields of
+    the moved x's, and their (from, to) field offsets."""
+    if sorted(perm) != list(range(1, n)):
+        raise ValueError(f"{perm} is not a permutation of 1..{n - 1}")
+    shifts = _layout(n).shifts
+    moves = tuple((shifts[i], shifts[p - 1]) for i, p in enumerate(perm) if p != i + 1)
+    return ~sum(_MASK << s for s, _ in moves), moves
+
+
 def _check_fields(lay, keys):
     """Raise unless no key has a guard bit set.  Sound when every field
     value before wrapping lies in [-2^15, 2^16): the lowest bad field then
@@ -269,6 +280,17 @@ class Poly:
         if min(shift, default=0) < -2 * _BIAS or max(shift, default=0) >= 2 * _BIAS:
             raise OverflowError("exponent shift outside [-2^15, 2^15)")
         return self._translate(sum(map(mul, shift, _layout(self.nvars).weights)))
+
+    def permute(self, perm):
+        """self with each x_i replaced by x_perm[i-1], for perm a tuple
+        holding a permutation of 1..N: a ring automorphism that fixes q.
+        Each key's x-fields move; its degree field and q field stay."""
+        keep, moves = _permutation(self.nvars, tuple(perm))
+        keys = {
+            (k & keep) + sum((k >> s & _MASK) << t for s, t in moves): c
+            for k, c in self.keys.items()
+        }
+        return Poly._raw(self.nvars, keys)
 
     def extract_unit(self):
         """Write self = sign * content * X^shift * canonical.

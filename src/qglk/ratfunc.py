@@ -252,6 +252,30 @@ class RationalFunction:
             total = total + part
         return cls(nvars, total, tuple(common.items()), scalar)
 
+    def permute(self, perm, factors=None):
+        """self with each x_i replaced by x_perm[i-1] (see Poly.permute).
+
+        A permuted canonical factor keeps floor zero and content one, but
+        its leading term, and so its sign, can change: extract_unit
+        re-canonicalizes it, and an odd multiplicity of a flipped factor
+        negates the numerator.  No factor divides the numerator, and an
+        automorphism keeps it so: nothing is divided.  ``factors``, a
+        dict of factors already permuted by this same perm, lets fractions
+        share that work."""
+        memo = {} if factors is None else factors
+        num = self.num.permute(perm)
+        den = []
+        for f, m in self.den_factors:
+            hit = memo.get(f)
+            if hit is None:
+                canon, _, sign, _ = f.permute(perm).extract_unit()
+                hit = memo[f] = canon, sign
+            if hit[1] < 0 and m % 2:
+                num = -num
+            den.append((hit[0], m))
+        den.sort(key=lambda fm: term_sort_key(fm[0]))
+        return RationalFunction._reduced(self.nvars, num, tuple(den), self.den_scalar)
+
     # -- comparison and evaluation ---------------------------------------
 
     def __eq__(self, other):

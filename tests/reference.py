@@ -6,16 +6,20 @@ invertibility certificates the intertwiner's proof once called, kept as
 references for the proof in qglk.fm and for phi, which qglk.fm returns
 as the pair of bases B_alg, B_geo with phi_w = B_geo[w] B_alg[w]^-1.
 
-The dense tensor representation: the 2^n x 2^n matrix of a generator in
-the basis of all words, the reference for the block-by-block relation
-battery.  Fixed-point bookkeeping: the nested pairs of the one-step
+The full sweeps: every entry of each square and commutator, formed as
+whole matrices, the reference for the orbit-representative checks of
+qglk.fm.Blocks.  The dense tensor representation: the 2^n x 2^n matrix
+of a generator in the basis of all words, the reference for the
+block-by-block relation battery.  Fixed-point bookkeeping: the nested pairs of the one-step
 correspondence and block entries looked up by their subset labels.
 """
 
-from qglk import superrep
+from math import comb
+
+from qglk import fm, superrep
 from qglk.grassmann import fixed_points
 from qglk.linalg import pivot_columns, sample_points
-from qglk.matrix import Matrix
+from qglk.matrix import Matrix, entry_witness, k_of
 from qglk.poly import Poly
 from qglk.ratfunc import PoleError, RationalFunction
 
@@ -170,3 +174,40 @@ def full_matrix(n, gen):
     return superrep._image_matrix(
         gen, words, words, Matrix.zeros(2**n, 2**n, Poly.zero(n + 1))
     )
+
+
+class FullSweepBlocks(fm.Blocks):
+    """fm.Blocks with every square and commutator checked on whole
+    matrices, at every entry, whatever the equivariance gate says."""
+
+    def difference(self, side, w):
+        """FE - EF on the weight-w block of one side."""
+        op = self.op
+        return op(side, "F", w + 2) @ op(side, "E", w) - op(side, "E", w - 2) @ op(side, "F", w)
+
+    def square(self, side, gen, w):
+        if side == "algebra":
+            name = f"{gen}^2 vanishes from weight {w}"
+        else:
+            name = f"{'raising' if gen == 'E' else 'lowering'} twice from weight {w} vanishes"
+        step = 2 if gen == "E" else -2
+        return name, self._once(
+            name, lambda: entry_witness(self.op(side, gen, w + step) @ self.op(side, gen, w))
+        )
+
+    def _commutator(self, side, w):
+        n, k = self.n, k_of(self.n, w)
+        d = self.difference(side, w)
+        if side == "algebra":
+            bad = entry_witness(d, Matrix.scalar_block(n, w, fm.commutator_scalar(n, k)))
+            return [(f"FE - EF is eps*(1-q^{2*n}) at weight {w}", bad)], None
+        signed = fm._signed_scalars(n)
+        eps = next((c for c, s in signed.items() if d == Matrix.scalar_block(n, w, s)), None)
+        pred = fm.epsilon_sign(n, k)
+        bad = "" if eps == pred else entry_witness(d, Matrix.scalar_block(n, w, signed[pred]))
+        name = f"weight {w} commutator is a (1-q^{2*n}) scalar on a dim-{comb(n, k)} block"
+        if eps is None:
+            return [(name, bad)], None
+        sign = f"observed {eps:+d}, parity {pred:+d}; {bad}" if bad else ""
+        note = f"weight {w}: epsilon={eps:+d}, parity (-1)^(n-k-1)={pred:+d}"
+        return [(name, ""), (f"weight {w} sign matches (-1)^(n-k-1)", sign)], note

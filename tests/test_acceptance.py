@@ -12,7 +12,7 @@ from math import comb
 from qglk import fm, koszul, superrep
 from qglk.grassmann import Space
 from qglk.ratfunc import RationalFunction
-from reference import basis_words, entry, phi_from_bases
+from reference import FullSweepBlocks, basis_words, entry, phi_from_bases
 from rf_parser import parse
 
 
@@ -114,7 +114,7 @@ class TestExtremeWeightClosedForms:
             plain = parse(f"1 - q^{2 * n}", n + 1)
             top_point = ()
             bot_point = tuple(range(1, n + 1))
-            blocks = fm.Blocks(n)
+            blocks = FullSweepBlocks(n)
             top = entry(blocks.difference("geometric", n), top_point, top_point)
             bot = entry(blocks.difference("geometric", -n), bot_point, bot_point)
             assert top in (plain, -plain)

@@ -1,9 +1,10 @@
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
 
-from qglk import cli, fm
+from qglk import cli, fm, superrep
 from qglk.cli import main
 from qglk.fm import (
     algebra_matrix,
@@ -30,12 +31,15 @@ from qglk.grassmann import (
     tangent_gr,
 )
 from qglk.linalg import columns, hstack
-from qglk.matrix import Matrix, entry_witness, first_difference, subset_label
+from qglk.matrix import Matrix, block_points, entry_witness, first_difference, subset_label
 from qglk.poly import Poly
 from qglk.ratfunc import PoleError, RationalFunction
 from qglk.report import Report
 from qglk.superrep import block_matrix
+
+import test_superrep
 from reference import (
+    FullSweepBlocks,
     certify_invertible,
     column_basis,
     correspondence_pairs,
@@ -197,17 +201,17 @@ class TestRelationBatteries:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_extreme_weight_signs(self, n):
         # top block: FE = 0, so the commutator is the lone EF composition
-        top = fm.Blocks(n).difference("geometric", n)
+        top = FullSweepBlocks(n).difference("geometric", n)
         s_top = commutator_scalar(n, 0)
         assert top[(0, 0)] == s_top
         assert epsilon_sign(n, 0) == (-1) ** (n - 1)
         # bottom block: EF = 0
-        bot = fm.Blocks(n).difference("geometric", -n)
+        bot = FullSweepBlocks(n).difference("geometric", -n)
         assert bot[(0, 0)] == commutator_scalar(n, n)
         assert epsilon_sign(n, n) == -1
 
     def test_commutator_magnitude_is_x_free(self):
-        d = fm.Blocks(3).difference("geometric", 1)
+        d = FullSweepBlocks(3).difference("geometric", 1)
         s = d[(0, 0)]
         assert s == parse("1 - q^6", 4) or s == parse("q^6 - 1", 4)
 
@@ -443,6 +447,44 @@ def _drop_commutator_sign(monkeypatch):
     monkeypatch.setattr(fm, "commutator_scalar", unsigned)
 
 
+def _flip_parity_sign(monkeypatch):
+    raw = fm.epsilon_sign
+    monkeypatch.setattr(fm, "epsilon_sign", lambda n, k: -raw(n, k))
+
+
+def _lowering_unit_off_by_q2(monkeypatch):
+    def unit(n):
+        return RationalFunction.from_poly(Poly.monomial(n + 1, (-1,) * n + (2 * n - 2,)))
+
+    monkeypatch.setattr(fm, "lowering_unit", unit)
+
+
+def _perturb_correspondence_weight(monkeypatch):
+    raw = fm.correspondence_tangent
+
+    def perturbed(n, S_small, S_big):
+        t = raw(n, S_small, S_big)
+        if (tuple(S_small), tuple(S_big)) == ((1,), (1, 2)):
+            # the flag line x3/x2 picks up a stray q
+            t = t - ratio_character(n, [(3, 2)]) + ratio_character(n, [(3, 2)], 1)
+        return t
+
+    monkeypatch.setattr(fm, "correspondence_tangent", perturbed)
+
+
+def _flag_lines_times_q(monkeypatch):
+    """Every correspondence's flag line x_j / x_b picks up q: a fault that
+    S_n maps to itself, so every geometric block stays equivariant."""
+    raw = fm.correspondence_tangent
+
+    def perturbed(n, S_small, S_big):
+        (b,) = set(S_big) - set(S_small)
+        line = [(j, b) for j in range(1, n + 1) if j not in S_big]
+        return raw(n, S_small, S_big) - ratio_character(n, line) + ratio_character(n, line, 1)
+
+    monkeypatch.setattr(fm, "correspondence_tangent", perturbed)
+
+
 # the three intertwiner mutations, placed for each n: column min(2, n - 1)
 # of the lowering block from weight n - 2 (from weight 1 at n = 1)
 # negated, one raising entry off by one, the unsigned commutator scalar
@@ -603,7 +645,7 @@ class TestGeometryBatteryNegativeControls:
         assert "row 0 (subset {1}), column 2 (subset {3})" in failures[1].witness
 
     def test_witness_names_the_first_bad_entry(self):
-        d = fm.Blocks(2).difference("geometric", 0)
+        d = FullSweepBlocks(2).difference("geometric", 0)
         target = Matrix.scalar_block(2, 0, commutator_scalar(2, 1))
         assert entry_witness(d, target) == ""
         d.rows[1][0] = d.rows[1][0] + RationalFunction.q(3, 1)
@@ -634,8 +676,7 @@ def _entry_located(witness, row_subset):
 
 class TestMutationFixtures:
     def test_flipped_parity_sign_fails_the_sign_checks(self, monkeypatch):
-        raw = fm.epsilon_sign
-        monkeypatch.setattr(fm, "epsilon_sign", lambda n, k: -raw(n, k))
+        _flip_parity_sign(monkeypatch)
         failures = _geometry_failures(3)
         # algebra F and its scalar flip together; the geometric sign does not
         assert list(failures) == [
@@ -651,10 +692,7 @@ class TestMutationFixtures:
         assert main(["verify", "--n", "3"]) == 1
 
     def test_lowering_unit_off_by_q2_fails_the_commutator(self, monkeypatch):
-        def unit(n):
-            return RationalFunction.from_poly(Poly.monomial(n + 1, (-1,) * n + (2 * n - 2,)))
-
-        monkeypatch.setattr(fm, "lowering_unit", unit)
+        _lowering_unit_off_by_q2(monkeypatch)
         failures = _geometry_failures(3)
         dims = {3: 1, 1: 3, -1: 3, -3: 1}
         assert list(failures) == [
@@ -665,18 +703,157 @@ class TestMutationFixtures:
         assert main(["verify", "--n", "3"]) == 1
 
     def test_perturbed_correspondence_weight_fails_nilpotency(self, monkeypatch):
-        raw = fm.correspondence_tangent
-
-        def perturbed(n, S_small, S_big):
-            t = raw(n, S_small, S_big)
-            if (tuple(S_small), tuple(S_big)) == ((1,), (1, 2)):
-                # the flag line x3/x2 picks up a stray q
-                t = t - ratio_character(n, [(3, 2)]) + ratio_character(n, [(3, 2)], 1)
-            return t
-
-        monkeypatch.setattr(fm, "correspondence_tangent", perturbed)
+        _perturb_correspondence_weight(monkeypatch)
         failures = _geometry_failures(3)
         _entry_located(failures["raising twice from weight -1 vanishes"], "{}")
         _entry_located(failures["weight 1 commutator is a (1-q^6) scalar on a dim-3 block"], "{1}")
         assert "projector ranks agree at weight -1" in failures
         assert main(["verify", "--n", "3"]) == 1
+
+    def test_flag_lines_times_q_fail_on_orbit_representatives(self, monkeypatch):
+        # a symmetric fault keeps every block equivariant, so the checks run
+        # on one entry per orbit and must still catch it
+        _flag_lines_times_q(monkeypatch)
+        squares = {
+            3: [("lowering", 3), ("lowering", 1), ("raising", -1), ("raising", -3)],
+            4: [("lowering", 4), ("lowering", 2), ("raising", 0), ("lowering", 0)]
+            + [("raising", -2), ("raising", -4)],
+        }
+        commutators = {3: (3, 1, -1), 4: (4, 2, 0, -2)}
+        for n in (3, 4):
+            blocks = fm.Blocks(n)
+            nil = nilpotency_report(n, blocks=blocks).failures
+            com = commutator_report(n, blocks=blocks).failures
+            assert [c.name for c in nil] == [
+                f"{op} twice from weight {w} vanishes" for op, w in squares[n]
+            ]
+            assert [c.name for c in com] == [
+                f"weight {w} commutator is a (1-q^{2 * n}) scalar on a dim-{comb(n, k_of(n, w))}"
+                " block"
+                for w in commutators[n]
+            ]
+            for check in nil + com:
+                assert check.witness.startswith("first bad entry at row ")
+                assert " at (x1, ..., q) = (" in check.witness
+                assert "\n" not in check.witness and len(check.witness) < 300
+            _entry_located(nil[0].witness, "{1,2}")
+        assert main(["verify", "--n", "3"]) == 1
+
+
+def _geometric_keys(n):
+    return [(gen, w) for gen in "EF" for w in fm._weights(n) + [n + 2, -n - 2]]
+
+
+class TestEquivarianceGate:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_passes_on_every_geometric_block(self, n):
+        blocks = fm.Blocks(n)
+        assert all(blocks.equivariant("geometric", *key) for key in _geometric_keys(n))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_a_negated_column_fails_it_on_that_block_only(self, monkeypatch, n):
+        _negate_lowering_column(monkeypatch, weight=1 if n == 3 else 2, col=2)
+        blocks = fm.Blocks(n)
+        failing = [key for key in _geometric_keys(n) if not blocks.equivariant("geometric", *key)]
+        assert failing == [("F", 1 if n == 3 else 2)]
+
+    def test_each_generator_is_checked(self):
+        # on the weight-1 block of n = 3 (rows and columns {1}, {2}, {3}),
+        # a shift along the 3-cycle commutes with (1 2 3) but not with (1 2),
+        # and a lone entry at ({3}, {3}) commutes with (1 2) but not (1 2 3)
+        one = RationalFunction.one(4)
+        cyclic = Matrix.zero_block(3, 1, 1, RationalFunction.zero(4))
+        for i in range(3):
+            cyclic.rows[i][(i + 1) % 3] = one
+        corner = Matrix.zero_block(3, 1, 1, RationalFunction.zero(4))
+        corner.rows[2][2] = one
+        assert not fm.is_equivariant(cyclic) and not fm.is_equivariant(corner)
+        diagonal = Matrix.zero_block(3, 1, 1, RationalFunction.zero(4))
+        for i in range(3):
+            diagonal.rows[i][i] = RationalFunction.x(4, i + 1) - RationalFunction.q(4)
+        assert fm.is_equivariant(diagonal)
+        diagonal.rows[0][0] = RationalFunction.x(4, 2) - RationalFunction.q(4)
+        assert not fm.is_equivariant(diagonal)
+
+    def test_flag_lines_times_q_pass_it(self, monkeypatch):
+        # the reduced sweep, not the gate, has to catch this fault
+        _flag_lines_times_q(monkeypatch)
+        blocks = fm.Blocks(4)
+        assert all(blocks.equivariant("geometric", *key) for key in _geometric_keys(4))
+        assert not nilpotency_report(4, blocks=blocks).passed
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_representatives_are_the_first_entry_of_each_orbit(self, n):
+        def image(p, S):
+            return tuple(sorted(p[i - 1] for i in S))
+
+        for source in fm._weights(n):
+            for target in (source - 4, source - 2, source, source + 2, source + 4):
+                rows, cols = block_points(n, target), block_points(n, source)
+                if not rows or not cols:
+                    continue
+                first = set()
+                for i, S in enumerate(rows):
+                    for j, T in enumerate(cols):
+                        orbit = {
+                            (rows.index(image(p, S)), cols.index(image(p, T)))
+                            for p in permutations(range(1, n + 1))
+                        }
+                        first.add(min(orbit))
+                assert fm.orbit_representatives(n, source, target) == sorted(first)
+
+    def test_squares_and_commutators_form_one_entry_per_orbit(self, monkeypatch):
+        n = 4
+        blocks = fm.Blocks(n)
+        for key in _geometric_keys(n):
+            blocks.op("geometric", *key)
+        calls = []
+        dot = fm.dot
+
+        def counted(*args):
+            calls.append(args)
+            return dot(*args)
+
+        monkeypatch.setattr(fm, "dot", counted)
+        assert nilpotency_report(n, blocks=blocks).passed
+        assert commutator_report(n, blocks=blocks).passed
+        reps = fm.orbit_representatives
+        squares = sum(len(reps(n, w, w + 4)) + len(reps(n, w, w - 4)) for w in fm._weights(n))
+        commutators = sum(2 * len(reps(n, w, w)) for w in fm._weights(n))
+        assert len(calls) == squares + commutators
+
+
+def _fm_outcomes(n, blocks):
+    """(title, [(name, passed, witness)], notes) of the four fm batteries
+    on one set of blocks."""
+    batteries = (nilpotency_report, commutator_report, normalized_rep_report, intertwiner_report)
+    reports = [battery(n, blocks=blocks) for battery in batteries]
+    return [(r.title, [(c.name, c.passed, c.witness) for c in r.checks], r.notes) for r in reports]
+
+
+# every mutation fixture that reaches an fm block, for each n; the Koszul
+# cone fixture of tests/test_koszul.py reaches none
+SWEEP_MUTATIONS = {
+    **INTERTWINER_MUTATIONS,
+    "flipped parity sign": lambda mp, n: _flip_parity_sign(mp),
+    "lowering unit off by q^2": lambda mp, n: _lowering_unit_off_by_q2(mp),
+    "perturbed correspondence weight": lambda mp, n: _perturb_correspondence_weight(mp),
+    "flag lines times q": lambda mp, n: _flag_lines_times_q(mp),
+    "dropped Koszul sign": lambda mp, n: mp.setattr(
+        superrep, "apply_generator", test_superrep.unsigned
+    ),
+    "swapped K and H": lambda mp, n: mp.setattr(
+        superrep, "apply_generator", test_superrep.swapped
+    ),
+}
+
+
+class TestOrbitSweepAgainstFullSweep:
+    @pytest.mark.parametrize(
+        "n, mutation",
+        [(n, None) for n in range(1, 6)] + [(n, m) for m in SWEEP_MUTATIONS for n in range(1, 5)],
+    )
+    def test_same_checks_witnesses_and_notes(self, monkeypatch, n, mutation):
+        if mutation:
+            SWEEP_MUTATIONS[mutation](monkeypatch, n)
+        assert _fm_outcomes(n, fm.Blocks(n)) == _fm_outcomes(n, FullSweepBlocks(n))

@@ -603,3 +603,77 @@ class TestExponentRange:
         assert Poly.one(2).exact_div(Poly.monomial(2, (-LIMIT + 1, 0))) == Poly.monomial(
             2, (LIMIT - 1, 0)
         )
+
+
+def reference_permute(p, perm):
+    """x_i -> x_perm[i-1] on exponent tuples: the exponent of x_i moves to
+    slot perm[i-1], q stays last."""
+    out = {}
+    for e, c in p.terms.items():
+        moved = list(e)
+        for i, target in enumerate(perm):
+            moved[target - 1] = e[i]
+        out[tuple(moved)] = c
+    return out
+
+
+@st.composite
+def permuted_polys(draw, min_n=1):
+    """(perm, a, b): a permutation of x_1..x_N for N in min_n..5 and two
+    polynomials in x_1..x_N, q."""
+    nvars = draw(st.integers(min_n + 1, 6))
+    perm = tuple(draw(st.permutations(range(1, nvars))))
+    return perm, draw(laurent_polys(nvars, 6)), draw(laurent_polys(nvars, 6))
+
+
+class TestPermute:
+    @given(permuted_polys())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_tuple_reference(self, pab):
+        perm, a, _ = pab
+        assert a.permute(perm).terms == reference_permute(a, perm)
+
+    @given(permuted_polys())
+    @settings(max_examples=150, deadline=None)
+    def test_is_a_ring_automorphism(self, pab):
+        perm, a, b = pab
+        assert (a * b).permute(perm) == a.permute(perm) * b.permute(perm)
+        assert (a + b).permute(perm) == a.permute(perm) + b.permute(perm)
+        assert (a - b).permute(perm) == a.permute(perm) - b.permute(perm)
+
+    @given(permuted_polys(min_n=2), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_transposition_is_an_involution(self, pab, data):
+        perm, a, _ = pab
+        n = len(perm)
+        i, j = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+        swap = tuple(j if p == i else i if p == j else p for p in range(1, n + 1))
+        assert a.permute(swap).permute(swap) == a
+        # perm and its inverse undo each other as well
+        inverse = tuple(sorted(range(1, n + 1), key=lambda p: perm[p - 1]))
+        assert a.permute(perm).permute(inverse) == a
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_exponents_at_the_edges_of_the_range(self, data):
+        nvars = data.draw(st.integers(2, 5))
+        perm = tuple(data.draw(st.permutations(range(1, nvars))))
+        edge = st.sampled_from([-LIMIT, -LIMIT + 1, -1, 0, 1, LIMIT - 2, LIMIT - 1])
+        exps = st.tuples(*([edge] * nvars))
+        p = Poly(nvars, data.draw(st.dictionaries(exps, st.integers(-5, 5), max_size=6)))
+        got = p.permute(perm)
+        assert got.terms == reference_permute(p, perm)
+        assert got == fresh(got)
+        assert str(got) == str(fresh(got))
+
+    def test_degree_and_q_stay(self):
+        p = Poly(4, {(3, -1, 0, 2): 5, (0, 0, -2, -7): -1})
+        got = p.permute((3, 1, 2))
+        assert got.terms == {(-1, 0, 3, 2): 5, (0, -2, 0, -7): -1}
+        assert got.leading_exps() == (-1, 0, 3, 2)
+
+    def test_rejects_a_non_permutation(self):
+        p = Poly.x(4, 1)
+        for perm in ((1, 1, 2), (1, 2), (1, 2, 3, 4), (0, 1, 2)):
+            with pytest.raises(ValueError):
+                p.permute(perm)

@@ -15,10 +15,10 @@ def rf(text):
     return parse(text, NV)
 
 
-def small_polys(max_terms=4):
-    exps = st.tuples(*([st.integers(-2, 2)] * NV))
+def small_polys(max_terms=4, nvars=NV):
+    exps = st.tuples(*([st.integers(-2, 2)] * nvars))
     return st.dictionaries(exps, st.integers(-6, 6), max_size=max_terms).map(
-        lambda d: Poly(NV, d)
+        lambda d: Poly(nvars, d)
     )
 
 
@@ -28,14 +28,14 @@ def small_rfs():
     ).map(lambda ab: RationalFunction(NV, ab[0], ((ab[1], 1),)))
 
 
-def scaled_rfs():
+def scaled_rfs(nvars=NV):
     """Fractions with two denominator factors and a signed integer scalar."""
     return st.tuples(
-        small_polys(),
-        small_polys(max_terms=3).filter(bool),
-        small_polys(max_terms=2).filter(bool),
+        small_polys(nvars=nvars),
+        small_polys(max_terms=3, nvars=nvars).filter(bool),
+        small_polys(max_terms=2, nvars=nvars).filter(bool),
         st.integers(-12, 12).filter(bool),
-    ).map(lambda t: RationalFunction(NV, 6 * t[0], ((t[1], 1), (t[2], 2)), t[3]))
+    ).map(lambda t: RationalFunction(nvars, 6 * t[0], ((t[1], 1), (t[2], 2)), t[3]))
 
 
 def units():
@@ -179,6 +179,55 @@ class TestFieldOps:
         # 1/(x1-x2) + 1/(x2-x1) = 0 exactly, not just numerically
         total = rf("x1/(x1 - x2)") + rf("x2/(x2 - x1)")
         assert total == 1
+
+
+NP = 4  # x1, x2, x3, q: room for a 3-cycle
+PERMS = st.permutations((1, 2, 3)).map(tuple)
+
+
+def permuted_denominators(a, perm):
+    """The fully constructed fraction of a's parts, each permuted."""
+    den = tuple((f.permute(perm), m) for f, m in a.den_factors)
+    return RationalFunction(a.nvars, a.num.permute(perm), den, a.den_scalar)
+
+
+class TestPermute:
+    @given(PERMS, scaled_rfs(NP))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_constructor(self, perm, a):
+        # the permuted factors may change sign; no trial division may succeed
+        assert fields(a.permute(perm)) == fields(permuted_denominators(a, perm))
+
+    @given(PERMS, scaled_rfs(NP), scaled_rfs(NP), scaled_rfs(NP))
+    @settings(max_examples=40, deadline=None)
+    def test_is_a_field_automorphism(self, perm, a, b, c):
+        pa, pb, pc = (r.permute(perm) for r in (a, b, c))
+        assert (a * b).permute(perm) == pa * pb
+        assert (a + b).permute(perm) == pa + pb
+        assert RationalFunction.sum(NP, [a, b, c]).permute(perm) == RationalFunction.sum(
+            NP, [pa, pb, pc]
+        )
+
+    @given(st.sampled_from([(2, 1, 3), (1, 3, 2), (3, 2, 1)]), scaled_rfs(NP))
+    @settings(max_examples=60, deadline=None)
+    def test_a_transposition_is_an_involution(self, swap, a):
+        assert fields(a.permute(swap).permute(swap)) == fields(a)
+
+    @given(PERMS, scaled_rfs(NP), scaled_rfs(NP))
+    @settings(max_examples=40, deadline=None)
+    def test_shared_factors_give_the_same_result(self, perm, a, b):
+        memo = {}
+        for r in (a, b, a):
+            assert fields(r.permute(perm, memo)) == fields(r.permute(perm))
+
+    def test_a_flipped_factor_negates_the_numerator_at_odd_multiplicity(self):
+        f = Poly.x(NP, 1) - Poly.x(NP, 2)  # canonical: x1 leads
+        for m, sign in ((1, -1), (2, 1), (3, -1)):
+            a = RationalFunction(NP, Poly.q(NP), ((f, m),))
+            got = a.permute((2, 1, 3))
+            assert got.den_factors == a.den_factors == ((f, m),)
+            assert got.num == Poly.q(NP) * sign
+            assert fields(got) == fields(permuted_denominators(a, (2, 1, 3)))
 
 
 class TestEvaluationAndSampling:
