@@ -3,7 +3,10 @@
 A GradedComplex stores, per cohomological degree, the character of that
 term; homotopy data is not modeled, so a cone is the class-level operation
 tgt + src[1].  The total class is the alternating sum over degrees, and
-all identities here are checked at total-class level.
+all identities here are checked at total-class level.  merge, shift(1)
+and total_class are linear over Z, so a cone's class is the target's minus
+the source's: the one-step sweep computes each K^I's class once per report
+and rebuilds full complexes only for a failure witness.
 
 The interpolating complexes K^I twist the j-th exterior power by
 (L^dual)^{d(I,j)} with d(I,j) = |I cap [1,j]|.  Sections may carry a
@@ -279,11 +282,38 @@ def generic_bundle_data(N):
     return V, Poly.x(nvars, N + 1)
 
 
+def _one_step_sweep(duals, ell_inv, rank, section_q_weight):
+    """Move count, failing moves (I, i) in order, witness at the first."""
+    classes = {}
+
+    def class_of(I):
+        if I not in classes:
+            classes[I] = _interpolating(duals, ell_inv, I, section_q_weight).total_class()
+        return classes[I]
+
+    total, bad, first = 0, [], ""
+    for size in range(rank + 1):
+        for I in combinations(range(1, rank + 1), size):
+            for i in I:
+                if i + 1 in I:
+                    continue
+                total += 1
+                Iprime = tuple(sorted((set(I) - {i}) | {i + 1}))
+                src = _source(duals, ell_inv, I, i, section_q_weight)
+                if class_of(Iprime) != class_of(I) - src.total_class():
+                    if not bad:
+                        lhs, rhs = _proposition(duals, ell_inv, I, i, section_q_weight)
+                        first = located_witness(lhs, rhs, ("K^I'", "cone"), by_class=True)
+                    bad.append((I, i))
+    return total, bad, first
+
+
 def endpoint_report(rank, section_q_weight=2):
     """Interpolation endpoints: an empty index set reproduces the plain
     complex, and the full set [1, rank] reproduces the complex of the
     L-twisted bundle, one L^dual per exterior degree.  Then the one-step
-    cone identity for every valid move, all on one set of exterior powers."""
+    cone identity class(K^{I'}) == class(K^I) - class(source) for every
+    valid move, on one set of exterior powers and one class per index set."""
     qw = section_q_weight
     V, L = generic_bundle_data(rank)
     ell_inv = _dual_line(L)
@@ -305,20 +335,7 @@ def endpoint_report(rank, section_q_weight=2):
         ok,
         "" if ok else located_witness(full, twisted, ("K^[1,r]", "twisted")),
     )
-    total = 0
-    bad = []
-    first = ""
-    for size in range(rank + 1):
-        for I in combinations(range(1, rank + 1), size):
-            for i in I:
-                if i + 1 in I:
-                    continue
-                total += 1
-                lhs, rhs = _proposition(duals, ell_inv, I, i, qw)
-                if lhs.total_class() != rhs.total_class():
-                    if not bad:
-                        first = located_witness(lhs, rhs, ("K^I'", "cone"), by_class=True)
-                    bad.append((I, i))
+    total, bad, first = _one_step_sweep(duals, ell_inv, rank, qw)
     witness = ""
     if bad:
         shown = ", ".join(f"({I}, {i})" for I, i in bad[:3]) + (", ..." if len(bad) > 3 else "")

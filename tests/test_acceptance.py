@@ -173,7 +173,7 @@ class TestKoszulIdentities:
     def test_endpoints_cone_sweep_and_iterated_routes_under_30s(self):
         start = time.perf_counter()
         # endpoint identities plus the exhaustive one-step cone sweep
-        for rank in range(5):
+        for rank in range(7):
             rep = koszul.endpoint_report(rank)
             assert rep.passed, f"rank={rank}: {fail_text(rep)}"
         # both iterated-cone routes against the direct interpolating class

@@ -187,7 +187,7 @@ CLI_GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").rea
 
 
 class TestCliGolden:
-    # `verify --n 1..4 --json` and `koszul --rank r --k k --json` (r <= 3)
+    # `verify --n 1..4 --json` and `koszul --rank r --k k --json` (r <= 5)
     @pytest.mark.parametrize("args", sorted(CLI_GOLDEN))
     def test_output_and_exit_code_are_byte_identical(self, capsys, args):
         code, out, _ = run(capsys, *args.split())

@@ -251,22 +251,82 @@ class TestLocatedWitnesses:
         )
 
 
+@pytest.fixture
+def untwisted_step_block(monkeypatch):
+    """Cone blocks without their L^dual twist."""
+
+    def untwisted(char_top, ell_inv, degree):
+        return GradedComplex(char_top.nvars, {degree: char_top, degree + 1: char_top})
+
+    monkeypatch.setattr(koszul, "_step_block", untwisted)
+
+
+@pytest.fixture
+def shifted_d_window(monkeypatch):
+    """d(I, j) = |I cap [1, j-1]|: wrong twists in K^I, K^{I'} and the
+    cone source's top term; the step block itself is untouched."""
+    monkeypatch.setattr(koszul, "d_of", lambda I, j: sum(1 for i in I if 1 <= i <= j - 1))
+
+
+def reference_sweep(rank, qw):
+    """The one-step sweep move by move, both complexes built per move:
+    the move count, the failing (I, i) in order and the first witness."""
+    V, L = generic_bundle_data(rank)
+    total, bad, first = 0, [], ""
+    for size in range(rank + 1):
+        for I in combinations(range(1, rank + 1), size):
+            for i in I:
+                if i + 1 in I:
+                    continue
+                total += 1
+                if not proposition_check(I, i, L, V, qw)[0]:
+                    if not bad:
+                        duals = exterior_powers(dual(V))
+                        lhs, rhs = _proposition(duals, _dual_line(L), I, i, qw)
+                        first = located_witness(lhs, rhs, ("K^I'", "cone"), by_class=True)
+                    bad.append((I, i))
+    return total, bad, first
+
+
+class TestSharedClassSweep:
+    """The sweep of endpoint_report, one class per index set, against the
+    per-move reference: on the true complexes and under two faults, one in
+    the step block and one in the twist count d(I, j) that the shared
+    K^I classes carry."""
+
+    @pytest.mark.parametrize("fault", [None, "untwisted_step_block", "shifted_d_window"])
+    @pytest.mark.parametrize("rank", range(7))
+    def test_matches_per_move_reference(self, request, fault, rank):
+        if fault:
+            request.getfixturevalue(fault)
+        V, L = generic_bundle_data(rank)
+        duals, ell_inv = exterior_powers(dual(V)), _dual_line(L)
+        # 2 then 0 then 2 again: classes must not leak between calls
+        for qw in (2, 0, 2):
+            total, bad, first = reference_sweep(rank, qw)
+            assert koszul._one_step_sweep(duals, ell_inv, rank, qw) == (total, bad, first)
+            check = koszul.endpoint_report(rank, qw).checks[-1]
+            assert check.name == f"one-step cone identity holds for all {total} valid (I, i)"
+            assert bool(bad) == (fault is not None and rank > 0) == (not check.passed)
+            if bad:
+                assert check.witness.startswith(f"{len(bad)} of {total} moves fail, ")
+                assert check.witness.endswith(f"; at the first, {first}")
+
+
+def failing_checks(capsys):
+    """Name to witness of every failing check in the captured --json document."""
+    doc = json.loads(capsys.readouterr().out)
+    checks = [c for r in doc["reports"] for c in r["checks"]]
+    return {c["name"]: c["witness"] for c in checks if not c["passed"]}
+
+
 class TestNegativeControl:
-    """A cone block without its L^dual twist must fail, with located witnesses."""
-
-    @pytest.fixture
-    def untwisted_step_block(self, monkeypatch):
-        def untwisted(char_top, ell_inv, degree):
-            return GradedComplex(char_top.nvars, {degree: char_top, degree + 1: char_top})
-
-        monkeypatch.setattr(koszul, "_step_block", untwisted)
+    """A cone block without its L^dual twist, or a twist count read one step
+    short, must fail, with located witnesses."""
 
     def test_cli_exits_one_with_bounded_located_witnesses(self, untwisted_step_block, capsys):
         assert cli.main(["koszul", "--rank", "3", "--k", "1", "--json"]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        failing = {
-            c["name"]: c["witness"] for r in doc["reports"] for c in r["checks"] if not c["passed"]
-        }
+        failing = failing_checks(capsys)
         assert set(failing) == {
             "one-step cone identity holds for all 8 valid (I, i)",
             "descending route reaches the interpolating complex",
@@ -291,3 +351,17 @@ class TestNegativeControl:
         assert len(witness) < 300 and 1 <= len(moves) <= 3
         total = re.search(r"all (\d+) valid", rep.failures[0].name).group(1)
         assert re.match(rf"\d+ of {total} moves fail, ", witness)
+
+    def test_shifted_d_window_fails_endpoint_sweep_and_routes(self, shifted_d_window, capsys):
+        assert cli.main(["koszul", "--rank", "3", "--k", "1", "--json"]) == 1
+        failing = failing_checks(capsys)
+        assert set(failing) == {
+            "full index set gives the complex of the twisted bundle",
+            "one-step cone identity holds for all 8 valid (I, i)",
+            "descending route reaches the interpolating complex",
+            "ascending route reaches it after the global twist",
+        }
+        assert failing["one-step cone identity holds for all 8 valid (I, i)"] == (
+            "8 of 8 moves fail, (I, i) = ((1,), 1), ((2,), 2), ((3,), 3), ...; "
+            "at the first, degree -1, weight x3^-1*x4*q^2: K^I' 0, cone 1; total class 0 vs -1"
+        )
