@@ -27,6 +27,19 @@ def _print_json(payload):
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
+def _finish(args, doc, reports):
+    """Prints the reports, as the document doc with their outcome under
+    --json, else as text, and returns the exit code."""
+    passed = all(r.passed for r in reports)
+    if args.json:
+        _print_json({**doc, "passed": passed, "reports": [r.to_dict() for r in reports]})
+    else:
+        for r in reports:
+            print("\n".join(r.summary_lines()))
+        print("ALL CHECKS PASSED" if passed else "CHECKS FAILED")
+    return 0 if passed else 1
+
+
 def cmd_verify(args):
     n = args.n
     if n < 1 or n > ALGEBRA_CAP:
@@ -45,27 +58,8 @@ def cmd_verify(args):
         fm.intertwiner_report(n, seed=args.seed, blocks=blocks),
         koszul.endpoint_report(n),
     ]
-
-    passed = all(r.passed for r in reports)
-    if args.json:
-        _print_json(
-            {
-                "command": "verify",
-                "parameters": {
-                    "n": n,
-                    "max_weight": args.max_weight,
-                    "seed": args.seed,
-                },
-                "passed": passed,
-                "skipped": [],
-                "reports": [r.to_dict() for r in reports],
-            }
-        )
-    else:
-        for r in reports:
-            print("\n".join(r.summary_lines()))
-        print("ALL CHECKS PASSED" if passed else "CHECKS FAILED")
-    return 0 if passed else 1
+    parameters = {"n": n, "max_weight": args.max_weight, "seed": args.seed}
+    return _finish(args, {"command": "verify", "parameters": parameters, "skipped": []}, reports)
 
 
 def _algebra_blocks(n, weight):
@@ -158,20 +152,8 @@ def cmd_koszul(args):
         )
     if not 0 <= k <= r:
         return _usage_error(f"--k must be between 0 and the rank {r}")
-    rep = koszul.koszul_battery_report(r, k)
-    if args.json:
-        _print_json(
-            {
-                "command": "koszul",
-                "parameters": {"rank": r, "k": k},
-                "passed": rep.passed,
-                "reports": [rep.to_dict()],
-            }
-        )
-    else:
-        print("\n".join(rep.summary_lines()))
-        print("ALL CHECKS PASSED" if rep.passed else "CHECKS FAILED")
-    return 0 if rep.passed else 1
+    doc = {"command": "koszul", "parameters": {"rank": r, "k": k}}
+    return _finish(args, doc, [koszul.koszul_battery_report(r, k)])
 
 
 def _seed(text):

@@ -52,7 +52,7 @@ from .grassmann import (
     tangent_gr,
 )
 from .linalg import columns, hstack, pivot_columns, sample_points
-from .matrix import Matrix, block_points, dot, entry_witness, k_of, witness_at
+from .matrix import Matrix, block_points, dot, entry_witness, first_off, k_of, witness
 from .poly import Poly
 from .ratfunc import PoleError, RationalFunction
 from .report import Report
@@ -103,41 +103,43 @@ def lowering_unit(n):
     return RationalFunction.from_poly(Poly.monomial(n + 1, (-1,) * n + (2 * n,)))
 
 
+def _functor_matrix(n, source_weight, raising):
+    """The one loop behind raising_matrix and lowering_matrix."""
+    target_weight = source_weight + (2 if raising else -2)
+    out = Matrix.zero_block(n, source_weight, target_weight, RationalFunction.zero(n + 1))
+    unit = None if raising else lowering_unit(n)
+    for j, Ss in enumerate(out.cols_points):
+        for i, St in enumerate(out.rows_points):
+            small, big = (St, Ss) if raising else (Ss, St)
+            if set(small) <= set(big):
+                entry = _pair_entry(n, small, big, raising)
+                out.rows[i][j] = entry if raising else entry * unit
+    return out
+
+
 def raising_matrix(n, source_weight):
     """Localized matrix of the raising functor from the given weight."""
-    out = Matrix.zero_block(n, source_weight, source_weight + 2, RationalFunction.zero(n + 1))
-    for j, Ss in enumerate(out.cols_points):
-        sset = set(Ss)
-        for i, St in enumerate(out.rows_points):
-            if set(St) <= sset:
-                out.rows[i][j] = _pair_entry(n, St, Ss, raising=True)
-    return out
+    return _functor_matrix(n, source_weight, raising=True)
 
 
 def lowering_matrix(n, source_weight):
-    """Localized matrix of the lowering functor from the given weight,
-    times lowering_unit(n)."""
-    out = Matrix.zero_block(n, source_weight, source_weight - 2, RationalFunction.zero(n + 1))
-    u = lowering_unit(n)
-    for j, Ss in enumerate(out.cols_points):
-        sset = set(Ss)
-        for i, St in enumerate(out.rows_points):
-            if sset <= set(St):
-                out.rows[i][j] = _pair_entry(n, Ss, St, raising=False) * u
-    return out
+    """The same for lowering, times lowering_unit(n)."""
+    return _functor_matrix(n, source_weight, raising=False)
 
 
 def epsilon_sign(n, k):
     return 1 if (n - k) % 2 else -1
 
 
+def _signed_scalars(n):
+    """{+1: 1 - q^(2n), -1: q^(2n) - 1}, the candidate commutator scalars."""
+    base = RationalFunction(n + 1, Poly.one(n + 1) - Poly.q(n + 1, 2 * n))
+    return {1: base, -1: -base}
+
+
 def commutator_scalar(n, k):
     """(-1)^(n-k-1) * (1 - q^(2n)) in the fraction field."""
-    nvars = n + 1
-    p = Poly.one(nvars) - Poly.q(nvars, 2 * n)
-    if epsilon_sign(n, k) < 0:
-        p = -p
-    return RationalFunction(nvars, p)
+    return _signed_scalars(n)[epsilon_sign(n, k)]
 
 
 def _weights(n, max_weight=None):
@@ -148,12 +150,6 @@ def _weights(n, max_weight=None):
 
 
 SIDES = ("algebra", "geometric")
-
-
-def _signed_scalars(n):
-    """{+1: 1 - q^(2n), -1: q^(2n) - 1}, the candidate commutator scalars."""
-    base = RationalFunction(n + 1, Poly.one(n + 1) - Poly.q(n + 1, 2 * n))
-    return {1: base, -1: -base}
 
 
 def _generators(n):
@@ -195,25 +191,6 @@ def orbit_representatives(n, source_weight, target_weight):
         for j, T in enumerate(block_points(n, source_weight)):
             first.setdefault(len(set(S) & set(T)), (i, j))
     return sorted(first.values())
-
-
-def _first_off(values, s=None):
-    """(i, j, value - target) at the first of the (i, j, value) whose
-    value differs from s times the identity (zero when s is None)."""
-    for i, j, v in values:
-        if s is not None and i == j:
-            if v != s:
-                return i, j, v - s
-        elif v:
-            return i, j, v
-    return None
-
-
-def _witness(block, values, s=None):
-    """witness_at the first of the (i, j, value) of a block that differs
-    from s times the identity (zero when s is None); "" if none does."""
-    bad = _first_off(values, s)
-    return "" if bad is None else witness_at(block, *bad)
 
 
 class Blocks:
@@ -279,7 +256,7 @@ class Blocks:
             name = f"{'raising' if gen == 'E' else 'lowering'} twice from weight {w} vanishes"
         step = 2 if gen == "E" else -2
         return name, self._once(
-            name, lambda: _witness(*self._values(side, [((gen, w + step), (gen, w))]))
+            name, lambda: witness(*self._values(side, [((gen, w + step), (gen, w))]))
         )
 
     def commutator(self, side, w):
@@ -292,12 +269,12 @@ class Blocks:
         block, values = self._values(side, [(("F", w + 2), ("E", w)), (("E", w - 2), ("F", w))])
         values = list(values)
         if side == "algebra":
-            bad = _witness(block, values, commutator_scalar(n, k))
+            bad = witness(block, values, commutator_scalar(n, k))
             return [(f"FE - EF is eps*(1-q^{2*n}) at weight {w}", bad)], None
         signed = _signed_scalars(n)
-        eps = next((c for c, s in signed.items() if _first_off(values, s) is None), None)
+        eps = next((c for c, s in signed.items() if first_off(values, s) is None), None)
         pred = epsilon_sign(n, k)
-        bad = "" if eps == pred else _witness(block, values, signed[pred])
+        bad = "" if eps == pred else witness(block, values, signed[pred])
         name = f"weight {w} commutator is a (1-q^{2*n}) scalar on a dim-{comb(n, k)} block"
         if eps is None:
             return [(name, bad)], None

@@ -159,10 +159,6 @@ class Space:
         self.points = fixed_points(n, k)
 
     @property
-    def weight(self):
-        return self.n - 2 * self.k
-
-    @property
     def nvars(self):
         return self.n + 1
 

@@ -5,7 +5,7 @@ term; homotopy data is not modeled, so a cone is the class-level operation
 tgt + src[1].  The total class is the alternating sum over degrees, and
 all identities here are checked at total-class level.  merge, shift(1)
 and total_class are linear over Z, so a cone's class is the target's minus
-the source's: the one-step sweep computes each K^I's class once per report
+the source's: the one-step sweep computes one K^I class per twist profile
 and rebuilds full complexes only for a failure witness.
 
 The interpolating complexes K^I twist the j-th exterior power by
@@ -23,6 +23,7 @@ The ascending route accumulates one global L^dual twist per injected
 token, which is where its overall (L^dual)^(k-N) twist comes from.
 """
 
+from collections import namedtuple
 from itertools import combinations
 
 from .grassmann import dual, exterior_powers
@@ -53,9 +54,6 @@ class GradedComplex:
             char = char.shift_exps([0] * (nvars - 1) + [qt])
             acc[d] = acc[d] + char if d in acc else char
         return cls(nvars, acc)
-
-    def degrees(self):
-        return sorted(self.terms)
 
     def term(self, d):
         return self.terms.get(d) or Poly.zero(self.nvars)
@@ -193,25 +191,13 @@ def _mult(char, key):
     return char.keys.get(key, 0)
 
 
-class IteratedCones:
+_ROUTES = "minus plus minus_indices plus_indices target_minus target_plus"
+
+
+class IteratedCones(namedtuple("IteratedCones", _ROUTES)):
     """Both iterated-cone presentations with their targets and index logs."""
 
-    __slots__ = (
-        "minus",
-        "plus",
-        "minus_indices",
-        "plus_indices",
-        "target_minus",
-        "target_plus",
-    )
-
-    def __init__(self, minus, plus, minus_indices, plus_indices, target_minus, target_plus):
-        self.minus = minus
-        self.plus = plus
-        self.minus_indices = minus_indices
-        self.plus_indices = plus_indices
-        self.target_minus = target_minus
-        self.target_plus = target_plus
+    __slots__ = ()
 
     def minus_matches(self):
         return self.minus.total_class() == self.target_minus.total_class()
@@ -283,13 +269,15 @@ def generic_bundle_data(N):
 
 
 def _one_step_sweep(duals, ell_inv, rank, section_q_weight):
-    """Move count, failing moves (I, i) in order, witness at the first."""
+    """Move count, failing moves (I, i) in order, witness at the first.
+    Classes are shared by twist profile, all that _interpolating reads of I."""
     classes = {}
 
     def class_of(I):
-        if I not in classes:
-            classes[I] = _interpolating(duals, ell_inv, I, section_q_weight).total_class()
-        return classes[I]
+        key = tuple(d_of(I, j) for j in range(len(duals)))
+        if key not in classes:
+            classes[key] = _interpolating(duals, ell_inv, I, section_q_weight).total_class()
+        return classes[key]
 
     total, bad, first = 0, [], ""
     for size in range(rank + 1):
@@ -313,7 +301,7 @@ def endpoint_report(rank, section_q_weight=2):
     complex, and the full set [1, rank] reproduces the complex of the
     L-twisted bundle, one L^dual per exterior degree.  Then the one-step
     cone identity class(K^{I'}) == class(K^I) - class(source) for every
-    valid move, on one set of exterior powers and one class per index set."""
+    valid move, on one set of exterior powers and one class per twist profile."""
     qw = section_q_weight
     V, L = generic_bundle_data(rank)
     ell_inv = _dual_line(L)

@@ -17,7 +17,10 @@ realizations use it: the algebra blocks over Poly in x_1..x_N, q (they
 depend on q alone) and the functor matrices over the fraction field.
 Sums, products and comparisons of two blocks check their labels and
 give a block; with a plain matrix on either side they give a plain one.
-A failing comparison of two blocks is reported by :func:`entry_witness`.
+A failing block is reported by :func:`witness`, the one first-bad-entry
+scan: every check of a block against zero, s times the identity or
+another block (:func:`entry_witness`) names its first bad entry in
+row-major order.
 """
 
 import random
@@ -214,16 +217,15 @@ def dot(zero, row, col):
     return RationalFunction.sum(zero.nvars, terms) if terms else zero
 
 
-def first_difference(got, want=None):
-    """(row, column, got - want) at the first entry where two matrices
-    differ, or None; want=None stands for the zero matrix."""
-    for i, row in enumerate(got.rows):
-        for j, a in enumerate(row):
-            if want is None:
-                if a:
-                    return i, j, a
-            elif a != want.rows[i][j]:
-                return i, j, a - want.rows[i][j]
+def first_off(values, s=None):
+    """(i, j, value - target) at the first of the (i, j, value) whose
+    value differs from s times the identity (zero when s is None)."""
+    for i, j, v in values:
+        if s is not None and i == j:
+            if v != s:
+                return i, j, v - s
+        elif v:
+            return i, j, v
     return None
 
 
@@ -231,17 +233,15 @@ def subset_label(S):
     return "{" + ",".join(str(x) for x in S) + "}"
 
 
-def entry_witness(got, want=None):
-    """Where the block got first differs from want (zero when None), as
-    a short witness: the entry's row and column with their subsets and
-    the difference at a seeded integer point; "" if equal."""
-    bad = first_difference(got, want)
-    return "" if bad is None else witness_at(got.block, *bad)
-
-
-def witness_at(block, i, j, diff):
-    """The witness of entry_witness for a bad entry (i, j) of a weight
-    block (n, source_weight, target_weight) that is off by diff."""
+def witness(block, values, s=None):
+    """Where the first of the (i, j, value) of a weight block differs
+    from s times the identity (zero when s is None), as a short witness:
+    the entry's row and column with their subsets and the difference at
+    a seeded integer point; "" if none does."""
+    bad = first_off(values, s)
+    if bad is None:
+        return ""
+    i, j, diff = bad
     n, source_weight, target_weight = block
     row, col = block_points(n, target_weight)[i], block_points(n, source_weight)[j]
     where = (
@@ -258,3 +258,18 @@ def witness_at(block, i, j, diff):
         value = value if len(value) <= 80 else value[:77] + "..."
         return f"{where} is off by {value} at (x1, ..., q) = {point}"
     return f"{where} is off by a nonzero rational function"
+
+
+def entry_witness(got, want=None):
+    """The witness of the first entry where the block got differs from
+    want (zero when None); got - want is formed at that entry only."""
+    if want is None:
+        values = ((i, j, a) for i, row in enumerate(got.rows) for j, a in enumerate(row))
+    else:
+        values = (
+            (i, j, a - b)
+            for i, (ra, rb) in enumerate(zip(got.rows, want.rows))
+            for j, (a, b) in enumerate(zip(ra, rb))
+            if a != b
+        )
+    return witness(got.block, values)

@@ -198,31 +198,6 @@ class RationalFunction:
             num = num * f**m
         return RationalFunction(self.nvars, num, ((self.num, 1),))
 
-    def __truediv__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return RationalFunction(
-                self.nvars,
-                self.num,
-                self.den_factors + ((Poly.const(self.nvars, abs(other)), 1),),
-                self.den_scalar * (1 if other > 0 else -1),
-            )
-        self._check(other)
-        return self * other.inv()
-
-    def __pow__(self, m):
-        if m < 0:
-            return self.inv() ** (-m)
-        out = RationalFunction.one(self.nvars)
-        base = self
-        while m:
-            if m & 1:
-                out = out * base
-            base = base * base
-            m >>= 1
-        return out
-
     @classmethod
     def sum(cls, nvars, items):
         """Sum with a single shared denominator, built once."""

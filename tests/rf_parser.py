@@ -2,7 +2,8 @@
 
 Test helper: expressions such as ``"((q^4 - q^2)*x1 - (q^2 - 1)*x2) / (x1*x2)"``
 are built with RationalFunction arithmetic, so a fixture reads like the
-closed form it pins.
+closed form it pins.  RationalFunction has no / or **: a / b is
+a * b.inv() and a^e is a product of e copies of a (of a.inv() for e < 0).
 """
 
 from qglk.ratfunc import RationalFunction
@@ -62,7 +63,7 @@ class _Parser:
                 v = v * self.factor()
             elif ch == "/":
                 self.pos += 1
-                v = v / self.factor()
+                v = v * self.factor().inv()
             else:
                 return v
 
@@ -77,8 +78,9 @@ class _Parser:
             if self.peek() == "-":
                 self.pos += 1
                 neg = True
-            e = self.integer()
-            v = v ** (-e if neg else e)
+            base, v = v.inv() if neg else v, RationalFunction.one(self.nvars)
+            for _ in range(self.integer()):
+                v = v * base
         return v
 
     def atom(self):

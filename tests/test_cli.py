@@ -6,6 +6,7 @@ import pytest
 from qglk import fm
 from qglk.cli import main
 from qglk.report import Report
+from test_fm import _negate_lowering_column
 
 
 def run(capsys, *argv):
@@ -184,15 +185,28 @@ class TestMatricesGolden:
 
 
 CLI_GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+CONTROL_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "cli_control_golden.json").read_text()
+)
 
 
 class TestCliGolden:
-    # `verify --n 1..4 --json` and `koszul --rank r --k k --json` (r <= 5)
+    # `verify --n 1..4 --json` and `koszul --rank r --k k --json` (r <= 5);
+    # text mode: `verify --n 2`, `verify --n 3 --max-weight 1` and
+    # `koszul --rank 3 --k 1`
     @pytest.mark.parametrize("args", sorted(CLI_GOLDEN))
     def test_output_and_exit_code_are_byte_identical(self, capsys, args):
         code, out, _ = run(capsys, *args.split())
         assert code == CLI_GOLDEN[args]["exit"]
         assert out == CLI_GOLDEN[args]["out"]
+
+    def test_failing_text_report_is_byte_identical(self, capsys, monkeypatch):
+        # `verify --n 3` with column 2 of the lowering block from weight 1
+        # negated: the FAIL lines, their witnesses and the exit code
+        _negate_lowering_column(monkeypatch, weight=1, col=2)
+        code, out, _ = run(capsys, "verify", "--n", "3")
+        assert code == CONTROL_GOLDEN["verify --n 3"]["exit"] == 1
+        assert out == CONTROL_GOLDEN["verify --n 3"]["out"]
 
 
 class TestKoszul:

@@ -31,7 +31,7 @@ from qglk.grassmann import (
     tangent_gr,
 )
 from qglk.linalg import columns, hstack
-from qglk.matrix import Matrix, block_points, entry_witness, first_difference, subset_label
+from qglk.matrix import Matrix, block_points, entry_witness, first_off, subset_label
 from qglk.poly import Poly
 from qglk.ratfunc import PoleError, RationalFunction
 from qglk.report import Report
@@ -346,7 +346,12 @@ def reference_prove_intertwiner(n, seed):
     basis = {side: {} for side in sides}
 
     def witness(side, w, identity, op, split, got, want, offset=0):
-        bad = first_difference(got, want)
+        bad = first_off(
+            (i, j, a - b)
+            for i, (ra, rb) in enumerate(zip(got.rows, want.rows))
+            for j, (a, b) in enumerate(zip(ra, rb))
+            if a != b
+        )
         if bad is None:
             return ""
         i, j = bad[0], bad[1] + offset

@@ -73,7 +73,7 @@ class TestGradedComplex:
         w = mono(1, x1=1)
         a = GradedComplex(2, {0: w})
         b = a.shift(2)
-        assert b.degrees() == [-2]
+        assert sorted(b.terms) == [-2]
         assert a.shift(1).shift(1) == a.shift(2)
         merged = a.merge(a)
         assert merged.term(0) == 2 * w
@@ -100,7 +100,7 @@ class TestKoszulComplex:
     def test_rank_one(self):
         w = mono(1, x1=1)
         c = koszul_complex(w)
-        assert c.degrees() == [-1, 0]
+        assert sorted(c.terms) == [-1, 0]
         assert c.term(0) == mono(1)
         assert c.term(-1) == mono(1, x1=-1)
 
@@ -166,7 +166,7 @@ class TestProposition:
         V, L = generic_bundle_data(2)
         src = proposition_source([1], 1, L, V)
         # d(1) = 1: degree -1 holds Lambda^1 V^dual (L^dual), degree 0 the untwisted copy
-        assert src.degrees() == [-1, 0]
+        assert sorted(src.terms) == [-1, 0]
         assert src.term(-1) == exterior_powers(dual(V))[1] * dual(L)
         assert src.term(0) == exterior_powers(dual(V))[1]
 
@@ -268,6 +268,22 @@ def shifted_d_window(monkeypatch):
     monkeypatch.setattr(koszul, "d_of", lambda I, j: sum(1 for i in I if 1 <= i <= j - 1))
 
 
+@pytest.fixture
+def long_d_window(monkeypatch):
+    """d(I, j) = |I cap [1, j+1]|: K^I counts each index one degree early,
+    so index sets that differ only in rank + 1 get different twists."""
+    monkeypatch.setattr(koszul, "d_of", lambda I, j: sum(1 for i in I if 1 <= i <= j + 1))
+
+
+@pytest.fixture
+def size_twist_in_degree_zero(monkeypatch):
+    """d(I, 0) = |I|: every move keeps |I|, so every one-step identity
+    still holds, but I and I + {rank + 1} get different K^I classes, so a
+    sweep that shared their classes would report moves of i = rank."""
+    raw = koszul.d_of
+    monkeypatch.setattr(koszul, "d_of", lambda I, j: len(I) if j == 0 else raw(I, j))
+
+
 def reference_sweep(rank, qw):
     """The one-step sweep move by move, both complexes built per move:
     the move count, the failing (I, i) in order and the first witness."""
@@ -289,12 +305,14 @@ def reference_sweep(rank, qw):
 
 
 class TestSharedClassSweep:
-    """The sweep of endpoint_report, one class per index set, against the
-    per-move reference: on the true complexes and under two faults, one in
-    the step block and one in the twist count d(I, j) that the shared
-    K^I classes carry."""
+    """The sweep of endpoint_report, one class per twist profile, against
+    the per-move reference: on the true complexes, under a fault in the
+    step block and under three in the twist count d(I, j) that the shared
+    K^I classes carry; all but the last make every sweep of rank > 0 fail."""
 
-    @pytest.mark.parametrize("fault", [None, "untwisted_step_block", "shifted_d_window"])
+    FAULTS = ["untwisted_step_block", "shifted_d_window", "long_d_window"]
+
+    @pytest.mark.parametrize("fault", [None, *FAULTS, "size_twist_in_degree_zero"])
     @pytest.mark.parametrize("rank", range(7))
     def test_matches_per_move_reference(self, request, fault, rank):
         if fault:
@@ -307,10 +325,25 @@ class TestSharedClassSweep:
             assert koszul._one_step_sweep(duals, ell_inv, rank, qw) == (total, bad, first)
             check = koszul.endpoint_report(rank, qw).checks[-1]
             assert check.name == f"one-step cone identity holds for all {total} valid (I, i)"
-            assert bool(bad) == (fault is not None and rank > 0) == (not check.passed)
+            assert bool(bad) == (fault in self.FAULTS and rank > 0) == (not check.passed)
             if bad:
                 assert check.witness.startswith(f"{len(bad)} of {total} moves fail, ")
                 assert check.witness.endswith(f"; at the first, {first}")
+
+    @pytest.mark.parametrize("rank", range(7))
+    def test_one_class_per_twist_profile(self, monkeypatch, rank):
+        # d(I, j) is read for j <= rank only, so 2^rank profiles, plus the
+        # two endpoint complexes
+        calls = []
+        raw = koszul._interpolating
+
+        def counted(*args):
+            calls.append(args)
+            return raw(*args)
+
+        monkeypatch.setattr(koszul, "_interpolating", counted)
+        koszul.endpoint_report(rank)
+        assert len(calls) <= 2**rank + 2
 
 
 def failing_checks(capsys):

@@ -161,13 +161,13 @@ class TestFieldOps:
                 a.inv()
         else:
             assert a * a.inv() == RationalFunction.one(NV)
-            assert a ** -2 == (a.inv()) ** 2
+            assert a.inv().inv() == a
 
     def test_int_interop(self):
         a = rf("x1/(1 - q)")
         assert a + 0 == a and 1 * a == a
         assert a - a == 0
-        assert (2 * a) / 2 == a
+        assert (2 * a) * RationalFunction.const(NV, 2).inv() == a
         assert 1 - rf("q") == rf("1 - q")
 
     def test_sum_matches_pairwise(self):

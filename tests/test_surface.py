@@ -1,9 +1,11 @@
 """Every name the package defines is used inside the package.
 
-Scans src/qglk with ast: each module-level function and class, and each
-method of a module-level class other than dunders, must be referenced by
-name (an ast.Name or an ast.Attribute) somewhere in src/.  A helper that
-only tests call belongs in tests/, not in the package.
+Scans src/qglk with ast: each module-level function and class must be
+referenced by name (an ast.Name or an ast.Attribute) somewhere in src/,
+and each method of a module-level class other than dunders through an
+attribute (an ast.Attribute): a bare name such as a local variable that
+happens to share the method's name does not call it.  A helper that only
+tests call belongs in tests/, not in the package.
 """
 
 import ast
@@ -37,23 +39,25 @@ def _definitions(trees):
 
 
 def _referenced(trees):
-    names = set()
+    """The bare names and the attribute names referenced in src/."""
+    names, attributes = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
+                attributes.add(node.attr)
+    return names, attributes
 
 
 def test_every_definition_has_a_caller_in_src():
     trees = _trees()
-    used = _referenced(trees)
+    names, attributes = _referenced(trees)
     unused = [
         (module, qualname)
         for module, qualname, name in _definitions(trees)
-        if name not in used and (module, qualname) not in OUTSIDE_CALLERS
+        if name not in (attributes if "." in qualname else names | attributes)
+        and (module, qualname) not in OUTSIDE_CALLERS
     ]
     assert unused == []
 
