@@ -12,11 +12,13 @@ The ambient torus acts with weight x_i on the i-th line.  The total space
 adds the fiber Hom(C^n, tau) whose scaling circle acts with weight 2, so
 fiber weights carry q^2.  Pushforwards to a point follow the fixed-point
 localization rule: sum restrictions divided by tangent Euler classes
-prod(1 - w^{-1}).
+prod(1 - w^{-1}), over one localization form per (n, k, fiber): the
+inverse Euler classes raised once to their shared denominator.
 """
 
 from functools import cache
 from itertools import combinations
+from math import lcm
 from operator import mul
 
 from .poly import _BIAS, Poly, _check_fields, _layout, _unpack
@@ -141,14 +143,33 @@ def _tangent(n, S, with_fiber):
 
 
 @cache
-def _inv_euler(n, S, with_fiber):
-    """1 / e(T_S) on Gr(|S|, n), with the fiber when asked; built once per
-    process and shared by every Space."""
-    return euler_class_rf(_tangent(n, S, with_fiber), invert=True)
+def _localization_form(n, k, with_fiber):
+    """(numerators, den_factors, den_scalar) with 1 / e(T_S) equal to
+    numerators[S] / (den_scalar * prod f^m) at each fixed point S of
+    Gr(k, n), with the fiber when asked: each class raised to the shared
+    denominator as RationalFunction.sum raises its items, once per process."""
+    classes = {
+        S: euler_class_rf(_tangent(n, S, with_fiber), invert=True) for S in fixed_points(n, k)
+    }
+    scalar = lcm(*(rf.den_scalar for rf in classes.values()))
+    common = {}
+    for rf in classes.values():
+        for f, m in rf.den_factors:
+            common[f] = max(common.get(f, 0), m)
+    numerators = {}
+    for S, rf in classes.items():
+        part = rf.num * (scalar // rf.den_scalar)
+        have = dict(rf.den_factors)
+        for f, m in common.items():
+            if m > have.get(f, 0):
+                part = part * f ** (m - have.get(f, 0))
+        numerators[S] = part
+    return numerators, tuple(common.items()), scalar
 
 
 class Space:
-    """Fixed-point model of Gr(k,n), optionally with the scaled Hom fiber."""
+    """Fixed-point model of Gr(k,n), optionally with the scaled Hom fiber.
+    Spaces of one (n, k, fiber) share one localization form."""
 
     __slots__ = ("n", "k", "with_fiber", "points")
 
@@ -162,18 +183,22 @@ class Space:
     def nvars(self):
         return self.n + 1
 
-    def inv_euler(self, S):
-        return _inv_euler(self.n, S, self.with_fiber)
+    @property
+    def form(self):
+        return _localization_form(self.n, self.k, self.with_fiber)
 
     def pushforward(self, values):
-        """Localized pushforward to the point: sum of value/euler over S."""
-        items = []
-        for S in self.points:
+        """Localized pushforward to the point: sum of value/euler over S.
+        ``values`` (a dict or a callable) gives each fixed point a Poly, the
+        restriction of a representation-ring class; other values raise TypeError."""
+        numerators, den, scalar = self.form
+        total = Poly.zero(self.nvars)
+        for S, part in numerators.items():
             v = values[S] if isinstance(values, dict) else values(S)
-            if not isinstance(v, RationalFunction):
-                v = RationalFunction.from_poly(v)
-            items.append(v * self.inv_euler(S))
-        return RationalFunction.sum(self.nvars, items)
+            if not isinstance(v, Poly):
+                raise TypeError("pushforward values must be Poly restrictions")
+            total = total + v * part
+        return RationalFunction(self.nvars, total, den, scalar)
 
     def pushforward_det_tau_power(self, m):
         n = self.n

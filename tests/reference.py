@@ -12,12 +12,17 @@ qglk.fm.Blocks.  The dense tensor representation: the 2^n x 2^n matrix
 of a generator in the basis of all words, the reference for the
 block-by-block relation battery.  Fixed-point bookkeeping: the nested pairs of the one-step
 correspondence and block entries looked up by their subset labels.
+
+Localization: tangent characters and inverse Euler classes of a fixed-point
+space built from scratch at each call, and the pushforward as one
+RationalFunction.sum of value times inverse Euler class, the reference for
+the shared localization form of qglk.grassmann.
 """
 
 from math import comb
 
 from qglk import fm, superrep
-from qglk.grassmann import fixed_points
+from qglk.grassmann import euler_class_rf, fixed_points, hom_fiber, tangent_gr
 from qglk.linalg import pivot_columns, sample_points
 from qglk.matrix import Matrix, entry_witness, k_of
 from qglk.poly import Poly
@@ -150,6 +155,27 @@ def correspondence_pairs(n, k_small):
         for b in Sb:
             out.append((tuple(i for i in Sb if i != b), Sb))
     return out
+
+
+def tangent(space, S):
+    """Tangent character of a fixed-point space at S: the Grassmannian
+    directions, plus the Hom fiber when the space carries it."""
+    t = tangent_gr(space.n, S)
+    return t + hom_fiber(space.n, S) if space.with_fiber else t
+
+
+def inverse_euler(space, S):
+    """1 / e(T_S), built afresh at each call."""
+    return euler_class_rf(tangent(space, S), invert=True)
+
+
+def reference_pushforward(space, values):
+    """Sum over the fixed points of value / e(T_S), each term a fraction of
+    its own, added by RationalFunction.sum."""
+    return RationalFunction.sum(
+        space.nvars,
+        [RationalFunction.from_poly(values(S)) * inverse_euler(space, S) for S in space.points],
+    )
 
 
 def word_weight(word):

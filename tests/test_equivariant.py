@@ -19,16 +19,9 @@ from qglk.grassmann import (
 )
 from qglk.poly import Poly
 from qglk.ratfunc import RationalFunction
-from reference import correspondence_pairs
+from reference import correspondence_pairs, inverse_euler, reference_pushforward, tangent
 from rf_parser import parse
 from weights import mult, rank, weight_monomial
-
-
-def tangent(space, S):
-    """Tangent character of a fixed-point space at S: the Grassmannian
-    directions, plus the Hom fiber when the space carries it."""
-    t = tangent_gr(space.n, S)
-    return t + hom_fiber(space.n, S) if space.with_fiber else t
 
 
 def schur_rectangular(n, k, m):
@@ -471,23 +464,72 @@ class TestPushforwards:
         assert det_tau_restrict(3, (), 5) == Poly.one(4)
 
     def test_inverse_euler_classes_are_shared(self):
-        a, b = Space(6, 3), Space(6, 3)
-        for S in a.points:
-            assert a.inv_euler(S) is b.inv_euler(S)
-        assert Space(6, 3, with_fiber=False).inv_euler((1, 2, 3)) != a.inv_euler((1, 2, 3))
-        # the shared classes give the values of classes built afresh
-        sp = Space(6, 3, with_fiber=False)
-        for m in (-1, 0, 1):
-            fresh = RationalFunction.sum(
-                7,
-                [
-                    RationalFunction.from_poly(det_tau_restrict(6, S, m))
-                    * euler_class_rf(tangent(sp, S), invert=True)
-                    for S in sp.points
-                ],
-            )
-            assert sp.pushforward_det_tau_power(m) == fresh
-            assert Space(6, 3, with_fiber=False).pushforward_det_tau_power(m) == fresh
+        # one localization form per (n, k, fiber), shared by every Space of that shape
+        a, b = Space(4, 2), Space(4, 2)
+        assert a.form is b.form
+        assert Space(4, 3).form is not a.form
+        assert Space(4, 2, with_fiber=False).form is not a.form
+        assert Space(4, 2, with_fiber=False).form is Space(4, 2, with_fiber=False).form
+        numerators, den, scalar = a.form
+        assert list(numerators) == a.points
+        for S, part in numerators.items():
+            assert RationalFunction(5, part, den, scalar) == inverse_euler(a, S)
+
+    def test_pushforward_values_must_be_polys(self):
+        sp = Space(3, 1, with_fiber=False)
+        with pytest.raises(TypeError):
+            sp.pushforward(lambda S: RationalFunction.one(4))
+        with pytest.raises(TypeError):
+            sp.pushforward({S: RationalFunction.x(4, 1) for S in sp.points})
+
+
+def structure(rf):
+    return rf.num.keys, rf.den_scalar, rf.den_factors
+
+
+class TestLocalizationForm:
+    """Pushforwards over the shared localization form against the sum of
+    fractions built afresh: the same numerator keys and the same reduced
+    denominator, not merely equal values."""
+
+    @pytest.mark.parametrize(
+        "n,k,fiber,ms",
+        [(n, k, False, range(-3, 4)) for n in range(6) for k in range(n + 1)]
+        + [(6, 3, False, range(-3, 4))]
+        + [(n, k, True, range(-2, 3)) for n in range(5) for k in range(n + 1)],
+    )
+    def test_det_tau_powers_match_reference(self, n, k, fiber, ms):
+        sp = Space(n, k, fiber)
+        for m in ms:
+            values = lambda S: det_tau_restrict(n, S, m)  # noqa: E731
+            want = reference_pushforward(sp, values)
+            assert structure(sp.pushforward(values)) == structure(want)
+
+    @pytest.mark.parametrize(
+        "n,k,fiber", [(3, 1, False), (4, 2, False), (3, 1, True), (3, 2, True)]
+    )
+    def test_non_global_values_keep_their_poles(self, n, k, fiber):
+        # values that restrict no global class: the shared denominator hides no pole
+        sp = Space(n, k, fiber)
+        one, zero = Poly.one(n + 1), Poly.zero(n + 1)
+        for S0 in sp.points:
+            indicator = lambda S: one if S == S0 else zero  # noqa: E731
+            bumped = lambda S: det_tau_restrict(n, S) + (one if S == S0 else zero)  # noqa: E731
+            for values in (indicator, bumped):
+                got = sp.pushforward(values)
+                assert not got.is_polynomial()
+                assert structure(got) == structure(reference_pushforward(sp, values))
+            # the bumped values add this point's inverse Euler class to det tau's pushforward
+            assert got == sp.pushforward_det_tau_power(1) + inverse_euler(sp, S0)
+
+    # Gr(4, 3) has no fixed points at all
+    @pytest.mark.parametrize(
+        "n,k,fiber", [(0, 0, False), (3, 1, False), (4, 2, True), (3, 4, False)]
+    )
+    def test_zero_values_push_forward_to_zero(self, n, k, fiber):
+        sp = Space(n, k, fiber)
+        got = sp.pushforward(lambda S: Poly.zero(n + 1))
+        assert structure(got) == structure(RationalFunction.zero(n + 1))
 
 
 class TestSchurOracle:

@@ -44,6 +44,7 @@ from reference import (
     column_basis,
     correspondence_pairs,
     entry,
+    inverse_euler,
     phi_from_bases,
 )
 from rf_parser import parse
@@ -120,10 +121,10 @@ class TestKernelValues:
             for Ss, Sb in correspondence_pairs(n, k_small):
                 assert entry(up, Ss, Sb) == kernel_value(
                     n, Ss, Sb, raising=True
-                ) * src_up.inv_euler(Sb)
+                ) * inverse_euler(src_up, Sb)
                 assert entry(down, Sb, Ss) == kernel_value(
                     n, Ss, Sb, raising=False
-                ) * src_down.inv_euler(Ss)
+                ) * inverse_euler(src_down, Ss)
 
 
 class TestFunctorMatrices:
@@ -150,7 +151,7 @@ class TestFunctorMatrices:
 
     def test_lowering_unit(self):
         assert lowering_unit(2) == parse("q^4/(x1*x2)", 3)
-        raw = kernel_value(3, (1,), (1, 2), raising=False) * Space(3, 1).inv_euler((1,))
+        raw = kernel_value(3, (1,), (1, 2), raising=False) * inverse_euler(Space(3, 1), (1,))
         norm = lowering_matrix(3, 1)
         assert entry(norm, (1, 2), (1,)) == raw * lowering_unit(3)
 
