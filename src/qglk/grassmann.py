@@ -18,11 +18,10 @@ inverse Euler classes raised once to their shared denominator.
 
 from functools import cache
 from itertools import combinations
-from math import lcm
 from operator import mul
 
 from .poly import _BIAS, Poly, _check_fields, _layout, _unpack
-from .ratfunc import RationalFunction
+from .ratfunc import RationalFunction, common_denominator
 
 
 class NonIsolatedFixedPointError(ValueError):
@@ -146,25 +145,12 @@ def _tangent(n, S, with_fiber):
 def _localization_form(n, k, with_fiber):
     """(numerators, den_factors, den_scalar) with 1 / e(T_S) equal to
     numerators[S] / (den_scalar * prod f^m) at each fixed point S of
-    Gr(k, n), with the fiber when asked: each class raised to the shared
-    denominator as RationalFunction.sum raises its items, once per process."""
-    classes = {
-        S: euler_class_rf(_tangent(n, S, with_fiber), invert=True) for S in fixed_points(n, k)
-    }
-    scalar = lcm(*(rf.den_scalar for rf in classes.values()))
-    common = {}
-    for rf in classes.values():
-        for f, m in rf.den_factors:
-            common[f] = max(common.get(f, 0), m)
-    numerators = {}
-    for S, rf in classes.items():
-        part = rf.num * (scalar // rf.den_scalar)
-        have = dict(rf.den_factors)
-        for f, m in common.items():
-            if m > have.get(f, 0):
-                part = part * f ** (m - have.get(f, 0))
-        numerators[S] = part
-    return numerators, tuple(common.items()), scalar
+    Gr(k, n), with the fiber when asked: the classes raised to their
+    shared denominator by common_denominator, once per process."""
+    points = fixed_points(n, k)
+    classes = [euler_class_rf(_tangent(n, S, with_fiber), invert=True) for S in points]
+    parts, den_factors, den_scalar = common_denominator(n + 1, classes)
+    return dict(zip(points, parts)), den_factors, den_scalar
 
 
 class Space:

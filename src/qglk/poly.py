@@ -12,8 +12,13 @@ Integer order on keys is then the term order (total degree, then
 lexicographic on exponent tuples), and the key of a monomial product is
 ``k1 + k2 - zero``.  Exponents must lie in [-2^14, 2^14): the
 constructor checks both ends, products and shifts check the top (guard)
-bit of each field, and exact division checks its exponent box up front.  Out of range raises ``OverflowError``; nothing
-returns a wrong polynomial.  Exponent tuples exist only at the boundary.
+bit of each field, and exact division checks its exponent box up
+front.  Out of range raises ``OverflowError``; nothing returns a wrong
+polynomial.  Exponent tuples exist only at the boundary.
+
+Exact division takes two-term divisors only: qglk divides by nothing but
+Euler factors 1 - w^-1 and the commutator scalar 1 - q^(2n), each a unit
+times X^a - X^b (see qglk.ratfunc).
 
 Values are immutable once constructed and every operation returns a fresh
 value, so instances can be shared freely.
@@ -22,7 +27,6 @@ value, so instances can be shared freely.
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, reduce
-from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import mul, or_
 from types import MappingProxyType
@@ -140,9 +144,6 @@ class Poly:
     def is_zero(self):
         return not self.keys
 
-    def is_one(self):
-        return self.keys == {_layout(self.nvars).zero: 1}
-
     def __add__(self, other):
         self._check(other)
         keys = dict(self.keys)
@@ -242,21 +243,13 @@ class Poly:
         if self._box is None:
             if not self.keys:
                 raise ValueError("zero polynomial")
-            if len(self.keys) == 1:  # a monomial's key is both corners
-                (k,) = self.keys
-                self._box = (k, k)
-            else:
-                lay = _layout(self.nvars)
-                fields = [[k >> s & _MASK for k in self.keys] for s in lay.shifts]
-                self._box = tuple(
-                    lay.zero + sum(map(mul, [pick(f) - _BIAS for f in fields], lay.weights))
-                    for pick in (min, max)
-                )
+            lay = _layout(self.nvars)
+            fields = [[k >> s & _MASK for k in self.keys] for s in lay.shifts]
+            self._box = tuple(
+                lay.zero + sum(map(mul, [pick(f) - _BIAS for f in fields], lay.weights))
+                for pick in (min, max)
+            )
         return self._box
-
-    def exponent_floor(self):
-        """Componentwise minimum exponent over all terms."""
-        return _unpack(_layout(self.nvars), self._box_keys()[0])
 
     def _translate(self, d, scale=1, unit=1):
         """self * scale * X^s / unit for d = sum(s_i * weights_i), every s_i in
@@ -292,32 +285,14 @@ class Poly:
         }
         return Poly._raw(self.nvars, keys)
 
-    def extract_unit(self):
-        """Write self = sign * content * X^shift * canonical.
-
-        ``canonical`` is primitive, has exponent floor zero in every variable
-        and a positive leading coefficient.  Returns
-        (canonical, shift, sign, content); self must be nonzero.
-        """
-        shift = self.exponent_floor()
-        g = self.content()
-        sign = 1 if self.leading_coeff() > 0 else -1
-        if g == 1 and sign > 0 and not any(shift):
-            return self, shift, 1, 1
-        d = _layout(self.nvars).zero - self._box_keys()[0]
-        return self._translate(d, unit=sign * g), shift, sign, g
-
     def exact_div(self, other):
         """Exact quotient self / other, or None when it does not divide.
 
         Division is taken in the Laurent ring, so monomial factors never
-        obstruct divisibility.
-
-        This is sparse heap division (Johnson 1974; Monagan and Pearce,
-        CASC 2007) on the packed keys, whose order is the term order: a
-        monomial product is one integer addition, and the leading term of
-        the remainder is taken from a heap with cancelled terms deleted
-        lazily.
+        obstruct divisibility.  The divisor must have exactly two terms,
+        c_h X^h + c_l X^l; any other divisor raises ``ValueError``.  Every
+        denominator factor of a RationalFunction is such a binomial (see
+        qglk.ratfunc), and those are the only divisions qglk makes.
 
         Two cheap rejects come first.  The term order is compatible with
         multiplication, so the leading and trailing terms of h * other
@@ -330,17 +305,18 @@ class Poly:
         The same facts make the quotient's floor ``off`` and its end
         terms the quotients of the end terms, so it is born with them.
 
-        A two-term divisor c_h X^h + c_l X^l (an Euler binomial) skips the
-        heap.  A quotient term at X^e touches only X^(e+h) and X^(e+l), so
-        keys differing by multiples of h - l form lines that never meet: from
-        each dividend key still in the remainder, in descending order, walk
-        down its line carrying -(c / c_h) * c_l until the carry cancels.  The
-        rejects and range check precede the branch and the quotient is unique,
-        so both loops return it when it exists and None otherwise.
+        The division itself walks lines of keys.  A quotient term at X^e
+        touches only X^(e+h) and X^(e+l), so keys differing by multiples
+        of h - l form lines that never meet: from each dividend key still
+        in the remainder, in descending order, walk down its line carrying
+        -(c / c_h) * c_l until the carry cancels.  The quotient is unique,
+        so the walk returns it when it exists and None otherwise.
         """
         self._check(other)
         if not other.keys:
             raise ZeroDivisionError("polynomial division by zero")
+        if len(other.keys) != 2:
+            raise ValueError(f"divisor {other} does not have exactly two terms")
         if not self.keys:
             return Poly.zero(self.nvars)
         lay = _layout(self.nvars)
@@ -355,60 +331,35 @@ class Poly:
         # 2^15): a negative one borrows and shows its guard bit
         dshift = dlead - zero
         base = dshift + off
-        dlc = dnum[dlead]
+        dlc, dtc = dnum[dlead], dnum[dtrail]
         if (
             (lead - base) & guard
             or num[lead] % dlc
             or (trail - dtrail - off + zero) & guard
-            or num[trail] % dnum[dtrail]
+            or num[trail] % dtc
         ):
             return None
 
         # Newt(h * other) = Newt(h) + Newt(other) (Ostrowski), so field by
         # field the quotient lies in the box [off, ceil], the dividend's
-        # box minus the divisor's.  A popped term outside it returns None,
-        # so every remainder key stays inside the dividend's box.
+        # box minus the divisor's.  A quotient term outside it returns
+        # None, so every remainder key stays inside the dividend's box.
         ceil = ceil_s - ceil_o + zero
         if (off | ceil) & guard:
             raise OverflowError("division leaves the exponent range [-2^14, 2^14)")
 
         rem = dict(num)
         quo = {}
-        if len(dnum) == 2:
-            step, dtc = dlead - dtrail, dnum[dtrail]
-            for k in sorted(num, reverse=True):
-                c = rem.pop(k, 0)
-                while c:
-                    qk = k - dshift
-                    if ((k - base) | (ceil - qk)) & guard or c % dlc:
-                        return None
-                    qc = quo[qk] = c // dlc
-                    k -= step
-                    c = rem.pop(k, 0) - qc * dtc
-        else:
-            den = [(k - zero, c) for k, c in dnum.items() if k != dlead]
-            heap = [-k for k in rem]
-            heapify(heap)
-            while heap:
-                k = -heappop(heap)
-                c = rem.pop(k, 0)
-                if not c:
-                    continue
+        step = dlead - dtrail
+        for k in sorted(num, reverse=True):
+            c = rem.pop(k, 0)
+            while c:
                 qk = k - dshift
                 if ((k - base) | (ceil - qk)) & guard or c % dlc:
                     return None
-                qc = c // dlc
-                quo[qk] = qc
-                for e, dc in den:
-                    t = qk + e
-                    old = rem.get(t)
-                    if old is None:
-                        rem[t] = -qc * dc
-                        heappush(heap, -t)
-                    elif old == qc * dc:
-                        del rem[t]
-                    else:
-                        rem[t] = old - qc * dc
+                qc = quo[qk] = c // dlc
+                k -= step
+                c = rem.pop(k, 0) - qc * dtc
         return Poly._raw(self.nvars, quo, (off, ceil), (lead - dshift, trail - dtrail + zero))
 
     def evaluate(self, point):

@@ -1,15 +1,18 @@
 """Exact rational functions in x_1, ..., x_N and q over the integers.
 
 Denominators are kept in factored form: a positive integer scalar times a
-multiset of canonical polynomial factors.  Factors stay canonical in the
-sense of :meth:`qglk.poly.Poly.extract_unit` (primitive, exponent floor
-zero, positive leading coefficient); monomial and constant content is
-absorbed into the numerator and the scalar on construction.  Cancellation
-runs factor by factor through exact division, so no multivariate gcd is
+multiset of canonical binomial factors X^a - X^b (floor zero, leading
+coefficient 1).  That is the contract: every factor handed to a
+RationalFunction must be a unit c * X^s, which is absorbed into the
+numerator and the scalar, or a unit times a binomial X^a - X^b; any other
+factor raises ValueError.  It holds because qglk only ever divides by
+K-theoretic Euler factors 1 - w^-1 of torus weights (qglk.grassmann) and
+by the commutator scalar 1 - q^(2n) (qglk.fm).  Cancellation runs factor
+by factor through exact division by binomials, so no multivariate gcd is
 ever needed.
 
 Units skip that cancellation.  A one-term numerator c * X^e is a unit
-times an integer, which no canonical factor (two or more terms) divides
+times an integer, which no canonical factor (two terms) divides
 (Ostrowski).  Negation and multiplication by c or by c * X^e keep the
 reduced denominator and only re-take the gcd of the numerator content
 with the scalar: X^e is a unit, and by Gauss's lemma a primitive factor
@@ -17,9 +20,9 @@ that divides c * num already divides num, so trial divisions would fail.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .poly import Poly, _layout
+from .poly import Poly, _layout, _unpack
 
 
 class PoleError(ZeroDivisionError):
@@ -46,25 +49,21 @@ class RationalFunction:
                 raise ValueError("denominator multiplicities must be positive")
             if f.is_zero():
                 raise ZeroDivisionError("zero denominator factor")
-            canon, shift, sign, content = f.extract_unit()
+            canon, shift, sign, content = _canonical_factor(f)
             den_scalar *= content**m
             if sign < 0 and m % 2:
                 num = -num
             if any(shift):
                 num = num.shift_exps(tuple(-s * m for s in shift))
-            if not canon.is_one():
+            if len(canon.keys) == 2:
                 merged[canon] = merged.get(canon, 0) + m
 
         if num.is_zero():
-            self.nvars = nvars
-            self.num = num
-            self.den_scalar = 1
-            self.den_factors = ()
-            return
+            merged, den_scalar = {}, 1
 
-        # small factors first: they divide out most often; none divides a monomial
-        by_size = lambda p: (len(p.keys), term_sort_key(p))  # noqa: E731
-        for f in sorted(merged, key=by_size) if len(num.keys) > 1 else ():
+        # no binomial divides a monomial
+        order = sorted(merged, key=term_sort_key)
+        for f in order if len(num.keys) > 1 else ():
             m = merged[f]
             while m > 0:
                 quo = num.exact_div(f)
@@ -82,9 +81,7 @@ class RationalFunction:
         self.nvars = nvars
         self.num = num
         self.den_scalar = den_scalar
-        self.den_factors = tuple(
-            sorted(((f, m) for f, m in merged.items() if m), key=lambda fm: term_sort_key(fm[0]))
-        )
+        self.den_factors = tuple((f, merged[f]) for f in order if merged[f])
 
     # -- constructors ----------------------------------------------------
 
@@ -191,6 +188,8 @@ class RationalFunction:
     __rmul__ = __mul__
 
     def inv(self):
+        """1 / self.  The numerator becomes the one denominator factor, so
+        it must be a unit or a unit times a binomial X^a - X^b."""
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of zero")
         num = Poly.const(self.nvars, self.den_scalar)
@@ -200,38 +199,15 @@ class RationalFunction:
 
     @classmethod
     def sum(cls, nvars, items):
-        """Sum with a single shared denominator, built once."""
-        items = [
-            it if isinstance(it, RationalFunction) else cls.from_poly(it)
-            for it in items
-        ]
-        if not items:
-            return cls.zero(nvars)
-        common = {}
-        scalar = 1
-        for it in items:
-            if it.nvars != nvars:
-                raise ValueError("variable-count mismatch")
-            scalar = scalar * it.den_scalar // gcd(scalar, it.den_scalar)
-            for f, m in it.den_factors:
-                if common.get(f, 0) < m:
-                    common[f] = m
-        total = Poly.zero(nvars)
-        for it in items:
-            part = it.num * (scalar // it.den_scalar)
-            mults = dict(it.den_factors)
-            for f, m in common.items():
-                deficit = m - mults.get(f, 0)
-                if deficit:
-                    part = part * f**deficit
-            total = total + part
-        return cls(nvars, total, tuple(common.items()), scalar)
+        """Sum of RationalFunctions over their one shared denominator."""
+        parts, den_factors, den_scalar = common_denominator(nvars, items)
+        return cls(nvars, sum(parts, Poly.zero(nvars)), den_factors, den_scalar)
 
     def permute(self, perm, factors=None):
         """self with each x_i replaced by x_perm[i-1] (see Poly.permute).
 
         A permuted canonical factor keeps floor zero and content one, but
-        its leading term, and so its sign, can change: extract_unit
+        its leading term, and so its sign, can change: _canonical_factor
         re-canonicalizes it, and an odd multiplicity of a flipped factor
         negates the numerator.  No factor divides the numerator, and an
         automorphism keeps it so: nothing is divided.  ``factors``, a
@@ -243,7 +219,7 @@ class RationalFunction:
         for f, m in self.den_factors:
             hit = memo.get(f)
             if hit is None:
-                canon, _, sign, _ = f.permute(perm).extract_unit()
+                canon, _, sign, _ = _canonical_factor(f.permute(perm))
                 hit = memo[f] = canon, sign
             if hit[1] < 0 and m % 2:
                 num = -num
@@ -289,7 +265,7 @@ class RationalFunction:
             return num
         dparts = [] if self.den_scalar == 1 else [str(self.den_scalar)]
         for f, m in self.den_factors:
-            body = f"({f})" if len(f.keys) > 1 else str(f)
+            body = f"({f})"
             dparts.append(body if m == 1 else f"{body}^{m}")
         if len(self.num.keys) > 1:
             num = f"({num})"
@@ -300,6 +276,53 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({self})"
+
+
+def _canonical_factor(f):
+    """Write a nonzero denominator factor as f = sign * content * X^shift * canon.
+
+    A unit c * X^s gives canon = 1.  A unit times a binomial,
+    c * X^s * (X^a - X^b) with s the exponent floor, gives the canonical
+    binomial canon = X^(a-s) - X^(b-s): floor zero, leading coefficient 1.
+    Returns (canon, shift, sign, content) with shift an exponent tuple; any
+    other factor raises ValueError.  A canonical factor, as euler_class_rf
+    builds them with their caches set, is returned as it is.
+    """
+    keys, lay = f.keys, _layout(f.nvars)
+    lead, trail = f._ends()
+    c = keys[lead]
+    if not (lead == trail or len(keys) == 2 and keys[trail] == -c):
+        raise ValueError(f"denominator factor {f} is not a unit times X^a - X^b")
+    floor = f._box_keys()[0]
+    if c == 1 and floor == lay.zero:
+        return f, (0,) * f.nvars, 1, 1
+    canon = f._translate(lay.zero - floor, unit=c)
+    return canon, _unpack(lay, floor), 1 if c > 0 else -1, abs(c)
+
+
+def common_denominator(nvars, items):
+    """(parts, den_factors, den_scalar): the sequence of RationalFunctions
+    ``items`` raised to their least common denominator, parts[i] the
+    numerator of items[i] over it.  Each numerator is multiplied by its
+    missing scalar, when that is not 1, and by each missing factor power."""
+    scalar = lcm(*(it.den_scalar for it in items))
+    common = {}
+    for it in items:
+        if it.nvars != nvars:
+            raise ValueError("variable-count mismatch")
+        for f, m in it.den_factors:
+            if common.get(f, 0) < m:
+                common[f] = m
+    parts = []
+    for it in items:
+        part = it.num if it.den_scalar == scalar else it.num * (scalar // it.den_scalar)
+        have = dict(it.den_factors)
+        for f, m in common.items():
+            deficit = m - have.get(f, 0)
+            if deficit:
+                part = part * f**deficit
+        parts.append(part)
+    return parts, tuple(common.items()), scalar
 
 
 def term_sort_key(p):

@@ -1,10 +1,16 @@
 """Slow references and accessors that only the tests use.
 
-Linear algebra over the fraction field: symbolic Gauss-Jordan
-elimination (pivots and inverses) and the point-sampled pivot and
-invertibility certificates the intertwiner's proof once called, kept as
-references for the proof in qglk.fm and for phi, which qglk.fm returns
-as the pair of bases B_alg, B_geo with phi_w = B_geo[w] B_alg[w]^-1.
+Polynomial references: plain division by any divisor and the unit
+extraction of a nonzero polynomial, the references for Poly.exact_div
+and for the denominator-factor canonicalizer of qglk.ratfunc.
+
+Linear algebra over the fraction field: pivot columns by fraction-free
+(Bareiss) elimination over Poly, which needs no inverse of a general
+polynomial; symbolic Gauss-Jordan inverses, whose pivots must have unit
+or binomial numerators (they do for n <= 2); and the point-sampled pivot
+and invertibility certificates the intertwiner's proof once called.  They
+are references for the proof in qglk.fm and for phi, which qglk.fm
+returns as the pair of bases B_alg, B_geo with phi_w = B_geo[w] B_alg[w]^-1.
 
 The full sweeps: every entry of each square and commutator, formed as
 whole matrices, the reference for the orbit-representative checks of
@@ -19,14 +25,82 @@ RationalFunction.sum of value times inverse Euler class, the reference for
 the shared localization form of qglk.grassmann.
 """
 
-from math import comb
+from math import comb, gcd
+from operator import add, sub
 
 from qglk import fm, superrep
 from qglk.grassmann import euler_class_rf, fixed_points, hom_fiber, tangent_gr
-from qglk.linalg import pivot_columns, sample_points
+from qglk.linalg import columns, pivot_columns, sample_points
 from qglk.matrix import Matrix, entry_witness, k_of
 from qglk.poly import Poly
-from qglk.ratfunc import PoleError, RationalFunction
+from qglk.ratfunc import PoleError, RationalFunction, common_denominator
+
+
+def term_key(exps):
+    """Total-degree-then-lexicographic sort key for an exponent tuple: the
+    reference term order that Poly's packed keys must follow."""
+    return (sum(exps), exps)
+
+
+def reference_floor(p):
+    """Componentwise minimum exponent over the terms of p."""
+    return tuple(map(min, zip(*p.terms)))
+
+
+def reference_exact_div(a, b):
+    """Plain sparse division by any divisor, rescanning the remainder for
+    its leading term.
+
+    Slow but obviously right: the reference for Poly.exact_div.  Terms are
+    keyed by term_key of their exponents above the floor, so the leading
+    term is the largest key.
+    """
+    if not b.terms:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not a.terms:
+        return Poly.zero(a.nvars)
+    shift_s, shift_o = reference_floor(a), reference_floor(b)
+
+    def keyed(p, shift):
+        return {term_key(tuple(map(sub, e, shift))): c for e, c in p.terms.items()}
+
+    num, den = keyed(a, shift_s), keyed(b, shift_o)
+    dlead = max(den)
+    dlc = den[dlead]
+    quo = {}
+    while num:
+        lead = max(num)
+        c = num[lead]
+        qexp = tuple(map(sub, lead[1], dlead[1]))
+        if any(e < 0 for e in qexp) or c % dlc:
+            return None
+        qc = c // dlc
+        quo[qexp] = qc
+        for (_, e), dc in den.items():
+            t = term_key(tuple(map(add, qexp, e)))
+            nc = num.get(t, 0) - qc * dc
+            if nc:
+                num[t] = nc
+            else:
+                num.pop(t, None)
+    off = tuple(map(sub, shift_s, shift_o))
+    return Poly(a.nvars, {tuple(map(add, e, off)): c for e, c in quo.items()})
+
+
+def reference_extract_unit(p):
+    """(canonical terms, shift, sign, content) of a nonzero p = sign *
+    content * X^shift * canonical, with canonical primitive, of floor zero
+    and with a positive leading coefficient: the reference for the
+    denominator-factor canonicalizer of qglk.ratfunc."""
+    shift = reference_floor(p)
+    g = 0
+    for c in p.terms.values():
+        g = gcd(g, abs(c))
+    sign = 1 if p.terms[max(p.terms, key=term_key)] > 0 else -1
+    canonical = {
+        tuple(a - s for a, s in zip(e, shift)): c // (sign * g) for e, c in p.terms.items()
+    }
+    return canonical, shift, sign, g
 
 
 def complexity(entry):
@@ -76,33 +150,49 @@ def certify_invertible(mat, nvars, seed=0xC0FFEE, attempts=72):
 
 
 def reference_column_basis(mat):
-    """Pivot columns by symbolic elimination over the fraction field."""
-    work = [list(r) for r in mat.rows]
+    """Pivot columns by fraction-free (Bareiss) elimination over Poly.
+
+    Each column is first raised to its shared binomial denominator, which
+    scales it by a nonzero factor and so changes no pivot.  After the k-th
+    pivot every entry below it is a (k+1)-minor, so the update
+    (p * a - b * c) / previous pivot divides exactly (Sylvester's
+    identity); the division is the reference's own, reference_exact_div.
+    """
+    nvars = mat.zero.nvars
+    cols = [common_denominator(nvars, [row[j] for row in mat.rows])[0] for j in range(mat.ncols)]
+    work = [list(r) for r in zip(*cols)] if cols else [[] for _ in range(mat.nrows)]
     nr, nc = mat.nrows, mat.ncols
     pivots = []
+    prev = Poly.one(nvars)
     row = 0
     for col in range(nc):
         if row >= nr:
             break
-        best = None
-        for r in range(row, nr):
-            if not work[r][col].is_zero():
-                c = complexity(work[r][col])
-                if best is None or c < best[1]:
-                    best = (r, c)
-        if best is None:
+        live = [r for r in range(row, nr) if work[r][col]]
+        if not live:
             continue
-        r = best[0]
+        r = min(live, key=lambda r: len(work[r][col].keys))
         work[row], work[r] = work[r], work[row]
-        inv = work[row][col].inv()
-        work[row] = [e * inv for e in work[row]]
-        for r2 in range(nr):
-            if r2 != row and not work[r2][col].is_zero():
-                f = work[r2][col]
-                work[r2] = [a - f * b for a, b in zip(work[r2], work[row])]
+        head = work[row]
+        for r2 in range(row + 1, nr):
+            lead = work[r2][col]
+            for c2 in range(col + 1, nc):
+                minor = head[col] * work[r2][c2] - lead * head[c2]
+                work[r2][c2] = reference_exact_div(minor, prev)
+                assert work[r2][c2] is not None, "a Bareiss step did not divide"
+        prev = head[col]
         pivots.append(col)
         row += 1
     return pivots
+
+
+def full_symbolic_rank(mat):
+    """Whether mat is square with full rank over the fraction field, by
+    reference_column_basis on its columns sparsest first: the rank does not
+    depend on the column order, and sparse leading columns keep the minors
+    small."""
+    order = sorted(range(mat.ncols), key=lambda j: sum(len(r[j].num.keys) for r in mat.rows))
+    return mat.nrows == mat.ncols and len(reference_column_basis(columns(mat, order))) == mat.ncols
 
 
 def invert_matrix(mat, one):
@@ -138,7 +228,8 @@ def invert_matrix(mat, one):
 
 def phi_from_bases(n, bases):
     """The intertwiner blocks phi_w = B_geo[w] B_alg[w]^-1 from the bases
-    {w: (B_alg[w], B_geo[w])} that fm.find_intertwiner returns."""
+    {w: (B_alg[w], B_geo[w])} that fm.find_intertwiner returns; n <= 2,
+    where invert_matrix meets only unit or binomial pivots."""
     one = RationalFunction.one(n + 1)
     return {w: geo @ invert_matrix(alg, one) for w, (alg, geo) in bases.items()}
 

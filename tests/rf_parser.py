@@ -3,7 +3,8 @@
 Test helper: expressions such as ``"((q^4 - q^2)*x1 - (q^2 - 1)*x2) / (x1*x2)"``
 are built with RationalFunction arithmetic, so a fixture reads like the
 closed form it pins.  RationalFunction has no / or **: a / b is
-a * b.inv() and a^e is a product of e copies of a (of a.inv() for e < 0).
+a * b.inv(), b inverted factor by factor, and a^e is a product of e
+copies of a (of a.inv() for e < 0).
 """
 
 from qglk.ratfunc import RationalFunction
@@ -32,75 +33,82 @@ class _Parser:
         self.pos += 1
 
     def parse(self):
-        v = self.expr()
+        v = self.product(self.expr())
         if self.peek():
             self.error("trailing input")
         return v
 
+    def product(self, factors):
+        v = RationalFunction.one(self.nvars)
+        for f in factors:
+            v = v * f
+        return v
+
+    # Each method below returns a list of factors whose product is the
+    # value, so that a / (b * c^2) inverts b and c one at a time: every
+    # factor then has a unit or binomial numerator, as inv() requires.
+
     def expr(self):
+        """The factors of a term, or the one sum of several terms."""
         if self.peek() == "-":
             self.pos += 1
-            v = -self.term()
+            out = [RationalFunction.const(self.nvars, -1)] + self.term()
         else:
-            v = self.term()
+            out = self.term()
         while True:
             ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                v = v + self.term()
-            elif ch == "-":
-                self.pos += 1
-                v = v - self.term()
-            else:
-                return v
+            if ch not in ("+", "-"):
+                return out
+            self.pos += 1
+            rest = self.product(self.term())
+            out = [self.product(out) + (rest if ch == "+" else -rest)]
 
     def term(self):
-        v = self.factor()
+        out = self.factor()
         while True:
             ch = self.peek()
             if ch == "*":
                 self.pos += 1
-                v = v * self.factor()
+                out = out + self.factor()
             elif ch == "/":
                 self.pos += 1
-                v = v * self.factor().inv()
+                out = out + [f.inv() for f in self.factor()]
             else:
-                return v
+                return out
 
     def factor(self):
         if self.peek() == "-":
             self.pos += 1
-            return -self.factor()
-        v = self.atom()
+            return [RationalFunction.const(self.nvars, -1)] + self.factor()
+        out = self.atom()
         if self.peek() == "^":
             self.pos += 1
             neg = False
             if self.peek() == "-":
                 self.pos += 1
                 neg = True
-            base, v = v.inv() if neg else v, RationalFunction.one(self.nvars)
-            for _ in range(self.integer()):
-                v = v * base
-        return v
+            base = [f.inv() for f in out] if neg else out
+            out = base * self.integer()
+        return out
 
     def atom(self):
         ch = self.peek()
         if ch == "(":
             self.pos += 1
-            v = self.expr()
+            out = self.expr()
             self.take(")")
-            return v
+            return out
         if ch.isdigit():
-            return RationalFunction.const(self.nvars, self.integer())
+            return [RationalFunction.const(self.nvars, self.integer())]
         if ch == "q":
             self.pos += 1
-            return RationalFunction.q(self.nvars)
+            return [RationalFunction.q(self.nvars)]
         if ch == "x":
             self.pos += 1
             i = self.integer()
             if not 1 <= i <= self.nvars - 1:
                 self.error(f"variable x{i} out of range")
-            return RationalFunction.x(self.nvars, i)
+            return [RationalFunction.x(self.nvars, i)]
         self.error("expected a term")
 
     def integer(self):

@@ -12,7 +12,7 @@ from math import comb
 from qglk import fm, koszul, superrep
 from qglk.grassmann import Space
 from qglk.ratfunc import RationalFunction
-from reference import FullSweepBlocks, basis_words, entry, phi_from_bases
+from reference import FullSweepBlocks, basis_words, entry, full_symbolic_rank, phi_from_bases
 from rf_parser import parse
 
 
@@ -132,12 +132,18 @@ class TestNormalizedRepAndIntertwiner:
 
             bases, irep = fm.find_intertwiner(n)
             assert irep.passed, f"n={n}: {fail_text(irep)}"
-            phi = phi_from_bases(n, bases)
             # one invertible square block per weight: block-diagonal by shape
-            assert sorted(phi) == [2 * k - n for k in range(n + 1)]
+            assert sorted(bases) == [2 * k - n for k in range(n + 1)]
             for k in range(n + 1):
-                block = phi[n - 2 * k]
-                assert block.nrows == block.ncols == comb(n, k)
+                alg, geo = bases[n - 2 * k]
+                assert alg.nrows == geo.nrows == comb(n, k)
+                assert full_symbolic_rank(alg) and full_symbolic_rank(geo)
+            if n <= 2:
+                # phi itself, by Gauss-Jordan, which meets only binomial
+                # denominators up to n = 2
+                phi = phi_from_bases(n, bases)
+                for k in range(n + 1):
+                    assert phi[n - 2 * k].nrows == phi[n - 2 * k].ncols == comb(n, k)
         assert time.perf_counter() - start < 120.0
 
     def test_intertwiner_proof_at_n5_under_60s(self):

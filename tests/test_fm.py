@@ -44,6 +44,7 @@ from reference import (
     column_basis,
     correspondence_pairs,
     entry,
+    full_symbolic_rank,
     inverse_euler,
     phi_from_bases,
 )
@@ -275,11 +276,15 @@ class TestIntertwiner:
     def test_exists_and_verifies(self, n):
         bases, rep = find_intertwiner(n)
         assert rep.passed, "\n".join(rep.summary_lines())
-        phi = phi_from_bases(n, bases)
         for k in range(n + 1):
-            w = n - 2 * k
-            b = phi[w]
-            assert b.nrows == b.ncols == comb(n, k)
+            alg, geo = bases[n - 2 * k]
+            assert alg.nrows == geo.nrows == comb(n, k)
+            assert full_symbolic_rank(alg) and full_symbolic_rank(geo)
+        if n <= 2:
+            # Gauss-Jordan meets only binomial denominators up to n = 2
+            phi = phi_from_bases(n, bases)
+            for k in range(n + 1):
+                assert phi[n - 2 * k].nrows == phi[n - 2 * k].ncols == comb(n, k)
 
     def test_n2_off_diagonal(self):
         # a diagonal change of basis cannot intertwine both E and F at n=2

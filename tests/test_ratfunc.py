@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qglk.poly import Poly
-from qglk.ratfunc import PoleError, RationalFunction
+from qglk.ratfunc import PoleError, RationalFunction, _canonical_factor, common_denominator
+from reference import reference_extract_unit
 from rf_parser import parse
 
 NV = 3  # x1, x2, q
@@ -22,27 +23,51 @@ def small_polys(max_terms=4, nvars=NV):
     )
 
 
+def units(nvars=NV):
+    """c * X^e with mixed-sign exponents and c other than +-1."""
+    exps = st.tuples(*([st.integers(-2, 2)] * nvars))
+    coeffs = st.integers(-6, 6).filter(bool)
+    return st.builds(lambda e, c: Poly.monomial(nvars, e, c), exps, coeffs)
+
+
+def unit_binomials(nvars=NV):
+    """c * X^s * (X^a - X^b): a binomial with a random sign, shift and
+    content, the only shape of denominator factor besides a unit."""
+    exps = st.tuples(*([st.integers(-2, 2)] * nvars))
+    ends = st.lists(exps, min_size=2, max_size=2, unique=True)
+    return st.builds(
+        lambda ab, u: u * (Poly.monomial(nvars, ab[0]) - Poly.monomial(nvars, ab[1])),
+        ends,
+        units(nvars),
+    )
+
+
+def factors(nvars=NV):
+    """Denominator factors: mostly units times binomials, sometimes units."""
+    return st.one_of(unit_binomials(nvars), unit_binomials(nvars), units(nvars))
+
+
+def binomial_shaped(p):
+    """Whether p is a unit or a unit times X^a - X^b, as inv() requires of
+    a numerator."""
+    c = list(p.keys.values())
+    return len(c) == 1 or len(c) == 2 and c[0] == -c[1]
+
+
 def small_rfs():
-    return st.tuples(small_polys(), small_polys(max_terms=3)).filter(
-        lambda ab: not ab[1].is_zero()
-    ).map(lambda ab: RationalFunction(NV, ab[0], ((ab[1], 1),)))
+    return st.tuples(small_polys(), factors()).map(
+        lambda ab: RationalFunction(NV, ab[0], ((ab[1], 1),))
+    )
 
 
 def scaled_rfs(nvars=NV):
     """Fractions with two denominator factors and a signed integer scalar."""
     return st.tuples(
         small_polys(nvars=nvars),
-        small_polys(max_terms=3, nvars=nvars).filter(bool),
-        small_polys(max_terms=2, nvars=nvars).filter(bool),
+        factors(nvars),
+        factors(nvars),
         st.integers(-12, 12).filter(bool),
     ).map(lambda t: RationalFunction(nvars, 6 * t[0], ((t[1], 1), (t[2], 2)), t[3]))
-
-
-def units():
-    """c * X^e with mixed-sign exponents and c other than +-1."""
-    exps = st.tuples(*([st.integers(-2, 2)] * NV))
-    coeffs = st.integers(-6, 6).filter(bool)
-    return st.builds(lambda e, c: Poly.monomial(NV, e, c), exps, coeffs)
 
 
 class ReportsTwoTerms(dict):
@@ -78,7 +103,7 @@ class TestNormalization:
         assert r.num == p * Poly.x(NV, 2)
 
     def test_zero_clears_denominator(self):
-        p = Poly.x(NV, 1) + Poly.one(NV)
+        p = Poly.x(NV, 1) - Poly.one(NV)
         r = RationalFunction(NV, Poly.zero(NV), ((p, 3),), 7)
         assert r.is_zero() and r.den_scalar == 1 and r.den_factors == ()
 
@@ -148,20 +173,26 @@ class TestFieldOps:
     @given(small_rfs(), small_rfs(), small_rfs())
     @settings(max_examples=40, deadline=None)
     def test_field_axioms(self, a, b, c):
+        # the ring axioms: inverses exist only for unit or binomial numerators
         assert (a + b) + c == a + (b + c)
         assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a - a == RationalFunction.zero(NV)
 
-    @given(small_rfs())
+    @given(factors(), factors())
     @settings(max_examples=40, deadline=None)
-    def test_inverse(self, a):
-        if a.is_zero():
-            with pytest.raises(ZeroDivisionError):
-                a.inv()
-        else:
-            assert a * a.inv() == RationalFunction.one(NV)
-            assert a.inv().inv() == a
+    def test_inverse(self, num, den):
+        # inv() of a numerator that is a unit or a unit times a binomial;
+        # cancellation can leave another shape, such as x^2 - 1 over x - 1
+        a = RationalFunction(NV, num, ((den, 1),))
+        assume(binomial_shaped(a.num))
+        b = a.inv()
+        assert a * b == RationalFunction.one(NV)
+        if binomial_shaped(b.num):
+            assert b.inv() == a
+        with pytest.raises(ZeroDivisionError):
+            RationalFunction.zero(NV).inv()
 
     def test_int_interop(self):
         a = rf("x1/(1 - q)")
@@ -175,6 +206,12 @@ class TestFieldOps:
         assert RationalFunction.sum(NV, items) == items[0] + items[1] + items[2]
         assert RationalFunction.sum(NV, []).is_zero()
 
+    def test_common_denominator_keeps_a_numerator_already_over_it(self):
+        a, b = rf("x1/(1 - q)"), rf("x2/(2*(1 - q))")
+        parts, den, scalar = common_denominator(NV, [a, b])
+        assert parts[1] is b.num and parts[0] == 2 * a.num
+        assert den == b.den_factors and scalar == 2
+
     def test_telescoping_residue_sum(self):
         # 1/(x1-x2) + 1/(x2-x1) = 0 exactly, not just numerically
         total = rf("x1/(x1 - x2)") + rf("x2/(x2 - x1)")
@@ -183,6 +220,31 @@ class TestFieldOps:
 
 NP = 4  # x1, x2, x3, q: room for a 3-cycle
 PERMS = st.permutations((1, 2, 3)).map(tuple)
+
+
+class TestDenominatorContract:
+    """Every denominator factor is a unit or a unit times X^a - X^b."""
+
+    @pytest.mark.parametrize("text", ["x1 + x2 - q", "2*x1 + 3*q", "x1 + q"])
+    def test_rejects_any_other_factor(self, text):
+        f = rf(text).num
+        with pytest.raises(ValueError, match="not a unit times X\\^a - X\\^b"):
+            RationalFunction(NV, Poly.one(NV), ((f, 1),))
+        with pytest.raises(ValueError):
+            RationalFunction(NV, f, ((Poly.x(NV, 1) - Poly.q(NV), 1),)).inv()
+
+    @given(PERMS, st.one_of(unit_binomials(NP), units(NP)))
+    @settings(max_examples=150, deadline=None)
+    def test_canonicalizer_matches_the_reference(self, perm, f):
+        canonical = _canonical_factor(f)[0]
+        for g in (f, f.permute(perm), canonical, canonical.permute(perm)):
+            canon, shift, sign, content = _canonical_factor(g)
+            want, *rest = reference_extract_unit(g)
+            assert canon.terms == want and (shift, sign, content) == tuple(rest)
+            fresh = Poly(NP, dict(canon.terms))
+            assert canon._box in (None, fresh._box_keys())
+            assert canon._ends_cache in (None, fresh._ends())
+        assert _canonical_factor(canonical)[0] is canonical
 
 
 def permuted_denominators(a, perm):

@@ -1,11 +1,12 @@
-"""Every name the package defines is used inside the package.
+"""Every name the package defines or imports is used inside the package.
 
 Scans src/qglk with ast: each module-level function and class must be
 referenced by name (an ast.Name or an ast.Attribute) somewhere in src/,
 and each method of a module-level class other than dunders through an
 attribute (an ast.Attribute): a bare name such as a local variable that
 happens to share the method's name does not call it.  A helper that only
-tests call belongs in tests/, not in the package.
+tests call belongs in tests/, not in the package.  Each name a module
+imports at module level must be referenced (an ast.Name) in that module.
 """
 
 import ast
@@ -65,3 +66,16 @@ def test_every_definition_has_a_caller_in_src():
 def test_outside_callers_are_still_defined():
     defined = {(module, qualname) for module, qualname, _ in _definitions(_trees())}
     assert set(OUTSIDE_CALLERS) <= defined
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for module, tree in _trees().items():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append((module, name))
+    assert unused == []
