@@ -5,8 +5,11 @@ term; homotopy data is not modeled, so a cone is the class-level operation
 tgt + src[1].  The total class is the alternating sum over degrees, and
 all identities here are checked at total-class level.  merge, shift(1)
 and total_class are linear over Z, so a cone's class is the target's minus
-the source's: the one-step sweep computes one K^I class per twist profile
-and rebuilds full complexes only for a failure witness.
+the source's, and class(K^{I'}) - class(K^I) is the signed sum of the
+terms where the two twist profiles differ: for a one-step move that is the
+one degree of the moved index.  The one-step sweep reads those terms from
+a table keyed (degree, twist height) and rebuilds full complexes only for
+a failure witness.
 
 The interpolating complexes K^I twist the j-th exterior power by
 (L^dual)^{d(I,j)} with d(I,j) = |I cap [1,j]|.  Sections may carry a
@@ -24,6 +27,7 @@ token, which is where its overall (L^dual)^(k-N) twist comes from.
 """
 
 from collections import namedtuple
+from functools import cache
 from itertools import combinations
 
 from .grassmann import dual, exterior_powers
@@ -75,10 +79,7 @@ class GradedComplex:
         )
 
     def total_class(self):
-        total = Poly.zero(self.nvars)
-        for d, char in self.terms.items():
-            total = total + char if d % 2 == 0 else total - char
-        return total
+        return Poly.signed_sum(self.nvars, ((_sign(d), char) for d, char in self.terms.items()))
 
     def __eq__(self, other):
         if not isinstance(other, GradedComplex):
@@ -108,14 +109,22 @@ def _twist(char, ell_inv, power, q_exp=0):
     return char.shift_exps(shift)
 
 
+def _sign(degree):
+    """Sign of a term of this cohomological degree in the total class."""
+    return 1 if degree % 2 == 0 else -1
+
+
+def _term(duals, ell_inv, j, d, section_q_weight):
+    """Degree -j term of an interpolating complex at twist height d:
+    Lambda^j V^dual (L^dual)^d q^(c j)."""
+    return _twist(duals[j], ell_inv, d, section_q_weight * j)
+
+
 def _interpolating(duals, ell_inv, I, section_q_weight):
     """K^I from the exterior powers of V^dual."""
     return GradedComplex(
         duals[0].nvars,
-        {
-            -j: _twist(lam, ell_inv, d_of(I, j), section_q_weight * j)
-            for j, lam in enumerate(duals)
-        },
+        {-j: _term(duals, ell_inv, j, d_of(I, j), section_q_weight) for j in range(len(duals))},
     )
 
 
@@ -268,31 +277,43 @@ def generic_bundle_data(N):
     return V, Poly.x(nvars, N + 1)
 
 
-def _one_step_sweep(duals, ell_inv, rank, section_q_weight):
-    """Move count, failing moves (I, i) in order, witness at the first.
-    Classes are shared by twist profile, all that _interpolating reads of I."""
-    classes = {}
+def _move_defects(duals, ell_inv, rank, section_q_weight):
+    """Every valid move (I, i) with its defect class(K^{I'}) - class(K^I)
+    + class(source), zero exactly when the one-step identity holds.
 
-    def class_of(I):
-        key = tuple(d_of(I, j) for j in range(len(duals)))
-        if key not in classes:
-            classes[key] = _interpolating(duals, ell_inv, I, section_q_weight).total_class()
-        return classes[key]
-
-    total, bad, first = 0, [], ""
+    K^I and K^{I'} share each term whose twist height agrees, so their
+    class difference is the signed sum of the terms at the degrees where
+    their profiles (d(., 0), ..., d(., rank)) differ; for the true d(I, j)
+    that is degree -i alone, at heights d(I, i) - 1 and d(I, i).  Terms
+    come from a table keyed (j, d), profiles from one d_of pass per index
+    set, both local to the call; each move's source is built in full."""
+    nvars, degrees = duals[0].nvars, range(len(duals))
+    term = cache(lambda j, d: _term(duals, ell_inv, j, d, section_q_weight))
+    profile = cache(lambda I: tuple(d_of(I, j) for j in degrees))
     for size in range(rank + 1):
         for I in combinations(range(1, rank + 1), size):
             for i in I:
                 if i + 1 in I:
                     continue
-                total += 1
                 Iprime = tuple(sorted((set(I) - {i}) | {i + 1}))
                 src = _source(duals, ell_inv, I, i, section_q_weight)
-                if class_of(Iprime) != class_of(I) - src.total_class():
-                    if not bad:
-                        lhs, rhs = _proposition(duals, ell_inv, I, i, section_q_weight)
-                        first = located_witness(lhs, rhs, ("K^I'", "cone"), by_class=True)
-                    bad.append((I, i))
+                signed = [(1, src.total_class())]
+                for j, d, dp in zip(degrees, profile(I), profile(Iprime)):
+                    if d != dp:
+                        signed += [(_sign(-j), term(j, dp)), (-_sign(-j), term(j, d))]
+                yield I, i, Poly.signed_sum(nvars, signed)
+
+
+def _one_step_sweep(duals, ell_inv, rank, section_q_weight):
+    """Move count, failing moves (I, i) in order, witness at the first."""
+    total, bad, first = 0, [], ""
+    for I, i, defect in _move_defects(duals, ell_inv, rank, section_q_weight):
+        total += 1
+        if defect:
+            if not bad:
+                lhs, rhs = _proposition(duals, ell_inv, I, i, section_q_weight)
+                first = located_witness(lhs, rhs, ("K^I'", "cone"), by_class=True)
+            bad.append((I, i))
     return total, bad, first
 
 
@@ -301,7 +322,8 @@ def endpoint_report(rank, section_q_weight=2):
     complex, and the full set [1, rank] reproduces the complex of the
     L-twisted bundle, one L^dual per exterior degree.  Then the one-step
     cone identity class(K^{I'}) == class(K^I) - class(source) for every
-    valid move, on one set of exterior powers and one class per twist profile."""
+    valid move, checked on the one degree the move changes, from one set of
+    exterior powers and one table of twisted terms."""
     qw = section_q_weight
     V, L = generic_bundle_data(rank)
     ell_inv = _dual_line(L)

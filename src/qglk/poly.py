@@ -132,6 +132,18 @@ class Poly:
         lay = _layout(self.nvars)
         return MappingProxyType({_unpack(lay, k): c for k, c in self.keys.items()})
 
+    @classmethod
+    def signed_sum(cls, nvars, signed):
+        """Sum of sign * p over (sign, p) pairs, sign an int, in one key
+        dict: no intermediate Poly per addend."""
+        keys = {}
+        for sign, p in signed:
+            if p.nvars != nvars:
+                raise ValueError("variable-count mismatch")
+            for k, c in p.keys.items():
+                keys[k] = keys.get(k, 0) + sign * c
+        return cls._raw(nvars, {k: c for k, c in keys.items() if c})
+
     def _check(self, other):
         if not isinstance(other, Poly):
             raise TypeError("expected a Poly")

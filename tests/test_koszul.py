@@ -284,33 +284,61 @@ def size_twist_in_degree_zero(monkeypatch):
     monkeypatch.setattr(koszul, "d_of", lambda I, j: len(I) if j == 0 else raw(I, j))
 
 
+@pytest.fixture
+def odd_term_times_q(monkeypatch):
+    """K^I terms of odd exterior degree j at twist height d > 0 times q:
+    every move of an odd index changes such a term against the untouched
+    cone source, so exactly those moves fail, under either weight c."""
+    raw = koszul._term
+
+    def faulty(duals, ell_inv, j, d, section_q_weight):
+        term = raw(duals, ell_inv, j, d, section_q_weight)
+        return term * Poly.q(term.nvars) if j % 2 and d > 0 else term
+
+    monkeypatch.setattr(koszul, "_term", faulty)
+
+
+def valid_moves(rank):
+    """Every (I, i) with i in I and i + 1 not in I, in sweep order."""
+    return [
+        (I, i)
+        for size in range(rank + 1)
+        for I in combinations(range(1, rank + 1), size)
+        for i in I
+        if i + 1 not in I
+    ]
+
+
 def reference_sweep(rank, qw):
     """The one-step sweep move by move, both complexes built per move:
     the move count, the failing (I, i) in order and the first witness."""
     V, L = generic_bundle_data(rank)
-    total, bad, first = 0, [], ""
-    for size in range(rank + 1):
-        for I in combinations(range(1, rank + 1), size):
-            for i in I:
-                if i + 1 in I:
-                    continue
-                total += 1
-                if not proposition_check(I, i, L, V, qw)[0]:
-                    if not bad:
-                        duals = exterior_powers(dual(V))
-                        lhs, rhs = _proposition(duals, _dual_line(L), I, i, qw)
-                        first = located_witness(lhs, rhs, ("K^I'", "cone"), by_class=True)
-                    bad.append((I, i))
-    return total, bad, first
+    moves, bad, first = valid_moves(rank), [], ""
+    for I, i in moves:
+        if not proposition_check(I, i, L, V, qw)[0]:
+            if not bad:
+                duals = exterior_powers(dual(V))
+                lhs, rhs = _proposition(duals, _dual_line(L), I, i, qw)
+                first = located_witness(lhs, rhs, ("K^I'", "cone"), by_class=True)
+            bad.append((I, i))
+    return len(moves), bad, first
+
+
+def chained_class(c):
+    """Total class of a complex by chained Poly + and -, degree by degree."""
+    total = Poly.zero(c.nvars)
+    for d, char in c.terms.items():
+        total = total + char if d % 2 == 0 else total - char
+    return total
 
 
 class TestSharedClassSweep:
-    """The sweep of endpoint_report, one class per twist profile, against
-    the per-move reference: on the true complexes, under a fault in the
-    step block and under three in the twist count d(I, j) that the shared
-    K^I classes carry; all but the last make every sweep of rank > 0 fail."""
+    """The degree-local sweep of endpoint_report against the per-move
+    reference: on the true complexes, under a fault in the step block,
+    under three in the twist count d(I, j) and under one in the K^I terms;
+    all but size_twist_in_degree_zero make every sweep of rank > 0 fail."""
 
-    FAULTS = ["untwisted_step_block", "shifted_d_window", "long_d_window"]
+    FAULTS = ["untwisted_step_block", "shifted_d_window", "long_d_window", "odd_term_times_q"]
 
     @pytest.mark.parametrize("fault", [None, *FAULTS, "size_twist_in_degree_zero"])
     @pytest.mark.parametrize("rank", range(7))
@@ -319,7 +347,7 @@ class TestSharedClassSweep:
             request.getfixturevalue(fault)
         V, L = generic_bundle_data(rank)
         duals, ell_inv = exterior_powers(dual(V)), _dual_line(L)
-        # 2 then 0 then 2 again: classes must not leak between calls
+        # 2 then 0 then 2 again: terms must not leak between calls
         for qw in (2, 0, 2):
             total, bad, first = reference_sweep(rank, qw)
             assert koszul._one_step_sweep(duals, ell_inv, rank, qw) == (total, bad, first)
@@ -330,20 +358,64 @@ class TestSharedClassSweep:
                 assert check.witness.startswith(f"{len(bad)} of {total} moves fail, ")
                 assert check.witness.endswith(f"; at the first, {first}")
 
+    @pytest.mark.parametrize("qw", [2, 0])
+    def test_odd_term_fault_fails_exactly_the_moves_of_odd_indices(self, odd_term_times_q, qw):
+        counts = []
+        for rank in range(7):
+            V, L = generic_bundle_data(rank)
+            duals, ell_inv = exterior_powers(dual(V)), _dual_line(L)
+            total, bad, _ = koszul._one_step_sweep(duals, ell_inv, rank, qw)
+            assert bad == [(I, i) for I, i in valid_moves(rank) if i % 2]
+            counts.append(f"{len(bad)}/{total}")
+        assert counts == ["0/0", "1/1", "1/3", "6/8", "8/20", "32/48", "48/112"]
+
     @pytest.mark.parametrize("rank", range(7))
     def test_one_class_per_twist_profile(self, monkeypatch, rank):
-        # d(I, j) is read for j <= rank only, so 2^rank profiles, plus the
-        # two endpoint complexes
-        calls = []
-        raw = koszul._interpolating
+        # no K^I class is built per profile any more: each twisted term is
+        # built at most once per (j, d), 0 <= d <= j <= rank, in the sweep's
+        # table, plus once in each of the two endpoint complexes; every
+        # move still builds its cone source through _step_block
+        counts = {"_term": 0, "_step_block": 0}
+        for name in counts:
+            raw = getattr(koszul, name)
 
-        def counted(*args):
-            calls.append(args)
-            return raw(*args)
+            def counted(*args, name=name, raw=raw):
+                counts[name] += 1
+                return raw(*args)
 
-        monkeypatch.setattr(koszul, "_interpolating", counted)
+            monkeypatch.setattr(koszul, name, counted)
         koszul.endpoint_report(rank)
-        assert len(calls) <= 2**rank + 2
+        assert counts["_term"] <= (rank + 1) * (rank + 2) // 2 + 2 * (rank + 1)
+        assert counts["_step_block"] == len(valid_moves(rank))
+
+
+class TestDegreeLocalDefect:
+    """Each move's defect from the (j, d) table against the same difference
+    of full complexes, class(K^{I'}) - class(K^I) + class(source), each
+    class summed by chained + and -: equal as Poly values, on the true
+    complexes and under every fault."""
+
+    @pytest.mark.parametrize(
+        "fault", [None, *TestSharedClassSweep.FAULTS, "size_twist_in_degree_zero"]
+    )
+    @pytest.mark.parametrize("rank", range(6))
+    def test_equals_full_complex_difference(self, request, fault, rank):
+        if fault:
+            request.getfixturevalue(fault)
+        V, L = generic_bundle_data(rank)
+        duals, ell_inv = exterior_powers(dual(V)), _dual_line(L)
+        for qw in (2, 0):
+            seen = []
+            for I, i, defect in koszul._move_defects(duals, ell_inv, rank, qw):
+                Iprime = tuple(sorted((set(I) - {i}) | {i + 1}))
+                full = (
+                    chained_class(_interpolating(duals, ell_inv, Iprime, qw))
+                    - chained_class(_interpolating(duals, ell_inv, I, qw))
+                    + chained_class(_source(duals, ell_inv, I, i, qw))
+                )
+                assert isinstance(defect, Poly) and defect == full, (I, i, qw)
+                seen.append((I, i))
+            assert seen == valid_moves(rank)
 
 
 def failing_checks(capsys):
@@ -354,8 +426,8 @@ def failing_checks(capsys):
 
 
 class TestNegativeControl:
-    """A cone block without its L^dual twist, or a twist count read one step
-    short, must fail, with located witnesses."""
+    """A cone block without its L^dual twist, a twist count read one step
+    short, or odd K^I terms times q must fail, with located witnesses."""
 
     def test_cli_exits_one_with_bounded_located_witnesses(self, untwisted_step_block, capsys):
         assert cli.main(["koszul", "--rank", "3", "--k", "1", "--json"]) == 1
@@ -397,4 +469,18 @@ class TestNegativeControl:
         assert failing["one-step cone identity holds for all 8 valid (I, i)"] == (
             "8 of 8 moves fail, (I, i) = ((1,), 1), ((2,), 2), ((3,), 3), ...; "
             "at the first, degree -1, weight x3^-1*x4*q^2: K^I' 0, cone 1; total class 0 vs -1"
+        )
+
+    def test_odd_term_times_q_fails_endpoint_sweep_and_routes(self, odd_term_times_q, capsys):
+        assert cli.main(["koszul", "--rank", "3", "--k", "1", "--json"]) == 1
+        failing = failing_checks(capsys)
+        assert set(failing) == {
+            "full index set gives the complex of the twisted bundle",
+            "one-step cone identity holds for all 8 valid (I, i)",
+            "descending route reaches the interpolating complex",
+            "ascending route reaches it after the global twist",
+        }
+        assert failing["one-step cone identity holds for all 8 valid (I, i)"] == (
+            "6 of 8 moves fail, (I, i) = ((1,), 1), ((3,), 3), ((1, 3), 1), ...; "
+            "at the first, degree -1, weight x3^-1*x4^-1*q^3: K^I' 0, cone 1; total class 0 vs -1"
         )

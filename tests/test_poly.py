@@ -157,6 +157,27 @@ class TestArithmetic:
         assert a * Poly.one(3) == a
         assert a - a == Poly.zero(3)
 
+    @given(st.lists(st.tuples(st.sampled_from([1, -1]), small_polys()), max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_signed_sum_equals_chained_add_and_sub(self, signed):
+        chained = Poly.zero(3)
+        for sign, p in signed:
+            chained = chained + p if sign == 1 else chained - p
+        total = Poly.signed_sum(3, signed)
+        assert total == chained and total.keys == chained.keys
+        assert all(total.keys.values())  # no zero coefficient kept
+        # every addend cancelled by its negative, in reverse order
+        cancelled = Poly.signed_sum(3, signed + [(-s, p) for s, p in reversed(signed)])
+        assert cancelled == Poly.zero(3) and cancelled.keys == {}
+
+    def test_signed_sum_of_nothing_is_zero(self):
+        assert Poly.signed_sum(3, []) == Poly.zero(3)
+        assert Poly.signed_sum(3, iter(())).keys == {}
+
+    def test_signed_sum_rejects_a_variable_count_mismatch(self):
+        with pytest.raises(ValueError, match="variable-count mismatch"):
+            Poly.signed_sum(3, [(1, Poly.one(3)), (1, Poly.one(2))])
+
     def test_pow(self):
         x = Poly.x(2, 1)
         assert (x + Poly.one(2)) ** 3 == Poly(
