@@ -18,9 +18,8 @@ inverse Euler classes raised once to their shared denominator.
 
 from functools import cache
 from itertools import combinations
-from operator import mul
 
-from .poly import _BIAS, Poly, _check_fields, _layout, _unpack
+from .poly import _BIAS, Poly, _check_fields, _layout
 from .ratfunc import RationalFunction, common_denominator
 
 
@@ -89,45 +88,26 @@ def euler_class_rf(char, invert=False):
 
     Positive multiplicities land in the numerator and negative ones in the
     factored denominator; invert=True swaps the roles, which is the cheap
-    way to divide by the Euler class of a large genuine character.
-
-    Each binomial is built canonical from the weight's key: with w = X^e
-    and e = e+ - e- split into its positive and negative parts,
-    1 - X^-e = X^-e+ (X^e+ - X^e-), and X^e+ - X^e- is primitive with
-    floor zero; its sign is fixed so the leading term is positive.  The
-    units X^-e+ and the signs collect into the numerator.
+    way to divide by the Euler class of a large genuine character.  Each
+    factor 1 - w^{-1} goes to RationalFunction as it is, which makes it
+    canonical.
     """
     nvars = char.nvars
-    lay = _layout(nvars)
-    zero = lay.zero
-    num = Poly.one(nvars)
+    zero = _layout(nvars).zero
+    one = num = Poly.one(nvars)
     den = []
-    shift = [0] * nvars
-    sign = 1
     for k, m in char.keys.items():
         if k == zero:
             raise NonIsolatedFixedPointError(
                 "trivial weight of multiplicity %d in an Euler class" % m
             )
         power = -m if invert else m
-        pos = [max(a, 0) for a in _unpack(lay, k)]
-        hi = zero + sum(map(mul, pos, lay.weights))
-        lo = hi - k + zero
-        # a field of X^e- holds -a for a negative exponent a: -2^14 overflows
-        _check_fields(lay, (lo,))
-        if hi < lo:
-            hi, lo = lo, hi
-            if power % 2:
-                sign = -sign
-        # hi and lo share no variable, so hi + lo - zero keys the ceiling
-        canon = Poly._raw(nvars, {hi: 1, lo: -1}, (zero, hi + lo - zero), (hi, lo))
-        shift = [s - a * power for s, a in zip(shift, pos)]
+        factor = one - dual(Poly._raw(nvars, {k: 1}))
         if power > 0:
-            num = num * canon**power
+            num = num * factor**power
         else:
-            den.append((canon, -power))
-    num = num.shift_exps(shift)
-    return RationalFunction(nvars, num if sign > 0 else -num, tuple(den))
+            den.append((factor, -power))
+    return RationalFunction(nvars, num, tuple(den))
 
 
 def det_tau_restrict(n, S, m=1):
@@ -143,14 +123,14 @@ def _tangent(n, S, with_fiber):
 
 @cache
 def _localization_form(n, k, with_fiber):
-    """(numerators, den_factors, den_scalar) with 1 / e(T_S) equal to
-    numerators[S] / (den_scalar * prod f^m) at each fixed point S of
+    """(numerators, den_factors) with 1 / e(T_S) equal to
+    numerators[S] / prod f^m at each fixed point S of
     Gr(k, n), with the fiber when asked: the classes raised to their
     shared denominator by common_denominator, once per process."""
     points = fixed_points(n, k)
     classes = [euler_class_rf(_tangent(n, S, with_fiber), invert=True) for S in points]
-    parts, den_factors, den_scalar = common_denominator(n + 1, classes)
-    return dict(zip(points, parts)), den_factors, den_scalar
+    parts, den_factors = common_denominator(n + 1, classes)
+    return dict(zip(points, parts)), den_factors
 
 
 class Space:
@@ -177,14 +157,16 @@ class Space:
         """Localized pushforward to the point: sum of value/euler over S.
         ``values`` (a dict or a callable) gives each fixed point a Poly, the
         restriction of a representation-ring class; other values raise TypeError."""
-        numerators, den, scalar = self.form
-        total = Poly.zero(self.nvars)
-        for S, part in numerators.items():
+        numerators, den = self.form
+
+        def restriction(S):
             v = values[S] if isinstance(values, dict) else values(S)
             if not isinstance(v, Poly):
                 raise TypeError("pushforward values must be Poly restrictions")
-            total = total + v * part
-        return RationalFunction(self.nvars, total, den, scalar)
+            return v
+
+        signed = ((1, restriction(S) * part) for S, part in numerators.items())
+        return RationalFunction(self.nvars, Poly.signed_sum(self.nvars, signed), den)
 
     def pushforward_det_tau_power(self, m):
         n = self.n

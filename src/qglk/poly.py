@@ -16,9 +16,9 @@ bit of each field, and exact division checks its exponent box up
 front.  Out of range raises ``OverflowError``; nothing returns a wrong
 polynomial.  Exponent tuples exist only at the boundary.
 
-Exact division takes two-term divisors only: qglk divides by nothing but
-Euler factors 1 - w^-1 and the commutator scalar 1 - q^(2n), each a unit
-times X^a - X^b (see qglk.ratfunc).
+Exact division takes divisors +-(X^a - X^b) only: qglk divides by nothing
+but the canonical denominator factors of qglk.ratfunc, which Euler factors
+1 - w^-1 and the commutator scalar 1 - q^(2n) become.
 
 Values are immutable once constructed and every operation returns a fresh
 value, so instances can be shared freely.
@@ -27,7 +27,6 @@ value, so instances can be shared freely.
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, reduce
-from math import gcd
 from operator import mul, or_
 from types import MappingProxyType
 
@@ -245,10 +244,6 @@ class Poly:
     def leading_coeff(self):
         return self.keys[self._ends()[0]]
 
-    def content(self):
-        """gcd of the absolute values of all coefficients (0 for the zero poly)."""
-        return gcd(*self.keys.values())
-
     def _box_keys(self):
         """Keys of the componentwise minimum and maximum exponents over all
         terms: the floor and the ceiling of the exponent box."""
@@ -263,14 +258,14 @@ class Poly:
             )
         return self._box
 
-    def _translate(self, d, scale=1, unit=1):
-        """self * scale * X^s / unit for d = sum(s_i * weights_i), every s_i in
-        [-2^15, 2^15), scale != 0 and unit dividing each scale * c; caches move along."""
+    def _translate(self, d, scale=1):
+        """self * scale * X^s for d = sum(s_i * weights_i), every s_i in
+        [-2^15, 2^15), and an integer scale != 0; caches move along."""
         items = self.keys.items()
-        if scale == unit == 1:  # a pure shift, as in the character sweeps
+        if scale == 1:  # a pure shift, as in the character sweeps
             keys = {k + d: c for k, c in items}
         else:
-            keys = {k + d: c * scale // unit for k, c in items}
+            keys = {k + d: c * scale for k, c in items}
         _check_fields(_layout(self.nvars), keys)
         box = self._box and (self._box[0] + d, self._box[1] + d)
         ends = self._ends_cache and (self._ends_cache[0] + d, self._ends_cache[1] + d)
@@ -301,10 +296,10 @@ class Poly:
         """Exact quotient self / other, or None when it does not divide.
 
         Division is taken in the Laurent ring, so monomial factors never
-        obstruct divisibility.  The divisor must have exactly two terms,
-        c_h X^h + c_l X^l; any other divisor raises ``ValueError``.  Every
-        denominator factor of a RationalFunction is such a binomial (see
-        qglk.ratfunc), and those are the only divisions qglk makes.
+        obstruct divisibility.  The divisor must be +-(X^h - X^l); any
+        other divisor raises ``ValueError``.  Every denominator factor of a
+        RationalFunction is such a binomial (see qglk.ratfunc), and those
+        are the only divisions qglk makes.
 
         Two cheap rejects come first.  The term order is compatible with
         multiplication, so the leading and trailing terms of h * other
@@ -319,23 +314,27 @@ class Poly:
 
         The division itself walks lines of keys.  A quotient term at X^e
         touches only X^(e+h) and X^(e+l), so keys differing by multiples
-        of h - l form lines that never meet: from each dividend key still
-        in the remainder, in descending order, walk down its line carrying
-        -(c / c_h) * c_l until the carry cancels.  The quotient is unique,
-        so the walk returns it when it exists and None otherwise.
+        of h - l form lines that never meet.  Dividing by X^h - X^l, the
+        quotient term at X^(k-h) is the running sum of the dividend's
+        coefficients along the line from its top down to X^k: from each
+        dividend key still in the remainder, in descending order, walk down
+        its line until the sum cancels.  Dividing by -(X^h - X^l) negates
+        the quotient.  The quotient is unique, so the walk returns it when
+        it exists and None otherwise.
         """
         self._check(other)
         if not other.keys:
             raise ZeroDivisionError("polynomial division by zero")
-        if len(other.keys) != 2:
-            raise ValueError(f"divisor {other} does not have exactly two terms")
+        dlead, dtrail = other._ends()
+        sign = other.keys[dlead]
+        if len(other.keys) != 2 or sign not in (1, -1) or other.keys[dtrail] != -sign:
+            raise ValueError(f"divisor {other} is not +-(X^a - X^b)")
         if not self.keys:
             return Poly.zero(self.nvars)
         lay = _layout(self.nvars)
         zero, guard = lay.zero, lay.guard
-        num, dnum = self.keys, other.keys
+        num = self.keys
         lead, trail = self._ends()
-        dlead, dtrail = other._ends()
         floor_s, ceil_s = self._box_keys()
         floor_o, ceil_o = other._box_keys()
         off = floor_s - floor_o + zero
@@ -343,13 +342,7 @@ class Poly:
         # 2^15): a negative one borrows and shows its guard bit
         dshift = dlead - zero
         base = dshift + off
-        dlc, dtc = dnum[dlead], dnum[dtrail]
-        if (
-            (lead - base) & guard
-            or num[lead] % dlc
-            or (trail - dtrail - off + zero) & guard
-            or num[trail] % dtc
-        ):
+        if ((lead - base) | (trail - dtrail - off + zero)) & guard:
             return None
 
         # Newt(h * other) = Newt(h) + Newt(other) (Ostrowski), so field by
@@ -367,11 +360,13 @@ class Poly:
             c = rem.pop(k, 0)
             while c:
                 qk = k - dshift
-                if ((k - base) | (ceil - qk)) & guard or c % dlc:
+                if ((k - base) | (ceil - qk)) & guard:
                     return None
-                qc = quo[qk] = c // dlc
+                quo[qk] = c
                 k -= step
-                c = rem.pop(k, 0) - qc * dtc
+                c += rem.pop(k, 0)
+        if sign < 0:
+            quo = {k: -c for k, c in quo.items()}
         return Poly._raw(self.nvars, quo, (off, ceil), (lead - dshift, trail - dtrail + zero))
 
     def evaluate(self, point):

@@ -1,26 +1,26 @@
 """Exact rational functions in x_1, ..., x_N and q over the integers.
 
-Denominators are kept in factored form: a positive integer scalar times a
-multiset of canonical binomial factors X^a - X^b (floor zero, leading
-coefficient 1).  That is the contract: every factor handed to a
-RationalFunction must be a unit c * X^s, which is absorbed into the
-numerator and the scalar, or a unit times a binomial X^a - X^b; any other
-factor raises ValueError.  It holds because qglk only ever divides by
-K-theoretic Euler factors 1 - w^-1 of torus weights (qglk.grassmann) and
-by the commutator scalar 1 - q^(2n) (qglk.fm).  Cancellation runs factor
-by factor through exact division by binomials, so no multivariate gcd is
-ever needed.
+A denominator is a multiset of canonical binomial factors X^a - X^b
+(floor zero, leading coefficient 1).  That is the contract: every factor
+handed to a RationalFunction must be +-X^s, which is absorbed into the
+numerator, or +-X^s (X^a - X^b); any other factor, an integer other than
++-1 included, raises ValueError.  _canonical_factor alone applies this
+rule.  It holds because qglk only ever divides by K-theoretic Euler
+factors 1 - w^-1 of torus weights (qglk.grassmann) and by the commutator
+scalar 1 - q^(2n) (qglk.fm).  Cancellation runs factor by factor through
+exact division by canonical factors, so no multivariate gcd is ever
+needed.  It removes whole canonical factors only, so a fraction need not
+print in lowest terms: (1 - x1 q) / (1 - x1^2 q^2) keeps its factor.
 
 Units skip that cancellation.  A one-term numerator c * X^e is a unit
 times an integer, which no canonical factor (two terms) divides
 (Ostrowski).  Negation and multiplication by c or by c * X^e keep the
-reduced denominator and only re-take the gcd of the numerator content
-with the scalar: X^e is a unit, and by Gauss's lemma a primitive factor
-that divides c * num already divides num, so trial divisions would fail.
+reduced denominator: X^e is a unit, and a canonical factor that divides
+c * num already divides num (it is primitive: Gauss's lemma), so trial
+divisions would fail.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
 
 from .poly import Poly, _layout, _unpack
 
@@ -30,17 +30,11 @@ class PoleError(ZeroDivisionError):
 
 
 class RationalFunction:
-    __slots__ = ("nvars", "num", "den_scalar", "den_factors")
+    __slots__ = ("nvars", "num", "den_factors")
 
-    def __init__(self, nvars, num, den_factors=(), den_scalar=1):
+    def __init__(self, nvars, num, den_factors=()):
         if not isinstance(num, Poly) or num.nvars != nvars:
             raise ValueError("numerator must be a Poly in the same variables")
-        if den_scalar == 0:
-            raise ZeroDivisionError("zero denominator scalar")
-        if den_scalar < 0:
-            den_scalar = -den_scalar
-            num = -num
-
         merged = {}
         for f, m in den_factors:
             if m == 0:
@@ -49,8 +43,7 @@ class RationalFunction:
                 raise ValueError("denominator multiplicities must be positive")
             if f.is_zero():
                 raise ZeroDivisionError("zero denominator factor")
-            canon, shift, sign, content = _canonical_factor(f)
-            den_scalar *= content**m
+            canon, shift, sign = _canonical_factor(f)
             if sign < 0 and m % 2:
                 num = -num
             if any(shift):
@@ -59,7 +52,7 @@ class RationalFunction:
                 merged[canon] = merged.get(canon, 0) + m
 
         if num.is_zero():
-            merged, den_scalar = {}, 1
+            merged = {}
 
         # no binomial divides a monomial
         order = sorted(merged, key=term_sort_key)
@@ -73,25 +66,18 @@ class RationalFunction:
                 m -= 1
             merged[f] = m
 
-        g = gcd(num.content(), den_scalar)
-        if g > 1:
-            num = Poly._raw(nvars, {k: c // g for k, c in num.keys.items()})
-            den_scalar //= g
-
         self.nvars = nvars
         self.num = num
-        self.den_scalar = den_scalar
         self.den_factors = tuple((f, merged[f]) for f in order if merged[f])
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def _reduced(cls, nvars, num, den_factors, den_scalar):
+    def _reduced(cls, nvars, num, den_factors):
         """Wrap parts that are already in canonical form, skipping __init__."""
         out = object.__new__(cls)
         out.nvars = nvars
         out.num = num
-        out.den_scalar = den_scalar
         out.den_factors = den_factors
         return out
 
@@ -128,7 +114,7 @@ class RationalFunction:
         return not self.num.is_zero()
 
     def is_polynomial(self):
-        return not self.den_factors and self.den_scalar == 1
+        return not self.den_factors
 
     # -- arithmetic --------------------------------------------------------
 
@@ -147,9 +133,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction._reduced(
-            self.nvars, -self.num, self.den_factors, self.den_scalar
-        )
+        return RationalFunction._reduced(self.nvars, -self.num, self.den_factors)
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -162,9 +146,7 @@ class RationalFunction:
     def _times_unit(self, c, d=0):
         """self * c * X^s for an integer c != 0 and d the key offset of X^s
         (see Poly._translate); the reduced denominator stays."""
-        g = gcd(self.num.content() * c, self.den_scalar)
-        num = self.num._translate(d, c, g)
-        return RationalFunction._reduced(self.nvars, num, self.den_factors, self.den_scalar // g)
+        return RationalFunction._reduced(self.nvars, self.num._translate(d, c), self.den_factors)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -179,20 +161,17 @@ class RationalFunction:
                 ((k, c),) = b.num.keys.items()
                 return a._times_unit(c, k - _layout(self.nvars).zero)
         return RationalFunction(
-            self.nvars,
-            self.num * other.num,
-            self.den_factors + other.den_factors,
-            self.den_scalar * other.den_scalar,
+            self.nvars, self.num * other.num, self.den_factors + other.den_factors
         )
 
     __rmul__ = __mul__
 
     def inv(self):
         """1 / self.  The numerator becomes the one denominator factor, so
-        it must be a unit or a unit times a binomial X^a - X^b."""
+        it must be +-X^s or +-X^s (X^a - X^b)."""
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        num = Poly.const(self.nvars, self.den_scalar)
+        num = Poly.one(self.nvars)
         for f, m in self.den_factors:
             num = num * f**m
         return RationalFunction(self.nvars, num, ((self.num, 1),))
@@ -200,14 +179,14 @@ class RationalFunction:
     @classmethod
     def sum(cls, nvars, items):
         """Sum of RationalFunctions over their one shared denominator."""
-        parts, den_factors, den_scalar = common_denominator(nvars, items)
-        return cls(nvars, sum(parts, Poly.zero(nvars)), den_factors, den_scalar)
+        parts, den_factors = common_denominator(nvars, items)
+        return cls(nvars, Poly.signed_sum(nvars, ((1, p) for p in parts)), den_factors)
 
     def permute(self, perm, factors=None):
         """self with each x_i replaced by x_perm[i-1] (see Poly.permute).
 
-        A permuted canonical factor keeps floor zero and content one, but
-        its leading term, and so its sign, can change: _canonical_factor
+        A permuted canonical factor keeps floor zero, but its leading
+        term, and so its sign, can change: _canonical_factor
         re-canonicalizes it, and an odd multiplicity of a flipped factor
         negates the numerator.  No factor divides the numerator, and an
         automorphism keeps it so: nothing is divided.  ``factors``, a
@@ -219,13 +198,13 @@ class RationalFunction:
         for f, m in self.den_factors:
             hit = memo.get(f)
             if hit is None:
-                canon, _, sign, _ = _canonical_factor(f.permute(perm))
+                canon, _, sign = _canonical_factor(f.permute(perm))
                 hit = memo[f] = canon, sign
             if hit[1] < 0 and m % 2:
                 num = -num
             den.append((hit[0], m))
         den.sort(key=lambda fm: term_sort_key(fm[0]))
-        return RationalFunction._reduced(self.nvars, num, tuple(den), self.den_scalar)
+        return RationalFunction._reduced(self.nvars, num, tuple(den))
 
     # -- comparison and evaluation ---------------------------------------
 
@@ -238,10 +217,7 @@ class RationalFunction:
             return NotImplemented
         if self.nvars != other.nvars:
             return False
-        if (
-            self.den_scalar == other.den_scalar
-            and self.den_factors == other.den_factors
-        ):
+        if self.den_factors == other.den_factors:
             return self.num == other.num
         return (self - other).is_zero()
 
@@ -249,7 +225,7 @@ class RationalFunction:
         """Exact value at a rational point.  ``factor_values``, a dict of factor
         values at this same point, lets fractions evaluate shared factors once."""
         values = {} if factor_values is None else factor_values
-        den = Fraction(self.den_scalar)
+        den = Fraction(1)
         for f, m in self.den_factors:
             v = values.get(f)
             if v is None:
@@ -261,12 +237,9 @@ class RationalFunction:
 
     def __str__(self):
         num = str(self.num)
-        if self.den_scalar == 1 and not self.den_factors:
+        if not self.den_factors:
             return num
-        dparts = [] if self.den_scalar == 1 else [str(self.den_scalar)]
-        for f, m in self.den_factors:
-            body = f"({f})"
-            dparts.append(body if m == 1 else f"{body}^{m}")
+        dparts = [f"({f})" if m == 1 else f"({f})^{m}" for f, m in self.den_factors]
         if len(self.num.keys) > 1:
             num = f"({num})"
         den = "*".join(dparts)
@@ -279,33 +252,31 @@ class RationalFunction:
 
 
 def _canonical_factor(f):
-    """Write a nonzero denominator factor as f = sign * content * X^shift * canon.
+    """Write a nonzero denominator factor as f = sign * X^shift * canon.
 
-    A unit c * X^s gives canon = 1.  A unit times a binomial,
-    c * X^s * (X^a - X^b) with s the exponent floor, gives the canonical
-    binomial canon = X^(a-s) - X^(b-s): floor zero, leading coefficient 1.
-    Returns (canon, shift, sign, content) with shift an exponent tuple; any
-    other factor raises ValueError.  A canonical factor, as euler_class_rf
-    builds them with their caches set, is returned as it is.
+    The one place that fixes a factor's sign and floor.  A unit +-X^s
+    gives canon = 1.  A binomial +-X^s (X^a - X^b), s the exponent floor,
+    gives the canonical binomial canon = X^(a-s) - X^(b-s): floor zero,
+    leading coefficient 1.  Returns (canon, shift, sign) with shift an
+    exponent tuple; any other factor, a coefficient other than +-1
+    included, raises ValueError.  A canonical factor is returned as it is.
     """
     keys, lay = f.keys, _layout(f.nvars)
     lead, trail = f._ends()
     c = keys[lead]
-    if not (lead == trail or len(keys) == 2 and keys[trail] == -c):
-        raise ValueError(f"denominator factor {f} is not a unit times X^a - X^b")
+    if c not in (1, -1) or not (lead == trail or len(keys) == 2 and keys[trail] == -c):
+        raise ValueError(f"denominator factor {f} is not +-X^s or +-X^s (X^a - X^b)")
     floor = f._box_keys()[0]
     if c == 1 and floor == lay.zero:
-        return f, (0,) * f.nvars, 1, 1
-    canon = f._translate(lay.zero - floor, unit=c)
-    return canon, _unpack(lay, floor), 1 if c > 0 else -1, abs(c)
+        return f, (0,) * f.nvars, 1
+    return f._translate(lay.zero - floor, c), _unpack(lay, floor), c
 
 
 def common_denominator(nvars, items):
-    """(parts, den_factors, den_scalar): the sequence of RationalFunctions
-    ``items`` raised to their least common denominator, parts[i] the
-    numerator of items[i] over it.  Each numerator is multiplied by its
-    missing scalar, when that is not 1, and by each missing factor power."""
-    scalar = lcm(*(it.den_scalar for it in items))
+    """(parts, den_factors): the sequence of RationalFunctions ``items``
+    raised to their least common denominator, parts[i] the numerator of
+    items[i] over it.  Each numerator is multiplied by each missing factor
+    power."""
     common = {}
     for it in items:
         if it.nvars != nvars:
@@ -315,14 +286,14 @@ def common_denominator(nvars, items):
                 common[f] = m
     parts = []
     for it in items:
-        part = it.num if it.den_scalar == scalar else it.num * (scalar // it.den_scalar)
+        part = it.num
         have = dict(it.den_factors)
         for f, m in common.items():
             deficit = m - have.get(f, 0)
             if deficit:
                 part = part * f**deficit
         parts.append(part)
-    return parts, tuple(common.items()), scalar
+    return parts, tuple(common.items())
 
 
 def term_sort_key(p):

@@ -2,7 +2,8 @@
 
 Polynomial references: plain division by any divisor and the unit
 extraction of a nonzero polynomial, the references for Poly.exact_div
-and for the denominator-factor canonicalizer of qglk.ratfunc.
+and for the denominator-factor canonicalizer of qglk.ratfunc.  The
+stored form of a fraction, to compare reductions and not just values.
 
 Linear algebra over the fraction field: pivot columns by fraction-free
 (Bareiss) elimination over Poly, which needs no inverse of a general
@@ -25,7 +26,7 @@ RationalFunction.sum of value times inverse Euler class, the reference for
 the shared localization form of qglk.grassmann.
 """
 
-from math import comb, gcd
+from math import comb
 from operator import add, sub
 
 from qglk import fm, superrep
@@ -88,19 +89,21 @@ def reference_exact_div(a, b):
 
 
 def reference_extract_unit(p):
-    """(canonical terms, shift, sign, content) of a nonzero p = sign *
-    content * X^shift * canonical, with canonical primitive, of floor zero
-    and with a positive leading coefficient: the reference for the
+    """(canonical terms, shift, sign) of a nonzero p = sign * X^shift *
+    canonical whose leading coefficient is +-1, with canonical of floor
+    zero and leading coefficient 1: the reference for the
     denominator-factor canonicalizer of qglk.ratfunc."""
     shift = reference_floor(p)
-    g = 0
-    for c in p.terms.values():
-        g = gcd(g, abs(c))
-    sign = 1 if p.terms[max(p.terms, key=term_key)] > 0 else -1
-    canonical = {
-        tuple(a - s for a, s in zip(e, shift)): c // (sign * g) for e, c in p.terms.items()
-    }
-    return canonical, shift, sign, g
+    sign = p.terms[max(p.terms, key=term_key)]
+    canonical = {tuple(a - s for a, s in zip(e, shift)): c * sign for e, c in p.terms.items()}
+    return canonical, shift, sign
+
+
+def structure(r):
+    """(nvars, numerator keys, denominator factors) of a RationalFunction:
+    equal exactly when two fractions are stored alike, not merely when
+    they are equal."""
+    return r.nvars, r.num.keys, r.den_factors
 
 
 def complexity(entry):
