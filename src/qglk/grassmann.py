@@ -137,13 +137,12 @@ class Space:
     """Fixed-point model of Gr(k,n), optionally with the scaled Hom fiber.
     Spaces of one (n, k, fiber) share one localization form."""
 
-    __slots__ = ("n", "k", "with_fiber", "points")
+    __slots__ = ("n", "k", "with_fiber")
 
     def __init__(self, n, k, with_fiber=True):
         self.n = n
         self.k = k
         self.with_fiber = with_fiber
-        self.points = fixed_points(n, k)
 
     @property
     def nvars(self):

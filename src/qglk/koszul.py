@@ -42,22 +42,13 @@ def d_of(I, j):
 
 class GradedComplex:
     """Characters in nvars variables indexed by cohomological degree;
-    equal degrees merge and a missing degree holds the zero character."""
+    a missing degree holds the zero character."""
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
         self.terms = {d: char for d, char in (terms or {}).items() if char}
-
-    @classmethod
-    def from_triples(cls, nvars, triples):
-        """Build from (degree, q_twist, character) entries."""
-        acc = {}
-        for d, qt, char in triples:
-            char = char.shift_exps([0] * (nvars - 1) + [qt])
-            acc[d] = acc[d] + char if d in acc else char
-        return cls(nvars, acc)
 
     def term(self, d):
         return self.terms.get(d) or Poly.zero(self.nvars)
@@ -89,16 +80,19 @@ class GradedComplex:
 
 def _dual_line(L):
     """Exponents of L^dual for a line bundle L: one weight, multiplicity 1."""
-    if len(L.keys) != 1 or L.leading_coeff() != 1:
+    if list(L.keys.values()) != [1]:
         raise ValueError("line bundle character must have rank 1")
-    return [-a for a in L.leading_exps()]
+    [exps] = L.terms
+    return [-a for a in exps]
 
 
 def koszul_complex(V, section_q_weight=0):
-    """Exterior algebra resolution: degree -j term is Lambda^j of V^dual."""
+    """Exterior algebra resolution: degree -j term is Lambda^j of V^dual
+    times q^(c j), c = section_q_weight."""
     duals = exterior_powers(dual(V))
-    return GradedComplex.from_triples(
-        V.nvars, ((-j, section_q_weight * j, duals[j]) for j in range(len(duals)))
+    no_x = [0] * (V.nvars - 1)
+    return GradedComplex(
+        V.nvars, {-j: duals[j].shift_exps(no_x + [section_q_weight * j]) for j in range(len(duals))}
     )
 
 
@@ -139,8 +133,8 @@ def _step_block(char_top, ell_inv, degree):
     This is the class of K(L^dual, f) tensored with char_top placed so
     its untwisted copy sits in cohomological degree degree+1.
     """
-    return GradedComplex.from_triples(
-        char_top.nvars, [(degree, 0, _twist(char_top, ell_inv, 1)), (degree + 1, 0, char_top)]
+    return GradedComplex(
+        char_top.nvars, {degree: _twist(char_top, ell_inv, 1), degree + 1: char_top}
     )
 
 
@@ -200,19 +194,10 @@ def _mult(char, key):
     return char.keys.get(key, 0)
 
 
-_ROUTES = "minus plus minus_indices plus_indices target_minus target_plus"
-
-
-class IteratedCones(namedtuple("IteratedCones", _ROUTES)):
-    """Both iterated-cone presentations with their targets and index logs."""
-
-    __slots__ = ()
-
-    def minus_matches(self):
-        return self.minus.total_class() == self.target_minus.total_class()
-
-    def plus_matches(self):
-        return self.plus.total_class() == self.target_plus.total_class()
+# both iterated-cone presentations with their targets and index logs
+IteratedCones = namedtuple(
+    "IteratedCones", "minus plus minus_indices plus_indices target_minus target_plus"
+)
 
 
 def iterated_cone_classes(N, k, L, V, section_q_weight=2):
@@ -366,13 +351,13 @@ def iterated_cone_report(N, k, section_q_weight=2):
     V, L = generic_bundle_data(N)
     res = iterated_cone_classes(N, k, L, V, section_q_weight)
     rep = Report(f"iterated cone routes, rank {N}, k={k}")
-    ok = res.minus_matches()
+    ok = res.minus.total_class() == res.target_minus.total_class()
     rep.add(
         "descending route reaches the interpolating complex",
         ok,
         "" if ok else located_witness(res.minus, res.target_minus, ("route", "target"), True),
     )
-    ok = res.plus_matches()
+    ok = res.plus.total_class() == res.target_plus.total_class()
     rep.add(
         "ascending route reaches it after the global twist",
         ok,

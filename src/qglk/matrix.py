@@ -75,27 +75,17 @@ class Matrix:
             raise ValueError("matrix shape does not match the weight blocks")
 
     @classmethod
-    def zeros(cls, nrows, ncols, zero):
-        return cls(nrows, ncols, [[zero] * ncols for _ in range(nrows)], zero)
-
-    @classmethod
     def zero_block(cls, n, source_weight, target_weight, zero):
         nr, nc = len(block_points(n, target_weight)), len(block_points(n, source_weight))
         rows = [[zero] * nc for _ in range(nr)]
         return cls(nr, nc, rows, zero, (n, source_weight, target_weight))
 
     @classmethod
-    def diagonal(cls, diag, zero):
-        m = cls.zeros(len(diag), len(diag), zero)
-        for i, d in enumerate(diag):
-            m.rows[i][i] = d
-        return m
-
-    @classmethod
     def scalar_block(cls, n, weight, s):
         """s (a Poly or a RationalFunction) times the identity on the block."""
         d, zero = len(block_points(n, weight)), type(s).zero(s.nvars)
-        return cls(d, d, cls.diagonal([s] * d, zero).rows, zero, (n, weight, weight))
+        rows = [[s if i == j else zero for j in range(d)] for i in range(d)]
+        return cls(d, d, rows, zero, (n, weight, weight))
 
     @property
     def block(self):
@@ -182,9 +172,6 @@ class Matrix:
         return all(
             a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
         )
-
-    def is_zero(self):
-        return not any(a for r in self.rows for a in r)
 
     def map(self, fn):
         """fn applied to every entry and to the zero; a block stays one."""

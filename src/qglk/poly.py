@@ -238,12 +238,6 @@ class Poly:
             self._ends_cache = (max(self.keys), min(self.keys))
         return self._ends_cache
 
-    def leading_exps(self):
-        return _unpack(_layout(self.nvars), self._ends()[0])
-
-    def leading_coeff(self):
-        return self.keys[self._ends()[0]]
-
     def _box_keys(self):
         """Keys of the componentwise minimum and maximum exponents over all
         terms: the floor and the ceiling of the exponent box."""

@@ -86,20 +86,12 @@ class RationalFunction:
         return cls(nvars, Poly.zero(nvars))
 
     @classmethod
-    def one(cls, nvars):
-        return cls(nvars, Poly.one(nvars))
-
-    @classmethod
     def const(cls, nvars, c):
         return cls(nvars, Poly.const(nvars, c))
 
     @classmethod
     def from_poly(cls, p):
         return cls(p.nvars, p)
-
-    @classmethod
-    def x(cls, nvars, i):
-        return cls(nvars, Poly.x(nvars, i))
 
     @classmethod
     def q(cls, nvars, e=1):

@@ -233,7 +233,7 @@ def phi_from_bases(n, bases):
     """The intertwiner blocks phi_w = B_geo[w] B_alg[w]^-1 from the bases
     {w: (B_alg[w], B_geo[w])} that fm.find_intertwiner returns; n <= 2,
     where invert_matrix meets only unit or binomial pivots."""
-    one = RationalFunction.one(n + 1)
+    one = RationalFunction.const(n + 1, 1)
     return {w: geo @ invert_matrix(alg, one) for w, (alg, geo) in bases.items()}
 
 
@@ -268,7 +268,10 @@ def reference_pushforward(space, values):
     its own, added by RationalFunction.sum."""
     return RationalFunction.sum(
         space.nvars,
-        [RationalFunction.from_poly(values(S)) * inverse_euler(space, S) for S in space.points],
+        [
+            RationalFunction.from_poly(values(S)) * inverse_euler(space, S)
+            for S in fixed_points(space.n, space.k)
+        ],
     )
 
 
@@ -290,10 +293,9 @@ def basis_words(n):
 
 def full_matrix(n, gen):
     """The dense 2^n x 2^n matrix of a generator in the basis_words order."""
-    words = basis_words(n)
-    return superrep._image_matrix(
-        gen, words, words, Matrix.zeros(2**n, 2**n, Poly.zero(n + 1))
-    )
+    words, zero = basis_words(n), Poly.zero(n + 1)
+    d = len(words)
+    return superrep._image_matrix(gen, words, words, Matrix(d, d, [[zero] * d] * d, zero))
 
 
 class FullSweepBlocks(fm.Blocks):

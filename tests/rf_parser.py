@@ -7,6 +7,7 @@ a * b.inv(), b inverted factor by factor, and a^e is a product of e
 copies of a (of a.inv() for e < 0).
 """
 
+from qglk.poly import Poly
 from qglk.ratfunc import RationalFunction
 
 
@@ -39,7 +40,7 @@ class _Parser:
         return v
 
     def product(self, factors):
-        v = RationalFunction.one(self.nvars)
+        v = RationalFunction.const(self.nvars, 1)
         for f in factors:
             v = v * f
         return v
@@ -108,7 +109,7 @@ class _Parser:
             i = self.integer()
             if not 1 <= i <= self.nvars - 1:
                 self.error(f"variable x{i} out of range")
-            return [RationalFunction.x(self.nvars, i)]
+            return [RationalFunction.from_poly(Poly.x(self.nvars, i))]
         self.error("expected a term")
 
     def integer(self):

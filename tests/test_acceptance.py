@@ -195,7 +195,7 @@ class TestLocalizationSanity:
         for n in range(1, 7):
             for k in range(n + 1):
                 sp = Space(n, k, with_fiber=False)
-                assert sp.pushforward_det_tau_power(0) == RationalFunction.one(n + 1)
+                assert sp.pushforward_det_tau_power(0) == RationalFunction.const(n + 1, 1)
 
     def test_p1_tautological_bundle_has_no_cohomology(self):
         sp = Space(2, 1, with_fiber=False)

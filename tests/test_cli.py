@@ -191,9 +191,9 @@ CONTROL_GOLDEN = json.loads(
 
 
 class TestCliGolden:
-    # `verify --n 1..4 --json` and `koszul --rank r --k k --json` (r <= 5);
-    # text mode: `verify --n 2`, `verify --n 3 --max-weight 1` and
-    # `koszul --rank 3 --k 1`
+    # `verify --n 1..6 --json` and `koszul --rank r --k k --json` (r <= 5);
+    # text mode: `verify --n 2`, `verify --n 3 --max-weight 1`,
+    # `verify --n 5` and `koszul --rank 3 --k 1`
     @pytest.mark.parametrize("args", sorted(CLI_GOLDEN))
     def test_output_and_exit_code_are_byte_identical(self, capsys, args):
         code, out, _ = run(capsys, *args.split())

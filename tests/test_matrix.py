@@ -11,7 +11,7 @@ NV = 3  # x1, x2, q
 
 def pairwise_matmul(a, b):
     """Matrix product accumulated one pairwise + at a time."""
-    out = Matrix.zeros(a.nrows, b.ncols, a.zero)
+    out = Matrix(a.nrows, b.ncols, [[a.zero] * b.ncols] * a.nrows, a.zero)
     for i in range(a.nrows):
         for k in range(a.ncols):
             if a.rows[i][k].is_zero():
@@ -74,12 +74,12 @@ class TestMatmul:
 
     def test_empty_blocks(self):
         zero = RationalFunction.zero(NV)
-        x = RationalFunction.x(NV, 1)
+        x = RationalFunction.from_poly(Poly.x(NV, 1))
         row = Matrix(1, 2, [[x, x]], zero)
         assert (Matrix(0, 1, [], zero) @ row).nrows == 0
         # a 2x0 times 0x2 product is a 2x2 block of zeros
         prod = Matrix(2, 0, [[], []], zero) @ Matrix(0, 2, [], zero)
-        assert (prod.nrows, prod.ncols) == (2, 2) and prod.is_zero()
+        assert prod == Matrix(2, 2, [[zero] * 2] * 2, zero)
         assert (row @ Matrix(2, 0, [[], []], zero)).ncols == 0
 
 
@@ -109,7 +109,7 @@ class TestWeightBlocks:
         e = Matrix.zero_block(2, 0, 2, Poly.zero(3))
         assert (e @ Matrix.scalar_block(2, 0, one)).block == (2, 0, 2)
         assert (-e).block == e.map(RationalFunction.from_poly).block == (2, 0, 2)
-        plain = Matrix.zeros(1, 2, Poly.zero(3))
+        plain = Matrix(1, 2, [[Poly.zero(3)] * 2], Poly.zero(3))
         assert (e + plain).block == (None, None, None) and e != plain
         with pytest.raises(ValueError, match="mixed n"):
             e + Matrix.zero_block(1, -1, 1, Poly.zero(2))

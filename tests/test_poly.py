@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qglk.poly import Poly
+from qglk.poly import Poly, _layout, _unpack
 from qglk.ratfunc import _canonical_factor
 from reference import reference_exact_div, reference_floor, term_key
 
@@ -348,8 +348,9 @@ class TestPackedRepresentation:
         }
         corners = (reference_floor(p), reference_ceil(p))
         assert p._box_keys() == tuple(next(iter(Poly.monomial(nvars, e).keys)) for e in corners)
-        assert p.leading_exps() == max(p.terms, key=term_key)
-        assert p.leading_coeff() == p.terms[max(p.terms, key=term_key)]
+        lead = p._ends()[0]
+        assert _unpack(_layout(nvars), lead) == max(p.terms, key=term_key)
+        assert p.keys[lead] == p.terms[max(p.terms, key=term_key)]
         assert str(p) == str(fresh(p))
 
     @given(small_polys(), st.tuples(*([st.fractions(max_denominator=9)] * 3)))
@@ -584,7 +585,7 @@ class TestPermute:
         p = Poly(4, {(3, -1, 0, 2): 5, (0, 0, -2, -7): -1})
         got = p.permute((3, 1, 2))
         assert got.terms == {(-1, 0, 3, 2): 5, (0, -2, 0, -7): -1}
-        assert got.leading_exps() == (-1, 0, 3, 2)
+        assert _unpack(_layout(4), got._ends()[0]) == (-1, 0, 3, 2)
 
     def test_rejects_a_non_permutation(self):
         p = Poly.x(4, 1)

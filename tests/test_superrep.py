@@ -171,11 +171,14 @@ def swapped(gen, word):
 def dense_relations(n):
     """The relation battery on dense 2^n x 2^n matrices: {check name: holds}."""
     E, F, K, Kinv, H, Hinv = (full_matrix(n, g) for g in GENERATORS)
-    nvars = n + 1
-    one = Matrix.diagonal([Poly.one(nvars)] * 2**n, Poly.zero(nvars))
+    nvars, d = n + 1, 2**n
+    zero = Poly.zero(nvars)
+    unit = [[Poly.one(nvars) if i == j else zero for j in range(d)] for i in range(d)]
+    one = Matrix(d, d, unit, zero)
+    zeros = Matrix(d, d, [[zero] * d] * d, zero)
     return {
-        "E^2 = 0": (E @ E).is_zero(),
-        "F^2 = 0": (F @ F).is_zero(),
+        "E^2 = 0": E @ E == zeros,
+        "F^2 = 0": F @ F == zeros,
         "EF + FE = K - Kinv": E @ F + F @ E == K - Kinv,
         "HE = q^2 EH": H @ E == (E @ H).scale(Poly.q(nvars, 2)),
         "HF = q^-2 FH": H @ F == (F @ H).scale(Poly.q(nvars, -2)),

@@ -4,22 +4,29 @@ Scans src/qglk with ast: each module-level function and class must be
 referenced by name (an ast.Name or an ast.Attribute) somewhere in src/,
 and each method of a module-level class other than dunders through an
 attribute (an ast.Attribute): a bare name such as a local variable that
-happens to share the method's name does not call it.  A helper that only
-tests call belongs in tests/, not in the package.  Each name a module
-imports at module level must be referenced (an ast.Name) in that module.
+happens to share the method's name does not call it, and neither does
+an attribute on another class's name (``Poly.one`` does not call
+``RationalFunction.one``).  Each name in a ``__slots__`` must be read
+(an ast.Attribute in Load context) somewhere in src/.  A helper that
+only tests call belongs in tests/, not in the package.  Each name a
+module imports at module level must be referenced (an ast.Name) in that
+module.  The README's quick tour runs as written.
 """
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "qglk"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "qglk"
 
-# (module, qualified name): the package surface whose callers live outside src/
+# (module, qualified name, where the caller lives): the package surface
+# whose callers live outside src/
 OUTSIDE_CALLERS = (
-    ("fm", "find_intertwiner"),  # the README quick tour
-    ("grassmann", "Space"),  # the localize-n6 benchmark workload
-    ("grassmann", "Space.pushforward_det_tau_power"),  # the localize-n6 workload
-    ("report", "Report.failures"),  # the reporting API, read throughout tests/
+    ("fm", "find_intertwiner", "README.md"),  # the quick tour
+    ("grassmann", "Space", "bench/workloads.py"),  # the localize-n6 workload
+    ("grassmann", "Space.pushforward_det_tau_power", "bench/workloads.py"),
+    ("report", "Report.failures", "tests"),  # the reporting API
 )
 
 
@@ -27,45 +34,103 @@ def _trees():
     return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
 
 
+def _classes(trees):
+    return {
+        node.name for tree in trees.values() for node in tree.body if isinstance(node, ast.ClassDef)
+    }
+
+
 def _definitions(trees):
-    """(module, qualified name, bare name) of every checked definition."""
+    """(module, qualified name, owning class or None, bare name) of every
+    checked definition."""
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                yield module, node.name, node.name
+                yield module, node.name, None, node.name
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
-                        yield module, f"{node.name}.{item.name}", item.name
+                        yield module, f"{node.name}.{item.name}", node.name, item.name
 
 
 def _referenced(trees):
-    """The bare names and the attribute names referenced in src/."""
+    """The bare names referenced in src/, and each attribute name with the
+    class it is taken on: the class's name when the attribute's value is
+    the bare name of a class defined in src/, else None."""
+    classes = _classes(trees)
     names, attributes = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                attributes.add(node.attr)
+                value = node.value
+                owner = value.id if isinstance(value, ast.Name) and value.id in classes else None
+                attributes.add((owner, node.attr))
     return names, attributes
 
 
-def test_every_definition_has_a_caller_in_src():
-    trees = _trees()
+def _unused(trees):
     names, attributes = _referenced(trees)
-    unused = [
-        (module, qualname)
-        for module, qualname, name in _definitions(trees)
-        if name not in (attributes if "." in qualname else names | attributes)
-        and (module, qualname) not in OUTSIDE_CALLERS
-    ]
-    assert unused == []
+    for module, qualname, owner, name in _definitions(trees):
+        if owner is None:
+            used = name in names or any(attr == name for _, attr in attributes)
+        else:
+            used = (None, name) in attributes or (owner, name) in attributes
+        if not used:
+            yield module, qualname
+
+
+def test_every_definition_has_a_caller_in_src():
+    outside = {(module, qualname) for module, qualname, _ in OUTSIDE_CALLERS}
+    assert [u for u in _unused(_trees()) if u not in outside] == []
+
+
+def test_every_slot_is_read_in_src():
+    trees = _trees()
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for module, tree in trees.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for item in cls.body:
+                if isinstance(item, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets
+                ):
+                    slots = ast.literal_eval(item.value)
+                    unread += [(module, f"{cls.name}.{s}") for s in slots if s not in read]
+    assert unread == []
 
 
 def test_outside_callers_are_still_defined():
-    defined = {(module, qualname) for module, qualname, _ in _definitions(_trees())}
-    assert set(OUTSIDE_CALLERS) <= defined
+    defined = {(module, qualname) for module, qualname, _, _ in _definitions(_trees())}
+    assert {(module, qualname) for module, qualname, _ in OUTSIDE_CALLERS} <= defined
+
+
+def test_outside_callers_still_call():
+    # each whitelisted name occurs where its caller lives (in tests/, in a
+    # file other than this one), so no entry outlives its caller
+    for _, qualname, where in OUTSIDE_CALLERS:
+        path = ROOT / where
+        files = [path]
+        if path.is_dir():
+            files = sorted(set(path.glob("*.py")) - {Path(__file__).resolve()})
+        name = qualname.rsplit(".", 1)[-1]
+        assert any(re.search(rf"\b{name}\b", f.read_text()) for f in files), (qualname, where)
+
+
+def test_readme_quick_tour_runs(capsys):
+    # the names the README promises (C[0, 0], find_intertwiner,
+    # intertwiner_report, koszul_battery_report) still exist and still run
+    readme = (ROOT / "README.md").read_text()
+    tour = readme.split("## Quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(tour, "README.md quick tour", "exec"), {})
+    out = capsys.readouterr().out
+    assert "[FAIL]" not in out and out.count("checks passed") == 3
 
 
 def test_every_module_level_import_is_used():
