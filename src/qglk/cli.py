@@ -87,7 +87,7 @@ def _block_json(block, label):
             f"{rows[i]}|{cols[j]}": str(v)
             for i, row in enumerate(block.rows)
             for j, v in enumerate(row)
-            if not v.is_zero()
+            if v
         },
     }
 

@@ -52,7 +52,7 @@ from .grassmann import (
     tangent_gr,
 )
 from .linalg import columns, hstack, pivot_columns, sample_points
-from .matrix import Matrix, block_points, dot, entry_witness, first_off, k_of, witness
+from .matrix import Matrix, block_points, dot, entry_witness, first_off, k_of, weights, witness
 from .poly import Poly
 from .ratfunc import PoleError, RationalFunction
 from .report import Report
@@ -140,13 +140,6 @@ def _signed_scalars(n):
 def commutator_scalar(n, k):
     """(-1)^(n-k-1) * (1 - q^(2n)) in the fraction field."""
     return _signed_scalars(n)[epsilon_sign(n, k)]
-
-
-def _weights(n, max_weight=None):
-    ws = [n - 2 * k for k in range(n + 1)]
-    if max_weight is None:
-        return ws
-    return [w for w in ws if abs(w) <= max_weight]
 
 
 SIDES = ("algebra", "geometric")
@@ -291,7 +284,7 @@ def _add(rep, checks):
 def nilpotency_report(n, max_weight=None, blocks=None):
     blocks = Blocks(n) if blocks is None else blocks
     rep = Report(f"geometric nilpotency at n={n}")
-    for w in _weights(n, max_weight):
+    for w in weights(n, max_weight):
         _add(rep, [blocks.square("geometric", gen, w) for gen in "EF"])
     return rep
 
@@ -301,7 +294,7 @@ def commutator_report(n, max_weight=None, blocks=None):
     the observed sign against the parity (-1)^(n-k-1)."""
     blocks = Blocks(n) if blocks is None else blocks
     rep = Report(f"geometric commutator scalars at n={n}")
-    for w in _weights(n, max_weight):
+    for w in weights(n, max_weight):
         checks, note = blocks.commutator("geometric", w)
         _add(rep, checks)
         if note:
@@ -337,7 +330,7 @@ def normalized_rep_report(n, max_weight=None, blocks=None):
     blocks = Blocks(n) if blocks is None else blocks
     rep = Report(f"normalized algebra blocks at n={n}")
     q2 = RationalFunction.q(n + 1, 2)
-    for w in _weights(n, max_weight):
+    for w in weights(n, max_weight):
         _add(rep, [blocks.square("algebra", gen, w) for gen in "EF"])
         _add(rep, blocks.commutator("algebra", w)[0])
         e = blocks.op("algebra", "E", w)
@@ -358,7 +351,7 @@ def normalized_rep_report(n, max_weight=None, blocks=None):
 
 def _block_keys(n):
     """The (side, gen, w) keys of the E and F blocks the intertwiner uses."""
-    return [(side, gen, w) for side in SIDES for w in _weights(n) + [n + 2] for gen in "EF"]
+    return [(side, gen, w) for side in SIDES for w in weights(n) + [n + 2] for gen in "EF"]
 
 
 def _with_projectors(at, n, inverse_scalars):
@@ -366,7 +359,7 @@ def _with_projectors(at, n, inverse_scalars):
     at[side, "p", w] = F_{w+2} E_w / s_w of both sides, given 1 / s_w by
     weight; over Q at a sample point and over the fraction field alike."""
     for side in SIDES:
-        for w in _weights(n):
+        for w in weights(n):
             p = at[side, "F", w + 2] @ at[side, "E", w]
             at[side, "p", w] = p.scale(inverse_scalars[w])
     return at
@@ -378,9 +371,8 @@ def _at_points(blocks, seed):
     an entry of an E or F block has a pole or some s_w vanishes (q = 1
     can be drawn)."""
     n = blocks.n
-    weights = _weights(n)
     for point in sample_points(n + 1, seed):
-        s = {w: commutator_scalar(n, k_of(n, w)).evaluate(point) for w in weights}
+        s = {w: commutator_scalar(n, k_of(n, w)).evaluate(point) for w in weights(n)}
         if not all(s.values()):
             continue
         values = {}  # the blocks share their Euler factors: each once per point
@@ -429,8 +421,7 @@ def _prove_intertwiner(n, seed, blocks):
     when the transported bases are square, the pivot columns
     {(side, w): indices} of each p_w."""
     rep = Report(f"intertwiner at n={n}")
-    weights = _weights(n)
-    dims = {w: comb(n, k_of(n, w)) for w in weights}
+    dims = {w: comb(n, k_of(n, w)) for w in weights(n)}
     first = next(_at_points(blocks, seed), None)
     if first is None:
         drawn = sum(1 for _ in sample_points(n + 1, seed))
@@ -439,7 +430,7 @@ def _prove_intertwiner(n, seed, blocks):
         return rep, None
     pivots = {}
     ok_bases = True
-    for w in reversed(weights):
+    for w in reversed(dims):
         for side in SIDES:
             pivots[side, w] = pivot_columns(first[side, "p", w])
         r_alg, r_geo = (len(pivots[side, w]) for side in SIDES)
@@ -458,7 +449,7 @@ def _prove_intertwiner(n, seed, blocks):
     if not ok_bases:
         return rep, None
 
-    for w in weights:
+    for w in dims:
         why = []
         for side in SIDES:
             # the pivot point first, then further points with the same pivots
@@ -468,7 +459,7 @@ def _prove_intertwiner(n, seed, blocks):
                 why.append(f"{side} basis: determinant vanished at every pole-free sample point")
         rep.add(f"phi at weight {w} is invertible", not why, "; ".join(why))
 
-    for w in weights:
+    for w in dims:
         for gen in [g for g, applies in (("E", w < n), ("F", w > -n)) if applies]:
             bad = next(iter(_failed_premises(blocks, gen, w)), "")
             rep.add(f"phi intertwines {gen} at weight {w}", not bad, bad)
@@ -510,10 +501,10 @@ def find_intertwiner(n, seed=0xC0FFEE):
     rep, pivots = _prove_intertwiner(n, seed, blocks)
     if not rep.passed:
         return {}, rep
-    inverse = {w: commutator_scalar(n, k_of(n, w)).inv() for w in _weights(n)}
+    inverse = {w: commutator_scalar(n, k_of(n, w)).inv() for w in weights(n)}
     at = _with_projectors({key: blocks.op(*key) for key in _block_keys(n)}, n, inverse)
     bases = {
-        w: tuple(_transported_basis(at, side, w, pivots) for side in SIDES) for w in _weights(n)
+        w: tuple(_transported_basis(at, side, w, pivots) for side in SIDES) for w in weights(n)
     }
     return bases, rep
 

@@ -39,6 +39,13 @@ def k_of(n, weight):
     return (n - weight) // 2
 
 
+def weights(n, max_weight=None):
+    """The weights n, n-2, ..., -n of the nonempty blocks; with max_weight
+    only those of absolute value at most max_weight."""
+    ws = [n - 2 * k for k in range(n + 1)]
+    return ws if max_weight is None else [w for w in ws if abs(w) <= max_weight]
+
+
 @cache
 def block_points(n, weight):
     """The k-subsets labelling the weight block, shared by every block of
@@ -53,9 +60,8 @@ class Matrix:
 
     A block's rows are the target block's k-subsets of {1..n} and its
     columns the source block's, in lexicographic order: the odd slots of
-    the tensor basis words on the algebra side
-    (``superrep.word_from_subset``), the torus-fixed points of Gr(k, n)
-    on the geometry side.  On a plain matrix the three labels are None.
+    the tensor basis vectors on the algebra side, the torus-fixed points
+    of Gr(k, n) on the geometry side.  On a plain matrix the three labels are None.
     """
 
     __slots__ = ("nrows", "ncols", "rows", "zero", "n", "source_weight", "target_weight")

@@ -152,9 +152,6 @@ class Poly:
     def __bool__(self):
         return bool(self.keys)
 
-    def is_zero(self):
-        return not self.keys
-
     def __add__(self, other):
         self._check(other)
         keys = dict(self.keys)

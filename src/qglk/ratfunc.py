@@ -14,10 +14,13 @@ print in lowest terms: (1 - x1 q) / (1 - x1^2 q^2) keeps its factor.
 
 Units skip that cancellation.  A one-term numerator c * X^e is a unit
 times an integer, which no canonical factor (two terms) divides
-(Ostrowski).  Negation and multiplication by c or by c * X^e keep the
+(Ostrowski).  Negation and multiplication by such a unit keep the
 reduced denominator: X^e is a unit, and a canonical factor that divides
 c * num already divides num (it is primitive: Gauss's lemma), so trial
 divisions would fail.
+
+Arithmetic takes RationalFunction operands only; equality also compares
+with an int or a Poly.  Zero is tested by truthiness.
 """
 
 from fractions import Fraction
@@ -41,7 +44,7 @@ class RationalFunction:
                 continue
             if m < 0:
                 raise ValueError("denominator multiplicities must be positive")
-            if f.is_zero():
+            if not f:
                 raise ZeroDivisionError("zero denominator factor")
             canon, shift, sign = _canonical_factor(f)
             if sign < 0 and m % 2:
@@ -51,7 +54,7 @@ class RationalFunction:
             if len(canon.keys) == 2:
                 merged[canon] = merged.get(canon, 0) + m
 
-        if num.is_zero():
+        if not num:
             merged = {}
 
         # no binomial divides a monomial
@@ -99,11 +102,8 @@ class RationalFunction:
 
     # -- structure -------------------------------------------------------
 
-    def is_zero(self):
-        return self.num.is_zero()
-
     def __bool__(self):
-        return not self.num.is_zero()
+        return bool(self.num)
 
     def is_polynomial(self):
         return not self.den_factors
@@ -117,36 +117,21 @@ class RationalFunction:
             raise ValueError("variable-count mismatch")
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = RationalFunction.const(self.nvars, other)
         self._check(other)
         return RationalFunction.sum(self.nvars, (self, other))
-
-    __radd__ = __add__
 
     def __neg__(self):
         return RationalFunction._reduced(self.nvars, -self.num, self.den_factors)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = RationalFunction.const(self.nvars, other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def _times_unit(self, c, d=0):
+    def _times_unit(self, c, d):
         """self * c * X^s for an integer c != 0 and d the key offset of X^s
         (see Poly._translate); the reduced denominator stays."""
         return RationalFunction._reduced(self.nvars, self.num._translate(d, c), self.den_factors)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0 or self.num.is_zero():
-                return RationalFunction.zero(self.nvars)
-            return self._times_unit(other)
-        if isinstance(other, Poly):
-            other = RationalFunction.from_poly(other)
         self._check(other)
         for a, b in ((self, other), (other, self)):
             if b.is_polynomial() and len(b.num.keys) == 1:
@@ -156,12 +141,10 @@ class RationalFunction:
             self.nvars, self.num * other.num, self.den_factors + other.den_factors
         )
 
-    __rmul__ = __mul__
-
     def inv(self):
         """1 / self.  The numerator becomes the one denominator factor, so
         it must be +-X^s or +-X^s (X^a - X^b)."""
-        if self.num.is_zero():
+        if not self.num:
             raise ZeroDivisionError("inverse of zero")
         num = Poly.one(self.nvars)
         for f, m in self.den_factors:
@@ -211,7 +194,7 @@ class RationalFunction:
             return False
         if self.den_factors == other.den_factors:
             return self.num == other.num
-        return (self - other).is_zero()
+        return not (self - other)
 
     def evaluate(self, point, factor_values=None):
         """Exact value at a rational point.  ``factor_values``, a dict of factor

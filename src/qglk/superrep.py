@@ -1,31 +1,33 @@
 """The quantum gl(1|1) action on N-fold tensor space.
 
 The one-site space has an even basis vector (letter 0) and an odd one
-(letter 1), so the N-site basis is indexed by 0/1 words.  Generators act
+(letter 1).  An N-site basis vector is indexed by its odd slots, a
+k-subset S of {1..N}; its 0/1 word (word_from_subset) is only a label,
+printed by the CLI's algebra dump and the H witness.  Generators act
 through the iterated coproduct
 
     Delta(E) = E (x) Kinv + 1 (x) E,      Delta(F) = F (x) 1 + K (x) F,
 
-with K and H grouplike, and the Koszul sign (-1)^(parity of the letters
-left of the active slot) whenever the odd operators E or F move past a
-letter.  The raising operator E sends the weight-m block to weight m+2,
-F sends it to m-2, and H acts on a word with k odd letters by q^(N-2k).
+with K and H grouplike, and the Koszul sign (-1)^a whenever the odd
+operators E or F move past the a odd slots left of the active slot j.
+The raising operator E removes a slot from S and sends the weight-m
+block to weight m+2, F adds one and sends it to m-2, and H acts on a
+k-subset by q^(N-2k).
 
 Coefficients are Poly in x_1..x_N and q (nvars = N + 1) that depend on q
 alone: the ring whose fraction field holds the functor matrices of
-:mod:`qglk.fm`.  A word is labelled by its set of odd-letter positions,
-and block_matrix builds each generator as a weight block, a
+:mod:`qglk.fm`.  block_matrix builds each generator as a weight block, a
 :class:`qglk.matrix.Matrix` that carries its two weights, rows and
-columns in lexicographic subset order; the localization side orders its
-fixed points the same way, so block indices line up across the two
-models.  The relation batteries check every identity block by block,
-with located witnesses.
+columns in lexicographic subset order: the fixed points of the
+localization side are the same subsets in the same order, so block
+indices line up across the two models.  The relation batteries check
+every identity block by block, with located witnesses.
 """
 
+from bisect import bisect_left
 from math import comb
 
-from .grassmann import fixed_points
-from .matrix import Matrix, entry_witness
+from .matrix import Matrix, block_points, entry_witness, subset_label, weights
 from .poly import Poly
 from .report import Report
 
@@ -35,89 +37,59 @@ WEIGHT_STEP = {"E": 2, "F": -2, "K": 0, "Kinv": 0, "H": 0, "Hinv": 0}
 
 
 def word_from_subset(n, subset):
+    """The 0/1 word with odd letters at the slots in subset: a label only."""
     w = [0] * n
     for i in subset:
         w[i - 1] = 1
     return tuple(w)
 
 
-def weight_block_words(n, weight):
-    """Basis words of the given weight, ordered by odd-position subset."""
-    if (n - weight) % 2:
-        return []
-    return [word_from_subset(n, s) for s in fixed_points(n, (n - weight) // 2)]
-
-
-def weight_blocks(n):
-    return {n - 2 * k: weight_block_words(n, n - 2 * k) for k in range(n + 1)}
-
-
-def apply_generator(gen, word):
-    """Image of a basis word under a generator, as (word, coefficient) pairs."""
-    n = len(word)
-    k = sum(word)
+def apply_generator(gen, n, S):
+    """Image of the basis vector with odd slots S, a sorted k-subset of
+    {1..n}, under a generator, as (subset, coefficient) pairs."""
 
     def q(e):
         return Poly.q(n + 1, e)
 
-    if gen == "K":
-        return [(word, q(n))]
-    if gen == "Kinv":
-        return [(word, q(-n))]
-    if gen == "H":
-        return [(word, q(n - 2 * k))]
-    if gen == "Hinv":
-        return [(word, q(2 * k - n))]
-    out = []
-    sign = 1
+    k = len(S)
+    scalar = {"K": n, "Kinv": -n, "H": n - 2 * k, "Hinv": 2 * k - n}
+    if gen in scalar:
+        return [(S, q(scalar[gen]))]
     if gen == "E":
-        for j in range(1, n + 1):
-            if word[j - 1] == 1:
-                flipped = word[: j - 1] + (0,) + word[j:]
-                # the one-site entry q - q^-1 times the Kinv tail q^-(n-j)
-                # on slots j+1..n
-                out.append((flipped, (q(1 + j - n) - q(j - n - 1)) * sign))
-                sign = -sign
-        return out
+        # the one-site entry q - q^-1 times the Kinv tail q^-(n-j) on slots
+        # j+1..n, and the Koszul sign of the a odd slots left of j
+        return [
+            (S[:a] + S[a + 1 :], (q(1 + j - n) - q(j - n - 1)) * (-1) ** a)
+            for a, j in enumerate(S)
+        ]
     if gen == "F":
+        out = []
         for j in range(1, n + 1):
-            if word[j - 1] == 0:
-                flipped = word[: j - 1] + (1,) + word[j:]
+            if j not in S:
+                a = bisect_left(S, j)
                 # K head on slots 1..j-1 contributes q^(j-1)
-                out.append((flipped, q(j - 1) * sign))
-            else:
-                sign = -sign
+                out.append((S[:a] + (j,) + S[a:], q(j - 1) * (-1) ** a))
         return out
     raise ValueError(f"unknown generator {gen!r}")
-
-
-def _image_matrix(gen, words_in, words_out, mat):
-    """Fills the zero matrix mat with gen from words_in to words_out and
-    returns it.  Raises ValueError when an image word is not among
-    words_out."""
-    index = {w: i for i, w in enumerate(words_out)}
-    for j, w in enumerate(words_in):
-        for w2, coeff in apply_generator(gen, w):
-            i = index.get(w2)
-            if i is None:
-                raise ValueError(f"image word {w2} of {gen} falls outside the target block")
-            mat.rows[i][j] = mat.rows[i][j] + coeff
-    return mat
 
 
 def block_matrix(n, gen, source_weight):
     """Generator matrix from the weight block to its image block.
 
     A block outside [-n, n] is empty.  Raises ValueError when the
-    generator sends a word of the source block outside the target block,
-    so the blocks of a generator are the whole generator."""
-    target_weight = source_weight + WEIGHT_STEP[gen]
-    return _image_matrix(
-        gen,
-        weight_block_words(n, source_weight),
-        weight_block_words(n, target_weight),
-        Matrix.zero_block(n, source_weight, target_weight, Poly.zero(n + 1)),
-    )
+    generator sends a subset of the source block outside the target
+    block, so the blocks of a generator are the whole generator."""
+    mat = Matrix.zero_block(n, source_weight, source_weight + WEIGHT_STEP[gen], Poly.zero(n + 1))
+    row = {S: i for i, S in enumerate(mat.rows_points)}
+    for j, S in enumerate(mat.cols_points):
+        for S2, coeff in apply_generator(gen, n, S):
+            i = row.get(S2)
+            if i is None:
+                raise ValueError(
+                    f"image subset {subset_label(S2)} of {gen} falls outside the target block"
+                )
+            mat.rows[i][j] = mat.rows[i][j] + coeff
+    return mat
 
 
 def _witness(pairs):
@@ -163,9 +135,8 @@ def verify_relations(n):
         )
     relations["K Kinv = 1"] = lambda w: (g["K", w] @ g["Kinv", w], Matrix.scalar_block(n, w, one))
     relations["H Hinv = 1"] = lambda w: (g["H", w] @ g["Hinv", w], Matrix.scalar_block(n, w, one))
-    weights = [n - 2 * k for k in range(n + 1)]
     for name, relation in relations.items():
-        bad = _witness(relation(w) for w in weights)
+        bad = _witness(relation(w) for w in weights(n))
         rep.add(name, not bad, bad)
     rep.note(f"EF + FE acts by K - Kinv = {Poly.q(nvars, n) - Poly.q(nvars, -n)}")
     rep.note(
@@ -178,28 +149,26 @@ def verify_relations(n):
 def weight_structure_report(n):
     """H is diagonal with value q^m on the weight-m block of size C(n, k)."""
     rep = Report(f"weight decomposition on {n} tensor factors")
-    blocks = weight_blocks(n)
-    total = sum(len(ws) for ws in blocks.values())
+    blocks = {m: block_points(n, m) for m in weights(n)}
+    total = sum(map(len, blocks.values()))
     rep.add(
         "blocks partition the basis",
         total == 2**n,
         "" if total == 2**n else f"sizes sum to {total}, expected {2 ** n}",
     )
-    for k in range(n + 1):
-        m = n - 2 * k
-        words = blocks[m]
-        ok = len(words) == comb(n, k)
+    for k, (m, points) in enumerate(blocks.items()):
+        ok = len(points) == comb(n, k)
         rep.add(
             f"dim of weight {m} block is C({n},{k})",
             ok,
-            "" if ok else f"got {len(words)}, expected {comb(n, k)}",
+            "" if ok else f"got {len(points)}, expected {comb(n, k)}",
         )
         expected = Poly.q(n + 1, m)
-        bad = [w for w in words for w2, c in apply_generator("H", w) if w2 != w or c != expected]
+        bad = [S for S in points if apply_generator("H", n, S) != [(S, expected)]]
         rep.add(
             f"H acts by q^{m} on weight {m}",
             not bad,
-            "" if not bad else f"wrong H value on {bad[0]}",
+            "" if not bad else f"wrong H value on {word_from_subset(n, bad[0])}",
         )
     return rep
 

@@ -16,9 +16,11 @@ returns as the pair of bases B_alg, B_geo with phi_w = B_geo[w] B_alg[w]^-1.
 The full sweeps: every entry of each square and commutator, formed as
 whole matrices, the reference for the orbit-representative checks of
 qglk.fm.Blocks.  The dense tensor representation: the 2^n x 2^n matrix
-of a generator in the basis of all words, the reference for the
-block-by-block relation battery.  Fixed-point bookkeeping: the nested pairs of the one-step
-correspondence and block entries looked up by their subset labels.
+of a generator on all basis vectors, the reference for the block-by-block
+relation battery, and the letter-by-letter action on 0/1 words, the
+reference for the action on subsets.  Fixed-point bookkeeping: the nested
+pairs of the one-step correspondence and block entries looked up by their
+subset labels.
 
 Localization: tangent characters and inverse Euler classes of a fixed-point
 space built from scratch at each call, and the pushforward as one
@@ -26,6 +28,7 @@ RationalFunction.sum of value times inverse Euler class, the reference for
 the shared localization form of qglk.grassmann.
 """
 
+from itertools import combinations
 from math import comb
 from operator import add, sub
 
@@ -209,7 +212,7 @@ def invert_matrix(mat, one):
     for col in range(n):
         best = None
         for r in range(col, n):
-            if not work[r][col].is_zero():
+            if work[r][col]:
                 c = complexity(work[r][col])
                 if best is None or c < best[1]:
                     best = (r, c)
@@ -222,7 +225,7 @@ def invert_matrix(mat, one):
         work[col] = [e * inv for e in work[col]]
         aug[col] = [e * inv for e in aug[col]]
         for r2 in range(n):
-            if r2 != col and not work[r2][col].is_zero():
+            if r2 != col and work[r2][col]:
                 f = work[r2][col]
                 work[r2] = [a - f * b for a, b in zip(work[r2], work[col])]
                 aug[r2] = [a - f * b for a, b in zip(aug[r2], aug[col])]
@@ -283,19 +286,66 @@ def subset_from_word(word):
     return tuple(i + 1 for i, p in enumerate(word) if p)
 
 
+def basis_subsets(n):
+    """All subsets of {1..n}, the odd slots of the basis vectors, weight
+    block after weight block."""
+    return [S for k in range(n + 1) for S in combinations(range(1, n + 1), k)]
+
+
 def basis_words(n):
-    """All 0/1 words of length n, weight block after weight block."""
+    """All 0/1 words of length n, in the basis_subsets order."""
+    return [superrep.word_from_subset(n, S) for S in basis_subsets(n)]
+
+
+def word_action(gen, word):
+    """Image of a basis word under a generator, as (word, coefficient)
+    pairs: the action on 0/1 words, letter by letter, the reference for
+    superrep.apply_generator on subsets."""
+    n = len(word)
+    k = sum(word)
+
+    def q(e):
+        return Poly.q(n + 1, e)
+
+    if gen == "K":
+        return [(word, q(n))]
+    if gen == "Kinv":
+        return [(word, q(-n))]
+    if gen == "H":
+        return [(word, q(n - 2 * k))]
+    if gen == "Hinv":
+        return [(word, q(2 * k - n))]
     out = []
-    for k in range(n + 1):
-        out.extend(superrep.weight_block_words(n, n - 2 * k))
-    return out
+    sign = 1
+    if gen == "E":
+        for j in range(1, n + 1):
+            if word[j - 1] == 1:
+                flipped = word[: j - 1] + (0,) + word[j:]
+                out.append((flipped, (q(1 + j - n) - q(j - n - 1)) * sign))
+                sign = -sign
+        return out
+    if gen == "F":
+        for j in range(1, n + 1):
+            if word[j - 1] == 0:
+                flipped = word[: j - 1] + (1,) + word[j:]
+                out.append((flipped, q(j - 1) * sign))
+            else:
+                sign = -sign
+        return out
+    raise ValueError(f"unknown generator {gen!r}")
 
 
 def full_matrix(n, gen):
-    """The dense 2^n x 2^n matrix of a generator in the basis_words order."""
-    words, zero = basis_words(n), Poly.zero(n + 1)
-    d = len(words)
-    return superrep._image_matrix(gen, words, words, Matrix(d, d, [[zero] * d] * d, zero))
+    """The dense 2^n x 2^n matrix of a generator in the basis_subsets
+    order, from superrep.apply_generator on every basis vector."""
+    subsets, zero = basis_subsets(n), Poly.zero(n + 1)
+    index = {S: i for i, S in enumerate(subsets)}
+    d = len(subsets)
+    rows = [[zero] * d for _ in range(d)]
+    for j, S in enumerate(subsets):
+        for S2, coeff in superrep.apply_generator(gen, n, S):
+            rows[index[S2]][j] += coeff
+    return Matrix(d, d, rows, zero)
 
 
 class FullSweepBlocks(fm.Blocks):

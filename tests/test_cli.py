@@ -6,7 +6,7 @@ import pytest
 from qglk import fm
 from qglk.cli import main
 from qglk.report import Report
-from test_fm import _negate_lowering_column
+from test_fm import SWEEP_MUTATIONS, _negate_lowering_column
 
 
 def run(capsys, *argv):
@@ -207,6 +207,16 @@ class TestCliGolden:
         code, out, _ = run(capsys, "verify", "--n", "3")
         assert code == CONTROL_GOLDEN["verify --n 3"]["exit"] == 1
         assert out == CONTROL_GOLDEN["verify --n 3"]["out"]
+
+    @pytest.mark.parametrize("control", ["dropped Koszul sign", "swapped K and H"])
+    def test_superrep_control_reports_are_byte_identical(self, capsys, monkeypatch, control):
+        # `verify --n 3` under a broken generator action: the relation and
+        # weight FAIL lines, with the word label of "wrong H value on ..."
+        SWEEP_MUTATIONS[control](monkeypatch, 3)
+        golden = CONTROL_GOLDEN[f"verify --n 3 [{control}]"]
+        code, out, _ = run(capsys, "verify", "--n", "3")
+        assert code == golden["exit"] == 1
+        assert out == golden["out"]
 
 
 class TestKoszul:

@@ -14,10 +14,10 @@ def pairwise_matmul(a, b):
     out = Matrix(a.nrows, b.ncols, [[a.zero] * b.ncols] * a.nrows, a.zero)
     for i in range(a.nrows):
         for k in range(a.ncols):
-            if a.rows[i][k].is_zero():
+            if not a.rows[i][k]:
                 continue
             for j in range(b.ncols):
-                if not b.rows[k][j].is_zero():
+                if b.rows[k][j]:
                     out.rows[i][j] = out.rows[i][j] + a.rows[i][k] * b.rows[k][j]
     return out
 

@@ -4,7 +4,7 @@ import pytest
 
 from qglk import cli, superrep
 from qglk.cli import main
-from qglk.matrix import Matrix
+from qglk.matrix import Matrix, block_points, weights
 from qglk.poly import Poly
 from qglk.superrep import (
     GENERATORS,
@@ -12,12 +12,18 @@ from qglk.superrep import (
     apply_generator,
     block_matrix,
     verify_relations,
-    weight_block_words,
-    weight_blocks,
     weight_structure_report,
     word_from_subset,
 )
-from reference import basis_words, entry, full_matrix, subset_from_word, word_weight
+from reference import (
+    basis_subsets,
+    basis_words,
+    entry,
+    full_matrix,
+    subset_from_word,
+    word_action,
+    word_weight,
+)
 
 
 def qp(n, coeffs):
@@ -28,7 +34,9 @@ def qp(n, coeffs):
 class TestBasis:
     def test_block_order_follows_subsets(self):
         # odd positions {1,2} < {1,3} < {2,3} lexicographically
-        assert weight_block_words(3, -1) == [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
+        assert block_points(3, -1) == ((1, 2), (1, 3), (2, 3))
+        words = [word_from_subset(3, S) for S in block_points(3, -1)]
+        assert words == [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
 
     def test_basis_is_block_concatenation(self):
         words = basis_words(3)
@@ -43,33 +51,43 @@ class TestBasis:
     def test_block_sizes(self):
         for n in range(1, 7):
             for k in range(n + 1):
-                assert len(weight_block_words(n, n - 2 * k)) == comb(n, k)
-        assert weight_block_words(3, 0) == []  # parity mismatch
+                assert len(block_points(n, n - 2 * k)) == comb(n, k)
+        with pytest.raises(ValueError, match="parity"):
+            block_points(3, 0)
 
 
 class TestGeneratorAction:
+    # a basis vector is named by its odd slots: v1 = {1} and v0 = {} on
+    # one site, v1 (x) v0 = {1} and v0 (x) v1 = {2} on two
     def test_one_site(self):
-        assert apply_generator("E", (1,)) == [((0,), qp(1, {1: 1, -1: -1}))]
-        assert apply_generator("E", (0,)) == []
-        assert apply_generator("F", (0,)) == [((1,), qp(1, {0: 1}))]
-        assert apply_generator("F", (1,)) == []
-        assert apply_generator("K", (1,)) == [((1,), qp(1, {1: 1}))]
-        assert apply_generator("H", (1,)) == [((1,), qp(1, {-1: 1}))]
+        assert apply_generator("E", 1, (1,)) == [((), qp(1, {1: 1, -1: -1}))]
+        assert apply_generator("E", 1, ()) == []
+        assert apply_generator("F", 1, ()) == [((1,), qp(1, {0: 1}))]
+        assert apply_generator("F", 1, (1,)) == []
+        assert apply_generator("K", 1, (1,)) == [((1,), qp(1, {1: 1}))]
+        assert apply_generator("H", 1, (1,)) == [((1,), qp(1, {-1: 1}))]
 
     def test_two_site_raising_with_sign(self):
         # E(v1 (x) v1) = (q - q^-1) q^-1 v0 (x) v1 - (q - q^-1) v1 (x) v0
-        img = dict(apply_generator("E", (1, 1)))
-        assert img[(0, 1)] == qp(2, {0: 1, -2: -1})
-        assert img[(1, 0)] == qp(2, {1: -1, -1: 1})
+        img = dict(apply_generator("E", 2, (1, 2)))
+        assert img[(2,)] == qp(2, {0: 1, -2: -1})
+        assert img[(1,)] == qp(2, {1: -1, -1: 1})
 
     def test_two_site_lowering(self):
         # F(v0 (x) v0) = v1 (x) v0 + q v0 (x) v1
-        img = dict(apply_generator("F", (0, 0)))
-        assert img[(1, 0)] == qp(2, {0: 1})
-        assert img[(0, 1)] == qp(2, {1: 1})
+        img = dict(apply_generator("F", 2, ()))
+        assert img[(1,)] == qp(2, {0: 1})
+        assert img[(2,)] == qp(2, {1: 1})
         # F(v1 (x) v0) picks up the Koszul sign in slot 2
-        img = dict(apply_generator("F", (1, 0)))
-        assert img[(1, 1)] == qp(2, {1: -1})
+        img = dict(apply_generator("F", 2, (1,)))
+        assert img[(1, 2)] == qp(2, {1: -1})
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_subset_action_matches_word_action(self, n):
+        for gen in GENERATORS:
+            for word in basis_words(n):
+                want = [(subset_from_word(w2), c) for w2, c in word_action(gen, word)]
+                assert apply_generator(gen, n, subset_from_word(word)) == want, (gen, word)
 
     def test_anticommutator_is_central_scalar(self):
         n = 2
@@ -112,16 +130,14 @@ class TestBlockMatrices:
 
     def test_blocks_assemble_to_full(self):
         n = 3
-        index = {w: i for i, w in enumerate(basis_words(n))}
+        index = {S: i for i, S in enumerate(basis_subsets(n))}
         for g in GENERATORS:
             full = full_matrix(n, g)
-            for m in weight_blocks(n):
+            for m in weights(n):
                 blk = block_matrix(n, g, m)
                 for St in blk.rows_points:
                     for Ss in blk.cols_points:
-                        i = index[word_from_subset(n, St)]
-                        j = index[word_from_subset(n, Ss)]
-                        assert entry(blk, St, Ss) == full[i, j]
+                        assert entry(blk, St, Ss) == full[index[St], index[Ss]]
 
     def test_entry_accessor_and_json(self):
         # rows and columns are odd-slot subsets; the CLI labels them by words
@@ -140,8 +156,8 @@ class TestBlockMatrices:
             block_matrix(2, "E", 1)
 
     def test_out_of_block_image_word_raises(self, monkeypatch):
-        # an E that keeps the weight sends every word outside its target block
-        monkeypatch.setattr(superrep, "apply_generator", lambda gen, word: [(word, qp(2, {0: 1}))])
+        # an E that keeps the weight sends every subset outside its target block
+        monkeypatch.setattr(superrep, "apply_generator", lambda gen, n, S: [(S, qp(2, {0: 1}))])
         with pytest.raises(ValueError, match="outside the target block"):
             block_matrix(2, "E", 0)
 
@@ -149,23 +165,23 @@ class TestBlockMatrices:
 APPLY = superrep.apply_generator
 
 
-def unsigned(gen, word):
-    """apply_generator without the Koszul sign of the odd letters left of
+def unsigned(gen, n, S):
+    """apply_generator without the Koszul sign of the odd slots left of
     the active slot."""
-    out = APPLY(gen, word)
+    out = APPLY(gen, n, S)
     if gen not in ("E", "F"):
         return out
     signed = []
-    for w2, c in out:
-        slot = next(i for i, (a, b) in enumerate(zip(word, w2)) if a != b)
-        signed.append((w2, c * (-1) ** sum(word[:slot])))
+    for S2, c in out:
+        (slot,) = set(S) ^ set(S2)
+        signed.append((S2, c * (-1) ** sum(i < slot for i in S)))
     return signed
 
 
-def swapped(gen, word):
+def swapped(gen, n, S):
     """apply_generator with the names K and H exchanged."""
     swap = {"K": "H", "H": "K", "Kinv": "Hinv", "Hinv": "Kinv"}
-    return APPLY(swap.get(gen, gen), word)
+    return APPLY(swap.get(gen, gen), n, S)
 
 
 def dense_relations(n):
