@@ -116,11 +116,6 @@ def det_tau_restrict(n, S, m=1):
     return Poly.monomial(n + 1, [m if i in Sset else 0 for i in range(1, n + 1)] + [0])
 
 
-def _tangent(n, S, with_fiber):
-    t = tangent_gr(n, S)
-    return t + hom_fiber(n, S) if with_fiber else t
-
-
 @cache
 def _localization_form(n, k, with_fiber):
     """(numerators, den_factors) with 1 / e(T_S) equal to
@@ -128,7 +123,10 @@ def _localization_form(n, k, with_fiber):
     Gr(k, n), with the fiber when asked: the classes raised to their
     shared denominator by common_denominator, once per process."""
     points = fixed_points(n, k)
-    classes = [euler_class_rf(_tangent(n, S, with_fiber), invert=True) for S in points]
+    classes = []
+    for S in points:
+        t = tangent_gr(n, S)
+        classes.append(euler_class_rf(t + hom_fiber(n, S) if with_fiber else t, invert=True))
     parts, den_factors = common_denominator(n + 1, classes)
     return dict(zip(points, parts)), den_factors
 

@@ -66,7 +66,7 @@ class TestGeometryBatteriesAtN6:
         for battery, count in (
             (fm.nilpotency_report, 14),
             (fm.commutator_report, 14),
-            (fm.normalized_rep_report, 42),
+            (fm.normalized_rep_report, 21),
         ):
             rep = battery(6)
             assert rep.passed, f"{battery.__name__}: {fail_text(rep)}"
@@ -81,7 +81,7 @@ class TestGeometryBatteriesAtN6:
         for battery, count in (
             (fm.nilpotency_report, 14),
             (fm.commutator_report, 14),
-            (fm.normalized_rep_report, 42),
+            (fm.normalized_rep_report, 21),
             (fm.intertwiner_report, 26),
         ):
             rep = battery(6, blocks=blocks)

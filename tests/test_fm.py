@@ -258,7 +258,7 @@ class TestNormalizedBlocks:
     def test_full_battery(self, n):
         rep = normalized_rep_report(n)
         assert rep.passed, "\n".join(rep.summary_lines())
-        assert len(rep.checks) == 6 * (n + 1)
+        assert len(rep.checks) == 3 * (n + 1)
 
 
 class TestIntertwiner:

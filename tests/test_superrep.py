@@ -110,6 +110,7 @@ class TestRelations:
     def test_weight_structure(self, n):
         rep = weight_structure_report(n)
         assert rep.passed, str(rep)
+        assert [c.name for c in rep.checks] == [f"H acts by q^{m} on weight {m}" for m in weights(n)]
 
     def test_antipode(self):
         rep = antipode_report()
