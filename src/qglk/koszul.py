@@ -271,22 +271,30 @@ def _move_defects(duals, ell_inv, rank, section_q_weight):
     their profiles (d(., 0), ..., d(., rank)) differ; for the true d(I, j)
     that is degree -i alone, at heights d(I, i) - 1 and d(I, i).  Terms
     come from a table keyed (j, d), profiles from one d_of pass per index
-    set, both local to the call; each move's source is built in full."""
+    set.  _source reads I only through checks every valid move passes and
+    through d_of(I, i), so a defect is built once per key (i, d_of(I, i),
+    changed (j, d, d')) and shared.  All three tables are local to the call."""
     nvars, degrees = duals[0].nvars, range(len(duals))
     term = cache(lambda j, d: _term(duals, ell_inv, j, d, section_q_weight))
     profile = cache(lambda I: tuple(d_of(I, j) for j in degrees))
+    defects = {}
     for size in range(rank + 1):
         for I in combinations(range(1, rank + 1), size):
             for i in I:
                 if i + 1 in I:
                     continue
                 Iprime = tuple(sorted((set(I) - {i}) | {i + 1}))
-                src = _source(duals, ell_inv, I, i, section_q_weight)
-                signed = [(1, src.total_class())]
-                for j, d, dp in zip(degrees, profile(I), profile(Iprime)):
-                    if d != dp:
+                changed = tuple(
+                    (j, d, dp) for j, d, dp in zip(degrees, profile(I), profile(Iprime)) if d != dp
+                )
+                key = (i, d_of(I, i), changed)
+                if key not in defects:
+                    src = _source(duals, ell_inv, I, i, section_q_weight)
+                    signed = [(1, src.total_class())]
+                    for j, d, dp in changed:
                         signed += [(_sign(-j), term(j, dp)), (-_sign(-j), term(j, d))]
-                yield I, i, Poly.signed_sum(nvars, signed)
+                    defects[key] = Poly.signed_sum(nvars, signed)
+                yield I, i, defects[key]
 
 
 def _one_step_sweep(duals, ell_inv, rank, section_q_weight):

@@ -146,9 +146,9 @@ class Matrix:
         return self.map(lambda a: -a)
 
     def scale(self, s):
-        return Matrix(
-            self.nrows, self.ncols, [[s * a for a in r] for r in self.rows], self.zero, self.block
-        )
+        """s times every entry; zero entries stay as they are."""
+        rows = [[s * a if a else a for a in r] for r in self.rows]
+        return Matrix(self.nrows, self.ncols, rows, self.zero, self.block)
 
     def __matmul__(self, other):
         block = self._labels(other, compose=True)

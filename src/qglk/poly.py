@@ -154,6 +154,11 @@ class Poly:
 
     def __add__(self, other):
         self._check(other)
+        # values are immutable, so a zero operand hands back the other one
+        if not other.keys:
+            return self
+        if not self.keys:
+            return other
         keys = dict(self.keys)
         for k, c in other.keys.items():
             nc = keys.get(k, 0) + c

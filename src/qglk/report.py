@@ -1,28 +1,26 @@
 """Uniform pass/fail reporting for verification batteries."""
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class Check:
     """One named verification.  witness is nonempty exactly when it failed."""
 
-    name: str
-    passed: bool
-    witness: str = ""
+    __slots__ = ("name", "passed", "witness")
 
-    def __post_init__(self):
-        if self.passed and self.witness:
+    def __init__(self, name, passed, witness=""):
+        if passed and witness:
             raise ValueError("a passing check must not carry a witness")
-        if not self.passed and not self.witness:
+        if not passed and not witness:
             raise ValueError("a failing check must explain itself")
+        self.name, self.passed, self.witness = name, passed, witness
 
 
-@dataclass
 class Report:
-    title: str
-    checks: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    __slots__ = ("title", "checks", "notes")
+
+    def __init__(self, title, checks=None, notes=None):
+        self.title = title
+        self.checks = [] if checks is None else checks
+        self.notes = [] if notes is None else notes
 
     def add(self, name, passed, witness=""):
         self.checks.append(Check(name, bool(passed), witness))

@@ -25,6 +25,7 @@ every identity block by block, with located witnesses.
 """
 
 from bisect import bisect_left
+from functools import cache
 
 from .matrix import Matrix, block_points, entry_witness, subset_label, weights
 from .poly import Poly
@@ -43,12 +44,18 @@ def word_from_subset(n, subset):
     return tuple(w)
 
 
+@cache
+def _q(nvars, e):
+    """q^e, built once per (nvars, e) and shared: Poly values are immutable."""
+    return Poly.q(nvars, e)
+
+
 def apply_generator(gen, n, S):
     """Image of the basis vector with odd slots S, a sorted k-subset of
     {1..n}, under a generator, as (subset, coefficient) pairs."""
 
     def q(e):
-        return Poly.q(n + 1, e)
+        return _q(n + 1, e)
 
     k = len(S)
     scalar = {"K": n, "Kinv": -n, "H": n - 2 * k, "Hinv": 2 * k - n}

@@ -369,8 +369,9 @@ class TestSharedClassSweep:
     def test_one_class_per_twist_profile(self, monkeypatch, rank):
         # no K^I class is built per profile any more: each twisted term is
         # built at most once per (j, d), 0 <= d <= j <= rank, in the sweep's
-        # table, plus once in each of the two endpoint complexes; every
-        # move still builds its cone source through _step_block
+        # table, plus once in each of the two endpoint complexes; a cone
+        # source is built through _step_block once per distinct
+        # (i, d(I, i)), however many moves share it
         counts = {"_term": 0, "_step_block": 0}
         for name in counts:
             raw = getattr(koszul, name)
@@ -382,7 +383,8 @@ class TestSharedClassSweep:
             monkeypatch.setattr(koszul, name, counted)
         koszul.endpoint_report(rank)
         assert counts["_term"] <= (rank + 1) * (rank + 2) // 2 + 2 * (rank + 1)
-        assert counts["_step_block"] == len(valid_moves(rank))
+        sources = {(i, d_of(I, i)) for I, i in valid_moves(rank)}
+        assert counts["_step_block"] == len(sources) == rank * (rank + 1) // 2
 
 
 class TestDegreeLocalDefect:

@@ -83,6 +83,36 @@ class TestMatmul:
         assert (row @ Matrix(2, 0, [[], []], zero)).ncols == 0
 
 
+@st.composite
+def scaled_matrices(draw, entries, zero):
+    """(s, a): a scalar and a matrix of the same ring, zero entries common."""
+    n, m = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    entry = st.one_of(st.just(zero), entries)
+    return draw(entries), Matrix(n, m, [[draw(entry) for _ in range(m)] for _ in range(n)], zero)
+
+
+class TestScale:
+    @given(scaled_matrices(small_polys(3), Poly.zero(NV)))
+    @settings(max_examples=60, deadline=None)
+    def test_poly_scale_multiplies_nonzero_entries_only(self, sa):
+        s, a = sa
+        calls = []
+        raw = Poly.__mul__
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Poly, "__mul__", lambda x, y: calls.append(y) or raw(x, y))
+            got = a.scale(s)
+        assert len(calls) == sum(1 for r in a.rows for e in r if e)
+        assert (got.nrows, got.ncols, got.block) == (a.nrows, a.ncols, a.block)
+        assert [[e.keys for e in r] for r in got.rows] == [[(s * e).keys for e in r] for r in a.rows]
+
+    @given(scaled_matrices(rf_entries(), RationalFunction.zero(NV)))
+    @settings(max_examples=30, deadline=None)
+    def test_rational_function_scale_matches_the_entrywise_product(self, sa):
+        s, a = sa
+        got = a.scale(s)
+        assert all(x == s * e for r, gr in zip(a.rows, got.rows) for e, x in zip(r, gr))
+
+
 def pole_free_points():
     # rf_entries' denominators are 1 - x1 and x1 - x2; no coordinate is zero
     coord = st.fractions(min_value=1, max_value=20, max_denominator=7)

@@ -41,6 +41,14 @@ def reference_mul(a, b):
     return {e: c for e, c in out.items() if c}
 
 
+def reference_add(a, b):
+    """The dict merge of two term dicts, zero coefficients dropped."""
+    out = dict(a.terms)
+    for e, c in b.terms.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
 def reference_ceil(p):
     return tuple(map(max, zip(*p.terms)))
 
@@ -143,6 +151,26 @@ class TestArithmetic:
         assert a + Poly.zero(3) == a
         assert a * Poly.one(3) == a
         assert a - a == Poly.zero(3)
+
+    @given(small_polys(), small_polys())
+    @settings(max_examples=60, deadline=None)
+    def test_add_equals_the_dict_merge(self, a, b):
+        # zero on either side takes the fast path that hands back the other
+        zero = Poly.zero(3)
+        for x, y in ((a, b), (a, zero), (zero, a), (zero, zero)):
+            assert (x + y).terms == reference_add(x, y)
+            assert (x - y).terms == reference_add(x, -y)
+
+    @pytest.mark.parametrize("p", [Poly.zero(3), Poly.one(3)])
+    def test_add_rejects_a_non_poly_and_a_variable_count_mismatch(self, p):
+        for other in (Poly.zero(2), Poly.one(2)):
+            with pytest.raises(ValueError, match="variable-count mismatch"):
+                p + other
+            with pytest.raises(ValueError, match="variable-count mismatch"):
+                other + p
+        for other in (0, 1, None):
+            with pytest.raises(TypeError):
+                p + other
 
     @given(st.lists(st.tuples(st.sampled_from([1, -1]), small_polys()), max_size=6))
     @settings(max_examples=80, deadline=None)
