@@ -24,10 +24,19 @@ Every matrix here is a weight block, a :class:`qglk.matrix.Matrix` over
 the fraction field that carries its two weights, rows and columns
 labelled by fixed points.  algebra_matrix lifts the algebra blocks of
 :mod:`qglk.superrep`, the same type over Poly, into that field, so the
-two actions are compared block by block; the intertwiner's proof
-evaluates both at rational points, the same type over Q, and
-find_intertwiner returns phi as the pair of bases it maps between,
-never inverting a matrix.
+two actions are compared block by block.  find_intertwiner returns phi
+as the pair of bases it maps between, never inverting a matrix.
+
+The intertwiner's proof reads ranks, pivot columns and invertibility
+from both actions at a seeded rational point, in integers alone: each
+E and F block's values there times the lcm of their denominators, the
+products F_{w+2} E_w of those in place of the projectors
+p_w = F_{w+2} E_w / s_w, and fraction-free elimination
+(linalg.pivot_columns).  Pivot columns, ranks and whether a determinant
+vanishes do not change under nonzero scalings of rows, of columns or of
+whole blocks, nor under invertible row operations, and these are all
+that set the integer matrices apart from the values over Q: so every
+reading is the one over Q.
 
 S_n permutes x_1..x_n and the fixed points together, and the geometric
 blocks are equivariant: E[sigma S, sigma T] = sigma(E[S, T]).  So the
@@ -41,8 +50,8 @@ S_n; if any factor fails it, every position is checked.
 """
 
 from functools import cache
-from itertools import chain, islice, product
-from math import comb
+from itertools import product
+from math import comb, lcm
 
 from .grassmann import (
     det_tau_restrict,
@@ -53,7 +62,7 @@ from .grassmann import (
 )
 from .linalg import columns, hstack, pivot_columns, sample_points
 from .matrix import Matrix, block_points, dot, first_off, k_of, weights, witness
-from .poly import Poly
+from .poly import PointValues, Poly
 from .ratfunc import PoleError, RationalFunction
 from .report import Report
 from .superrep import block_matrix
@@ -338,36 +347,44 @@ def _block_keys(n):
     return [(side, gen, w) for side in SIDES for w in weights(n) + [n + 2] for gen in "EF"]
 
 
-def _with_projectors(at, n, inverse_scalars):
+def _with_projectors(at, n, inverse_scalars=None):
     """Adds to the blocks at[side, gen, w] the projectors
     at[side, "p", w] = F_{w+2} E_w / s_w of both sides, given 1 / s_w by
-    weight; over Q at a sample point and over the fraction field alike."""
+    weight, or without them the products F_{w+2} E_w, as at a sample
+    point (see _at_points)."""
     for side in SIDES:
         for w in weights(n):
             p = at[side, "F", w + 2] @ at[side, "E", w]
-            at[side, "p", w] = p.scale(inverse_scalars[w])
+            at[side, "p", w] = p if inverse_scalars is None else p.scale(inverse_scalars[w])
     return at
 
 
+def _integer_block(block, at):
+    """The block's values at the point of ``at`` (a PointValues) times the
+    lcm of their denominators: an integer block, a nonzero multiple of
+    the block over Q."""
+    pairs = [[e.value(at) if e else (0, 1) for e in row] for row in block.rows]
+    den = lcm(*(d for row in pairs for _, d in row))
+    rows = [[a * (den // d) for a, d in row] for row in pairs]
+    return Matrix(block.nrows, block.ncols, rows, 0, block.block)
+
+
 def _at_points(blocks, seed):
-    """Yields, at successive seeded rational points, the E and F blocks
-    and the projectors p_w of both sides over Q, skipping a point where
-    an entry of an E or F block has a pole or some s_w vanishes (q = 1
-    can be drawn)."""
+    """Yields, at successive seeded rational points, the E and F blocks of
+    both sides and the products F_{w+2} E_w in place of the projectors
+    p_w, each a nonzero multiple of its value over Q that has integer
+    entries (see _integer_block), skipping a point where an entry of an
+    E or F block has a pole or some s_w vanishes (q = 1 can be drawn)."""
     n = blocks.n
     for point in sample_points(n + 1, seed):
-        s = {w: commutator_scalar(n, k_of(n, w)).evaluate(point) for w in weights(n)}
-        if not all(s.values()):
+        at = PointValues(point)
+        if not all(commutator_scalar(n, k_of(n, w)).value(at)[0] for w in weights(n)):
             continue
-        values = {}  # the blocks share their Euler factors: each once per point
         try:
-            at = {
-                key: blocks.op(*key).map(lambda e: e.evaluate(point, values) if e else 0)
-                for key in _block_keys(n)
-            }
+            ints = {key: _integer_block(blocks.op(*key), at) for key in _block_keys(n)}
         except PoleError:
             continue
-        yield _with_projectors(at, n, {w: 1 / v for w, v in s.items()})
+        yield _with_projectors(ints, n)
 
 
 def _transported_basis(at, side, w, pivots):
@@ -406,7 +423,8 @@ def _prove_intertwiner(n, seed, blocks):
     {(side, w): indices} of each p_w."""
     rep = Report(f"intertwiner at n={n}")
     dims = {w: comb(n, k_of(n, w)) for w in weights(n)}
-    first = next(_at_points(blocks, seed), None)
+    points = _at_points(blocks, seed)
+    first = next(points, None)
     if first is None:
         drawn = sum(1 for _ in sample_points(n + 1, seed))
         why = f"all {drawn} points drawn with seed {seed:#x} hit a pole or a vanishing s_w"
@@ -433,12 +451,20 @@ def _prove_intertwiner(n, seed, blocks):
     if not ok_bases:
         return rep, None
 
+    evaluated = [first]
+
+    def tries():
+        """The pivot point first, then further points with the same pivots,
+        each evaluated once for every (w, side) that needs it."""
+        yield from evaluated
+        for at in points:
+            evaluated.append(at)
+            yield at
+
     for w in dims:
         why = []
         for side in SIDES:
-            # the pivot point first, then further points with the same pivots
-            tries = chain([first], islice(_at_points(blocks, seed), 1, None))
-            bases = (_transported_basis(at, side, w, pivots) for at in tries)
+            bases = (_transported_basis(at, side, w, pivots) for at in tries())
             if all(len(pivot_columns(b)) < dims[w] for b in bases):
                 why.append(f"{side} basis: determinant vanished at every pole-free sample point")
         rep.add(f"phi at weight {w} is invertible", not why, "; ".join(why))
@@ -458,8 +484,9 @@ def find_intertwiner(n, seed=0xC0FFEE):
     the pivot columns P_w of p_w and E_{w-2} P_{w-2} form the basis
     B[w] = [P_w | E_{w-2} P_{w-2}].  Ranks, squareness and "phi at weight
     w is invertible" (det B[w] nonzero on both sides) come from E and F
-    evaluated over Q at one seeded point, redrawn while an entry has a
-    pole or an s_w vanishes there, so evaluation is a ring homomorphism.
+    evaluated at one seeded point (in integers: see the module
+    docstring), redrawn while an entry has a pole or an s_w vanishes
+    there, so evaluation is a ring homomorphism.
     If B is singular there, further points are tried with the same
     pivots: the certificate is one-sided.  The other checks are derived
     from premises that the relation batteries prove exactly:

@@ -1,9 +1,9 @@
 """Small exact linear algebra for the intertwiner's proof.
 
 At a point: sample_points draws seeded random rational points and
-pivot_columns runs Gaussian elimination over Q on a matrix evaluated
-there.  The seed only picks the point: a bad point can cost a
-certificate, never fake one.
+pivot_columns finds the pivot columns of a matrix over Q evaluated
+there, by fraction-free elimination on integer rows.  The seed only
+picks the point: a bad point can cost a certificate, never fake one.
 
 Over any ring: columns and hstack rearrange entries.  Nothing here
 inverts a matrix; the intertwiner is returned as its two bases.
@@ -11,6 +11,7 @@ inverts a matrix; the intertwiner is returned as its two bases.
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 from .matrix import Matrix
 
@@ -26,23 +27,43 @@ def sample_points(nvars, seed, attempts=72):
 
 
 def pivot_columns(mat):
-    """Pivot columns of exact Gaussian elimination on a matrix over Q:
+    """Pivot columns of a matrix over Q, its entries ints or Fractions:
     from left to right, each column not in the span of the columns
-    before it."""
-    rows = [list(r) for r in mat.rows]
+    before it.
+
+    Each row is first cleared of denominators, then eliminated
+    fraction-free: a row r below the pivot row h becomes
+    h[col] * r - r[col] * h, divided by the gcd of its entries.  Each
+    step is a nonzero row scaling or an invertible row operation, so the
+    pivot columns are those over Q (see qglk.fm).
+    """
+    rows = []
+    for row in mat.rows:
+        if any(row):
+            den = lcm(*(a.denominator for a in row))
+            rows.append([a.numerator * (den // a.denominator) for a in row])
     pivots = []
     for col in range(mat.ncols):
-        top = len(pivots)
-        piv = next((r for r in range(top, len(rows)) if rows[r][col]), None)
+        # rows holds the nonzero rows not yet pivoted on, zero before col
+        if not rows:
+            break
+        piv = next((i for i, r in enumerate(rows) if r[col]), None)
         if piv is None:
             continue
-        rows[top], rows[piv] = rows[piv], rows[top]
-        head = rows[top]
-        inv = 1 / head[col]
-        for r in range(top + 1, len(rows)):
-            f = rows[r][col] * inv
+        head = rows.pop(piv)
+        h = head[col]
+        left = []
+        for r in rows:
+            f = r[col]
             if f:
-                rows[r] = [a - f * b for a, b in zip(rows[r], head)]
+                r = [h * a - f * b for a, b in zip(r, head)]
+                g = gcd(*r)
+                if not g:
+                    continue
+                if g > 1:
+                    r = [a // g for a in r]
+            left.append(r)
+        rows = left
         pivots.append(col)
     return pivots
 

@@ -1,10 +1,10 @@
-"""Dense matrices over Poly, RationalFunction or Fraction; weight blocks.
+"""Dense matrices over Poly, RationalFunction, Fraction or int; weight blocks.
 
 A Matrix carries the zero of its ring explicitly so that empty and
 all-zero matrices stay well defined.  Weight blocks at the extreme
 weights give genuinely empty (0 x m) matrices, so the degenerate shapes
 matter.  Entries test zero by truthiness, so the same type holds the
-symbolic blocks and their values over Q at a sample point.
+symbolic blocks and their integer multiples at a sample point.
 
 Products of rational-function matrices sum each dot product in one
 :meth:`RationalFunction.sum`, which cancels against the shared

@@ -20,6 +20,9 @@ Exact division takes divisors +-(X^a - X^b) only: qglk divides by nothing
 but the canonical denominator factors of qglk.ratfunc, which Euler factors
 1 - w^-1 and the commutator scalar 1 - q^(2n) become.
 
+Evaluation at a rational point runs in integers through PointValues,
+whose power tables every polynomial evaluated at that point shares.
+
 Values are immutable once constructed and every operation returns a fresh
 value, so instances can be shared freely.
 """
@@ -366,29 +369,8 @@ class Poly:
         return Poly._raw(self.nvars, quo, (off, ceil), (lead - dshift, trail - dtrail + zero))
 
     def evaluate(self, point):
-        """Evaluate at a tuple of rationals ordered (x_1, ..., x_N, q).
-
-        With x_i = a_i / b_i and exponents of x_i in [lo_i, hi_i], a term
-        c * X^e is the integer c * prod a_i^(e_i - lo_i) b_i^(hi_i - e_i)
-        times prod a_i^lo_i / b_i^hi_i, so the terms sum as integers.
-        """
-        if len(point) != self.nvars:
-            raise ValueError("point has wrong length")
-        terms = self.terms
-        num = den = 1
-        tables = []
-        for v, col in zip(map(Fraction, point), zip(*terms)):
-            a, b = v.numerator, v.denominator
-            lo, hi = min(col), max(col)
-            num *= a ** max(lo, 0) * b ** max(-hi, 0)
-            den *= a ** max(-lo, 0) * b ** max(hi, 0)
-            tables.append((lo, [a**i * b ** (hi - lo - i) for i in range(hi - lo + 1)]))
-        total = 0
-        for e, c in terms.items():
-            for x, (lo, table) in zip(e, tables):
-                c *= table[x - lo]
-            total += c
-        return Fraction(total * num, den)
+        """Exact value at a tuple of rationals ordered (x_1, ..., x_N, q)."""
+        return Fraction(*PointValues(point)(self))
 
     def __str__(self):
         if not self.keys:
@@ -417,3 +399,63 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+class PointValues:
+    """Values of Laurent polynomials at one rational point (x_1, ..., x_N,
+    q), as integer pairs (N, D) with value N / D, not reduced.
+
+    With x_i = a_i / b_i and exponents of x_i in [lo_i, hi_i], a term
+    c * X^e is the integer c * prod a_i^(e_i - lo_i) b_i^(hi_i - e_i)
+    times prod a_i^lo_i / b_i^hi_i, so the terms sum as integers.  The
+    powers of each (variable, lo, hi) are tabulated once per point and
+    shared by every polynomial evaluated there.  D is zero only where a
+    coordinate is zero and p has a negative power of it.
+    """
+
+    __slots__ = ("coords", "tables", "memo")
+
+    def __init__(self, point):
+        self.coords = [(v.numerator, v.denominator) for v in map(Fraction, point)]
+        self.tables = {}  # (variable, lo, hi) -> (powers, num factor, den factor)
+        self.memo = {}  # shared(): polynomial -> pair
+
+    def _table(self, i, lo, hi):
+        """([a^j b^(hi-lo-j) for j = 0..hi-lo], a^lo / b^hi as a pair) of x_i."""
+        key = (i, lo, hi)
+        if key not in self.tables:
+            a, b = self.coords[i]
+            powers = [a**j * b ** (hi - lo - j) for j in range(hi - lo + 1)]
+            num = a ** max(lo, 0) * b ** max(-hi, 0)
+            self.tables[key] = powers, num, a ** max(-lo, 0) * b ** max(hi, 0)
+        return self.tables[key]
+
+    def __call__(self, p):
+        """(N, D) with p = N / D at the point."""
+        if p.nvars != len(self.coords):
+            raise ValueError("point has wrong length")
+        if not p.keys:
+            return 0, 1
+        floor, ceil = p._box_keys()
+        num = den = 1
+        varying = []
+        for i, s in enumerate(_layout(p.nvars).shifts):
+            lo, hi = floor >> s & _MASK, ceil >> s & _MASK
+            if lo == hi == _BIAS:
+                continue
+            powers, n, d = self._table(i, lo - _BIAS, hi - _BIAS)
+            num *= n
+            den *= d
+            if hi > lo:
+                varying.append((s, lo, powers))
+        keys, terms = p.keys, list(p.keys.values())
+        for s, lo, powers in varying:
+            terms = [c * powers[(k >> s & _MASK) - lo] for k, c in zip(keys, terms)]
+        return sum(terms) * num, den
+
+    def shared(self, p):
+        """self(p), computed once per polynomial at this point: for the
+        denominator factors that many fractions share."""
+        if p not in self.memo:
+            self.memo[p] = self(p)
+        return self.memo[p]

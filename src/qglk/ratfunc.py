@@ -25,7 +25,7 @@ with an int or a Poly.  Zero is tested by truthiness.
 
 from fractions import Fraction
 
-from .poly import Poly, _layout, _unpack
+from .poly import PointValues, Poly, _layout, _unpack
 
 
 class PoleError(ZeroDivisionError):
@@ -196,19 +196,22 @@ class RationalFunction:
             return self.num == other.num
         return not (self - other)
 
-    def evaluate(self, point, factor_values=None):
-        """Exact value at a rational point.  ``factor_values``, a dict of factor
-        values at this same point, lets fractions evaluate shared factors once."""
-        values = {} if factor_values is None else factor_values
-        den = Fraction(1)
+    def value(self, at):
+        """(N, D), integers not reduced, with self = N / D at the point of
+        ``at``, a qglk.poly.PointValues: fractions evaluated through one
+        such share its power tables and their factors' values."""
+        num, den = at(self.num)
         for f, m in self.den_factors:
-            v = values.get(f)
-            if v is None:
-                v = values[f] = f.evaluate(point)
-            if v == 0:
+            fn, fd = at.shared(f)
+            if not fn:
                 raise PoleError("denominator vanishes at the sample point")
-            den *= v**m
-        return self.num.evaluate(point) / den
+            num *= fd**m
+            den *= fn**m
+        return num, den
+
+    def evaluate(self, point):
+        """Exact value at a rational point."""
+        return Fraction(*self.value(PointValues(point)))
 
     def __str__(self):
         num = str(self.num)

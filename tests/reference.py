@@ -4,6 +4,9 @@ Polynomial references: plain division by any divisor and the unit
 extraction of a nonzero polynomial, the references for Poly.exact_div
 and for the denominator-factor canonicalizer of qglk.ratfunc.  The
 stored form of a fraction, to compare reductions and not just values.
+Evaluation with power tables built afresh for each polynomial, summed as
+integers and returned as one Fraction, the reference for the shared
+tables of qglk.poly.PointValues.
 
 Linear algebra over the fraction field: pivot columns by fraction-free
 (Bareiss) elimination over Poly, which needs no inverse of a general
@@ -12,6 +15,9 @@ or binomial numerators (they do for n <= 2); and the point-sampled pivot
 and invertibility certificates the intertwiner's proof once called.  They
 are references for the proof in qglk.fm and for phi, which qglk.fm
 returns as the pair of bases B_alg, B_geo with phi_w = B_geo[w] B_alg[w]^-1.
+The proof's point stage over Q: the blocks evaluated to Fractions, the
+projectors scaled by 1 / s_w and Gaussian elimination over Q, the
+reference for the integer stage of qglk.fm and qglk.linalg.pivot_columns.
 
 The full sweeps: every entry of each square and commutator, formed as
 whole matrices, the reference for the orbit-representative checks of
@@ -28,6 +34,7 @@ RationalFunction.sum of value times inverse Euler class, the reference for
 the shared localization form of qglk.grassmann.
 """
 
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 from operator import add, sub
@@ -35,7 +42,7 @@ from operator import add, sub
 from qglk import fm, superrep
 from qglk.grassmann import euler_class_rf, fixed_points, hom_fiber, tangent_gr
 from qglk.linalg import columns, pivot_columns, sample_points
-from qglk.matrix import Matrix, entry_witness, k_of
+from qglk.matrix import Matrix, entry_witness, k_of, weights
 from qglk.poly import Poly
 from qglk.ratfunc import PoleError, RationalFunction, common_denominator
 
@@ -102,6 +109,44 @@ def reference_extract_unit(p):
     return canonical, shift, sign
 
 
+def reference_table_evaluate(p, point):
+    """p at a tuple of rationals ordered (x_1, ..., x_N, q), one Fraction.
+
+    With x_i = a_i / b_i and exponents of x_i in [lo_i, hi_i], a term
+    c * X^e is the integer c * prod a_i^(e_i - lo_i) b_i^(hi_i - e_i)
+    times prod a_i^lo_i / b_i^hi_i, so the terms sum as integers.
+    """
+    if len(point) != p.nvars:
+        raise ValueError("point has wrong length")
+    terms = p.terms
+    num = den = 1
+    tables = []
+    for v, col in zip(map(Fraction, point), zip(*terms)):
+        a, b = v.numerator, v.denominator
+        lo, hi = min(col), max(col)
+        num *= a ** max(lo, 0) * b ** max(-hi, 0)
+        den *= a ** max(-lo, 0) * b ** max(hi, 0)
+        tables.append((lo, [a**i * b ** (hi - lo - i) for i in range(hi - lo + 1)]))
+    total = 0
+    for e, c in terms.items():
+        for x, (lo, table) in zip(e, tables):
+            c *= table[x - lo]
+        total += c
+    return Fraction(total * num, den)
+
+
+def reference_rf_evaluate(r, point):
+    """A RationalFunction at a rational point, one Fraction, each factor
+    by reference_table_evaluate; PoleError where a factor vanishes."""
+    den = Fraction(1)
+    for f, m in r.den_factors:
+        v = reference_table_evaluate(f, point)
+        if v == 0:
+            raise PoleError("denominator vanishes at the sample point")
+        den *= v**m
+    return reference_table_evaluate(r.num, point) / den
+
+
 def structure(r):
     """(nvars, numerator keys, denominator factors) of a RationalFunction:
     equal exactly when two fractions are stored alike, not merely when
@@ -153,6 +198,50 @@ def certify_invertible(mat, nvars, seed=0xC0FFEE, attempts=72):
         if len(pivot_columns(at)) == mat.nrows:
             return True, "nonzero determinant at a sample point"
     return False, f"determinant vanished or hit poles at {attempts} sample points"
+
+
+def reference_pivot_columns(mat):
+    """Pivot columns by Gaussian elimination over Q, in Fractions: the
+    reference for linalg.pivot_columns."""
+    rows = [[Fraction(a) for a in r] for r in mat.rows]
+    pivots = []
+    for col in range(mat.ncols):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[top], rows[piv] = rows[piv], rows[top]
+        head = rows[top]
+        inv = 1 / head[col]
+        for r in range(top + 1, len(rows)):
+            f = rows[r][col] * inv
+            if f:
+                rows[r] = [a - f * b for a, b in zip(rows[r], head)]
+        pivots.append(col)
+    return pivots
+
+
+def fraction_points(blocks, seed):
+    """The proof's point stage over Q, the reference for fm._at_points:
+    at successive seeded rational points, the E and F blocks of both
+    sides evaluated to Fractions and the projectors p_w = F_{w+2} E_w / s_w,
+    skipping a point where an entry has a pole or some s_w vanishes."""
+    n = blocks.n
+    for point in sample_points(n + 1, seed):
+        s = {
+            w: reference_rf_evaluate(fm.commutator_scalar(n, k_of(n, w)), point)
+            for w in weights(n)
+        }
+        if not all(s.values()):
+            continue
+        try:
+            at = {
+                key: blocks.op(*key).map(lambda e: reference_rf_evaluate(e, point) if e else 0)
+                for key in fm._block_keys(n)
+            }
+        except PoleError:
+            continue
+        yield fm._with_projectors(at, n, {w: 1 / v for w, v in s.items()})
 
 
 def reference_column_basis(mat):

@@ -30,7 +30,7 @@ from qglk.grassmann import (
     ratio_character,
     tangent_gr,
 )
-from qglk.linalg import columns, hstack
+from qglk.linalg import columns, hstack, pivot_columns
 from qglk.matrix import Matrix, block_points, entry_witness, first_off, subset_label, weights
 from qglk.poly import Poly
 from qglk.ratfunc import PoleError, RationalFunction
@@ -44,9 +44,11 @@ from reference import (
     column_basis,
     correspondence_pairs,
     entry,
+    fraction_points,
     full_symbolic_rank,
     inverse_euler,
     phi_from_bases,
+    reference_pivot_columns,
 )
 from rf_parser import parse
 from weights import mult, rank, weight_monomial
@@ -573,6 +575,30 @@ class TestDerivedIntertwiner:
         assert rep.passed, "\n".join(rep.summary_lines())
         assert len(drawn) == 3
 
+    def test_a_retry_point_is_evaluated_once_for_every_basis(self, monkeypatch):
+        # every basis is singular at the first point, so each (w, side)
+        # retries; the report must not change, and one further point serves all
+        n = 3
+        want = [(c.name, c.passed, c.witness) for c in intertwiner_report(n).checks]
+        raw_points, raw_basis = fm.sample_points, fm._transported_basis
+        drawn, first = [], []
+
+        def points(nvars, seed, attempts=72):
+            for point in raw_points(nvars, seed, attempts):
+                drawn.append(point)
+                yield point
+
+        def basis(at, side, w, pivots):
+            first[:] = first or [at]
+            b = raw_basis(at, side, w, pivots)
+            return b.scale(0) if at is first[0] else b
+
+        monkeypatch.setattr(fm, "sample_points", points)
+        monkeypatch.setattr(fm, "_transported_basis", basis)
+        rep = intertwiner_report(n)
+        assert [(c.name, c.passed, c.witness) for c in rep.checks] == want
+        assert len(drawn) == 2
+
 
 def _located(check, side, weight, subset):
     assert check.witness.startswith(f"{side} side, weight {weight}: ")
@@ -868,3 +894,48 @@ class TestOrbitSweepAgainstFullSweep:
         if mutation:
             SWEEP_MUTATIONS[mutation](monkeypatch, n)
         assert _fm_outcomes(n, fm.Blocks(n)) == _fm_outcomes(n, FullSweepBlocks(n))
+
+
+class TestIntegerPointStage:
+    """The intertwiner's point stage in integers (fm._at_points and
+    linalg.pivot_columns) against the same stage over Q: the blocks
+    evaluated to Fractions, the projectors scaled by 1 / s_w, Gaussian
+    elimination in Fractions."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_same_pivots_and_ranks_as_over_q(self, n):
+        blocks = fm.Blocks(n)
+        for seed in (0xC0FFEE, 7, 2026):
+            ints, fracs = next(fm._at_points(blocks, seed)), next(fraction_points(blocks, seed))
+            assert ints.keys() == fracs.keys()
+            for key, block in ints.items():
+                # each integer block is a nonzero multiple of its value over Q
+                pairs = [(a, b) for ra, rb in zip(block.rows, fracs[key].rows) for a, b in zip(ra, rb)]
+                c = next((a / b for a, b in pairs if b), 1)
+                assert c and all(a == c * b for a, b in pairs), key
+            pivots = {}
+            for side in fm.SIDES:
+                for w in weights(n):
+                    pivots[side, w] = reference_pivot_columns(fracs[side, "p", w])
+                    assert pivot_columns(ints[side, "p", w]) == pivots[side, w]
+            for side in fm.SIDES:
+                for w in weights(n):
+                    got = fm._transported_basis(ints, side, w, pivots)
+                    want = fm._transported_basis(fracs, side, w, pivots)
+                    assert pivot_columns(got) == reference_pivot_columns(want)
+                    assert len(pivot_columns(got)) == comb(n, k_of(n, w))
+
+    def test_flag_line_fault_fails_the_same_checks_with_the_same_witnesses(self, monkeypatch):
+        _flag_lines_times_q(monkeypatch)
+        blocks = fm.Blocks(4)
+        got = _fm_outcomes(4, blocks)
+        failed = [name for _, checks, _ in got for name, ok, _ in checks if not ok]
+        assert len(failed) == 13
+        assert failed[-3:] == [
+            "projector ranks agree at weight -2",
+            "projector ranks agree at weight 0",
+            "transported bases fill the weight-2 block",
+        ]
+        monkeypatch.setattr(fm, "_at_points", fraction_points)
+        monkeypatch.setattr(fm, "pivot_columns", reference_pivot_columns)
+        assert _fm_outcomes(4, blocks) == got

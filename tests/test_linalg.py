@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from reference import (
     column_basis,
     invert_matrix,
     reference_column_basis,
+    reference_pivot_columns,
     specializations,
 )
 
@@ -49,6 +52,70 @@ class TestColumnBasis:
         entry = RationalFunction(NV, Poly.one(NV), ((den, 1),))
         mat = Matrix(1, 2, [[RationalFunction.zero(NV), entry]], RationalFunction.zero(NV))
         assert column_basis(mat, NV, seed=seed) == [1]
+
+
+def rationals(denominators):
+    """Small ints (denominators False) or small Fractions, zero often."""
+    if not denominators:
+        return st.one_of(st.just(0), st.integers(-9, 9))
+    return st.one_of(st.just(Fraction(0)), st.fractions(-9, 9, max_denominator=7))
+
+
+@st.composite
+def rational_matrices(draw):
+    """Int or Fraction matrices up to 5 x 5, empty shapes included; half
+    of them products A B with a small inner dimension, so rank deficient."""
+    entries = rationals(draw(st.booleans()))
+    m, c = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+
+    def mat(r, k):
+        return Matrix(r, k, [[draw(entries) for _ in range(k)] for _ in range(r)], 0)
+
+    if draw(st.booleans()):
+        return mat(m, c)
+    inner = draw(st.integers(0, 2))
+    return mat(m, inner) @ mat(inner, c)
+
+
+class TestPivotColumns:
+    """linalg.pivot_columns, fraction-free over Z, against the Gaussian
+    elimination over Q it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rational_matrices())
+    def test_matches_elimination_over_q(self, mat):
+        assert pivot_columns(mat) == reference_pivot_columns(mat)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_nonzero_row_and_column_scalings_keep_the_pivots(self, data):
+        mat = data.draw(rational_matrices())
+        nonzero = st.builds(
+            lambda a, b, sign: sign * Fraction(a, b),
+            st.integers(1, 9), st.integers(1, 7), st.sampled_from([1, -1]),
+        )
+        rs = data.draw(st.lists(nonzero, min_size=mat.nrows, max_size=mat.nrows))
+        cs = data.draw(st.lists(nonzero, min_size=mat.ncols, max_size=mat.ncols))
+        rows = [[r * a * c for a, c in zip(row, cs)] for r, row in zip(rs, mat.rows)]
+        scaled = Matrix(mat.nrows, mat.ncols, rows, 0)
+        assert pivot_columns(scaled) == pivot_columns(mat) == reference_pivot_columns(mat)
+
+    @pytest.mark.parametrize(
+        "rows, ncols, want",
+        [
+            ([], 0, []),
+            ([], 3, []),
+            ([[], [], []], 0, []),
+            ([[0, 0], [0, 0]], 2, []),
+            ([[0, 0, 0], [0, 2, 4], [0, 0, 0], [0, 1, 2]], 3, [1]),
+            ([[0, 1, 0], [0, 3, 5]], 3, [1, 2]),
+            ([[Fraction(1, 2), 1], [Fraction(1, 3), Fraction(2, 3)]], 2, [0]),
+            ([[Fraction(0), 7], [Fraction(2, 9), 1], [5, 0]], 2, [0, 1]),
+        ],
+    )
+    def test_degenerate_shapes(self, rows, ncols, want):
+        mat = Matrix(len(rows), ncols, rows, 0)
+        assert pivot_columns(mat) == reference_pivot_columns(mat) == want
 
 
 def small_polys():

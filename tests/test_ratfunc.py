@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from qglk.fm import SIDES, find_intertwiner
 from qglk.grassmann import Space
-from qglk.poly import Poly
+from qglk.poly import PointValues, Poly
 from qglk.ratfunc import PoleError, RationalFunction, _canonical_factor, common_denominator
-from reference import reference_extract_unit, structure
+from reference import reference_extract_unit, reference_rf_evaluate, structure
 from rf_parser import parse
 
 NV = 3  # x1, x2, q
@@ -323,21 +323,38 @@ class TestEvaluationAndSampling:
         with pytest.raises(PoleError):
             rf("1/(x1 - x2)").evaluate((Fraction(1), Fraction(1), Fraction(2)))
 
+    @given(two_factor_rfs(), st.tuples(*([st.fractions(-3, 3, max_denominator=3)] * NV)))
+    @settings(max_examples=200, deadline=None)
+    def test_value_matches_the_reference_and_raises_at_a_vanishing_factor(self, r, point):
+        at = PointValues(point)
+        try:
+            want = reference_rf_evaluate(r, point)
+        except PoleError:
+            with pytest.raises(PoleError):
+                r.value(at)
+            with pytest.raises(PoleError):
+                r.evaluate(point)
+            return
+        except ZeroDivisionError:  # a zero coordinate to a negative power
+            with pytest.raises(ZeroDivisionError):
+                r.evaluate(point)
+            return
+        assert Fraction(*r.value(at)) == want == r.evaluate(point)
+
     def test_shared_factor_values(self):
-        # fractions that share factors read each value from one dict per point
+        # fractions that share factors evaluate each once per PointValues
         d, e = Poly.x(NV, 1) - Poly.x(NV, 2), Poly.one(NV) - Poly.q(NV)
         items = [rf("1/(x1 - x2)"), RationalFunction(NV, Poly.q(NV), ((-d, 2), (e, 1))), rf("x1")]
         pt = (Fraction(2), Fraction(5), Fraction(1, 2))
-        values = {}
+        at = PointValues(pt)
         for r in items:
-            assert r.evaluate(pt, values) == r.evaluate(pt)
-        assert len(values) == 2
-        pole = (Fraction(1), Fraction(1), Fraction(2))
-        values = {}
+            assert Fraction(*r.value(at)) == r.evaluate(pt)
+        assert len(at.memo) == 2
+        at = PointValues((Fraction(1), Fraction(1), Fraction(2)))
         for r in items[:2]:
             with pytest.raises(PoleError):
-                r.evaluate(pole, values)
-        assert values[d] == 0
+                r.value(at)
+        assert at.memo[d][0] == 0
 
 
 class TestParsePrintRoundtrip:
