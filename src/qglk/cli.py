@@ -10,6 +10,8 @@ import json
 import sys
 
 from . import fm, koszul, superrep
+from .matrix import Matrix
+from .ratfunc import RationalFunction
 
 ALGEBRA_CAP = 6
 GEOMETRY_DUMP_CAP = 5  # `matrices --side geometry` prints whole blocks
@@ -70,8 +72,8 @@ def _geometry_blocks(n, weight):
     return {
         "E": fm.raising_matrix(n, weight),
         "F": fm.lowering_matrix(n, weight),
-        "K": fm.scalar_block(n, weight, n),
-        "H": fm.scalar_block(n, weight, weight),
+        "K": Matrix.scalar_block(n, weight, RationalFunction.q(n + 1, n)),
+        "H": Matrix.scalar_block(n, weight, RationalFunction.q(n + 1, weight)),
     }
 
 

@@ -10,8 +10,7 @@ tangent space, which collapses to
 
     twist * e(T_{S_t} Y_target - T_W)
 
-with all cancellation done at the character level, so no rational-function
-division beyond the final Euler class is ever needed.  The twist is the
+with all cancellation done at the character level.  The twist is the
 restriction of det(tau) on the big side for raising and of x_b^(n - k_big)
 for lowering.
 
@@ -47,6 +46,16 @@ and s * Id are S_n-invariant.  Orbits of (S, T) with fixed sizes are
 classified by |S & T|.  An exact gate, is_equivariant, first checks
 each factor block against the two generators (1 2) and (1 2 ... n) of
 S_n; if any factor fails it, every position is checked.
+
+Each checked position is decided by one exact zero test
+(ratfunc.products_sum_to), with no cancellation and no trial division:
+every product a * b is a.num * b.num over the factors of a and b,
+multiplicities added, the target (0 or +-s) is one more term, and all of
+them are raised to the least common denominator L, a product of
+canonical binomials.  Their signed numerators sum to a Poly N with
+N / L = sum(+-a * b) - target, and L != 0, so the identity holds
+exactly when N = 0.  Only a check that fails forms its entries, to
+name the first bad one.
 """
 
 from functools import cache
@@ -63,7 +72,7 @@ from .grassmann import (
 from .linalg import columns, hstack, pivot_columns, sample_points
 from .matrix import Matrix, block_points, dot, first_off, k_of, weights, witness
 from .poly import PointValues, Poly
-from .ratfunc import PoleError, RationalFunction
+from .ratfunc import PoleError, RationalFunction, products_sum_to
 from .report import Report
 from .superrep import block_matrix
 
@@ -201,9 +210,12 @@ class Blocks:
     lowering_matrix and algebra_matrix on first use.
 
     A square or commutator is checked on orbit representatives when every
-    factor block passed is_equivariant, else on every entry (see the
-    module docstring).  Every entry of a bad orbit is bad, so the first
-    bad representative is the first bad entry: the witness is the same.
+    factor block passed is_equivariant, else on every entry, each by the
+    zero test of the module docstring.  A check whose every position
+    holds passes; otherwise its entries are formed in the same order and
+    the witness names the first bad one.  Every entry of a bad orbit is
+    bad, so the first bad representative is the first bad entry: the
+    witness is the same as on the full sweep.
     """
 
     def __init__(self, n):
@@ -226,18 +238,38 @@ class Blocks:
         """is_equivariant of the block op(side, gen, w)."""
         return self._once(("gate", side, gen, w), lambda: is_equivariant(self.op(side, gen, w)))
 
-    def _values(self, side, products):
-        """The block of A @ B, or of A @ B - C @ D for two products, and its
-        (i, j, entry) in row-major order, on orbit representatives when every
-        factor is equivariant; each entry is formed as Matrix.__matmul__
-        forms it."""
+    def _positions(self, side, products):
+        """The factor blocks [(A, B), ...] of the products A @ B, the block
+        they form, and its positions (i, j) to check in row-major order:
+        orbit representatives when every factor is equivariant, else all."""
         ops = [(self.op(side, *left), self.op(side, *right)) for left, right in products]
         first, last = ops[0]
         block = (self.n, last.source_weight, first.target_weight)
         if all(self.equivariant(side, *key) for pair in products for key in pair):
-            positions = orbit_representatives(*block)
-        else:
-            positions = product(range(first.nrows), range(last.ncols))
+            return ops, block, orbit_representatives(*block)
+        return ops, block, product(range(first.nrows), range(last.ncols))
+
+    def _holds(self, side, products, s=None):
+        """Whether A @ B, or A @ B - C @ D for two products, is s times the
+        identity (zero when s is None) at every position: one
+        products_sum_to per position, which forms no entry."""
+        ops, _, positions = self._positions(side, products)
+        for i, j in positions:
+            terms = [
+                (sign, a, row[j])
+                for sign, (left, right) in zip((1, -1), ops)
+                for a, row in zip(left.rows[i], right.rows)
+                if a and row[j]
+            ]
+            if not products_sum_to(self.n + 1, terms, s if i == j else None):
+                return False
+        return True
+
+    def _values(self, side, products):
+        """The block of A @ B, or of A @ B - C @ D, and its (i, j, entry)
+        at the positions of _positions, each entry formed as
+        Matrix.__matmul__ forms it: for a witness."""
+        ops, block, positions = self._positions(side, products)
 
         def values():
             for i, j in positions:
@@ -246,6 +278,12 @@ class Blocks:
 
         return block, values()
 
+    def _witness(self, side, products, s=None):
+        """The empty witness when _holds, else that of the first bad entry."""
+        if self._holds(side, products, s):
+            return ""
+        return witness(*self._values(side, products), s)
+
     def square(self, side, gen, w):
         """(name, witness) of the check that gen twice from weight w vanishes."""
         if side == "algebra":
@@ -253,9 +291,7 @@ class Blocks:
         else:
             name = f"{'raising' if gen == 'E' else 'lowering'} twice from weight {w} vanishes"
         step = 2 if gen == "E" else -2
-        return name, self._once(
-            name, lambda: witness(*self._values(side, [((gen, w + step), (gen, w))]))
-        )
+        return name, self._once(name, lambda: self._witness(side, [((gen, w + step), (gen, w))]))
 
     def commutator(self, side, w):
         """[(name, witness)] of the commutator checks at weight w, and on
@@ -264,16 +300,21 @@ class Blocks:
 
     def _commutator(self, side, w):
         n, k = self.n, k_of(self.n, w)
-        block, values = self._values(side, [(("F", w + 2), ("E", w)), (("E", w - 2), ("F", w))])
-        values = list(values)
+        products = [(("F", w + 2), ("E", w)), (("E", w - 2), ("F", w))]
         if side == "algebra":
-            bad = witness(block, values, commutator_scalar(n, k))
+            bad = self._witness(side, products, commutator_scalar(n, k))
             return [(f"FE - EF is eps*(1-q^{2*n}) at weight {w}", bad)], None
-        signed = _signed_scalars(n)
-        eps = next((c for c, s in signed.items() if first_off(values, s) is None), None)
-        pred = epsilon_sign(n, k)
-        bad = "" if eps == pred else witness(block, values, signed[pred])
         name = f"weight {w} commutator is a (1-q^{2*n}) scalar on a dim-{comb(n, k)} block"
+        signed = _signed_scalars(n)
+        pred = epsilon_sign(n, k)
+        # a diagonal position is checked and s != -s: the sign is observed
+        if self._holds(side, products, signed[pred]):
+            eps, bad = pred, ""
+        else:
+            block, values = self._values(side, products)
+            values = list(values)
+            eps = next((c for c, s in signed.items() if first_off(values, s) is None), None)
+            bad = "" if eps == pred else witness(block, values, signed[pred])
         if eps is None:
             return [(name, bad)], None
         sign = f"observed {eps:+d}, parity {pred:+d}; {bad}" if bad else ""
@@ -321,11 +362,6 @@ def algebra_matrix(n, gen, source_weight):
     else:
         unit = Poly.q(n + 1, 2 * n) * epsilon_sign(n, k_of(n, source_weight))
     return block_matrix(n, gen, source_weight).scale(unit).map(RationalFunction.from_poly)
-
-
-def scalar_block(n, weight, q_exp):
-    """q^q_exp times the identity on the weight block."""
-    return Matrix.scalar_block(n, weight, RationalFunction.q(n + 1, q_exp))
 
 
 def normalized_rep_report(n, max_weight=None, blocks=None):

@@ -20,7 +20,7 @@ from functools import cache
 from itertools import combinations
 
 from .poly import _BIAS, Poly, _check_fields, _layout
-from .ratfunc import RationalFunction, common_denominator
+from .ratfunc import RationalFunction, _canonical_factor, common_denominator
 
 
 class NonIsolatedFixedPointError(ValueError):
@@ -83,18 +83,29 @@ def hom_fiber(n, S):
     return ratio_character(n, [(i, j) for i in S for j in range(1, n + 1)], 2)
 
 
+@cache
+def _euler_factor(nvars, k):
+    """(1 - w^-1, canon, unit) for the weight w of key k, with
+    1 - w^-1 = canon / unit and canon its canonical form
+    (ratfunc._canonical_factor): built once per process, so every
+    fraction that divides by it shares one factor object and its caches."""
+    factor = Poly.one(nvars) - dual(Poly._raw(nvars, {k: 1}))
+    canon, shift, sign = _canonical_factor(factor)
+    return factor, canon, Poly.monomial(nvars, [-s for s in shift], sign)
+
+
 def euler_class_rf(char, invert=False):
     """prod (1 - w^{-1})^m over the (virtual) character, as a fraction.
 
     Positive multiplicities land in the numerator and negative ones in the
     factored denominator; invert=True swaps the roles, which is the cheap
-    way to divide by the Euler class of a large genuine character.  Each
-    factor 1 - w^{-1} goes to RationalFunction as it is, which makes it
-    canonical.
+    way to divide by the Euler class of a large genuine character.  A
+    denominator factor enters as its shared canonical form, its unit
+    moved into the numerator (see _euler_factor).
     """
     nvars = char.nvars
     zero = _layout(nvars).zero
-    one = num = Poly.one(nvars)
+    num = Poly.one(nvars)
     den = []
     for k, m in char.keys.items():
         if k == zero:
@@ -102,11 +113,12 @@ def euler_class_rf(char, invert=False):
                 "trivial weight of multiplicity %d in an Euler class" % m
             )
         power = -m if invert else m
-        factor = one - dual(Poly._raw(nvars, {k: 1}))
+        factor, canon, unit = _euler_factor(nvars, k)
         if power > 0:
             num = num * factor**power
         else:
-            den.append((factor, -power))
+            num = num * unit**-power
+            den.append((canon, -power))
     return RationalFunction(nvars, num, tuple(den))
 
 
@@ -127,7 +139,7 @@ def _localization_form(n, k, with_fiber):
     for S in points:
         t = tangent_gr(n, S)
         classes.append(euler_class_rf(t + hom_fiber(n, S) if with_fiber else t, invert=True))
-    parts, den_factors = common_denominator(n + 1, classes)
+    parts, den_factors = common_denominator(n + 1, ((c.num, c.den_factors) for c in classes))
     return dict(zip(points, parts)), den_factors
 
 

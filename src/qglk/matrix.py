@@ -6,9 +6,13 @@ weights give genuinely empty (0 x m) matrices, so the degenerate shapes
 matter.  Entries test zero by truthiness, so the same type holds the
 symbolic blocks and their integer multiples at a sample point.
 
-Products of rational-function matrices sum each dot product in one
+Products of rational-function matrices (the intertwiner's bases for
+library callers) sum each dot product in one
 :meth:`RationalFunction.sum`, which cancels against the shared
-denominator once instead of after every pairwise addition.
+denominator once instead of after every pairwise addition.  The
+relation checks of :mod:`qglk.fm` form such entries only for the
+witness of a check that fails: a passing one decides each entry by an
+exact zero test and forms none.
 
 A weight block is a Matrix that also carries n, source_weight and
 target_weight: one operator between two weight blocks of the N-site

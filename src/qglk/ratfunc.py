@@ -11,6 +11,8 @@ scalar 1 - q^(2n) (qglk.fm).  Cancellation runs factor by factor through
 exact division by canonical factors, so no multivariate gcd is ever
 needed.  It removes whole canonical factors only, so a fraction need not
 print in lowest terms: (1 - x1 q) / (1 - x1^2 q^2) keeps its factor.
+products_sum_to decides whether a signed sum of products is a given
+fraction with no cancellation at all.
 
 Units skip that cancellation.  A one-term numerator c * X^e is a unit
 times an integer, which no canonical factor (two terms) divides
@@ -154,7 +156,7 @@ class RationalFunction:
     @classmethod
     def sum(cls, nvars, items):
         """Sum of RationalFunctions over their one shared denominator."""
-        parts, den_factors = common_denominator(nvars, items)
+        parts, den_factors = common_denominator(nvars, ((it.num, it.den_factors) for it in items))
         return cls(nvars, Poly.signed_sum(nvars, ((1, p) for p in parts)), den_factors)
 
     def permute(self, perm, factors=None):
@@ -250,28 +252,50 @@ def _canonical_factor(f):
     return f._translate(lay.zero - floor, c), _unpack(lay, floor), c
 
 
-def common_denominator(nvars, items):
-    """(parts, den_factors): the sequence of RationalFunctions ``items``
-    raised to their least common denominator, parts[i] the numerator of
-    items[i] over it.  Each numerator is multiplied by each missing factor
-    power."""
-    common = {}
-    for it in items:
-        if it.nvars != nvars:
+def common_denominator(nvars, pairs):
+    """(parts, den_factors): the fractions num / prod f^m, given as
+    (num, factors) pairs with factors a sequence of (canonical factor,
+    multiplicity) in which a factor may repeat (its multiplicities add),
+    raised to their least common denominator: parts[i] is the numerator
+    of the i-th over it.  Each numerator is multiplied by each missing
+    factor power; one that misses none is returned as it is."""
+    raised, common = [], {}
+    for num, factors in pairs:
+        if num.nvars != nvars:
             raise ValueError("variable-count mismatch")
-        for f, m in it.den_factors:
+        have = {}
+        for f, m in factors:
+            have[f] = have.get(f, 0) + m
+        for f, m in have.items():
             if common.get(f, 0) < m:
                 common[f] = m
+        raised.append((num, have))
     parts = []
-    for it in items:
-        part = it.num
-        have = dict(it.den_factors)
+    for part, have in raised:
         for f, m in common.items():
             deficit = m - have.get(f, 0)
             if deficit:
                 part = part * f**deficit
         parts.append(part)
     return parts, tuple(common.items())
+
+
+def products_sum_to(nvars, products, target=None):
+    """Whether the sum of sign * a * b over the (sign, a, b) in products,
+    a and b RationalFunctions, is target (zero when None), decided
+    exactly and without cancellation: each a * b is a.num * b.num over
+    the factors of a and b together, target is one more term, and the
+    identity holds exactly when their numerators over the common
+    denominator (common_denominator) sum to the zero Poly."""
+    signs, pairs = [], []
+    for sign, a, b in products:
+        signs.append(sign)
+        pairs.append((a.num * b.num, a.den_factors + b.den_factors))
+    if target:
+        signs.append(-1)
+        pairs.append((target.num, target.den_factors))
+    parts, _ = common_denominator(nvars, pairs)
+    return not Poly.signed_sum(nvars, zip(signs, parts))
 
 
 def term_sort_key(p):

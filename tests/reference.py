@@ -254,7 +254,10 @@ def reference_column_basis(mat):
     identity); the division is the reference's own, reference_exact_div.
     """
     nvars = mat.zero.nvars
-    cols = [common_denominator(nvars, [row[j] for row in mat.rows])[0] for j in range(mat.ncols)]
+    cols = [
+        common_denominator(nvars, [(row[j].num, row[j].den_factors) for row in mat.rows])[0]
+        for j in range(mat.ncols)
+    ]
     work = [list(r) for r in zip(*cols)] if cols else [[] for _ in range(mat.nrows)]
     nr, nc = mat.nrows, mat.ncols
     pivots = []

@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from qglk import fm
+from qglk import cli, fm
 from qglk.cli import main
+from qglk.matrix import Matrix
+from qglk.ratfunc import RationalFunction
 from qglk.report import Report
 from test_fm import SWEEP_MUTATIONS, _negate_lowering_column
 
@@ -160,6 +162,16 @@ class TestMatrices:
         assert e["cols"] == ["1", "2"]
         assert e["rows"] == [""]
         assert doc["blocks"]["K"]["entries"]["1|1"] == "q^2"
+
+    def test_geometry_k_and_h_are_scalar_blocks(self):
+        # next to E and F as localized functor matrices, K central as q^n
+        # and H grading as q^weight on the weight block
+        fam = cli._geometry_blocks(3, 1)
+        for gen, e in (("K", 3), ("H", 1)):
+            assert fam[gen] == Matrix.scalar_block(3, 1, RationalFunction.q(4, e))
+        assert fam["H"][(0, 0)] == RationalFunction.q(4, 1)
+        assert fam["E"].target_weight == 3
+        assert fam["F"].target_weight == -1
 
     def test_geometry_cap(self, capsys):
         code, _, err = run(capsys, "matrices", "--n", "6", "--weight", "0", "--side", "geometry")

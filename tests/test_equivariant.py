@@ -395,6 +395,15 @@ class TestEulerClasses:
                 euler_class_rf(Poly.monomial(2, (-LIMIT, 0)), invert)
             euler_class_rf(Poly.monomial(2, (1 - LIMIT, 0)), invert)
 
+    def test_a_shared_weight_stores_one_factor_object(self):
+        # x1/x2 alone, then beside q^2 x2/x1: both divide by 1 - x2/x1
+        w = weight_monomial(2, (1,), (2,))
+        alone = euler_class_rf(w, invert=True)
+        beside = euler_class_rf(w + weight_monomial(2, (2,), (1,), 2), invert=True)
+        (f, _), *_ = alone.den_factors
+        assert [g for g, _ in beside.den_factors if g == f][0] is f
+        assert _canonical_factor(f)[0] is f
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_binomials_are_born_canonical(self, n):
         """Field by field equal to the Euler class built from exponent

@@ -20,7 +20,6 @@ from qglk.fm import (
     nilpotency_report,
     normalized_rep_report,
     raising_matrix,
-    scalar_block,
 )
 from qglk.grassmann import (
     Space,
@@ -241,20 +240,6 @@ class TestNormalizedBlocks:
     def test_only_e_and_f(self):
         with pytest.raises(ValueError):
             algebra_matrix(2, "K", 0)
-
-    def test_scalar_blocks(self):
-        # the four normalized generators on one weight block: E and F as
-        # localized functor matrices, K central as q^n, H grading as q^weight
-        fam = {
-            "E": algebra_matrix(3, "E", 1),
-            "F": algebra_matrix(3, "F", 1),
-            "K": scalar_block(3, 1, 3),
-            "H": scalar_block(3, 1, 1),
-        }
-        assert fam["K"] == scalar_block(3, 1, 3)
-        assert fam["H"][(0, 0)] == RationalFunction.q(4, 1)
-        assert fam["E"].target_weight == 3
-        assert fam["F"].target_weight == -1
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_full_battery(self, n):
@@ -844,20 +829,19 @@ class TestEquivarianceGate:
         blocks = fm.Blocks(n)
         for key in _geometric_keys(n):
             blocks.op("geometric", *key)
-        calls = []
-        dot = fm.dot
-
-        def counted(*args):
-            calls.append(args)
-            return dot(*args)
-
-        monkeypatch.setattr(fm, "dot", counted)
+        decisions, divisions = [], []
+        decide, divide = fm.products_sum_to, Poly.exact_div
+        monkeypatch.setattr(fm, "products_sum_to", lambda *a: decisions.append(a) or decide(*a))
+        monkeypatch.setattr(Poly, "exact_div", lambda *a: divisions.append(a) or divide(*a))
         assert nilpotency_report(n, blocks=blocks).passed
         assert commutator_report(n, blocks=blocks).passed
         reps = fm.orbit_representatives
         squares = sum(len(reps(n, w, w + 4)) + len(reps(n, w, w - 4)) for w in weights(n))
-        commutators = sum(2 * len(reps(n, w, w)) for w in weights(n))
-        assert len(calls) == squares + commutators
+        commutators = sum(len(reps(n, w, w)) for w in weights(n))
+        assert len(decisions) == squares + commutators
+        # a passing check cancels nothing, so it makes no trial division
+        assert normalized_rep_report(n, blocks=blocks).passed
+        assert divisions == []
 
 
 def _fm_outcomes(n, blocks):

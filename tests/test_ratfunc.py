@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from qglk.fm import SIDES, find_intertwiner
 from qglk.grassmann import Space
 from qglk.poly import PointValues, Poly
-from qglk.ratfunc import PoleError, RationalFunction, _canonical_factor, common_denominator
+from qglk.ratfunc import (
+    PoleError,
+    RationalFunction,
+    _canonical_factor,
+    common_denominator,
+    products_sum_to,
+)
 from reference import reference_extract_unit, reference_rf_evaluate, structure
 from rf_parser import parse
 
@@ -214,7 +220,7 @@ class TestFieldOps:
 
     def test_common_denominator_keeps_a_numerator_already_over_it(self):
         a, b = rf("x1/(1 - q)"), rf("x2/((1 - q)*(x1 - x2))")
-        parts, den = common_denominator(NV, [a, b])
+        parts, den = common_denominator(NV, [(a.num, a.den_factors), (b.num, b.den_factors)])
         assert parts[1] is b.num and parts[0] == a.num * (Poly.x(NV, 1) - Poly.x(NV, 2))
         assert dict(den) == dict(b.den_factors)
 
@@ -226,6 +232,62 @@ class TestFieldOps:
 
 NP = 4  # x1, x2, x3, q: room for a 3-cycle
 PERMS = st.permutations((1, 2, 3)).map(tuple)
+
+
+def signed_sum_of_products(products):
+    return RationalFunction.sum(NV, [a * b if sign > 0 else -(a * b) for sign, a, b in products])
+
+
+@st.composite
+def sums_of_products(draw):
+    """(products, target) for products_sum_to: signed products of
+    fractions whose denominators draw, at multiplicities 1 to 3, on one
+    small pool of canonical binomials, so that factors recur across and
+    within products.  Sometimes a product is cancelled by its negative,
+    and the target is nothing, a fraction with its own denominator, the
+    sum itself, or the sum plus that fraction."""
+    pool = draw(st.lists(unit_binomials(), min_size=1, max_size=3))
+    pool = [_canonical_factor(f)[0] for f in pool]
+
+    def fraction():
+        den = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 3)), max_size=2))
+        return RationalFunction(NV, draw(small_polys(max_terms=3)), tuple(den))
+
+    products = [
+        (draw(st.sampled_from([1, -1])), fraction(), fraction())
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    if products and draw(st.booleans()):
+        sign, a, b = products[0]
+        products.append((-sign, a, b))  # a * b - a * b
+    total = signed_sum_of_products(products)
+    target = draw(st.sampled_from([None, "own", "sum", "sum plus own"]))
+    if target == "own":
+        target = fraction()
+    elif target == "sum":
+        target = total
+    elif target == "sum plus own":
+        target = total + fraction()
+    return products, target
+
+
+class TestProductsSumTo:
+    @given(sums_of_products())
+    @settings(max_examples=150, deadline=None)
+    def test_holds_exactly_when_the_sum_is_the_target(self, case):
+        products, target = case
+        total = signed_sum_of_products(products)
+        want = 0 if target is None else target
+        assert products_sum_to(NV, products, target) == (total == want)
+
+    def test_named_cases(self):
+        a, b = rf("x1/(1 - q)"), rf("1/((1 - q)^2*(x1 - x2))")
+        assert products_sum_to(NV, [(1, a, b), (-1, a, b)])
+        assert not products_sum_to(NV, [(1, a, b)])
+        # 1 - q at multiplicities 1, 2 and 3 across the terms
+        ab = a * b
+        assert products_sum_to(NV, [(1, a, b), (1, b, a)], ab + ab)
+        assert not products_sum_to(NV, [(1, a, b), (1, b, a)], ab)
 
 
 class TestDenominatorContract:
