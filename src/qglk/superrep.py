@@ -22,6 +22,12 @@ columns in lexicographic subset order: the fixed points of the
 localization side are the same subsets in the same order, so block
 indices line up across the two models.  The relation batteries check
 every identity block by block, with located witnesses.
+
+A passing verify_relations forms block products for E and F alone.  K,
+Kinv, H and Hinv act on each weight block by a scalar and the
+coefficients have no zero divisors, so (a - b) X = 0 exactly when a = b
+or X = 0 decides each relation with them; a weight where that test does
+not apply or fails forms the two products, for the witness.
 """
 
 from bisect import bisect_left
@@ -108,6 +114,18 @@ def _witness(pairs):
     return ""
 
 
+def _scalar(block):
+    """c when the block is c times the identity, else None (also when it
+    is empty, which names no c)."""
+    if not block.nrows:
+        return None
+    c = block.rows[0][0]
+    for i, row in enumerate(block.rows):
+        if row[i] != c or any(row[:i]) or any(row[i + 1 :]):
+            return None
+    return c
+
+
 def verify_relations(n):
     """Check the defining relations on the N-site space, block by block.
 
@@ -116,33 +134,72 @@ def verify_relations(n):
     when it holds from every weight block.  Each check aggregates the
     blocks and reports the first failing one; no 2^N x 2^N matrix is
     formed.
+
+    The grouplike relations are decided from block scalars.  K acts on
+    each weight block by q^N and H by q^m, so each K, Kinv, H and Hinv
+    block is read once as c times the identity.  Entries lie in
+    Z[x^+-1, q^+-1], which has no zero divisors, so with scalars a_hi and
+    a_lo of a on the blocks X maps to and from, a X = s X a reads
+    (a_hi - s a_lo) X = 0: it holds when X = 0 and otherwise exactly
+    when a_hi = s a_lo.  Likewise a b = 1 holds exactly when the product
+    of the two scalars is 1, and K - Kinv is the scalar block of their
+    difference.  A weight where a block is not a scalar (or is empty), or
+    where the scalars fail the test, forms the two block products as
+    before, so a failing check keeps its first bad weight and witness.
+    A passing battery forms only the E and F products.
     """
     rep = Report(f"defining relations on {n} tensor factors")
     nvars = n + 1
     # the empty blocks one step beyond either end close every product
     g = {(x, w): block_matrix(n, x, w) for x in GENERATORS for w in range(-n - 2, n + 3, 2)}
+    scalar = {key: _scalar(block) for key, block in g.items() if not WEIGHT_STEP[key[0]]}
     one = Poly.one(nvars)
-    q2 = Poly.q(nvars, 2)
-    qm2 = Poly.q(nvars, -2)
+
+    def commutes(a, x, s):
+        """a X = s X a from the weight-w block of X: None when X = 0 or
+        the scalars of a decide that it holds, else the two products."""
+
+        def relation(w):
+            X, hi, lo = g[x, w], scalar[a, w + WEIGHT_STEP[x]], scalar[a, w]
+            if not any(map(any, X.rows)) or (hi is not None and lo is not None and hi == s * lo):
+                return None
+            return g[a, w + WEIGHT_STEP[x]] @ X, (X @ g[a, w]).scale(s)
+
+        return relation
+
+    def inverse(a, b):
+        """a b = 1 on the weight-w block, None when the scalars decide it."""
+
+        def relation(w):
+            s, t = scalar[a, w], scalar[b, w]
+            if s is not None and t is not None and s * t == one:
+                return None
+            return g[a, w] @ g[b, w], Matrix.scalar_block(n, w, one)
+
+        return relation
+
+    def k_minus_kinv(w):
+        k, kinv = scalar["K", w], scalar["Kinv", w]
+        if k is None or kinv is None:
+            return g["K", w] - g["Kinv", w]
+        return Matrix.scalar_block(n, w, k - kinv)
+
     relations = {
         "E^2 = 0": lambda w: (g["E", w + 2] @ g["E", w], None),
         "F^2 = 0": lambda w: (g["F", w - 2] @ g["F", w], None),
         "EF + FE = K - Kinv": lambda w: (
             g["E", w - 2] @ g["F", w] + g["F", w + 2] @ g["E", w],
-            g["K", w] - g["Kinv", w],
+            k_minus_kinv(w),
         ),
-        "HE = q^2 EH": lambda w: (g["H", w + 2] @ g["E", w], (g["E", w] @ g["H", w]).scale(q2)),
-        "HF = q^-2 FH": lambda w: (g["H", w - 2] @ g["F", w], (g["F", w] @ g["H", w]).scale(qm2)),
+        "HE = q^2 EH": commutes("H", "E", Poly.q(nvars, 2)),
+        "HF = q^-2 FH": commutes("H", "F", Poly.q(nvars, -2)),
     }
     for x in "EFH":
-        relations[f"K central against {x}"] = lambda w, x=x: (
-            g["K", w + WEIGHT_STEP[x]] @ g[x, w],
-            g[x, w] @ g["K", w],
-        )
-    relations["K Kinv = 1"] = lambda w: (g["K", w] @ g["Kinv", w], Matrix.scalar_block(n, w, one))
-    relations["H Hinv = 1"] = lambda w: (g["H", w] @ g["Hinv", w], Matrix.scalar_block(n, w, one))
+        relations[f"K central against {x}"] = commutes("K", x, one)
+    relations["K Kinv = 1"] = inverse("K", "Kinv")
+    relations["H Hinv = 1"] = inverse("H", "Hinv")
     for name, relation in relations.items():
-        bad = _witness(relation(w) for w in weights(n))
+        bad = _witness(filter(None, map(relation, weights(n))))
         rep.add(name, not bad, bad)
     rep.note(f"EF + FE acts by K - Kinv = {Poly.q(nvars, n) - Poly.q(nvars, -n)}")
     rep.note(

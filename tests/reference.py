@@ -24,9 +24,11 @@ whole matrices, the reference for the orbit-representative checks of
 qglk.fm.Blocks.  The dense tensor representation: the 2^n x 2^n matrix
 of a generator on all basis vectors, the reference for the block-by-block
 relation battery, and the letter-by-letter action on 0/1 words, the
-reference for the action on subsets.  Fixed-point bookkeeping: the nested
-pairs of the one-step correspondence and block entries looked up by their
-subset labels.
+reference for the action on subsets.  The relation battery with every
+relation multiplied out as block products, the reference for the
+grouplike relations decided from block scalars.  Fixed-point
+bookkeeping: the nested pairs of the one-step correspondence and block
+entries looked up by their subset labels.
 
 Localization: tangent characters and inverse Euler classes of a fixed-point
 space built from scratch at each call, and the pushforward as one
@@ -45,6 +47,7 @@ from qglk.linalg import columns, pivot_columns, sample_points
 from qglk.matrix import Matrix, entry_witness, k_of, weights
 from qglk.poly import Poly
 from qglk.ratfunc import PoleError, RationalFunction, common_denominator
+from qglk.report import Report
 
 
 def term_key(exps):
@@ -475,3 +478,51 @@ class FullSweepBlocks(fm.Blocks):
         sign = f"observed {eps:+d}, parity {pred:+d}; {bad}" if bad else ""
         note = f"weight {w}: epsilon={eps:+d}, parity (-1)^(n-k-1)={pred:+d}"
         return [(name, ""), (f"weight {w} sign matches (-1)^(n-k-1)", sign)], note
+
+
+def reference_verify_relations(n):
+    """superrep.verify_relations with every relation multiplied out: both
+    sides of each identity formed as block products at every weight, K,
+    Kinv, H and Hinv read as general blocks.  The reference for the
+    relations decided from block scalars."""
+    rep = Report(f"defining relations on {n} tensor factors")
+    nvars = n + 1
+    g = {
+        (x, w): superrep.block_matrix(n, x, w)
+        for x in superrep.GENERATORS
+        for w in range(-n - 2, n + 3, 2)
+    }
+    one = Poly.one(nvars)
+    q2 = Poly.q(nvars, 2)
+    qm2 = Poly.q(nvars, -2)
+    relations = {
+        "E^2 = 0": lambda w: (g["E", w + 2] @ g["E", w], None),
+        "F^2 = 0": lambda w: (g["F", w - 2] @ g["F", w], None),
+        "EF + FE = K - Kinv": lambda w: (
+            g["E", w - 2] @ g["F", w] + g["F", w + 2] @ g["E", w],
+            g["K", w] - g["Kinv", w],
+        ),
+        "HE = q^2 EH": lambda w: (g["H", w + 2] @ g["E", w], (g["E", w] @ g["H", w]).scale(q2)),
+        "HF = q^-2 FH": lambda w: (g["H", w - 2] @ g["F", w], (g["F", w] @ g["H", w]).scale(qm2)),
+    }
+    for x in "EFH":
+        relations[f"K central against {x}"] = lambda w, x=x: (
+            g["K", w + superrep.WEIGHT_STEP[x]] @ g[x, w],
+            g[x, w] @ g["K", w],
+        )
+    relations["K Kinv = 1"] = lambda w: (g["K", w] @ g["Kinv", w], Matrix.scalar_block(n, w, one))
+    relations["H Hinv = 1"] = lambda w: (g["H", w] @ g["Hinv", w], Matrix.scalar_block(n, w, one))
+    for name, relation in relations.items():
+        bad = ""
+        for got, want in map(relation, weights(n)):
+            bad = entry_witness(got, want)
+            if bad:
+                bad = f"weight {got.source_weight} -> {got.target_weight}: {bad}"
+                break
+        rep.add(name, not bad, bad)
+    rep.note(f"EF + FE acts by K - Kinv = {Poly.q(nvars, n) - Poly.q(nvars, -n)}")
+    rep.note(
+        f"naming: K is the global scalar q^{n} and H grades blocks by q^lambda; "
+        "swapping the two names is incompatible with the anticommutator value"
+    )
+    return rep

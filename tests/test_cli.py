@@ -3,12 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from qglk import cli, fm
+from qglk import cli, fm, superrep
 from qglk.cli import main
 from qglk.matrix import Matrix
 from qglk.ratfunc import RationalFunction
 from qglk.report import Report
 from test_fm import SWEEP_MUTATIONS, _negate_lowering_column
+from test_superrep import GROUPLIKE_CONTROLS
 
 
 def run(capsys, *argv):
@@ -227,6 +228,17 @@ class TestCliGolden:
         SWEEP_MUTATIONS[control](monkeypatch, 3)
         golden = CONTROL_GOLDEN[f"verify --n 3 [{control}]"]
         code, out, _ = run(capsys, "verify", "--n", "3")
+        assert code == golden["exit"] == 1
+        assert out == golden["out"]
+
+    @pytest.mark.parametrize("control", ["K not a scalar", "Kinv negated"])
+    def test_grouplike_control_documents_are_byte_identical(self, capsys, monkeypatch, control):
+        # `verify --n 3 --json` where K or Kinv fails the scalar test: the
+        # relation witnesses come from the block products of the fallback,
+        # recorded from the battery that multiplied out every relation
+        monkeypatch.setattr(superrep, "apply_generator", GROUPLIKE_CONTROLS[control])
+        golden = CONTROL_GOLDEN[f"verify --n 3 --json [{control}]"]
+        code, out, _ = run(capsys, "verify", "--n", "3", "--json")
         assert code == golden["exit"] == 1
         assert out == golden["out"]
 

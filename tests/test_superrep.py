@@ -20,6 +20,7 @@ from reference import (
     basis_words,
     entry,
     full_matrix,
+    reference_verify_relations,
     subset_from_word,
     word_action,
     word_weight,
@@ -185,6 +186,38 @@ def swapped(gen, n, S):
     return APPLY(swap.get(gen, gen), n, S)
 
 
+def _times(gen, factor):
+    """A mutation of apply_generator: gen's coefficient on S times
+    factor(n, S), every other generator as it is."""
+
+    def mutation(g, n, S):
+        out = APPLY(g, n, S)
+        return out if g != gen else [(S2, c * factor(n, S)) for S2, c in out]
+
+    return mutation
+
+
+def h_off_diagonal(gen, n, S):
+    """apply_generator with one off-diagonal entry in H's weight n - 2
+    block: the subset {1} also goes to {2}."""
+    out = APPLY(gen, n, S)
+    if gen == "H" and S == (1,) and n > 1:
+        return out + [((2,), qp(n, {0: 1}))]
+    return out
+
+
+# broken K, Kinv and H actions, each of which fails the scalar test
+GROUPLIKE_CONTROLS = {
+    # K times q on the subsets that hold 1: not a scalar on a block
+    "K not a scalar": _times("K", lambda n, S: qp(n, {int(1 in S): 1})),
+    # K times q^|S|: a scalar on each block, but one that changes with the weight
+    "K scaled by weight": _times("K", lambda n, S: qp(n, {len(S): 1})),
+    "Kinv negated": _times("Kinv", lambda n, S: -1),
+    "H times q": _times("H", lambda n, S: qp(n, {1: 1})),
+    "H off the diagonal": h_off_diagonal,
+}
+
+
 def dense_relations(n):
     """The relation battery on dense 2^n x 2^n matrices: {check name: holds}."""
     E, F, K, Kinv, H, Hinv = (full_matrix(n, g) for g in GENERATORS)
@@ -231,13 +264,57 @@ class TestNegativeControls:
         bad = next(c for c in rep.failures if c.name == "EF + FE = K - Kinv")
         _located(bad)
 
-    @pytest.mark.parametrize("mutation", [None, unsigned, swapped])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "mutation",
+        [None, unsigned, swapped]
+        + [pytest.param(m, id=name) for name, m in GROUPLIKE_CONTROLS.items()],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_per_block_battery_matches_the_dense_reference(self, monkeypatch, n, mutation):
         if mutation:
             monkeypatch.setattr(superrep, "apply_generator", mutation)
+        rep, ref = verify_relations(n), reference_verify_relations(n)
+        outcomes = [(c.name, c.passed, c.witness) for c in rep.checks]
+        assert outcomes == [(c.name, c.passed, c.witness) for c in ref.checks]
+        assert rep.notes == ref.notes
+        if n <= 4:
+            assert {c.name: c.passed for c in rep.checks} == dense_relations(n)
+
+    @pytest.mark.parametrize("n, products", [(4, 20), (6, 28)])
+    def test_grouplike_relations_form_no_block_product(self, monkeypatch, n, products):
+        # E^2, F^2 and EF + FE at every weight, with the empty blocks at
+        # the ends: the multiplied-out battery forms 80 and 112
+        k_blocks, formed = set(), []
+        block_matrix, matmul = superrep.block_matrix, Matrix.__matmul__
+
+        def recording_block(n, gen, w):
+            block = block_matrix(n, gen, w)
+            if gen == "K":
+                k_blocks.add(id(block))
+            return block
+
+        def recording(a, b):
+            formed.append(bool({id(a), id(b)} & k_blocks))
+            return matmul(a, b)
+
+        monkeypatch.setattr(superrep, "block_matrix", recording_block)
+        monkeypatch.setattr(Matrix, "__matmul__", recording)
+        assert verify_relations(n).passed
+        assert len(formed) == products and not any(formed)
+        # a K that is no scalar falls back to the products with K
+        formed.clear()
+        monkeypatch.setattr(superrep, "apply_generator", GROUPLIKE_CONTROLS["K not a scalar"])
+        assert not verify_relations(n).passed
+        assert len(formed) > products and any(formed)
+
+    @pytest.mark.parametrize("control", sorted(GROUPLIKE_CONTROLS))
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_grouplike_controls_fail_with_a_located_witness(self, monkeypatch, n, control):
+        monkeypatch.setattr(superrep, "apply_generator", GROUPLIKE_CONTROLS[control])
         rep = verify_relations(n)
-        assert {c.name: c.passed for c in rep.checks} == dense_relations(n)
+        assert rep.failures
+        for check in rep.failures:
+            _located(check)
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_battery_forms_no_full_space_matrix(self, monkeypatch, n):
