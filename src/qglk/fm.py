@@ -54,8 +54,8 @@ multiplicities added, the target (0 or +-s) is one more term, and all of
 them are raised to the least common denominator L, a product of
 canonical binomials.  Their signed numerators sum to a Poly N with
 N / L = sum(+-a * b) - target, and L != 0, so the identity holds
-exactly when N = 0.  Only a check that fails forms its entries, to
-name the first bad one.
+exactly when N = 0.  A check that fails forms one entry: the first bad
+one, which its witness names.
 """
 
 from functools import cache
@@ -70,7 +70,7 @@ from .grassmann import (
     tangent_gr,
 )
 from .linalg import columns, hstack, pivot_columns, sample_points
-from .matrix import Matrix, block_points, dot, first_off, k_of, weights, witness
+from .matrix import Matrix, block_points, dot, k_of, weights, witness
 from .poly import PointValues, Poly
 from .ratfunc import PoleError, RationalFunction, products_sum_to
 from .report import Report
@@ -212,9 +212,9 @@ class Blocks:
     A square or commutator is checked on orbit representatives when every
     factor block passed is_equivariant, else on every entry, each by the
     zero test of the module docstring.  A check whose every position
-    holds passes; otherwise its entries are formed in the same order and
-    the witness names the first bad one.  Every entry of a bad orbit is
-    bad, so the first bad representative is the first bad entry: the
+    holds passes; otherwise the first position that fails is the one
+    entry formed, and the witness names it.  Every entry of a bad orbit
+    is bad, so the first bad representative is the first bad entry: the
     witness is the same as on the full sweep.
     """
 
@@ -249,10 +249,11 @@ class Blocks:
             return ops, block, orbit_representatives(*block)
         return ops, block, product(range(first.nrows), range(last.ncols))
 
-    def _holds(self, side, products, s=None):
-        """Whether A @ B, or A @ B - C @ D for two products, is s times the
-        identity (zero when s is None) at every position: one
-        products_sum_to per position, which forms no entry."""
+    def _first_bad(self, side, products, s=None):
+        """The first position (i, j), in _positions order, where A @ B, or
+        A @ B - C @ D for two products, is not s times the identity (zero
+        when s is None), else None: one products_sum_to per position,
+        which forms no entry."""
         ops, _, positions = self._positions(side, products)
         for i, j in positions:
             terms = [
@@ -262,27 +263,21 @@ class Blocks:
                 if a and row[j]
             ]
             if not products_sum_to(self.n + 1, terms, s if i == j else None):
-                return False
-        return True
-
-    def _values(self, side, products):
-        """The block of A @ B, or of A @ B - C @ D, and its (i, j, entry)
-        at the positions of _positions, each entry formed as
-        Matrix.__matmul__ forms it: for a witness."""
-        ops, block, positions = self._positions(side, products)
-
-        def values():
-            for i, j in positions:
-                parts = [dot(a.zero, a.rows[i], [r[j] for r in b.rows]) for a, b in ops]
-                yield i, j, parts[0] if len(parts) == 1 else parts[0] - parts[1]
-
-        return block, values()
+                return i, j
+        return None
 
     def _witness(self, side, products, s=None):
-        """The empty witness when _holds, else that of the first bad entry."""
-        if self._holds(side, products, s):
+        """The empty witness when _first_bad finds no position, else that
+        of the entry it names, the one entry formed, as
+        Matrix.__matmul__ forms it."""
+        bad = self._first_bad(side, products, s)
+        if bad is None:
             return ""
-        return witness(*self._values(side, products), s)
+        i, j = bad
+        ops, block, _ = self._positions(side, products)
+        parts = [dot(a.zero, a.rows[i], [r[j] for r in b.rows]) for a, b in ops]
+        diff = parts[0] if len(parts) == 1 else parts[0] - parts[1]
+        return witness(block, i, j, diff - s if s is not None and i == j else diff)
 
     def square(self, side, gen, w):
         """(name, witness) of the check that gen twice from weight w vanishes."""
@@ -307,16 +302,12 @@ class Blocks:
         name = f"weight {w} commutator is a (1-q^{2*n}) scalar on a dim-{comb(n, k)} block"
         signed = _signed_scalars(n)
         pred = epsilon_sign(n, k)
-        # a diagonal position is checked and s != -s: the sign is observed
-        if self._holds(side, products, signed[pred]):
-            eps, bad = pred, ""
-        else:
-            block, values = self._values(side, products)
-            values = list(values)
-            eps = next((c for c, s in signed.items() if first_off(values, s) is None), None)
-            bad = "" if eps == pred else witness(block, values, signed[pred])
-        if eps is None:
+        bad = self._witness(side, products, signed[pred])
+        # a diagonal position is checked and s != -s: once pred fails,
+        # only -pred can hold
+        if bad and self._first_bad(side, products, signed[-pred]) is not None:
             return [(name, bad)], None
+        eps = -pred if bad else pred
         sign = f"observed {eps:+d}, parity {pred:+d}; {bad}" if bad else ""
         note = f"weight {w}: epsilon={eps:+d}, parity (-1)^(n-k-1)={pred:+d}"
         return [(name, ""), (f"weight {w} sign matches (-1)^(n-k-1)", sign)], note

@@ -10,9 +10,9 @@ Products of rational-function matrices (the intertwiner's bases for
 library callers) sum each dot product in one
 :meth:`RationalFunction.sum`, which cancels against the shared
 denominator once instead of after every pairwise addition.  The
-relation checks of :mod:`qglk.fm` form such entries only for the
-witness of a check that fails: a passing one decides each entry by an
-exact zero test and forms none.
+relation checks of :mod:`qglk.fm` decide each position by an exact zero
+test and form one such entry only, the first bad one that the witness
+of a failing check names.
 
 A weight block is a Matrix that also carries n, source_weight and
 target_weight: one operator between two weight blocks of the N-site
@@ -21,10 +21,10 @@ realizations use it: the algebra blocks over Poly in x_1..x_N, q (they
 depend on q alone) and the functor matrices over the fraction field.
 Sums, products and comparisons of two blocks check their labels and
 give a block; with a plain matrix on either side they give a plain one.
-A failing block is reported by :func:`witness`, the one first-bad-entry
-scan: every check of a block against zero, s times the identity or
-another block (:func:`entry_witness`) names its first bad entry in
-row-major order.
+A failing block is reported by :func:`witness`, which formats the one
+bad entry a check names: its first in row-major order against zero or
+another block (:func:`entry_witness`), or against zero or s times the
+identity in :mod:`qglk.fm`.
 """
 
 import random
@@ -214,31 +214,14 @@ def dot(zero, row, col):
     return RationalFunction.sum(zero.nvars, terms) if terms else zero
 
 
-def first_off(values, s=None):
-    """(i, j, value - target) at the first of the (i, j, value) whose
-    value differs from s times the identity (zero when s is None)."""
-    for i, j, v in values:
-        if s is not None and i == j:
-            if v != s:
-                return i, j, v - s
-        elif v:
-            return i, j, v
-    return None
-
-
 def subset_label(S):
     return "{" + ",".join(str(x) for x in S) + "}"
 
 
-def witness(block, values, s=None):
-    """Where the first of the (i, j, value) of a weight block differs
-    from s times the identity (zero when s is None), as a short witness:
-    the entry's row and column with their subsets and the difference at
-    a seeded integer point; "" if none does."""
-    bad = first_off(values, s)
-    if bad is None:
-        return ""
-    i, j, diff = bad
+def witness(block, i, j, diff):
+    """Entry (i, j) of a weight block, off by diff, as a short witness:
+    the entry's row and column with their subsets and diff at a seeded
+    integer point."""
     n, source_weight, target_weight = block
     row, col = block_points(n, target_weight)[i], block_points(n, source_weight)[j]
     where = (
@@ -258,15 +241,14 @@ def witness(block, values, s=None):
 
 
 def entry_witness(got, want=None):
-    """The witness of the first entry where the block got differs from
-    want (zero when None); got - want is formed at that entry only."""
-    if want is None:
-        values = ((i, j, a) for i, row in enumerate(got.rows) for j, a in enumerate(row))
-    else:
-        values = (
-            (i, j, a - b)
-            for i, (ra, rb) in enumerate(zip(got.rows, want.rows))
-            for j, (a, b) in enumerate(zip(ra, rb))
-            if a != b
-        )
-    return witness(got.block, values)
+    """The witness of the first entry in row-major order where the block
+    got differs from want (zero when None), "" if none does; got - want
+    is formed at that entry only."""
+    for i, row in enumerate(got.rows):
+        for j, a in enumerate(row):
+            if want is None:
+                if a:
+                    return witness(got.block, i, j, a)
+            elif a != want.rows[i][j]:
+                return witness(got.block, i, j, a - want.rows[i][j])
+    return ""

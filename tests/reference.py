@@ -21,14 +21,16 @@ reference for the integer stage of qglk.fm and qglk.linalg.pivot_columns.
 
 The full sweeps: every entry of each square and commutator, formed as
 whole matrices, the reference for the orbit-representative checks of
-qglk.fm.Blocks.  The dense tensor representation: the 2^n x 2^n matrix
-of a generator on all basis vectors, the reference for the block-by-block
-relation battery, and the letter-by-letter action on 0/1 words, the
-reference for the action on subsets.  The relation battery with every
-relation multiplied out as block products, the reference for the
-grouplike relations decided from block scalars.  Fixed-point
-bookkeeping: the nested pairs of the one-step correspondence and block
-entries looked up by their subset labels.
+qglk.fm.Blocks, and the row-major scan for the first entry where two
+matrices differ, the reference for qglk.matrix.entry_witness.  The dense
+tensor representation: the 2^n x 2^n matrix of a generator on all basis
+vectors, the reference for the block-by-block relation battery, and the
+letter-by-letter action on 0/1 words, the reference for the action on
+subsets.  The relation battery with every relation multiplied out as
+block products, the reference for the grouplike relations decided from
+block scalars.  Fixed-point bookkeeping: the nested pairs of the
+one-step correspondence and block entries looked up by their subset
+labels.
 
 Localization: tangent characters and inverse Euler classes of a fixed-point
 space built from scratch at each call, and the pushforward as one
@@ -441,6 +443,19 @@ def full_matrix(n, gen):
         for S2, coeff in superrep.apply_generator(gen, n, S):
             rows[index[S2]][j] += coeff
     return Matrix(d, d, rows, zero)
+
+
+def old_first_difference(got, want=None):
+    """(row, column, got - want) at the first entry in row-major order
+    where the matrices differ (want None standing for zero), or None."""
+    for i, row in enumerate(got.rows):
+        for j, a in enumerate(row):
+            if want is None:
+                if a:
+                    return i, j, a
+            elif a != want.rows[i][j]:
+                return i, j, a - want.rows[i][j]
+    return None
 
 
 class FullSweepBlocks(fm.Blocks):

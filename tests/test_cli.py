@@ -242,6 +242,20 @@ class TestCliGolden:
         assert code == golden["exit"] == 1
         assert out == golden["out"]
 
+    @pytest.mark.parametrize(
+        "control", ["flipped parity sign", "lowering unit off by q^2", "flag lines times q"]
+    )
+    def test_geometric_control_documents_are_byte_identical(self, capsys, monkeypatch, control):
+        # `verify --n 3 --json` under a geometric fault: the observed sign
+        # is the opposite of the parity, no sign matches, or the witnesses
+        # come from orbit representatives; recorded from the tree that
+        # formed every entry of a failing block
+        SWEEP_MUTATIONS[control](monkeypatch, 3)
+        golden = CONTROL_GOLDEN[f"verify --n 3 --json [{control}]"]
+        code, out, _ = run(capsys, "verify", "--n", "3", "--json")
+        assert code == golden["exit"] == 1
+        assert out == golden["out"]
+
 
 class TestKoszul:
     def test_small_rank_passes(self, capsys):

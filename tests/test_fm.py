@@ -30,7 +30,7 @@ from qglk.grassmann import (
     tangent_gr,
 )
 from qglk.linalg import columns, hstack, pivot_columns
-from qglk.matrix import Matrix, block_points, entry_witness, first_off, subset_label, weights
+from qglk.matrix import Matrix, block_points, entry_witness, subset_label, weights
 from qglk.poly import Poly
 from qglk.ratfunc import PoleError, RationalFunction
 from qglk.report import Report
@@ -46,6 +46,7 @@ from reference import (
     fraction_points,
     full_symbolic_rank,
     inverse_euler,
+    old_first_difference,
     phi_from_bases,
     reference_pivot_columns,
 )
@@ -339,12 +340,7 @@ def reference_prove_intertwiner(n, seed):
     basis = {side: {} for side in sides}
 
     def witness(side, w, identity, op, split, got, want, offset=0):
-        bad = first_off(
-            (i, j, a - b)
-            for i, (ra, rb) in enumerate(zip(got.rows, want.rows))
-            for j, (a, b) in enumerate(zip(ra, rb))
-            if a != b
-        )
+        bad = old_first_difference(got, want)
         if bad is None:
             return ""
         i, j = bad[0], bad[1] + offset
@@ -878,6 +874,35 @@ class TestOrbitSweepAgainstFullSweep:
         if mutation:
             SWEEP_MUTATIONS[mutation](monkeypatch, n)
         assert _fm_outcomes(n, fm.Blocks(n)) == _fm_outcomes(n, FullSweepBlocks(n))
+
+
+class TestWitnessFormsOneEntry:
+    """A failing square or commutator forms only the entry its witness
+    names: one fm.dot per failing square, two (F E and E F) per failing
+    commutator, and a passing check none."""
+
+    @staticmethod
+    def dots_and_failures(monkeypatch, n):
+        calls = []
+        raw = fm.dot
+        monkeypatch.setattr(fm, "dot", lambda *a: calls.append(a) or raw(*a))
+        blocks = fm.Blocks(n)
+        batteries = (nilpotency_report, commutator_report, normalized_rep_report)
+        failures = [c.name for b in batteries for c in b(n, blocks=blocks).failures]
+        return len(calls), failures
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_the_true_action_forms_no_entry(self, monkeypatch, n):
+        assert self.dots_and_failures(monkeypatch, n) == (0, [])
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("mutation", SWEEP_MUTATIONS)
+    def test_one_entry_per_failing_product(self, monkeypatch, mutation, n):
+        SWEEP_MUTATIONS[mutation](monkeypatch, n)
+        calls, failures = self.dots_and_failures(monkeypatch, n)
+        assert calls == sum(1 if "vanishes" in name else 2 for name in failures)
+        if mutation == "negated lowering column":
+            assert calls == 5
 
 
 class TestIntegerPointStage:

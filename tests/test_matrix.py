@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qglk.matrix import Matrix, entry_witness, first_off, witness
+from qglk.matrix import Matrix, entry_witness, witness
 from qglk.poly import Poly
 from qglk.ratfunc import RationalFunction
+from reference import old_first_difference
 
 NV = 3  # x1, x2, q
 
@@ -151,19 +152,6 @@ class TestWeightBlocks:
             Matrix(1, 1, [[one]], Poly.zero(3), (2, 0, 2))
 
 
-def old_first_difference(got, want=None):
-    """The scan entry_witness replaced: (row, column, got - want) at the
-    first entry in row-major order where the matrices differ, or None."""
-    for i, row in enumerate(got.rows):
-        for j, a in enumerate(row):
-            if want is None:
-                if a:
-                    return i, j, a
-            elif a != want.rows[i][j]:
-                return i, j, a - want.rows[i][j]
-    return None
-
-
 X1, Q = Poly.x(NV, 1), Poly.q(NV)
 ZERO = Poly.zero(NV)
 
@@ -183,29 +171,38 @@ def square_blocks():
     return pairs()
 
 
+def block_2x2(rows):
+    """A 2 x 2 weight block (2, 0, 0) over Poly with the given rows."""
+    return Matrix(2, 2, rows, ZERO, (2, 0, 0))
+
+
 class TestFirstBadEntry:
     def test_first_hit_in_row_major_order(self):
-        values = [(0, 0, ZERO), (0, 1, X1), (1, 0, Q), (1, 1, ZERO)]
-        assert first_off(values) == (0, 1, X1)
-        assert first_off(values[2:]) == (1, 0, Q)
-        assert first_off([(0, 0, ZERO), (1, 1, ZERO)]) is None
+        got = block_2x2([[ZERO, X1], [Q, ZERO]])
+        assert entry_witness(got) == witness(got.block, 0, 1, X1)
+        got.rows[0][1] = ZERO
+        assert entry_witness(got) == witness(got.block, 1, 0, Q)
+        assert entry_witness(block_2x2([[ZERO, ZERO], [ZERO, ZERO]])) == ""
 
     def test_a_diagonal_target_is_reported_as_the_difference(self):
-        assert first_off([(0, 0, Q), (1, 1, Q + X1)], Q) == (1, 1, X1)
-        assert first_off([(0, 0, Q), (0, 1, ZERO), (1, 1, Q)], Q) is None
+        target = block_2x2([[Q, ZERO], [ZERO, Q]])
+        assert entry_witness(block_2x2([[Q, ZERO], [ZERO, Q + X1]]), target) == witness(
+            target.block, 1, 1, X1
+        )
+        assert entry_witness(block_2x2([[Q, ZERO], [ZERO, Q]]), target) == ""
 
     def test_an_off_diagonal_nonzero_under_a_scalar_target(self):
-        assert first_off([(0, 0, Q), (0, 1, X1), (1, 1, ZERO)], Q) == (0, 1, X1)
+        target = block_2x2([[Q, ZERO], [ZERO, Q]])
+        got = block_2x2([[Q, X1], [ZERO, ZERO]])
+        assert entry_witness(got, target) == witness(got.block, 0, 1, X1)
 
     def test_an_empty_block_gives_no_witness(self):
-        assert first_off([], Q) is None
-        assert witness((2, 0, 0), [], Q) == ""
         empty = Matrix.zero_block(2, 2, 4, ZERO)
         assert (empty.nrows, empty.ncols) == (0, 1)
         assert entry_witness(empty) == entry_witness(empty, empty) == ""
 
     def test_witness_names_the_entry_and_its_value(self):
-        text = witness((2, 0, 0), [(0, 0, ZERO), (1, 0, X1)])
+        text = witness((2, 0, 0), 1, 0, X1)
         where, value = text.split(" is off by ")
         assert where == "first bad entry at row 1 (subset {2}), column 0 (subset {1})"
         value, point = value.split(" at (x1, ..., q) = ")
@@ -217,5 +214,5 @@ class TestFirstBadEntry:
         got, want = pair
         for other in (want, None):
             bad = old_first_difference(got, other)
-            expected = "" if bad is None else witness(got.block, [bad])
+            expected = "" if bad is None else witness(got.block, *bad)
             assert entry_witness(got, other) == expected
