@@ -48,14 +48,16 @@ each factor block against the two generators (1 2) and (1 2 ... n) of
 S_n; if any factor fails it, every position is checked.
 
 Each checked position is decided by one exact zero test
-(ratfunc.products_sum_to), with no cancellation and no trial division:
+(ratfunc.raised_sum), with no cancellation and no trial division:
 every product a * b is a.num * b.num over the factors of a and b,
 multiplicities added, the target (0 or +-s) is one more term, and all of
 them are raised to the least common denominator L, a product of
-canonical binomials.  Their signed numerators sum to a Poly N with
-N / L = sum(+-a * b) - target, and L != 0, so the identity holds
-exactly when N = 0.  A check that fails forms one entry: the first bad
-one, which its witness names.
+canonical binomials.  The signed numerators of the products sum to a
+Poly N and the target's numerator is T, with N / L = sum(+-a * b) and
+T / L = target, and L != 0, so the identity holds exactly when N = T,
+and with the target negated exactly when N = -T: one raising decides
+both signs of the geometric commutator.  A check that fails forms one
+entry: the first bad one, which its witness names.
 """
 
 from functools import cache
@@ -72,7 +74,7 @@ from .grassmann import (
 from .linalg import columns, hstack, pivot_columns, sample_points
 from .matrix import Matrix, block_points, dot, k_of, weights, witness
 from .poly import PointValues, Poly
-from .ratfunc import PoleError, RationalFunction, products_sum_to
+from .ratfunc import PoleError, RationalFunction, raised_sum
 from .report import Report
 from .superrep import block_matrix
 
@@ -249,12 +251,15 @@ class Blocks:
             return ops, block, orbit_representatives(*block)
         return ops, block, product(range(first.nrows), range(last.ncols))
 
-    def _first_bad(self, side, products, s=None):
-        """The first position (i, j), in _positions order, where A @ B, or
-        A @ B - C @ D for two products, is not s times the identity (zero
-        when s is None), else None: one products_sum_to per position,
-        which forms no entry."""
+    def _first_bad(self, side, products, s=None, signs=(1,)):
+        """For each sign in signs, the first position (i, j), in
+        _positions order, where A @ B, or A @ B - C @ D for two products,
+        is not sign * s times the identity (zero when s is None), else
+        None.  Each position is raised once (ratfunc.raised_sum), which
+        forms no entry and decides every sign: sign * s holds there
+        exactly when N = sign * T."""
         ops, _, positions = self._positions(side, products)
+        bad = dict.fromkeys(signs)
         for i, j in positions:
             terms = [
                 (sign, a, row[j])
@@ -262,15 +267,18 @@ class Blocks:
                 for a, row in zip(left.rows[i], right.rows)
                 if a and row[j]
             ]
-            if not products_sum_to(self.n + 1, terms, s if i == j else None):
-                return i, j
-        return None
+            got, want = raised_sum(self.n + 1, terms, s if i == j else None)
+            for sign in signs:
+                if bad[sign] is None and got != (want if sign > 0 else -want):
+                    bad[sign] = i, j
+            if None not in bad.values():
+                break
+        return [bad[sign] for sign in signs]
 
-    def _witness(self, side, products, s=None):
-        """The empty witness when _first_bad finds no position, else that
-        of the entry it names, the one entry formed, as
-        Matrix.__matmul__ forms it."""
-        bad = self._first_bad(side, products, s)
+    def _witness(self, side, products, s, bad):
+        """The empty witness when bad is None, else that of the entry
+        bad = (i, j) against s times the identity (zero when s is None),
+        the one entry formed, as Matrix.__matmul__ forms it."""
         if bad is None:
             return ""
         i, j = bad
@@ -285,8 +293,10 @@ class Blocks:
             name = f"{gen}^2 vanishes from weight {w}"
         else:
             name = f"{'raising' if gen == 'E' else 'lowering'} twice from weight {w} vanishes"
-        step = 2 if gen == "E" else -2
-        return name, self._once(name, lambda: self._witness(side, [((gen, w + step), (gen, w))]))
+        products = [((gen, w + (2 if gen == "E" else -2)), (gen, w))]
+        return name, self._once(
+            name, lambda: self._witness(side, products, None, *self._first_bad(side, products))
+        )
 
     def commutator(self, side, w):
         """[(name, witness)] of the commutator checks at weight w, and on
@@ -297,15 +307,16 @@ class Blocks:
         n, k = self.n, k_of(self.n, w)
         products = [(("F", w + 2), ("E", w)), (("E", w - 2), ("F", w))]
         if side == "algebra":
-            bad = self._witness(side, products, commutator_scalar(n, k))
+            s = commutator_scalar(n, k)
+            bad = self._witness(side, products, s, *self._first_bad(side, products, s))
             return [(f"FE - EF is eps*(1-q^{2*n}) at weight {w}", bad)], None
         name = f"weight {w} commutator is a (1-q^{2*n}) scalar on a dim-{comb(n, k)} block"
-        signed = _signed_scalars(n)
         pred = epsilon_sign(n, k)
-        bad = self._witness(side, products, signed[pred])
-        # a diagonal position is checked and s != -s: once pred fails,
-        # only -pred can hold
-        if bad and self._first_bad(side, products, signed[-pred]) is not None:
+        s = _signed_scalars(n)[pred]
+        # where s fails, flipped is None exactly when -s holds everywhere
+        at, flipped = self._first_bad(side, products, s, (1, -1))
+        bad = self._witness(side, products, s, at)
+        if bad and flipped is not None:
             return [(name, bad)], None
         eps = -pred if bad else pred
         sign = f"observed {eps:+d}, parity {pred:+d}; {bad}" if bad else ""

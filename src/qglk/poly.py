@@ -401,6 +401,25 @@ class Poly:
         return f"Poly({self})"
 
 
+def kronecker(p, bits, shift):
+    """(2^(bits*shift) * p(2^bits), ||p||_1), or None unless p lies in q
+    alone with every exponent at least -shift and every |coefficient|
+    below 2^bits.  On the polynomials it accepts the packing is
+    injective: the lowest term of a difference survives modulo the next
+    power of 2^bits.  It is evaluation at q = 2^bits times a power of
+    it, so products pack to products with the shifts added."""
+    lay = _layout(p.nvars)
+    step, zero, top = lay.weights[-1], lay.zero, 1 << bits
+    value = norm = 0
+    for k, c in p.keys.items():
+        e = (k >> lay.shifts[-1] & _MASK) - _BIAS
+        if k != zero + e * step or e < -shift or not -top < c < top:
+            return None
+        value += c << bits * (e + shift)
+        norm += abs(c)
+    return value, norm
+
+
 class PointValues:
     """Values of Laurent polynomials at one rational point (x_1, ..., x_N,
     q), as integer pairs (N, D) with value N / D, not reduced.

@@ -11,8 +11,8 @@ scalar 1 - q^(2n) (qglk.fm).  Cancellation runs factor by factor through
 exact division by canonical factors, so no multivariate gcd is ever
 needed.  It removes whole canonical factors only, so a fraction need not
 print in lowest terms: (1 - x1 q) / (1 - x1^2 q^2) keeps its factor.
-products_sum_to decides whether a signed sum of products is a given
-fraction with no cancellation at all.
+raised_sum decides whether a signed sum of products is a given
+fraction, or its negative, with no cancellation at all.
 
 Units skip that cancellation.  A one-term numerator c * X^e is a unit
 times an integer, which no canonical factor (two terms) divides
@@ -280,22 +280,23 @@ def common_denominator(nvars, pairs):
     return parts, tuple(common.items())
 
 
-def products_sum_to(nvars, products, target=None):
-    """Whether the sum of sign * a * b over the (sign, a, b) in products,
-    a and b RationalFunctions, is target (zero when None), decided
-    exactly and without cancellation: each a * b is a.num * b.num over
-    the factors of a and b together, target is one more term, and the
-    identity holds exactly when their numerators over the common
-    denominator (common_denominator) sum to the zero Poly."""
+def raised_sum(nvars, products, target=None):
+    """(N, T): the sum of sign * a * b over the (sign, a, b) in products,
+    a and b RationalFunctions, and target (zero when None) as numerators
+    over one common denominator L != 0, raised without cancellation: each
+    a * b is a.num * b.num over the factors of a and b together, and all
+    of them and target go through one common_denominator.  The sum is
+    sign * target exactly when N = sign * T, so one raising decides the
+    identity against target and against -target."""
     signs, pairs = [], []
     for sign, a, b in products:
         signs.append(sign)
         pairs.append((a.num * b.num, a.den_factors + b.den_factors))
     if target:
-        signs.append(-1)
         pairs.append((target.num, target.den_factors))
     parts, _ = common_denominator(nvars, pairs)
-    return not Poly.signed_sum(nvars, zip(signs, parts))
+    want = parts.pop() if target else Poly.zero(nvars)
+    return Poly.signed_sum(nvars, zip(signs, parts)), want
 
 
 def term_sort_key(p):

@@ -23,23 +23,32 @@ localization side are the same subsets in the same order, so block
 indices line up across the two models.  The relation batteries check
 every identity block by block, with located witnesses.
 
-A passing verify_relations forms block products for E and F alone.  K,
+A passing verify_relations forms no block product of Poly entries.  K,
 Kinv, H and Hinv act on each weight block by a scalar and the
 coefficients have no zero divisors, so (a - b) X = 0 exactly when a = b
-or X = 0 decides each relation with them; a weight where that test does
-not apply or fails forms the two products, for the witness.
+or X = 0 decides each relation with them.  E^2 = 0, F^2 = 0 and
+EF + FE = K - Kinv are decided on packed integers: each entry p of an
+E or F block becomes 2^(b s) p(2^b) (Kronecker substitution,
+poly.kronecker), so the block products run on ints and are exact under
+a coefficient bound that is computed for every product.  A weight where
+either test does not apply or fails forms the Poly products, for the
+witness.
 """
 
 from bisect import bisect_left
-from functools import cache
+from functools import cache, reduce
+from operator import add
 
 from .matrix import Matrix, block_points, entry_witness, subset_label, weights
-from .poly import Poly
+from .poly import Poly, kronecker
 from .report import Report
 
 GENERATORS = ("E", "F", "K", "Kinv", "H", "Hinv")
 
 WEIGHT_STEP = {"E": 2, "F": -2, "K": 0, "Kinv": 0, "H": 0, "Hinv": 0}
+
+# the packed relation checks evaluate at q = 2^PACK_BITS
+PACK_BITS = 16
 
 
 def word_from_subset(n, subset):
@@ -126,6 +135,37 @@ def _scalar(block):
     return c
 
 
+def pack(block, shift):
+    """(M, row, top): the block with each entry p packed as
+    2^(b*shift) p(2^b), b = PACK_BITS, by poly.kronecker, an int Matrix
+    with the same labels, and the largest l1 norm of a row and of an
+    entry; None when some entry does not pack."""
+    rows, row, top = [], 0, 0
+    for r in block.rows:
+        cells = [kronecker(p, PACK_BITS, shift) if p else (0, 0) for p in r]
+        if None in cells:
+            return None
+        rows.append([v for v, _ in cells])
+        norms = [m for _, m in cells]
+        row, top = max(row, sum(norms)), max(top, *norms, 0)
+    return Matrix(block.nrows, block.ncols, rows, 0, block.block), row, top
+
+
+def packed_holds(products, target=None):
+    """Whether the sum of A @ C over the pairs (A, C) of pack results in
+    products is the packed target (zero when None), decided on ints, or
+    None when a block did not pack or the coefficient bound reaches
+    2^PACK_BITS.  The bound, sum(row(A) * top(C)) + top(target), is at least
+    sum_k ||a_ik||_1 ||c_kj||_1 + ||t_ij||_1 at every (i, j)."""
+    if not all(map(all, products)):
+        return None
+    bound = sum(a[1] * c[2] for a, c in products) + (target[2] if target else 0)
+    if bound >> PACK_BITS:
+        return None
+    got = reduce(add, (a[0] @ c[0] for a, c in products))
+    return got == target[0] if target else not any(map(any, got.rows))
+
+
 def verify_relations(n):
     """Check the defining relations on the N-site space, block by block.
 
@@ -146,14 +186,45 @@ def verify_relations(n):
     difference.  A weight where a block is not a scalar (or is empty), or
     where the scalars fail the test, forms the two block products as
     before, so a failing check keeps its first bad weight and witness.
-    A passing battery forms only the E and F products.
+
+    E^2 = 0, F^2 = 0 and EF + FE = K - Kinv are decided on packed
+    integers.  Each E and F block is packed once (pack) with shift s = n,
+    the lowest exponent of E, at b = PACK_BITS, and K - Kinv with shift
+    2s.  Packing is evaluation at q = 2^b times a power of 2^b, so
+    pack_s(a) pack_t(c) = pack_(s+t)(a c) and the int block products are
+    the packed Poly products.  Lemma: let P = sum(a c) - t at one entry,
+    every exponent at least -2s and every |coefficient| below 2^b; then
+    pack(P) = 0 exactly when P = 0, since the lowest nonzero term of P
+    cannot be cancelled modulo the next power of 2^b.  The bound
+    sum_k ||a_ik||_1 ||c_kj||_1 + ||t_ij||_1 on those coefficients is
+    computed for every product (packed_holds), never assumed.  A weight
+    falls back to the Poly products when an entry involves some x_i, has
+    an exponent below -s (-2s in the target) or a coefficient of 2^b or
+    more, or when the bound reaches 2^b; a weight that fails the packed
+    test forms them too, so its witness is the one the products give.
+    A passing battery forms no block product of Poly entries.
     """
     rep = Report(f"defining relations on {n} tensor factors")
     nvars = n + 1
     # the empty blocks one step beyond either end close every product
     g = {(x, w): block_matrix(n, x, w) for x in GENERATORS for w in range(-n - 2, n + 3, 2)}
     scalar = {key: _scalar(block) for key, block in g.items() if not WEIGHT_STEP[key[0]]}
+    packed = {key: pack(block, n) for key, block in g.items() if key[0] in ("E", "F")}
     one = Poly.one(nvars)
+
+    def products(pairs, target=lambda w: None):
+        """The sum of the block products over pairs(w) is target(w) (zero
+        when None): None when the packed blocks decide that it holds, else
+        the sum of the Poly products and the target."""
+
+        def relation(w):
+            keys, want = pairs(w), target(w)
+            t = want and pack(want, 2 * n)
+            if (want is None or t) and packed_holds([(packed[a], packed[c]) for a, c in keys], t):
+                return None
+            return reduce(add, (g[a] @ g[c] for a, c in keys)), want
+
+        return relation
 
     def commutes(a, x, s):
         """a X = s X a from the weight-w block of X: None when X = 0 or
@@ -185,11 +256,10 @@ def verify_relations(n):
         return Matrix.scalar_block(n, w, k - kinv)
 
     relations = {
-        "E^2 = 0": lambda w: (g["E", w + 2] @ g["E", w], None),
-        "F^2 = 0": lambda w: (g["F", w - 2] @ g["F", w], None),
-        "EF + FE = K - Kinv": lambda w: (
-            g["E", w - 2] @ g["F", w] + g["F", w + 2] @ g["E", w],
-            k_minus_kinv(w),
+        "E^2 = 0": products(lambda w: [(("E", w + 2), ("E", w))]),
+        "F^2 = 0": products(lambda w: [(("F", w - 2), ("F", w))]),
+        "EF + FE = K - Kinv": products(
+            lambda w: [(("E", w - 2), ("F", w)), (("F", w + 2), ("E", w))], k_minus_kinv
         ),
         "HE = q^2 EH": commutes("H", "E", Poly.q(nvars, 2)),
         "HF = q^-2 FH": commutes("H", "F", Poly.q(nvars, -2)),

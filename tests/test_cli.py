@@ -9,7 +9,7 @@ from qglk.matrix import Matrix
 from qglk.ratfunc import RationalFunction
 from qglk.report import Report
 from test_fm import SWEEP_MUTATIONS, _negate_lowering_column
-from test_superrep import GROUPLIKE_CONTROLS
+from test_superrep import E_TIMES_X1, GROUPLIKE_CONTROLS
 
 
 def run(capsys, *argv):
@@ -238,6 +238,16 @@ class TestCliGolden:
         # recorded from the battery that multiplied out every relation
         monkeypatch.setattr(superrep, "apply_generator", GROUPLIKE_CONTROLS[control])
         golden = CONTROL_GOLDEN[f"verify --n 3 --json [{control}]"]
+        code, out, _ = run(capsys, "verify", "--n", "3", "--json")
+        assert code == golden["exit"] == 1
+        assert out == golden["out"]
+
+    def test_unpackable_control_document_is_byte_identical(self, capsys, monkeypatch):
+        # `verify --n 3 --json` with every E entry times x_1: no E block
+        # packs, so EF + FE = K - Kinv fails through the Poly products;
+        # recorded from the battery that formed every E and F product
+        monkeypatch.setattr(superrep, "apply_generator", E_TIMES_X1)
+        golden = CONTROL_GOLDEN["verify --n 3 --json [E times x_1]"]
         code, out, _ = run(capsys, "verify", "--n", "3", "--json")
         assert code == golden["exit"] == 1
         assert out == golden["out"]

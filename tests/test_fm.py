@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from qglk import cli, fm, superrep
+from qglk import cli, fm, ratfunc, superrep
 from qglk.cli import main
 from qglk.fm import (
     algebra_matrix,
@@ -826,8 +826,8 @@ class TestEquivarianceGate:
         for key in _geometric_keys(n):
             blocks.op("geometric", *key)
         decisions, divisions = [], []
-        decide, divide = fm.products_sum_to, Poly.exact_div
-        monkeypatch.setattr(fm, "products_sum_to", lambda *a: decisions.append(a) or decide(*a))
+        decide, divide = fm.raised_sum, Poly.exact_div
+        monkeypatch.setattr(fm, "raised_sum", lambda *a: decisions.append(a) or decide(*a))
         monkeypatch.setattr(Poly, "exact_div", lambda *a: divisions.append(a) or divide(*a))
         assert nilpotency_report(n, blocks=blocks).passed
         assert commutator_report(n, blocks=blocks).passed
@@ -903,6 +903,27 @@ class TestWitnessFormsOneEntry:
         assert calls == sum(1 if "vanishes" in name else 2 for name in failures)
         if mutation == "negated lowering column":
             assert calls == 5
+
+    @pytest.mark.parametrize("mutation, raisings", [(None, 9), ("flipped parity sign", 25)])
+    def test_one_raising_decides_both_commutator_signs(self, monkeypatch, mutation, raisings):
+        # commutator_report(4) on prebuilt blocks, counted in
+        # common_denominator calls: each checked position is raised once
+        # for both signs, and each failing sign check's witness forms one
+        # entry.  Under the flipped sign, raising each weight's first
+        # diagonal representative again against -s made 30 calls.
+        n = 4
+        if mutation:
+            SWEEP_MUTATIONS[mutation](monkeypatch, n)
+        blocks = fm.Blocks(n)
+        for side in fm.SIDES:
+            for key in _geometric_keys(n):
+                blocks.equivariant(side, *key)
+        calls = []
+        raw = ratfunc.common_denominator
+        monkeypatch.setattr(ratfunc, "common_denominator", lambda *a: calls.append(a) or raw(*a))
+        failures = commutator_report(n, blocks=blocks).failures
+        assert len(failures) == (5 if mutation else 0)
+        assert len(calls) == raisings
 
 
 class TestIntegerPointStage:

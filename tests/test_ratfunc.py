@@ -16,7 +16,7 @@ from qglk.ratfunc import (
     RationalFunction,
     _canonical_factor,
     common_denominator,
-    products_sum_to,
+    raised_sum,
 )
 from reference import reference_extract_unit, reference_rf_evaluate, structure
 from rf_parser import parse
@@ -240,7 +240,7 @@ def signed_sum_of_products(products):
 
 @st.composite
 def sums_of_products(draw):
-    """(products, target) for products_sum_to: signed products of
+    """(products, target) for raised_sum: signed products of
     fractions whose denominators draw, at multiplicities 1 to 3, on one
     small pool of canonical binomials, so that factors recur across and
     within products.  Sometimes a product is cancelled by its negative,
@@ -271,23 +271,33 @@ def sums_of_products(draw):
     return products, target
 
 
-class TestProductsSumTo:
+def sums_to(products, target=None, sign=1):
+    """Whether the signed products sum to sign * target, from raised_sum."""
+    got, want = raised_sum(NV, products, target)
+    return got == (want if sign > 0 else -want)
+
+
+class TestRaisedSum:
     @given(sums_of_products())
     @settings(max_examples=150, deadline=None)
     def test_holds_exactly_when_the_sum_is_the_target(self, case):
         products, target = case
         total = signed_sum_of_products(products)
         want = 0 if target is None else target
-        assert products_sum_to(NV, products, target) == (total == want)
+        assert sums_to(products, target) == (total == want)
+        # one raising also decides the negated target
+        assert sums_to(products, target, -1) == (total == -want)
 
     def test_named_cases(self):
         a, b = rf("x1/(1 - q)"), rf("1/((1 - q)^2*(x1 - x2))")
-        assert products_sum_to(NV, [(1, a, b), (-1, a, b)])
-        assert not products_sum_to(NV, [(1, a, b)])
+        assert sums_to([(1, a, b), (-1, a, b)])
+        assert not sums_to([(1, a, b)])
         # 1 - q at multiplicities 1, 2 and 3 across the terms
         ab = a * b
-        assert products_sum_to(NV, [(1, a, b), (1, b, a)], ab + ab)
-        assert not products_sum_to(NV, [(1, a, b), (1, b, a)], ab)
+        assert sums_to([(1, a, b), (1, b, a)], ab + ab)
+        assert not sums_to([(1, a, b), (1, b, a)], ab)
+        assert sums_to([(-1, a, b), (-1, b, a)], ab + ab, -1)
+        assert not sums_to([(1, a, b), (1, b, a)], ab + ab, -1)
 
 
 class TestDenominatorContract:

@@ -1,16 +1,25 @@
+import re
+from collections import Counter
+from functools import reduce
 from math import comb
+from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qglk import cli, superrep
 from qglk.cli import main
 from qglk.matrix import Matrix, block_points, weights
-from qglk.poly import Poly
+from qglk.poly import Poly, kronecker
 from qglk.superrep import (
     GENERATORS,
+    PACK_BITS,
     antipode_report,
     apply_generator,
     block_matrix,
+    pack,
+    packed_holds,
     verify_relations,
     weight_structure_report,
     word_from_subset,
@@ -218,6 +227,11 @@ GROUPLIKE_CONTROLS = {
 }
 
 
+# every E entry times x_1: no E block packs, so E^2, F^2 and EF + FE take
+# the Poly products, and EF + FE = x_1 (K - Kinv) fails
+E_TIMES_X1 = _times("E", lambda n, S: Poly.x(n + 1, 1))
+
+
 def dense_relations(n):
     """The relation battery on dense 2^n x 2^n matrices: {check name: holds}."""
     E, F, K, Kinv, H, Hinv = (full_matrix(n, g) for g in GENERATORS)
@@ -266,7 +280,7 @@ class TestNegativeControls:
 
     @pytest.mark.parametrize(
         "mutation",
-        [None, unsigned, swapped]
+        [None, unsigned, swapped, pytest.param(E_TIMES_X1, id="E times x_1")]
         + [pytest.param(m, id=name) for name, m in GROUPLIKE_CONTROLS.items()],
     )
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -283,7 +297,8 @@ class TestNegativeControls:
     @pytest.mark.parametrize("n, products", [(4, 20), (6, 28)])
     def test_grouplike_relations_form_no_block_product(self, monkeypatch, n, products):
         # E^2, F^2 and EF + FE at every weight, with the empty blocks at
-        # the ends: the multiplied-out battery forms 80 and 112
+        # the ends, each over packed ints: the multiplied-out battery
+        # forms 80 and 112 products of Poly entries
         k_blocks, formed = set(), []
         block_matrix, matmul = superrep.block_matrix, Matrix.__matmul__
 
@@ -294,18 +309,59 @@ class TestNegativeControls:
             return block
 
         def recording(a, b):
-            formed.append(bool({id(a), id(b)} & k_blocks))
+            formed.append((bool({id(a), id(b)} & k_blocks), type(a.zero), type(b.zero)))
             return matmul(a, b)
 
         monkeypatch.setattr(superrep, "block_matrix", recording_block)
         monkeypatch.setattr(Matrix, "__matmul__", recording)
         assert verify_relations(n).passed
-        assert len(formed) == products and not any(formed)
+        assert formed == [(False, int, int)] * products
         # a K that is no scalar falls back to the products with K
         formed.clear()
         monkeypatch.setattr(superrep, "apply_generator", GROUPLIKE_CONTROLS["K not a scalar"])
         assert not verify_relations(n).passed
-        assert len(formed) > products and any(formed)
+        assert len(formed) > products and any(k for k, _, _ in formed)
+
+    # Poly products a failing check forms at its first bad weight
+    POLY_PRODUCTS = {"E^2 = 0": 1, "F^2 = 0": 1, "K Kinv = 1": 1, "H Hinv = 1": 1}
+
+    @pytest.mark.parametrize("mutation", [unsigned, swapped])
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_a_control_forms_poly_products_at_its_first_bad_weight_only(
+        self, monkeypatch, n, mutation
+    ):
+        monkeypatch.setattr(superrep, "apply_generator", mutation)
+        formed, matmul = [], Matrix.__matmul__
+
+        def recording(a, b):
+            if not isinstance(a.zero, int):
+                formed.append((b.source_weight, a.target_weight))
+            return matmul(a, b)
+
+        monkeypatch.setattr(Matrix, "__matmul__", recording)
+        rep, want = verify_relations(n), Counter()
+        for check in rep.failures:
+            source, target = re.match(r"weight (-?\d+) -> (-?\d+): ", check.witness).groups()
+            want[int(source), int(target)] += self.POLY_PRODUCTS.get(check.name, 2)
+        assert rep.failures and Counter(formed) == want
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_unpackable_entries_fall_back_to_the_poly_products(self, monkeypatch, n):
+        monkeypatch.setattr(superrep, "apply_generator", E_TIMES_X1)
+        formed, matmul = Counter(), Matrix.__matmul__
+
+        def recording(a, b):
+            formed[type(a.zero), a.target_weight - b.source_weight] += 1
+            return matmul(a, b)
+
+        monkeypatch.setattr(Matrix, "__matmul__", recording)
+        rep = verify_relations(n)
+        assert [c.name for c in rep.failures] == ["EF + FE = K - Kinv"]
+        _located(rep.failures[0])
+        # F^2 still packs, and so does E^2 from the top weight, where both
+        # E blocks are empty; E^2 below it and EF + FE at its first (top)
+        # weight take the Poly products
+        assert formed == {(int, -4): n + 1, (int, 4): 1, (Poly, 4): n, (Poly, 0): 2}
 
     @pytest.mark.parametrize("control", sorted(GROUPLIKE_CONTROLS))
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -328,3 +384,88 @@ class TestNegativeControls:
         monkeypatch.setattr(Matrix, "__matmul__", recording)
         assert verify_relations(n).passed
         assert shapes and max(map(max, shapes)) == comb(n, n // 2)
+
+
+ZERO = Poly.zero(2)
+
+
+@st.composite
+def packing_cases(draw):
+    """(bits, shift, products, target): A @ B = 0 built as [A A] [B; -B],
+    or A @ B + C @ D = t with t the sum.  Entries are Laurent polynomials
+    in q alone (nvars 2) with exponents from -shift; sometimes one entry
+    of A is one the packer must refuse, and one entry of the right factor
+    or of t is perturbed, also by 2^bits q^e - q^(e+1), which packs to 0."""
+    bits, shift = draw(st.integers(2, 8)), draw(st.integers(0, 2))
+    entry = st.dictionaries(st.integers(-shift, shift + 1), st.integers(-3, 3), max_size=3)
+    m, k, p = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.integers(1, 3))
+
+    def block(r, c):
+        return Matrix(r, c, [[qp(1, draw(entry)) for _ in range(c)] for _ in range(r)], ZERO)
+
+    def perturbed(M, low):
+        e = draw(st.integers(low, 2))
+        delta = draw(
+            st.sampled_from([None, qp(1, {e: 1}), qp(1, {e: -1}), qp(1, {e: 2**bits, e + 1: -1})])
+        )
+        if delta is not None and M.nrows and M.ncols:
+            i, j = draw(st.integers(0, M.nrows - 1)), draw(st.integers(0, M.ncols - 1))
+            M.rows[i][j] = M.rows[i][j] + delta
+        return M
+
+    A, B = block(m, k), block(k, p)
+    if k:
+        wild = [None, None, qp(1, {-shift - 1: 1}), qp(1, {0: 2**bits}), qp(1, {0: 2**bits, 1: -1})]
+        A.rows[0][0] = draw(st.sampled_from(wild)) or A.rows[0][0]
+    if draw(st.booleans()):
+        doubled = Matrix(m, 2 * k, [r + r for r in A.rows], ZERO)
+        right = Matrix(2 * k, p, B.rows + (-B).rows, ZERO)
+        return bits, shift, [(doubled, perturbed(right, -shift))], None
+    C, D = block(m, k), block(k, p)
+    return bits, shift, [(A, B), (C, D)], perturbed(A @ B + C @ D, -2 * shift)
+
+
+class TestPackingLemma:
+    """The packed decision of packed_holds against the Poly products: it
+    may decline (None) but never disagrees.  PACK_BITS is lowered so that
+    small coefficients reach the bound."""
+
+    @given(packing_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_packed_decision_is_the_poly_decision(self, case):
+        bits, shift, products, target = case
+        got = reduce(add, (A @ B for A, B in products))
+        holds = not any(map(any, got.rows)) if target is None else got == target
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(superrep, "PACK_BITS", bits)
+            ops = [(pack(A, shift), pack(B, shift)) for A, B in products]
+            t = target and pack(target, 2 * shift)
+            if target is None or t:
+                assert packed_holds(ops, t) in (None, holds)
+
+    @pytest.mark.parametrize("bits", [4, PACK_BITS])
+    def test_a_coefficient_of_2_to_the_bits_is_refused(self, monkeypatch, bits):
+        # 2^b - q at shift 0 is 2^b - 2^b = 0 at q = 2^b: packing it would
+        # alias zero, so the packer refuses it and the check falls back
+        monkeypatch.setattr(superrep, "PACK_BITS", bits)
+        p = qp(1, {0: 2**bits, 1: -1})
+        assert p and p.evaluate((1, 2**bits)) == 0
+        assert kronecker(p, bits, 0) is None
+        assert pack(Matrix(1, 1, [[p]], ZERO), 0) is None
+        assert packed_holds([(None, None)]) is None
+        assert kronecker(qp(1, {0: 2**bits - 1, 1: -1}), bits, 0) == (-1, 2**bits)
+
+    def test_refused_entries(self):
+        assert kronecker(Poly.x(2, 1), PACK_BITS, 0) is None  # involves x_1
+        assert kronecker(qp(1, {-2: 1}), PACK_BITS, 1) is None  # exponent below -shift
+        assert kronecker(qp(1, {-2: 1, 3: -2}), 4, 2) == (1 - 2 * 2 ** (4 * 5), 3)
+        assert kronecker(ZERO, PACK_BITS, 0) == (0, 0)
+
+    def test_the_bound_declines_what_it_cannot_decide(self, monkeypatch):
+        # [1 1] [2^3; 2^3] = 2^4: every entry packs at b = 4, but the
+        # product's coefficient reaches the bound; at b = 5 it decides
+        for bits, decision in ((4, None), (5, False)):
+            monkeypatch.setattr(superrep, "PACK_BITS", bits)
+            a = pack(Matrix(1, 2, [[qp(1, {0: 1})] * 2], ZERO), 0)
+            c = pack(Matrix(2, 1, [[qp(1, {0: 8})]] * 2, ZERO), 0)
+            assert packed_holds([(a, c)]) is decision
