@@ -5,8 +5,9 @@ spanned by the chosen basis lines is the fixed point.  A character is an
 element of the representation ring Z[x_1^+-1..x_n^+-1, q^+-1], so it is a
 :class:`Poly`: each weight's key maps to its multiplicity, negative for a
 virtual character.  A weight or a line bundle is a one-term Poly.  Sums
-and tensor products are Poly arithmetic and a twist is ``shift_exps``,
-all with Poly's range checks.
+and tensor products are Poly arithmetic and a twist is one translation
+of the packed keys (``Poly._translate``, or ``shift_exps`` from an
+exponent tuple), all with Poly's range checks.
 
 The ambient torus acts with weight x_i on the i-th line.  The total space
 adds the fiber Hom(C^n, tau) whose scaling circle acts with weight 2, so

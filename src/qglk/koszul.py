@@ -14,7 +14,9 @@ a failure witness.
 The interpolating complexes K^I twist the j-th exterior power by
 (L^dual)^{d(I,j)} with d(I,j) = |I cap [1,j]|.  Sections may carry a
 circle weight: section_q_weight = c puts q^(c j) on the degree -j term,
-matching a differential of weight c.
+matching a differential of weight c.  A twist (L^dual)^p q^e adds one
+integer to every packed key of a character (see qglk.poly), and a
+battery call reads one set of exterior powers of V^dual for all checks.
 
 Two iterated-cone routes rebuild K^{[1,N-k]} from the extreme complexes.
 Walking the step profile of K^I as k tokens that climb off the top edge
@@ -29,15 +31,16 @@ token, which is where its overall (L^dual)^(k-N) twist comes from.
 from collections import namedtuple
 from functools import cache
 from itertools import combinations
+from operator import mul
 
 from .grassmann import dual, exterior_powers
-from .poly import Poly
+from .poly import _BIAS, Poly, _layout
 from .report import Report
 
 
 def d_of(I, j):
     """Number of elements of I lying in [1, j]."""
-    return sum(1 for i in I if 1 <= i <= j)
+    return len([i for i in I if 1 <= i <= j])
 
 
 class GradedComplex:
@@ -63,10 +66,10 @@ class GradedComplex:
         """Homological shift [n]: cohomological degree d moves to d - n."""
         return GradedComplex(self.nvars, {d - n: char for d, char in self.terms.items()})
 
-    def twist(self, shift):
-        """Every term times X^shift."""
+    def twist(self, ell_inv, power):
+        """Every term times (L^dual)^power, ell_inv the exponents of L^dual."""
         return GradedComplex(
-            self.nvars, {d: char.shift_exps(shift) for d, char in self.terms.items()}
+            self.nvars, {d: _twist(char, ell_inv, power) for d, char in self.terms.items()}
         )
 
     def total_class(self):
@@ -83,24 +86,37 @@ def _dual_line(L):
     if list(L.keys.values()) != [1]:
         raise ValueError("line bundle character must have rank 1")
     [exps] = L.terms
-    return [-a for a in exps]
+    return tuple(-a for a in exps)
 
 
 def koszul_complex(V, section_q_weight=0):
     """Exterior algebra resolution: degree -j term is Lambda^j of V^dual
     times q^(c j), c = section_q_weight."""
     duals = exterior_powers(dual(V))
-    no_x = [0] * (V.nvars - 1)
+    trivial = (0,) * V.nvars  # the exponents of the trivial line
     return GradedComplex(
-        V.nvars, {-j: duals[j].shift_exps(no_x + [section_q_weight * j]) for j in range(len(duals))}
+        V.nvars, {-j: _twist(duals[j], trivial, 0, section_q_weight * j) for j in range(len(duals))}
     )
 
 
+@cache
+def _line_offset(nvars, ell_inv):
+    """(key offset of L^dual, key offset of q, largest |exponent| of L^dual)."""
+    if len(ell_inv) != nvars:
+        raise ValueError("exponent shift has wrong length")
+    weights = _layout(nvars).weights
+    return sum(map(mul, ell_inv, weights)), weights[-1], max(map(abs, ell_inv))
+
+
 def _twist(char, ell_inv, power, q_exp=0):
-    """char (L^dual)^power q^q_exp: one exponent shift on every weight."""
-    shift = [a * power for a in ell_inv]
-    shift[-1] += q_exp
-    return char.shift_exps(shift)
+    """char (L^dual)^power q^q_exp as one key offset, char itself for 0.
+    Within the bound every field moves by less than 2^15, where the guard
+    bits of Poly._translate are sound; past it shift_exps checks the shift."""
+    ell, qstep, reach = _line_offset(char.nvars, ell_inv)
+    if reach * abs(power) + abs(q_exp) >= 2 * _BIAS:
+        return char.shift_exps([a * power for a in ell_inv[:-1]] + [ell_inv[-1] * power + q_exp])
+    offset = power * ell + q_exp * qstep
+    return char._translate(offset) if offset else char
 
 
 def _sign(degree):
@@ -212,14 +228,16 @@ def iterated_cone_classes(N, k, L, V, section_q_weight=2):
     (indices (a, j), j >= 2).  Index ranges: descending a = 1..k with
     p = N-k+a..N; ascending a = 1..N-k with j = 1..N-k-a+1.
     """
-    if not 0 <= k <= N:
-        raise ValueError(f"need 0 <= k <= {N}, got {k}")
     if sum(V.keys.values()) != N:
         raise ValueError(f"V must have rank {N}")
-    ell_inv = _dual_line(L)
+    return _iterated_cones(N, k, _dual_line(L), exterior_powers(dual(V)), section_q_weight)
+
+
+def _iterated_cones(N, k, ell_inv, duals, qw):
+    """iterated_cone_classes from L^dual's exponents and V^dual's powers."""
+    if not 0 <= k <= N:
+        raise ValueError(f"need 0 <= k <= {N}, got {k}")
     P = N - k
-    qw = section_q_weight
-    duals = exterior_powers(dual(V))
 
     def lam_twisted(j, ell_power):
         return _twist(duals[j], ell_inv, ell_power, qw * j)
@@ -238,7 +256,7 @@ def iterated_cone_classes(N, k, L, V, section_q_weight=2):
     plus = _interpolating(duals, ell_inv, (), qw)
     plus_indices = []
     for a in range(1, P + 1):
-        piece = _step_block(_twist(Poly.one(V.nvars), ell_inv, -a), ell_inv, 0)
+        piece = _step_block(_twist(Poly.one(duals[0].nvars), ell_inv, -a), ell_inv, 0)
         plus = cone_class(piece, plus)
         plus_indices.append((a, 1))
         for i in range(1, P - a + 1):
@@ -247,7 +265,7 @@ def iterated_cone_classes(N, k, L, V, section_q_weight=2):
             plus_indices.append((a, i + 1))
 
     target_minus = _interpolating(duals, ell_inv, range(1, P + 1), qw)
-    target_plus = target_minus.twist([-a * P for a in ell_inv])
+    target_plus = target_minus.twist(ell_inv, -P)
     return IteratedCones(minus, plus, minus_indices, plus_indices, target_minus, target_plus)
 
 
@@ -262,6 +280,12 @@ def generic_bundle_data(N):
     return V, Poly.x(nvars, N + 1)
 
 
+def _bundle(rank):
+    """V, L, L^dual's exponents and V^dual's exterior powers at this rank."""
+    V, L = generic_bundle_data(rank)
+    return V, L, _dual_line(L), exterior_powers(dual(V))
+
+
 def _move_defects(duals, ell_inv, rank, section_q_weight):
     """Every valid move (I, i) with its defect class(K^{I'}) - class(K^I)
     + class(source), zero exactly when the one-step identity holds.
@@ -273,24 +297,27 @@ def _move_defects(duals, ell_inv, rank, section_q_weight):
     come from a table keyed (j, d), profiles from one d_of pass per index
     set.  _source reads I only through checks every valid move passes and
     through d_of(I, i), so a defect is built once per key (i, d_of(I, i),
-    changed (j, d, d')) and shared.  All three tables are local to the call."""
+    changed (j, d, d')), as one signed sum of the source's two legs and
+    the changed terms, and shared.  All three tables are local to the call."""
     nvars, degrees = duals[0].nvars, range(len(duals))
     term = cache(lambda j, d: _term(duals, ell_inv, j, d, section_q_weight))
-    profile = cache(lambda I: tuple(d_of(I, j) for j in degrees))
+    profile = cache(lambda I: tuple([d_of(I, j) for j in degrees]))
     defects = {}
     for size in range(rank + 1):
         for I in combinations(range(1, rank + 1), size):
-            for i in I:
+            here = profile(I)
+            for a, i in enumerate(I):
                 if i + 1 in I:
                     continue
-                Iprime = tuple(sorted((set(I) - {i}) | {i + 1}))
+                # i + 1 is not in I, so I' stays sorted
+                there = profile(I[:a] + (i + 1,) + I[a + 1 :])
                 changed = tuple(
-                    (j, d, dp) for j, d, dp in zip(degrees, profile(I), profile(Iprime)) if d != dp
+                    (j, d, dp) for j, d, dp in zip(degrees, here, there) if d != dp
                 )
-                key = (i, d_of(I, i), changed)
+                key = (i, here[i], changed)
                 if key not in defects:
                     src = _source(duals, ell_inv, I, i, section_q_weight)
-                    signed = [(1, src.total_class())]
+                    signed = [(_sign(d), char) for d, char in src.terms.items()]
                     for j, d, dp in changed:
                         signed += [(_sign(-j), term(j, dp)), (-_sign(-j), term(j, d))]
                     defects[key] = Poly.signed_sum(nvars, signed)
@@ -317,10 +344,10 @@ def endpoint_report(rank, section_q_weight=2):
     cone identity class(K^{I'}) == class(K^I) - class(source) for every
     valid move, checked on the one degree the move changes, from one set of
     exterior powers and one table of twisted terms."""
-    qw = section_q_weight
-    V, L = generic_bundle_data(rank)
-    ell_inv = _dual_line(L)
-    duals = exterior_powers(dual(V))
+    return _endpoint_report(*_bundle(rank), rank, section_q_weight)
+
+
+def _endpoint_report(V, L, ell_inv, duals, rank, qw):
     rep = Report(f"interpolating complex endpoints, rank {rank}")
     empty = _interpolating(duals, ell_inv, (), qw)
     plain = koszul_complex(V, qw)
@@ -348,16 +375,21 @@ def endpoint_report(rank, section_q_weight=2):
 
 
 def koszul_battery_report(rank, k, section_q_weight=2):
-    """Endpoints, the one-step cone sweep, and both iterated routes."""
+    """Endpoints, the one-step cone sweep, and both iterated routes from
+    one _bundle; the plain and twisted Koszul complexes build their own."""
+    bundle = _bundle(rank)
     rep = Report(f"koszul battery, rank {rank}, k={k}")
-    rep.extend(endpoint_report(rank, section_q_weight))
-    rep.extend(iterated_cone_report(rank, k, section_q_weight))
+    rep.extend(_endpoint_report(*bundle, rank, section_q_weight))
+    rep.extend(_cone_report(*bundle, rank, k, section_q_weight))
     return rep
 
 
 def iterated_cone_report(N, k, section_q_weight=2):
-    V, L = generic_bundle_data(N)
-    res = iterated_cone_classes(N, k, L, V, section_q_weight)
+    return _cone_report(*_bundle(N), N, k, section_q_weight)
+
+
+def _cone_report(V, L, ell_inv, duals, N, k, qw):
+    res = _iterated_cones(N, k, ell_inv, duals, qw)
     rep = Report(f"iterated cone routes, rank {N}, k={k}")
     ok = res.minus.total_class() == res.target_minus.total_class()
     rep.add(

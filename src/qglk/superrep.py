@@ -23,14 +23,15 @@ localization side are the same subsets in the same order, so block
 indices line up across the two models.  The relation batteries check
 every identity block by block, with located witnesses.
 
-A passing verify_relations forms no block product of Poly entries.  K,
-Kinv, H and Hinv act on each weight block by a scalar and the
-coefficients have no zero divisors, so (a - b) X = 0 exactly when a = b
-or X = 0 decides each relation with them.  E^2 = 0, F^2 = 0 and
-EF + FE = K - Kinv are decided on packed integers: each entry p of an
-E or F block becomes 2^(b s) p(2^b) (Kronecker substitution,
-poly.kronecker), so the block products run on ints and are exact under
-a coefficient bound that is computed for every product.  A weight where
+A passing verify_relations forms no block product of Poly entries and
+no K, Kinv or Hinv block.  K, Kinv, H and Hinv act on each weight block
+by a scalar, read off apply_generator, and the coefficients have no zero
+divisors, so (a - b) X = 0 exactly when a = b or X = 0 decides each
+relation with them.  E^2 = 0, F^2 = 0 and EF + FE = K - Kinv are
+decided on packed integers: each entry p of an E or F block becomes
+2^(b s) p(2^b) (Kronecker substitution, poly.kronecker), so the block
+products run on ints and are exact under a coefficient bound that is
+computed for every product.  A weight where
 either test does not apply or fails forms the Poly products, for the
 witness.
 """
@@ -123,15 +124,16 @@ def _witness(pairs):
     return ""
 
 
-def _scalar(block):
-    """c when the block is c times the identity, else None (also when it
-    is empty, which names no c)."""
-    if not block.nrows:
-        return None
-    c = block.rows[0][0]
-    for i, row in enumerate(block.rows):
-        if row[i] != c or any(row[:i]) or any(row[i + 1 :]):
+def _acting_scalar(n, gen, w):
+    """c when gen sends every subset S of the weight-w block to c S, one c
+    for the whole block, read from apply_generator without forming the
+    block; else None (also when the block is empty, which names no c)."""
+    c = None
+    for S in block_points(n, w):
+        image = apply_generator(gen, n, S)
+        if len(image) != 1 or image[0][0] != S or (c is not None and image[0][1] != c):
             return None
+        c = image[0][1]
     return c
 
 
@@ -177,15 +179,17 @@ def verify_relations(n):
 
     The grouplike relations are decided from block scalars.  K acts on
     each weight block by q^N and H by q^m, so each K, Kinv, H and Hinv
-    block is read once as c times the identity.  Entries lie in
+    block is read off apply_generator as c times the identity, unformed:
+    it maps into its own weight, and a weight that falls back to the
+    products forms (and so checks) it.  Entries lie in
     Z[x^+-1, q^+-1], which has no zero divisors, so with scalars a_hi and
     a_lo of a on the blocks X maps to and from, a X = s X a reads
     (a_hi - s a_lo) X = 0: it holds when X = 0 and otherwise exactly
     when a_hi = s a_lo.  Likewise a b = 1 holds exactly when the product
     of the two scalars is 1, and K - Kinv is the scalar block of their
     difference.  A weight where a block is not a scalar (or is empty), or
-    where the scalars fail the test, forms the two block products as
-    before, so a failing check keeps its first bad weight and witness.
+    where the scalars fail the test, forms the two block products, so a
+    failing check keeps its first bad weight and witness.
 
     E^2 = 0, F^2 = 0 and EF + FE = K - Kinv are decided on packed
     integers.  Each E and F block is packed once (pack) with shift s = n,
@@ -206,10 +210,13 @@ def verify_relations(n):
     """
     rep = Report(f"defining relations on {n} tensor factors")
     nvars = n + 1
-    # the empty blocks one step beyond either end close every product
-    g = {(x, w): block_matrix(n, x, w) for x in GENERATORS for w in range(-n - 2, n + 3, 2)}
-    scalar = {key: _scalar(block) for key, block in g.items() if not WEIGHT_STEP[key[0]]}
-    packed = {key: pack(block, n) for key, block in g.items() if key[0] in ("E", "F")}
+    # blocks are formed once, where needed; the empty blocks one step
+    # beyond either end close every product
+    block = cache(lambda x, w: block_matrix(n, x, w))
+    span = range(-n - 2, n + 3, 2)
+    grouplike = [x for x in GENERATORS if not WEIGHT_STEP[x]]
+    scalar = {(x, w): _acting_scalar(n, x, w) for x in grouplike for w in span}
+    packed = {(x, w): pack(block(x, w), n) for x in "EF" for w in span}
     one = Poly.one(nvars)
 
     def products(pairs, target=lambda w: None):
@@ -222,7 +229,7 @@ def verify_relations(n):
             t = want and pack(want, 2 * n)
             if (want is None or t) and packed_holds([(packed[a], packed[c]) for a, c in keys], t):
                 return None
-            return reduce(add, (g[a] @ g[c] for a, c in keys)), want
+            return reduce(add, (block(*a) @ block(*c) for a, c in keys)), want
 
         return relation
 
@@ -231,10 +238,10 @@ def verify_relations(n):
         the scalars of a decide that it holds, else the two products."""
 
         def relation(w):
-            X, hi, lo = g[x, w], scalar[a, w + WEIGHT_STEP[x]], scalar[a, w]
+            X, hi, lo = block(x, w), scalar[a, w + WEIGHT_STEP[x]], scalar[a, w]
             if not any(map(any, X.rows)) or (hi is not None and lo is not None and hi == s * lo):
                 return None
-            return g[a, w + WEIGHT_STEP[x]] @ X, (X @ g[a, w]).scale(s)
+            return block(a, w + WEIGHT_STEP[x]) @ X, (X @ block(a, w)).scale(s)
 
         return relation
 
@@ -245,14 +252,14 @@ def verify_relations(n):
             s, t = scalar[a, w], scalar[b, w]
             if s is not None and t is not None and s * t == one:
                 return None
-            return g[a, w] @ g[b, w], Matrix.scalar_block(n, w, one)
+            return block(a, w) @ block(b, w), Matrix.scalar_block(n, w, one)
 
         return relation
 
     def k_minus_kinv(w):
         k, kinv = scalar["K", w], scalar["Kinv", w]
         if k is None or kinv is None:
-            return g["K", w] - g["Kinv", w]
+            return block("K", w) - block("Kinv", w)
         return Matrix.scalar_block(n, w, k - kinv)
 
     relations = {

@@ -2,7 +2,9 @@
 
 Polynomial references: plain division by any divisor and the unit
 extraction of a nonzero polynomial, the references for Poly.exact_div
-and for the denominator-factor canonicalizer of qglk.ratfunc.  The
+and for the denominator-factor canonicalizer of qglk.ratfunc; a line
+bundle twist as an exponent shift, the reference for the key offset of
+qglk.koszul.  The
 stored form of a fraction, to compare reductions and not just values.
 Evaluation with power tables built afresh for each polynomial, summed as
 integers and returned as one Fraction, the reference for the shared
@@ -101,6 +103,15 @@ def reference_exact_div(a, b):
                 num.pop(t, None)
     off = tuple(map(sub, shift_s, shift_o))
     return Poly(a.nvars, {tuple(map(add, e, off)): c for e, c in quo.items()})
+
+
+def reference_twist(char, ell_inv, power, q_exp=0):
+    """char (L^dual)^power q^q_exp, ell_inv the exponents of L^dual, as
+    one exponent shift through Poly.shift_exps: the reference for the key
+    offset of qglk.koszul._twist."""
+    shift = [a * power for a in ell_inv]
+    shift[-1] += q_exp
+    return char.shift_exps(shift)
 
 
 def reference_extract_unit(p):

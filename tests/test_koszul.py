@@ -1,8 +1,12 @@
 import json
 import re
+from collections import Counter
 from itertools import combinations
+from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qglk import cli, koszul
 from qglk.grassmann import dual, euler_class_rf, exterior_powers
@@ -22,7 +26,10 @@ from qglk.koszul import (
 )
 from qglk.poly import Poly
 from qglk.ratfunc import RationalFunction
+from reference import reference_twist
 from weights import rank
+
+LIMIT = 1 << 14  # exponents lie in [-LIMIT, LIMIT)
 
 
 def generalized_koszul(I, L, V, section_q_weight=0):
@@ -113,6 +120,93 @@ class TestKoszulComplex:
         shifted = V * mono(3, q_exp=-qw)
         total = RationalFunction.from_poly(c.total_class())
         assert total == euler_class_rf(shifted)
+
+
+def assert_twist_matches(char, ell_inv, power, q_exp):
+    """koszul._twist raises OverflowError exactly where the shift_exps
+    reference does, and otherwise returns its value, whose terms are the
+    exponents moved by plain tuple arithmetic: nothing wraps."""
+    shift = [a * power for a in ell_inv]
+    shift[-1] += q_exp
+    try:
+        want = reference_twist(char, ell_inv, power, q_exp)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            koszul._twist(char, ell_inv, power, q_exp)
+        return False
+    got = koszul._twist(char, ell_inv, power, q_exp)
+    assert got == want
+    assert dict(got.terms) == {tuple(map(add, e, shift)): c for e, c in char.terms.items()}
+    assert (got is char) == (not any(shift))  # a zero shift returns its input
+    return True
+
+
+@st.composite
+def twist_cases(draw):
+    """(char, ell_inv, power, q_exp) in N + 2 variables, N = 0..6: exponents
+    near 0 and near both ends of their range, lines like the ones the
+    batteries use and arbitrary ones, powers and q exponents near 0, at
+    q^(c j) for both section weights c, and across +-2^15, where the
+    offset path hands over to shift_exps."""
+    nvars = draw(st.integers(2, 8))
+    small = st.integers(-3, 3)
+    exps = st.one_of(small, st.integers(-LIMIT, 3 - LIMIT), st.integers(LIMIT - 4, LIMIT - 1))
+    char = draw(st.dictionaries(st.tuples(*[exps] * nvars), st.integers(-3, 3), max_size=4))
+    line = st.one_of(st.integers(-1, 1), st.integers(-LIMIT, LIMIT))
+    ell_inv = draw(st.tuples(*[line] * nvars))
+    edge = st.one_of(
+        small,
+        st.integers(-2 * LIMIT - 3, 3 - 2 * LIMIT),
+        st.integers(2 * LIMIT - 3, 2 * LIMIT + 3),
+        st.integers(-4 * LIMIT, 4 * LIMIT),
+    )
+    section = st.builds(lambda c, j: c * j, st.sampled_from([2, 0]), st.integers(0, nvars))
+    return Poly(nvars, char), ell_inv, draw(edge), draw(st.one_of(section, edge))
+
+
+class TestOffsetTwist:
+    """The twist (L^dual)^power q^q_exp as one key offset against
+    Poly.shift_exps (reference.reference_twist)."""
+
+    @given(twist_cases())
+    @settings(max_examples=250, deadline=None)
+    def test_matches_the_shift_exps_reference(self, case):
+        assert_twist_matches(*case)
+
+    @pytest.mark.parametrize(
+        "exps, ell_inv, power, q_exp, ok",
+        [
+            # q exponent from the bottom to the top of its range: offset path
+            ((0, -LIMIT), (0, 0), 0, 2 * LIMIT - 1, True),
+            # one past it: shift_exps refuses the shift
+            ((0, -LIMIT), (0, 0), 0, 2 * LIMIT, False),
+            # a twist one past the top: the guard bit shows
+            ((LIMIT - 1, 0, 0), (1, 0, 0), 1, 0, False),
+            ((-LIMIT, 0, 0), (1, 0, 0), 2 * LIMIT - 1, 0, True),
+            ((-LIMIT, 0, 0), (1, 0, 0), 2 * LIMIT, 0, False),
+            ((LIMIT - 1, 0, 0), (1, 0, 0), -2 * LIMIT, 0, False),
+            # the bound counts |power| times the largest |exponent| of the
+            # line plus |q_exp|: here they add up to 2^15 in the q field
+            ((0, 0, -LIMIT), (0, 0, 1), LIMIT, LIMIT, False),
+            ((0, 0, -LIMIT), (0, 0, 1), LIMIT, LIMIT - 1, True),
+            ((0, 0, LIMIT - 1), (0, 0, -1), LIMIT, -LIMIT, False),
+            ((0, 0, LIMIT - 1), (0, 0, -1), LIMIT, 1 - LIMIT, True),
+            # a zero character still has its shift range-checked
+            (None, (1, 0, 0), -2 * LIMIT, 0, True),
+            (None, (1, 0, 0), 2 * LIMIT, 0, False),
+        ],
+    )
+    def test_range_edges(self, exps, ell_inv, power, q_exp, ok):
+        nvars = len(ell_inv)
+        char = Poly.zero(nvars) if exps is None else Poly.monomial(nvars, exps)
+        assert assert_twist_matches(char, ell_inv, power, q_exp) == ok
+
+    def test_zero_shift_returns_its_input_and_lengths_must_agree(self):
+        w = mono(2, x1=1, x2=-1)
+        assert koszul._twist(w, (0, 0, -1), 0) is w
+        assert koszul._twist(w, (0, 0, 0), 5, 0) is w
+        with pytest.raises(ValueError, match="wrong length"):
+            koszul._twist(w, (0, -1), 1)
 
 
 class TestGeneralizedKoszul:
@@ -414,6 +508,57 @@ class TestDegreeLocalDefect:
                 assert isinstance(defect, Poly) and defect == full, (I, i, qw)
                 seen.append((I, i))
             assert seen == valid_moves(rank)
+
+
+def outcomes(rep):
+    return [(c.name, c.passed, c.witness) for c in rep.checks]
+
+
+class TestSharedTable:
+    """koszul_battery_report reads one set of exterior powers of V^dual for
+    its endpoints, sweep and both routes, and reports what the endpoint
+    and iterated-cone reports give on their own."""
+
+    @pytest.mark.parametrize(
+        "fault", [None, *TestSharedClassSweep.FAULTS, "size_twist_in_degree_zero"]
+    )
+    def test_battery_is_the_endpoint_report_then_the_route_report(self, request, fault):
+        if fault:
+            request.getfixturevalue(fault)
+        failed = 0
+        for rank in range(7):
+            for k in range(rank + 1):
+                for qw in (2, 0):
+                    battery = koszul.koszul_battery_report(rank, k, qw)
+                    ends = koszul.endpoint_report(rank, qw)
+                    routes = iterated_cone_report(rank, k, qw)
+                    assert outcomes(battery) == outcomes(ends) + outcomes(routes)
+                    assert battery.notes == ends.notes + routes.notes
+                    failed += not battery.passed
+        # every fault breaks some check at some rank
+        assert bool(failed) == bool(fault)
+
+    @pytest.mark.parametrize("rank", range(7))
+    def test_one_exterior_power_table_and_no_exponent_shift(self, monkeypatch, rank):
+        calls = Counter()
+        raw_powers, raw_shift = koszul.exterior_powers, Poly.shift_exps
+
+        def powers(char):
+            calls["exterior_powers"] += 1
+            return raw_powers(char)
+
+        def shift_exps(char, shift):
+            calls["shift_exps"] += 1
+            return raw_shift(char, shift)
+
+        monkeypatch.setattr(koszul, "exterior_powers", powers)
+        monkeypatch.setattr(Poly, "shift_exps", shift_exps)
+        for k in range(rank + 1):
+            calls.clear()
+            assert koszul.koszul_battery_report(rank, k).passed
+            # the shared table, then one each inside the plain and the
+            # twisted Koszul complex; every twist is one key offset
+            assert calls == {"exterior_powers": 3}
 
 
 def failing_checks(capsys):

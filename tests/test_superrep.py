@@ -322,6 +322,45 @@ class TestNegativeControls:
         assert not verify_relations(n).passed
         assert len(formed) > products and any(k for k, _, _ in formed)
 
+    # the grouplike blocks each control's fallback must form
+    FALLBACK_BLOCK = {
+        "K not a scalar": "K",
+        "K scaled by weight": "K",
+        "Kinv negated": "Kinv",
+        "H times q": "Hinv",
+        "H off the diagonal": "Hinv",
+    }
+
+    @pytest.mark.parametrize(
+        "n, control",
+        # H off the diagonal needs two sites
+        [(n, None) for n in range(1, 7)]
+        + [(n, c) for c in GROUPLIKE_CONTROLS for n in range(2, 7)],
+    )
+    def test_grouplike_blocks_are_formed_only_on_a_fallback(self, monkeypatch, n, control):
+        built, block_matrix = Counter(), superrep.block_matrix
+
+        def recording(n, gen, w):
+            built[gen] += 1
+            return block_matrix(n, gen, w)
+
+        monkeypatch.setattr(superrep, "block_matrix", recording)
+        if control:
+            monkeypatch.setattr(superrep, "apply_generator", GROUPLIKE_CONTROLS[control])
+        rep = verify_relations(n)
+        # E and F at every weight and one step beyond either end, H at
+        # every weight; the scalars of K, Kinv, H and Hinv come from
+        # apply_generator
+        assert {g: built.pop(g) for g in "EFH"} == {"E": n + 3, "F": n + 3, "H": n + 1}
+        if not control:
+            assert rep.passed and not built
+            return
+        assert built[self.FALLBACK_BLOCK[control]] > 0 and set(built) <= {"K", "Kinv", "Hinv"}
+        ref = reference_verify_relations(n)
+        outcomes = [(c.name, c.passed, c.witness) for c in rep.checks]
+        assert outcomes == [(c.name, c.passed, c.witness) for c in ref.checks]
+        assert rep.failures
+
     # Poly products a failing check forms at its first bad weight
     POLY_PRODUCTS = {"E^2 = 0": 1, "F^2 = 0": 1, "K Kinv = 1": 1, "H Hinv = 1": 1}
 

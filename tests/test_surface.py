@@ -26,6 +26,9 @@ OUTSIDE_CALLERS = (
     ("fm", "find_intertwiner", "README.md"),  # the quick tour
     ("grassmann", "Space", "bench/workloads.py"),  # the localize-n6 workload
     ("grassmann", "Space.pushforward_det_tau_power", "bench/workloads.py"),
+    # koszul_battery_report runs both from its own shared table
+    ("koszul", "iterated_cone_classes", "tests"),
+    ("koszul", "iterated_cone_report", "bench/tracer.py"),  # a traced layer
     ("report", "Report.failures", "tests"),  # the reporting API
 )
 
