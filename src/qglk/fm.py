@@ -19,6 +19,16 @@ the commutator of the two functors is the scalar
 (-1)^(n-k-1) * (1 - q^(2n)) on each weight block, matching the algebra
 side after E is scaled by q^(-n) and F by (-1)^(n-k-1) q^(2n).
 
+An entry is kept in the form above, as an EulerEntry: the twist, for
+lowering times that unit (a monomial), and the character
+chi = T_{S_t} Y - T_W.  It is a RationalFunction whose numerator and
+denominator factors are formed on first read, as
+from_poly(twist) * euler_class_rf(chi), the fraction every reader sees.
+The equivariance gate permutes and compares twists and characters, and
+the point stage multiplies the values of the twist and of the Euler
+factors, so only the entries that a symbolic decision or a witness
+reads are ever expanded: 32 of the 64 at n = 4, 72 of the 384 at n = 6.
+
 Every matrix here is a weight block, a :class:`qglk.matrix.Matrix` over
 the fraction field that carries its two weights, rows and columns
 labelled by fixed points.  algebra_matrix lifts the algebra blocks of
@@ -45,26 +55,34 @@ differences of equivariant blocks are equivariant, and the targets 0
 and s * Id are S_n-invariant.  Orbits of (S, T) with fixed sizes are
 classified by |S & T|.  An exact gate, is_equivariant, first checks
 each factor block against the two generators (1 2) and (1 2 ... n) of
-S_n; if any factor fails it, every position is checked.
+S_n; if any factor fails it, every position is checked.  On geometric
+blocks the gate checks twists and characters: permuted Euler data equal
+to the data at the image position give the same fraction there, since
+expansion commutes with sigma (stored form and all, which a property
+test pins), and any other pair is compared as fractions.  That
+arithmetic is trusted the way raised_sum's already is.
 
 Each checked position is decided by one exact zero test
 (ratfunc.raised_sum), with no cancellation and no trial division:
 every product a * b is a.num * b.num over the factors of a and b,
 multiplicities added, the target (0 or +-s) is one more term, and all of
 them are raised to the least common denominator L, a product of
-canonical binomials.  The signed numerators of the products sum to a
-Poly N and the target's numerator is T, with N / L = sum(+-a * b) and
-T / L = target, and L != 0, so the identity holds exactly when N = T,
-and with the target negated exactly when N = -T: one raising decides
-both signs of the geometric commutator.  A check that fails forms one
-entry: the first bad one, which its witness names.
+canonical binomials, each by one product with the powers it misses.
+The signed numerators of the products sum to a Poly N and the target's
+numerator is T, with N / L = sum(+-a * b) and T / L = target, and
+L != 0, so the identity holds exactly when N = T, and with the target
+negated exactly when N = -T: one raising decides both signs of the
+geometric commutator.  A check that fails forms one entry: the first
+bad one, which its witness names.
 """
 
 from functools import cache
-from itertools import product
-from math import comb, lcm
+from itertools import chain, product
+from math import comb, gcd, lcm
 
 from .grassmann import (
+    NonIsolatedFixedPointError,
+    _euler_factor,
     det_tau_restrict,
     euler_class_rf,
     hom_fiber,
@@ -73,7 +91,7 @@ from .grassmann import (
 )
 from .linalg import columns, hstack, pivot_columns, sample_points
 from .matrix import Matrix, block_points, dot, k_of, weights, witness
-from .poly import PointValues, Poly
+from .poly import PointValues, Poly, _layout, _permute_keys
 from .ratfunc import PoleError, RationalFunction, raised_sum
 from .report import Report
 from .superrep import block_matrix
@@ -103,15 +121,92 @@ def _twist(n, S_small, S_big, raising):
     return Poly.x(n + 1, b) ** (n - len(S_big))
 
 
-def _pair_entry(n, S_small, S_big, raising):
+class EulerEntry(RationalFunction):
+    """twist * e(chi), a geometric entry kept as its Euler data: the
+    monomial twist sign * X^e as its packed key and sign, and the virtual
+    character chi as one flat tuple (key, multiplicity, key, ...) in key
+    order.
+
+    num and den_factors are formed on the first read of either, as
+    from_poly(twist) * euler_class_rf(chi), so every reader of the
+    fraction sees exactly that.  Truthiness, permute, == and value read
+    the data alone (see is_equivariant): building, gating and evaluating
+    a block expand nothing, and only the entries a decision reads expand.
+    """
+
+    __slots__ = ("key", "sign", "chi")
+
+    def __init__(self, nvars, key, sign, chi):
+        self.nvars, self.key, self.sign, self.chi = nvars, key, sign, chi
+
+    def __getattr__(self, name):
+        # num and den_factors are unset slots until one of them is read
+        if name not in ("num", "den_factors"):
+            raise AttributeError(name)
+        self._expand()
+        return getattr(self, name)
+
+    def _twist(self):
+        return Poly._raw(self.nvars, {self.key: self.sign})
+
+    def _pairs(self):
+        return zip(self.chi[::2], self.chi[1::2])
+
+    def _expand(self):
+        chi = Poly._raw(self.nvars, dict(self._pairs()))
+        full = RationalFunction.from_poly(self._twist()) * euler_class_rf(chi)
+        self.num, self.den_factors = full.num, full.den_factors
+
+    def __bool__(self):
+        return True  # sign != 0, and no Euler factor 1 - w^-1 (w != 1) is zero
+
+    def permute(self, perm):
+        """The twist and chi with x_i replaced by x_perm[i-1]."""
+        key, *keys = _permute_keys(self.nvars, perm, (self.key, *self.chi[::2]))
+        return EulerEntry(self.nvars, key, self.sign, _flat(zip(keys, self.chi[1::2])))
+
+    def __eq__(self, other):
+        same = isinstance(other, EulerEntry) and self.chi == other.chi
+        if same and (self.nvars, self.key, self.sign) == (other.nvars, other.key, other.sign):
+            return True
+        return RationalFunction.__eq__(self, other)
+
+    def value(self, at):
+        """The twist's value times each Euler factor's (shared at the
+        point), in lowest terms, so integer blocks stay small; where a
+        factor in the denominator vanishes, the expanded fraction's value,
+        which may have cancelled it, or PoleError."""
+        num, den = at(self._twist())
+        for k, m in self._pairs():
+            fn, fd = at.shared(_euler_factor(self.nvars, k)[0])
+            if m < 0:
+                fn, fd, m = fd, fn, -m
+            num *= fn**m
+            den *= fd**m
+        if not den:
+            return RationalFunction.value(self, at)
+        g = gcd(num, den)
+        return num // g, den // g
+
+
+def _flat(pairs):
+    """(k1, m1, k2, m2, ...) of the (key, multiplicity) pairs in key order."""
+    return tuple(chain.from_iterable(sorted(pairs)))
+
+
+def _pair_entry(n, S_small, S_big, raising, unit):
+    """The entry at a nested pair, times the monomial unit unless None."""
     S_tgt = S_small if raising else S_big
     char = (
         tangent_gr(n, S_tgt)
         + hom_fiber(n, S_tgt)
         - correspondence_tangent(n, S_small, S_big)
     )
-    tw = RationalFunction.from_poly(_twist(n, S_small, S_big, raising))
-    return tw * euler_class_rf(char)
+    if _layout(n + 1).zero in char.keys:  # as euler_class_rf would, and __bool__ relies on
+        raise NonIsolatedFixedPointError("trivial weight in an Euler class")
+    twist = _twist(n, S_small, S_big, raising)
+    ((key, sign),) = (twist if unit is None else twist * unit).keys.items()
+    return EulerEntry(n + 1, key, sign, _flat(char.keys.items()))
 
 
 def lowering_unit(n):
@@ -123,13 +218,12 @@ def _functor_matrix(n, source_weight, raising):
     """The one loop behind raising_matrix and lowering_matrix."""
     target_weight = source_weight + (2 if raising else -2)
     out = Matrix.zero_block(n, source_weight, target_weight, RationalFunction.zero(n + 1))
-    unit = None if raising else lowering_unit(n)
+    unit = None if raising else lowering_unit(n).num  # a monomial: it joins the twist
     for j, Ss in enumerate(out.cols_points):
         for i, St in enumerate(out.rows_points):
             small, big = (St, Ss) if raising else (Ss, St)
             if set(small) <= set(big):
-                entry = _pair_entry(n, small, big, raising)
-                out.rows[i][j] = entry if raising else entry * unit
+                out.rows[i][j] = _pair_entry(n, small, big, raising, unit)
     return out
 
 
@@ -176,16 +270,18 @@ def is_equivariant(block):
 
     Checking the two generators suffices, and so does checking nonzero
     entries only: sigma is a bijection on positions, so if it maps every
-    nonzero entry onto a nonzero one it maps the zeros onto zeros."""
+    nonzero entry onto a nonzero one it maps the zeros onto zeros.  Two
+    EulerEntry objects compare by their twists and characters first,
+    which expands neither (see the module docstring); other entries,
+    such as a fixture's plain fractions, compare as fractions."""
     rows = {S: i for i, S in enumerate(block.rows_points)}
     cols = {T: j for j, T in enumerate(block.cols_points)}
     for perm in _generators(block.n):
-        factors = {}  # the entries share their Euler factors: each permuted once
         for S, i in rows.items():
             row = block.rows[rows[_image(perm, S)]]
             for T, j in cols.items():
                 e = block.rows[i][j]
-                if e and row[cols[_image(perm, T)]] != e.permute(perm, factors):
+                if e and row[cols[_image(perm, T)]] != e.permute(perm):
                     return False
     return True
 
@@ -209,7 +305,10 @@ class Blocks:
     The batteries and the intertwiner of one verification share an
     instance, so every premise the intertwiner cites is the outcome its
     battery reports.  Blocks come from the module-level raising_matrix,
-    lowering_matrix and algebra_matrix on first use.
+    lowering_matrix and algebra_matrix on first use.  A geometric entry
+    holds its Euler data (EulerEntry) and expands when a decision or a
+    witness first reads its fraction; the gate and the intertwiner's
+    point stage never do.
 
     A square or commutator is checked on orbit representatives when every
     factor block passed is_equivariant, else on every entry, each by the

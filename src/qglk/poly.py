@@ -66,6 +66,13 @@ def _permutation(n, perm):
     return ~sum(_MASK << s for s, _ in moves), moves
 
 
+def _permute_keys(n, perm, keys):
+    """The packed keys with the field of each x_i moved to x_perm[i-1],
+    as Poly.permute moves them: the degree and q fields stay."""
+    keep, moves = _permutation(n, tuple(perm))
+    return [(k & keep) + sum((k >> s & _MASK) << t for s, t in moves) for k in keys]
+
+
 def _check_fields(lay, keys):
     """Raise unless no key has a guard bit set.  Sound when every field
     value before wrapping lies in [-2^15, 2^16): the lowest bad field then
@@ -284,12 +291,8 @@ class Poly:
         """self with each x_i replaced by x_perm[i-1], for perm a tuple
         holding a permutation of 1..N: a ring automorphism that fixes q.
         Each key's x-fields move; its degree field and q field stay."""
-        keep, moves = _permutation(self.nvars, tuple(perm))
-        keys = {
-            (k & keep) + sum((k >> s & _MASK) << t for s, t in moves): c
-            for k, c in self.keys.items()
-        }
-        return Poly._raw(self.nvars, keys)
+        moved = _permute_keys(self.nvars, perm, self.keys)
+        return Poly._raw(self.nvars, dict(zip(moved, self.keys.values())))
 
     def exact_div(self, other):
         """Exact quotient self / other, or None when it does not divide.

@@ -159,27 +159,21 @@ class RationalFunction:
         parts, den_factors = common_denominator(nvars, ((it.num, it.den_factors) for it in items))
         return cls(nvars, Poly.signed_sum(nvars, ((1, p) for p in parts)), den_factors)
 
-    def permute(self, perm, factors=None):
+    def permute(self, perm):
         """self with each x_i replaced by x_perm[i-1] (see Poly.permute).
 
         A permuted canonical factor keeps floor zero, but its leading
         term, and so its sign, can change: _canonical_factor
         re-canonicalizes it, and an odd multiplicity of a flipped factor
         negates the numerator.  No factor divides the numerator, and an
-        automorphism keeps it so: nothing is divided.  ``factors``, a
-        dict of factors already permuted by this same perm, lets fractions
-        share that work."""
-        memo = {} if factors is None else factors
+        automorphism keeps it so: nothing is divided."""
         num = self.num.permute(perm)
         den = []
         for f, m in self.den_factors:
-            hit = memo.get(f)
-            if hit is None:
-                canon, _, sign = _canonical_factor(f.permute(perm))
-                hit = memo[f] = canon, sign
-            if hit[1] < 0 and m % 2:
+            canon, _, sign = _canonical_factor(f.permute(perm))
+            if sign < 0 and m % 2:
                 num = -num
-            den.append((hit[0], m))
+            den.append((canon, m))
         den.sort(key=lambda fm: term_sort_key(fm[0]))
         return RationalFunction._reduced(self.nvars, num, tuple(den))
 
@@ -257,8 +251,10 @@ def common_denominator(nvars, pairs):
     (num, factors) pairs with factors a sequence of (canonical factor,
     multiplicity) in which a factor may repeat (its multiplicities add),
     raised to their least common denominator: parts[i] is the numerator
-    of the i-th over it.  Each numerator is multiplied by each missing
-    factor power; one that misses none is returned as it is."""
+    of the i-th over it.  Each numerator is multiplied once, by the
+    product of its missing factor powers formed first, so a large
+    numerator takes one product, not one per missing factor; one that
+    misses none is returned as it is."""
     raised, common = [], {}
     for num, factors in pairs:
         if num.nvars != nvars:
@@ -272,11 +268,13 @@ def common_denominator(nvars, pairs):
         raised.append((num, have))
     parts = []
     for part, have in raised:
+        lift = None
         for f, m in common.items():
             deficit = m - have.get(f, 0)
             if deficit:
-                part = part * f**deficit
-        parts.append(part)
+                power = f**deficit
+                lift = power if lift is None else lift * power
+        parts.append(part if lift is None else part * lift)
     return parts, tuple(common.items())
 
 

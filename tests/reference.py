@@ -34,6 +34,10 @@ block scalars.  Fixed-point bookkeeping: the nested pairs of the
 one-step correspondence and block entries looked up by their subset
 labels.
 
+The functor-matrix entries multiplied out as soon as they are built,
+the reference for the entries of qglk.fm, which keep their Euler data
+and expand on first read.
+
 Localization: tangent characters and inverse Euler classes of a fixed-point
 space built from scratch at each call, and the pushforward as one
 RationalFunction.sum of value times inverse Euler class, the reference for
@@ -359,6 +363,32 @@ def correspondence_pairs(n, k_small):
     for Sb in fixed_points(n, k_small + 1):
         for b in Sb:
             out.append((tuple(i for i in Sb if i != b), Sb))
+    return out
+
+
+def reference_pair_entry(n, S_small, S_big, raising):
+    """The functor-matrix entry at a nested pair, multiplied out at once:
+    the twist times euler_class_rf of T_{S_t} Y - T_W."""
+    S_tgt = S_small if raising else S_big
+    char = (
+        tangent_gr(n, S_tgt) + hom_fiber(n, S_tgt) - fm.correspondence_tangent(n, S_small, S_big)
+    )
+    tw = RationalFunction.from_poly(fm._twist(n, S_small, S_big, raising))
+    return tw * euler_class_rf(char)
+
+
+def reference_functor_matrix(n, source_weight, raising):
+    """The raising or lowering block from reference_pair_entry, each
+    lowering entry times fm.lowering_unit(n) as a fraction."""
+    target = source_weight + (2 if raising else -2)
+    out = Matrix.zero_block(n, source_weight, target, RationalFunction.zero(n + 1))
+    unit = fm.lowering_unit(n)
+    for j, Ss in enumerate(out.cols_points):
+        for i, St in enumerate(out.rows_points):
+            small, big = (St, Ss) if raising else (Ss, St)
+            if set(small) <= set(big):
+                e = reference_pair_entry(n, small, big, raising)
+                out.rows[i][j] = e if raising else e * unit
     return out
 
 

@@ -435,6 +435,34 @@ class TestEulerClasses:
                     assert (f._box, f._ends_cache) == (fresh._box_keys(), fresh._ends())
 
 
+@st.composite
+def permuted_entries(draw):
+    """nvars, a virtual character (no trivial weight), a monomial twist
+    sign * X^t and a permutation of 1..nvars - 1."""
+    nvars = draw(st.integers(2, 8))
+    chi = draw(st.dictionaries(exponents(nvars), st.integers(-3, 3).filter(bool), max_size=6))
+    chi.pop((0,) * nvars, None)
+    twist = Poly.monomial(nvars, draw(exponents(nvars)), draw(st.sampled_from((1, -1))))
+    return nvars, Poly(nvars, chi), twist, tuple(draw(st.permutations(range(1, nvars))))
+
+
+class TestNaturality:
+    """Expanding Euler data commutes with permuting x_1..x_N, stored form
+    and all: what lets the equivariance gate of qglk.fm compare permuted
+    twists and characters instead of permuted fractions."""
+
+    @given(permuted_entries())
+    @settings(max_examples=200, deadline=None)
+    def test_expansion_commutes_with_permutations(self, case):
+        nvars, chi, twist, perm = case
+        assert structure(euler_class_rf(chi.permute(perm))) == structure(
+            euler_class_rf(chi).permute(perm)
+        )
+        moved = RationalFunction.from_poly(twist.permute(perm)) * euler_class_rf(chi.permute(perm))
+        entry = RationalFunction.from_poly(twist) * euler_class_rf(chi)
+        assert structure(moved) == structure(entry.permute(perm))
+
+
 class TestPushforwards:
     def test_p1_structure_sheaf(self):
         # chi(P^1, O) = 1

@@ -22,6 +22,7 @@ from qglk.fm import (
     raising_matrix,
 )
 from qglk.grassmann import (
+    NonIsolatedFixedPointError,
     Space,
     euler_class_rf,
     fixed_points,
@@ -29,9 +30,9 @@ from qglk.grassmann import (
     ratio_character,
     tangent_gr,
 )
-from qglk.linalg import columns, hstack, pivot_columns
+from qglk.linalg import columns, hstack, pivot_columns, sample_points
 from qglk.matrix import Matrix, block_points, entry_witness, subset_label, weights
-from qglk.poly import Poly
+from qglk.poly import PointValues, Poly
 from qglk.ratfunc import PoleError, RationalFunction
 from qglk.report import Report
 from qglk.superrep import block_matrix
@@ -48,7 +49,9 @@ from reference import (
     inverse_euler,
     old_first_difference,
     phi_from_bases,
+    reference_functor_matrix,
     reference_pivot_columns,
+    structure,
 )
 from rf_parser import parse
 from weights import mult, rank, weight_monomial
@@ -824,7 +827,11 @@ class TestEquivarianceGate:
         n = 4
         blocks = fm.Blocks(n)
         for key in _geometric_keys(n):
-            blocks.op("geometric", *key)
+            # an entry expands on first read, through the trial divisions
+            # of euler_class_rf: expand every one first, so that the count
+            # below sees the decisions alone
+            for row in blocks.op("geometric", *key).rows:
+                assert all(e.num is not None for e in row)
         decisions, divisions = [], []
         decide, divide = fm.raised_sum, Poly.exact_div
         monkeypatch.setattr(fm, "raised_sum", lambda *a: decisions.append(a) or decide(*a))
@@ -838,6 +845,128 @@ class TestEquivarianceGate:
         # a passing check cancels nothing, so it makes no trial division
         assert normalized_rep_report(n, blocks=blocks).passed
         assert divisions == []
+
+
+def _expansions(monkeypatch):
+    """The EulerEntry objects expanded from here on, in order."""
+    expanded = []
+    raw = fm.EulerEntry._expand
+    monkeypatch.setattr(fm.EulerEntry, "_expand", lambda e: expanded.append(e) or raw(e))
+    return expanded
+
+
+def _geometric_entries(blocks):
+    return [e for key in _geometric_keys(blocks.n) for e in _nonzero(blocks.op("geometric", *key))]
+
+
+def _read_by_decisions(blocks):
+    """The entries that the square and commutator decisions read when every
+    block is equivariant: the nonzero factor pairs a, b of each product
+    a * b at each orbit representative."""
+    n, read = blocks.n, []
+    for w in weights(n):
+        products = [(("E", w + 2), ("E", w)), (("F", w - 2), ("F", w))]
+        products += [(("F", w + 2), ("E", w)), (("E", w - 2), ("F", w))]
+        for left, right in products:
+            A, B = (blocks.op("geometric", *key) for key in (left, right))
+            for i, j in fm.orbit_representatives(n, B.source_weight, A.target_weight):
+                pairs = [(a, row[j]) for a, row in zip(A.rows[i], B.rows) if a and row[j]]
+                read += [e for pair in pairs for e in pair]
+    return read
+
+
+class TestEulerEntries:
+    """Geometric entries keep their Euler data and expand on first read."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_entries_are_the_eager_reference(self, n):
+        for w in weights(n):
+            for raising in (True, False):
+                got = (raising_matrix if raising else lowering_matrix)(n, w)
+                want = reference_functor_matrix(n, w, raising)
+                for row, ref in zip(got.rows, want.rows):
+                    for e, r in zip(row, ref):
+                        assert type(e) is (fm.EulerEntry if r else RationalFunction)
+                        assert str(e) == str(r) and structure(e) == structure(r)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_values_are_the_reference_values_and_expand_nothing(self, monkeypatch, n):
+        expanded = _expansions(monkeypatch)
+        blocks = fm.Blocks(n)
+        entries = _geometric_entries(blocks)
+        reference = [
+            r
+            for gen, w in _geometric_keys(n)
+            for r in _nonzero(reference_functor_matrix(n, w, gen == "E"))
+        ]
+        assert len(entries) == len(reference)
+        for point in list(sample_points(n + 1, 7))[:3]:
+            at = PointValues(point)
+            for e, r in zip(entries, reference):
+                assert Fraction(*e.value(at)) == r.evaluate(point)
+        assert expanded == []
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_a_vanishing_denominator_factor_raises_as_the_reference(self, n):
+        # x1 = x2: every entry that divides by 1 - x1/x2 or 1 - x2/x1 has a pole
+        point = (3, 3, *range(5, 5 + n - 2), Fraction(13, 2))
+        poles = 0
+        for gen in "EF":
+            for w in weights(n):
+                got = (raising_matrix if gen == "E" else lowering_matrix)(n, w)
+                want = reference_functor_matrix(n, w, gen == "E")
+                for e, r in zip(_nonzero(got), _nonzero(want)):
+                    try:
+                        value = r.evaluate(point)
+                    except PoleError:
+                        poles += 1
+                        with pytest.raises(PoleError):
+                            e.value(PointValues(point))
+                        continue
+                    assert Fraction(*e.value(PointValues(point))) == value
+        assert poles > 0
+
+    def test_equal_fractions_with_other_data_compare_equal(self):
+        (one,) = Poly.one(3).keys
+        (up,) = weight_monomial(2, (2,), (1,)).keys  # x2/x1
+        (down,) = weight_monomial(2, (1,), (2,)).keys  # x1/x2
+        a = fm.EulerEntry(3, one, 1, (up, 1))  # 1 - x1/x2
+        b = fm.EulerEntry(3, down, -1, (down, 1))  # -x1/x2 * (1 - x2/x1), the same fraction
+        assert a == b and b == a and a == parse("(x2 - x1)/x2", 3)
+        assert a != fm.EulerEntry(3, down, 1, (down, 1))
+        assert a.permute((2, 1)) == parse("(x1 - x2)/x1", 3)
+
+    @pytest.mark.parametrize("n, counts", [(4, (32, 64)), (6, (72, 384))])
+    def test_decisions_expand_exactly_the_entries_they_read(self, monkeypatch, n, counts):
+        expanded = _expansions(monkeypatch)
+        blocks = fm.Blocks(n)
+        for battery in (nilpotency_report, commutator_report, normalized_rep_report):
+            assert battery(n, blocks=blocks).passed
+        read = _read_by_decisions(blocks)
+        assert {id(e) for e in expanded} == {id(e) for e in read}
+        assert (len(expanded), len(_geometric_entries(blocks))) == counts
+        assert intertwiner_report(n, blocks=blocks).passed
+        assert len(expanded) == counts[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_gate_and_point_stage_expand_nothing(self, monkeypatch, n):
+        expanded = _expansions(monkeypatch)
+        blocks = fm.Blocks(n)
+        assert all(blocks.equivariant("geometric", *key) for key in _geometric_keys(n))
+        assert next(fm._at_points(blocks, 0xC0FFEE))
+        assert expanded == []
+
+    def test_a_trivial_weight_is_refused_when_the_block_is_built(self, monkeypatch):
+        raw = fm.correspondence_tangent
+        monkeypatch.setattr(
+            fm, "correspondence_tangent", lambda n, s, b: raw(n, s, b) - Poly.one(n + 1)
+        )
+        with pytest.raises(NonIsolatedFixedPointError):
+            raising_matrix(2, 0)
+
+
+def _nonzero(block):
+    return [e for row in block.rows for e in row if e]
 
 
 def _fm_outcomes(n, blocks):

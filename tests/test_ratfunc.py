@@ -368,13 +368,6 @@ class TestPermute:
     def test_a_transposition_is_an_involution(self, swap, a):
         assert structure(a.permute(swap).permute(swap)) == structure(a)
 
-    @given(PERMS, two_factor_rfs(NP), two_factor_rfs(NP))
-    @settings(max_examples=40, deadline=None)
-    def test_shared_factors_give_the_same_result(self, perm, a, b):
-        memo = {}
-        for r in (a, b, a):
-            assert structure(r.permute(perm, memo)) == structure(r.permute(perm))
-
     def test_a_flipped_factor_negates_the_numerator_at_odd_multiplicity(self):
         f = Poly.x(NP, 1) - Poly.x(NP, 2)  # canonical: x1 leads
         for m, sign in ((1, -1), (2, 1), (3, -1)):
