@@ -51,7 +51,7 @@ def cmd_verify(args):
 
     blocks = fm.Blocks(n)
     reports = [
-        superrep.verify_relations(n),
+        superrep.verify_relations(n, relations=blocks.relations),
         superrep.weight_structure_report(n),
         superrep.antipode_report(),
         fm.nilpotency_report(n, args.max_weight, blocks=blocks),
@@ -179,7 +179,7 @@ def build_parser():
         dest="max_weight",
         type=int,
         default=None,
-        help="restrict geometry checks to |weight| <= this",
+        help="restrict the geometry and normalized algebra checks to |weight| <= this",
     )
     pv.add_argument("--json", action="store_true", help="machine-readable output")
     pv.add_argument(

@@ -16,25 +16,20 @@ for lowering.
 
 Lowering is normalized by the global unit q^(2n) / (x_1 ... x_n); with it
 the commutator of the two functors is the scalar
-(-1)^(n-k-1) * (1 - q^(2n)) on each weight block, matching the algebra
-side after E is scaled by q^(-n) and F by (-1)^(n-k-1) q^(2n).
+(-1)^(n-k-1) * (1 - q^(2n)) on each weight block, the scalar of the
+normalized algebra blocks (normalized_rep_report).
 
-An entry is kept in the form above, as an EulerEntry: the twist, for
-lowering times that unit (a monomial), and the character
-chi = T_{S_t} Y - T_W.  It is a RationalFunction whose numerator and
-denominator factors are formed on first read, as
-from_poly(twist) * euler_class_rf(chi), the fraction every reader sees.
-The equivariance gate permutes and compares twists and characters, and
-the point stage multiplies the values of the twist and of the Euler
-factors, so only the entries that a symbolic decision or a witness
-reads are ever expanded: 32 of the 64 at n = 4, 72 of the 384 at n = 6.
+An entry is kept in the form above, as an EulerEntry (its twist and
+character), and expands to a fraction only where a decision or a witness
+reads it: 32 of the 64 entries at n = 4, 72 of the 384 at n = 6.
 
 Every matrix here is a weight block, a :class:`qglk.matrix.Matrix` over
 the fraction field that carries its two weights, rows and columns
-labelled by fixed points.  algebra_matrix lifts the algebra blocks of
-:mod:`qglk.superrep`, the same type over Poly, into that field, so the
-two actions are compared block by block.  find_intertwiner returns phi
-as the pair of bases it maps between, never inverting a matrix.
+labelled by fixed points.  algebra_matrix lifts the normalized algebra
+blocks of :mod:`qglk.superrep` into that field for the intertwiner; the
+normalized algebra checks read superrep's decisions instead
+(normalized_rep_report).  find_intertwiner returns phi as the pair of
+bases it maps between, never inverting a matrix.
 
 The intertwiner's proof reads ranks, pivot columns and invertibility
 from both actions at a seeded rational point, in integers alone: each
@@ -49,34 +44,25 @@ reading is the one over Q.
 
 S_n permutes x_1..x_n and the fixed points together, and the geometric
 blocks are equivariant: E[sigma S, sigma T] = sigma(E[S, T]).  So the
-squares and commutators are checked on one entry per S_n-orbit of
-positions.  sigma is a ring automorphism of Q(x, q), so products and
+geometric squares and commutators are checked on one entry per S_n-orbit
+of positions.  sigma is a ring automorphism of Q(x, q), so products and
 differences of equivariant blocks are equivariant, and the targets 0
 and s * Id are S_n-invariant.  Orbits of (S, T) with fixed sizes are
 classified by |S & T|.  An exact gate, is_equivariant, first checks
 each factor block against the two generators (1 2) and (1 2 ... n) of
-S_n; if any factor fails it, every position is checked.  On geometric
-blocks the gate checks twists and characters: permuted Euler data equal
-to the data at the image position give the same fraction there, since
-expansion commutes with sigma (stored form and all, which a property
-test pins), and any other pair is compared as fractions.  That
-arithmetic is trusted the way raised_sum's already is.
+S_n; if any factor fails it, every position is checked.  The gate
+compares twists and characters: permuted Euler data equal to the data
+at the image position give the same fraction there, since expansion
+commutes with sigma (stored form and all, which a property test pins),
+and any other pair is compared as fractions.  That arithmetic is
+trusted the way raised_sum's already is.
 
-Each checked position is decided by one exact zero test
-(ratfunc.raised_sum), with no cancellation and no trial division:
-every product a * b is a.num * b.num over the factors of a and b,
-multiplicities added, the target (0 or +-s) is one more term, and all of
-them are raised to the least common denominator L, a product of
-canonical binomials, each by one product with the powers it misses.
-The signed numerators of the products sum to a Poly N and the target's
-numerator is T, with N / L = sum(+-a * b) and T / L = target, and
-L != 0, so the identity holds exactly when N = T, and with the target
-negated exactly when N = -T: one raising decides both signs of the
-geometric commutator.  A check that fails forms one entry: the first
-bad one, which its witness names.
+Each checked geometric position is decided by one exact zero test,
+ratfunc.raised_sum, with no cancellation and no trial division; one
+raising decides both signs of the geometric commutator (Blocks._first_bad).
 """
 
-from functools import cache
+from functools import cache, partial
 from itertools import chain, product
 from math import comb, gcd, lcm
 
@@ -90,11 +76,11 @@ from .grassmann import (
     tangent_gr,
 )
 from .linalg import columns, hstack, pivot_columns, sample_points
-from .matrix import Matrix, block_points, dot, k_of, weights, witness
+from .matrix import Matrix, block_points, dot, entry_witness, k_of, weights, witness
 from .poly import PointValues, Poly, _layout, _permute_keys
 from .ratfunc import PoleError, RationalFunction, raised_sum
 from .report import Report
-from .superrep import block_matrix
+from .superrep import Relations, block_matrix
 
 
 def correspondence_tangent(n, S_small, S_big):
@@ -299,28 +285,29 @@ def orbit_representatives(n, source_weight, target_weight):
 
 
 class Blocks:
-    """The E and F blocks of both sides at one n, and the relation checks
-    on them, each built once.
+    """The E and F blocks of both sides at one n, the geometric relation
+    checks on them and the algebra's Relations, each built once.
 
     The batteries and the intertwiner of one verification share an
     instance, so every premise the intertwiner cites is the outcome its
-    battery reports.  Blocks come from the module-level raising_matrix,
-    lowering_matrix and algebra_matrix on first use.  A geometric entry
-    holds its Euler data (EulerEntry) and expands when a decision or a
-    witness first reads its fraction; the gate and the intertwiner's
-    point stage never do.
+    battery reports; cmd_verify hands relations to verify_relations too.
+    Blocks come from the module-level raising_matrix, lowering_matrix and
+    algebra_matrix on first use.  A geometric entry holds its Euler data
+    (EulerEntry) and expands when a decision or a witness first reads its
+    fraction; the gate and the intertwiner's point stage never do.
 
-    A square or commutator is checked on orbit representatives when every
-    factor block passed is_equivariant, else on every entry, each by the
-    zero test of the module docstring.  A check whose every position
-    holds passes; otherwise the first position that fails is the one
-    entry formed, and the witness names it.  Every entry of a bad orbit
-    is bad, so the first bad representative is the first bad entry: the
-    witness is the same as on the full sweep.
+    A geometric square or commutator is checked on orbit representatives
+    when every factor block passed is_equivariant, else on every entry,
+    each by the zero test of the module docstring.  A check whose every
+    position holds passes; otherwise the first position that fails is
+    the one entry formed, and the witness names it.  Every entry of a bad
+    orbit is bad, so the first bad representative is the first bad entry:
+    the witness is the same as on the full sweep.
     """
 
     def __init__(self, n):
         self.n = n
+        self.relations = Relations(n)
         self._memo = {}
 
     def _once(self, key, make):
@@ -335,29 +322,31 @@ class Blocks:
         build = raising_matrix if gen == "E" else lowering_matrix
         return self._once((side, gen, w), lambda: build(self.n, w))
 
-    def equivariant(self, side, gen, w):
-        """is_equivariant of the block op(side, gen, w)."""
-        return self._once(("gate", side, gen, w), lambda: is_equivariant(self.op(side, gen, w)))
+    def equivariant(self, gen, w):
+        """is_equivariant of the geometric block op("geometric", gen, w)."""
+        return self._once(("gate", gen, w), lambda: is_equivariant(self.op("geometric", gen, w)))
 
-    def _positions(self, side, products):
-        """The factor blocks [(A, B), ...] of the products A @ B, the block
-        they form, and its positions (i, j) to check in row-major order:
-        orbit representatives when every factor is equivariant, else all."""
-        ops = [(self.op(side, *left), self.op(side, *right)) for left, right in products]
+    def _positions(self, products):
+        """The geometric factor blocks [(A, B), ...] of the products A @ B,
+        the block they form, and its positions (i, j) to check in
+        row-major order: orbit representatives when every factor is
+        equivariant, else all."""
+        op = partial(self.op, "geometric")
+        ops = [(op(*left), op(*right)) for left, right in products]
         first, last = ops[0]
         block = (self.n, last.source_weight, first.target_weight)
-        if all(self.equivariant(side, *key) for pair in products for key in pair):
+        if all(self.equivariant(*key) for pair in products for key in pair):
             return ops, block, orbit_representatives(*block)
         return ops, block, product(range(first.nrows), range(last.ncols))
 
-    def _first_bad(self, side, products, s=None, signs=(1,)):
+    def _first_bad(self, products, s=None, signs=(1,)):
         """For each sign in signs, the first position (i, j), in
         _positions order, where A @ B, or A @ B - C @ D for two products,
         is not sign * s times the identity (zero when s is None), else
         None.  Each position is raised once (ratfunc.raised_sum), which
         forms no entry and decides every sign: sign * s holds there
         exactly when N = sign * T."""
-        ops, _, positions = self._positions(side, products)
+        ops, _, positions = self._positions(products)
         bad = dict.fromkeys(signs)
         for i, j in positions:
             terms = [
@@ -374,47 +363,41 @@ class Blocks:
                 break
         return [bad[sign] for sign in signs]
 
-    def _witness(self, side, products, s, bad):
+    def _witness(self, products, s, bad):
         """The empty witness when bad is None, else that of the entry
         bad = (i, j) against s times the identity (zero when s is None),
         the one entry formed, as Matrix.__matmul__ forms it."""
         if bad is None:
             return ""
         i, j = bad
-        ops, block, _ = self._positions(side, products)
+        ops, block, _ = self._positions(products)
         parts = [dot(a.zero, a.rows[i], [r[j] for r in b.rows]) for a, b in ops]
         diff = parts[0] if len(parts) == 1 else parts[0] - parts[1]
         return witness(block, i, j, diff - s if s is not None and i == j else diff)
 
-    def square(self, side, gen, w):
-        """(name, witness) of the check that gen twice from weight w vanishes."""
-        if side == "algebra":
-            name = f"{gen}^2 vanishes from weight {w}"
-        else:
-            name = f"{'raising' if gen == 'E' else 'lowering'} twice from weight {w} vanishes"
+    def square(self, gen, w):
+        """(name, witness) of the check that the geometric gen twice from
+        weight w vanishes."""
+        name = f"{'raising' if gen == 'E' else 'lowering'} twice from weight {w} vanishes"
         products = [((gen, w + (2 if gen == "E" else -2)), (gen, w))]
         return name, self._once(
-            name, lambda: self._witness(side, products, None, *self._first_bad(side, products))
+            name, lambda: self._witness(products, None, *self._first_bad(products))
         )
 
-    def commutator(self, side, w):
-        """[(name, witness)] of the commutator checks at weight w, and on
-        the geometric side the note on the observed sign (else None)."""
-        return self._once(("commutator", side, w), lambda: self._commutator(side, w))
+    def commutator(self, w):
+        """[(name, witness)] of the geometric commutator checks at weight
+        w, and the note on the observed sign (else None)."""
+        return self._once(("commutator", w), lambda: self._commutator(w))
 
-    def _commutator(self, side, w):
+    def _commutator(self, w):
         n, k = self.n, k_of(self.n, w)
         products = [(("F", w + 2), ("E", w)), (("E", w - 2), ("F", w))]
-        if side == "algebra":
-            s = commutator_scalar(n, k)
-            bad = self._witness(side, products, s, *self._first_bad(side, products, s))
-            return [(f"FE - EF is eps*(1-q^{2*n}) at weight {w}", bad)], None
         name = f"weight {w} commutator is a (1-q^{2*n}) scalar on a dim-{comb(n, k)} block"
         pred = epsilon_sign(n, k)
         s = _signed_scalars(n)[pred]
         # where s fails, flipped is None exactly when -s holds everywhere
-        at, flipped = self._first_bad(side, products, s, (1, -1))
-        bad = self._witness(side, products, s, at)
+        at, flipped = self._first_bad(products, s, (1, -1))
+        bad = self._witness(products, s, at)
         if bad and flipped is not None:
             return [(name, bad)], None
         eps = -pred if bad else pred
@@ -432,7 +415,7 @@ def nilpotency_report(n, max_weight=None, blocks=None):
     blocks = Blocks(n) if blocks is None else blocks
     rep = Report(f"geometric nilpotency at n={n}")
     for w in weights(n, max_weight):
-        _add(rep, [blocks.square("geometric", gen, w) for gen in "EF"])
+        _add(rep, [blocks.square(gen, w) for gen in "EF"])
     return rep
 
 
@@ -442,40 +425,83 @@ def commutator_report(n, max_weight=None, blocks=None):
     blocks = Blocks(n) if blocks is None else blocks
     rep = Report(f"geometric commutator scalars at n={n}")
     for w in weights(n, max_weight):
-        checks, note = blocks.commutator("geometric", w)
+        checks, note = blocks.commutator(w)
         _add(rep, checks)
         if note:
             rep.note(note)
     return rep
 
 
-def algebra_matrix(n, gen, source_weight):
-    """Algebra generator on a weight block, lifted to the fraction field.
+def _unit(n, gen, source_weight):
+    """The unit that normalizes the algebra generator gen from the weight:
+    q^(-n) for E and (-1)^(n-k-1) q^(2n) for F, k taken at the source."""
+    if gen == "E":
+        return Poly.q(n + 1, -n)
+    return Poly.q(n + 1, 2 * n) * epsilon_sign(n, k_of(n, source_weight))
 
-    Normalization: E picks up q^(-n) and F picks up (-1)^(n-k-1) q^(2n),
-    where k is taken at the source weight; with these units the algebra
-    and geometry commutator scalars agree block by block.
-    """
+
+def algebra_matrix(n, gen, source_weight):
+    """Algebra generator on a weight block times its unit (_unit), lifted
+    to the fraction field; with these units the algebra and geometry
+    commutator scalars agree block by block."""
     if gen not in ("E", "F"):
         raise ValueError("only E and F have functor counterparts")
-    if gen == "E":
-        unit = Poly.q(n + 1, -n)
-    else:
-        unit = Poly.q(n + 1, 2 * n) * epsilon_sign(n, k_of(n, source_weight))
+    unit = _unit(n, gen, source_weight)
     return block_matrix(n, gen, source_weight).scale(unit).map(RationalFunction.from_poly)
 
 
+def _normalized_square(relations, gen, w):
+    """(name, witness) of a normalized square (see normalized_rep_report)."""
+    n, step = relations.n, 2 if gen == "E" else -2
+    failed = relations.failing(f"{gen}^2", w)
+    unit = _unit(n, gen, w + step) * _unit(n, gen, w)
+    bad = "" if failed is None else entry_witness(failed[0].scale(unit))
+    return f"{gen}^2 vanishes from weight {w}", bad
+
+
+def _normalized_commutator(relations, w):
+    """[(name, witness)] of the normalized commutator (see
+    normalized_rep_report)."""
+    n, k = relations.n, k_of(relations.n, w)
+    s, eps = commutator_scalar(n, k), epsilon_sign(n, k - 1)
+    if epsilon_sign(n, k) == -eps and s.is_polynomial():
+        failed = relations.failing("EF + FE", w, s.num * Poly.q(n + 1, -n) * eps)
+        got, want = failed and failed[0].scale(Poly.q(n + 1, n) * eps), s.num
+    else:
+        factors = (("F", w + 2), ("E", w), ("E", w - 2), ("F", w))
+        f_hi, e, e_lo, f = (relations.block(g, v).scale(_unit(n, g, v)) for g, v in factors)
+        got, want = (f_hi @ e - e_lo @ f).map(RationalFunction.from_poly), s
+    bad = "" if got is None else entry_witness(got, Matrix.scalar_block(n, w, want))
+    return [(f"FE - EF is eps*(1-q^{2*n}) at weight {w}", bad)]
+
+
 def normalized_rep_report(n, max_weight=None, blocks=None):
-    """Nilpotency of the normalized algebra blocks and their commutator
-    scalar matching the geometric one.  K centrality and the H-grading
+    """Nilpotency of the normalized algebra blocks E_norm = q^(-n) E and
+    F_norm = eps_k q^(2n) F (_unit; eps_k = epsilon_sign(n, k), k at F's
+    source) and their commutator scalar matching the geometric one,
+    s_w = commutator_scalar(n, k).  K centrality and the H-grading
     conjugation are not checked here: on weight blocks they hold for any
     block-scalar K and H, whatever E and F are.  The algebra's own K and
-    H are checked by superrep.verify_relations and "H acts by q^m"."""
-    blocks = Blocks(n) if blocks is None else blocks
+    H are checked by superrep.verify_relations and "H acts by q^m".
+
+    Each check reads a decision of blocks.relations through exact unit
+    algebra.  E_norm(w+2) E_norm(w) = q^(-2n) E(w+2) E(w) and
+    F_norm(w-2) F_norm(w) = eps_(k+1) eps_k q^(4n) F(w-2) F(w), so a
+    square vanishes exactly when E^2 = 0 (F^2 = 0) holds from w.  And
+    F_norm(w+2) E_norm(w) - E_norm(w-2) F_norm(w)
+    = q^n (eps_(k-1) FE - eps_k EF), which where eps_k = -eps_(k-1) is
+    eps_(k-1) q^n (FE + EF): the check is FE + EF = t_w Id with
+    t_w = eps_(k-1) q^(-n) s_w, on the true action q^n - q^(-n) = K - Kinv,
+    so it is the decision of "EF + FE = K - Kinv".  Where eps does not
+    alternate, or s_w has a denominator, the Poly products of the
+    unit-scaled blocks are formed and compared with s_w Id instead.  A
+    witness names the first bad entry in row-major order of the Poly sum
+    times its unit, with the value a fraction-field check gives."""
+    rel = (Blocks(n) if blocks is None else blocks).relations
     rep = Report(f"normalized algebra blocks at n={n}")
     for w in weights(n, max_weight):
-        _add(rep, [blocks.square("algebra", gen, w) for gen in "EF"])
-        _add(rep, blocks.commutator("algebra", w)[0])
+        _add(rep, [_normalized_square(rel, gen, w) for gen in "EF"])
+        _add(rep, _normalized_commutator(rel, w))
     return rep
 
 
@@ -538,12 +564,15 @@ def _transported_basis(at, side, w, pivots):
 def _failed_premises(blocks, gen, w):
     """A witness for each failing premise of "phi intertwines gen at
     weight w" (see find_intertwiner), algebra side first."""
-    n = blocks.n
+    n, rel = blocks.n, blocks.relations
     out = []
-    for side in SIDES:
-        checks = [blocks.square(side, "F", w + 2)] if gen == "F" and w < n else []
-        checks += [blocks.square(side, "E", w - 2)] if w > -n else []
-        checks += blocks.commutator(side, w)[0] if gen == "F" else []
+    for side, square, commutator in (
+        ("algebra", partial(_normalized_square, rel), partial(_normalized_commutator, rel)),
+        ("geometric", blocks.square, lambda v: blocks.commutator(v)[0]),
+    ):
+        checks = [square("F", w + 2)] if gen == "F" and w < n else []
+        checks += [square("E", w - 2)] if w > -n else []
+        checks += commutator(w) if gen == "F" else []
         out += [(side, name, bad) for name, bad in checks]
     if gen == "F":
         s = [commutator_scalar(n, k) for k in (k_of(n, w), k_of(n, w) + 1)]

@@ -10,9 +10,9 @@ Products of rational-function matrices (the intertwiner's bases for
 library callers) sum each dot product in one
 :meth:`RationalFunction.sum`, which cancels against the shared
 denominator once instead of after every pairwise addition.  The
-relation checks of :mod:`qglk.fm` decide each position by an exact zero
-test and form one such entry only, the first bad one that the witness
-of a failing check names.
+geometric relation checks of :mod:`qglk.fm` decide each position by an
+exact zero test and form one such entry only, the first bad one that
+the witness of a failing check names.
 
 A weight block is a Matrix that also carries n, source_weight and
 target_weight: one operator between two weight blocks of the N-site

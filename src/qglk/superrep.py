@@ -23,21 +23,15 @@ localization side are the same subsets in the same order, so block
 indices line up across the two models.  The relation batteries check
 every identity block by block, with located witnesses.
 
-A passing verify_relations forms no block product of Poly entries and
-no K, Kinv or Hinv block.  K, Kinv, H and Hinv act on each weight block
-by a scalar, read off apply_generator, and the coefficients have no zero
-divisors, so (a - b) X = 0 exactly when a = b or X = 0 decides each
-relation with them.  E^2 = 0, F^2 = 0 and EF + FE = K - Kinv are
-decided on packed integers: each entry p of an E or F block becomes
-2^(b s) p(2^b) (Kronecker substitution, poly.kronecker), so the block
-products run on ints and are exact under a coefficient bound that is
-computed for every product.  A weight where
-either test does not apply or fails forms the Poly products, for the
-witness.
+verify_relations decides the grouplike relations from block scalars
+and E^2 = 0, F^2 = 0 and EF + FE = t on packed integers (Relations).
+One verification shares its Relations with the normalized algebra report
+of :mod:`qglk.fm` and the intertwiner's algebra premises, so on the true
+action each of the three identities is decided once per weight.
 """
 
 from bisect import bisect_left
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from operator import add
 
 from .matrix import Matrix, block_points, entry_witness, subset_label, weights
@@ -168,8 +162,75 @@ def packed_holds(products, target=None):
     return got == target[0] if target else not any(map(any, got.rows))
 
 
-def verify_relations(n):
-    """Check the defining relations on the N-site space, block by block.
+# the block products (left, right), each a (generator, source weight),
+# that each identity of Relations sums from weight w
+IDENTITIES = {
+    "E^2": lambda w: [(("E", w + 2), ("E", w))],
+    "F^2": lambda w: [(("F", w - 2), ("F", w))],
+    "EF + FE": lambda w: [(("E", w - 2), ("F", w)), (("F", w + 2), ("E", w))],
+}
+
+
+class Relations:
+    """The generator blocks on n sites (block), each formed once, and the
+    decisions of E^2 = 0, F^2 = 0 and EF + FE = t (IDENTITIES, failing).
+
+    Each E and F block is packed once (pack) with shift s = n, the lowest
+    exponent of E, at b = PACK_BITS, and the target with shift 2s.
+    Packing is evaluation at q = 2^b times a power of 2^b, so
+    pack_s(a) pack_t(c) = pack_(s+t)(a c) and the int block products are
+    the packed Poly products.  Lemma: let P = sum(a c) - t at one entry,
+    every exponent at least -2s and every |coefficient| below 2^b; then
+    pack(P) = 0 exactly when P = 0, since the lowest nonzero term of P
+    cannot be cancelled modulo the next power of 2^b.  packed_holds
+    computes a bound on those coefficients for every product, never
+    assuming one.  A weight where an entry does not pack (it involves
+    some x_i, has an exponent below -s, -2s in the target, or a
+    coefficient of 2^b or more), where the bound reaches 2^b, or where
+    the packed test fails forms the Poly products, which give the
+    witness.  A passing decision forms no product of Poly entries.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        self.block = cache(lambda x, w: block_matrix(n, x, w))
+        self._packed, self._decided = {}, {}
+
+    def _pack(self, x, w):
+        # every E and F block, and the empty ones one step beyond either
+        # end that close every product, packed at the first decision
+        if not self._packed:
+            span = range(-self.n - 2, self.n + 3, 2)
+            self._packed = {(y, v): pack(self.block(y, v), self.n) for y in "EF" for v in span}
+        return self._packed[x, w]
+
+    def failing(self, identity, w, target=None):
+        """None when the products of identity from weight w sum to target,
+        a Poly times the identity or a block (zero when None), else the
+        pair (that sum, target as a block or None).  A Poly target is
+        decided once per (identity, w, target)."""
+        if isinstance(target, Matrix):  # a K - Kinv that is no scalar
+            return self._decide(identity, w, target)
+        key = identity, w, target
+        if key not in self._decided:
+            want = Matrix.scalar_block(self.n, w, target) if target else None
+            self._decided[key] = self._decide(identity, w, want)
+        return self._decided[key]
+
+    def _decide(self, identity, w, want):
+        keys = IDENTITIES[identity](w)
+        t = want and pack(want, 2 * self.n)
+        packed = [(self._pack(*a), self._pack(*c)) for a, c in keys]
+        if (want is None or t) and packed_holds(packed, t):
+            return None
+        return reduce(add, (self.block(*a) @ self.block(*c) for a, c in keys)), want
+
+
+def verify_relations(n, relations=None):
+    """Check the defining relations on the N-site space, block by block:
+    E^2 = 0, F^2 = 0 and EF + FE = K - Kinv by the decisions of
+    relations (a fresh Relations(n) when None), the others from block
+    scalars.
 
     Every generator is the direct sum of its weight blocks (block_matrix
     raises otherwise), so a relation holds on the whole space exactly
@@ -190,48 +251,14 @@ def verify_relations(n):
     difference.  A weight where a block is not a scalar (or is empty), or
     where the scalars fail the test, forms the two block products, so a
     failing check keeps its first bad weight and witness.
-
-    E^2 = 0, F^2 = 0 and EF + FE = K - Kinv are decided on packed
-    integers.  Each E and F block is packed once (pack) with shift s = n,
-    the lowest exponent of E, at b = PACK_BITS, and K - Kinv with shift
-    2s.  Packing is evaluation at q = 2^b times a power of 2^b, so
-    pack_s(a) pack_t(c) = pack_(s+t)(a c) and the int block products are
-    the packed Poly products.  Lemma: let P = sum(a c) - t at one entry,
-    every exponent at least -2s and every |coefficient| below 2^b; then
-    pack(P) = 0 exactly when P = 0, since the lowest nonzero term of P
-    cannot be cancelled modulo the next power of 2^b.  The bound
-    sum_k ||a_ik||_1 ||c_kj||_1 + ||t_ij||_1 on those coefficients is
-    computed for every product (packed_holds), never assumed.  A weight
-    falls back to the Poly products when an entry involves some x_i, has
-    an exponent below -s (-2s in the target) or a coefficient of 2^b or
-    more, or when the bound reaches 2^b; a weight that fails the packed
-    test forms them too, so its witness is the one the products give.
-    A passing battery forms no block product of Poly entries.
     """
+    rel = Relations(n) if relations is None else relations
     rep = Report(f"defining relations on {n} tensor factors")
     nvars = n + 1
-    # blocks are formed once, where needed; the empty blocks one step
-    # beyond either end close every product
-    block = cache(lambda x, w: block_matrix(n, x, w))
-    span = range(-n - 2, n + 3, 2)
+    block = rel.block
     grouplike = [x for x in GENERATORS if not WEIGHT_STEP[x]]
-    scalar = {(x, w): _acting_scalar(n, x, w) for x in grouplike for w in span}
-    packed = {(x, w): pack(block(x, w), n) for x in "EF" for w in span}
+    scalar = {(x, w): _acting_scalar(n, x, w) for x in grouplike for w in range(-n - 2, n + 3, 2)}
     one = Poly.one(nvars)
-
-    def products(pairs, target=lambda w: None):
-        """The sum of the block products over pairs(w) is target(w) (zero
-        when None): None when the packed blocks decide that it holds, else
-        the sum of the Poly products and the target."""
-
-        def relation(w):
-            keys, want = pairs(w), target(w)
-            t = want and pack(want, 2 * n)
-            if (want is None or t) and packed_holds([(packed[a], packed[c]) for a, c in keys], t):
-                return None
-            return reduce(add, (block(*a) @ block(*c) for a, c in keys)), want
-
-        return relation
 
     def commutes(a, x, s):
         """a X = s X a from the weight-w block of X: None when X = 0 or
@@ -258,16 +285,12 @@ def verify_relations(n):
 
     def k_minus_kinv(w):
         k, kinv = scalar["K", w], scalar["Kinv", w]
-        if k is None or kinv is None:
-            return block("K", w) - block("Kinv", w)
-        return Matrix.scalar_block(n, w, k - kinv)
+        return block("K", w) - block("Kinv", w) if k is None or kinv is None else k - kinv
 
     relations = {
-        "E^2 = 0": products(lambda w: [(("E", w + 2), ("E", w))]),
-        "F^2 = 0": products(lambda w: [(("F", w - 2), ("F", w))]),
-        "EF + FE = K - Kinv": products(
-            lambda w: [(("E", w - 2), ("F", w)), (("F", w + 2), ("E", w))], k_minus_kinv
-        ),
+        "E^2 = 0": partial(rel.failing, "E^2"),
+        "F^2 = 0": partial(rel.failing, "F^2"),
+        "EF + FE = K - Kinv": lambda w: rel.failing("EF + FE", w, k_minus_kinv(w)),
         "HE = q^2 EH": commutes("H", "E", Poly.q(nvars, 2)),
         "HF = q^-2 FH": commutes("H", "F", Poly.q(nvars, -2)),
     }

@@ -21,10 +21,13 @@ The proof's point stage over Q: the blocks evaluated to Fractions, the
 projectors scaled by 1 / s_w and Gaussian elimination over Q, the
 reference for the integer stage of qglk.fm and qglk.linalg.pivot_columns.
 
-The full sweeps: every entry of each square and commutator, formed as
-whole matrices, the reference for the orbit-representative checks of
-qglk.fm.Blocks, and the row-major scan for the first entry where two
-matrices differ, the reference for qglk.matrix.entry_witness.  The dense
+The full sweeps: every entry of each geometric square and commutator,
+formed as whole matrices, the reference for the orbit-representative
+checks of qglk.fm.Blocks; the normalized algebra checks multiplied out
+over the fraction field, the reference for those qglk.fm reads from
+superrep's decisions through unit algebra; and the row-major scan for
+the first entry where two matrices differ, the reference for
+qglk.matrix.entry_witness.  The dense
 tensor representation: the 2^n x 2^n matrix of a generator on all basis
 vectors, the reference for the block-by-block relation battery, and the
 letter-by-letter action on 0/1 words, the reference for the action on
@@ -45,6 +48,7 @@ the shared localization form of qglk.grassmann.
 """
 
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import comb
 from operator import add, sub
@@ -500,30 +504,23 @@ def old_first_difference(got, want=None):
 
 
 class FullSweepBlocks(fm.Blocks):
-    """fm.Blocks with every square and commutator checked on whole
-    matrices, at every entry, whatever the equivariance gate says."""
+    """fm.Blocks with every geometric square and commutator checked on
+    whole matrices, at every entry, whatever the equivariance gate says."""
 
-    def difference(self, side, w):
-        """FE - EF on the weight-w block of one side."""
-        op = self.op
-        return op(side, "F", w + 2) @ op(side, "E", w) - op(side, "E", w - 2) @ op(side, "F", w)
+    def difference(self, w):
+        """FE - EF on the geometric weight-w block."""
+        op = partial(self.op, "geometric")
+        return op("F", w + 2) @ op("E", w) - op("E", w - 2) @ op("F", w)
 
-    def square(self, side, gen, w):
-        if side == "algebra":
-            name = f"{gen}^2 vanishes from weight {w}"
-        else:
-            name = f"{'raising' if gen == 'E' else 'lowering'} twice from weight {w} vanishes"
+    def square(self, gen, w):
+        name = f"{'raising' if gen == 'E' else 'lowering'} twice from weight {w} vanishes"
         step = 2 if gen == "E" else -2
-        return name, self._once(
-            name, lambda: entry_witness(self.op(side, gen, w + step) @ self.op(side, gen, w))
-        )
+        op = partial(self.op, "geometric")
+        return name, self._once(name, lambda: entry_witness(op(gen, w + step) @ op(gen, w)))
 
-    def _commutator(self, side, w):
+    def _commutator(self, w):
         n, k = self.n, k_of(self.n, w)
-        d = self.difference(side, w)
-        if side == "algebra":
-            bad = entry_witness(d, Matrix.scalar_block(n, w, fm.commutator_scalar(n, k)))
-            return [(f"FE - EF is eps*(1-q^{2*n}) at weight {w}", bad)], None
+        d = self.difference(w)
         signed = fm._signed_scalars(n)
         eps = next((c for c, s in signed.items() if d == Matrix.scalar_block(n, w, s)), None)
         pred = fm.epsilon_sign(n, k)
@@ -534,6 +531,38 @@ class FullSweepBlocks(fm.Blocks):
         sign = f"observed {eps:+d}, parity {pred:+d}; {bad}" if bad else ""
         note = f"weight {w}: epsilon={eps:+d}, parity (-1)^(n-k-1)={pred:+d}"
         return [(name, ""), (f"weight {w} sign matches (-1)^(n-k-1)", sign)], note
+
+
+def reference_normalized_square(relations, gen, w):
+    """fm._normalized_square multiplied out: the product of the normalized
+    blocks lifted to the fraction field (fm.algebra_matrix), formed
+    whole.  Only relations.n is read."""
+    step = 2 if gen == "E" else -2
+    op = partial(fm.algebra_matrix, relations.n, gen)
+    return f"{gen}^2 vanishes from weight {w}", entry_witness(op(w + step) @ op(w))
+
+
+def reference_normalized_commutator(relations, w):
+    """fm._normalized_commutator multiplied out: F E - E F of the lifted
+    normalized blocks against s_w times the identity, formed whole."""
+    n = relations.n
+    op = partial(fm.algebra_matrix, n)
+    d = op("F", w + 2) @ op("E", w) - op("E", w - 2) @ op("F", w)
+    target = Matrix.scalar_block(n, w, fm.commutator_scalar(n, k_of(n, w)))
+    return [(f"FE - EF is eps*(1-q^{2*n}) at weight {w}", entry_witness(d, target))]
+
+
+def reference_normalized_rep_report(n, max_weight=None):
+    """fm.normalized_rep_report with each check decided over the fraction
+    field, the reference for the checks read from superrep's decisions
+    through unit algebra."""
+    rep = Report(f"normalized algebra blocks at n={n}")
+    relations = superrep.Relations(n)
+    for w in weights(n, max_weight):
+        checks = [reference_normalized_square(relations, gen, w) for gen in "EF"]
+        for name, bad in checks + reference_normalized_commutator(relations, w):
+            rep.add(name, not bad, bad)
+    return rep
 
 
 def reference_verify_relations(n):

@@ -116,8 +116,8 @@ class TestExtremeWeightClosedForms:
             top_point = ()
             bot_point = tuple(range(1, n + 1))
             blocks = FullSweepBlocks(n)
-            top = entry(blocks.difference("geometric", n), top_point, top_point)
-            bot = entry(blocks.difference("geometric", -n), bot_point, bot_point)
+            top = entry(blocks.difference(n), top_point, top_point)
+            bot = entry(blocks.difference(-n), bot_point, bot_point)
             assert top in (plain, -plain)
             assert bot in (plain, -plain)
             assert top == fm.commutator_scalar(n, 0)

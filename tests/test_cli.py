@@ -126,6 +126,27 @@ class TestVerify:
         ]
         assert len(intertwiner(out)["checks"]) == 18
 
+    def test_max_weight_narrows_the_normalized_report_not_its_premises(self, capsys, monkeypatch):
+        # every E entry times x_1 breaks EF + FE at every weight; the window
+        # keeps the normalized report to weight 0, while the intertwiner
+        # still decides the algebra commutators at 4 and 2 on demand
+        monkeypatch.setattr(superrep, "apply_generator", E_TIMES_X1)
+        code, out, _ = run(capsys, "verify", "--n", "4", "--max-weight", "0", "--json")
+        assert code == 1
+        reports = {r["title"]: r["checks"] for r in json.loads(out)["reports"]}
+        failed = [(t, c["name"]) for t, cs in reports.items() for c in cs if not c["passed"]]
+        assert failed == [
+            ("defining relations on 4 tensor factors", "EF + FE = K - Kinv"),
+            ("normalized algebra blocks at n=4", "FE - EF is eps*(1-q^8) at weight 0"),
+        ] + [("intertwiner at n=4", f"phi intertwines F at weight {w}") for w in (4, 2, 0, -2)]
+        assert len(reports["normalized algebra blocks at n=4"]) == 3
+        premises = {c["name"]: c["witness"] for c in reports["intertwiner at n=4"]}
+        for w in (4, 2):
+            assert premises[f"phi intertwines F at weight {w}"].startswith(
+                f"algebra side, weight {w}: FE - EF is eps*(1-q^8) at weight {w} fails: "
+                "first bad entry at row 0 "
+            )
+
     def test_negative_max_weight_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "2", "--max-weight", "-1")
         assert code == 2

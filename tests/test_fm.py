@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import permutations
 from math import comb
@@ -50,6 +51,9 @@ from reference import (
     old_first_difference,
     phi_from_bases,
     reference_functor_matrix,
+    reference_normalized_commutator,
+    reference_normalized_rep_report,
+    reference_normalized_square,
     reference_pivot_columns,
     structure,
 )
@@ -208,17 +212,17 @@ class TestRelationBatteries:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_extreme_weight_signs(self, n):
         # top block: FE = 0, so the commutator is the lone EF composition
-        top = FullSweepBlocks(n).difference("geometric", n)
+        top = FullSweepBlocks(n).difference(n)
         s_top = commutator_scalar(n, 0)
         assert top[(0, 0)] == s_top
         assert epsilon_sign(n, 0) == (-1) ** (n - 1)
         # bottom block: EF = 0
-        bot = FullSweepBlocks(n).difference("geometric", -n)
+        bot = FullSweepBlocks(n).difference(-n)
         assert bot[(0, 0)] == commutator_scalar(n, n)
         assert epsilon_sign(n, n) == -1
 
     def test_commutator_magnitude_is_x_free(self):
-        d = FullSweepBlocks(3).difference("geometric", 1)
+        d = FullSweepBlocks(3).difference(1)
         s = d[(0, 0)]
         assert s == parse("1 - q^6", 4) or s == parse("q^6 - 1", 4)
 
@@ -537,8 +541,10 @@ class TestDerivedIntertwiner:
 
             monkeypatch.setattr(fm, name, counted)
         assert main(["verify", "--n", "4", "--json"]) == 0
-        # weights -6..6 in steps of 2: the five blocks and one beyond each end
-        assert counts == {"raising_matrix": 7, "lowering_matrix": 7, "algebra_matrix": 14}
+        # weights -6..6 in steps of 2: the five blocks and one beyond each
+        # end; the algebra blocks only at the weights the intertwiner's
+        # point stage reads (_block_keys): the five and the one above
+        assert counts == {"raising_matrix": 7, "lowering_matrix": 7, "algebra_matrix": 12}
 
     def test_points_with_a_pole_or_a_vanishing_scalar_are_redrawn(self, monkeypatch):
         n = 2
@@ -666,7 +672,7 @@ class TestGeometryBatteryNegativeControls:
         assert "row 0 (subset {1}), column 2 (subset {3})" in failures[1].witness
 
     def test_witness_names_the_first_bad_entry(self):
-        d = FullSweepBlocks(2).difference("geometric", 0)
+        d = FullSweepBlocks(2).difference(0)
         target = Matrix.scalar_block(2, 0, commutator_scalar(2, 1))
         assert entry_witness(d, target) == ""
         d.rows[1][0] = d.rows[1][0] + RationalFunction.q(3, 1)
@@ -769,13 +775,13 @@ class TestEquivarianceGate:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_passes_on_every_geometric_block(self, n):
         blocks = fm.Blocks(n)
-        assert all(blocks.equivariant("geometric", *key) for key in _geometric_keys(n))
+        assert all(blocks.equivariant(*key) for key in _geometric_keys(n))
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_a_negated_column_fails_it_on_that_block_only(self, monkeypatch, n):
         _negate_lowering_column(monkeypatch, weight=1 if n == 3 else 2, col=2)
         blocks = fm.Blocks(n)
-        failing = [key for key in _geometric_keys(n) if not blocks.equivariant("geometric", *key)]
+        failing = [key for key in _geometric_keys(n) if not blocks.equivariant(*key)]
         assert failing == [("F", 1 if n == 3 else 2)]
 
     def test_each_generator_is_checked(self):
@@ -800,7 +806,7 @@ class TestEquivarianceGate:
         # the reduced sweep, not the gate, has to catch this fault
         _flag_lines_times_q(monkeypatch)
         blocks = fm.Blocks(4)
-        assert all(blocks.equivariant("geometric", *key) for key in _geometric_keys(4))
+        assert all(blocks.equivariant(*key) for key in _geometric_keys(4))
         assert not nilpotency_report(4, blocks=blocks).passed
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -952,7 +958,7 @@ class TestEulerEntries:
     def test_gate_and_point_stage_expand_nothing(self, monkeypatch, n):
         expanded = _expansions(monkeypatch)
         blocks = fm.Blocks(n)
-        assert all(blocks.equivariant("geometric", *key) for key in _geometric_keys(n))
+        assert all(blocks.equivariant(*key) for key in _geometric_keys(n))
         assert next(fm._at_points(blocks, 0xC0FFEE))
         assert expanded == []
 
@@ -1005,10 +1011,81 @@ class TestOrbitSweepAgainstFullSweep:
         assert _fm_outcomes(n, fm.Blocks(n)) == _fm_outcomes(n, FullSweepBlocks(n))
 
 
+def _constant_parity_sign(monkeypatch):
+    """epsilon_sign fixed at +1: it no longer alternates with k, so the
+    normalized commutator forms the Poly products of the scaled blocks."""
+    monkeypatch.setattr(fm, "epsilon_sign", lambda n, k: 1)
+
+
+def _acting(mutation):
+    return lambda mp, n: mp.setattr(superrep, "apply_generator", mutation)
+
+
+# every fixture that reaches the algebra side or the signs and scalars it
+# is held to: SWEEP_MUTATIONS (the Koszul sign and K/H controls among
+# them), the unpackable E, the grouplike controls and an epsilon that
+# does not alternate
+ALGEBRA_CONTROLS = {
+    **SWEEP_MUTATIONS,
+    "E times x_1": _acting(test_superrep.E_TIMES_X1),
+    **{name: _acting(m) for name, m in test_superrep.GROUPLIKE_CONTROLS.items()},
+    "constant parity sign": lambda mp, n: _constant_parity_sign(mp),
+}
+
+
+def _outcomes(rep):
+    return [(c.name, c.passed, c.witness) for c in rep.checks], rep.notes
+
+
+class TestNormalizedAgainstFractionField:
+    """The normalized algebra checks read from superrep's decisions against
+    the same checks multiplied out over the fraction field, in the report
+    and in the intertwiner's premises."""
+
+    @pytest.mark.parametrize("mutation", [None, *ALGEBRA_CONTROLS])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_same_checks_witnesses_and_notes(self, monkeypatch, n, mutation):
+        if mutation:
+            ALGEBRA_CONTROLS[mutation](monkeypatch, n)
+        blocks = fm.Blocks(n)
+        got = normalized_rep_report(n, blocks=blocks)
+        assert _outcomes(got) == _outcomes(reference_normalized_rep_report(n))
+        if mutation == "constant parity sign":
+            assert len(got.failures) == n
+        proof = _outcomes(intertwiner_report(n, blocks=blocks))
+        monkeypatch.setattr(fm, "_normalized_square", reference_normalized_square)
+        monkeypatch.setattr(fm, "_normalized_commutator", reference_normalized_commutator)
+        assert proof == _outcomes(intertwiner_report(n, blocks=blocks))
+
+
+class TestOneDecisionPerIdentity:
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_verify_decides_each_identity_once_per_weight(self, monkeypatch, capsys, n):
+        # E^2, F^2 and EF + FE at each weight, shared by "defining
+        # relations", the normalized algebra report and the intertwiner's
+        # algebra premises; the fraction-field zero test reads geometric
+        # entries alone
+        decisions, raised = [], []
+        holds, raise_ = superrep.packed_holds, fm.raised_sum
+        monkeypatch.setattr(superrep, "packed_holds", lambda *a: decisions.append(a) or holds(*a))
+
+        def recording(nvars, terms, target=None):
+            raised.extend(e for _, a, b in terms for e in (a, b))
+            return raise_(nvars, terms, target)
+
+        monkeypatch.setattr(fm, "raised_sum", recording)
+        assert cli.main(["verify", "--n", str(n), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"]
+        assert len(decisions) == 3 * (n + 1)
+        assert raised and all(isinstance(e, fm.EulerEntry) for e in raised)
+
+
 class TestWitnessFormsOneEntry:
-    """A failing square or commutator forms only the entry its witness
-    names: one fm.dot per failing square, two (F E and E F) per failing
-    commutator, and a passing check none."""
+    """A failing geometric square or commutator forms only the entry its
+    witness names: one fm.dot per failing square, two (F E and E F) per
+    failing commutator, and a passing check none.  The normalized algebra
+    checks call neither (TestNormalizedAgainstFractionField and
+    TestOneDecisionPerIdentity pin them)."""
 
     @staticmethod
     def dots_and_failures(monkeypatch, n):
@@ -1016,7 +1093,7 @@ class TestWitnessFormsOneEntry:
         raw = fm.dot
         monkeypatch.setattr(fm, "dot", lambda *a: calls.append(a) or raw(*a))
         blocks = fm.Blocks(n)
-        batteries = (nilpotency_report, commutator_report, normalized_rep_report)
+        batteries = (nilpotency_report, commutator_report)
         failures = [c.name for b in batteries for c in b(n, blocks=blocks).failures]
         return len(calls), failures
 
@@ -1044,9 +1121,8 @@ class TestWitnessFormsOneEntry:
         if mutation:
             SWEEP_MUTATIONS[mutation](monkeypatch, n)
         blocks = fm.Blocks(n)
-        for side in fm.SIDES:
-            for key in _geometric_keys(n):
-                blocks.equivariant(side, *key)
+        for key in _geometric_keys(n):
+            blocks.equivariant(*key)
         calls = []
         raw = ratfunc.common_denominator
         monkeypatch.setattr(ratfunc, "common_denominator", lambda *a: calls.append(a) or raw(*a))

@@ -147,3 +147,53 @@ def test_every_module_level_import_is_used():
                     if name not in used:
                         unused.append((module, name))
     assert unused == []
+
+
+def _bound_at_top(body, name):
+    """The node that binds name in a module or class body: a def, a class
+    or a from-import, as the tracer's vars() lookup would find it."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+            return node
+        if isinstance(node, ast.ImportFrom) and any(
+            (alias.asname or alias.name) == name for alias in node.names
+        ):
+            return node
+    return None
+
+
+def _resolves(module, qualname):
+    """Whether src/qglk/<module>.py binds qualname, read from the source."""
+    path = SRC / f"{module}.py"
+    if not path.exists():
+        return False
+    node = ast.parse(path.read_text(), str(path))
+    for part in qualname.split("."):
+        node = _bound_at_top(getattr(node, "body", []), part)
+        if node is None:
+            return False
+    return True
+
+
+def test_traced_names_resolve():
+    # bench/tracer.py is read, not imported or changed: every span it
+    # installs must still name a callable in src/, or be one of the names
+    # already gone.  ROADMAP item 1 (mending the benchmark) empties this list.
+    tracer = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    (targets,) = [
+        node.value
+        for node in tracer.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+    ]
+    absent = {
+        name
+        for name, module, qualname, _ in ast.literal_eval(targets)
+        if not _resolves(module, qualname)
+    }
+    assert absent == {
+        "linalg.column_basis",
+        "linalg.invert_matrix",
+        "linalg.certify_invertible",
+        "superrep.full_matrix",
+        "laurent.mul",
+    }
