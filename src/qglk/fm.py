@@ -23,13 +23,12 @@ An entry is kept in the form above, as an EulerEntry (its twist and
 character), and expands to a fraction only where a decision or a witness
 reads it: 32 of the 64 entries at n = 4, 72 of the 384 at n = 6.
 
-Every matrix here is a weight block, a :class:`qglk.matrix.Matrix` over
-the fraction field that carries its two weights, rows and columns
-labelled by fixed points.  algebra_matrix lifts the normalized algebra
-blocks of :mod:`qglk.superrep` into that field for the intertwiner; the
-normalized algebra checks read superrep's decisions instead
-(normalized_rep_report).  find_intertwiner returns phi as the pair of
-bases it maps between, never inverting a matrix.
+Every matrix here is a weight block, a :class:`qglk.matrix.Matrix` that
+carries its two weights, rows and columns labelled by fixed points:
+geometric blocks over the fraction field, algebra blocks the Poly blocks
+of :mod:`qglk.superrep` times a unit (Blocks.op).  Only find_intertwiner
+lifts the latter into the fraction field, once its proof has passed, and
+it returns phi as the pair of bases it maps between, inverting nothing.
 
 The intertwiner's proof reads ranks, pivot columns and invertibility
 from both actions at a seeded rational point, in integers alone: each
@@ -51,11 +50,10 @@ and s * Id are S_n-invariant.  Orbits of (S, T) with fixed sizes are
 classified by |S & T|.  An exact gate, is_equivariant, first checks
 each factor block against the two generators (1 2) and (1 2 ... n) of
 S_n; if any factor fails it, every position is checked.  The gate
-compares twists and characters: permuted Euler data equal to the data
-at the image position give the same fraction there, since expansion
-commutes with sigma (stored form and all, which a property test pins),
-and any other pair is compared as fractions.  That arithmetic is
-trusted the way raised_sum's already is.
+compares twists and characters only: permuted Euler data equal to the
+data at the image position give the same fraction there, since
+expansion commutes with sigma (a property test pins it), and any other
+pair, or an entry that is not an EulerEntry, fails the gate.
 
 Each checked geometric position is decided by one exact zero test,
 ratfunc.raised_sum, with no cancellation and no trial division; one
@@ -80,7 +78,7 @@ from .matrix import Matrix, block_points, dot, entry_witness, k_of, weights, wit
 from .poly import PointValues, Poly, _layout, _permute_keys
 from .ratfunc import PoleError, RationalFunction, raised_sum
 from .report import Report
-from .superrep import Relations, block_matrix
+from .superrep import Relations
 
 
 def correspondence_tangent(n, S_small, S_big):
@@ -115,9 +113,9 @@ class EulerEntry(RationalFunction):
 
     num and den_factors are formed on the first read of either, as
     from_poly(twist) * euler_class_rf(chi), so every reader of the
-    fraction sees exactly that.  Truthiness, permute, == and value read
-    the data alone (see is_equivariant): building, gating and evaluating
-    a block expand nothing, and only the entries a decision reads expand.
+    fraction sees exactly that.  Truthiness, permute and value read the
+    data alone (== compares fractions): building, gating and evaluating a
+    block expand nothing, and only the entries a decision reads expand.
     """
 
     __slots__ = ("key", "sign", "chi")
@@ -150,12 +148,6 @@ class EulerEntry(RationalFunction):
         """The twist and chi with x_i replaced by x_perm[i-1]."""
         key, *keys = _permute_keys(self.nvars, perm, (self.key, *self.chi[::2]))
         return EulerEntry(self.nvars, key, self.sign, _flat(zip(keys, self.chi[1::2])))
-
-    def __eq__(self, other):
-        same = isinstance(other, EulerEntry) and self.chi == other.chi
-        if same and (self.nvars, self.key, self.sign) == (other.nvars, other.key, other.sign):
-            return True
-        return RationalFunction.__eq__(self, other)
 
     def value(self, at):
         """The twist's value times each Euler factor's (shared at the
@@ -250,24 +242,27 @@ def _image(perm, S):
     return tuple(sorted(perm[i - 1] for i in S))
 
 
+def _data(e):
+    return (e.key, e.sign, e.chi) if isinstance(e, EulerEntry) else None
+
+
 def is_equivariant(block):
     """Whether block[sigma S, sigma T] == sigma(block[S, T]) for every
-    sigma in S_n, with sigma permuting x_1..x_n and the subsets.
+    sigma in S_n, with sigma permuting x_1..x_n and the subsets, read
+    from Euler data alone (see the module docstring): a nonzero entry that
+    is not an EulerEntry, or whose permuted data differ, gives False.
 
     Checking the two generators suffices, and so does checking nonzero
     entries only: sigma is a bijection on positions, so if it maps every
-    nonzero entry onto a nonzero one it maps the zeros onto zeros.  Two
-    EulerEntry objects compare by their twists and characters first,
-    which expands neither (see the module docstring); other entries,
-    such as a fixture's plain fractions, compare as fractions."""
+    nonzero entry onto a nonzero one it maps the zeros onto zeros."""
     rows = {S: i for i, S in enumerate(block.rows_points)}
     cols = {T: j for j, T in enumerate(block.cols_points)}
     for perm in _generators(block.n):
         for S, i in rows.items():
             row = block.rows[rows[_image(perm, S)]]
             for T, j in cols.items():
-                e = block.rows[i][j]
-                if e and row[cols[_image(perm, T)]] != e.permute(perm):
+                e, image = block.rows[i][j], row[cols[_image(perm, T)]]
+                if e and not (isinstance(e, EulerEntry) and _data(image) == _data(e.permute(perm))):
                     return False
     return True
 
@@ -291,8 +286,8 @@ class Blocks:
     The batteries and the intertwiner of one verification share an
     instance, so every premise the intertwiner cites is the outcome its
     battery reports; cmd_verify hands relations to verify_relations too.
-    Blocks come from the module-level raising_matrix, lowering_matrix and
-    algebra_matrix on first use.  A geometric entry holds its Euler data
+    Blocks come from raising_matrix, lowering_matrix and relations times
+    _unit on first use.  A geometric entry holds its Euler data
     (EulerEntry) and expands when a decision or a witness first reads its
     fraction; the gate and the intertwiner's point stage never do.
 
@@ -318,7 +313,8 @@ class Blocks:
     def op(self, side, gen, w):
         """The normalized generator gen (E or F) from weight w on one side."""
         if side == "algebra":
-            return self._once((side, gen, w), lambda: algebra_matrix(self.n, gen, w))
+            block = self.relations.block
+            return self._once((side, gen, w), lambda: block(gen, w).scale(_unit(self.n, gen, w)))
         build = raising_matrix if gen == "E" else lowering_matrix
         return self._once((side, gen, w), lambda: build(self.n, w))
 
@@ -440,16 +436,6 @@ def _unit(n, gen, source_weight):
     return Poly.q(n + 1, 2 * n) * epsilon_sign(n, k_of(n, source_weight))
 
 
-def algebra_matrix(n, gen, source_weight):
-    """Algebra generator on a weight block times its unit (_unit), lifted
-    to the fraction field; with these units the algebra and geometry
-    commutator scalars agree block by block."""
-    if gen not in ("E", "F"):
-        raise ValueError("only E and F have functor counterparts")
-    unit = _unit(n, gen, source_weight)
-    return block_matrix(n, gen, source_weight).scale(unit).map(RationalFunction.from_poly)
-
-
 def _normalized_square(relations, gen, w):
     """(name, witness) of a normalized square (see normalized_rep_report)."""
     n, step = relations.n, 2 if gen == "E" else -2
@@ -463,15 +449,14 @@ def _normalized_commutator(relations, w):
     """[(name, witness)] of the normalized commutator (see
     normalized_rep_report)."""
     n, k = relations.n, k_of(relations.n, w)
-    s, eps = commutator_scalar(n, k), epsilon_sign(n, k - 1)
-    if epsilon_sign(n, k) == -eps and s.is_polynomial():
-        failed = relations.failing("EF + FE", w, s.num * Poly.q(n + 1, -n) * eps)
-        got, want = failed and failed[0].scale(Poly.q(n + 1, n) * eps), s.num
-    else:
-        factors = (("F", w + 2), ("E", w), ("E", w - 2), ("F", w))
-        f_hi, e, e_lo, f = (relations.block(g, v).scale(_unit(n, g, v)) for g, v in factors)
-        got, want = (f_hi @ e - e_lo @ f).map(RationalFunction.from_poly), s
-    bad = "" if got is None else entry_witness(got, Matrix.scalar_block(n, w, want))
+    s = commutator_scalar(n, k)
+    if not s.is_polynomial():
+        raise ValueError(f"commutator scalar {s} has a denominator")
+    signs = (-epsilon_sign(n, k), epsilon_sign(n, k - 1))  # of EF and FE
+    c, signs = (signs[0], None) if signs[0] == signs[1] else (1, signs)
+    failed = relations.failing("EF + FE", w, s.num * Poly.q(n + 1, -n) * c, signs)
+    got = failed and failed[0].scale(Poly.q(n + 1, n) * c)
+    bad = "" if got is None else entry_witness(got, Matrix.scalar_block(n, w, s.num))
     return [(f"FE - EF is eps*(1-q^{2*n}) at weight {w}", bad)]
 
 
@@ -489,14 +474,14 @@ def normalized_rep_report(n, max_weight=None, blocks=None):
     F_norm(w-2) F_norm(w) = eps_(k+1) eps_k q^(4n) F(w-2) F(w), so a
     square vanishes exactly when E^2 = 0 (F^2 = 0) holds from w.  And
     F_norm(w+2) E_norm(w) - E_norm(w-2) F_norm(w)
-    = q^n (eps_(k-1) FE - eps_k EF), which where eps_k = -eps_(k-1) is
-    eps_(k-1) q^n (FE + EF): the check is FE + EF = t_w Id with
-    t_w = eps_(k-1) q^(-n) s_w, on the true action q^n - q^(-n) = K - Kinv,
-    so it is the decision of "EF + FE = K - Kinv".  Where eps does not
-    alternate, or s_w has a denominator, the Poly products of the
-    unit-scaled blocks are formed and compared with s_w Id instead.  A
-    witness names the first bad entry in row-major order of the Poly sum
-    times its unit, with the value a fraction-field check gives."""
+    = q^n (eps_(k-1) FE - eps_k EF), so the check is the one signed
+    decision eps_(k-1) FE - eps_k EF = q^(-n) s_w Id.  Where
+    eps_k = -eps_(k-1) the common sign joins the target: FE + EF = t_w Id
+    with t_w = eps_(k-1) q^(-n) s_w, on the true action q^n - q^(-n) =
+    K - Kinv, so it is the decision of "EF + FE = K - Kinv".  An s_w with
+    a denominator raises ValueError.  A witness names the first bad entry
+    in row-major order of the signed Poly sum times its unit, with the
+    value a fraction-field check gives."""
     rel = (Blocks(n) if blocks is None else blocks).relations
     rep = Report(f"normalized algebra blocks at n={n}")
     for w in weights(n, max_weight):
@@ -679,7 +664,9 @@ def find_intertwiner(n, seed=0xC0FFEE):
     if not rep.passed:
         return {}, rep
     inverse = {w: commutator_scalar(n, k_of(n, w)).inv() for w in weights(n)}
-    at = _with_projectors({key: blocks.op(*key) for key in _block_keys(n)}, n, inverse)
+    at = {key: blocks.op(*key) for key in _block_keys(n)}
+    at.update({key: at[key].map(RationalFunction.from_poly) for key in at if key[0] == "algebra"})
+    _with_projectors(at, n, inverse)
     bases = {
         w: tuple(_transported_basis(at, side, w, pivots) for side in SIDES) for w in weights(n)
     }

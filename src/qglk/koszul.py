@@ -216,8 +216,9 @@ IteratedCones = namedtuple(
 )
 
 
-def iterated_cone_classes(N, k, L, V, section_q_weight=2):
-    """Run both cone routes toward K^{[1,N-k]} and report the endpoints.
+def _iterated_cones(N, k, ell_inv, duals, qw):
+    """Run both cone routes toward K^{[1,N-k]} and report the endpoints,
+    from L^dual's exponents and V^dual's exterior powers (rank N).
 
     The descending route starts from the fully twisted complex K^{[1,N]}
     and peels the top k steps; piece (a, p) is used while the a-th peeled
@@ -228,13 +229,6 @@ def iterated_cone_classes(N, k, L, V, section_q_weight=2):
     (indices (a, j), j >= 2).  Index ranges: descending a = 1..k with
     p = N-k+a..N; ascending a = 1..N-k with j = 1..N-k-a+1.
     """
-    if sum(V.keys.values()) != N:
-        raise ValueError(f"V must have rank {N}")
-    return _iterated_cones(N, k, _dual_line(L), exterior_powers(dual(V)), section_q_weight)
-
-
-def _iterated_cones(N, k, ell_inv, duals, qw):
-    """iterated_cone_classes from L^dual's exponents and V^dual's powers."""
     if not 0 <= k <= N:
         raise ValueError(f"need 0 <= k <= {N}, got {k}")
     P = N - k
@@ -382,10 +376,6 @@ def koszul_battery_report(rank, k, section_q_weight=2):
     rep.extend(_endpoint_report(*bundle, rank, section_q_weight))
     rep.extend(_cone_report(*bundle, rank, k, section_q_weight))
     return rep
-
-
-def iterated_cone_report(N, k, section_q_weight=2):
-    return _cone_report(*_bundle(N), N, k, section_q_weight)
 
 
 def _cone_report(V, L, ell_inv, duals, N, k, qw):

@@ -57,7 +57,7 @@ def _unpack(lay, k):
 
 @cache
 def _permutation(n, perm):
-    """(keep, moves) of Poly.permute: the mask that clears the fields of
+    """(keep, moves) of _permute_keys: the mask that clears the fields of
     the moved x's, and their (from, to) field offsets."""
     if sorted(perm) != list(range(1, n)):
         raise ValueError(f"{perm} is not a permutation of 1..{n - 1}")
@@ -68,7 +68,7 @@ def _permutation(n, perm):
 
 def _permute_keys(n, perm, keys):
     """The packed keys with the field of each x_i moved to x_perm[i-1],
-    as Poly.permute moves them: the degree and q fields stay."""
+    for perm a permutation of 1..n-1: the degree and q fields stay."""
     keep, moves = _permutation(n, tuple(perm))
     return [(k & keep) + sum((k >> s & _MASK) << t for s, t in moves) for k in keys]
 
@@ -287,13 +287,6 @@ class Poly:
             raise OverflowError("exponent shift outside [-2^15, 2^15)")
         return self._translate(sum(map(mul, shift, _layout(self.nvars).weights)))
 
-    def permute(self, perm):
-        """self with each x_i replaced by x_perm[i-1], for perm a tuple
-        holding a permutation of 1..N: a ring automorphism that fixes q.
-        Each key's x-fields move; its degree field and q field stay."""
-        moved = _permute_keys(self.nvars, perm, self.keys)
-        return Poly._raw(self.nvars, dict(zip(moved, self.keys.values())))
-
     def exact_div(self, other):
         """Exact quotient self / other, or None when it does not divide.
 
@@ -371,9 +364,13 @@ class Poly:
             quo = {k: -c for k, c in quo.items()}
         return Poly._raw(self.nvars, quo, (off, ceil), (lead - dshift, trail - dtrail + zero))
 
+    def value(self, at):
+        """(N, D) with self = N / D at the point of ``at``, a PointValues."""
+        return at(self)
+
     def evaluate(self, point):
         """Exact value at a tuple of rationals ordered (x_1, ..., x_N, q)."""
-        return Fraction(*PointValues(point)(self))
+        return Fraction(*self.value(PointValues(point)))
 
     def __str__(self):
         if not self.keys:

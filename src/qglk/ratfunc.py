@@ -159,24 +159,6 @@ class RationalFunction:
         parts, den_factors = common_denominator(nvars, ((it.num, it.den_factors) for it in items))
         return cls(nvars, Poly.signed_sum(nvars, ((1, p) for p in parts)), den_factors)
 
-    def permute(self, perm):
-        """self with each x_i replaced by x_perm[i-1] (see Poly.permute).
-
-        A permuted canonical factor keeps floor zero, but its leading
-        term, and so its sign, can change: _canonical_factor
-        re-canonicalizes it, and an odd multiplicity of a flipped factor
-        negates the numerator.  No factor divides the numerator, and an
-        automorphism keeps it so: nothing is divided."""
-        num = self.num.permute(perm)
-        den = []
-        for f, m in self.den_factors:
-            canon, _, sign = _canonical_factor(f.permute(perm))
-            if sign < 0 and m % 2:
-                num = -num
-            den.append((canon, m))
-        den.sort(key=lambda fm: term_sort_key(fm[0]))
-        return RationalFunction._reduced(self.nvars, num, tuple(den))
-
     # -- comparison and evaluation ---------------------------------------
 
     def __eq__(self, other):

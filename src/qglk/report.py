@@ -36,10 +36,6 @@ class Report:
     def passed(self):
         return all(c.passed for c in self.checks)
 
-    @property
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
-
     def to_dict(self):
         return {
             "title": self.title,

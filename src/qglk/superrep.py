@@ -25,9 +25,9 @@ every identity block by block, with located witnesses.
 
 verify_relations decides the grouplike relations from block scalars
 and E^2 = 0, F^2 = 0 and EF + FE = t on packed integers (Relations).
-One verification shares its Relations with the normalized algebra report
-of :mod:`qglk.fm` and the intertwiner's algebra premises, so on the true
-action each of the three identities is decided once per weight.
+One verification shares its Relations, blocks and decisions, with
+:mod:`qglk.fm`, so each block is built once and on the true action each
+of the three identities is decided once per weight.
 """
 
 from bisect import bisect_left
@@ -147,18 +147,20 @@ def pack(block, shift):
     return Matrix(block.nrows, block.ncols, rows, 0, block.block), row, top
 
 
-def packed_holds(products, target=None):
+def packed_holds(products, target=None, signs=None):
     """Whether the sum of A @ C over the pairs (A, C) of pack results in
-    products is the packed target (zero when None), decided on ints, or
-    None when a block did not pack or the coefficient bound reaches
-    2^PACK_BITS.  The bound, sum(row(A) * top(C)) + top(target), is at least
+    products, each times its sign in signs (+1 when None), is the packed
+    target (zero when None), decided on ints, or None when a block did not
+    pack or the coefficient bound reaches 2^PACK_BITS.  The bound, whatever
+    the signs, sum(row(A) * top(C)) + top(target), is at least
     sum_k ||a_ik||_1 ||c_kj||_1 + ||t_ij||_1 at every (i, j)."""
     if not all(map(all, products)):
         return None
     bound = sum(a[1] * c[2] for a, c in products) + (target[2] if target else 0)
     if bound >> PACK_BITS:
         return None
-    got = reduce(add, (a[0] @ c[0] for a, c in products))
+    got = (a[0] @ c[0] for a, c in products)
+    got = reduce(add, got if signs is None else map(Matrix.scale, got, signs))
     return got == target[0] if target else not any(map(any, got.rows))
 
 
@@ -173,22 +175,22 @@ IDENTITIES = {
 
 class Relations:
     """The generator blocks on n sites (block), each formed once, and the
-    decisions of E^2 = 0, F^2 = 0 and EF + FE = t (IDENTITIES, failing).
+    signed decisions of E^2 = 0, F^2 = 0 and EF + FE = t (failing).
 
     Each E and F block is packed once (pack) with shift s = n, the lowest
     exponent of E, at b = PACK_BITS, and the target with shift 2s.
     Packing is evaluation at q = 2^b times a power of 2^b, so
     pack_s(a) pack_t(c) = pack_(s+t)(a c) and the int block products are
-    the packed Poly products.  Lemma: let P = sum(a c) - t at one entry,
+    the packed Poly products.  Lemma: let P = sum(+-a c) - t at one entry,
     every exponent at least -2s and every |coefficient| below 2^b; then
     pack(P) = 0 exactly when P = 0, since the lowest nonzero term of P
     cannot be cancelled modulo the next power of 2^b.  packed_holds
     computes a bound on those coefficients for every product, never
-    assuming one.  A weight where an entry does not pack (it involves
-    some x_i, has an exponent below -s, -2s in the target, or a
-    coefficient of 2^b or more), where the bound reaches 2^b, or where
-    the packed test fails forms the Poly products, which give the
-    witness.  A passing decision forms no product of Poly entries.
+    assuming one, and the signs leave it unchanged.  A weight where an
+    entry does not pack (it involves some x_i, has an exponent below -s,
+    -2s in the target, or a coefficient of 2^b or more), where the bound
+    reaches 2^b, or where the packed test fails forms the Poly products,
+    which give the witness.  A passing decision forms none.
     """
 
     def __init__(self, n):
@@ -204,26 +206,27 @@ class Relations:
             self._packed = {(y, v): pack(self.block(y, v), self.n) for y in "EF" for v in span}
         return self._packed[x, w]
 
-    def failing(self, identity, w, target=None):
-        """None when the products of identity from weight w sum to target,
-        a Poly times the identity or a block (zero when None), else the
-        pair (that sum, target as a block or None).  A Poly target is
-        decided once per (identity, w, target)."""
+    def failing(self, identity, w, target=None, signs=None):
+        """None when the products of identity from weight w, each times its
+        sign in signs (+1 when None), sum to target, a Poly times the
+        identity or a block (zero when None), else the pair (that sum,
+        target as a block or None); a Poly target's decision is memoized."""
         if isinstance(target, Matrix):  # a K - Kinv that is no scalar
-            return self._decide(identity, w, target)
-        key = identity, w, target
+            return self._decide(identity, w, target, signs)
+        key = identity, w, target, signs
         if key not in self._decided:
             want = Matrix.scalar_block(self.n, w, target) if target else None
-            self._decided[key] = self._decide(identity, w, want)
+            self._decided[key] = self._decide(identity, w, want, signs)
         return self._decided[key]
 
-    def _decide(self, identity, w, want):
+    def _decide(self, identity, w, want, signs):
         keys = IDENTITIES[identity](w)
         t = want and pack(want, 2 * self.n)
         packed = [(self._pack(*a), self._pack(*c)) for a, c in keys]
-        if (want is None or t) and packed_holds(packed, t):
+        if (want is None or t) and packed_holds(packed, t, signs):
             return None
-        return reduce(add, (self.block(*a) @ self.block(*c) for a, c in keys)), want
+        got = (self.block(*a) @ self.block(*c) for a, c in keys)
+        return reduce(add, got if signs is None else map(Matrix.scale, got, signs)), want
 
 
 def verify_relations(n, relations=None):

@@ -4,7 +4,10 @@ Polynomial references: plain division by any divisor and the unit
 extraction of a nonzero polynomial, the references for Poly.exact_div
 and for the denominator-factor canonicalizer of qglk.ratfunc; a line
 bundle twist as an exponent shift, the reference for the key offset of
-qglk.koszul.  The
+qglk.koszul.  x_i -> x_perm[i-1] on exponent tuples, and on a fraction
+through its constructor: the references for the packed-key permutation
+of qglk.poly and for the naturality the equivariance gate of qglk.fm
+rests on.  The
 stored form of a fraction, to compare reductions and not just values.
 Evaluation with power tables built afresh for each polynomial, summed as
 integers and returned as one Fraction, the reference for the shared
@@ -25,7 +28,9 @@ The full sweeps: every entry of each geometric square and commutator,
 formed as whole matrices, the reference for the orbit-representative
 checks of qglk.fm.Blocks; the normalized algebra checks multiplied out
 over the fraction field, the reference for those qglk.fm reads from
-superrep's decisions through unit algebra; and the row-major scan for
+superrep's decisions through unit algebra, from the algebra blocks
+times their units lifted to the fraction field (algebra_block); and the
+row-major scan for
 the first entry where two matrices differ, the reference for
 qglk.matrix.entry_witness.  The dense
 tensor representation: the 2^n x 2^n matrix of a generator on all basis
@@ -35,7 +40,8 @@ subsets.  The relation battery with every relation multiplied out as
 block products, the reference for the grouplike relations decided from
 block scalars.  Fixed-point bookkeeping: the nested pairs of the
 one-step correspondence and block entries looked up by their subset
-labels.
+labels.  Test-only views of the package: the failed checks of a report,
+and the iterated Koszul cone routes and their report on their own.
 
 The functor-matrix entries multiplied out as soon as they are built,
 the reference for the entries of qglk.fm, which keep their Euler data
@@ -53,8 +59,15 @@ from itertools import combinations
 from math import comb
 from operator import add, sub
 
-from qglk import fm, superrep
-from qglk.grassmann import euler_class_rf, fixed_points, hom_fiber, tangent_gr
+from qglk import fm, koszul, superrep
+from qglk.grassmann import (
+    dual,
+    euler_class_rf,
+    exterior_powers,
+    fixed_points,
+    hom_fiber,
+    tangent_gr,
+)
 from qglk.linalg import columns, pivot_columns, sample_points
 from qglk.matrix import Matrix, entry_witness, k_of, weights
 from qglk.poly import Poly
@@ -171,6 +184,30 @@ def reference_rf_evaluate(r, point):
     return reference_table_evaluate(r.num, point) / den
 
 
+def reference_permute(p, perm):
+    """x_i -> x_perm[i-1] on exponent tuples: the exponent of x_i moves to
+    slot perm[i-1], q stays last."""
+    out = {}
+    for e, c in p.terms.items():
+        moved = list(e)
+        for i, target in enumerate(perm):
+            moved[target - 1] = e[i]
+        out[tuple(moved)] = c
+    return out
+
+
+def reference_permute_rf(r, perm):
+    """A RationalFunction with x_i -> x_perm[i-1], built by the constructor
+    from its numerator and denominator factors, each permuted by
+    reference_permute."""
+
+    def moved(p):
+        return Poly(p.nvars, reference_permute(p, perm))
+
+    den = tuple((moved(f), m) for f, m in r.den_factors)
+    return RationalFunction(r.nvars, moved(r.num), den)
+
+
 def structure(r):
     """(nvars, numerator keys, denominator factors) of a RationalFunction:
     equal exactly when two fractions are stored alike, not merely when
@@ -248,8 +285,9 @@ def reference_pivot_columns(mat):
 def fraction_points(blocks, seed):
     """The proof's point stage over Q, the reference for fm._at_points:
     at successive seeded rational points, the E and F blocks of both
-    sides evaluated to Fractions and the projectors p_w = F_{w+2} E_w / s_w,
-    skipping a point where an entry has a pole or some s_w vanishes."""
+    sides (algebra_block for the algebra ones) evaluated to Fractions and
+    the projectors p_w = F_{w+2} E_w / s_w, skipping a point where an
+    entry has a pole or some s_w vanishes."""
     n = blocks.n
     for point in sample_points(n + 1, seed):
         s = {
@@ -260,8 +298,10 @@ def fraction_points(blocks, seed):
             continue
         try:
             at = {
-                key: blocks.op(*key).map(lambda e: reference_rf_evaluate(e, point) if e else 0)
-                for key in fm._block_keys(n)
+                (side, gen, w): (
+                    algebra_block(n, gen, w) if side == "algebra" else blocks.op(side, gen, w)
+                ).map(lambda e: reference_rf_evaluate(e, point) if e else 0)
+                for side, gen, w in fm._block_keys(n)
             }
         except PoleError:
             continue
@@ -533,12 +573,19 @@ class FullSweepBlocks(fm.Blocks):
         return [(name, ""), (f"weight {w} sign matches (-1)^(n-k-1)", sign)], note
 
 
+def algebra_block(n, gen, w):
+    """The normalized algebra block of gen (E or F) from weight w, the
+    superrep block times fm._unit, lifted to the fraction field."""
+    block = superrep.block_matrix(n, gen, w).scale(fm._unit(n, gen, w))
+    return block.map(RationalFunction.from_poly)
+
+
 def reference_normalized_square(relations, gen, w):
     """fm._normalized_square multiplied out: the product of the normalized
-    blocks lifted to the fraction field (fm.algebra_matrix), formed
-    whole.  Only relations.n is read."""
+    blocks lifted to the fraction field (algebra_block), formed whole.
+    Only relations.n is read."""
     step = 2 if gen == "E" else -2
-    op = partial(fm.algebra_matrix, relations.n, gen)
+    op = partial(algebra_block, relations.n, gen)
     return f"{gen}^2 vanishes from weight {w}", entry_witness(op(w + step) @ op(w))
 
 
@@ -546,7 +593,7 @@ def reference_normalized_commutator(relations, w):
     """fm._normalized_commutator multiplied out: F E - E F of the lifted
     normalized blocks against s_w times the identity, formed whole."""
     n = relations.n
-    op = partial(fm.algebra_matrix, n)
+    op = partial(algebra_block, n)
     d = op("F", w + 2) @ op("E", w) - op("E", w - 2) @ op("F", w)
     target = Matrix.scalar_block(n, w, fm.commutator_scalar(n, k_of(n, w)))
     return [(f"FE - EF is eps*(1-q^{2*n}) at weight {w}", entry_witness(d, target))]
@@ -611,3 +658,22 @@ def reference_verify_relations(n):
         "swapping the two names is incompatible with the anticommutator value"
     )
     return rep
+
+
+def failed_checks(report):
+    """The checks of a report that failed, in order."""
+    return [c for c in report.checks if not c.passed]
+
+
+def iterated_cone_classes(N, k, L, V, section_q_weight=2):
+    """koszul's two iterated cone routes toward K^{[1,N-k]} for the rank-N
+    bundle V and the line L (see koszul._iterated_cones)."""
+    if sum(V.keys.values()) != N:
+        raise ValueError(f"V must have rank {N}")
+    duals = exterior_powers(dual(V))
+    return koszul._iterated_cones(N, k, koszul._dual_line(L), duals, section_q_weight)
+
+
+def iterated_cone_report(N, k, section_q_weight=2):
+    """The iterated-cone half of koszul.koszul_battery_report at rank N."""
+    return koszul._cone_report(*koszul._bundle(N), N, k, section_q_weight)

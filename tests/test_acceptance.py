@@ -13,12 +13,21 @@ from qglk import fm, koszul, superrep
 from qglk.grassmann import Space
 from qglk.matrix import block_points
 from qglk.ratfunc import RationalFunction
-from reference import FullSweepBlocks, basis_words, entry, full_symbolic_rank, phi_from_bases
+from reference import (
+    FullSweepBlocks,
+    algebra_block,
+    basis_words,
+    entry,
+    failed_checks,
+    full_symbolic_rank,
+    iterated_cone_report,
+    phi_from_bases,
+)
 from rf_parser import parse
 
 
 def fail_text(report):
-    return "; ".join(f"{c.name}: {c.witness}" for c in report.failures)
+    return "; ".join(f"{c.name}: {c.witness}" for c in failed_checks(report))
 
 
 class TestAlgebraRelations:
@@ -167,11 +176,11 @@ class TestNormalizedRepAndIntertwiner:
         n = 2
         phi = phi_from_bases(n, fm.find_intertwiner(n)[0])
         for w in (-2, 0):
-            e_alg = fm.algebra_matrix(n, "E", w)
+            e_alg = algebra_block(n, "E", w)
             e_geo = fm.raising_matrix(n, w)
             assert phi[w + 2] @ e_alg == e_geo @ phi[w]
         for w in (2, 0):
-            f_alg = fm.algebra_matrix(n, "F", w)
+            f_alg = algebra_block(n, "F", w)
             f_geo = fm.lowering_matrix(n, w)
             assert phi[w - 2] @ f_alg == f_geo @ phi[w]
 
@@ -186,7 +195,7 @@ class TestKoszulIdentities:
         # both iterated-cone routes against the direct interpolating class
         for n in range(1, 5):
             for k in range(n + 1):
-                rep = koszul.iterated_cone_report(n, k)
+                rep = iterated_cone_report(n, k)
                 assert rep.passed, f"n={n} k={k}: {fail_text(rep)}"
         assert time.perf_counter() - start < 30.0
 

@@ -8,7 +8,6 @@ import pytest
 from qglk import cli, fm, ratfunc, superrep
 from qglk.cli import main
 from qglk.fm import (
-    algebra_matrix,
     commutator_report,
     commutator_scalar,
     correspondence_tangent,
@@ -41,10 +40,12 @@ from qglk.superrep import block_matrix
 import test_superrep
 from reference import (
     FullSweepBlocks,
+    algebra_block,
     certify_invertible,
     column_basis,
     correspondence_pairs,
     entry,
+    failed_checks,
     fraction_points,
     full_symbolic_rank,
     inverse_euler,
@@ -238,16 +239,18 @@ class TestNormalizedBlocks:
         assert entry(e, (), (2,)) == parse("q - q^-1", 3)
 
     def test_normalization_units(self):
-        e = algebra_matrix(2, "E", 0)
+        e = fm.Blocks(2).op("algebra", "E", 0)
         assert entry(e, (), (1,)) == parse("(q - q^-1)*q^-3", 3)
-        f = algebra_matrix(2, "F", 2)
+        f = fm.Blocks(2).op("algebra", "F", 2)
         # k=0 at the source, so the sign is (-1)^(2-0-1) = -1
         assert entry(f, (1,), ()) == parse("-q^4", 3)
         assert entry(f, (2,), ()) == parse("-q^5", 3)
 
-    def test_only_e_and_f(self):
-        with pytest.raises(ValueError):
-            algebra_matrix(2, "K", 0)
+    def test_a_scalar_with_a_denominator_is_refused(self, monkeypatch):
+        # a fraction is never read as its numerator alone
+        monkeypatch.setattr(fm, "commutator_scalar", lambda n, k: parse("1/(1 - q)", n + 1))
+        with pytest.raises(ValueError, match="has a denominator"):
+            normalized_rep_report(2)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_full_battery(self, n):
@@ -294,11 +297,11 @@ class TestIntertwiner:
         for k in range(n + 1):
             w = n - 2 * k
             if w + 2 in phi:
-                lhs = phi[w + 2] @ algebra_matrix(n, "E", w)
+                lhs = phi[w + 2] @ algebra_block(n, "E", w)
                 rhs = raising_matrix(n, w) @ phi[w]
                 assert lhs == rhs
             if w - 2 in phi:
-                lhs = phi[w - 2] @ algebra_matrix(n, "F", w)
+                lhs = phi[w - 2] @ algebra_block(n, "F", w)
                 rhs = lowering_matrix(n, w) @ phi[w]
                 assert lhs == rhs
 
@@ -338,7 +341,7 @@ def reference_prove_intertwiner(n, seed):
     weights = [n - 2 * k for k in range(n + 1)]
     sides = {
         "algebra": {
-            w: (fm.algebra_matrix(n, "E", w), fm.algebra_matrix(n, "F", w)) for w in weights
+            w: (algebra_block(n, "E", w), algebra_block(n, "F", w)) for w in weights
         },
         "geometric": {w: (fm.raising_matrix(n, w), fm.lowering_matrix(n, w)) for w in weights},
     }
@@ -509,7 +512,7 @@ class TestDerivedIntertwiner:
             rep = intertwiner_report(n, seed)
             assert [c.name for c in rep.checks] == [c.name for c in ref.checks]
             assert rep.passed == ref.passed
-            assert {c.name for c in ref.failures} <= {c.name for c in rep.failures}
+            assert {c.name for c in failed_checks(ref)} <= {c.name for c in failed_checks(rep)}
             assert rep.passed == (mutation is None)
 
     def test_prefilled_blocks_make_no_symbolic_product(self, monkeypatch):
@@ -531,20 +534,32 @@ class TestDerivedIntertwiner:
         assert calls == []
 
     def test_verify_builds_each_block_once(self, monkeypatch):
-        counts = {}
-        for name in ("raising_matrix", "lowering_matrix", "algebra_matrix"):
-            raw = getattr(fm, name)
+        calls = {}
+        builders = ((fm, "raising_matrix"), (fm, "lowering_matrix"), (superrep, "block_matrix"))
+        for module, name in builders:
+            raw = getattr(module, name)
 
-            def counted(*args, raw=raw, name=name, **kwargs):
-                counts[name] = counts.get(name, 0) + 1
-                return raw(*args, **kwargs)
+            def counted(*args, raw=raw, name=name):
+                calls.setdefault(name, []).append(args)
+                return raw(*args)
 
-            monkeypatch.setattr(fm, name, counted)
+            monkeypatch.setattr(module, name, counted)
+        lifts, raw_map = [], Matrix.map
+
+        def mapped(m, fn):
+            lifts.append(fn == RationalFunction.from_poly)
+            return raw_map(m, fn)
+
+        monkeypatch.setattr(Matrix, "map", mapped)
         assert main(["verify", "--n", "4", "--json"]) == 0
+        assert lifts and not any(lifts)  # no algebra block is lifted to the fraction field
         # weights -6..6 in steps of 2: the five blocks and one beyond each
-        # end; the algebra blocks only at the weights the intertwiner's
-        # point stage reads (_block_keys): the five and the one above
-        assert counts == {"raising_matrix": 7, "lowering_matrix": 7, "algebra_matrix": 12}
+        # end.  The algebra blocks come from the one Relations of the
+        # verification: E and F at those 7 weights, and the 12 one-site
+        # blocks of the antipode axioms, with no block built twice
+        counts = {name: len(args) for name, args in calls.items()}
+        assert counts == {"raising_matrix": 7, "lowering_matrix": 7, "block_matrix": 31}
+        assert len(set(calls["block_matrix"])) == 31
 
     def test_points_with_a_pole_or_a_vanishing_scalar_are_redrawn(self, monkeypatch):
         n = 2
@@ -602,16 +617,16 @@ class TestIntertwinerNegativeControls:
         _negate_lowering_column(monkeypatch, weight=1, col=2)
         rep = intertwiner_report(3)
         # both commutators that contain the broken F_1, at weights 1 and -1
-        assert [c.name for c in rep.failures] == [
+        assert [c.name for c in failed_checks(rep)] == [
             "phi intertwines F at weight 1",
             "phi intertwines F at weight -1",
         ]
         assert len(rep.checks) == 14
-        _located(rep.failures[0], "geometric", 1, "{1,3}")
-        assert "lowering twice from weight 3 vanishes fails: " in rep.failures[0].witness
-        _located(rep.failures[1], "geometric", -1, "{1,3}")
+        _located(failed_checks(rep)[0], "geometric", 1, "{1,3}")
+        assert "lowering twice from weight 3 vanishes fails: " in failed_checks(rep)[0].witness
+        _located(failed_checks(rep)[1], "geometric", -1, "{1,3}")
         assert "weight -1 commutator is a (1-q^6) scalar on a dim-3 block fails: " in (
-            rep.failures[1].witness
+            failed_checks(rep)[1].witness
         )
         assert find_intertwiner(3)[0] == {}
         assert main(["verify", "--n", "3"]) == 1
@@ -620,8 +635,8 @@ class TestIntertwinerNegativeControls:
     def test_broken_e_relation_is_located(self, monkeypatch):
         _break_raising_entry(monkeypatch, -1)
         rep = intertwiner_report(3)
-        assert "phi intertwines E at weight 1" in [c.name for c in rep.failures]
-        bad = next(c for c in rep.failures if c.name == "phi intertwines E at weight 1")
+        assert "phi intertwines E at weight 1" in [c.name for c in failed_checks(rep)]
+        bad = next(c for c in failed_checks(rep) if c.name == "phi intertwines E at weight 1")
         _located(bad, "geometric", 1, "{}")
         assert "raising twice from weight -1 vanishes fails: " in bad.witness
 
@@ -629,9 +644,9 @@ class TestIntertwinerNegativeControls:
         _drop_commutator_sign(monkeypatch)
         rep = intertwiner_report(3)
         assert len(rep.checks) == 14
-        names = [c.name for c in rep.failures]
+        names = [c.name for c in failed_checks(rep)]
         assert names == [f"phi intertwines F at weight {w}" for w in (3, 1, -1)]
-        for check in rep.failures:
+        for check in failed_checks(rep):
             assert check.witness.startswith("algebra side, weight ")
             assert "\n" not in check.witness and len(check.witness) < 300
             premise = check.witness.split(": ", 1)[1]
@@ -645,10 +660,10 @@ class TestIntertwinerNegativeControls:
         assert [(c.name, c.passed) for c in rep.checks] == [
             ("a pole-free sample point exists", False)
         ]
-        assert rep.failures[0].witness == (
+        assert failed_checks(rep)[0].witness == (
             "all 72 points drawn with seed 0xc0ffee hit a pole or a vanishing s_w"
         )
-        assert "seed 0x7 " in intertwiner_report(2, seed=7).failures[0].witness
+        assert "seed 0x7 " in failed_checks(intertwiner_report(2, seed=7))[0].witness
         assert find_intertwiner(2)[0] == {}
         assert cli.main(["verify", "--n", "2"]) == 1
         assert "[FAIL] a pole-free sample point exists" in capsys.readouterr().out
@@ -657,7 +672,7 @@ class TestIntertwinerNegativeControls:
 class TestGeometryBatteryNegativeControls:
     def test_negated_lowering_column_gives_located_witnesses(self, monkeypatch):
         _negate_lowering_column(monkeypatch, weight=1, col=2)
-        failures = nilpotency_report(3).failures + commutator_report(3).failures
+        failures = failed_checks(nilpotency_report(3)) + failed_checks(commutator_report(3))
         assert [c.name for c in failures] == [
             "lowering twice from weight 3 vanishes",
             "weight 1 commutator is a (1-q^6) scalar on a dim-3 block",
@@ -692,7 +707,7 @@ def _geometry_failures(n):
         for battery in (nilpotency_report, commutator_report, normalized_rep_report)
     ]
     reports.append(intertwiner_report(n, blocks=blocks))
-    return {c.name: c.witness for r in reports for c in r.failures}
+    return {c.name: c.witness for r in reports for c in failed_checks(r)}
 
 
 def _entry_located(witness, row_subset):
@@ -749,8 +764,8 @@ class TestMutationFixtures:
         commutators = {3: (3, 1, -1), 4: (4, 2, 0, -2)}
         for n in (3, 4):
             blocks = fm.Blocks(n)
-            nil = nilpotency_report(n, blocks=blocks).failures
-            com = commutator_report(n, blocks=blocks).failures
+            nil = failed_checks(nilpotency_report(n, blocks=blocks))
+            com = failed_checks(commutator_report(n, blocks=blocks))
             assert [c.name for c in nil] == [
                 f"{op} twice from weight {w} vanishes" for op, w in squares[n]
             ]
@@ -784,22 +799,42 @@ class TestEquivarianceGate:
         failing = [key for key in _geometric_keys(n) if not blocks.equivariant(*key)]
         assert failing == [("F", 1 if n == 3 else 2)]
 
+    @staticmethod
+    def euler(twist, chi=()):
+        """The EulerEntry twist * e(chi) for a one-term twist in x1..x3, q."""
+        ((key, sign),) = twist.keys.items()
+        return fm.EulerEntry(4, key, sign, chi)
+
     def test_each_generator_is_checked(self):
         # on the weight-1 block of n = 3 (rows and columns {1}, {2}, {3}),
         # a shift along the 3-cycle commutes with (1 2 3) but not with (1 2),
         # and a lone entry at ({3}, {3}) commutes with (1 2) but not (1 2 3)
-        one = RationalFunction.const(4, 1)
+        one = self.euler(Poly.one(4))
         cyclic = Matrix.zero_block(3, 1, 1, RationalFunction.zero(4))
         for i in range(3):
             cyclic.rows[i][(i + 1) % 3] = one
         corner = Matrix.zero_block(3, 1, 1, RationalFunction.zero(4))
         corner.rows[2][2] = one
         assert not fm.is_equivariant(cyclic) and not fm.is_equivariant(corner)
+        # x_i q^-1 * e(x_i / q) on the diagonal moves with every sigma
         diagonal = Matrix.zero_block(3, 1, 1, RationalFunction.zero(4))
         for i in range(3):
-            diagonal.rows[i][i] = RationalFunction.from_poly(Poly.x(4, i + 1) - Poly.q(4))
+            x = Poly.x(4, i + 1) * Poly.q(4, -1)
+            diagonal.rows[i][i] = self.euler(x, (*x.keys, 1))
         assert fm.is_equivariant(diagonal)
-        diagonal.rows[0][0] = RationalFunction.from_poly(Poly.x(4, 2) - Poly.q(4))
+        x2 = Poly.x(4, 2) * Poly.q(4, -1)
+        diagonal.rows[0][0] = self.euler(x2, (*x2.keys, 1))
+        assert not fm.is_equivariant(diagonal)
+
+    def test_an_entry_that_is_no_euler_entry_fails_it(self):
+        # equivariant as fractions, but the gate reads Euler data only: a
+        # False sends the products to every position, which is never wrong
+        diagonal = Matrix.zero_block(3, 1, 1, RationalFunction.zero(4))
+        for i in range(3):
+            diagonal.rows[i][i] = self.euler(Poly.x(4, i + 1))
+        assert fm.is_equivariant(diagonal)
+        for i in range(3):
+            diagonal.rows[i][i] = RationalFunction.from_poly(Poly.x(4, i + 1))
         assert not fm.is_equivariant(diagonal)
 
     def test_flag_lines_times_q_pass_it(self, monkeypatch):
@@ -941,6 +976,8 @@ class TestEulerEntries:
         assert a == b and b == a and a == parse("(x2 - x1)/x2", 3)
         assert a != fm.EulerEntry(3, down, 1, (down, 1))
         assert a.permute((2, 1)) == parse("(x1 - x2)/x1", 3)
+        # the equivariance gate compares data, so it tells a and b apart
+        assert fm._data(a) != fm._data(b)
 
     @pytest.mark.parametrize("n, counts", [(4, (32, 64)), (6, (72, 384))])
     def test_decisions_expand_exactly_the_entries_they_read(self, monkeypatch, n, counts):
@@ -1013,7 +1050,7 @@ class TestOrbitSweepAgainstFullSweep:
 
 def _constant_parity_sign(monkeypatch):
     """epsilon_sign fixed at +1: it no longer alternates with k, so the
-    normalized commutator forms the Poly products of the scaled blocks."""
+    normalized commutator decides FE - EF, signs (-1, +1) on EF and FE."""
     monkeypatch.setattr(fm, "epsilon_sign", lambda n, k: 1)
 
 
@@ -1051,7 +1088,7 @@ class TestNormalizedAgainstFractionField:
         got = normalized_rep_report(n, blocks=blocks)
         assert _outcomes(got) == _outcomes(reference_normalized_rep_report(n))
         if mutation == "constant parity sign":
-            assert len(got.failures) == n
+            assert len(failed_checks(got)) == n
         proof = _outcomes(intertwiner_report(n, blocks=blocks))
         monkeypatch.setattr(fm, "_normalized_square", reference_normalized_square)
         monkeypatch.setattr(fm, "_normalized_commutator", reference_normalized_commutator)
@@ -1094,7 +1131,7 @@ class TestWitnessFormsOneEntry:
         monkeypatch.setattr(fm, "dot", lambda *a: calls.append(a) or raw(*a))
         blocks = fm.Blocks(n)
         batteries = (nilpotency_report, commutator_report)
-        failures = [c.name for b in batteries for c in b(n, blocks=blocks).failures]
+        failures = [c.name for b in batteries for c in failed_checks(b(n, blocks=blocks))]
         return len(calls), failures
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -1126,7 +1163,7 @@ class TestWitnessFormsOneEntry:
         calls = []
         raw = ratfunc.common_denominator
         monkeypatch.setattr(ratfunc, "common_denominator", lambda *a: calls.append(a) or raw(*a))
-        failures = commutator_report(n, blocks=blocks).failures
+        failures = failed_checks(commutator_report(n, blocks=blocks))
         assert len(failures) == (5 if mutation else 0)
         assert len(calls) == raisings
 

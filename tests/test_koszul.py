@@ -19,14 +19,12 @@ from qglk.koszul import (
     cone_class,
     d_of,
     generic_bundle_data,
-    iterated_cone_classes,
-    iterated_cone_report,
     koszul_complex,
     located_witness,
 )
 from qglk.poly import Poly
 from qglk.ratfunc import RationalFunction
-from reference import reference_twist
+from reference import failed_checks, iterated_cone_classes, iterated_cone_report, reference_twist
 from weights import rank
 
 LIMIT = 1 << 14  # exponents lie in [-LIMIT, LIMIT)
@@ -593,11 +591,11 @@ class TestNegativeControl:
     @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
     def test_every_sweep_fails_with_a_short_witness(self, untwisted_step_block, rank):
         rep = koszul.endpoint_report(rank)
-        assert [c.name for c in rep.failures] == [rep.checks[-1].name]
-        witness = rep.failures[0].witness
+        assert [c.name for c in failed_checks(rep)] == [rep.checks[-1].name]
+        witness = failed_checks(rep)[0].witness
         moves = re.findall(r"\(\([\d, ]*\), \d+\)", witness)
         assert len(witness) < 300 and 1 <= len(moves) <= 3
-        total = re.search(r"all (\d+) valid", rep.failures[0].name).group(1)
+        total = re.search(r"all (\d+) valid", failed_checks(rep)[0].name).group(1)
         assert re.match(rf"\d+ of {total} moves fail, ", witness)
 
     def test_shifted_d_window_fails_endpoint_sweep_and_routes(self, shifted_d_window, capsys):

@@ -10,6 +10,7 @@ from qglk.matrix import Matrix
 from qglk.poly import Poly
 from qglk.ratfunc import RationalFunction
 from reference import (
+    algebra_block,
     certify_invertible,
     column_basis,
     invert_matrix,
@@ -26,7 +27,7 @@ def projectors(n):
     for k in range(1, n + 1):
         w = n - 2 * k
         s = fm.commutator_scalar(n, k).inv()
-        yield (fm.algebra_matrix(n, "F", w + 2) @ fm.algebra_matrix(n, "E", w)).scale(s)
+        yield (algebra_block(n, "F", w + 2) @ algebra_block(n, "E", w)).scale(s)
         yield (fm.lowering_matrix(n, w + 2) @ fm.raising_matrix(n, w)).scale(s)
 
 

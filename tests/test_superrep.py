@@ -28,6 +28,7 @@ from reference import (
     basis_subsets,
     basis_words,
     entry,
+    failed_checks,
     full_matrix,
     reference_verify_relations,
     subset_from_word,
@@ -265,9 +266,9 @@ class TestNegativeControls:
     def test_dropped_koszul_sign_fails_with_a_located_witness(self, monkeypatch, capsys):
         monkeypatch.setattr(superrep, "apply_generator", unsigned)
         rep = verify_relations(3)
-        names = [c.name for c in rep.failures]
+        names = [c.name for c in failed_checks(rep)]
         assert "E^2 = 0" in names and "F^2 = 0" in names
-        for check in rep.failures:
+        for check in failed_checks(rep):
             _located(check)
         assert main(["verify", "--n", "3"]) == 1
         assert "[FAIL] E^2 = 0" in capsys.readouterr().out
@@ -275,7 +276,7 @@ class TestNegativeControls:
     def test_swapped_k_and_h_fail_the_anticommutator(self, monkeypatch):
         monkeypatch.setattr(superrep, "apply_generator", swapped)
         rep = verify_relations(3)
-        bad = next(c for c in rep.failures if c.name == "EF + FE = K - Kinv")
+        bad = next(c for c in failed_checks(rep) if c.name == "EF + FE = K - Kinv")
         _located(bad)
 
     @pytest.mark.parametrize(
@@ -359,7 +360,7 @@ class TestNegativeControls:
         ref = reference_verify_relations(n)
         outcomes = [(c.name, c.passed, c.witness) for c in rep.checks]
         assert outcomes == [(c.name, c.passed, c.witness) for c in ref.checks]
-        assert rep.failures
+        assert failed_checks(rep)
 
     # Poly products a failing check forms at its first bad weight
     POLY_PRODUCTS = {"E^2 = 0": 1, "F^2 = 0": 1, "K Kinv = 1": 1, "H Hinv = 1": 1}
@@ -379,10 +380,10 @@ class TestNegativeControls:
 
         monkeypatch.setattr(Matrix, "__matmul__", recording)
         rep, want = verify_relations(n), Counter()
-        for check in rep.failures:
+        for check in failed_checks(rep):
             source, target = re.match(r"weight (-?\d+) -> (-?\d+): ", check.witness).groups()
             want[int(source), int(target)] += self.POLY_PRODUCTS.get(check.name, 2)
-        assert rep.failures and Counter(formed) == want
+        assert failed_checks(rep) and Counter(formed) == want
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_unpackable_entries_fall_back_to_the_poly_products(self, monkeypatch, n):
@@ -395,8 +396,8 @@ class TestNegativeControls:
 
         monkeypatch.setattr(Matrix, "__matmul__", recording)
         rep = verify_relations(n)
-        assert [c.name for c in rep.failures] == ["EF + FE = K - Kinv"]
-        _located(rep.failures[0])
+        assert [c.name for c in failed_checks(rep)] == ["EF + FE = K - Kinv"]
+        _located(failed_checks(rep)[0])
         # F^2 still packs, and so does E^2 from the top weight, where both
         # E blocks are empty; E^2 below it and EF + FE at its first (top)
         # weight take the Poly products
@@ -407,8 +408,8 @@ class TestNegativeControls:
     def test_grouplike_controls_fail_with_a_located_witness(self, monkeypatch, n, control):
         monkeypatch.setattr(superrep, "apply_generator", GROUPLIKE_CONTROLS[control])
         rep = verify_relations(n)
-        assert rep.failures
-        for check in rep.failures:
+        assert failed_checks(rep)
+        for check in failed_checks(rep):
             _located(check)
 
     @pytest.mark.parametrize("n", [4, 6])
@@ -481,6 +482,25 @@ class TestPackingLemma:
             t = target and pack(target, 2 * shift)
             if target is None or t:
                 assert packed_holds(ops, t) in (None, holds)
+
+    @given(packing_cases(), st.lists(st.sampled_from((1, -1)), min_size=2, max_size=2))
+    @settings(max_examples=300, deadline=None)
+    def test_a_sign_on_a_product_is_one_on_its_right_factor(self, case, signs):
+        # signs of +-1 change no norm, so the bound and the decision are
+        # those of the products with each right factor negated as signed
+        bits, shift, products, target = case
+        signs = signs[: len(products)]
+        got = reduce(add, ((A @ B).scale(s) for (A, B), s in zip(products, signs)))
+        holds = not any(map(any, got.rows)) if target is None else got == target
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(superrep, "PACK_BITS", bits)
+            ops = [(pack(A, shift), pack(B, shift)) for A, B in products]
+            flipped = [
+                (pack(A, shift), pack(B.scale(s), shift)) for (A, B), s in zip(products, signs)
+            ]
+            t = target and pack(target, 2 * shift)
+            if target is None or t:
+                assert packed_holds(ops, t, signs) == packed_holds(flipped, t) in (None, holds)
 
     @pytest.mark.parametrize("bits", [4, PACK_BITS])
     def test_a_coefficient_of_2_to_the_bits_is_refused(self, monkeypatch, bits):

