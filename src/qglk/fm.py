@@ -20,8 +20,8 @@ the commutator of the two functors is the scalar
 normalized algebra blocks (normalized_rep_report).
 
 An entry is kept in the form above, as an EulerEntry (its twist and
-character), and expands to a fraction only where a decision or a witness
-reads it: 32 of the 64 entries at n = 4, 72 of the 384 at n = 6.
+character), and expands to a fraction only where a raised_sum fallback or
+a witness reads it (see below): on the true action, never.
 
 Every matrix here is a weight block, a :class:`qglk.matrix.Matrix` that
 carries its two weights, rows and columns labelled by fixed points:
@@ -55,9 +55,36 @@ data at the image position give the same fraction there, since
 expansion commutes with sigma (a property test pins it), and any other
 pair, or an entry that is not an EulerEntry, fails the gate.
 
-Each checked geometric position is decided by one exact zero test,
-ratfunc.raised_sum, with no cancellation and no trial division; one
-raising decides both signs of the geometric commutator (Blocks._first_bad).
+Each checked geometric position is first given an exact value proven
+from Euler data (Blocks._first_bad, _proven).  A term a * b is again
+sign * X^key * e(chi).  Its normal form folds each weight w onto
+whichever of w and w^-1 has the larger packed key: where that is
+c = w^-1, 1 - w^-1 = -c (1 - c^-1), so the sign flips for odd m and
+m (zero - k) joins the key.  Zero multiplicities are dropped.  Over the
+UFD Z[x^+-1, q^+-1] equal normal forms are equal fractions and
+conversely: for d primitive, 1 - X^d is irreducible (a monomial change
+of coordinates makes it 1 - y_1), 1 - X^(g d) is the product of the
+cyclotomic Phi_k(X^d), k | g, whose exponents form a triangular system
+in the folded multiplicities, and distinct d give non-associate factors,
+so e(chi) is a unit only when every folded multiplicity is 0.  Two rules
+prove a value:
+
+* 0, when the signed terms cancel by normal form: every nonzero square
+  position and off-diagonal commutator position;
+* sigma * (q^(2n) - 1) at a diagonal position of the commutator, when the
+  terms' normal forms are sigma times those of R_1, ..., R_n (residue).
+  R_j = q^(2n) e(chi_j) is the residue at z = x_j of
+  G(z) = prod_l (q^2 z - x_l) / (z prod_l (z - x_l)); with Res_0 G = 1
+  and Res_oo G = -q^(2n) the residue theorem on P^1 gives
+  sum_j R_j = q^(2n) - 1.  G is typed in, but the terms it is matched
+  with are computed from the fixed-point characters.
+
+A proven value is compared with the target exactly.  Euler data only
+ever prove a value: a position they do not prove, or one with a factor
+that is no EulerEntry, goes to ratfunc.raised_sum, one exact zero test
+with no cancellation and no trial division, whose one raising decides
+both signs of the geometric commutator.  Under a fault a failing
+position thus keeps that decision and its witness.
 """
 
 from functools import cache, partial
@@ -75,7 +102,7 @@ from .grassmann import (
 )
 from .linalg import columns, hstack, pivot_columns, sample_points
 from .matrix import Matrix, block_points, dot, entry_witness, k_of, weights, witness
-from .poly import PointValues, Poly, _layout, _permute_keys
+from .poly import PointValues, Poly, _check_fields, _layout, _permute_keys
 from .ratfunc import PoleError, RationalFunction, raised_sum
 from .report import Report
 from .superrep import Relations
@@ -172,14 +199,10 @@ def _flat(pairs):
     return tuple(chain.from_iterable(sorted(pairs)))
 
 
-def _pair_entry(n, S_small, S_big, raising, unit):
-    """The entry at a nested pair, times the monomial unit unless None."""
-    S_tgt = S_small if raising else S_big
-    char = (
-        tangent_gr(n, S_tgt)
-        + hom_fiber(n, S_tgt)
-        - correspondence_tangent(n, S_small, S_big)
-    )
+def _pair_entry(n, S_small, S_big, raising, unit, at_target):
+    """The entry at a nested pair, times the monomial unit unless None,
+    given at_target, the character T_{S_t} Y at the target fixed point."""
+    char = at_target - correspondence_tangent(n, S_small, S_big)
     if _layout(n + 1).zero in char.keys:  # as euler_class_rf would, and __bool__ relies on
         raise NonIsolatedFixedPointError("trivial weight in an Euler class")
     twist = _twist(n, S_small, S_big, raising)
@@ -197,11 +220,14 @@ def _functor_matrix(n, source_weight, raising):
     target_weight = source_weight + (2 if raising else -2)
     out = Matrix.zero_block(n, source_weight, target_weight, RationalFunction.zero(n + 1))
     unit = None if raising else lowering_unit(n).num  # a monomial: it joins the twist
+    targets = {}  # T_{S_t} Y of each target fixed point, formed once per block
     for j, Ss in enumerate(out.cols_points):
         for i, St in enumerate(out.rows_points):
             small, big = (St, Ss) if raising else (Ss, St)
             if set(small) <= set(big):
-                out.rows[i][j] = _pair_entry(n, small, big, raising, unit)
+                if St not in targets:
+                    targets[St] = tangent_gr(n, St) + hom_fiber(n, St)
+                out.rows[i][j] = _pair_entry(n, small, big, raising, unit, targets[St])
     return out
 
 
@@ -228,6 +254,72 @@ def _signed_scalars(n):
 def commutator_scalar(n, k):
     """(-1)^(n-k-1) * (1 - q^(2n)) in the fraction field."""
     return _signed_scalars(n)[epsilon_sign(n, k)]
+
+
+def _normal_form(nvars, sign, key, pairs):
+    """(sign, (key, folded)) of sign * X^key * prod (1 - w^-1)^m over the
+    (key of w, m) pairs: each w folded onto whichever of w and w^-1 has
+    the larger key, by 1 - w^-1 = -c (1 - c^-1) with c = w^-1, and the
+    zero multiplicities dropped, folded a (key, m) tuple in key order.
+    Equal forms are equal fractions, and conversely (module docstring)."""
+    lay = _layout(nvars)
+    zero, folded = lay.zero, {}
+    for k, m in pairs:
+        if k < zero:  # the key 2 * zero - k of c = w^-1 is the larger
+            sign, key, k = -sign if m % 2 else sign, key + m * (zero - k), 2 * zero - k
+        folded[k] = folded.get(k, 0) + m
+    _check_fields(lay, (key, *folded))  # as Poly's products do
+    return sign, (key, tuple(sorted(item for item in folded.items() if item[1])))
+
+
+def _collected(nvars, terms):
+    """{(key, folded): coefficient} of the signed sum of the products of
+    the EulerEntrys in each (sign, *factors) of terms: the terms' normal
+    forms with their signs added, zero coefficients dropped."""
+    zero = _layout(nvars).zero
+    out = {}
+    for sign, *factors in terms:
+        for e in factors:
+            sign *= e.sign
+        key = sum(e.key for e in factors) - (len(factors) - 1) * zero
+        pairs = chain.from_iterable(e._pairs() for e in factors)
+        sign, form = _normal_form(nvars, sign, key, pairs)
+        out[form] = out.get(form, 0) + sign
+    return {form: c for form, c in out.items() if c}
+
+
+def residue(n, j):
+    """R_j = q^(2n) e(chi_j), chi_j = sum_l q^2 x_j / x_l - sum_(l != j)
+    x_j / x_l, as an EulerEntry: the residue at z = x_j of
+    G(z) = prod_l (q^2 z - x_l) / (z prod_l (z - x_l))."""
+    others = [(j, l) for l in range(1, n + 1) if l != j]
+    chi = ratio_character(n, [(j, l) for l in range(1, n + 1)], 2) - ratio_character(n, others)
+    ((key, sign),) = Poly.q(n + 1, 2 * n).keys.items()
+    return EulerEntry(n + 1, key, sign, _flat(chi.keys.items()))
+
+
+@cache
+def _residues(n):
+    """_collected of R_1, ..., R_n (residue), whose sum is q^(2n) - 1."""
+    return _collected(n + 1, [(1, residue(n, j)) for j in range(1, n + 1)])
+
+
+def _proven(n, terms, diagonal):
+    """The value of the signed sum of the products a * b over the
+    (sign, a, b) in terms, proven from Euler data (module docstring), or
+    None: 0 when the terms' normal forms cancel, and at a diagonal
+    position sigma * (q^(2n) - 1) when they are sigma times those of the
+    residues R_j.  None also when a factor is no EulerEntry."""
+    if not all(isinstance(e, EulerEntry) for _, a, b in terms for e in (a, b)):
+        return None
+    got = _collected(n + 1, terms)
+    if not got:
+        return RationalFunction.zero(n + 1)
+    if diagonal:
+        for sigma in (1, -1):
+            if got == {form: sigma * c for form, c in _residues(n).items()}:
+                return _signed_scalars(n)[-sigma]  # sigma * (q^(2n) - 1)
+    return None
 
 
 SIDES = ("algebra", "geometric")
@@ -288,12 +380,14 @@ class Blocks:
     battery reports; cmd_verify hands relations to verify_relations too.
     Blocks come from raising_matrix, lowering_matrix and relations times
     _unit on first use.  A geometric entry holds its Euler data
-    (EulerEntry) and expands when a decision or a witness first reads its
-    fraction; the gate and the intertwiner's point stage never do.
+    (EulerEntry) and expands when a raised_sum fallback or a witness
+    first reads its fraction; the proofs, the gate and the intertwiner's
+    point stage never expand one.
 
     A geometric square or commutator is checked on orbit representatives
     when every factor block passed is_equivariant, else on every entry,
-    each by the zero test of the module docstring.  A check whose every
+    each by a value proven from Euler data, or where none is proven by
+    raised_sum (module docstring).  A check whose every
     position holds passes; otherwise the first position that fails is
     the one entry formed, and the witness names it.  Every entry of a bad
     orbit is bad, so the first bad representative is the first bad entry:
@@ -339,11 +433,13 @@ class Blocks:
         """For each sign in signs, the first position (i, j), in
         _positions order, where A @ B, or A @ B - C @ D for two products,
         is not sign * s times the identity (zero when s is None), else
-        None.  Each position is raised once (ratfunc.raised_sum), which
-        forms no entry and decides every sign: sign * s holds there
-        exactly when N = sign * T."""
+        None.  Each position is decided once for every sign, forming no
+        entry: by the value _proven from Euler data, else by one raising
+        (ratfunc.raised_sum), where sign * s holds exactly when
+        N = sign * T."""
         ops, _, positions = self._positions(products)
         bad = dict.fromkeys(signs)
+        zero = RationalFunction.zero(self.n + 1)
         for i, j in positions:
             terms = [
                 (sign, a, row[j])
@@ -351,7 +447,11 @@ class Blocks:
                 for a, row in zip(left.rows[i], right.rows)
                 if a and row[j]
             ]
-            got, want = raised_sum(self.n + 1, terms, s if i == j else None)
+            diagonal = s is not None and i == j
+            want = s if diagonal else zero
+            got = _proven(self.n, terms, diagonal)
+            if got is None:
+                got, want = raised_sum(self.n + 1, terms, want)
             for sign in signs:
                 if bad[sign] is None and got != (want if sign > 0 else -want):
                     bad[sign] = i, j

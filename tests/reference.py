@@ -26,7 +26,9 @@ reference for the integer stage of qglk.fm and qglk.linalg.pivot_columns.
 
 The full sweeps: every entry of each geometric square and commutator,
 formed as whole matrices, the reference for the orbit-representative
-checks of qglk.fm.Blocks; the normalized algebra checks multiplied out
+checks of qglk.fm.Blocks; each checked position decided by
+ratfunc.raised_sum alone, the reference for the Euler-data proofs of
+qglk.fm.Blocks._first_bad; the normalized algebra checks multiplied out
 over the fraction field, the reference for those qglk.fm reads from
 superrep's decisions through unit algebra, from the algebra blocks
 times their units lifted to the fraction field (algebra_block); and the
@@ -71,7 +73,7 @@ from qglk.grassmann import (
 from qglk.linalg import columns, pivot_columns, sample_points
 from qglk.matrix import Matrix, entry_witness, k_of, weights
 from qglk.poly import Poly
-from qglk.ratfunc import PoleError, RationalFunction, common_denominator
+from qglk.ratfunc import PoleError, RationalFunction, common_denominator, raised_sum
 from qglk.report import Report
 
 
@@ -545,7 +547,10 @@ def old_first_difference(got, want=None):
 
 class FullSweepBlocks(fm.Blocks):
     """fm.Blocks with every geometric square and commutator checked on
-    whole matrices, at every entry, whatever the equivariance gate says."""
+    whole matrices, at every entry, whatever the equivariance gate says.
+    It overrides square and _commutator, so it inherits neither
+    fm.Blocks._first_bad nor the Euler-data proofs inside it: each entry
+    is formed by Matrix.__matmul__ over the fraction field."""
 
     def difference(self, w):
         """FE - EF on the geometric weight-w block."""
@@ -571,6 +576,31 @@ class FullSweepBlocks(fm.Blocks):
         sign = f"observed {eps:+d}, parity {pred:+d}; {bad}" if bad else ""
         note = f"weight {w}: epsilon={eps:+d}, parity (-1)^(n-k-1)={pred:+d}"
         return [(name, ""), (f"weight {w} sign matches (-1)^(n-k-1)", sign)], note
+
+
+class RaisedSumBlocks(fm.Blocks):
+    """fm.Blocks with every checked geometric position decided by
+    ratfunc.raised_sum alone, as before the Euler-data proofs: the
+    reference for fm.Blocks._first_bad.  Positions and witnesses are
+    fm.Blocks' own."""
+
+    def _first_bad(self, products, s=None, signs=(1,)):
+        ops, _, positions = self._positions(products)
+        bad = dict.fromkeys(signs)
+        for i, j in positions:
+            terms = [
+                (sign, a, row[j])
+                for sign, (left, right) in zip((1, -1), ops)
+                for a, row in zip(left.rows[i], right.rows)
+                if a and row[j]
+            ]
+            got, want = raised_sum(self.n + 1, terms, s if i == j else None)
+            for sign in signs:
+                if bad[sign] is None and got != (want if sign > 0 else -want):
+                    bad[sign] = i, j
+            if None not in bad.values():
+                break
+        return [bad[sign] for sign in signs]
 
 
 def algebra_block(n, gen, w):

@@ -1,9 +1,12 @@
 import json
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qglk import cli, fm, ratfunc, superrep
 from qglk.cli import main
@@ -40,6 +43,7 @@ from qglk.superrep import block_matrix
 import test_superrep
 from reference import (
     FullSweepBlocks,
+    RaisedSumBlocks,
     algebra_block,
     certify_invertible,
     column_basis,
@@ -865,25 +869,23 @@ class TestEquivarianceGate:
                 assert fm.orbit_representatives(n, source, target) == sorted(first)
 
     def test_squares_and_commutators_form_one_entry_per_orbit(self, monkeypatch):
+        # one decision per orbit representative, each proven from Euler
+        # data, so none goes on to raised_sum; no entry expands, so not even
+        # euler_class_rf makes a trial division
         n = 4
         blocks = fm.Blocks(n)
-        for key in _geometric_keys(n):
-            # an entry expands on first read, through the trial divisions
-            # of euler_class_rf: expand every one first, so that the count
-            # below sees the decisions alone
-            for row in blocks.op("geometric", *key).rows:
-                assert all(e.num is not None for e in row)
-        decisions, divisions = [], []
-        decide, divide = fm.raised_sum, Poly.exact_div
-        monkeypatch.setattr(fm, "raised_sum", lambda *a: decisions.append(a) or decide(*a))
+        proofs, raisings, divisions = [], [], []
+        prove, raise_, divide = fm._proven, fm.raised_sum, Poly.exact_div
+        monkeypatch.setattr(fm, "_proven", lambda *a: proofs.append(prove(*a)) or proofs[-1])
+        monkeypatch.setattr(fm, "raised_sum", lambda *a: raisings.append(a) or raise_(*a))
         monkeypatch.setattr(Poly, "exact_div", lambda *a: divisions.append(a) or divide(*a))
         assert nilpotency_report(n, blocks=blocks).passed
         assert commutator_report(n, blocks=blocks).passed
         reps = fm.orbit_representatives
         squares = sum(len(reps(n, w, w + 4)) + len(reps(n, w, w - 4)) for w in weights(n))
         commutators = sum(len(reps(n, w, w)) for w in weights(n))
-        assert len(decisions) == squares + commutators
-        # a passing check cancels nothing, so it makes no trial division
+        assert len(proofs) == squares + commutators
+        assert None not in proofs and raisings == []
         assert normalized_rep_report(n, blocks=blocks).passed
         assert divisions == []
 
@@ -979,17 +981,25 @@ class TestEulerEntries:
         # the equivariance gate compares data, so it tells a and b apart
         assert fm._data(a) != fm._data(b)
 
-    @pytest.mark.parametrize("n, counts", [(4, (32, 64)), (6, (72, 384))])
-    def test_decisions_expand_exactly_the_entries_they_read(self, monkeypatch, n, counts):
-        expanded = _expansions(monkeypatch)
+    @pytest.mark.parametrize("n, entries", [(4, 64), (6, 384)])
+    def test_decisions_read_exactly_their_entries_and_expand_none(self, monkeypatch, n, entries):
+        # the squares and commutators read the factors of each product at
+        # each orbit representative, as Euler data, and expand none
+        expanded, read = _expansions(monkeypatch), []
+        prove = fm._proven
+
+        def reading(n, terms, diagonal):
+            read.extend(e for _, a, b in terms for e in (a, b))
+            return prove(n, terms, diagonal)
+
+        monkeypatch.setattr(fm, "_proven", reading)
         blocks = fm.Blocks(n)
         for battery in (nilpotency_report, commutator_report, normalized_rep_report):
             assert battery(n, blocks=blocks).passed
-        read = _read_by_decisions(blocks)
-        assert {id(e) for e in expanded} == {id(e) for e in read}
-        assert (len(expanded), len(_geometric_entries(blocks))) == counts
+        assert {id(e) for e in read} == {id(e) for e in _read_by_decisions(blocks)}
+        assert len(_geometric_entries(blocks)) == entries
         assert intertwiner_report(n, blocks=blocks).passed
-        assert len(expanded) == counts[0]
+        assert expanded == []
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_gate_and_point_stage_expand_nothing(self, monkeypatch, n):
@@ -1100,21 +1110,34 @@ class TestOneDecisionPerIdentity:
     def test_verify_decides_each_identity_once_per_weight(self, monkeypatch, capsys, n):
         # E^2, F^2 and EF + FE at each weight, shared by "defining
         # relations", the normalized algebra report and the intertwiner's
-        # algebra premises; the fraction-field zero test reads geometric
-        # entries alone
-        decisions, raised = [], []
-        holds, raise_ = superrep.packed_holds, fm.raised_sum
+        # algebra premises; the Euler-data proofs read geometric entries
+        # alone
+        decisions, read = [], []
+        holds, prove = superrep.packed_holds, fm._proven
         monkeypatch.setattr(superrep, "packed_holds", lambda *a: decisions.append(a) or holds(*a))
 
-        def recording(nvars, terms, target=None):
-            raised.extend(e for _, a, b in terms for e in (a, b))
-            return raise_(nvars, terms, target)
+        def reading(n, terms, diagonal):
+            read.extend(e for _, a, b in terms for e in (a, b))
+            return prove(n, terms, diagonal)
 
-        monkeypatch.setattr(fm, "raised_sum", recording)
+        monkeypatch.setattr(fm, "_proven", reading)
         assert cli.main(["verify", "--n", str(n), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["passed"]
         assert len(decisions) == 3 * (n + 1)
-        assert raised and all(isinstance(e, fm.EulerEntry) for e in raised)
+        assert read and all(isinstance(e, fm.EulerEntry) for e in read)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_verify_raises_expands_and_divides_nothing(self, monkeypatch, capsys, n):
+        # on the true action every geometric position is proven from Euler
+        # data: no raised_sum, so no entry expands and nothing is divided
+        calls = []
+        for owner, name in ((fm, "raised_sum"), (fm.EulerEntry, "_expand"), (Poly, "exact_div")):
+            raw = getattr(owner, name)
+            counted = lambda *a, raw=raw, name=name: calls.append(name) or raw(*a)  # noqa: E731
+            monkeypatch.setattr(owner, name, counted)
+        assert cli.main(["verify", "--n", str(n), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"]
+        assert calls == []
 
 
 class TestWitnessFormsOneEntry:
@@ -1147,13 +1170,18 @@ class TestWitnessFormsOneEntry:
         if mutation == "negated lowering column":
             assert calls == 5
 
-    @pytest.mark.parametrize("mutation, raisings", [(None, 9), ("flipped parity sign", 25)])
+    @pytest.mark.parametrize(
+        "mutation, raisings",
+        [(None, 0), ("flipped parity sign", 16), ("lowering unit off by q^2", 21)],
+    )
     def test_one_raising_decides_both_commutator_signs(self, monkeypatch, mutation, raisings):
         # commutator_report(4) on prebuilt blocks, counted in
-        # common_denominator calls: each checked position is raised once
-        # for both signs, and each failing sign check's witness forms one
-        # entry.  Under the flipped sign, raising each weight's first
-        # diagonal representative again against -s made 30 calls.
+        # common_denominator calls.  The true action and the flipped sign
+        # prove every position from Euler data and raise nothing; each
+        # failing sign check's witness forms one entry (16 calls for 5
+        # failures).  Off by q^2, each weight's first diagonal
+        # representative is not proven: it is raised once for both signs
+        # (5 calls) before its witness.
         n = 4
         if mutation:
             SWEEP_MUTATIONS[mutation](monkeypatch, n)
@@ -1211,3 +1239,197 @@ class TestIntegerPointStage:
         monkeypatch.setattr(fm, "_at_points", fraction_points)
         monkeypatch.setattr(fm, "pivot_columns", reference_pivot_columns)
         assert _fm_outcomes(4, blocks) == got
+
+
+# raised_sum fallbacks (squares, commutators) of nilpotency_report and
+# commutator_report at n = 4 under each fault: the positions whose Euler
+# data prove no value, because an entry is no EulerEntry (a negated
+# column, a broken entry) or its terms neither cancel nor match the
+# residues; each fault's first failing position is among them, unless
+# the value proven there is the wrong one (the flipped sign)
+FALLBACKS = {
+    "negated lowering column": (4, 2),
+    "broken raising entry": (1, 2),
+    "unsigned commutator scalar": (0, 0),
+    "flipped parity sign": (0, 0),
+    "lowering unit off by q^2": (0, 5),
+    "perturbed correspondence weight": (4, 2),
+    "flag lines times q": (6, 4),
+    "dropped Koszul sign": (0, 0),
+    "swapped K and H": (0, 0),
+}
+
+
+def _checked_products(n, w):
+    """(products, s, signs) of the geometric squares and the commutator
+    from weight w, as fm.Blocks hands them to _first_bad."""
+    s = fm._signed_scalars(n)[fm.epsilon_sign(n, k_of(n, w))]
+    checks = [([((gen, w + step), (gen, w))], None, (1,)) for gen, step in (("E", 2), ("F", -2))]
+    return checks + [([(("F", w + 2), ("E", w)), (("E", w - 2), ("F", w))], s, (1, -1))]
+
+
+class TestEulerDecisionsAgainstRaisedSum:
+    """fm.Blocks._first_bad, which proves what it can from Euler data and
+    raises the rest, against RaisedSumBlocks, which raises every position.
+    FullSweepBlocks is no reference for the proofs: it forms whole
+    matrices and never reaches _first_bad (the last test pins that)."""
+
+    @pytest.mark.parametrize(
+        "n, mutation",
+        [(n, None) for n in range(1, 6)] + [(n, m) for m in SWEEP_MUTATIONS for n in range(1, 5)],
+    )
+    def test_same_positions_witnesses_and_notes(self, monkeypatch, n, mutation):
+        if mutation:
+            SWEEP_MUTATIONS[mutation](monkeypatch, n)
+        got, want = fm.Blocks(n), RaisedSumBlocks(n)
+        for w in weights(n):
+            for products, s, signs in _checked_products(n, w):
+                assert got._first_bad(products, s, signs) == want._first_bad(products, s, signs)
+        assert _fm_outcomes(n, got) == _fm_outcomes(n, want)
+
+    @pytest.mark.parametrize("mutation", FALLBACKS)
+    def test_fallbacks_under_each_fault_are_pinned_and_repeat(self, monkeypatch, mutation):
+        n = 4
+        SWEEP_MUTATIONS[mutation](monkeypatch, n)
+        raisings = []
+        raw = fm.raised_sum
+        monkeypatch.setattr(fm, "raised_sum", lambda *a: raisings.append(a) or raw(*a))
+        runs = []
+        for _ in range(2):
+            blocks = fm.Blocks(n)
+            start = len(raisings)
+            nilpotency_report(n, blocks=blocks)
+            middle = len(raisings)
+            commutator_report(n, blocks=blocks)
+            runs.append((middle - start, len(raisings) - middle))
+        assert runs == [FALLBACKS[mutation]] * 2
+
+    @pytest.mark.parametrize("mutation", [None, "flag lines times q"])
+    def test_the_full_sweep_reaches_no_euler_proof(self, monkeypatch, mutation):
+        if mutation:
+            SWEEP_MUTATIONS[mutation](monkeypatch, 3)
+
+        def unreachable(*args):
+            raise AssertionError("FullSweepBlocks reached fm.Blocks._first_bad")
+
+        monkeypatch.setattr(fm.Blocks, "_first_bad", unreachable)
+        monkeypatch.setattr(fm, "_proven", unreachable)
+        assert _fm_outcomes(3, FullSweepBlocks(3))
+
+
+def _x3(e):
+    """The packed key of the monomial x1^e1 x2^e2 q^e3."""
+    ((key, _),) = Poly.monomial(3, e).keys.items()
+    return key
+
+
+def _euler3(sign, twist, chi):
+    """The EulerEntry sign * X^twist * e(chi) in x1, x2, q, chi a dict
+    {weight exponents: multiplicity}."""
+    pairs = [(_x3(w), m) for w, m in chi.items() if m]
+    return fm.EulerEntry(3, _x3(twist), sign, fm._flat(pairs))
+
+
+def _form(e):
+    return fm._collected(e.nvars, [(1, e)])
+
+
+_EXPONENTS = st.tuples(*[st.integers(-2, 2)] * 3)
+_MOVES = st.lists(st.sampled_from(["fold", "sign", "twist", "square", "swap"]), max_size=3)
+_EULER_DATA = st.tuples(
+    st.sampled_from((1, -1)),
+    _EXPONENTS,
+    st.dictionaries(_EXPONENTS.filter(any), st.integers(-2, 2).filter(bool), max_size=3),
+)
+
+
+def _inverse(w):
+    return tuple(-a for a in w)
+
+
+class TestNormalForms:
+    """The normal-form lemma behind fm._proven: two Euler data have equal
+    normal forms exactly when their expanded fractions are equal."""
+
+    def test_a_weight_against_its_inverse(self):
+        # 1 - x1^-1 = -x1^-1 (1 - x1): the fold flips the sign, moves the key
+        w = (1, 0, 0)
+        a = _euler3(1, (0, 0, 0), {w: 1})
+        b = _euler3(-1, _inverse(w), {_inverse(w): 1})
+        assert a == b and _form(a) == _form(b)
+        c = _euler3(1, _inverse(w), {_inverse(w): 1})
+        assert a != c and _form(a) != _form(c)
+
+    def test_a_square_weight_against_the_weight(self):
+        # e(w^2) / e(w) = 1 + w^-1 is no unit: no key or sign makes them equal
+        w = (1, -1, 2)
+        a = _euler3(1, (0, 0, 0), {(2, -2, 4): 1})
+        for sign in (1, -1):
+            for twist in [(0, 0, 0), w, _inverse(w)]:
+                b = _euler3(sign, twist, {w: 1})
+                assert a != b and _form(a) != _form(b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_EULER_DATA, _MOVES)
+    def test_equal_forms_exactly_when_equal_fractions(self, data, moves):
+        sign, twist, chi = data
+        a = _euler3(sign, twist, chi)
+        chi = dict(chi)
+        for move in moves:
+            w = next(iter(chi), None)
+            if move == "fold" and w:
+                # 1 - w^-1 = -c (1 - c^-1), c = w^-1: the same fraction
+                m = chi.pop(w)
+                chi[_inverse(w)] = chi.get(_inverse(w), 0) + m
+                sign *= (-1) ** (m % 2)
+                twist = tuple(t - m * e for t, e in zip(twist, w))
+            elif move == "sign":
+                sign = -sign
+            elif move == "twist":
+                twist = (twist[0] + 1, *twist[1:])
+            elif move == "square" and w:
+                chi[tuple(2 * e for e in w)] = chi.pop(w)
+            elif move == "swap" and w:
+                chi[w[::-1]] = chi.get(w[::-1], 0) + chi.pop(w)
+            chi = {v: m for v, m in chi.items() if m}
+        b = _euler3(sign, twist, chi)
+        assert (_form(a) == _form(b)) == (a == b)
+
+
+class TestResidues:
+    """R_j = q^(2n) e(chi_j) (fm.residue), the residue of
+    G(z) = prod_l (q^2 z - x_l) / (z prod_l (z - x_l)) at z = x_j."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_the_residues_sum_to_q_2n_minus_one(self, n):
+        # the residue theorem on P^1: Res_0 G = 1, Res_infinity G = -q^(2n)
+        total = RationalFunction.sum(n + 1, [fm.residue(n, j) for j in range(1, n + 1)])
+        assert total == Poly.q(n + 1, 2 * n) - Poly.one(n + 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_each_is_the_residue_of_g(self, n):
+        x, q2 = partial(Poly.x, n + 1), Poly.q(n + 1, 2)
+        for j in range(1, n + 1):
+            num = Poly.one(n + 1)
+            for l in range(1, n + 1):
+                num = num * (q2 * x(j) - x(l))
+            den = [(x(j), 1)] + [(x(j) - x(l), 1) for l in range(1, n + 1) if l != j]
+            assert fm.residue(n, j) == RationalFunction(n + 1, num, den)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_diagonal_term_is_minus_epsilon_times_a_residue(self, n):
+        # FE - EF at (S, S): +F[S, S - j] E[S - j, S] for j in S and
+        # -E[S, S + j] F[S + j, S] for j outside S, at every S
+        for w in weights(n):
+            minus_eps = RationalFunction.const(n + 1, -epsilon_sign(n, k_of(n, w)))
+            F_up, E = lowering_matrix(n, w + 2), raising_matrix(n, w)
+            E_down, F = raising_matrix(n, w - 2), lowering_matrix(n, w)
+            for S in block_points(n, w):
+                for j in range(1, n + 1):
+                    if j in S:
+                        T = tuple(i for i in S if i != j)
+                        term = entry(F_up, S, T) * entry(E, T, S)
+                    else:
+                        T = tuple(sorted((*S, j)))
+                        term = -(entry(E_down, S, T) * entry(F, T, S))
+                    assert term == fm.residue(n, j) * minus_eps
