@@ -31,15 +31,19 @@ lifts the latter into the fraction field, once its proof has passed, and
 it returns phi as the pair of bases it maps between, inverting nothing.
 
 The intertwiner's proof reads ranks, pivot columns and invertibility
-from both actions at a seeded rational point, in integers alone: each
-E and F block's values there times the lcm of their denominators, the
-products F_{w+2} E_w of those in place of the projectors
-p_w = F_{w+2} E_w / s_w, and fraction-free elimination
-(linalg.pivot_columns).  Pivot columns, ranks and whether a determinant
-vanishes do not change under nonzero scalings of rows, of columns or of
-whole blocks, nor under invertible row operations, and these are all
-that set the integer matrices apart from the values over Q: so every
-reading is the one over Q.
+from both actions at a seeded rational point, over F_P with the fixed
+prime P = 2^61 - 1: each E and F entry's residue there
+(qglk.poly.PointResidues; an EulerEntry from its twist and Euler
+factors, unexpanded), the products F_{w+2} E_w in place of the
+projectors p_w = F_{w+2} E_w / s_w, a unit scaling where s_w has a
+nonzero residue, and Gaussian elimination mod P
+(linalg.pivot_columns).  A point where a denominator's residue or some
+s_w's is 0 is skipped like a pole.  Elsewhere evaluation followed by
+reduction mod P is a ring homomorphism, so columns independent mod P
+have a minor over Q with a nonzero residue, which is then nonzero, and
+a determinant nonzero mod P proves the symbolic one nonzero; an unlucky
+P, like an unlucky point, can only lose pivots or skip the point, never
+fake a certificate.
 
 S_n permutes x_1..x_n and the fixed points together, and the geometric
 blocks are equivariant: E[sigma S, sigma T] = sigma(E[S, T]).  So the
@@ -89,11 +93,10 @@ position thus keeps that decision and its witness.
 
 from functools import cache, partial
 from itertools import chain, product
-from math import comb, gcd, lcm
+from math import comb
 
 from .grassmann import (
     NonIsolatedFixedPointError,
-    _euler_factor,
     det_tau_restrict,
     euler_class_rf,
     hom_fiber,
@@ -102,7 +105,7 @@ from .grassmann import (
 )
 from .linalg import columns, hstack, pivot_columns, sample_points
 from .matrix import Matrix, block_points, dot, entry_witness, k_of, weights, witness
-from .poly import PointValues, Poly, _check_fields, _layout, _permute_keys
+from .poly import P, PointResidues, Poly, _check_fields, _layout, _permute_keys
 from .ratfunc import PoleError, RationalFunction, raised_sum
 from .report import Report
 from .superrep import Relations
@@ -140,9 +143,9 @@ class EulerEntry(RationalFunction):
 
     num and den_factors are formed on the first read of either, as
     from_poly(twist) * euler_class_rf(chi), so every reader of the
-    fraction sees exactly that.  Truthiness, permute and value read the
-    data alone (== compares fractions): building, gating and evaluating a
-    block expand nothing, and only the entries a decision reads expand.
+    fraction sees exactly that.  Truthiness, permute and residue read the
+    data alone (== compares fractions): building, gating and reducing a
+    block mod P expand nothing, and only the entries a decision reads expand.
     """
 
     __slots__ = ("key", "sign", "chi")
@@ -176,22 +179,21 @@ class EulerEntry(RationalFunction):
         key, *keys = _permute_keys(self.nvars, perm, (self.key, *self.chi[::2]))
         return EulerEntry(self.nvars, key, self.sign, _flat(zip(keys, self.chi[1::2])))
 
-    def value(self, at):
-        """The twist's value times each Euler factor's (shared at the
-        point), in lowest terms, so integer blocks stay small; where a
-        factor in the denominator vanishes, the expanded fraction's value,
-        which may have cancelled it, or PoleError."""
-        num, den = at(self._twist())
+    def residue(self, at):
+        """The twist's residue times that of each Euler factor 1 - w^-1 to
+        its multiplicity m, w^-1 the monomial of key 2 * zero - k, with
+        nothing expanded; as RationalFunction.residue, PoleError where a
+        factor with m < 0 has residue 0."""
+        num, den, zero = at(self._twist()), 1, _layout(self.nvars).zero
         for k, m in self._pairs():
-            fn, fd = at.shared(_euler_factor(self.nvars, k)[0])
-            if m < 0:
-                fn, fd, m = fd, fn, -m
-            num *= fn**m
-            den *= fd**m
-        if not den:
-            return RationalFunction.value(self, at)
-        g = gcd(num, den)
-        return num // g, den // g
+            f = 1 - at.monomial(2 * zero - k)  # in (-P, 1]: 0 exactly when 0 mod P
+            if m > 0:
+                num = num * f**m % P
+            elif f:
+                den = den * f**-m % P
+            else:
+                raise PoleError("an Euler factor vanishes mod P at the sample point")
+        return num * pow(den, -1, P) % P
 
 
 def _flat(pairs):
@@ -607,32 +609,27 @@ def _with_projectors(at, n, inverse_scalars=None):
     return at
 
 
-def _integer_block(block, at):
-    """The block's values at the point of ``at`` (a PointValues) times the
-    lcm of their denominators: an integer block, a nonzero multiple of
-    the block over Q."""
-    pairs = [[e.value(at) if e else (0, 1) for e in row] for row in block.rows]
-    den = lcm(*(d for row in pairs for _, d in row))
-    rows = [[a * (den // d) for a, d in row] for row in pairs]
+def _residue_block(block, at):
+    """The block's residues mod P at the point of ``at`` (a PointResidues)."""
+    rows = [[e.residue(at) if e else 0 for e in row] for row in block.rows]
     return Matrix(block.nrows, block.ncols, rows, 0, block.block)
 
 
 def _at_points(blocks, seed):
-    """Yields, at successive seeded rational points, the E and F blocks of
-    both sides and the products F_{w+2} E_w in place of the projectors
-    p_w, each a nonzero multiple of its value over Q that has integer
-    entries (see _integer_block), skipping a point where an entry of an
-    E or F block has a pole or some s_w vanishes (q = 1 can be drawn)."""
+    """Yields, at successive seeded rational points, the residues mod P of
+    the E and F blocks of both sides and the products F_{w+2} E_w in
+    place of the projectors p_w, skipping a point where a denominator of
+    an E or F entry has residue 0 or some s_w does (q = 1 can be drawn)."""
     n = blocks.n
     for point in sample_points(n + 1, seed):
-        at = PointValues(point)
-        if not all(commutator_scalar(n, k_of(n, w)).value(at)[0] for w in weights(n)):
+        at = PointResidues(point)
+        if not all(commutator_scalar(n, k_of(n, w)).residue(at) for w in weights(n)):
             continue
         try:
-            ints = {key: _integer_block(blocks.op(*key), at) for key in _block_keys(n)}
+            residues = {key: _residue_block(blocks.op(*key), at) for key in _block_keys(n)}
         except PoleError:
             continue
-        yield _with_projectors(ints, n)
+        yield _with_projectors(residues, n)
 
 
 def _transported_basis(at, side, w, pivots):
@@ -735,9 +732,11 @@ def find_intertwiner(n, seed=0xC0FFEE):
     the pivot columns P_w of p_w and E_{w-2} P_{w-2} form the basis
     B[w] = [P_w | E_{w-2} P_{w-2}].  Ranks, squareness and "phi at weight
     w is invertible" (det B[w] nonzero on both sides) come from E and F
-    evaluated at one seeded point (in integers: see the module
-    docstring), redrawn while an entry has a pole or an s_w vanishes
-    there, so evaluation is a ring homomorphism.
+    reduced mod P at one seeded point (over F_P: see the module
+    docstring), redrawn while a denominator or an s_w has residue 0
+    there, so reduction is a ring homomorphism.  A determinant nonzero
+    mod P is then nonzero at the point over Q, so det B[w] is nonzero;
+    an unlucky P or point can only lose pivots, never fake one.
     If B is singular there, further points are tried with the same
     pivots: the certificate is one-sided.  The other checks are derived
     from premises that the relation batteries prove exactly:

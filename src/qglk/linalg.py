@@ -1,9 +1,10 @@
 """Small exact linear algebra for the intertwiner's proof.
 
 At a point: sample_points draws seeded random rational points and
-pivot_columns finds the pivot columns of a matrix over Q evaluated
-there, by fraction-free elimination on integer rows.  The seed only
-picks the point: a bad point can cost a certificate, never fake one.
+pivot_columns finds the pivot columns of a matrix evaluated there, by
+Gaussian elimination over F_P, P = 2^61 - 1.  Columns independent mod P
+are independent over Q, so neither the seed, which only picks the
+point, nor P can fake a certificate: either can only cost one.
 
 Over any ring: columns and hstack rearrange entries.  Nothing here
 inverts a matrix; the intertwiner is returned as its two bases.
@@ -11,9 +12,9 @@ inverts a matrix; the intertwiner is returned as its two bases.
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
 
 from .matrix import Matrix
+from .poly import P
 
 
 def sample_points(nvars, seed, attempts=72):
@@ -26,43 +27,50 @@ def sample_points(nvars, seed, attempts=72):
         )
 
 
-def pivot_columns(mat):
-    """Pivot columns of a matrix over Q, its entries ints or Fractions:
-    from left to right, each column not in the span of the columns
-    before it.
+def _residue(a):
+    """a mod P for an int, or a Fraction whose denominator P does not
+    divide; any other Fraction raises ValueError."""
+    if a.denominator == 1:
+        return a.numerator % P
+    if not a.denominator % P:
+        raise ValueError(f"{a} has no residue mod P")
+    return a.numerator * pow(a.denominator, -1, P) % P
 
-    Each row is first cleared of denominators, then eliminated
-    fraction-free: a row r below the pivot row h becomes
-    h[col] * r - r[col] * h, divided by the gcd of its entries.  Each
-    step is a nonzero row scaling or an invertible row operation, so the
-    pivot columns are those over Q (see qglk.fm).
+
+def pivot_columns(mat):
+    """Pivot columns over F_P of a matrix of ints or Fractions (see
+    _residue): from left to right, each column whose residue is not in
+    the span of the residues of the columns before it.
+
+    Gaussian elimination on the residues mod P = 2^61 - 1.  Columns
+    independent mod P have a minor whose residue is nonzero, and
+    reduction is a ring homomorphism, so that minor is nonzero over Q:
+    the columns are independent over Q too.  Reduction can only lose
+    pivots, so a full set of pivots is a certificate (see qglk.fm).
     """
     rows = []
     for row in mat.rows:
+        row = [_residue(a) for a in row]
         if any(row):
-            den = lcm(*(a.denominator for a in row))
-            rows.append([a.numerator * (den // a.denominator) for a in row])
+            rows.append(row)
     pivots = []
     for col in range(mat.ncols):
-        # rows holds the nonzero rows not yet pivoted on, zero before col
+        # rows holds the nonzero rows not yet pivoted on, from column col on
         if not rows:
             break
-        piv = next((i for i, r in enumerate(rows) if r[col]), None)
+        piv = next((i for i, r in enumerate(rows) if r[0]), None)
         if piv is None:
+            rows = [r[1:] for r in rows]
             continue
         head = rows.pop(piv)
-        h = head[col]
+        inv = pow(head[0], -1, P)
+        head = [a * inv % P for a in head[1:]]
         left = []
         for r in rows:
-            f = r[col]
-            if f:
-                r = [h * a - f * b for a, b in zip(r, head)]
-                g = gcd(*r)
-                if not g:
-                    continue
-                if g > 1:
-                    r = [a // g for a in r]
-            left.append(r)
+            f = r[0]
+            r = [(a - f * b) % P for a, b in zip(r[1:], head)] if f else r[1:]
+            if any(r):
+                left.append(r)
         rows = left
         pivots.append(col)
     return pivots

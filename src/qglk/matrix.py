@@ -4,7 +4,7 @@ A Matrix carries the zero of its ring explicitly so that empty and
 all-zero matrices stay well defined.  Weight blocks at the extreme
 weights give genuinely empty (0 x m) matrices, so the degenerate shapes
 matter.  Entries test zero by truthiness, so the same type holds the
-symbolic blocks and their integer multiples at a sample point.
+symbolic blocks and their residues mod P at a sample point.
 
 Products of rational-function matrices (the intertwiner's bases for
 library callers) sum each dot product in one

@@ -21,7 +21,9 @@ but the canonical denominator factors of qglk.ratfunc, which Euler factors
 1 - w^-1 and the commutator scalar 1 - q^(2n) become.
 
 Evaluation at a rational point runs in integers through PointValues,
-whose power tables every polynomial evaluated at that point shares.
+whose power tables every polynomial evaluated at that point shares, and
+modulo the prime P = 2^61 - 1 through PointResidues, which caches the
+residue of each monomial.
 
 Values are immutable once constructed and every operation returns a fresh
 value, so instances can be shared freely.
@@ -32,6 +34,8 @@ from fractions import Fraction
 from functools import cache, reduce
 from operator import mul, or_
 from types import MappingProxyType
+
+P = 2**61 - 1  # the prime of PointResidues
 
 _BITS = 16
 _BIAS = 1 << 14
@@ -364,13 +368,13 @@ class Poly:
             quo = {k: -c for k, c in quo.items()}
         return Poly._raw(self.nvars, quo, (off, ceil), (lead - dshift, trail - dtrail + zero))
 
-    def value(self, at):
-        """(N, D) with self = N / D at the point of ``at``, a PointValues."""
+    def residue(self, at):
+        """The value mod P at the point of ``at``, a PointResidues."""
         return at(self)
 
     def evaluate(self, point):
         """Exact value at a tuple of rationals ordered (x_1, ..., x_N, q)."""
-        return Fraction(*self.value(PointValues(point)))
+        return Fraction(*PointValues(point)(self))
 
     def __str__(self):
         if not self.keys:
@@ -432,12 +436,11 @@ class PointValues:
     coordinate is zero and p has a negative power of it.
     """
 
-    __slots__ = ("coords", "tables", "memo")
+    __slots__ = ("coords", "tables")
 
     def __init__(self, point):
         self.coords = [(v.numerator, v.denominator) for v in map(Fraction, point)]
         self.tables = {}  # (variable, lo, hi) -> (powers, num factor, den factor)
-        self.memo = {}  # shared(): polynomial -> pair
 
     def _table(self, i, lo, hi):
         """([a^j b^(hi-lo-j) for j = 0..hi-lo], a^lo / b^hi as a pair) of x_i."""
@@ -472,9 +475,44 @@ class PointValues:
             terms = [c * powers[(k >> s & _MASK) - lo] for k, c in zip(keys, terms)]
         return sum(terms) * num, den
 
-    def shared(self, p):
-        """self(p), computed once per polynomial at this point: for the
-        denominator factors that many fractions share."""
-        if p not in self.memo:
-            self.memo[p] = self(p)
-        return self.memo[p]
+
+class PointResidues:
+    """Values mod P of Laurent polynomials at one rational point (x_1, ...,
+    x_N, q), each an int in [0, P).
+
+    Each coordinate a / b becomes a * b^-1 mod P, and the residue of each
+    monomial, a product of powers of those (negative ones included), is
+    cached by its packed key.  A coordinate whose numerator or
+    denominator P divides raises ValueError, so every monomial has a
+    residue and reduction mod P is a ring homomorphism on the fractions
+    whose denominators have a nonzero residue (qglk.fm).
+    """
+
+    __slots__ = ("coords", "layout", "monomials")
+
+    def __init__(self, point):
+        self.coords = []
+        for v in map(Fraction, point):
+            if not (v.numerator % P and v.denominator % P):
+                raise ValueError(f"coordinate {v} is not a unit mod P")
+            self.coords.append(v.numerator * pow(v.denominator, -1, P) % P)
+        self.layout = _layout(len(self.coords))
+        self.monomials = {}  # packed key -> residue
+
+    def monomial(self, k):
+        """X^e mod P for the packed key k of e."""
+        r = self.monomials.get(k)
+        if r is None:
+            r = 1
+            for x, e in zip(self.coords, _unpack(self.layout, k)):
+                if e:
+                    r = r * pow(x, e, P) % P
+            self.monomials[k] = r
+        return r
+
+    def __call__(self, p):
+        """p mod P at the point."""
+        if p.nvars != len(self.coords):
+            raise ValueError("point has wrong length")
+        monomial = self.monomial
+        return sum(c * monomial(k) for k, c in p.keys.items()) % P

@@ -27,11 +27,12 @@ with an int or a Poly.  Zero is tested by truthiness.
 
 from fractions import Fraction
 
-from .poly import PointValues, Poly, _layout, _unpack
+from .poly import P, PointValues, Poly, _layout, _unpack
 
 
 class PoleError(ZeroDivisionError):
-    """Raised when a rational function is evaluated at a denominator zero."""
+    """Raised when a rational function is evaluated at a denominator zero,
+    or reduced mod P where a denominator's residue is 0."""
 
 
 class RationalFunction:
@@ -177,10 +178,10 @@ class RationalFunction:
     def value(self, at):
         """(N, D), integers not reduced, with self = N / D at the point of
         ``at``, a qglk.poly.PointValues: fractions evaluated through one
-        such share its power tables and their factors' values."""
+        such share its power tables."""
         num, den = at(self.num)
         for f, m in self.den_factors:
-            fn, fd = at.shared(f)
+            fn, fd = at(f)
             if not fn:
                 raise PoleError("denominator vanishes at the sample point")
             num *= fd**m
@@ -190,6 +191,18 @@ class RationalFunction:
     def evaluate(self, point):
         """Exact value at a rational point."""
         return Fraction(*self.value(PointValues(point)))
+
+    def residue(self, at):
+        """The value mod P at the point of ``at``, a qglk.poly.PointResidues:
+        the numerator's residue over each denominator factor's, and
+        PoleError where a factor's residue is 0."""
+        den = 1
+        for f, m in self.den_factors:
+            r = at(f)
+            if not r:
+                raise PoleError("denominator vanishes mod P at the sample point")
+            den = den * r**m % P
+        return at(self.num) * pow(den, -1, P) % P
 
     def __str__(self):
         num = str(self.num)

@@ -11,7 +11,8 @@ rests on.  The
 stored form of a fraction, to compare reductions and not just values.
 Evaluation with power tables built afresh for each polynomial, summed as
 integers and returned as one Fraction, the reference for the shared
-tables of qglk.poly.PointValues.
+tables of qglk.poly.PointValues; a Fraction's residue mod P, the
+reference for qglk.poly.PointResidues and the residue methods.
 
 Linear algebra over the fraction field: pivot columns by fraction-free
 (Bareiss) elimination over Poly, which needs no inverse of a general
@@ -22,7 +23,7 @@ are references for the proof in qglk.fm and for phi, which qglk.fm
 returns as the pair of bases B_alg, B_geo with phi_w = B_geo[w] B_alg[w]^-1.
 The proof's point stage over Q: the blocks evaluated to Fractions, the
 projectors scaled by 1 / s_w and Gaussian elimination over Q, the
-reference for the integer stage of qglk.fm and qglk.linalg.pivot_columns.
+reference for the stage over F_P of qglk.fm and qglk.linalg.pivot_columns.
 
 The full sweeps: every entry of each geometric square and commutator,
 formed as whole matrices, the reference for the orbit-representative
@@ -72,7 +73,7 @@ from qglk.grassmann import (
 )
 from qglk.linalg import columns, pivot_columns, sample_points
 from qglk.matrix import Matrix, entry_witness, k_of, weights
-from qglk.poly import Poly
+from qglk.poly import P, Poly
 from qglk.ratfunc import PoleError, RationalFunction, common_denominator, raised_sum
 from qglk.report import Report
 
@@ -184,6 +185,12 @@ def reference_rf_evaluate(r, point):
             raise PoleError("denominator vanishes at the sample point")
         den *= v**m
     return reference_table_evaluate(r.num, point) / den
+
+
+def residue_mod_p(v):
+    """The residue mod P of a rational whose denominator P does not divide."""
+    v = Fraction(v)
+    return v.numerator * pow(v.denominator, -1, P) % P
 
 
 def reference_permute(p, perm):

@@ -35,11 +35,12 @@ from qglk.grassmann import (
 )
 from qglk.linalg import columns, hstack, pivot_columns, sample_points
 from qglk.matrix import Matrix, block_points, entry_witness, subset_label, weights
-from qglk.poly import PointValues, Poly
+from qglk.poly import P, PointResidues, Poly
 from qglk.ratfunc import PoleError, RationalFunction
 from qglk.report import Report
 from qglk.superrep import block_matrix
 
+import reference
 import test_superrep
 from reference import (
     FullSweepBlocks,
@@ -60,6 +61,7 @@ from reference import (
     reference_normalized_rep_report,
     reference_normalized_square,
     reference_pivot_columns,
+    residue_mod_p,
     structure,
 )
 from rf_parser import parse
@@ -944,9 +946,9 @@ class TestEulerEntries:
         ]
         assert len(entries) == len(reference)
         for point in list(sample_points(n + 1, 7))[:3]:
-            at = PointValues(point)
+            at = PointResidues(point)
             for e, r in zip(entries, reference):
-                assert Fraction(*e.value(at)) == r.evaluate(point)
+                assert e.residue(at) == residue_mod_p(r.evaluate(point))
         assert expanded == []
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -964,9 +966,9 @@ class TestEulerEntries:
                     except PoleError:
                         poles += 1
                         with pytest.raises(PoleError):
-                            e.value(PointValues(point))
+                            e.residue(PointResidues(point))
                         continue
-                    assert Fraction(*e.value(PointValues(point))) == value
+                    assert e.residue(PointResidues(point)) == residue_mod_p(value)
         assert poles > 0
 
     def test_equal_fractions_with_other_data_compare_equal(self):
@@ -1196,34 +1198,65 @@ class TestWitnessFormsOneEntry:
         assert len(calls) == raisings
 
 
+def _residues_of(block):
+    """A block over Q reduced mod P entry by entry."""
+    return [[residue_mod_p(a) for a in row] for row in block.rows]
+
+
 class TestIntegerPointStage:
-    """The intertwiner's point stage in integers (fm._at_points and
-    linalg.pivot_columns) against the same stage over Q: the blocks
-    evaluated to Fractions, the projectors scaled by 1 / s_w, Gaussian
-    elimination in Fractions."""
+    """The intertwiner's point stage over F_P, its entries the integer
+    residues mod P (fm._at_points and linalg.pivot_columns), against the
+    same stage over Q: the blocks evaluated to Fractions, the projectors
+    scaled by 1 / s_w, Gaussian elimination in Fractions."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_same_pivots_and_ranks_as_over_q(self, n):
         blocks = fm.Blocks(n)
         for seed in (0xC0FFEE, 7, 2026):
-            ints, fracs = next(fm._at_points(blocks, seed)), next(fraction_points(blocks, seed))
-            assert ints.keys() == fracs.keys()
-            for key, block in ints.items():
-                # each integer block is a nonzero multiple of its value over Q
-                pairs = [(a, b) for ra, rb in zip(block.rows, fracs[key].rows) for a, b in zip(ra, rb)]
-                c = next((a / b for a, b in pairs if b), 1)
-                assert c and all(a == c * b for a, b in pairs), key
+            mod_p, fracs = next(fm._at_points(blocks, seed)), next(fraction_points(blocks, seed))
+            assert mod_p.keys() == fracs.keys()
+            for (side, gen, w), block in mod_p.items():
+                # E and F reduce entry by entry; in place of p_w the
+                # product F_{w+2} E_w, which is s_w p_w over Q
+                want = fracs[side, gen, w]
+                if gen == "p":
+                    want = fracs[side, "F", w + 2] @ fracs[side, "E", w]
+                assert _residues_of(block) == _residues_of(want), (side, gen, w)
             pivots = {}
             for side in fm.SIDES:
                 for w in weights(n):
                     pivots[side, w] = reference_pivot_columns(fracs[side, "p", w])
-                    assert pivot_columns(ints[side, "p", w]) == pivots[side, w]
+                    assert pivot_columns(mod_p[side, "p", w]) == pivots[side, w]
             for side in fm.SIDES:
                 for w in weights(n):
-                    got = fm._transported_basis(ints, side, w, pivots)
+                    got = fm._transported_basis(mod_p, side, w, pivots)
                     want = fm._transported_basis(fracs, side, w, pivots)
                     assert pivot_columns(got) == reference_pivot_columns(want)
                     assert len(pivot_columns(got)) == comb(n, k_of(n, w))
+
+    def test_a_point_distinct_over_q_but_equal_mod_p_is_skipped_like_a_pole(self, monkeypatch):
+        # x2 = x1 + P: no entry has a pole over Q, but 1 - x1/x2 has residue 0
+        n, blocks = 4, fm.Blocks(4)
+        good = next(sample_points(n + 1, 0xC0FFEE))
+        bad = (good[0], good[0] + P, *good[2:])
+        monkeypatch.setattr(reference, "sample_points", lambda nvars, seed: iter([bad]))
+        assert next(fraction_points(blocks, 0xC0FFEE), None) is not None
+        with pytest.raises(PoleError):
+            for key in fm._block_keys(n):
+                fm._residue_block(blocks.op(*key), PointResidues(bad))
+
+        def report(*points):
+            monkeypatch.setattr(fm, "sample_points", lambda nvars, seed: iter(points))
+            rep = intertwiner_report(n, blocks=blocks)
+            return rep.title, [(c.name, c.passed, c.witness) for c in rep.checks], rep.notes
+
+        alone = report(good)
+        assert alone[1] and all(passed for _, passed, _ in alone[1])
+        assert report(bad, good) == alone
+        monkeypatch.setattr(fm, "sample_points", lambda nvars, seed: iter([bad, good]))
+        (first,) = fm._at_points(blocks, 0xC0FFEE)
+        monkeypatch.setattr(fm, "sample_points", lambda nvars, seed: iter([good]))
+        assert first == next(fm._at_points(blocks, 0xC0FFEE))
 
     def test_flag_line_fault_fails_the_same_checks_with_the_same_witnesses(self, monkeypatch):
         _flag_lines_times_q(monkeypatch)

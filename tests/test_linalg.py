@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from qglk import fm
 from qglk.linalg import columns, pivot_columns, sample_points
 from qglk.matrix import Matrix
-from qglk.poly import Poly
+from qglk.poly import P, Poly
 from qglk.ratfunc import RationalFunction
 from reference import (
     algebra_block,
@@ -79,8 +79,9 @@ def rational_matrices(draw):
 
 
 class TestPivotColumns:
-    """linalg.pivot_columns, fraction-free over Z, against the Gaussian
-    elimination over Q it replaced."""
+    """linalg.pivot_columns, over F_P, against Gaussian elimination over
+    Q: the two agree unless P divides the numerator of some minor, and
+    the entries drawn are small (in [-9, 9], denominators <= 7)."""
 
     @settings(max_examples=300, deadline=None)
     @given(rational_matrices())
@@ -117,6 +118,18 @@ class TestPivotColumns:
     def test_degenerate_shapes(self, rows, ncols, want):
         mat = Matrix(len(rows), ncols, rows, 0)
         assert pivot_columns(mat) == reference_pivot_columns(mat) == want
+
+    def test_reduction_mod_p_can_only_lose_pivots(self):
+        # the columns are independent over Q, not mod P: an invertibility
+        # check on them can only fail, never pass wrongly
+        mat = Matrix(2, 2, [[1, 1], [1, 1 + P]], 0)
+        assert reference_pivot_columns(mat) == [0, 1]
+        assert pivot_columns(mat) == [0]
+
+    @pytest.mark.parametrize("bad", [Fraction(1, P), Fraction(3, 2 * P)])
+    def test_a_denominator_that_p_divides_is_refused(self, bad):
+        with pytest.raises(ValueError, match="no residue mod P"):
+            pivot_columns(Matrix(1, 2, [[1, bad]], 0))
 
 
 def small_polys():

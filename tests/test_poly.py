@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qglk.poly import PointValues, Poly, _layout, _permute_keys, _unpack
+from qglk.poly import P, PointResidues, PointValues, Poly, _layout, _permute_keys, _unpack
 from qglk.ratfunc import _canonical_factor
 from reference import (
     reference_exact_div,
     reference_floor,
     reference_permute,
     reference_table_evaluate,
+    residue_mod_p,
     term_key,
 )
 
@@ -469,6 +470,39 @@ class TestPointValues:
         assert sorted(at.tables) == [(0, -1, 1), (1, 0, 1), (1, 0, 2), (2, 0, 1)]
         with pytest.raises(ValueError, match="wrong length"):
             at(Poly.one(2))
+
+
+class TestPointResidues:
+    """PointResidues, the evaluator mod P of the intertwiner's point stage,
+    against the reference values reduced mod P."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_polynomials_at_one_point_are_the_reference_values_mod_p(self, data):
+        nvars = data.draw(st.integers(1, 5))
+        nonzero = st.fractions(-9, 9, max_denominator=9).filter(bool)
+        point = data.draw(st.tuples(*([nonzero] * nvars)))
+        at = PointResidues(point)
+        for p in data.draw(st.lists(TestPointValues.polys(nvars), min_size=1, max_size=4)):
+            want = reference_table_evaluate(p, point)
+            assert at(p) == p.residue(at) == residue_mod_p(want)
+        with pytest.raises(ValueError, match="wrong length"):
+            at(Poly.one(nvars + 1))
+
+    def test_monomial_residues_are_cached_by_key(self):
+        at = PointResidues((Fraction(2, 3), Fraction(5), Fraction(-7, 2)))
+        p = Poly(3, {(-1, 2, 0): 3, (1, 0, 1): -4})
+        assert at(p) == residue_mod_p(3 * Fraction(3, 2) * 25 - 4 * Fraction(2, 3) * Fraction(-7, 2))
+        assert sorted(at.monomials) == sorted(p.keys)
+        at(p * Poly.const(3, 5))
+        assert sorted(at.monomials) == sorted(p.keys)
+
+    @pytest.mark.parametrize(
+        "bad", [0, Fraction(P), Fraction(1, P), Fraction(3 * P, 2), Fraction(2, 5 * P)]
+    )
+    def test_a_coordinate_that_is_no_unit_mod_p_is_refused(self, bad):
+        with pytest.raises(ValueError, match="not a unit mod P"):
+            PointResidues((Fraction(2), bad, Fraction(3)))
 
 
 class TestExponentRange:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qglk.fm import SIDES, find_intertwiner
 from qglk.grassmann import Space
-from qglk.poly import PointValues, Poly
+from qglk.poly import P, PointResidues, PointValues, Poly
 from qglk.ratfunc import (
     PoleError,
     RationalFunction,
@@ -23,6 +23,7 @@ from reference import (
     reference_permute,
     reference_permute_rf,
     reference_rf_evaluate,
+    residue_mod_p,
     structure,
 )
 from rf_parser import parse
@@ -406,19 +407,41 @@ class TestEvaluationAndSampling:
         assert Fraction(*r.value(at)) == want == r.evaluate(point)
 
     def test_shared_factor_values(self):
-        # fractions that share factors evaluate each once per PointValues
+        # fractions that share factors, evaluated through one PointValues
         d, e = Poly.x(NV, 1) - Poly.x(NV, 2), Poly.one(NV) - Poly.q(NV)
         items = [rf("1/(x1 - x2)"), RationalFunction(NV, Poly.q(NV), ((-d, 2), (e, 1))), rf("x1")]
         pt = (Fraction(2), Fraction(5), Fraction(1, 2))
         at = PointValues(pt)
         for r in items:
             assert Fraction(*r.value(at)) == r.evaluate(pt)
-        assert len(at.memo) == 2
         at = PointValues((Fraction(1), Fraction(1), Fraction(2)))
         for r in items[:2]:
             with pytest.raises(PoleError):
                 r.value(at)
-        assert at.memo[d][0] == 0
+        assert Fraction(*items[2].value(at)) == 1
+
+    @given(
+        two_factor_rfs(),
+        st.tuples(*([st.fractions(-3, 3, max_denominator=3).filter(bool)] * NV)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_residue_is_the_value_mod_p_and_raises_at_a_vanishing_factor(self, r, point):
+        at = PointResidues(point)
+        try:
+            want = reference_rf_evaluate(r, point)
+        except PoleError:
+            with pytest.raises(PoleError):
+                r.residue(at)
+            return
+        assert r.residue(at) == residue_mod_p(want)
+
+    def test_a_factor_that_vanishes_mod_p_only_raises(self):
+        # x1 = 2 and x2 = 2 + P differ, but 1 / (x1 - x2) has no residue
+        r, point = rf("1/(x1 - x2)"), (Fraction(2), Fraction(2 + P), Fraction(3))
+        assert r.evaluate(point) == Fraction(-1, P)
+        with pytest.raises(PoleError):
+            r.residue(PointResidues(point))
+        assert rf("x1 - x2").residue(PointResidues(point)) == 0
 
 
 class TestParsePrintRoundtrip:
