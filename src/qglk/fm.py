@@ -20,8 +20,9 @@ the commutator of the two functors is the scalar
 normalized algebra blocks (normalized_rep_report).
 
 An entry is kept in the form above, as an EulerEntry (its twist and
-character), and expands to a fraction only where a raised_sum fallback or
-a witness reads it (see below): on the true action, never.
+character), and expands to a fraction only where a raised_sum fallback
+(see below), the matrices dump or find_intertwiner reads it, never for a
+witness: on the true action, verify expands none.
 
 Every matrix here is a weight block, a :class:`qglk.matrix.Matrix` that
 carries its two weights, rows and columns labelled by fixed points:
@@ -88,7 +89,10 @@ ever prove a value: a position they do not prove, or one with a factor
 that is no EulerEntry, goes to ratfunc.raised_sum, one exact zero test
 with no cancellation and no trial division, whose one raising decides
 both signs of the geometric commutator.  Under a fault a failing
-position thus keeps that decision and its witness.
+position thus keeps that decision, and its witness is read from it: the
+proven value minus the target, or the raised numerators' difference over
+their common denominator, reduced by whole canonical factors.  No entry
+is formed a second time.
 """
 
 from functools import cache, partial
@@ -104,7 +108,7 @@ from .grassmann import (
     tangent_gr,
 )
 from .linalg import columns, hstack, pivot_columns, sample_points
-from .matrix import Matrix, block_points, dot, entry_witness, k_of, weights, witness
+from .matrix import Matrix, block_points, entry_witness, k_of, weights, witness
 from .poly import P, PointResidues, Poly, _check_fields, _layout, _permute_keys
 from .ratfunc import PoleError, RationalFunction, raised_sum
 from .report import Report
@@ -145,7 +149,8 @@ class EulerEntry(RationalFunction):
     from_poly(twist) * euler_class_rf(chi), so every reader of the
     fraction sees exactly that.  Truthiness, permute and residue read the
     data alone (== compares fractions): building, gating and reducing a
-    block mod P expand nothing, and only the entries a decision reads expand.
+    block mod P expand nothing, and of the checks only a raised_sum
+    fallback expands the entries it reads.
     """
 
     __slots__ = ("key", "sign", "chi")
@@ -382,18 +387,18 @@ class Blocks:
     battery reports; cmd_verify hands relations to verify_relations too.
     Blocks come from raising_matrix, lowering_matrix and relations times
     _unit on first use.  A geometric entry holds its Euler data
-    (EulerEntry) and expands when a raised_sum fallback or a witness
-    first reads its fraction; the proofs, the gate and the intertwiner's
+    (EulerEntry) and expands when a raised_sum fallback first reads its
+    fraction; the proofs, the gate, the witnesses and the intertwiner's
     point stage never expand one.
 
     A geometric square or commutator is checked on orbit representatives
     when every factor block passed is_equivariant, else on every entry,
     each by a value proven from Euler data, or where none is proven by
-    raised_sum (module docstring).  A check whose every
-    position holds passes; otherwise the first position that fails is
-    the one entry formed, and the witness names it.  Every entry of a bad
-    orbit is bad, so the first bad representative is the first bad entry:
-    the witness is the same as on the full sweep.
+    raised_sum (module docstring).  A check whose every position holds
+    passes; otherwise the witness names the first position that fails,
+    with the difference its decision gave.  Every entry of a bad orbit
+    is bad, so the first bad representative is the first bad entry: the
+    witness is the same as on the full sweep.
     """
 
     def __init__(self, n):
@@ -431,17 +436,19 @@ class Blocks:
             return ops, block, orbit_representatives(*block)
         return ops, block, product(range(first.nrows), range(last.ncols))
 
-    def _first_bad(self, products, s=None, signs=(1,)):
-        """For each sign in signs, the first position (i, j), in
-        _positions order, where A @ B, or A @ B - C @ D for two products,
-        is not sign * s times the identity (zero when s is None), else
-        None.  Each position is decided once for every sign, forming no
-        entry: by the value _proven from Euler data, else by one raising
-        (ratfunc.raised_sum), where sign * s holds exactly when
-        N = sign * T."""
-        ops, _, positions = self._positions(products)
-        bad = dict.fromkeys(signs)
+    def _first_bad(self, products, s=None):
+        """(witness, flipped) for A @ B, or A @ B - C @ D for two products,
+        against s times the identity (zero when s is None): the witness of
+        the first position, in _positions order, where it is not s Id, ""
+        if none, and whether -s Id fails at some position.  Each position
+        is decided once for both signs, forming no entry: by the value
+        _proven from Euler data, else by one raising (ratfunc.raised_sum),
+        where sigma * s holds exactly when N = sigma * T.  The witness reads
+        the decision that failed: the proven value minus s, a polynomial,
+        or (N - T) over the raising's common denominator."""
+        ops, block, positions = self._positions(products)
         zero = RationalFunction.zero(self.n + 1)
+        bad, flipped = "", False
         for i, j in positions:
             terms = [
                 (sign, a, row[j])
@@ -451,36 +458,23 @@ class Blocks:
             ]
             diagonal = s is not None and i == j
             want = s if diagonal else zero
-            got = _proven(self.n, terms, diagonal)
+            got, den = _proven(self.n, terms, diagonal), None
             if got is None:
-                got, want = raised_sum(self.n + 1, terms, want)
-            for sign in signs:
-                if bad[sign] is None and got != (want if sign > 0 else -want):
-                    bad[sign] = i, j
-            if None not in bad.values():
+                got, want, den = raised_sum(self.n + 1, terms, want)
+            if not bad and got != want:
+                diff = got - want if den is None else RationalFunction(self.n + 1, got - want, den)
+                bad = witness(block, i, j, diff)
+            flipped = flipped or got != -want
+            if bad and flipped:
                 break
-        return [bad[sign] for sign in signs]
-
-    def _witness(self, products, s, bad):
-        """The empty witness when bad is None, else that of the entry
-        bad = (i, j) against s times the identity (zero when s is None),
-        the one entry formed, as Matrix.__matmul__ forms it."""
-        if bad is None:
-            return ""
-        i, j = bad
-        ops, block, _ = self._positions(products)
-        parts = [dot(a.zero, a.rows[i], [r[j] for r in b.rows]) for a, b in ops]
-        diff = parts[0] if len(parts) == 1 else parts[0] - parts[1]
-        return witness(block, i, j, diff - s if s is not None and i == j else diff)
+        return bad, flipped
 
     def square(self, gen, w):
         """(name, witness) of the check that the geometric gen twice from
         weight w vanishes."""
         name = f"{'raising' if gen == 'E' else 'lowering'} twice from weight {w} vanishes"
         products = [((gen, w + (2 if gen == "E" else -2)), (gen, w))]
-        return name, self._once(
-            name, lambda: self._witness(products, None, *self._first_bad(products))
-        )
+        return name, self._once(name, lambda: self._first_bad(products)[0])
 
     def commutator(self, w):
         """[(name, witness)] of the geometric commutator checks at weight
@@ -493,10 +487,9 @@ class Blocks:
         name = f"weight {w} commutator is a (1-q^{2*n}) scalar on a dim-{comb(n, k)} block"
         pred = epsilon_sign(n, k)
         s = _signed_scalars(n)[pred]
-        # where s fails, flipped is None exactly when -s holds everywhere
-        at, flipped = self._first_bad(products, s, (1, -1))
-        bad = self._witness(products, s, at)
-        if bad and flipped is not None:
+        # where s fails, flipped is False exactly when -s holds everywhere
+        bad, flipped = self._first_bad(products, s)
+        if bad and flipped:
             return [(name, bad)], None
         eps = -pred if bad else pred
         sign = f"observed {eps:+d}, parity {pred:+d}; {bad}" if bad else ""

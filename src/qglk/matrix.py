@@ -7,12 +7,12 @@ matter.  Entries test zero by truthiness, so the same type holds the
 symbolic blocks and their residues mod P at a sample point.
 
 Products of rational-function matrices (the intertwiner's bases for
-library callers) sum each dot product in one
+library callers) sum the nonzero products of each entry in one
 :meth:`RationalFunction.sum`, which cancels against the shared
 denominator once instead of after every pairwise addition.  The
-geometric relation checks of :mod:`qglk.fm` decide each position by an
-exact zero test and form one such entry only, the first bad one that
-the witness of a failing check names.
+geometric relation checks of :mod:`qglk.fm` form no such product: each
+position is decided by an exact zero test, and a failing check's
+witness is read from the decision that failed it.
 
 A weight block is a Matrix that also carries n, source_weight and
 target_weight: one operator between two weight blocks of the N-site
@@ -163,7 +163,11 @@ class Matrix:
             cols = list(zip(*other.rows)) if self.ncols else [()] * other.ncols
             for row, orow in zip(self.rows, out):
                 for j, col in enumerate(cols):
-                    orow[j] = dot(self.zero, row, col)
+                    terms = [a * b for a, b in zip(row, col) if a and b]
+                    if len(terms) == 1:
+                        orow[j] = terms[0]
+                    elif terms:
+                        orow[j] = RationalFunction.sum(self.zero.nvars, terms)
         else:
             # each row of other as its nonzero (column, entry) pairs, once
             sparse = [[(j, b) for j, b in enumerate(brow) if b] for brow in other.rows]
@@ -203,15 +207,6 @@ class Matrix:
             for r in cells
         ]
         return "\n".join(lines)
-
-
-def dot(zero, row, col):
-    """The entry of a rational-function product from one row and one
-    column: the nonzero products summed in one RationalFunction.sum."""
-    terms = [a * b for a, b in zip(row, col) if a and b]
-    if len(terms) == 1:
-        return terms[0]
-    return RationalFunction.sum(zero.nvars, terms) if terms else zero
 
 
 def subset_label(S):

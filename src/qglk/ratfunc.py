@@ -12,7 +12,8 @@ exact division by canonical factors, so no multivariate gcd is ever
 needed.  It removes whole canonical factors only, so a fraction need not
 print in lowest terms: (1 - x1 q) / (1 - x1^2 q^2) keeps its factor.
 raised_sum decides whether a signed sum of products is a given
-fraction, or its negative, with no cancellation at all.
+fraction, or its negative, with no cancellation at all; its numerators
+over their denominator are the difference where it is not.
 
 Units skip that cancellation.  A one-term numerator c * X^e is a unit
 times an integer, which no canonical factor (two terms) divides
@@ -274,22 +275,24 @@ def common_denominator(nvars, pairs):
 
 
 def raised_sum(nvars, products, target=None):
-    """(N, T): the sum of sign * a * b over the (sign, a, b) in products,
-    a and b RationalFunctions, and target (zero when None) as numerators
-    over one common denominator L != 0, raised without cancellation: each
-    a * b is a.num * b.num over the factors of a and b together, and all
-    of them and target go through one common_denominator.  The sum is
-    sign * target exactly when N = sign * T, so one raising decides the
-    identity against target and against -target."""
+    """(N, T, den_factors): the sum of sign * a * b over the (sign, a, b)
+    in products, a and b RationalFunctions, and target (zero when None)
+    as numerators over one common denominator L != 0, the product of
+    den_factors, raised without cancellation: each a * b is a.num * b.num
+    over the factors of a and b together, and all of them and target go
+    through one common_denominator.  (N - sigma T) / L is the signed sum
+    minus sigma * target, so the sum is sigma * target exactly when
+    N = sigma * T: one raising decides the identity against target and
+    against -target, and gives the difference from either."""
     signs, pairs = [], []
     for sign, a, b in products:
         signs.append(sign)
         pairs.append((a.num * b.num, a.den_factors + b.den_factors))
     if target:
         pairs.append((target.num, target.den_factors))
-    parts, _ = common_denominator(nvars, pairs)
+    parts, den_factors = common_denominator(nvars, pairs)
     want = parts.pop() if target else Poly.zero(nvars)
-    return Poly.signed_sum(nvars, zip(signs, parts)), want
+    return Poly.signed_sum(nvars, zip(signs, parts)), want, den_factors
 
 
 def term_sort_key(p):

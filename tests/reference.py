@@ -28,8 +28,10 @@ reference for the stage over F_P of qglk.fm and qglk.linalg.pivot_columns.
 The full sweeps: every entry of each geometric square and commutator,
 formed as whole matrices, the reference for the orbit-representative
 checks of qglk.fm.Blocks; each checked position decided by
-ratfunc.raised_sum alone, the reference for the Euler-data proofs of
-qglk.fm.Blocks._first_bad; the normalized algebra checks multiplied out
+ratfunc.raised_sum alone and a failing check's entry formed afresh from
+its products, the reference for the Euler-data proofs of
+qglk.fm.Blocks._first_bad and the witnesses it reads from its
+decisions; the normalized algebra checks multiplied out
 over the fraction field, the reference for those qglk.fm reads from
 superrep's decisions through unit algebra, from the algebra blocks
 times their units lifted to the fraction field (algebra_block); and the
@@ -72,7 +74,7 @@ from qglk.grassmann import (
     tangent_gr,
 )
 from qglk.linalg import columns, pivot_columns, sample_points
-from qglk.matrix import Matrix, entry_witness, k_of, weights
+from qglk.matrix import Matrix, entry_witness, k_of, weights, witness
 from qglk.poly import P, Poly
 from qglk.ratfunc import PoleError, RationalFunction, common_denominator, raised_sum
 from qglk.report import Report
@@ -585,15 +587,27 @@ class FullSweepBlocks(fm.Blocks):
         return [(name, ""), (f"weight {w} sign matches (-1)^(n-k-1)", sign)], note
 
 
+def reference_dot(zero, row, col):
+    """The entry of a fraction-field product from one row and one column,
+    formed as Matrix.__matmul__ forms it: the nonzero products, one alone
+    or else summed in one RationalFunction.sum."""
+    terms = [a * b for a, b in zip(row, col) if a and b]
+    if len(terms) == 1:
+        return terms[0]
+    return RationalFunction.sum(zero.nvars, terms) if terms else zero
+
+
 class RaisedSumBlocks(fm.Blocks):
     """fm.Blocks with every checked geometric position decided by
-    ratfunc.raised_sum alone, as before the Euler-data proofs: the
-    reference for fm.Blocks._first_bad.  Positions and witnesses are
-    fm.Blocks' own."""
+    ratfunc.raised_sum alone, and the witness of a failing check formed
+    afresh from its products: each product's entry by reference_dot,
+    their difference, and minus s on the diagonal.  The reference for the
+    Euler-data proofs of fm.Blocks._first_bad and for the witnesses it
+    reads from its decisions; its positions are fm.Blocks' own."""
 
-    def _first_bad(self, products, s=None, signs=(1,)):
-        ops, _, positions = self._positions(products)
-        bad = dict.fromkeys(signs)
+    def _first_bad(self, products, s=None):
+        ops, block, positions = self._positions(products)
+        bad, flipped = None, False
         for i, j in positions:
             terms = [
                 (sign, a, row[j])
@@ -601,13 +615,18 @@ class RaisedSumBlocks(fm.Blocks):
                 for a, row in zip(left.rows[i], right.rows)
                 if a and row[j]
             ]
-            got, want = raised_sum(self.n + 1, terms, s if i == j else None)
-            for sign in signs:
-                if bad[sign] is None and got != (want if sign > 0 else -want):
-                    bad[sign] = i, j
-            if None not in bad.values():
+            got, want, _ = raised_sum(self.n + 1, terms, s if i == j else None)
+            if bad is None and got != want:
+                bad = i, j
+            flipped = flipped or got != -want
+            if bad and flipped:
                 break
-        return [bad[sign] for sign in signs]
+        if bad is None:
+            return "", flipped
+        i, j = bad
+        parts = [reference_dot(a.zero, a.rows[i], [r[j] for r in b.rows]) for a, b in ops]
+        diff = parts[0] if len(parts) == 1 else parts[0] - parts[1]
+        return witness(block, i, j, diff - s if s is not None and i == j else diff), flipped
 
 
 def algebra_block(n, gen, w):

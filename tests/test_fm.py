@@ -1142,48 +1142,107 @@ class TestOneDecisionPerIdentity:
         assert calls == []
 
 
+# common_denominator calls of nilpotency_report and commutator_report at
+# n = 4 under each fault that fails a geometric check: one per raised_sum
+# fallback (FALLBACKS) and one per witness of a position proven bad, whose
+# proven value minus s is one RationalFunction subtraction; a witness read
+# from a raising makes none
+COMMON_DENOMINATORS = {
+    "negated lowering column": 6,
+    "broken raising entry": 4,
+    "flipped parity sign": 5,
+    "lowering unit off by q^2": 5,
+    "perturbed correspondence weight": 6,
+    "flag lines times q": 10,
+}
+
+
 class TestWitnessFormsOneEntry:
-    """A failing geometric square or commutator forms only the entry its
-    witness names: one fm.dot per failing square, two (F E and E F) per
-    failing commutator, and a passing check none.  The normalized algebra
-    checks call neither (TestNormalizedAgainstFractionField and
-    TestOneDecisionPerIdentity pin them)."""
+    """A failing check forms no entry: a failing geometric square or
+    commutator reads its witness from the decision that failed it, so no
+    fraction-field product (Matrix.__matmul__) is formed, and the one
+    difference its witness evaluates comes from the proven value or the
+    raising.  The normalized algebra checks form none either
+    (TestNormalizedAgainstFractionField and TestOneDecisionPerIdentity pin
+    them)."""
 
     @staticmethod
-    def dots_and_failures(monkeypatch, n):
-        calls = []
-        raw = fm.dot
-        monkeypatch.setattr(fm, "dot", lambda *a: calls.append(a) or raw(*a))
+    def count(monkeypatch, owner, name, calls):
+        raw = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a: calls.append(a) or raw(*a))
+
+    def products_and_failures(self, monkeypatch, n):
+        """The fraction-field products, the witnesses and the failed checks
+        of the geometric batteries at n."""
+        products, witnesses = [], []
+        matmul = Matrix.__matmul__
+
+        def counted(a, b):
+            if isinstance(a.zero, RationalFunction):
+                products.append((a, b))
+            return matmul(a, b)
+
+        monkeypatch.setattr(Matrix, "__matmul__", counted)
+        self.count(monkeypatch, fm, "witness", witnesses)
         blocks = fm.Blocks(n)
         batteries = (nilpotency_report, commutator_report)
         failures = [c.name for b in batteries for c in failed_checks(b(n, blocks=blocks))]
-        return len(calls), failures
+        return len(products), len(witnesses), failures
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_the_true_action_forms_no_entry(self, monkeypatch, n):
-        assert self.dots_and_failures(monkeypatch, n) == (0, [])
+        assert self.products_and_failures(monkeypatch, n) == (0, 0, [])
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("mutation", SWEEP_MUTATIONS)
     def test_one_entry_per_failing_product(self, monkeypatch, mutation, n):
+        # no product is formed, and each failing check evaluates one
+        # difference, its witness's, whether it fails against s or only
+        # in its sign
         SWEEP_MUTATIONS[mutation](monkeypatch, n)
-        calls, failures = self.dots_and_failures(monkeypatch, n)
-        assert calls == sum(1 if "vanishes" in name else 2 for name in failures)
+        products, witnesses, failures = self.products_and_failures(monkeypatch, n)
+        assert products == 0
+        assert witnesses == len(failures)
         if mutation == "negated lowering column":
-            assert calls == 5
+            assert witnesses == 3
+
+    @pytest.mark.parametrize("mutation", COMMON_DENOMINATORS)
+    def test_common_denominators_per_fallback_and_proven_witness(self, monkeypatch, mutation):
+        n = 4
+        SWEEP_MUTATIONS[mutation](monkeypatch, n)
+        calls = []
+        self.count(monkeypatch, ratfunc, "common_denominator", calls)
+        blocks = fm.Blocks(n)
+        assert failed_checks(nilpotency_report(n, blocks=blocks)) + failed_checks(
+            commutator_report(n, blocks=blocks)
+        )
+        assert len(calls) == COMMON_DENOMINATORS[mutation]
+        assert COMMON_DENOMINATORS[mutation] >= sum(FALLBACKS[mutation])
+
+    def test_a_proven_witness_expands_no_entry(self, monkeypatch):
+        # the flipped sign fails positions whose Euler data prove the
+        # opposite scalar: the witnesses are polynomials, and no entry
+        # expands
+        n = 4
+        SWEEP_MUTATIONS["flipped parity sign"](monkeypatch, n)
+        expanded = _expansions(monkeypatch)
+        blocks = fm.Blocks(n)
+        assert len(failed_checks(commutator_report(n, blocks=blocks))) == 5
+        assert nilpotency_report(n, blocks=blocks).passed
+        assert expanded == []
 
     @pytest.mark.parametrize(
         "mutation, raisings",
-        [(None, 0), ("flipped parity sign", 16), ("lowering unit off by q^2", 21)],
+        [(None, 0), ("flipped parity sign", 5), ("lowering unit off by q^2", 5)],
     )
     def test_one_raising_decides_both_commutator_signs(self, monkeypatch, mutation, raisings):
         # commutator_report(4) on prebuilt blocks, counted in
         # common_denominator calls.  The true action and the flipped sign
-        # prove every position from Euler data and raise nothing; each
-        # failing sign check's witness forms one entry (16 calls for 5
-        # failures).  Off by q^2, each weight's first diagonal
-        # representative is not proven: it is raised once for both signs
-        # (5 calls) before its witness.
+        # prove every position from Euler data and raise nothing; each of
+        # the flipped sign's 5 failing sign checks subtracts s from its
+        # proven value once for its witness.  Off by q^2, each weight's
+        # first diagonal representative is not proven: it is raised once
+        # for both signs (5 calls), and its witness reads that raising.
         n = 4
         if mutation:
             SWEEP_MUTATIONS[mutation](monkeypatch, n)
@@ -1191,8 +1250,7 @@ class TestWitnessFormsOneEntry:
         for key in _geometric_keys(n):
             blocks.equivariant(*key)
         calls = []
-        raw = ratfunc.common_denominator
-        monkeypatch.setattr(ratfunc, "common_denominator", lambda *a: calls.append(a) or raw(*a))
+        self.count(monkeypatch, ratfunc, "common_denominator", calls)
         failures = failed_checks(commutator_report(n, blocks=blocks))
         assert len(failures) == (5 if mutation else 0)
         assert len(calls) == raisings
@@ -1294,18 +1352,20 @@ FALLBACKS = {
 
 
 def _checked_products(n, w):
-    """(products, s, signs) of the geometric squares and the commutator
-    from weight w, as fm.Blocks hands them to _first_bad."""
+    """(products, s) of the geometric squares and the commutator from
+    weight w, as fm.Blocks hands them to _first_bad."""
     s = fm._signed_scalars(n)[fm.epsilon_sign(n, k_of(n, w))]
-    checks = [([((gen, w + step), (gen, w))], None, (1,)) for gen, step in (("E", 2), ("F", -2))]
-    return checks + [([(("F", w + 2), ("E", w)), (("E", w - 2), ("F", w))], s, (1, -1))]
+    checks = [([((gen, w + step), (gen, w))], None) for gen, step in (("E", 2), ("F", -2))]
+    return checks + [([(("F", w + 2), ("E", w)), (("E", w - 2), ("F", w))], s)]
 
 
 class TestEulerDecisionsAgainstRaisedSum:
-    """fm.Blocks._first_bad, which proves what it can from Euler data and
-    raises the rest, against RaisedSumBlocks, which raises every position.
-    FullSweepBlocks is no reference for the proofs: it forms whole
-    matrices and never reaches _first_bad (the last test pins that)."""
+    """fm.Blocks._first_bad, which proves what it can from Euler data,
+    raises the rest and reads a failing check's witness from the decision
+    that failed it, against RaisedSumBlocks, which raises every position
+    and forms the witnessed entry afresh by its products.  FullSweepBlocks
+    is no reference for the proofs: it forms whole matrices and never
+    reaches _first_bad (the last test pins that)."""
 
     @pytest.mark.parametrize(
         "n, mutation",
@@ -1316,8 +1376,8 @@ class TestEulerDecisionsAgainstRaisedSum:
             SWEEP_MUTATIONS[mutation](monkeypatch, n)
         got, want = fm.Blocks(n), RaisedSumBlocks(n)
         for w in weights(n):
-            for products, s, signs in _checked_products(n, w):
-                assert got._first_bad(products, s, signs) == want._first_bad(products, s, signs)
+            for products, s in _checked_products(n, w):
+                assert got._first_bad(products, s) == want._first_bad(products, s)
         assert _fm_outcomes(n, got) == _fm_outcomes(n, want)
 
     @pytest.mark.parametrize("mutation", FALLBACKS)

@@ -280,7 +280,7 @@ def sums_of_products(draw):
 
 def sums_to(products, target=None, sign=1):
     """Whether the signed products sum to sign * target, from raised_sum."""
-    got, want = raised_sum(NV, products, target)
+    got, want, _ = raised_sum(NV, products, target)
     return got == (want if sign > 0 else -want)
 
 
@@ -294,6 +294,17 @@ class TestRaisedSum:
         assert sums_to(products, target) == (total == want)
         # one raising also decides the negated target
         assert sums_to(products, target, -1) == (total == -want)
+
+    @given(sums_of_products(), st.sampled_from([1, -1]))
+    @settings(max_examples=150, deadline=None)
+    def test_numerators_over_the_denominator_are_the_difference(self, case, sign):
+        # (N - sign * T) / den is the signed sum minus sign * target
+        products, target = case
+        num, want, den = raised_sum(NV, products, target)
+        diff = signed_sum_of_products(products)
+        if target is not None:
+            diff = diff - target if sign > 0 else diff + target
+        assert RationalFunction(NV, num - want if sign > 0 else num + want, den) == diff
 
     def test_named_cases(self):
         a, b = rf("x1/(1 - q)"), rf("1/((1 - q)^2*(x1 - x2))")
