@@ -35,7 +35,8 @@ The intertwiner's proof reads ranks, pivot columns and invertibility
 from both actions at a seeded rational point, over F_P with the fixed
 prime P = 2^61 - 1: each E and F entry's residue there
 (qglk.poly.PointResidues; an EulerEntry from its twist and Euler
-factors, unexpanded), the products F_{w+2} E_w in place of the
+factors, unexpanded, and an algebra entry from superrep's unscaled block
+times its unit's residue), the products F_{w+2} E_w in place of the
 projectors p_w = F_{w+2} E_w / s_w, a unit scaling where s_w has a
 nonzero residue, and Gaussian elimination mod P
 (linalg.pivot_columns).  A point where a denominator's residue or some
@@ -46,33 +47,21 @@ a determinant nonzero mod P proves the symbolic one nonzero; an unlucky
 P, like an unlucky point, can only lose pivots or skip the point, never
 fake a certificate.
 
-S_n permutes x_1..x_n and the fixed points together, and the geometric
-blocks are equivariant: E[sigma S, sigma T] = sigma(E[S, T]).  So the
-geometric squares and commutators are checked on one entry per S_n-orbit
-of positions.  sigma is a ring automorphism of Q(x, q), so products and
-differences of equivariant blocks are equivariant, and the targets 0
-and s * Id are S_n-invariant.  Orbits of (S, T) with fixed sizes are
-classified by |S & T|.  An exact gate, is_equivariant, first checks
-each factor block against the two generators (1 2) and (1 2 ... n) of
-S_n; if any factor fails it, every position is checked.  The gate
-compares twists and characters only: permuted Euler data equal to the
-data at the image position give the same fraction there, since
-expansion commutes with sigma (a property test pins it), and any other
-pair, or an entry that is not an EulerEntry, fails the gate.
-
-Each checked geometric position is first given an exact value proven
-from Euler data (Blocks._first_bad, _proven).  A term a * b is again
+Every position of each geometric square and commutator is checked, in
+row-major order, and first given an exact value proven from Euler data
+(Blocks._first_bad, _proven).  A term a * b is again
 sign * X^key * e(chi).  Its normal form folds each weight w onto
 whichever of w and w^-1 has the larger packed key: where that is
 c = w^-1, 1 - w^-1 = -c (1 - c^-1), so the sign flips for odd m and
-m (zero - k) joins the key.  Zero multiplicities are dropped.  Over the
-UFD Z[x^+-1, q^+-1] equal normal forms are equal fractions and
-conversely: for d primitive, 1 - X^d is irreducible (a monomial change
-of coordinates makes it 1 - y_1), 1 - X^(g d) is the product of the
-cyclotomic Phi_k(X^d), k | g, whose exponents form a triangular system
-in the folded multiplicities, and distinct d give non-associate factors,
-so e(chi) is a unit only when every folded multiplicity is 0.  Two rules
-prove a value:
+m (zero - k) joins the key.  Zero multiplicities are dropped.  Each
+entry folds its form once (EulerEntry.form), and a term's form merges
+its factors' forms.  Over the UFD Z[x^+-1, q^+-1] equal normal forms
+are equal fractions and conversely: for d primitive, 1 - X^d is
+irreducible (a monomial change of coordinates makes it 1 - y_1),
+1 - X^(g d) is the product of the cyclotomic Phi_k(X^d), k | g, whose
+exponents form a triangular system in the folded multiplicities, and
+distinct d give non-associate factors, so e(chi) is a unit only when
+every folded multiplicity is 0.  Two rules prove a value:
 
 * 0, when the signed terms cancel by normal form: every nonzero square
   position and off-diagonal commutator position;
@@ -84,15 +73,15 @@ prove a value:
   sum_j R_j = q^(2n) - 1.  G is typed in, but the terms it is matched
   with are computed from the fixed-point characters.
 
-A proven value is compared with the target exactly.  Euler data only
-ever prove a value: a position they do not prove, or one with a factor
-that is no EulerEntry, goes to ratfunc.raised_sum, one exact zero test
-with no cancellation and no trial division, whose one raising decides
-both signs of the geometric commutator.  Under a fault a failing
-position thus keeps that decision, and its witness is read from it: the
-proven value minus the target, or the raised numerators' difference over
-their common denominator, reduced by whole canonical factors.  No entry
-is formed a second time.
+A proven value is compared with the target exactly, and an off-diagonal
+0 forms no fraction.  Euler data only ever prove a value: a position
+they do not prove, or one with a factor that is no EulerEntry, goes to
+ratfunc.raised_sum, one exact zero test with no cancellation and no
+trial division, whose one raising decides both signs of the geometric
+commutator.  Under a fault a failing position thus keeps that decision,
+and its witness is read from it: the proven value minus the target, or
+the raised numerators' difference over their common denominator, reduced
+by whole canonical factors.  No entry is formed a second time.
 """
 
 from functools import cache, partial
@@ -108,8 +97,8 @@ from .grassmann import (
     tangent_gr,
 )
 from .linalg import columns, hstack, pivot_columns, sample_points
-from .matrix import Matrix, block_points, entry_witness, k_of, weights, witness
-from .poly import P, PointResidues, Poly, _check_fields, _layout, _permute_keys
+from .matrix import Matrix, entry_witness, k_of, weights, witness
+from .poly import P, PointResidues, Poly, _check_fields, _layout
 from .ratfunc import PoleError, RationalFunction, raised_sum
 from .report import Report
 from .superrep import Relations
@@ -143,20 +132,22 @@ class EulerEntry(RationalFunction):
     """twist * e(chi), a geometric entry kept as its Euler data: the
     monomial twist sign * X^e as its packed key and sign, and the virtual
     character chi as one flat tuple (key, multiplicity, key, ...) in key
-    order.
+    order.  form is its normal form (_normal_form), folded once when the
+    entry is made.
 
     num and den_factors are formed on the first read of either, as
     from_poly(twist) * euler_class_rf(chi), so every reader of the
-    fraction sees exactly that.  Truthiness, permute and residue read the
-    data alone (== compares fractions): building, gating and reducing a
+    fraction sees exactly that.  Truthiness, negation and residue read the
+    data alone (== compares fractions): building, deciding and reducing a
     block mod P expand nothing, and of the checks only a raised_sum
     fallback expands the entries it reads.
     """
 
-    __slots__ = ("key", "sign", "chi")
+    __slots__ = ("key", "sign", "chi", "form")
 
     def __init__(self, nvars, key, sign, chi):
         self.nvars, self.key, self.sign, self.chi = nvars, key, sign, chi
+        self.form = _normal_form(nvars, sign, key, self._pairs())
 
     def __getattr__(self, name):
         # num and den_factors are unset slots until one of them is read
@@ -179,10 +170,8 @@ class EulerEntry(RationalFunction):
     def __bool__(self):
         return True  # sign != 0, and no Euler factor 1 - w^-1 (w != 1) is zero
 
-    def permute(self, perm):
-        """The twist and chi with x_i replaced by x_perm[i-1]."""
-        key, *keys = _permute_keys(self.nvars, perm, (self.key, *self.chi[::2]))
-        return EulerEntry(self.nvars, key, self.sign, _flat(zip(keys, self.chi[1::2])))
+    def __neg__(self):
+        return EulerEntry(self.nvars, self.key, -self.sign, self.chi)
 
     def residue(self, at):
         """The twist's residue times that of each Euler factor 1 - w^-1 to
@@ -264,11 +253,11 @@ def commutator_scalar(n, k):
 
 
 def _normal_form(nvars, sign, key, pairs):
-    """(sign, (key, folded)) of sign * X^key * prod (1 - w^-1)^m over the
+    """(sign, key, folded) of sign * X^key * prod (1 - w^-1)^m over the
     (key of w, m) pairs: each w folded onto whichever of w and w^-1 has
     the larger key, by 1 - w^-1 = -c (1 - c^-1) with c = w^-1, and the
-    zero multiplicities dropped, folded a (key, m) tuple in key order.
-    Equal forms are equal fractions, and conversely (module docstring)."""
+    zero multiplicities dropped, folded a tuple of (key, m).  Equal forms
+    are equal fractions, and conversely (module docstring)."""
     lay = _layout(nvars)
     zero, folded = lay.zero, {}
     for k, m in pairs:
@@ -276,21 +265,31 @@ def _normal_form(nvars, sign, key, pairs):
             sign, key, k = -sign if m % 2 else sign, key + m * (zero - k), 2 * zero - k
         folded[k] = folded.get(k, 0) + m
     _check_fields(lay, (key, *folded))  # as Poly's products do
-    return sign, (key, tuple(sorted(item for item in folded.items() if item[1])))
+    return sign, key, tuple(item for item in folded.items() if item[1])
 
 
 def _collected(nvars, terms):
     """{(key, folded): coefficient} of the signed sum of the products of
-    the EulerEntrys in each (sign, *factors) of terms: the terms' normal
-    forms with their signs added, zero coefficients dropped."""
-    zero = _layout(nvars).zero
+    the EulerEntrys in each (sign, *factors) of terms: each term's normal
+    form from its factors' (signs multiplied, keys added, folded
+    multiplicities merged, folded a frozenset of (key, m)), with the
+    terms' signs added and zero coefficients dropped."""
+    lay = _layout(nvars)
     out = {}
-    for sign, *factors in terms:
-        for e in factors:
-            sign *= e.sign
-        key = sum(e.key for e in factors) - (len(factors) - 1) * zero
-        pairs = chain.from_iterable(e._pairs() for e in factors)
-        sign, form = _normal_form(nvars, sign, key, pairs)
+    for sign, first, *rest in terms:
+        s, key, folded = first.form
+        sign, merged = sign * s, dict(folded)
+        for e in rest:
+            s, k, folded = e.form
+            sign, key = sign * s, key + k - lay.zero
+            for w, m in folded:
+                m += merged.get(w, 0)
+                if m:
+                    merged[w] = m
+                else:
+                    del merged[w]
+        _check_fields(lay, (key,))  # as Poly's products do; the folded keys are the factors'
+        form = key, frozenset(merged.items())
         out[form] = out.get(form, 0) + sign
     return {form: c for form, c in out.items() if c}
 
@@ -312,70 +311,42 @@ def _residues(n):
 
 
 def _proven(n, terms, diagonal):
-    """The value of the signed sum of the products a * b over the
-    (sign, a, b) in terms, proven from Euler data (module docstring), or
-    None: 0 when the terms' normal forms cancel, and at a diagonal
-    position sigma * (q^(2n) - 1) when they are sigma times those of the
-    residues R_j.  None also when a factor is no EulerEntry."""
+    """sigma where the signed sum of the products a * b over the
+    (sign, a, b) in terms is proven from Euler data (module docstring) to
+    be sigma * (q^(2n) - 1), else None: 0 when the terms' normal forms
+    cancel, and at a diagonal position +-1 when they are sigma times those
+    of the residues R_j.  None also when a factor is no EulerEntry."""
+    if not terms:
+        return 0
     if not all(isinstance(e, EulerEntry) for _, a, b in terms for e in (a, b)):
         return None
     got = _collected(n + 1, terms)
     if not got:
-        return RationalFunction.zero(n + 1)
+        return 0
     if diagonal:
         for sigma in (1, -1):
             if got == {form: sigma * c for form, c in _residues(n).items()}:
-                return _signed_scalars(n)[-sigma]  # sigma * (q^(2n) - 1)
+                return sigma
     return None
 
 
+def _terms(ops):
+    """{(i, j): [(sign, a, b), ...]} of the signed sum of the products
+    A @ B over the (A, B) in ops, signs +1 and -1: each position's nonzero
+    products a * b, the first product's first, each in order of the inner
+    index, gathered in one pass over the nonzero entries."""
+    terms = {}
+    for sign, (left, right) in zip((1, -1), ops):
+        nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in right.rows]
+        for i, row in enumerate(left.rows):
+            for a, inner in zip(row, nonzero):
+                if a:
+                    for j, b in inner:
+                        terms.setdefault((i, j), []).append((sign, a, b))
+    return terms
+
+
 SIDES = ("algebra", "geometric")
-
-
-def _generators(n):
-    """(1 2) and (1 2 ... n), which generate S_n, as tuples of images."""
-    return ((2, 1, *range(3, n + 1)), (*range(2, n + 1), 1)) if n > 1 else ()
-
-
-def _image(perm, S):
-    return tuple(sorted(perm[i - 1] for i in S))
-
-
-def _data(e):
-    return (e.key, e.sign, e.chi) if isinstance(e, EulerEntry) else None
-
-
-def is_equivariant(block):
-    """Whether block[sigma S, sigma T] == sigma(block[S, T]) for every
-    sigma in S_n, with sigma permuting x_1..x_n and the subsets, read
-    from Euler data alone (see the module docstring): a nonzero entry that
-    is not an EulerEntry, or whose permuted data differ, gives False.
-
-    Checking the two generators suffices, and so does checking nonzero
-    entries only: sigma is a bijection on positions, so if it maps every
-    nonzero entry onto a nonzero one it maps the zeros onto zeros."""
-    rows = {S: i for i, S in enumerate(block.rows_points)}
-    cols = {T: j for j, T in enumerate(block.cols_points)}
-    for perm in _generators(block.n):
-        for S, i in rows.items():
-            row = block.rows[rows[_image(perm, S)]]
-            for T, j in cols.items():
-                e, image = block.rows[i][j], row[cols[_image(perm, T)]]
-                if e and not (isinstance(e, EulerEntry) and _data(image) == _data(e.permute(perm))):
-                    return False
-    return True
-
-
-@cache
-def orbit_representatives(n, source_weight, target_weight):
-    """The first position (i, j) in row-major order of each S_n-orbit of
-    the entries of a block: pairs (S, T) of subsets of fixed sizes lie in
-    one orbit exactly when their |S & T| agree."""
-    first = {}
-    for i, S in enumerate(block_points(n, target_weight)):
-        for j, T in enumerate(block_points(n, source_weight)):
-            first.setdefault(len(set(S) & set(T)), (i, j))
-    return sorted(first.values())
 
 
 class Blocks:
@@ -388,17 +359,14 @@ class Blocks:
     Blocks come from raising_matrix, lowering_matrix and relations times
     _unit on first use.  A geometric entry holds its Euler data
     (EulerEntry) and expands when a raised_sum fallback first reads its
-    fraction; the proofs, the gate, the witnesses and the intertwiner's
-    point stage never expand one.
+    fraction; the proofs, the witnesses and the intertwiner's point stage
+    never expand one.
 
-    A geometric square or commutator is checked on orbit representatives
-    when every factor block passed is_equivariant, else on every entry,
-    each by a value proven from Euler data, or where none is proven by
-    raised_sum (module docstring).  A check whose every position holds
-    passes; otherwise the witness names the first position that fails,
-    with the difference its decision gave.  Every entry of a bad orbit
-    is bad, so the first bad representative is the first bad entry: the
-    witness is the same as on the full sweep.
+    A geometric square or commutator is checked at every entry, each by a
+    value proven from Euler data, or where none is proven by raised_sum
+    (module docstring).  A check whose every position holds passes;
+    otherwise the witness names the first position in row-major order
+    that fails, with the difference its decision gave.
     """
 
     def __init__(self, n):
@@ -412,57 +380,48 @@ class Blocks:
         return self._memo[key]
 
     def op(self, side, gen, w):
-        """The normalized generator gen (E or F) from weight w on one side."""
+        """The normalized generator gen (E or F) from weight w on one side.
+        The scaled algebra blocks are find_intertwiner's alone: the checks
+        read relations' decisions, and the point stage its unscaled
+        blocks."""
         if side == "algebra":
             block = self.relations.block
             return self._once((side, gen, w), lambda: block(gen, w).scale(_unit(self.n, gen, w)))
         build = raising_matrix if gen == "E" else lowering_matrix
         return self._once((side, gen, w), lambda: build(self.n, w))
 
-    def equivariant(self, gen, w):
-        """is_equivariant of the geometric block op("geometric", gen, w)."""
-        return self._once(("gate", gen, w), lambda: is_equivariant(self.op("geometric", gen, w)))
-
-    def _positions(self, products):
-        """The geometric factor blocks [(A, B), ...] of the products A @ B,
-        the block they form, and its positions (i, j) to check in
-        row-major order: orbit representatives when every factor is
-        equivariant, else all."""
-        op = partial(self.op, "geometric")
-        ops = [(op(*left), op(*right)) for left, right in products]
-        first, last = ops[0]
-        block = (self.n, last.source_weight, first.target_weight)
-        if all(self.equivariant(*key) for pair in products for key in pair):
-            return ops, block, orbit_representatives(*block)
-        return ops, block, product(range(first.nrows), range(last.ncols))
-
     def _first_bad(self, products, s=None):
         """(witness, flipped) for A @ B, or A @ B - C @ D for two products,
         against s times the identity (zero when s is None): the witness of
-        the first position, in _positions order, where it is not s Id, ""
-        if none, and whether -s Id fails at some position.  Each position
-        is decided once for both signs, forming no entry: by the value
-        _proven from Euler data, else by one raising (ratfunc.raised_sum),
-        where sigma * s holds exactly when N = sigma * T.  The witness reads
-        the decision that failed: the proven value minus s, a polynomial,
-        or (N - T) over the raising's common denominator."""
-        ops, block, positions = self._positions(products)
-        zero = RationalFunction.zero(self.n + 1)
+        the first position in row-major order where it is not s Id, "" if
+        none, and whether -s Id fails at some position.  Each position is
+        decided once for both signs from its terms (_terms), forming no
+        entry: by the sign _proven from Euler data, where a proven 0 off
+        the diagonal forms no fraction at all, else by one raising
+        (ratfunc.raised_sum), where sigma * s holds exactly when
+        N = sigma * T.  The witness reads the decision that failed: the
+        proven value minus s, a polynomial, or (N - T) over the raising's
+        common denominator."""
+        n, op = self.n, partial(self.op, "geometric")
+        ops = [(op(*left), op(*right)) for left, right in products]
+        first, last = ops[0]
+        block = (n, last.source_weight, first.target_weight)
+        gathered = _terms(ops)
+        zero, scalars = RationalFunction.zero(n + 1), _signed_scalars(n)
         bad, flipped = "", False
-        for i, j in positions:
-            terms = [
-                (sign, a, row[j])
-                for sign, (left, right) in zip((1, -1), ops)
-                for a, row in zip(left.rows[i], right.rows)
-                if a and row[j]
-            ]
+        for i, j in product(range(first.nrows), range(last.ncols)):
             diagonal = s is not None and i == j
-            want = s if diagonal else zero
-            got, den = _proven(self.n, terms, diagonal), None
-            if got is None:
-                got, want, den = raised_sum(self.n + 1, terms, want)
+            terms = gathered.get((i, j), [])
+            sigma = _proven(n, terms, diagonal)
+            if sigma == 0 and not diagonal:
+                continue  # 0 holds against the target 0 with either sign
+            want, den = s if diagonal else zero, None
+            if sigma is None:
+                got, want, den = raised_sum(n + 1, terms, want)
+            else:
+                got = scalars[-sigma] if sigma else zero
             if not bad and got != want:
-                diff = got - want if den is None else RationalFunction(self.n + 1, got - want, den)
+                diff = got - want if den is None else RationalFunction(n + 1, got - want, den)
                 bad = witness(block, i, j, diff)
             flipped = flipped or got != -want
             if bad and flipped:
@@ -602,9 +561,10 @@ def _with_projectors(at, n, inverse_scalars=None):
     return at
 
 
-def _residue_block(block, at):
-    """The block's residues mod P at the point of ``at`` (a PointResidues)."""
-    rows = [[e.residue(at) if e else 0 for e in row] for row in block.rows]
+def _residue_block(block, at, unit=1):
+    """The block's residues mod P at the point of ``at`` (a PointResidues),
+    each times unit, a residue."""
+    rows = [[e.residue(at) * unit % P if e else 0 for e in row] for row in block.rows]
     return Matrix(block.nrows, block.ncols, rows, 0, block.block)
 
 
@@ -612,14 +572,22 @@ def _at_points(blocks, seed):
     """Yields, at successive seeded rational points, the residues mod P of
     the E and F blocks of both sides and the products F_{w+2} E_w in
     place of the projectors p_w, skipping a point where a denominator of
-    an E or F entry has residue 0 or some s_w does (q = 1 can be drawn)."""
+    an E or F entry has residue 0 or some s_w does (q = 1 can be drawn).
+    An algebra block is relations' unscaled Poly block, each residue times
+    its unit's (_unit)."""
     n = blocks.n
+
+    def reduced(at, side, gen, w):
+        if side == "geometric":
+            return _residue_block(blocks.op(side, gen, w), at)
+        return _residue_block(blocks.relations.block(gen, w), at, _unit(n, gen, w).residue(at))
+
     for point in sample_points(n + 1, seed):
         at = PointResidues(point)
         if not all(commutator_scalar(n, k_of(n, w)).residue(at) for w in weights(n)):
             continue
         try:
-            residues = {key: _residue_block(blocks.op(*key), at) for key in _block_keys(n)}
+            residues = {key: reduced(at, *key) for key in _block_keys(n)}
         except PoleError:
             continue
         yield _with_projectors(residues, n)

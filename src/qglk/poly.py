@@ -59,24 +59,6 @@ def _unpack(lay, k):
     return tuple([(k >> s & _MASK) - _BIAS for s in lay.shifts])
 
 
-@cache
-def _permutation(n, perm):
-    """(keep, moves) of _permute_keys: the mask that clears the fields of
-    the moved x's, and their (from, to) field offsets."""
-    if sorted(perm) != list(range(1, n)):
-        raise ValueError(f"{perm} is not a permutation of 1..{n - 1}")
-    shifts = _layout(n).shifts
-    moves = tuple((shifts[i], shifts[p - 1]) for i, p in enumerate(perm) if p != i + 1)
-    return ~sum(_MASK << s for s, _ in moves), moves
-
-
-def _permute_keys(n, perm, keys):
-    """The packed keys with the field of each x_i moved to x_perm[i-1],
-    for perm a permutation of 1..n-1: the degree and q fields stay."""
-    keep, moves = _permutation(n, tuple(perm))
-    return [(k & keep) + sum((k >> s & _MASK) << t for s, t in moves) for k in keys]
-
-
 def _check_fields(lay, keys):
     """Raise unless no key has a guard bit set.  Sound when every field
     value before wrapping lies in [-2^15, 2^16): the lowest bad field then

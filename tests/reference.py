@@ -5,9 +5,8 @@ extraction of a nonzero polynomial, the references for Poly.exact_div
 and for the denominator-factor canonicalizer of qglk.ratfunc; a line
 bundle twist as an exponent shift, the reference for the key offset of
 qglk.koszul.  x_i -> x_perm[i-1] on exponent tuples, and on a fraction
-through its constructor: the references for the packed-key permutation
-of qglk.poly and for the naturality the equivariance gate of qglk.fm
-rests on.  The
+through its constructor: the references for the naturality of the
+denominator canonicalizer and of Euler classes.  The
 stored form of a fraction, to compare reductions and not just values.
 Evaluation with power tables built afresh for each polynomial, summed as
 integers and returned as one Fraction, the reference for the shared
@@ -26,12 +25,12 @@ projectors scaled by 1 / s_w and Gaussian elimination over Q, the
 reference for the stage over F_P of qglk.fm and qglk.linalg.pivot_columns.
 
 The full sweeps: every entry of each geometric square and commutator,
-formed as whole matrices, the reference for the orbit-representative
-checks of qglk.fm.Blocks; each checked position decided by
-ratfunc.raised_sum alone and a failing check's entry formed afresh from
-its products, the reference for the Euler-data proofs of
-qglk.fm.Blocks._first_bad and the witnesses it reads from its
-decisions; the normalized algebra checks multiplied out
+formed as whole matrices, the reference for the checks of
+qglk.fm.Blocks; each position's products read from dense rows, decided
+by ratfunc.raised_sum alone, and a failing check's entry formed afresh
+from its products, the reference for the terms qglk.fm gathers from
+the nonzero entries, the Euler-data proofs of qglk.fm.Blocks._first_bad
+and the witnesses it reads from its decisions; the normalized algebra checks multiplied out
 over the fraction field, the reference for those qglk.fm reads from
 superrep's decisions through unit algebra, from the algebra blocks
 times their units lifted to the fraction field (algebra_block); and the
@@ -60,7 +59,7 @@ the shared localization form of qglk.grassmann.
 
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from operator import add, sub
 
@@ -556,8 +555,7 @@ def old_first_difference(got, want=None):
 
 class FullSweepBlocks(fm.Blocks):
     """fm.Blocks with every geometric square and commutator checked on
-    whole matrices, at every entry, whatever the equivariance gate says.
-    It overrides square and _commutator, so it inherits neither
+    whole matrices, at every entry.  It overrides square and _commutator, so it inherits neither
     fm.Blocks._first_bad nor the Euler-data proofs inside it: each entry
     is formed by Matrix.__matmul__ over the fraction field."""
 
@@ -598,17 +596,21 @@ def reference_dot(zero, row, col):
 
 
 class RaisedSumBlocks(fm.Blocks):
-    """fm.Blocks with every checked geometric position decided by
-    ratfunc.raised_sum alone, and the witness of a failing check formed
-    afresh from its products: each product's entry by reference_dot,
-    their difference, and minus s on the diagonal.  The reference for the
-    Euler-data proofs of fm.Blocks._first_bad and for the witnesses it
-    reads from its decisions; its positions are fm.Blocks' own."""
+    """fm.Blocks with every geometric position, in row-major order, decided
+    by ratfunc.raised_sum alone on the products read from dense rows, and
+    the witness of a failing check formed afresh from its products: each
+    product's entry by reference_dot, their difference, and minus s on
+    the diagonal.  The reference for the terms fm.Blocks._first_bad
+    gathers, the Euler-data proofs it makes and the witnesses it reads
+    from its decisions."""
 
     def _first_bad(self, products, s=None):
-        ops, block, positions = self._positions(products)
+        op = partial(self.op, "geometric")
+        ops = [(op(*left), op(*right)) for left, right in products]
+        first, last = ops[0]
+        block = (self.n, last.source_weight, first.target_weight)
         bad, flipped = None, False
-        for i, j in positions:
+        for i, j in product(range(first.nrows), range(last.ncols)):
             terms = [
                 (sign, a, row[j])
                 for sign, (left, right) in zip((1, -1), ops)

@@ -278,8 +278,8 @@ class TestCliGolden:
     )
     def test_geometric_control_documents_are_byte_identical(self, capsys, monkeypatch, control):
         # `verify --n 3 --json` under a geometric fault: the observed sign
-        # is the opposite of the parity, no sign matches, or the witnesses
-        # come from orbit representatives; recorded from the tree that
+        # is the opposite of the parity, no sign matches, or a fault S_n
+        # maps to itself breaks every block; recorded from the tree that
         # formed every entry of a failing block
         SWEEP_MUTATIONS[control](monkeypatch, 3)
         golden = CONTROL_GOLDEN[f"verify --n 3 --json [{control}]"]

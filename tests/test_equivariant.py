@@ -449,11 +449,12 @@ def permuted_entries(draw):
 
 
 class TestNaturality:
-    """Expanding Euler data commutes with permuting x_1..x_N, stored form
-    and all: what lets the equivariance gate of qglk.fm compare permuted
-    twists and characters instead of permuted fractions.  The permutation
-    is the reference one of tests/reference.py, on exponent tuples and,
-    for a fraction, through its constructor."""
+    """euler_class_rf, and a twist times it as qglk.fm.EulerEntry expands,
+    commute with permuting x_1..x_N, stored form and all: renaming the
+    variables renames the canonical denominator factors and changes no
+    reduction.  The permutation is the reference one of
+    tests/reference.py, on exponent tuples and, for a fraction, through
+    its constructor."""
 
     @given(permuted_entries())
     @settings(max_examples=200, deadline=None)

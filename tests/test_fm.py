@@ -1,7 +1,7 @@
 import json
 from fractions import Fraction
 from functools import partial
-from itertools import permutations
+from itertools import product
 from math import comb
 
 import pytest
@@ -484,7 +484,7 @@ def _perturb_correspondence_weight(monkeypatch):
 
 def _flag_lines_times_q(monkeypatch):
     """Every correspondence's flag line x_j / x_b picks up q: a fault that
-    S_n maps to itself, so every geometric block stays equivariant."""
+    S_n maps to itself, so it breaks every geometric block alike."""
     raw = fm.correspondence_tangent
 
     def perturbed(n, S_small, S_big):
@@ -758,9 +758,9 @@ class TestMutationFixtures:
         assert "projector ranks agree at weight -1" in failures
         assert main(["verify", "--n", "3"]) == 1
 
-    def test_flag_lines_times_q_fail_on_orbit_representatives(self, monkeypatch):
-        # a symmetric fault keeps every block equivariant, so the checks run
-        # on one entry per orbit and must still catch it
+    def test_flag_lines_times_q_fail_at_their_first_bad_entries(self, monkeypatch):
+        # a symmetric fault breaks every block alike: each failing check
+        # names its first bad entry in row-major order
         _flag_lines_times_q(monkeypatch)
         squares = {
             3: [("lowering", 3), ("lowering", 1), ("raising", -1), ("raising", -3)],
@@ -792,106 +792,6 @@ def _geometric_keys(n):
     return [(gen, w) for gen in "EF" for w in weights(n) + [n + 2, -n - 2]]
 
 
-class TestEquivarianceGate:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_passes_on_every_geometric_block(self, n):
-        blocks = fm.Blocks(n)
-        assert all(blocks.equivariant(*key) for key in _geometric_keys(n))
-
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_a_negated_column_fails_it_on_that_block_only(self, monkeypatch, n):
-        _negate_lowering_column(monkeypatch, weight=1 if n == 3 else 2, col=2)
-        blocks = fm.Blocks(n)
-        failing = [key for key in _geometric_keys(n) if not blocks.equivariant(*key)]
-        assert failing == [("F", 1 if n == 3 else 2)]
-
-    @staticmethod
-    def euler(twist, chi=()):
-        """The EulerEntry twist * e(chi) for a one-term twist in x1..x3, q."""
-        ((key, sign),) = twist.keys.items()
-        return fm.EulerEntry(4, key, sign, chi)
-
-    def test_each_generator_is_checked(self):
-        # on the weight-1 block of n = 3 (rows and columns {1}, {2}, {3}),
-        # a shift along the 3-cycle commutes with (1 2 3) but not with (1 2),
-        # and a lone entry at ({3}, {3}) commutes with (1 2) but not (1 2 3)
-        one = self.euler(Poly.one(4))
-        cyclic = Matrix.zero_block(3, 1, 1, RationalFunction.zero(4))
-        for i in range(3):
-            cyclic.rows[i][(i + 1) % 3] = one
-        corner = Matrix.zero_block(3, 1, 1, RationalFunction.zero(4))
-        corner.rows[2][2] = one
-        assert not fm.is_equivariant(cyclic) and not fm.is_equivariant(corner)
-        # x_i q^-1 * e(x_i / q) on the diagonal moves with every sigma
-        diagonal = Matrix.zero_block(3, 1, 1, RationalFunction.zero(4))
-        for i in range(3):
-            x = Poly.x(4, i + 1) * Poly.q(4, -1)
-            diagonal.rows[i][i] = self.euler(x, (*x.keys, 1))
-        assert fm.is_equivariant(diagonal)
-        x2 = Poly.x(4, 2) * Poly.q(4, -1)
-        diagonal.rows[0][0] = self.euler(x2, (*x2.keys, 1))
-        assert not fm.is_equivariant(diagonal)
-
-    def test_an_entry_that_is_no_euler_entry_fails_it(self):
-        # equivariant as fractions, but the gate reads Euler data only: a
-        # False sends the products to every position, which is never wrong
-        diagonal = Matrix.zero_block(3, 1, 1, RationalFunction.zero(4))
-        for i in range(3):
-            diagonal.rows[i][i] = self.euler(Poly.x(4, i + 1))
-        assert fm.is_equivariant(diagonal)
-        for i in range(3):
-            diagonal.rows[i][i] = RationalFunction.from_poly(Poly.x(4, i + 1))
-        assert not fm.is_equivariant(diagonal)
-
-    def test_flag_lines_times_q_pass_it(self, monkeypatch):
-        # the reduced sweep, not the gate, has to catch this fault
-        _flag_lines_times_q(monkeypatch)
-        blocks = fm.Blocks(4)
-        assert all(blocks.equivariant(*key) for key in _geometric_keys(4))
-        assert not nilpotency_report(4, blocks=blocks).passed
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_representatives_are_the_first_entry_of_each_orbit(self, n):
-        def image(p, S):
-            return tuple(sorted(p[i - 1] for i in S))
-
-        for source in weights(n):
-            for target in (source - 4, source - 2, source, source + 2, source + 4):
-                rows, cols = block_points(n, target), block_points(n, source)
-                if not rows or not cols:
-                    continue
-                first = set()
-                for i, S in enumerate(rows):
-                    for j, T in enumerate(cols):
-                        orbit = {
-                            (rows.index(image(p, S)), cols.index(image(p, T)))
-                            for p in permutations(range(1, n + 1))
-                        }
-                        first.add(min(orbit))
-                assert fm.orbit_representatives(n, source, target) == sorted(first)
-
-    def test_squares_and_commutators_form_one_entry_per_orbit(self, monkeypatch):
-        # one decision per orbit representative, each proven from Euler
-        # data, so none goes on to raised_sum; no entry expands, so not even
-        # euler_class_rf makes a trial division
-        n = 4
-        blocks = fm.Blocks(n)
-        proofs, raisings, divisions = [], [], []
-        prove, raise_, divide = fm._proven, fm.raised_sum, Poly.exact_div
-        monkeypatch.setattr(fm, "_proven", lambda *a: proofs.append(prove(*a)) or proofs[-1])
-        monkeypatch.setattr(fm, "raised_sum", lambda *a: raisings.append(a) or raise_(*a))
-        monkeypatch.setattr(Poly, "exact_div", lambda *a: divisions.append(a) or divide(*a))
-        assert nilpotency_report(n, blocks=blocks).passed
-        assert commutator_report(n, blocks=blocks).passed
-        reps = fm.orbit_representatives
-        squares = sum(len(reps(n, w, w + 4)) + len(reps(n, w, w - 4)) for w in weights(n))
-        commutators = sum(len(reps(n, w, w)) for w in weights(n))
-        assert len(proofs) == squares + commutators
-        assert None not in proofs and raisings == []
-        assert normalized_rep_report(n, blocks=blocks).passed
-        assert divisions == []
-
-
 def _expansions(monkeypatch):
     """The EulerEntry objects expanded from here on, in order."""
     expanded = []
@@ -905,16 +805,15 @@ def _geometric_entries(blocks):
 
 
 def _read_by_decisions(blocks):
-    """The entries that the square and commutator decisions read when every
-    block is equivariant: the nonzero factor pairs a, b of each product
-    a * b at each orbit representative."""
+    """The entries that the square and commutator decisions read: the
+    nonzero factor pairs a, b of each product a * b at every position."""
     n, read = blocks.n, []
     for w in weights(n):
         products = [(("E", w + 2), ("E", w)), (("F", w - 2), ("F", w))]
         products += [(("F", w + 2), ("E", w)), (("E", w - 2), ("F", w))]
         for left, right in products:
             A, B = (blocks.op("geometric", *key) for key in (left, right))
-            for i, j in fm.orbit_representatives(n, B.source_weight, A.target_weight):
+            for i, j in product(range(A.nrows), range(B.ncols)):
                 pairs = [(a, row[j]) for a, row in zip(A.rows[i], B.rows) if a and row[j]]
                 read += [e for pair in pairs for e in pair]
     return read
@@ -979,14 +878,13 @@ class TestEulerEntries:
         b = fm.EulerEntry(3, down, -1, (down, 1))  # -x1/x2 * (1 - x2/x1), the same fraction
         assert a == b and b == a and a == parse("(x2 - x1)/x2", 3)
         assert a != fm.EulerEntry(3, down, 1, (down, 1))
-        assert a.permute((2, 1)) == parse("(x1 - x2)/x1", 3)
-        # the equivariance gate compares data, so it tells a and b apart
-        assert fm._data(a) != fm._data(b)
+        # their data differ, but their normal forms agree
+        assert (a.key, a.chi) != (b.key, b.chi) and a.form == b.form
 
     @pytest.mark.parametrize("n, entries", [(4, 64), (6, 384)])
     def test_decisions_read_exactly_their_entries_and_expand_none(self, monkeypatch, n, entries):
         # the squares and commutators read the factors of each product at
-        # each orbit representative, as Euler data, and expand none
+        # every position, as Euler data, and expand none
         expanded, read = _expansions(monkeypatch), []
         prove = fm._proven
 
@@ -1004,12 +902,20 @@ class TestEulerEntries:
         assert expanded == []
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_gate_and_point_stage_expand_nothing(self, monkeypatch, n):
+    def test_point_stage_expands_nothing(self, monkeypatch, n):
         expanded = _expansions(monkeypatch)
         blocks = fm.Blocks(n)
-        assert all(blocks.equivariant(*key) for key in _geometric_keys(n))
         assert next(fm._at_points(blocks, 0xC0FFEE))
         assert expanded == []
+
+    def test_negation_flips_the_sign_and_keeps_the_data(self, monkeypatch):
+        expanded = _expansions(monkeypatch)
+        e = raising_matrix(3, -1).rows[0][0]
+        neg = -e
+        assert type(neg) is fm.EulerEntry and (neg.key, neg.chi) == (e.key, e.chi)
+        assert neg.sign == -e.sign and neg.form[0] == -e.form[0]
+        assert expanded == []
+        assert neg == -RationalFunction(e.nvars, e.num, e.den_factors)
 
     def test_a_trivial_weight_is_refused_when_the_block_is_built(self, monkeypatch):
         raw = fm.correspondence_tangent
@@ -1050,6 +956,11 @@ SWEEP_MUTATIONS = {
 
 
 class TestOrbitSweepAgainstFullSweep:
+    """fm.Blocks against FullSweepBlocks, which forms whole matrices.  The
+    name is kept from when fm.Blocks checked one entry per S_n-orbit: it
+    now decides every position, and this is the full-sweep comparison of
+    its checks, witnesses and notes."""
+
     @pytest.mark.parametrize(
         "n, mutation",
         [(n, None) for n in range(1, 6)] + [(n, m) for m in SWEEP_MUTATIONS for n in range(1, 5)],
@@ -1141,6 +1052,26 @@ class TestOneDecisionPerIdentity:
         assert json.loads(capsys.readouterr().out)["passed"]
         assert calls == []
 
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_squares_and_commutators_decide_every_position(self, monkeypatch, n):
+        # one decision per position of every block they check, each proven
+        # from Euler data: no raised_sum, so no entry expands and nothing
+        # is divided
+        decided, calls = [], []
+        prove = fm._proven
+        monkeypatch.setattr(fm, "_proven", lambda *a: decided.append(prove(*a)) or decided[-1])
+        for owner, name in ((fm, "raised_sum"), (fm.EulerEntry, "_expand"), (Poly, "exact_div")):
+            raw = getattr(owner, name)
+            counted = lambda *a, raw=raw, name=name: calls.append(name) or raw(*a)  # noqa: E731
+            monkeypatch.setattr(owner, name, counted)
+        blocks = fm.Blocks(n)
+        assert nilpotency_report(n, blocks=blocks).passed
+        assert commutator_report(n, blocks=blocks).passed
+        dim = {w: comb(n, k_of(n, w)) for w in weights(n)}
+        squares = sum(dim[w] * (dim.get(w + 4, 0) + dim.get(w - 4, 0)) for w in weights(n))
+        assert len(decided) == squares + sum(d * d for d in dim.values())
+        assert None not in decided and calls == []
+
 
 # common_denominator calls of nilpotency_report and commutator_report at
 # n = 4 under each fault that fails a geometric check: one per raised_sum
@@ -1148,7 +1079,7 @@ class TestOneDecisionPerIdentity:
 # proven value minus s is one RationalFunction subtraction; a witness read
 # from a raising makes none
 COMMON_DENOMINATORS = {
-    "negated lowering column": 6,
+    "negated lowering column": 3,
     "broken raising entry": 4,
     "flipped parity sign": 5,
     "lowering unit off by q^2": 5,
@@ -1241,14 +1172,14 @@ class TestWitnessFormsOneEntry:
         # prove every position from Euler data and raise nothing; each of
         # the flipped sign's 5 failing sign checks subtracts s from its
         # proven value once for its witness.  Off by q^2, each weight's
-        # first diagonal representative is not proven: it is raised once
-        # for both signs (5 calls), and its witness reads that raising.
+        # first diagonal position is not proven: it is raised once for
+        # both signs (5 calls), and its witness reads that raising.
         n = 4
         if mutation:
             SWEEP_MUTATIONS[mutation](monkeypatch, n)
         blocks = fm.Blocks(n)
         for key in _geometric_keys(n):
-            blocks.equivariant(*key)
+            blocks.op("geometric", *key)
         calls = []
         self.count(monkeypatch, ratfunc, "common_denominator", calls)
         failures = failed_checks(commutator_report(n, blocks=blocks))
@@ -1334,12 +1265,13 @@ class TestIntegerPointStage:
 
 # raised_sum fallbacks (squares, commutators) of nilpotency_report and
 # commutator_report at n = 4 under each fault: the positions whose Euler
-# data prove no value, because an entry is no EulerEntry (a negated
-# column, a broken entry) or its terms neither cancel nor match the
-# residues; each fault's first failing position is among them, unless
-# the value proven there is the wrong one (the flipped sign)
+# data prove no value, because an entry is no EulerEntry (a broken entry)
+# or its terms neither cancel nor match the residues (a negated column,
+# whose entries EulerEntry.__neg__ keeps as Euler data); each fault's
+# first failing position is among them, unless the value proven there is
+# the wrong one (the flipped sign)
 FALLBACKS = {
-    "negated lowering column": (4, 2),
+    "negated lowering column": (1, 2),
     "broken raising entry": (1, 2),
     "unsigned commutator scalar": (0, 0),
     "flipped parity sign": (0, 0),
@@ -1396,6 +1328,21 @@ class TestEulerDecisionsAgainstRaisedSum:
             commutator_report(n, blocks=blocks)
             runs.append((middle - start, len(raisings) - middle))
         assert runs == [FALLBACKS[mutation]] * 2
+
+    @pytest.mark.parametrize("n, raisings", [(1, 0), (2, 3), (3, 3), (4, 3)])
+    def test_a_negated_column_raises_only_what_does_not_cancel(self, monkeypatch, n, raisings):
+        # -entry keeps its Euler data (EulerEntry.__neg__), so a position
+        # whose negated terms still cancel is proven: raised_sum runs only
+        # where they do not
+        SWEEP_MUTATIONS["negated lowering column"](monkeypatch, n)
+        seen = []
+        raw = fm.raised_sum
+        monkeypatch.setattr(fm, "raised_sum", lambda *a: seen.append(a) or raw(*a))
+        blocks = fm.Blocks(n)
+        assert all(isinstance(e, fm.EulerEntry) for e in _geometric_entries(blocks))
+        nilpotency_report(n, blocks=blocks)
+        commutator_report(n, blocks=blocks)
+        assert len(seen) == raisings
 
     @pytest.mark.parametrize("mutation", [None, "flag lines times q"])
     def test_the_full_sweep_reaches_no_euler_proof(self, monkeypatch, mutation):

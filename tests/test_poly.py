@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qglk.poly import P, PointResidues, PointValues, Poly, _layout, _permute_keys, _unpack
+from qglk.poly import P, PointResidues, PointValues, Poly, _layout, _unpack
 from qglk.ratfunc import _canonical_factor
 from reference import (
     reference_exact_div,
     reference_floor,
-    reference_permute,
     reference_table_evaluate,
     residue_mod_p,
     term_key,
@@ -633,70 +632,3 @@ class TestExponentRange:
             2, (LIMIT - 1, 0)
         )
 
-
-def permute(p, perm):
-    """p with x_i -> x_perm[i-1] by the packed-key permutation that
-    qglk.fm's equivariance gate applies to Euler data (_permute_keys)."""
-    return Poly._raw(p.nvars, dict(zip(_permute_keys(p.nvars, perm, p.keys), p.keys.values())))
-
-
-@st.composite
-def permuted_polys(draw, min_n=1):
-    """(perm, a, b): a permutation of x_1..x_N for N in min_n..5 and two
-    polynomials in x_1..x_N, q."""
-    nvars = draw(st.integers(min_n + 1, 6))
-    perm = tuple(draw(st.permutations(range(1, nvars))))
-    return perm, draw(laurent_polys(nvars, 6)), draw(laurent_polys(nvars, 6))
-
-
-class TestPermute:
-    @given(permuted_polys())
-    @settings(max_examples=150, deadline=None)
-    def test_matches_the_tuple_reference(self, pab):
-        perm, a, _ = pab
-        assert permute(a, perm).terms == reference_permute(a, perm)
-
-    @given(permuted_polys())
-    @settings(max_examples=150, deadline=None)
-    def test_is_a_ring_automorphism(self, pab):
-        perm, a, b = pab
-        assert permute(a * b, perm) == permute(a, perm) * permute(b, perm)
-        assert permute(a + b, perm) == permute(a, perm) + permute(b, perm)
-        assert permute(a - b, perm) == permute(a, perm) - permute(b, perm)
-
-    @given(permuted_polys(min_n=2), st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_a_transposition_is_an_involution(self, pab, data):
-        perm, a, _ = pab
-        n = len(perm)
-        i, j = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
-        swap = tuple(j if p == i else i if p == j else p for p in range(1, n + 1))
-        assert permute(permute(a, swap), swap) == a
-        # perm and its inverse undo each other as well
-        inverse = tuple(sorted(range(1, n + 1), key=lambda p: perm[p - 1]))
-        assert permute(permute(a, perm), inverse) == a
-
-    @given(st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_exponents_at_the_edges_of_the_range(self, data):
-        nvars = data.draw(st.integers(2, 5))
-        perm = tuple(data.draw(st.permutations(range(1, nvars))))
-        edge = st.sampled_from([-LIMIT, -LIMIT + 1, -1, 0, 1, LIMIT - 2, LIMIT - 1])
-        exps = st.tuples(*([edge] * nvars))
-        p = Poly(nvars, data.draw(st.dictionaries(exps, st.integers(-5, 5), max_size=6)))
-        got = permute(p, perm)
-        assert got.terms == reference_permute(p, perm)
-        assert got == fresh(got)
-        assert str(got) == str(fresh(got))
-
-    def test_degree_and_q_stay(self):
-        p = Poly(4, {(3, -1, 0, 2): 5, (0, 0, -2, -7): -1})
-        got = permute(p, (3, 1, 2))
-        assert got.terms == {(-1, 0, 3, 2): 5, (0, -2, 0, -7): -1}
-        assert _unpack(_layout(4), got._ends()[0]) == (-1, 0, 3, 2)
-
-    def test_rejects_a_non_permutation(self):
-        p = Poly.x(4, 1)
-        for perm in ((1, 1, 2), (1, 2), (1, 2, 3, 4), (0, 1, 2)):
-            with pytest.raises(ValueError):
-                permute(p, perm)
