@@ -20,8 +20,8 @@ the commutator of the two functors is the scalar
 normalized algebra blocks (normalized_rep_report).
 
 An entry is kept in the form above, as an EulerEntry (its twist and
-character), and expands to a fraction only where a raised_sum fallback
-(see below), the matrices dump or find_intertwiner reads it, never for a
+character), and expands to a fraction only where the field fallback (see
+below), the matrices dump or find_intertwiner reads it, never for a
 witness: on the true action, verify expands none.
 
 Every matrix here is a weight block, a :class:`qglk.matrix.Matrix` that
@@ -74,14 +74,15 @@ every folded multiplicity is 0.  Two rules prove a value:
   with are computed from the fixed-point characters.
 
 A proven value is compared with the target exactly, and an off-diagonal
-0 forms no fraction.  Euler data only ever prove a value: a position
-they do not prove, or one with a factor that is no EulerEntry, goes to
-ratfunc.raised_sum, one exact zero test with no cancellation and no
-trial division, whose one raising decides both signs of the geometric
-commutator.  Under a fault a failing position thus keeps that decision,
-and its witness is read from it: the proven value minus the target, or
-the raised numerators' difference over their common denominator, reduced
-by whole canonical factors.  No entry is formed a second time.
+0 forms no fraction.  Euler data only ever prove a value.  A position
+they do not prove, or with a factor that is no EulerEntry, is reduced
+mod P at the first witness point: where no denominator has residue 0
+that is a ring homomorphism, so a residue other than that of +s (-s)
+proves that sign fails.  A sign not so refuted is decided by the field's
+own arithmetic, so a PASS always rests on an exact proof.  A failing
+position's witness is read from its decision: the proven or field value
+minus the target, or the exact one at the refuting point, read from the
+terms' Euler data.  No entry is formed a second time.
 """
 
 from functools import cache, partial
@@ -97,9 +98,9 @@ from .grassmann import (
     tangent_gr,
 )
 from .linalg import columns, hstack, pivot_columns, sample_points
-from .matrix import Matrix, entry_witness, k_of, weights, witness
+from .matrix import Matrix, entry_witness, k_of, weights, witness, witness_points
 from .poly import P, PointResidues, Poly, _check_fields, _layout
-from .ratfunc import PoleError, RationalFunction, raised_sum
+from .ratfunc import PoleError, RationalFunction
 from .report import Report
 from .superrep import Relations
 
@@ -137,10 +138,9 @@ class EulerEntry(RationalFunction):
 
     num and den_factors are formed on the first read of either, as
     from_poly(twist) * euler_class_rf(chi), so every reader of the
-    fraction sees exactly that.  Truthiness, negation and residue read the
-    data alone (== compares fractions): building, deciding and reducing a
-    block mod P expand nothing, and of the checks only a raised_sum
-    fallback expands the entries it reads.
+    fraction sees exactly that.  Truthiness, negation, residue and
+    evaluate read the data alone (== compares fractions): of the checks
+    only the field fallback expands the entries it reads.
     """
 
     __slots__ = ("key", "sign", "chi", "form")
@@ -188,6 +188,17 @@ class EulerEntry(RationalFunction):
             else:
                 raise PoleError("an Euler factor vanishes mod P at the sample point")
         return num * pow(den, -1, P) % P
+
+    def evaluate(self, point):
+        """The exact value at a rational point, read as residue reads the
+        data; PoleError where a factor with m < 0 vanishes there."""
+        value, zero = self._twist().evaluate(point), _layout(self.nvars).zero
+        for k, m in self._pairs():
+            f = 1 - Poly._raw(self.nvars, {2 * zero - k: 1}).evaluate(point)
+            if not f and m < 0:
+                raise PoleError("an Euler factor vanishes at the sample point")
+            value *= f**m
+        return value
 
 
 def _flat(pairs):
@@ -241,6 +252,7 @@ def epsilon_sign(n, k):
     return 1 if (n - k) % 2 else -1
 
 
+@cache
 def _signed_scalars(n):
     """{+1: 1 - q^(2n), -1: q^(2n) - 1}, the candidate commutator scalars."""
     base = RationalFunction(n + 1, Poly.one(n + 1) - Poly.q(n + 1, 2 * n))
@@ -346,6 +358,26 @@ def _terms(ops):
     return terms
 
 
+def _refuted(terms, want, at):
+    """Whether the signed sum of the products a * b over terms is proven
+    to differ from want, and from -want, by residues mod P at the point
+    of ``at``, a PointResidues (module docstring); (False, False) where a
+    denominator has residue 0."""
+    try:
+        got = sum(sign * a.residue(at) * b.residue(at) for sign, a, b in terms) % P
+        target = want.residue(at)
+    except PoleError:
+        return False, False
+    return got != target, got != -target % P
+
+
+def _field_sum(n, terms):
+    """The signed sum of the products a * b over terms in the fraction
+    field: the products, then one RationalFunction.sum.  An EulerEntry
+    factor expands here."""
+    return RationalFunction.sum(n + 1, [a * b if sign > 0 else -(a * b) for sign, a, b in terms])
+
+
 SIDES = ("algebra", "geometric")
 
 
@@ -358,15 +390,15 @@ class Blocks:
     battery reports; cmd_verify hands relations to verify_relations too.
     Blocks come from raising_matrix, lowering_matrix and relations times
     _unit on first use.  A geometric entry holds its Euler data
-    (EulerEntry) and expands when a raised_sum fallback first reads its
-    fraction; the proofs, the witnesses and the intertwiner's point stage
-    never expand one.
+    (EulerEntry) and expands when the field fallback first reads its
+    fraction; the proofs, the refutations, the witnesses and the
+    intertwiner's point stage never expand one.
 
     A geometric square or commutator is checked at every entry, each by a
-    value proven from Euler data, or where none is proven by raised_sum
-    (module docstring).  A check whose every position holds passes;
-    otherwise the witness names the first position in row-major order
-    that fails, with the difference its decision gave.
+    value proven from Euler data, a point refutation or the field's
+    arithmetic (module docstring).  A check whose every position holds
+    passes; otherwise the witness names the first position in row-major
+    order that fails, with the difference its decision gave.
     """
 
     def __init__(self, n):
@@ -390,18 +422,23 @@ class Blocks:
         build = raising_matrix if gen == "E" else lowering_matrix
         return self._once((side, gen, w), lambda: build(self.n, w))
 
+    def _point(self):
+        """The first of witness_points and its PointResidues, made on first
+        use: the true action makes none."""
+        point = self._once("point", lambda: next(witness_points(self.n + 1)))
+        return point, self._once("residues", lambda: PointResidues(point))
+
     def _first_bad(self, products, s=None):
         """(witness, flipped) for A @ B, or A @ B - C @ D for two products,
         against s times the identity (zero when s is None): the witness of
         the first position in row-major order where it is not s Id, "" if
         none, and whether -s Id fails at some position.  Each position is
-        decided once for both signs from its terms (_terms), forming no
-        entry: by the sign _proven from Euler data, where a proven 0 off
-        the diagonal forms no fraction at all, else by one raising
-        (ratfunc.raised_sum), where sigma * s holds exactly when
-        N = sigma * T.  The witness reads the decision that failed: the
-        proven value minus s, a polynomial, or (N - T) over the raising's
-        common denominator."""
+        decided for both signs from its terms (_terms): by the sign
+        _proven from Euler data (a proven 0 off the diagonal forms no
+        fraction), else by residues at the first witness point
+        (_refuted), and a sign neither proves by _field_sum and ==.  The
+        witness reads the decision that failed: the proven or field value
+        minus s, or the exact value minus s at the refuting point."""
         n, op = self.n, partial(self.op, "geometric")
         ops = [(op(*left), op(*right)) for left, right in products]
         first, last = ops[0]
@@ -415,15 +452,21 @@ class Blocks:
             sigma = _proven(n, terms, diagonal)
             if sigma == 0 and not diagonal:
                 continue  # 0 holds against the target 0 with either sign
-            want, den = s if diagonal else zero, None
+            want, refuted = s if diagonal else zero, (False, False)
             if sigma is None:
-                got, want, den = raised_sum(n + 1, terms, want)
+                refuted = _refuted(terms, want, self._point()[1])
+                got = None if all(refuted) else _field_sum(n, terms)
             else:
                 got = scalars[-sigma] if sigma else zero
-            if not bad and got != want:
-                diff = got - want if den is None else RationalFunction(n + 1, got - want, den)
-                bad = witness(block, i, j, diff)
-            flipped = flipped or got != -want
+            fails = [r or got != w for r, w in zip(refuted, (want, -want))]
+            if not bad and fails[0]:
+                if refuted[0]:
+                    at = self._point()[0]
+                    value = sum(c * a.evaluate(at) * b.evaluate(at) for c, a, b in terms)
+                    bad = witness(block, i, j, value=value - want.evaluate(at))
+                else:
+                    bad = witness(block, i, j, got - want)
+            flipped = flipped or fails[1]
             if bad and flipped:
                 break
         return bad, flipped

@@ -11,8 +11,9 @@ library callers) sum the nonzero products of each entry in one
 :meth:`RationalFunction.sum`, which cancels against the shared
 denominator once instead of after every pairwise addition.  The
 geometric relation checks of :mod:`qglk.fm` form no such product: each
-position is decided by an exact zero test, and a failing check's
-witness is read from the decision that failed it.
+position is decided from Euler data, at a witness point or by one such
+sum, and a failing check's witness is read from the decision that failed
+it.
 
 A weight block is a Matrix that also carries n, source_weight and
 target_weight: one operator between two weight blocks of the N-site
@@ -213,25 +214,32 @@ def subset_label(S):
     return "{" + ",".join(str(x) for x in S) + "}"
 
 
-def witness(block, i, j, diff):
+def witness_points(nvars):
+    """The seeded integer points (coordinates 2..99) a witness reads."""
+    rng = random.Random(0xC0FFEE)
+    return (tuple(rng.randint(2, 99) for _ in range(nvars)) for _ in range(64))
+
+
+def witness(block, i, j, diff=None, value=None):
     """Entry (i, j) of a weight block, off by diff, as a short witness:
-    the entry's row and column with their subsets and diff at a seeded
-    integer point."""
+    the entry's row and column with their subsets and diff at the first of
+    witness_points where it has no pole, or value, the difference already
+    evaluated at the first of them."""
     n, source_weight, target_weight = block
     row, col = block_points(n, target_weight)[i], block_points(n, source_weight)[j]
     where = (
         f"first bad entry at row {i} (subset {subset_label(row)}), "
         f"column {j} (subset {subset_label(col)})"
     )
-    rng = random.Random(0xC0FFEE)
-    for _ in range(64):
-        point = tuple(rng.randint(2, 99) for _ in range(diff.nvars))
-        try:
-            value = str(diff.evaluate(point))
-        except PoleError:
-            continue
-        value = value if len(value) <= 80 else value[:77] + "..."
-        return f"{where} is off by {value} at (x1, ..., q) = {point}"
+    for point in witness_points(n + 1):
+        if value is None:
+            try:
+                value = diff.evaluate(point)
+            except PoleError:
+                continue
+        text = str(value)
+        text = text if len(text) <= 80 else text[:77] + "..."
+        return f"{where} is off by {text} at (x1, ..., q) = {point}"
     return f"{where} is off by a nonzero rational function"
 
 

@@ -20,10 +20,9 @@ Exact division takes divisors +-(X^a - X^b) only: qglk divides by nothing
 but the canonical denominator factors of qglk.ratfunc, which Euler factors
 1 - w^-1 and the commutator scalar 1 - q^(2n) become.
 
-Evaluation at a rational point runs in integers through PointValues,
-whose power tables every polynomial evaluated at that point shares, and
-modulo the prime P = 2^61 - 1 through PointResidues, which caches the
-residue of each monomial.
+Evaluation at a rational point is plain Fraction arithmetic, term by
+term; modulo the prime P = 2^61 - 1 it runs through PointResidues, which
+caches the residue of each monomial.
 
 Values are immutable once constructed and every operation returns a fresh
 value, so instances can be shared freely.
@@ -32,6 +31,7 @@ value, so instances can be shared freely.
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, reduce
+from math import prod
 from operator import mul, or_
 from types import MappingProxyType
 
@@ -356,7 +356,13 @@ class Poly:
 
     def evaluate(self, point):
         """Exact value at a tuple of rationals ordered (x_1, ..., x_N, q)."""
-        return Fraction(*PointValues(point)(self))
+        if len(point) != self.nvars:
+            raise ValueError("point has wrong length")
+        coords, lay = [Fraction(v) for v in point], _layout(self.nvars)
+        return sum(
+            (c * prod(x**e for x, e in zip(coords, _unpack(lay, k))) for k, c in self.keys.items()),
+            Fraction(0),
+        )
 
     def __str__(self):
         if not self.keys:
@@ -404,58 +410,6 @@ def kronecker(p, bits, shift):
         value += c << bits * (e + shift)
         norm += abs(c)
     return value, norm
-
-
-class PointValues:
-    """Values of Laurent polynomials at one rational point (x_1, ..., x_N,
-    q), as integer pairs (N, D) with value N / D, not reduced.
-
-    With x_i = a_i / b_i and exponents of x_i in [lo_i, hi_i], a term
-    c * X^e is the integer c * prod a_i^(e_i - lo_i) b_i^(hi_i - e_i)
-    times prod a_i^lo_i / b_i^hi_i, so the terms sum as integers.  The
-    powers of each (variable, lo, hi) are tabulated once per point and
-    shared by every polynomial evaluated there.  D is zero only where a
-    coordinate is zero and p has a negative power of it.
-    """
-
-    __slots__ = ("coords", "tables")
-
-    def __init__(self, point):
-        self.coords = [(v.numerator, v.denominator) for v in map(Fraction, point)]
-        self.tables = {}  # (variable, lo, hi) -> (powers, num factor, den factor)
-
-    def _table(self, i, lo, hi):
-        """([a^j b^(hi-lo-j) for j = 0..hi-lo], a^lo / b^hi as a pair) of x_i."""
-        key = (i, lo, hi)
-        if key not in self.tables:
-            a, b = self.coords[i]
-            powers = [a**j * b ** (hi - lo - j) for j in range(hi - lo + 1)]
-            num = a ** max(lo, 0) * b ** max(-hi, 0)
-            self.tables[key] = powers, num, a ** max(-lo, 0) * b ** max(hi, 0)
-        return self.tables[key]
-
-    def __call__(self, p):
-        """(N, D) with p = N / D at the point."""
-        if p.nvars != len(self.coords):
-            raise ValueError("point has wrong length")
-        if not p.keys:
-            return 0, 1
-        floor, ceil = p._box_keys()
-        num = den = 1
-        varying = []
-        for i, s in enumerate(_layout(p.nvars).shifts):
-            lo, hi = floor >> s & _MASK, ceil >> s & _MASK
-            if lo == hi == _BIAS:
-                continue
-            powers, n, d = self._table(i, lo - _BIAS, hi - _BIAS)
-            num *= n
-            den *= d
-            if hi > lo:
-                varying.append((s, lo, powers))
-        keys, terms = p.keys, list(p.keys.values())
-        for s, lo, powers in varying:
-            terms = [c * powers[(k >> s & _MASK) - lo] for k, c in zip(keys, terms)]
-        return sum(terms) * num, den
 
 
 class PointResidues:

@@ -11,9 +11,8 @@ scalar 1 - q^(2n) (qglk.fm).  Cancellation runs factor by factor through
 exact division by canonical factors, so no multivariate gcd is ever
 needed.  It removes whole canonical factors only, so a fraction need not
 print in lowest terms: (1 - x1 q) / (1 - x1^2 q^2) keeps its factor.
-raised_sum decides whether a signed sum of products is a given
-fraction, or its negative, with no cancellation at all; its numerators
-over their denominator are the difference where it is not.
+Equality is the one exact zero test: of the difference, where the
+denominators differ.
 
 Units skip that cancellation.  A one-term numerator c * X^e is a unit
 times an integer, which no canonical factor (two terms) divides
@@ -26,9 +25,7 @@ Arithmetic takes RationalFunction operands only; equality also compares
 with an int or a Poly.  Zero is tested by truthiness.
 """
 
-from fractions import Fraction
-
-from .poly import P, PointValues, Poly, _layout, _unpack
+from .poly import P, Poly, _layout, _unpack
 
 
 class PoleError(ZeroDivisionError):
@@ -176,22 +173,16 @@ class RationalFunction:
             return self.num == other.num
         return not (self - other)
 
-    def value(self, at):
-        """(N, D), integers not reduced, with self = N / D at the point of
-        ``at``, a qglk.poly.PointValues: fractions evaluated through one
-        such share its power tables."""
-        num, den = at(self.num)
-        for f, m in self.den_factors:
-            fn, fd = at(f)
-            if not fn:
-                raise PoleError("denominator vanishes at the sample point")
-            num *= fd**m
-            den *= fn**m
-        return num, den
-
     def evaluate(self, point):
-        """Exact value at a rational point."""
-        return Fraction(*self.value(PointValues(point)))
+        """Exact value at a rational point; PoleError where a denominator
+        factor vanishes there."""
+        den = 1
+        for f, m in self.den_factors:
+            v = f.evaluate(point)
+            if not v:
+                raise PoleError("denominator vanishes at the sample point")
+            den *= v**m
+        return self.num.evaluate(point) / den
 
     def residue(self, at):
         """The value mod P at the point of ``at``, a qglk.poly.PointResidues:
@@ -272,27 +263,6 @@ def common_denominator(nvars, pairs):
                 lift = power if lift is None else lift * power
         parts.append(part if lift is None else part * lift)
     return parts, tuple(common.items())
-
-
-def raised_sum(nvars, products, target=None):
-    """(N, T, den_factors): the sum of sign * a * b over the (sign, a, b)
-    in products, a and b RationalFunctions, and target (zero when None)
-    as numerators over one common denominator L != 0, the product of
-    den_factors, raised without cancellation: each a * b is a.num * b.num
-    over the factors of a and b together, and all of them and target go
-    through one common_denominator.  (N - sigma T) / L is the signed sum
-    minus sigma * target, so the sum is sigma * target exactly when
-    N = sigma * T: one raising decides the identity against target and
-    against -target, and gives the difference from either."""
-    signs, pairs = [], []
-    for sign, a, b in products:
-        signs.append(sign)
-        pairs.append((a.num * b.num, a.den_factors + b.den_factors))
-    if target:
-        pairs.append((target.num, target.den_factors))
-    parts, den_factors = common_denominator(nvars, pairs)
-    want = parts.pop() if target else Poly.zero(nvars)
-    return Poly.signed_sum(nvars, zip(signs, parts)), want, den_factors
 
 
 def term_sort_key(p):

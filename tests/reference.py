@@ -8,10 +8,11 @@ qglk.koszul.  x_i -> x_perm[i-1] on exponent tuples, and on a fraction
 through its constructor: the references for the naturality of the
 denominator canonicalizer and of Euler classes.  The
 stored form of a fraction, to compare reductions and not just values.
-Evaluation with power tables built afresh for each polynomial, summed as
-integers and returned as one Fraction, the reference for the shared
-tables of qglk.poly.PointValues; a Fraction's residue mod P, the
-reference for qglk.poly.PointResidues and the residue methods.
+Evaluation with power tables built for each polynomial, summed as
+integers and returned as one Fraction, the reference for the Fraction
+arithmetic of Poly.evaluate and RationalFunction.evaluate; a Fraction's
+residue mod P, the reference for qglk.poly.PointResidues and the residue
+methods.
 
 Linear algebra over the fraction field: pivot columns by fraction-free
 (Bareiss) elimination over Poly, which needs no inverse of a general
@@ -27,7 +28,8 @@ reference for the stage over F_P of qglk.fm and qglk.linalg.pivot_columns.
 The full sweeps: every entry of each geometric square and commutator,
 formed as whole matrices, the reference for the checks of
 qglk.fm.Blocks; each position's products read from dense rows, decided
-by ratfunc.raised_sum alone, and a failing check's entry formed afresh
+by raised_sum alone (one exact zero test over a common denominator with
+no cancellation), and a failing check's entry formed afresh
 from its products, the reference for the terms qglk.fm gathers from
 the nonzero entries, the Euler-data proofs of qglk.fm.Blocks._first_bad
 and the witnesses it reads from its decisions; the normalized algebra checks multiplied out
@@ -75,7 +77,7 @@ from qglk.grassmann import (
 from qglk.linalg import columns, pivot_columns, sample_points
 from qglk.matrix import Matrix, entry_witness, k_of, weights, witness
 from qglk.poly import P, Poly
-from qglk.ratfunc import PoleError, RationalFunction, common_denominator, raised_sum
+from qglk.ratfunc import PoleError, RationalFunction, common_denominator
 from qglk.report import Report
 
 
@@ -595,9 +597,31 @@ def reference_dot(zero, row, col):
     return RationalFunction.sum(zero.nvars, terms) if terms else zero
 
 
+def raised_sum(nvars, products, target=None):
+    """(N, T, den_factors): the sum of sign * a * b over the (sign, a, b)
+    in products, a and b RationalFunctions, and target (zero when None)
+    as numerators over one common denominator L != 0, the product of
+    den_factors, raised without cancellation: each a * b is a.num * b.num
+    over the factors of a and b together, and all of them and target go
+    through one common_denominator.  (N - sigma T) / L is the signed sum
+    minus sigma * target, so the sum is sigma * target exactly when
+    N = sigma * T: one raising decides the identity against target and
+    against -target.  The reference for the decisions of
+    qglk.fm.Blocks._first_bad."""
+    signs, pairs = [], []
+    for sign, a, b in products:
+        signs.append(sign)
+        pairs.append((a.num * b.num, a.den_factors + b.den_factors))
+    if target:
+        pairs.append((target.num, target.den_factors))
+    parts, den_factors = common_denominator(nvars, pairs)
+    want = parts.pop() if target else Poly.zero(nvars)
+    return Poly.signed_sum(nvars, zip(signs, parts)), want, den_factors
+
+
 class RaisedSumBlocks(fm.Blocks):
     """fm.Blocks with every geometric position, in row-major order, decided
-    by ratfunc.raised_sum alone on the products read from dense rows, and
+    by raised_sum alone on the products read from dense rows, and
     the witness of a failing check formed afresh from its products: each
     product's entry by reference_dot, their difference, and minus s on
     the diagonal.  The reference for the terms fm.Blocks._first_bad

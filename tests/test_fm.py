@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -61,6 +62,7 @@ from reference import (
     reference_normalized_rep_report,
     reference_normalized_square,
     reference_pivot_columns,
+    reference_rf_evaluate,
     residue_mod_p,
     structure,
 )
@@ -850,6 +852,23 @@ class TestEulerEntries:
                 assert e.residue(at) == residue_mod_p(r.evaluate(point))
         assert expanded == []
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_exact_values_are_the_reference_values_and_expand_nothing(self, monkeypatch, n):
+        # EulerEntry.evaluate reads the twist and Euler factors, as the
+        # witness of a position refuted at a point does
+        expanded = _expansions(monkeypatch)
+        entries = _geometric_entries(fm.Blocks(n))
+        reference = [
+            r
+            for gen, w in _geometric_keys(n)
+            for r in _nonzero(reference_functor_matrix(n, w, gen == "E"))
+        ]
+        for point in list(sample_points(n + 1, 7))[:2]:
+            assert [e.evaluate(point) for e in entries] == [
+                reference_rf_evaluate(r, point) for r in reference
+            ]
+        assert expanded == []
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_a_vanishing_denominator_factor_raises_as_the_reference(self, n):
         # x1 = x2: every entry that divides by 1 - x1/x2 or 1 - x2/x1 has a pole
@@ -866,8 +885,11 @@ class TestEulerEntries:
                         poles += 1
                         with pytest.raises(PoleError):
                             e.residue(PointResidues(point))
+                        with pytest.raises(PoleError):
+                            e.evaluate(point)
                         continue
                     assert e.residue(PointResidues(point)) == residue_mod_p(value)
+                    assert e.evaluate(point) == value
         assert poles > 0
 
     def test_equal_fractions_with_other_data_compare_equal(self):
@@ -1042,9 +1064,9 @@ class TestOneDecisionPerIdentity:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_verify_raises_expands_and_divides_nothing(self, monkeypatch, capsys, n):
         # on the true action every geometric position is proven from Euler
-        # data: no raised_sum, so no entry expands and nothing is divided
+        # data: no field fallback, so no entry expands and nothing is divided
         calls = []
-        for owner, name in ((fm, "raised_sum"), (fm.EulerEntry, "_expand"), (Poly, "exact_div")):
+        for owner, name in ((fm, "_field_sum"), (fm.EulerEntry, "_expand"), (Poly, "exact_div")):
             raw = getattr(owner, name)
             counted = lambda *a, raw=raw, name=name: calls.append(name) or raw(*a)  # noqa: E731
             monkeypatch.setattr(owner, name, counted)
@@ -1055,12 +1077,12 @@ class TestOneDecisionPerIdentity:
     @pytest.mark.parametrize("n", [4, 6])
     def test_squares_and_commutators_decide_every_position(self, monkeypatch, n):
         # one decision per position of every block they check, each proven
-        # from Euler data: no raised_sum, so no entry expands and nothing
-        # is divided
+        # from Euler data: no field fallback, so no entry expands and
+        # nothing is divided
         decided, calls = [], []
         prove = fm._proven
         monkeypatch.setattr(fm, "_proven", lambda *a: decided.append(prove(*a)) or decided[-1])
-        for owner, name in ((fm, "raised_sum"), (fm.EulerEntry, "_expand"), (Poly, "exact_div")):
+        for owner, name in ((fm, "_field_sum"), (fm.EulerEntry, "_expand"), (Poly, "exact_div")):
             raw = getattr(owner, name)
             counted = lambda *a, raw=raw, name=name: calls.append(name) or raw(*a)  # noqa: E731
             monkeypatch.setattr(owner, name, counted)
@@ -1073,18 +1095,26 @@ class TestOneDecisionPerIdentity:
         assert None not in decided and calls == []
 
 
+def _calls(monkeypatch, owner, name):
+    """The positional arguments of each call of owner.name from here on."""
+    calls, raw = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **kw: calls.append(a) or raw(*a, **kw))
+    return calls
+
+
 # common_denominator calls of nilpotency_report and commutator_report at
-# n = 4 under each fault that fails a geometric check: one per raised_sum
-# fallback (FALLBACKS) and one per witness of a position proven bad, whose
-# proven value minus s is one RationalFunction subtraction; a witness read
-# from a raising makes none
+# n = 4 under each fault that fails a geometric check: one per witness of
+# a position proven bad, whose proven value minus s is one
+# RationalFunction subtraction, and the broken entry's own +; a position
+# refuted at the witness point (REFUTED), its witness included, makes
+# none, and no fault reaches the field fallback
 COMMON_DENOMINATORS = {
-    "negated lowering column": 3,
-    "broken raising entry": 4,
+    "negated lowering column": 0,
+    "broken raising entry": 1,
     "flipped parity sign": 5,
-    "lowering unit off by q^2": 5,
-    "perturbed correspondence weight": 6,
-    "flag lines times q": 10,
+    "lowering unit off by q^2": 0,
+    "perturbed correspondence weight": 0,
+    "flag lines times q": 0,
 }
 
 
@@ -1092,20 +1122,15 @@ class TestWitnessFormsOneEntry:
     """A failing check forms no entry: a failing geometric square or
     commutator reads its witness from the decision that failed it, so no
     fraction-field product (Matrix.__matmul__) is formed, and the one
-    difference its witness evaluates comes from the proven value or the
-    raising.  The normalized algebra checks form none either
-    (TestNormalizedAgainstFractionField and TestOneDecisionPerIdentity pin
-    them)."""
-
-    @staticmethod
-    def count(monkeypatch, owner, name, calls):
-        raw = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *a: calls.append(a) or raw(*a))
+    difference its witness gives comes from the proven value or is the
+    exact value at the point that refuted it.  The normalized algebra
+    checks form none either (TestNormalizedAgainstFractionField and
+    TestOneDecisionPerIdentity pin them)."""
 
     def products_and_failures(self, monkeypatch, n):
         """The fraction-field products, the witnesses and the failed checks
         of the geometric batteries at n."""
-        products, witnesses = [], []
+        products = []
         matmul = Matrix.__matmul__
 
         def counted(a, b):
@@ -1114,7 +1139,7 @@ class TestWitnessFormsOneEntry:
             return matmul(a, b)
 
         monkeypatch.setattr(Matrix, "__matmul__", counted)
-        self.count(monkeypatch, fm, "witness", witnesses)
+        witnesses = _calls(monkeypatch, fm, "witness")
         blocks = fm.Blocks(n)
         batteries = (nilpotency_report, commutator_report)
         failures = [c.name for b in batteries for c in failed_checks(b(n, blocks=blocks))]
@@ -1141,14 +1166,14 @@ class TestWitnessFormsOneEntry:
     def test_common_denominators_per_fallback_and_proven_witness(self, monkeypatch, mutation):
         n = 4
         SWEEP_MUTATIONS[mutation](monkeypatch, n)
-        calls = []
-        self.count(monkeypatch, ratfunc, "common_denominator", calls)
+        calls = _calls(monkeypatch, ratfunc, "common_denominator")
+        fallbacks = _calls(monkeypatch, fm, "_field_sum")
         blocks = fm.Blocks(n)
         assert failed_checks(nilpotency_report(n, blocks=blocks)) + failed_checks(
             commutator_report(n, blocks=blocks)
         )
         assert len(calls) == COMMON_DENOMINATORS[mutation]
-        assert COMMON_DENOMINATORS[mutation] >= sum(FALLBACKS[mutation])
+        assert fallbacks == []
 
     def test_a_proven_witness_expands_no_entry(self, monkeypatch):
         # the flipped sign fails positions whose Euler data prove the
@@ -1163,28 +1188,31 @@ class TestWitnessFormsOneEntry:
         assert expanded == []
 
     @pytest.mark.parametrize(
-        "mutation, raisings",
-        [(None, 0), ("flipped parity sign", 5), ("lowering unit off by q^2", 5)],
+        "mutation, points, subtractions",
+        [(None, 0, 0), ("flipped parity sign", 0, 5), ("lowering unit off by q^2", 5, 0)],
     )
-    def test_one_raising_decides_both_commutator_signs(self, monkeypatch, mutation, raisings):
-        # commutator_report(4) on prebuilt blocks, counted in
-        # common_denominator calls.  The true action and the flipped sign
-        # prove every position from Euler data and raise nothing; each of
-        # the flipped sign's 5 failing sign checks subtracts s from its
-        # proven value once for its witness.  Off by q^2, each weight's
-        # first diagonal position is not proven: it is raised once for
-        # both signs (5 calls), and its witness reads that raising.
+    def test_one_point_decides_both_commutator_signs(
+        self, monkeypatch, mutation, points, subtractions
+    ):
+        # commutator_report(4) on prebuilt blocks, counted in point
+        # decisions (_refuted) and common_denominator calls.  The true
+        # action and the flipped sign prove every position from Euler
+        # data; each of the flipped sign's 5 failing sign checks subtracts
+        # s from its proven value once for its witness.  Off by q^2, each
+        # weight's first diagonal position is not proven: its residues at
+        # the one witness point refute both signs (5 decisions), and its
+        # witness is the exact value there, with no subtraction.
         n = 4
         if mutation:
             SWEEP_MUTATIONS[mutation](monkeypatch, n)
         blocks = fm.Blocks(n)
         for key in _geometric_keys(n):
             blocks.op("geometric", *key)
-        calls = []
-        self.count(monkeypatch, ratfunc, "common_denominator", calls)
+        calls = _calls(monkeypatch, ratfunc, "common_denominator")
+        decided = _calls(monkeypatch, fm, "_refuted")
         failures = failed_checks(commutator_report(n, blocks=blocks))
         assert len(failures) == (5 if mutation else 0)
-        assert len(calls) == raisings
+        assert (len(decided), len(calls)) == (points, subtractions)
 
 
 def _residues_of(block):
@@ -1263,14 +1291,15 @@ class TestIntegerPointStage:
         assert _fm_outcomes(4, blocks) == got
 
 
-# raised_sum fallbacks (squares, commutators) of nilpotency_report and
-# commutator_report at n = 4 under each fault: the positions whose Euler
-# data prove no value, because an entry is no EulerEntry (a broken entry)
-# or its terms neither cancel nor match the residues (a negated column,
-# whose entries EulerEntry.__neg__ keeps as Euler data); each fault's
-# first failing position is among them, unless the value proven there is
-# the wrong one (the flipped sign)
-FALLBACKS = {
+# positions refuted at the witness point (squares, commutators) in
+# nilpotency_report and commutator_report at n = 4 under each fault: the
+# positions whose Euler data prove no value, because an entry is no
+# EulerEntry (a broken entry) or its terms neither cancel nor match the
+# residues (a negated column, whose entries EulerEntry.__neg__ keeps as
+# Euler data); each fault's first failing position is among them, unless
+# the value proven there is the wrong one (the flipped sign).  Every one
+# is refuted for both signs, so none reaches the field fallback.
+REFUTED = {
     "negated lowering column": (1, 2),
     "broken raising entry": (1, 2),
     "unsigned commutator scalar": (0, 0),
@@ -1293,9 +1322,10 @@ def _checked_products(n, w):
 
 class TestEulerDecisionsAgainstRaisedSum:
     """fm.Blocks._first_bad, which proves what it can from Euler data,
-    raises the rest and reads a failing check's witness from the decision
-    that failed it, against RaisedSumBlocks, which raises every position
-    and forms the witnessed entry afresh by its products.  FullSweepBlocks
+    refutes the rest at a point or decides it in the fraction field, and
+    reads a failing check's witness from the decision that failed it,
+    against RaisedSumBlocks, which raises every position and forms the
+    witnessed entry afresh by its products.  FullSweepBlocks
     is no reference for the proofs: it forms whole matrices and never
     reaches _first_bad (the last test pins that)."""
 
@@ -1312,37 +1342,35 @@ class TestEulerDecisionsAgainstRaisedSum:
                 assert got._first_bad(products, s) == want._first_bad(products, s)
         assert _fm_outcomes(n, got) == _fm_outcomes(n, want)
 
-    @pytest.mark.parametrize("mutation", FALLBACKS)
+    @pytest.mark.parametrize("mutation", REFUTED)
     def test_fallbacks_under_each_fault_are_pinned_and_repeat(self, monkeypatch, mutation):
         n = 4
         SWEEP_MUTATIONS[mutation](monkeypatch, n)
-        raisings = []
-        raw = fm.raised_sum
-        monkeypatch.setattr(fm, "raised_sum", lambda *a: raisings.append(a) or raw(*a))
+        refuted, fallbacks = (_calls(monkeypatch, fm, name) for name in ("_refuted", "_field_sum"))
         runs = []
         for _ in range(2):
             blocks = fm.Blocks(n)
-            start = len(raisings)
+            start = len(refuted)
             nilpotency_report(n, blocks=blocks)
-            middle = len(raisings)
+            middle = len(refuted)
             commutator_report(n, blocks=blocks)
-            runs.append((middle - start, len(raisings) - middle))
-        assert runs == [FALLBACKS[mutation]] * 2
+            runs.append((middle - start, len(refuted) - middle))
+        assert runs == [REFUTED[mutation]] * 2
+        assert fallbacks == []
 
-    @pytest.mark.parametrize("n, raisings", [(1, 0), (2, 3), (3, 3), (4, 3)])
-    def test_a_negated_column_raises_only_what_does_not_cancel(self, monkeypatch, n, raisings):
+    @pytest.mark.parametrize("n, refuted", [(1, 0), (2, 3), (3, 3), (4, 3)])
+    def test_a_negated_column_raises_only_what_does_not_cancel(self, monkeypatch, n, refuted):
         # -entry keeps its Euler data (EulerEntry.__neg__), so a position
-        # whose negated terms still cancel is proven: raised_sum runs only
-        # where they do not
+        # whose negated terms still cancel is proven; only those that do
+        # not go on, and each is refuted at the witness point: nothing is
+        # raised into the fraction field
         SWEEP_MUTATIONS["negated lowering column"](monkeypatch, n)
-        seen = []
-        raw = fm.raised_sum
-        monkeypatch.setattr(fm, "raised_sum", lambda *a: seen.append(a) or raw(*a))
+        seen, fallbacks = (_calls(monkeypatch, fm, name) for name in ("_refuted", "_field_sum"))
         blocks = fm.Blocks(n)
         assert all(isinstance(e, fm.EulerEntry) for e in _geometric_entries(blocks))
         nilpotency_report(n, blocks=blocks)
         commutator_report(n, blocks=blocks)
-        assert len(seen) == raisings
+        assert (len(seen), fallbacks) == (refuted, [])
 
     @pytest.mark.parametrize("mutation", [None, "flag lines times q"])
     def test_the_full_sweep_reaches_no_euler_proof(self, monkeypatch, mutation):
@@ -1355,6 +1383,75 @@ class TestEulerDecisionsAgainstRaisedSum:
         monkeypatch.setattr(fm.Blocks, "_first_bad", unreachable)
         monkeypatch.setattr(fm, "_proven", unreachable)
         assert _fm_outcomes(3, FullSweepBlocks(3))
+
+
+def _plain_raising_entries(monkeypatch, n):
+    """Each nonzero raising entry from weight 2 - n replaced by the equal
+    fraction as a plain RationalFunction: the data Euler proofs read are
+    gone, the values are not."""
+    raw = fm.raising_matrix
+
+    def plain(m, source_weight):
+        block = raw(m, source_weight)
+        if source_weight == 2 - n:
+            for row in block.rows:
+                row[:] = [RationalFunction(e.nvars, e.num, e.den_factors) if e else e for e in row]
+        return block
+
+    monkeypatch.setattr(fm, "raising_matrix", plain)
+
+
+class TestPointRefutation:
+    """A position that Euler data do not prove is refuted at the first
+    witness point by residues mod P, and what that leaves is decided in the
+    fraction field (fm._field_sum)."""
+
+    @pytest.mark.parametrize("n, failing", [(5, 17), (6, 21)])
+    def test_the_flag_line_fault_fails_in_seconds(self, monkeypatch, n, failing):
+        _flag_lines_times_q(monkeypatch)
+        start = time.perf_counter()
+        failures = _geometry_failures(n)
+        assert time.perf_counter() - start < 10
+        assert len(failures) == failing
+        squares = [
+            f"{op} twice from weight {w} vanishes"
+            for w in weights(n)
+            for op, ok in (("raising", w + 4 <= n), ("lowering", w - 4 >= -n))
+            if ok
+        ]
+        commutators = [
+            f"weight {w} commutator is a (1-q^{2 * n}) scalar on a dim-{comb(n, k_of(n, w))} block"
+            for w in weights(n)[:-1]
+        ]
+        assert list(failures)[: len(squares) + len(commutators)] == squares + commutators
+        for name in squares + commutators:
+            assert failures[name].startswith("first bad entry at row 0 (subset ")
+            assert " at (x1, ..., q) = (" in failures[name]
+            assert "\n" not in failures[name] and len(failures[name]) < 300
+        rest = list(failures)[len(squares) + len(commutators) :]
+        assert len(rest) == n - 1 and all(failures[name] for name in rest)
+
+    @pytest.mark.parametrize("mutation", SWEEP_MUTATIONS)
+    def test_no_fault_divides_or_expands(self, monkeypatch, mutation):
+        # the one expansion is the broken entry's own +, made as the block
+        # is built
+        SWEEP_MUTATIONS[mutation](monkeypatch, 4)
+        expanded, divisions = _expansions(monkeypatch), _calls(monkeypatch, Poly, "exact_div")
+        _fm_outcomes(4, fm.Blocks(4))
+        assert divisions == []
+        assert len(expanded) == (1 if mutation == "broken raising entry" else 0)
+
+    @pytest.mark.parametrize("n, positions", [(2, 6), (3, 24), (4, 64)])
+    def test_plain_entries_pass_through_the_field_fallback(self, monkeypatch, n, positions):
+        # a negative control for the refutation: every position that reads
+        # a plain entry agrees with its target at the point and is decided
+        # exactly, and every check passes
+        _plain_raising_entries(monkeypatch, n)
+        fallbacks = _calls(monkeypatch, fm, "_field_sum")
+        outcomes = _fm_outcomes(n, fm.Blocks(n))
+        assert all(ok for _, checks, _ in outcomes for _, ok, _ in checks)
+        assert len(fallbacks) == positions
+        assert outcomes == _fm_outcomes(n, FullSweepBlocks(n))
 
 
 def _x3(e):

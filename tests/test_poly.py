@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qglk.poly import P, PointResidues, PointValues, Poly, _layout, _unpack
+from qglk.poly import P, PointResidues, Poly, _layout, _unpack
 from qglk.ratfunc import _canonical_factor
 from reference import (
     reference_exact_div,
@@ -425,50 +425,35 @@ class TestPackedRepresentation:
         assert shifted._ends_cache in (None, f._ends())
 
 
-class TestPointValues:
-    """PointValues, the evaluator behind Poly.evaluate whose power tables
-    every polynomial at one point shares, against reference_table_evaluate,
-    which builds them afresh for each polynomial."""
+def point_polys(nvars):
+    """Negative exponents, constants and zero, monomials."""
+    exps = st.tuples(*([st.integers(-3, 3)] * nvars))
+    return st.one_of(
+        laurent_polys(nvars, 8),
+        st.integers(-9, 9).map(lambda c: Poly.const(nvars, c)),
+        st.builds(lambda e, c: Poly.monomial(nvars, e, c), exps, st.integers(-9, 9).filter(bool)),
+    )
 
-    @staticmethod
-    def polys(nvars):
-        """Negative exponents, constants and zero, monomials."""
-        exps = st.tuples(*([st.integers(-3, 3)] * nvars))
-        return st.one_of(
-            laurent_polys(nvars, 8),
-            st.integers(-9, 9).map(lambda c: Poly.const(nvars, c)),
-            st.builds(
-                lambda e, c: Poly.monomial(nvars, e, c), exps, st.integers(-9, 9).filter(bool)
-            ),
-        )
+
+class TestEvaluation:
+    """Poly.evaluate, Fraction arithmetic term by term, against
+    reference_table_evaluate, which sums integers over power tables."""
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
-    def test_polynomials_at_one_point_match_the_table_reference(self, data):
+    def test_polynomials_match_the_table_reference(self, data):
         nvars = data.draw(st.integers(1, 5))
         point = data.draw(st.tuples(*([st.fractions(-9, 9, max_denominator=9)] * nvars)))
-        at = PointValues(point)
-        for p in data.draw(st.lists(self.polys(nvars), min_size=1, max_size=4)):
+        for p in data.draw(st.lists(point_polys(nvars), min_size=1, max_size=4)):
             try:
                 want = reference_table_evaluate(p, point)
             except ZeroDivisionError:  # a zero coordinate to a negative power
-                assert at(p)[1] == 0
                 with pytest.raises(ZeroDivisionError):
                     p.evaluate(point)
                 continue
-            num, den = at(p)
-            assert Fraction(num, den) == want == p.evaluate(point)
-
-    def test_tables_are_shared_by_range(self):
-        at = PointValues((Fraction(2, 3), Fraction(5), Fraction(-7, 2)))
-        p = Poly(3, {(-1, 2, 0): 3, (1, 0, 1): -4})
-        at(p)
-        assert sorted(at.tables) == [(0, -1, 1), (1, 0, 2), (2, 0, 1)]
-        at(p * Poly.const(3, 5))
-        at(Poly(3, {(1, 1, 0): 2, (-1, 0, 0): 1}))  # shares x1's range, x2's is new
-        assert sorted(at.tables) == [(0, -1, 1), (1, 0, 1), (1, 0, 2), (2, 0, 1)]
+            assert p.evaluate(point) == want
         with pytest.raises(ValueError, match="wrong length"):
-            at(Poly.one(2))
+            Poly.one(nvars + 1).evaluate(point)
 
 
 class TestPointResidues:
@@ -482,7 +467,7 @@ class TestPointResidues:
         nonzero = st.fractions(-9, 9, max_denominator=9).filter(bool)
         point = data.draw(st.tuples(*([nonzero] * nvars)))
         at = PointResidues(point)
-        for p in data.draw(st.lists(TestPointValues.polys(nvars), min_size=1, max_size=4)):
+        for p in data.draw(st.lists(point_polys(nvars), min_size=1, max_size=4)):
             want = reference_table_evaluate(p, point)
             assert at(p) == p.residue(at) == residue_mod_p(want)
         with pytest.raises(ValueError, match="wrong length"):

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 
 from qglk.fm import SIDES, find_intertwiner
 from qglk.grassmann import Space
-from qglk.poly import P, PointResidues, PointValues, Poly
+from qglk.poly import P, PointResidues, Poly
 from qglk.ratfunc import (
     PoleError,
     RationalFunction,
     _canonical_factor,
     common_denominator,
-    raised_sum,
 )
 from reference import (
+    raised_sum,
     reference_extract_unit,
     reference_permute,
     reference_permute_rf,
@@ -402,12 +402,9 @@ class TestEvaluationAndSampling:
     @given(two_factor_rfs(), st.tuples(*([st.fractions(-3, 3, max_denominator=3)] * NV)))
     @settings(max_examples=200, deadline=None)
     def test_value_matches_the_reference_and_raises_at_a_vanishing_factor(self, r, point):
-        at = PointValues(point)
         try:
             want = reference_rf_evaluate(r, point)
         except PoleError:
-            with pytest.raises(PoleError):
-                r.value(at)
             with pytest.raises(PoleError):
                 r.evaluate(point)
             return
@@ -415,21 +412,20 @@ class TestEvaluationAndSampling:
             with pytest.raises(ZeroDivisionError):
                 r.evaluate(point)
             return
-        assert Fraction(*r.value(at)) == want == r.evaluate(point)
+        assert r.evaluate(point) == want
 
     def test_shared_factor_values(self):
-        # fractions that share factors, evaluated through one PointValues
+        # fractions that share factors: their values, and a pole of the
+        # shared factor in each fraction that divides by it
         d, e = Poly.x(NV, 1) - Poly.x(NV, 2), Poly.one(NV) - Poly.q(NV)
         items = [rf("1/(x1 - x2)"), RationalFunction(NV, Poly.q(NV), ((-d, 2), (e, 1))), rf("x1")]
         pt = (Fraction(2), Fraction(5), Fraction(1, 2))
-        at = PointValues(pt)
-        for r in items:
-            assert Fraction(*r.value(at)) == r.evaluate(pt)
-        at = PointValues((Fraction(1), Fraction(1), Fraction(2)))
+        assert [r.evaluate(pt) for r in items] == [Fraction(-1, 3), Fraction(1, 9), 2]
+        pole = (Fraction(1), Fraction(1), Fraction(2))
         for r in items[:2]:
             with pytest.raises(PoleError):
-                r.value(at)
-        assert Fraction(*items[2].value(at)) == 1
+                r.evaluate(pole)
+        assert items[2].evaluate(pole) == 1
 
     @given(
         two_factor_rfs(),
