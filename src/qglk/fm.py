@@ -20,16 +20,16 @@ the commutator of the two functors is the scalar
 normalized algebra blocks (normalized_rep_report).
 
 An entry is kept in the form above, as an EulerEntry (its twist and
-character), and expands to a fraction only where the field fallback (see
-below), the matrices dump or find_intertwiner reads it, never for a
-witness: on the true action, verify expands none.
+character), which is no fraction: it expands (EulerEntry.expand) only
+where the matrices dump prints it or find_intertwiner lifts its blocks,
+never in a check or a witness.
 
 Every matrix here is a weight block, a :class:`qglk.matrix.Matrix` that
 carries its two weights, rows and columns labelled by fixed points:
-geometric blocks over the fraction field, algebra blocks the Poly blocks
-of :mod:`qglk.superrep` times a unit (Blocks.op).  Only find_intertwiner
-lifts the latter into the fraction field, once its proof has passed, and
-it returns phi as the pair of bases it maps between, inverting nothing.
+geometric blocks of EulerEntrys, algebra blocks the Poly blocks of
+:mod:`qglk.superrep` times a unit (Blocks.op).  Only find_intertwiner
+lifts both into the fraction field, once its proof has passed, and it
+returns phi as the pair of bases it maps between, inverting nothing.
 
 The intertwiner's proof reads ranks, pivot columns and invertibility
 from both actions at a seeded rational point, over F_P with the fixed
@@ -73,16 +73,15 @@ every folded multiplicity is 0.  Two rules prove a value:
   sum_j R_j = q^(2n) - 1.  G is typed in, but the terms it is matched
   with are computed from the fixed-point characters.
 
-A proven value is compared with the target exactly, and an off-diagonal
-0 forms no fraction.  Euler data only ever prove a value.  A position
-they do not prove, or with a factor that is no EulerEntry, is reduced
-mod P at the first witness point: where no denominator has residue 0
-that is a ring homomorphism, so a residue other than that of +s (-s)
-proves that sign fails.  A sign not so refuted is decided by the field's
-own arithmetic, so a PASS always rests on an exact proof.  A failing
-position's witness is read from its decision: the proven or field value
-minus the target, or the exact one at the refuting point, read from the
-terms' Euler data.  No entry is formed a second time.
+A proven value is compared with the target, a Poly, exactly.  A
+position that Euler data do not prove, or with a factor that is no
+EulerEntry, fails for both signs, so a PASS always rests on an exact
+proof.  A failing position's witness is read from its decision: the
+proven value minus the target; else, reduced mod P at the first witness
+point, where no denominator has residue 0 that is a ring homomorphism,
+so a residue other than that of the target refutes it, the exact value
+minus the target there, read from the terms' Euler data; else the
+position alone, not proven from Euler data.  No entry is formed.
 """
 
 from functools import cache, partial
@@ -98,7 +97,7 @@ from .grassmann import (
     tangent_gr,
 )
 from .linalg import columns, hstack, pivot_columns, sample_points
-from .matrix import Matrix, entry_witness, k_of, weights, witness, witness_points
+from .matrix import Matrix, bad_entry, entry_witness, k_of, weights, witness, witness_points
 from .poly import P, PointResidues, Poly, _check_fields, _layout
 from .ratfunc import PoleError, RationalFunction
 from .report import Report
@@ -129,32 +128,24 @@ def _twist(n, S_small, S_big, raising):
     return Poly.x(n + 1, b) ** (n - len(S_big))
 
 
-class EulerEntry(RationalFunction):
+class EulerEntry:
     """twist * e(chi), a geometric entry kept as its Euler data: the
     monomial twist sign * X^e as its packed key and sign, and the virtual
     character chi as one flat tuple (key, multiplicity, key, ...) in key
     order.  form is its normal form (_normal_form), folded once when the
     entry is made.
 
-    num and den_factors are formed on the first read of either, as
-    from_poly(twist) * euler_class_rf(chi), so every reader of the
-    fraction sees exactly that.  Truthiness, negation, residue and
-    evaluate read the data alone (== compares fractions): of the checks
-    only the field fallback expands the entries it reads.
+    It is no fraction: truthiness, negation, residue and evaluate read the
+    data alone, and == compares normal forms, equal exactly when the
+    fractions are (module docstring).  expand() forms the fraction,
+    from_poly(twist) * euler_class_rf(chi), and str prints it.
     """
 
-    __slots__ = ("key", "sign", "chi", "form")
+    __slots__ = ("nvars", "key", "sign", "chi", "form")
 
     def __init__(self, nvars, key, sign, chi):
         self.nvars, self.key, self.sign, self.chi = nvars, key, sign, chi
         self.form = _normal_form(nvars, sign, key, self._pairs())
-
-    def __getattr__(self, name):
-        # num and den_factors are unset slots until one of them is read
-        if name not in ("num", "den_factors"):
-            raise AttributeError(name)
-        self._expand()
-        return getattr(self, name)
 
     def _twist(self):
         return Poly._raw(self.nvars, {self.key: self.sign})
@@ -162,10 +153,18 @@ class EulerEntry(RationalFunction):
     def _pairs(self):
         return zip(self.chi[::2], self.chi[1::2])
 
-    def _expand(self):
+    def expand(self):
+        """The entry as a RationalFunction."""
         chi = Poly._raw(self.nvars, dict(self._pairs()))
-        full = RationalFunction.from_poly(self._twist()) * euler_class_rf(chi)
-        self.num, self.den_factors = full.num, full.den_factors
+        return RationalFunction.from_poly(self._twist()) * euler_class_rf(chi)
+
+    def __str__(self):
+        return str(self.expand())
+
+    def __eq__(self, other):
+        if not isinstance(other, EulerEntry):
+            return NotImplemented
+        return self.nvars == other.nvars and self.form == other.form
 
     def __bool__(self):
         return True  # sign != 0, and no Euler factor 1 - w^-1 (w != 1) is zero
@@ -219,14 +218,14 @@ def _pair_entry(n, S_small, S_big, raising, unit, at_target):
 
 def lowering_unit(n):
     """The unit q^(2n) / (x_1 ... x_n) applied to every lowering matrix."""
-    return RationalFunction.from_poly(Poly.monomial(n + 1, (-1,) * n + (2 * n,)))
+    return Poly.monomial(n + 1, (-1,) * n + (2 * n,))
 
 
 def _functor_matrix(n, source_weight, raising):
     """The one loop behind raising_matrix and lowering_matrix."""
     target_weight = source_weight + (2 if raising else -2)
     out = Matrix.zero_block(n, source_weight, target_weight, RationalFunction.zero(n + 1))
-    unit = None if raising else lowering_unit(n).num  # a monomial: it joins the twist
+    unit = None if raising else lowering_unit(n)  # a monomial: it joins the twist
     targets = {}  # T_{S_t} Y of each target fixed point, formed once per block
     for j, Ss in enumerate(out.cols_points):
         for i, St in enumerate(out.rows_points):
@@ -255,12 +254,12 @@ def epsilon_sign(n, k):
 @cache
 def _signed_scalars(n):
     """{+1: 1 - q^(2n), -1: q^(2n) - 1}, the candidate commutator scalars."""
-    base = RationalFunction(n + 1, Poly.one(n + 1) - Poly.q(n + 1, 2 * n))
+    base = Poly.one(n + 1) - Poly.q(n + 1, 2 * n)
     return {1: base, -1: -base}
 
 
 def commutator_scalar(n, k):
-    """(-1)^(n-k-1) * (1 - q^(2n)) in the fraction field."""
+    """(-1)^(n-k-1) * (1 - q^(2n)), a Poly."""
     return _signed_scalars(n)[epsilon_sign(n, k)]
 
 
@@ -268,8 +267,8 @@ def _normal_form(nvars, sign, key, pairs):
     """(sign, key, folded) of sign * X^key * prod (1 - w^-1)^m over the
     (key of w, m) pairs: each w folded onto whichever of w and w^-1 has
     the larger key, by 1 - w^-1 = -c (1 - c^-1) with c = w^-1, and the
-    zero multiplicities dropped, folded a tuple of (key, m).  Equal forms
-    are equal fractions, and conversely (module docstring)."""
+    zero multiplicities dropped, folded a tuple of (key, m) in key order.
+    Equal forms are equal fractions, and conversely (module docstring)."""
     lay = _layout(nvars)
     zero, folded = lay.zero, {}
     for k, m in pairs:
@@ -277,7 +276,7 @@ def _normal_form(nvars, sign, key, pairs):
             sign, key, k = -sign if m % 2 else sign, key + m * (zero - k), 2 * zero - k
         folded[k] = folded.get(k, 0) + m
     _check_fields(lay, (key, *folded))  # as Poly's products do
-    return sign, key, tuple(item for item in folded.items() if item[1])
+    return sign, key, tuple(sorted(item for item in folded.items() if item[1]))
 
 
 def _collected(nvars, terms):
@@ -360,22 +359,14 @@ def _terms(ops):
 
 def _refuted(terms, want, at):
     """Whether the signed sum of the products a * b over terms is proven
-    to differ from want, and from -want, by residues mod P at the point
-    of ``at``, a PointResidues (module docstring); (False, False) where a
-    denominator has residue 0."""
+    to differ from want, a Poly, by residues mod P at the point of ``at``,
+    a PointResidues (module docstring); False where a denominator has
+    residue 0."""
     try:
         got = sum(sign * a.residue(at) * b.residue(at) for sign, a, b in terms) % P
-        target = want.residue(at)
     except PoleError:
-        return False, False
-    return got != target, got != -target % P
-
-
-def _field_sum(n, terms):
-    """The signed sum of the products a * b over terms in the fraction
-    field: the products, then one RationalFunction.sum.  An EulerEntry
-    factor expands here."""
-    return RationalFunction.sum(n + 1, [a * b if sign > 0 else -(a * b) for sign, a, b in terms])
+        return False
+    return got != want.residue(at)
 
 
 SIDES = ("algebra", "geometric")
@@ -390,15 +381,14 @@ class Blocks:
     battery reports; cmd_verify hands relations to verify_relations too.
     Blocks come from raising_matrix, lowering_matrix and relations times
     _unit on first use.  A geometric entry holds its Euler data
-    (EulerEntry) and expands when the field fallback first reads its
-    fraction; the proofs, the refutations, the witnesses and the
-    intertwiner's point stage never expand one.
+    (EulerEntry), which the proofs, the refutations, the witnesses and the
+    intertwiner's point stage read without expanding it.
 
-    A geometric square or commutator is checked at every entry, each by a
-    value proven from Euler data, a point refutation or the field's
-    arithmetic (module docstring).  A check whose every position holds
-    passes; otherwise the witness names the first position in row-major
-    order that fails, with the difference its decision gave.
+    A geometric square or commutator is checked at every entry, each
+    position by a value proven from Euler data; one not proven fails
+    (module docstring).  A check whose every position holds passes;
+    otherwise the witness names the first position in row-major order
+    that fails, with the difference its decision gave, if any.
     """
 
     def __init__(self, n):
@@ -430,21 +420,21 @@ class Blocks:
 
     def _first_bad(self, products, s=None):
         """(witness, flipped) for A @ B, or A @ B - C @ D for two products,
-        against s times the identity (zero when s is None): the witness of
-        the first position in row-major order where it is not s Id, "" if
-        none, and whether -s Id fails at some position.  Each position is
-        decided for both signs from its terms (_terms): by the sign
-        _proven from Euler data (a proven 0 off the diagonal forms no
-        fraction), else by residues at the first witness point
-        (_refuted), and a sign neither proves by _field_sum and ==.  The
-        witness reads the decision that failed: the proven or field value
-        minus s, or the exact value minus s at the refuting point."""
+        against s, a Poly, times the identity (zero when s is None): the
+        witness of the first position in row-major order where it is not
+        s Id, "" if none, and whether -s Id fails at some position.  Each
+        position is decided for both signs from its terms (_terms) by the
+        sign _proven from Euler data, and one not proven fails for both.
+        The witness reads the decision that failed: the proven value
+        minus s; else the exact value minus s at the first witness point,
+        where residues refute s (_refuted); else the position alone, not
+        proven from Euler data."""
         n, op = self.n, partial(self.op, "geometric")
         ops = [(op(*left), op(*right)) for left, right in products]
         first, last = ops[0]
         block = (n, last.source_weight, first.target_weight)
         gathered = _terms(ops)
-        zero, scalars = RationalFunction.zero(n + 1), _signed_scalars(n)
+        zero, scalars = Poly.zero(n + 1), _signed_scalars(n)
         bad, flipped = "", False
         for i, j in product(range(first.nrows), range(last.ncols)):
             diagonal = s is not None and i == j
@@ -452,21 +442,19 @@ class Blocks:
             sigma = _proven(n, terms, diagonal)
             if sigma == 0 and not diagonal:
                 continue  # 0 holds against the target 0 with either sign
-            want, refuted = s if diagonal else zero, (False, False)
-            if sigma is None:
-                refuted = _refuted(terms, want, self._point()[1])
-                got = None if all(refuted) else _field_sum(n, terms)
-            else:
-                got = scalars[-sigma] if sigma else zero
-            fails = [r or got != w for r, w in zip(refuted, (want, -want))]
-            if not bad and fails[0]:
-                if refuted[0]:
+            want = s if diagonal else zero
+            # None, not proven, equals neither target
+            got = None if sigma is None else scalars[-sigma] if sigma else zero
+            if not bad and got != want:
+                if got is not None:
+                    bad = witness(block, i, j, got - want)
+                elif _refuted(terms, want, self._point()[1]):
                     at = self._point()[0]
                     value = sum(c * a.evaluate(at) * b.evaluate(at) for c, a, b in terms)
                     bad = witness(block, i, j, value=value - want.evaluate(at))
                 else:
-                    bad = witness(block, i, j, got - want)
-            flipped = flipped or fails[1]
+                    bad = f"{bad_entry(block, i, j)} is not proven from Euler data"
+            flipped = flipped or got != -want
             if bad and flipped:
                 break
         return bad, flipped
@@ -547,13 +535,11 @@ def _normalized_commutator(relations, w):
     normalized_rep_report)."""
     n, k = relations.n, k_of(relations.n, w)
     s = commutator_scalar(n, k)
-    if not s.is_polynomial():
-        raise ValueError(f"commutator scalar {s} has a denominator")
     signs = (-epsilon_sign(n, k), epsilon_sign(n, k - 1))  # of EF and FE
     c, signs = (signs[0], None) if signs[0] == signs[1] else (1, signs)
-    failed = relations.failing("EF + FE", w, s.num * Poly.q(n + 1, -n) * c, signs)
+    failed = relations.failing("EF + FE", w, s * Poly.q(n + 1, -n) * c, signs)
     got = failed and failed[0].scale(Poly.q(n + 1, n) * c)
-    bad = "" if got is None else entry_witness(got, Matrix.scalar_block(n, w, s.num))
+    bad = "" if got is None else entry_witness(got, Matrix.scalar_block(n, w, s))
     return [(f"FE - EF is eps*(1-q^{2*n}) at weight {w}", bad)]
 
 
@@ -575,10 +561,9 @@ def normalized_rep_report(n, max_weight=None, blocks=None):
     decision eps_(k-1) FE - eps_k EF = q^(-n) s_w Id.  Where
     eps_k = -eps_(k-1) the common sign joins the target: FE + EF = t_w Id
     with t_w = eps_(k-1) q^(-n) s_w, on the true action q^n - q^(-n) =
-    K - Kinv, so it is the decision of "EF + FE = K - Kinv".  An s_w with
-    a denominator raises ValueError.  A witness names the first bad entry
-    in row-major order of the signed Poly sum times its unit, with the
-    value a fraction-field check gives."""
+    K - Kinv, so it is the decision of "EF + FE = K - Kinv".  A witness
+    names the first bad entry in row-major order of the signed Poly sum
+    times its unit, with the value a fraction-field check gives."""
     rel = (Blocks(n) if blocks is None else blocks).relations
     rep = Report(f"normalized algebra blocks at n={n}")
     for w in weights(n, max_weight):
@@ -766,9 +751,10 @@ def find_intertwiner(n, seed=0xC0FFEE):
     rep, pivots = _prove_intertwiner(n, seed, blocks)
     if not rep.passed:
         return {}, rep
-    inverse = {w: commutator_scalar(n, k_of(n, w)).inv() for w in weights(n)}
-    at = {key: blocks.op(*key) for key in _block_keys(n)}
-    at.update({key: at[key].map(RationalFunction.from_poly) for key in at if key[0] == "algebra"})
+    scalars = {w: RationalFunction.from_poly(commutator_scalar(n, k_of(n, w))) for w in weights(n)}
+    inverse = {w: s.inv() for w, s in scalars.items()}
+    lift = {"algebra": RationalFunction.from_poly, "geometric": lambda e: e and e.expand()}
+    at = {key: blocks.op(*key).map(lift[key[0]]) for key in _block_keys(n)}
     _with_projectors(at, n, inverse)
     bases = {
         w: tuple(_transported_basis(at, side, w, pivots) for side in SIDES) for w in weights(n)

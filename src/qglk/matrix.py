@@ -1,4 +1,4 @@
-"""Dense matrices over Poly, RationalFunction, Fraction or int; weight blocks.
+"""Dense matrices over Poly, RationalFunction, EulerEntry, Fraction or int; weight blocks.
 
 A Matrix carries the zero of its ring explicitly so that empty and
 all-zero matrices stay well defined.  Weight blocks at the extreme
@@ -11,9 +11,8 @@ library callers) sum the nonzero products of each entry in one
 :meth:`RationalFunction.sum`, which cancels against the shared
 denominator once instead of after every pairwise addition.  The
 geometric relation checks of :mod:`qglk.fm` form no such product: each
-position is decided from Euler data, at a witness point or by one such
-sum, and a failing check's witness is read from the decision that failed
-it.
+position is decided from Euler data, and a failing check's witness is
+read from the decision that failed it.
 
 A weight block is a Matrix that also carries n, source_weight and
 target_weight: one operator between two weight blocks of the N-site
@@ -25,7 +24,7 @@ give a block; with a plain matrix on either side they give a plain one.
 A failing block is reported by :func:`witness`, which formats the one
 bad entry a check names: its first in row-major order against zero or
 another block (:func:`entry_witness`), or against zero or s times the
-identity in :mod:`qglk.fm`.
+identity in :mod:`qglk.fm`; every witness opens with :func:`bad_entry`.
 """
 
 import random
@@ -220,18 +219,24 @@ def witness_points(nvars):
     return (tuple(rng.randint(2, 99) for _ in range(nvars)) for _ in range(64))
 
 
-def witness(block, i, j, diff=None, value=None):
-    """Entry (i, j) of a weight block, off by diff, as a short witness:
-    the entry's row and column with their subsets and diff at the first of
-    witness_points where it has no pole, or value, the difference already
-    evaluated at the first of them."""
+def bad_entry(block, i, j):
+    """Where entry (i, j) of a weight block sits: its row and column with
+    their subsets, the head of every located witness."""
     n, source_weight, target_weight = block
     row, col = block_points(n, target_weight)[i], block_points(n, source_weight)[j]
-    where = (
+    return (
         f"first bad entry at row {i} (subset {subset_label(row)}), "
         f"column {j} (subset {subset_label(col)})"
     )
-    for point in witness_points(n + 1):
+
+
+def witness(block, i, j, diff=None, value=None):
+    """Entry (i, j) of a weight block, off by diff, as a short witness:
+    bad_entry and diff at the first of witness_points where it has no
+    pole, or value, the difference already evaluated at the first of
+    them."""
+    where = bad_entry(block, i, j)
+    for point in witness_points(block[0] + 1):
         if value is None:
             try:
                 value = diff.evaluate(point)

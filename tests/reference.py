@@ -26,7 +26,7 @@ projectors scaled by 1 / s_w and Gaussian elimination over Q, the
 reference for the stage over F_P of qglk.fm and qglk.linalg.pivot_columns.
 
 The full sweeps: every entry of each geometric square and commutator,
-formed as whole matrices, the reference for the checks of
+formed as whole matrices of lifted entries, the reference for the checks of
 qglk.fm.Blocks; each position's products read from dense rows, decided
 by raised_sum alone (one exact zero test over a common denominator with
 no cancellation), and a failing check's entry formed afresh
@@ -51,7 +51,9 @@ and the iterated Koszul cone routes and their report on their own.
 
 The functor-matrix entries multiplied out as soon as they are built,
 the reference for the entries of qglk.fm, which keep their Euler data
-and expand on first read.
+and form their fraction only through EulerEntry.expand; fraction, the
+one lift of an EulerEntry or a Poly into the fraction field, which every
+fraction-field reference here and in the tests reads them through.
 
 Localization: tangent characters and inverse Euler classes of a fixed-point
 space built from scratch at each call, and the pushforward as one
@@ -220,6 +222,15 @@ def reference_permute_rf(r, perm):
     return RationalFunction(r.nvars, moved(r.num), den)
 
 
+def fraction(e):
+    """An EulerEntry (expanded), a Poly or a RationalFunction as a
+    RationalFunction: the one lift into the fraction field of the tests'
+    references.  A block lifts entry by entry, block.map(fraction)."""
+    if isinstance(e, fm.EulerEntry):
+        return e.expand()
+    return RationalFunction.from_poly(e) if isinstance(e, Poly) else e
+
+
 def structure(r):
     """(nvars, numerator keys, denominator factors) of a RationalFunction:
     equal exactly when two fractions are stored alike, not merely when
@@ -303,7 +314,7 @@ def fraction_points(blocks, seed):
     n = blocks.n
     for point in sample_points(n + 1, seed):
         s = {
-            w: reference_rf_evaluate(fm.commutator_scalar(n, k_of(n, w)), point)
+            w: reference_rf_evaluate(fraction(fm.commutator_scalar(n, k_of(n, w))), point)
             for w in weights(n)
         }
         if not all(s.values()):
@@ -312,7 +323,7 @@ def fraction_points(blocks, seed):
             at = {
                 (side, gen, w): (
                     algebra_block(n, gen, w) if side == "algebra" else blocks.op(side, gen, w)
-                ).map(lambda e: reference_rf_evaluate(e, point) if e else 0)
+                ).map(lambda e: reference_rf_evaluate(fraction(e), point) if e else 0)
                 for side, gen, w in fm._block_keys(n)
             }
         except PoleError:
@@ -429,8 +440,7 @@ def reference_pair_entry(n, S_small, S_big, raising):
     char = (
         tangent_gr(n, S_tgt) + hom_fiber(n, S_tgt) - fm.correspondence_tangent(n, S_small, S_big)
     )
-    tw = RationalFunction.from_poly(fm._twist(n, S_small, S_big, raising))
-    return tw * euler_class_rf(char)
+    return fraction(fm._twist(n, S_small, S_big, raising)) * euler_class_rf(char)
 
 
 def reference_functor_matrix(n, source_weight, raising):
@@ -438,7 +448,7 @@ def reference_functor_matrix(n, source_weight, raising):
     lowering entry times fm.lowering_unit(n) as a fraction."""
     target = source_weight + (2 if raising else -2)
     out = Matrix.zero_block(n, source_weight, target, RationalFunction.zero(n + 1))
-    unit = fm.lowering_unit(n)
+    unit = fraction(fm.lowering_unit(n))
     for j, Ss in enumerate(out.cols_points):
         for i, St in enumerate(out.rows_points):
             small, big = (St, Ss) if raising else (Ss, St)
@@ -557,25 +567,30 @@ def old_first_difference(got, want=None):
 
 class FullSweepBlocks(fm.Blocks):
     """fm.Blocks with every geometric square and commutator checked on
-    whole matrices, at every entry.  It overrides square and _commutator, so it inherits neither
-    fm.Blocks._first_bad nor the Euler-data proofs inside it: each entry
-    is formed by Matrix.__matmul__ over the fraction field."""
+    whole matrices, at every entry.  It overrides square and _commutator,
+    so it inherits neither fm.Blocks._first_bad nor the Euler-data proofs
+    inside it: each geometric block is lifted into the fraction field
+    (fraction) and each entry formed by Matrix.__matmul__ there."""
+
+    def lifted(self, gen, w):
+        """The geometric block of gen from weight w over the fraction field."""
+        return self._once(("lifted", gen, w), lambda: self.op("geometric", gen, w).map(fraction))
 
     def difference(self, w):
         """FE - EF on the geometric weight-w block."""
-        op = partial(self.op, "geometric")
+        op = self.lifted
         return op("F", w + 2) @ op("E", w) - op("E", w - 2) @ op("F", w)
 
     def square(self, gen, w):
         name = f"{'raising' if gen == 'E' else 'lowering'} twice from weight {w} vanishes"
         step = 2 if gen == "E" else -2
-        op = partial(self.op, "geometric")
+        op = self.lifted
         return name, self._once(name, lambda: entry_witness(op(gen, w + step) @ op(gen, w)))
 
     def _commutator(self, w):
         n, k = self.n, k_of(self.n, w)
         d = self.difference(w)
-        signed = fm._signed_scalars(n)
+        signed = {c: fraction(s) for c, s in fm._signed_scalars(n).items()}
         eps = next((c for c, s in signed.items() if d == Matrix.scalar_block(n, w, s)), None)
         pred = fm.epsilon_sign(n, k)
         bad = "" if eps == pred else entry_witness(d, Matrix.scalar_block(n, w, signed[pred]))
@@ -621,16 +636,17 @@ def raised_sum(nvars, products, target=None):
 
 class RaisedSumBlocks(fm.Blocks):
     """fm.Blocks with every geometric position, in row-major order, decided
-    by raised_sum alone on the products read from dense rows, and
-    the witness of a failing check formed afresh from its products: each
-    product's entry by reference_dot, their difference, and minus s on
-    the diagonal.  The reference for the terms fm.Blocks._first_bad
-    gathers, the Euler-data proofs it makes and the witnesses it reads
-    from its decisions."""
+    by raised_sum alone on the products read from dense rows of the
+    blocks lifted into the fraction field (fraction), and the witness of a
+    failing check formed afresh from its products: each product's entry
+    by reference_dot, their difference, and minus s on the diagonal.  The
+    reference for the terms fm.Blocks._first_bad gathers, the Euler-data
+    proofs it makes and the witnesses it reads from its decisions."""
 
     def _first_bad(self, products, s=None):
         op = partial(self.op, "geometric")
-        ops = [(op(*left), op(*right)) for left, right in products]
+        ops = [(op(*left).map(fraction), op(*right).map(fraction)) for left, right in products]
+        s = None if s is None else fraction(s)
         first, last = ops[0]
         block = (self.n, last.source_weight, first.target_weight)
         bad, flipped = None, False
@@ -677,7 +693,7 @@ def reference_normalized_commutator(relations, w):
     n = relations.n
     op = partial(algebra_block, n)
     d = op("F", w + 2) @ op("E", w) - op("E", w - 2) @ op("F", w)
-    target = Matrix.scalar_block(n, w, fm.commutator_scalar(n, k_of(n, w)))
+    target = Matrix.scalar_block(n, w, fraction(fm.commutator_scalar(n, k_of(n, w))))
     return [(f"FE - EF is eps*(1-q^{2*n}) at weight {w}", entry_witness(d, target))]
 
 

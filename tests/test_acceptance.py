@@ -19,6 +19,7 @@ from reference import (
     basis_words,
     entry,
     failed_checks,
+    fraction,
     full_symbolic_rank,
     iterated_cone_report,
     phi_from_bases,
@@ -177,11 +178,11 @@ class TestNormalizedRepAndIntertwiner:
         phi = phi_from_bases(n, fm.find_intertwiner(n)[0])
         for w in (-2, 0):
             e_alg = algebra_block(n, "E", w)
-            e_geo = fm.raising_matrix(n, w)
+            e_geo = fm.raising_matrix(n, w).map(fraction)
             assert phi[w + 2] @ e_alg == e_geo @ phi[w]
         for w in (2, 0):
             f_alg = algebra_block(n, "F", w)
-            f_geo = fm.lowering_matrix(n, w)
+            f_geo = fm.lowering_matrix(n, w).map(fraction)
             assert phi[w - 2] @ f_alg == f_geo @ phi[w]
 
 

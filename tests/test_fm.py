@@ -6,7 +6,7 @@ from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qglk import cli, fm, ratfunc, superrep
@@ -52,6 +52,7 @@ from reference import (
     correspondence_pairs,
     entry,
     failed_checks,
+    fraction,
     fraction_points,
     full_symbolic_rank,
     inverse_euler,
@@ -133,8 +134,9 @@ class TestKernelValues:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_entry_is_kernel_over_source_euler(self, n):
         for k_small in range(n):
-            up = raising_matrix(n, n - 2 * (k_small + 1))
-            down = lowering_matrix(n, n - 2 * k_small).scale(lowering_unit(n).inv())
+            up = raising_matrix(n, n - 2 * (k_small + 1)).map(fraction)
+            down = lowering_matrix(n, n - 2 * k_small).map(fraction)
+            down = down.scale(fraction(lowering_unit(n)).inv())
             src_up = Space(n, k_small + 1)
             src_down = Space(n, k_small)
             for Ss, Sb in correspondence_pairs(n, k_small):
@@ -148,31 +150,31 @@ class TestKernelValues:
 
 class TestFunctorMatrices:
     def test_raising_n1_value(self):
-        m = raising_matrix(1, -1)
+        m = raising_matrix(1, -1).map(fraction)
         assert (m.nrows, m.ncols) == (1, 1)
         assert entry(m, (), (1,)) == parse("x1", 2)
 
     def test_lowering_n1_values(self):
-        raw = lowering_matrix(1, 1).scale(lowering_unit(1).inv())
+        norm = lowering_matrix(1, 1).map(fraction)
+        raw = norm.scale(fraction(lowering_unit(1)).inv())
         assert entry(raw, (1,), ()) == parse("1 - q^-2", 2)
-        norm = lowering_matrix(1, 1)
         assert entry(norm, (1,), ()) == parse("(q^2 - 1)/x1", 2)
 
     def test_raising_n2_closed_forms(self):
-        m = raising_matrix(2, 0)
+        m = raising_matrix(2, 0).map(fraction)
         assert entry(m, (), (1,)) == parse("x1*x2/(x2 - x1)", 3)
         assert entry(m, (), (2,)) == parse("x1*x2/(x1 - x2)", 3)
 
     def test_lowering_n2_closed_form(self):
-        m = lowering_matrix(2, 2)
+        m = lowering_matrix(2, 2).map(fraction)
         expected = parse("((q^4 - q^2)*x1 - (q^2 - 1)*x2) / (x1*x2)", 3)
         assert entry(m, (1,), ()) == expected
 
     def test_lowering_unit(self):
-        assert lowering_unit(2) == parse("q^4/(x1*x2)", 3)
+        assert fraction(lowering_unit(2)) == parse("q^4/(x1*x2)", 3)
         raw = kernel_value(3, (1,), (1, 2), raising=False) * inverse_euler(Space(3, 1), (1,))
-        norm = lowering_matrix(3, 1)
-        assert entry(norm, (1, 2), (1,)) == raw * lowering_unit(3)
+        norm = lowering_matrix(3, 1).map(fraction)
+        assert entry(norm, (1, 2), (1,)) == raw * fraction(lowering_unit(3))
 
     def test_empty_blocks(self):
         top = raising_matrix(2, 2)
@@ -183,14 +185,14 @@ class TestFunctorMatrices:
         assert (beyond.nrows, beyond.ncols) == (0, 0)
 
     def test_compose_weight_check(self):
-        e0 = raising_matrix(2, 0)
-        e2 = raising_matrix(2, -2)
+        e0 = raising_matrix(2, 0).map(fraction)
+        e2 = raising_matrix(2, -2).map(fraction)
         assert (e0 @ e2).source_weight == -2
         with pytest.raises(ValueError):
             e2 @ e0
 
     def test_identity_and_scale(self):
-        e = raising_matrix(2, 0)
+        e = raising_matrix(2, 0).map(fraction)
         one = RationalFunction.const(3, 1)
         assert Matrix.scalar_block(2, 2, one) @ e == e
         assert e @ Matrix.scalar_block(2, 0, one) == e
@@ -254,12 +256,6 @@ class TestNormalizedBlocks:
         assert entry(f, (1,), ()) == parse("-q^4", 3)
         assert entry(f, (2,), ()) == parse("-q^5", 3)
 
-    def test_a_scalar_with_a_denominator_is_refused(self, monkeypatch):
-        # a fraction is never read as its numerator alone
-        monkeypatch.setattr(fm, "commutator_scalar", lambda n, k: parse("1/(1 - q)", n + 1))
-        with pytest.raises(ValueError, match="has a denominator"):
-            normalized_rep_report(2)
-
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_full_battery(self, n):
         rep = normalized_rep_report(n)
@@ -306,11 +302,11 @@ class TestIntertwiner:
             w = n - 2 * k
             if w + 2 in phi:
                 lhs = phi[w + 2] @ algebra_block(n, "E", w)
-                rhs = raising_matrix(n, w) @ phi[w]
+                rhs = raising_matrix(n, w).map(fraction) @ phi[w]
                 assert lhs == rhs
             if w - 2 in phi:
                 lhs = phi[w - 2] @ algebra_block(n, "F", w)
-                rhs = lowering_matrix(n, w) @ phi[w]
+                rhs = lowering_matrix(n, w).map(fraction) @ phi[w]
                 assert lhs == rhs
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -351,7 +347,10 @@ def reference_prove_intertwiner(n, seed):
         "algebra": {
             w: (algebra_block(n, "E", w), algebra_block(n, "F", w)) for w in weights
         },
-        "geometric": {w: (fm.raising_matrix(n, w), fm.lowering_matrix(n, w)) for w in weights},
+        "geometric": {
+            w: (fm.raising_matrix(n, w).map(fraction), fm.lowering_matrix(n, w).map(fraction))
+            for w in weights
+        },
     }
     proj = {side: {} for side in sides}
     lifted = {side: {} for side in sides}
@@ -369,7 +368,7 @@ def reference_prove_intertwiner(n, seed):
 
     ok_bases = True
     for w in reversed(weights):
-        s = fm.commutator_scalar(n, k_of(n, w)).inv()
+        s = fraction(fm.commutator_scalar(n, k_of(n, w))).inv()
         for side, ops in sides.items():
             if w == n:
                 p = Matrix.zero_block(n, w, w, zero)
@@ -415,7 +414,7 @@ def reference_prove_intertwiner(n, seed):
                 bad = bad or witness(side, w, "E*B = [E*P | 0]", e, split, got, want, split)
             rep.add(f"phi intertwines E at weight {w}", not bad, bad)
         if w > -n:
-            s_low = fm.commutator_scalar(n, k + 1)
+            s_low = fraction(fm.commutator_scalar(n, k + 1))
             bad = ""
             for side, ops in sides.items():
                 f, split = ops[w][1], proj[side][w].ncols
@@ -446,7 +445,7 @@ def _break_raising_entry(monkeypatch, weight):
     def corrupted(n, source_weight):
         m = raw(n, source_weight)
         if source_weight == weight:
-            m.rows[0][0] = m.rows[0][0] + RationalFunction.const(n + 1, 1)
+            m.rows[0][0] = m.rows[0][0].expand() + RationalFunction.const(n + 1, 1)
         return m
 
     monkeypatch.setattr(fm, "raising_matrix", corrupted)
@@ -454,7 +453,7 @@ def _break_raising_entry(monkeypatch, weight):
 
 def _drop_commutator_sign(monkeypatch):
     def unsigned(n, k):
-        return RationalFunction(n + 1, Poly.one(n + 1) - Poly.q(n + 1, 2 * n))
+        return Poly.one(n + 1) - Poly.q(n + 1, 2 * n)
 
     monkeypatch.setattr(fm, "commutator_scalar", unsigned)
 
@@ -466,7 +465,7 @@ def _flip_parity_sign(monkeypatch):
 
 def _lowering_unit_off_by_q2(monkeypatch):
     def unit(n):
-        return RationalFunction.from_poly(Poly.monomial(n + 1, (-1,) * n + (2 * n - 2,)))
+        return Poly.monomial(n + 1, (-1,) * n + (2 * n - 2,))
 
     monkeypatch.setattr(fm, "lowering_unit", unit)
 
@@ -663,7 +662,7 @@ class TestIntertwinerNegativeControls:
 
     def test_no_usable_sample_point_fails_without_a_crash(self, monkeypatch, capsys):
         # every s_w vanishes, so every point drawn is rejected
-        monkeypatch.setattr(fm, "commutator_scalar", lambda n, k: RationalFunction.zero(n + 1))
+        monkeypatch.setattr(fm, "commutator_scalar", lambda n, k: Poly.zero(n + 1))
         rep = intertwiner_report(2)
         assert [(c.name, c.passed) for c in rep.checks] == [
             ("a pole-free sample point exists", False)
@@ -696,7 +695,7 @@ class TestGeometryBatteryNegativeControls:
 
     def test_witness_names_the_first_bad_entry(self):
         d = FullSweepBlocks(2).difference(0)
-        target = Matrix.scalar_block(2, 0, commutator_scalar(2, 1))
+        target = Matrix.scalar_block(2, 0, fraction(commutator_scalar(2, 1)))
         assert entry_witness(d, target) == ""
         d.rows[1][0] = d.rows[1][0] + RationalFunction.q(3, 1)
         witness = entry_witness(d, target)
@@ -797,8 +796,8 @@ def _geometric_keys(n):
 def _expansions(monkeypatch):
     """The EulerEntry objects expanded from here on, in order."""
     expanded = []
-    raw = fm.EulerEntry._expand
-    monkeypatch.setattr(fm.EulerEntry, "_expand", lambda e: expanded.append(e) or raw(e))
+    raw = fm.EulerEntry.expand
+    monkeypatch.setattr(fm.EulerEntry, "expand", lambda e: expanded.append(e) or raw(e))
     return expanded
 
 
@@ -822,7 +821,8 @@ def _read_by_decisions(blocks):
 
 
 class TestEulerEntries:
-    """Geometric entries keep their Euler data and expand on first read."""
+    """Geometric entries keep their Euler data, and form their fraction
+    only when expand() is called."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_entries_are_the_eager_reference(self, n):
@@ -833,7 +833,7 @@ class TestEulerEntries:
                 for row, ref in zip(got.rows, want.rows):
                     for e, r in zip(row, ref):
                         assert type(e) is (fm.EulerEntry if r else RationalFunction)
-                        assert str(e) == str(r) and structure(e) == structure(r)
+                        assert str(e) == str(r) and structure(fraction(e)) == structure(r)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_values_are_the_reference_values_and_expand_nothing(self, monkeypatch, n):
@@ -898,8 +898,10 @@ class TestEulerEntries:
         (down,) = weight_monomial(2, (1,), (2,)).keys  # x1/x2
         a = fm.EulerEntry(3, one, 1, (up, 1))  # 1 - x1/x2
         b = fm.EulerEntry(3, down, -1, (down, 1))  # -x1/x2 * (1 - x2/x1), the same fraction
-        assert a == b and b == a and a == parse("(x2 - x1)/x2", 3)
-        assert a != fm.EulerEntry(3, down, 1, (down, 1))
+        assert a == b and b == a
+        assert a.expand() == b.expand() == parse("(x2 - x1)/x2", 3)
+        c = fm.EulerEntry(3, down, 1, (down, 1))
+        assert a != c and a.expand() != c.expand()
         # their data differ, but their normal forms agree
         assert (a.key, a.chi) != (b.key, b.chi) and a.form == b.form
 
@@ -937,7 +939,7 @@ class TestEulerEntries:
         assert type(neg) is fm.EulerEntry and (neg.key, neg.chi) == (e.key, e.chi)
         assert neg.sign == -e.sign and neg.form[0] == -e.form[0]
         assert expanded == []
-        assert neg == -RationalFunction(e.nvars, e.num, e.den_factors)
+        assert fraction(neg) == -fraction(e)
 
     def test_a_trivial_weight_is_refused_when_the_block_is_built(self, monkeypatch):
         raw = fm.correspondence_tangent
@@ -1064,9 +1066,12 @@ class TestOneDecisionPerIdentity:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_verify_raises_expands_and_divides_nothing(self, monkeypatch, capsys, n):
         # on the true action every geometric position is proven from Euler
-        # data: no field fallback, so no entry expands and nothing is divided
+        # data, so no entry expands and nothing is divided; and none could
+        # expand in a decision: an entry is no fraction, and no decision
+        # falls back on field arithmetic
+        assert not issubclass(fm.EulerEntry, RationalFunction) and not hasattr(fm, "_field_sum")
         calls = []
-        for owner, name in ((fm, "_field_sum"), (fm.EulerEntry, "_expand"), (Poly, "exact_div")):
+        for owner, name in ((fm.EulerEntry, "expand"), (Poly, "exact_div")):
             raw = getattr(owner, name)
             counted = lambda *a, raw=raw, name=name: calls.append(name) or raw(*a)  # noqa: E731
             monkeypatch.setattr(owner, name, counted)
@@ -1077,12 +1082,11 @@ class TestOneDecisionPerIdentity:
     @pytest.mark.parametrize("n", [4, 6])
     def test_squares_and_commutators_decide_every_position(self, monkeypatch, n):
         # one decision per position of every block they check, each proven
-        # from Euler data: no field fallback, so no entry expands and
-        # nothing is divided
+        # from Euler data, so no entry expands and nothing is divided
         decided, calls = [], []
         prove = fm._proven
         monkeypatch.setattr(fm, "_proven", lambda *a: decided.append(prove(*a)) or decided[-1])
-        for owner, name in ((fm, "_field_sum"), (fm.EulerEntry, "_expand"), (Poly, "exact_div")):
+        for owner, name in ((fm.EulerEntry, "expand"), (Poly, "exact_div")):
             raw = getattr(owner, name)
             counted = lambda *a, raw=raw, name=name: calls.append(name) or raw(*a)  # noqa: E731
             monkeypatch.setattr(owner, name, counted)
@@ -1103,15 +1107,14 @@ def _calls(monkeypatch, owner, name):
 
 
 # common_denominator calls of nilpotency_report and commutator_report at
-# n = 4 under each fault that fails a geometric check: one per witness of
-# a position proven bad, whose proven value minus s is one
-# RationalFunction subtraction, and the broken entry's own +; a position
-# refuted at the witness point (REFUTED), its witness included, makes
-# none, and no fault reaches the field fallback
+# n = 4 under each fault that fails a geometric check: the broken entry's
+# own +, made as its block is built, and no other.  The witness of a
+# position proven bad is a Poly difference, proven value minus s, and one
+# refuted at the witness point (REFUTED) is the exact value there
 COMMON_DENOMINATORS = {
     "negated lowering column": 0,
     "broken raising entry": 1,
-    "flipped parity sign": 5,
+    "flipped parity sign": 0,
     "lowering unit off by q^2": 0,
     "perturbed correspondence weight": 0,
     "flag lines times q": 0,
@@ -1164,16 +1167,16 @@ class TestWitnessFormsOneEntry:
 
     @pytest.mark.parametrize("mutation", COMMON_DENOMINATORS)
     def test_common_denominators_per_fallback_and_proven_witness(self, monkeypatch, mutation):
+        # the broken entry's + is also the one expansion
         n = 4
         SWEEP_MUTATIONS[mutation](monkeypatch, n)
         calls = _calls(monkeypatch, ratfunc, "common_denominator")
-        fallbacks = _calls(monkeypatch, fm, "_field_sum")
+        expanded = _expansions(monkeypatch)
         blocks = fm.Blocks(n)
         assert failed_checks(nilpotency_report(n, blocks=blocks)) + failed_checks(
             commutator_report(n, blocks=blocks)
         )
-        assert len(calls) == COMMON_DENOMINATORS[mutation]
-        assert fallbacks == []
+        assert len(calls) == len(expanded) == COMMON_DENOMINATORS[mutation]
 
     def test_a_proven_witness_expands_no_entry(self, monkeypatch):
         # the flipped sign fails positions whose Euler data prove the
@@ -1189,19 +1192,19 @@ class TestWitnessFormsOneEntry:
 
     @pytest.mark.parametrize(
         "mutation, points, subtractions",
-        [(None, 0, 0), ("flipped parity sign", 0, 5), ("lowering unit off by q^2", 5, 0)],
+        [(None, 0, 0), ("flipped parity sign", 0, 0), ("lowering unit off by q^2", 5, 0)],
     )
     def test_one_point_decides_both_commutator_signs(
         self, monkeypatch, mutation, points, subtractions
     ):
         # commutator_report(4) on prebuilt blocks, counted in point
-        # decisions (_refuted) and common_denominator calls.  The true
+        # refutations (_refuted) and common_denominator calls.  The true
         # action and the flipped sign prove every position from Euler
         # data; each of the flipped sign's 5 failing sign checks subtracts
-        # s from its proven value once for its witness.  Off by q^2, each
-        # weight's first diagonal position is not proven: its residues at
-        # the one witness point refute both signs (5 decisions), and its
-        # witness is the exact value there, with no subtraction.
+        # s from its proven value, two Polys, for its witness.  Off by q^2,
+        # each weight's first diagonal position is not proven, so it fails
+        # for both signs, and its residues at the one witness point refute
+        # s (5 refutations): its witness is the exact value there.
         n = 4
         if mutation:
             SWEEP_MUTATIONS[mutation](monkeypatch, n)
@@ -1293,12 +1296,12 @@ class TestIntegerPointStage:
 
 # positions refuted at the witness point (squares, commutators) in
 # nilpotency_report and commutator_report at n = 4 under each fault: the
-# positions whose Euler data prove no value, because an entry is no
-# EulerEntry (a broken entry) or its terms neither cancel nor match the
-# residues (a negated column, whose entries EulerEntry.__neg__ keeps as
-# Euler data); each fault's first failing position is among them, unless
-# the value proven there is the wrong one (the flipped sign).  Every one
-# is refuted for both signs, so none reaches the field fallback.
+# first failing position of each failing check, where Euler data prove no
+# value, because an entry is no EulerEntry (a broken entry) or its terms
+# neither cancel nor match the residues (a negated column, whose entries
+# EulerEntry.__neg__ keeps as Euler data), and not where the value proven
+# is the wrong one (the flipped sign).  Every one is refuted, so its
+# witness is the exact value at the point, and none is "not proven".
 REFUTED = {
     "negated lowering column": (1, 2),
     "broken raising entry": (1, 2),
@@ -1322,12 +1325,15 @@ def _checked_products(n, w):
 
 class TestEulerDecisionsAgainstRaisedSum:
     """fm.Blocks._first_bad, which proves what it can from Euler data,
-    refutes the rest at a point or decides it in the fraction field, and
-    reads a failing check's witness from the decision that failed it,
-    against RaisedSumBlocks, which raises every position and forms the
-    witnessed entry afresh by its products.  FullSweepBlocks
-    is no reference for the proofs: it forms whole matrices and never
-    reaches _first_bad (the last test pins that)."""
+    fails the rest, and reads a failing check's witness from the decision
+    that failed it (the exact value at the point where residues refute
+    it), against RaisedSumBlocks, which raises every position in the
+    fraction field and forms the witnessed entry afresh by its products.
+    The two agree on the true action and under every fault of
+    SWEEP_MUTATIONS; on entries that lost their Euler data they do not
+    (TestPointRefutation).  FullSweepBlocks is no reference for the
+    proofs: it forms whole matrices and never reaches _first_bad (the
+    last test pins that)."""
 
     @pytest.mark.parametrize(
         "n, mutation",
@@ -1346,7 +1352,7 @@ class TestEulerDecisionsAgainstRaisedSum:
     def test_fallbacks_under_each_fault_are_pinned_and_repeat(self, monkeypatch, mutation):
         n = 4
         SWEEP_MUTATIONS[mutation](monkeypatch, n)
-        refuted, fallbacks = (_calls(monkeypatch, fm, name) for name in ("_refuted", "_field_sum"))
+        refuted, expanded = _calls(monkeypatch, fm, "_refuted"), _expansions(monkeypatch)
         runs = []
         for _ in range(2):
             blocks = fm.Blocks(n)
@@ -1356,21 +1362,21 @@ class TestEulerDecisionsAgainstRaisedSum:
             commutator_report(n, blocks=blocks)
             runs.append((middle - start, len(refuted) - middle))
         assert runs == [REFUTED[mutation]] * 2
-        assert fallbacks == []
+        assert len(expanded) == (2 if mutation == "broken raising entry" else 0)
 
     @pytest.mark.parametrize("n, refuted", [(1, 0), (2, 3), (3, 3), (4, 3)])
     def test_a_negated_column_raises_only_what_does_not_cancel(self, monkeypatch, n, refuted):
         # -entry keeps its Euler data (EulerEntry.__neg__), so a position
         # whose negated terms still cancel is proven; only those that do
-        # not go on, and each is refuted at the witness point: nothing is
-        # raised into the fraction field
+        # not fail, and each failing check's first is refuted at the
+        # witness point: nothing is expanded into the fraction field
         SWEEP_MUTATIONS["negated lowering column"](monkeypatch, n)
-        seen, fallbacks = (_calls(monkeypatch, fm, name) for name in ("_refuted", "_field_sum"))
+        seen, expanded = _calls(monkeypatch, fm, "_refuted"), _expansions(monkeypatch)
         blocks = fm.Blocks(n)
         assert all(isinstance(e, fm.EulerEntry) for e in _geometric_entries(blocks))
         nilpotency_report(n, blocks=blocks)
         commutator_report(n, blocks=blocks)
-        assert (len(seen), fallbacks) == (refuted, [])
+        assert (len(seen), expanded) == (refuted, [])
 
     @pytest.mark.parametrize("mutation", [None, "flag lines times q"])
     def test_the_full_sweep_reaches_no_euler_proof(self, monkeypatch, mutation):
@@ -1395,16 +1401,17 @@ def _plain_raising_entries(monkeypatch, n):
         block = raw(m, source_weight)
         if source_weight == 2 - n:
             for row in block.rows:
-                row[:] = [RationalFunction(e.nvars, e.num, e.den_factors) if e else e for e in row]
+                row[:] = [fraction(e) for e in row]
         return block
 
     monkeypatch.setattr(fm, "raising_matrix", plain)
 
 
 class TestPointRefutation:
-    """A position that Euler data do not prove is refuted at the first
-    witness point by residues mod P, and what that leaves is decided in the
-    fraction field (fm._field_sum)."""
+    """A position that Euler data do not prove fails.  Its witness is the
+    exact value at the first witness point where residues mod P refute
+    it, and otherwise names the position as not proven from Euler data:
+    no field arithmetic decides it."""
 
     @pytest.mark.parametrize("n, failing", [(5, 17), (6, 21)])
     def test_the_flag_line_fault_fails_in_seconds(self, monkeypatch, n, failing):
@@ -1433,25 +1440,47 @@ class TestPointRefutation:
 
     @pytest.mark.parametrize("mutation", SWEEP_MUTATIONS)
     def test_no_fault_divides_or_expands(self, monkeypatch, mutation):
-        # the one expansion is the broken entry's own +, made as the block
-        # is built
+        # the one expansion is the broken entry's, for its own +, made as
+        # the block is built
         SWEEP_MUTATIONS[mutation](monkeypatch, 4)
         expanded, divisions = _expansions(monkeypatch), _calls(monkeypatch, Poly, "exact_div")
         _fm_outcomes(4, fm.Blocks(4))
         assert divisions == []
         assert len(expanded) == (1 if mutation == "broken raising entry" else 0)
 
-    @pytest.mark.parametrize("n, positions", [(2, 6), (3, 24), (4, 64)])
-    def test_plain_entries_pass_through_the_field_fallback(self, monkeypatch, n, positions):
-        # a negative control for the refutation: every position that reads
-        # a plain entry agrees with its target at the point and is decided
-        # exactly, and every check passes
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_plain_entries_are_not_proven(self, monkeypatch, capsys, n):
+        # a negative control: the positions that read a plain entry agree
+        # with their targets at the point, but Euler data prove none of
+        # them, so the checks that hold them fail; the whole-matrix sweep,
+        # which decides in the fraction field, still passes them
         _plain_raising_entries(monkeypatch, n)
-        fallbacks = _calls(monkeypatch, fm, "_field_sum")
-        outcomes = _fm_outcomes(n, fm.Blocks(n))
+        failures = _geometry_failures(n)
+        v = 2 - n  # the weight the plain entries raise from
+        squares = [f"raising twice from weight {w} vanishes" for w in (v, v - 2) if w + 4 <= n]
+        commutators = [
+            f"weight {w} commutator is a (1-q^{2 * n}) scalar on a dim-{comb(n, k_of(n, w))} block"
+            for w in (v + 2, v)
+        ]
+        intertwines = [
+            f"phi intertwines {gen} at weight {w}"
+            for w in (v + 2, v)
+            for gen, applies in (("E", w < n), ("F", w > -n))
+            if applies
+        ]
+        assert list(failures) == squares + commutators + intertwines
+        for name, bad in failures.items():
+            assert "\n" not in bad and len(bad) < 300
+            if name in squares + commutators:
+                assert bad.startswith("first bad entry at row 0 (subset ")
+                assert bad.endswith(" is not proven from Euler data")
+            else:
+                assert bad.startswith(f"geometric side, weight {name.split()[-1]}: ")
+                assert "fails: first bad entry at row 0 (subset " in bad
+        assert cli.main(["verify", "--n", str(n), "--json"]) == 1
+        assert not json.loads(capsys.readouterr().out)["passed"]
+        outcomes = _fm_outcomes(n, FullSweepBlocks(n))
         assert all(ok for _, checks, _ in outcomes for _, ok, _ in checks)
-        assert len(fallbacks) == positions
-        assert outcomes == _fm_outcomes(n, FullSweepBlocks(n))
 
 
 def _x3(e):
@@ -1485,17 +1514,18 @@ def _inverse(w):
 
 
 class TestNormalForms:
-    """The normal-form lemma behind fm._proven: two Euler data have equal
-    normal forms exactly when their expanded fractions are equal."""
+    """The normal-form lemma behind fm._proven and EulerEntry.__eq__: two
+    Euler data have equal normal forms exactly when their expanded
+    fractions are equal."""
 
     def test_a_weight_against_its_inverse(self):
         # 1 - x1^-1 = -x1^-1 (1 - x1): the fold flips the sign, moves the key
         w = (1, 0, 0)
         a = _euler3(1, (0, 0, 0), {w: 1})
         b = _euler3(-1, _inverse(w), {_inverse(w): 1})
-        assert a == b and _form(a) == _form(b)
+        assert a.expand() == b.expand() and _form(a) == _form(b)
         c = _euler3(1, _inverse(w), {_inverse(w): 1})
-        assert a != c and _form(a) != _form(c)
+        assert a.expand() != c.expand() and _form(a) != _form(c)
 
     def test_a_square_weight_against_the_weight(self):
         # e(w^2) / e(w) = 1 + w^-1 is no unit: no key or sign makes them equal
@@ -1504,10 +1534,13 @@ class TestNormalForms:
         for sign in (1, -1):
             for twist in [(0, 0, 0), w, _inverse(w)]:
                 b = _euler3(sign, twist, {w: 1})
-                assert a != b and _form(a) != _form(b)
+                assert a.expand() != b.expand() and _form(a) != _form(b)
 
     @settings(max_examples=100, deadline=None)
     @given(_EULER_DATA, _MOVES)
+    # x1^-1 folds onto x1, whose key then follows that of x2/q: equal
+    # forms must not depend on the order the weights are folded in
+    @example((1, (0, 0, 0), {(-1, 0, 0): 1, (0, 1, -1): 1}), ["fold"])
     def test_equal_forms_exactly_when_equal_fractions(self, data, moves):
         sign, twist, chi = data
         a = _euler3(sign, twist, chi)
@@ -1530,7 +1563,9 @@ class TestNormalForms:
                 chi[w[::-1]] = chi.get(w[::-1], 0) + chi.pop(w)
             chi = {v: m for v, m in chi.items() if m}
         b = _euler3(sign, twist, chi)
-        assert (_form(a) == _form(b)) == (a == b)
+        assert (_form(a) == _form(b)) == (a.expand() == b.expand())
+        # EulerEntry.__eq__ compares the entries' own normal forms
+        assert (a == b) == (a.expand() == b.expand())
 
 
 class TestResidues:
@@ -1540,7 +1575,7 @@ class TestResidues:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_the_residues_sum_to_q_2n_minus_one(self, n):
         # the residue theorem on P^1: Res_0 G = 1, Res_infinity G = -q^(2n)
-        total = RationalFunction.sum(n + 1, [fm.residue(n, j) for j in range(1, n + 1)])
+        total = RationalFunction.sum(n + 1, [fraction(fm.residue(n, j)) for j in range(1, n + 1)])
         assert total == Poly.q(n + 1, 2 * n) - Poly.one(n + 1)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -1551,7 +1586,7 @@ class TestResidues:
             for l in range(1, n + 1):
                 num = num * (q2 * x(j) - x(l))
             den = [(x(j), 1)] + [(x(j) - x(l), 1) for l in range(1, n + 1) if l != j]
-            assert fm.residue(n, j) == RationalFunction(n + 1, num, den)
+            assert fraction(fm.residue(n, j)) == RationalFunction(n + 1, num, den)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_every_diagonal_term_is_minus_epsilon_times_a_residue(self, n):
@@ -1559,8 +1594,8 @@ class TestResidues:
         # -E[S, S + j] F[S + j, S] for j outside S, at every S
         for w in weights(n):
             minus_eps = RationalFunction.const(n + 1, -epsilon_sign(n, k_of(n, w)))
-            F_up, E = lowering_matrix(n, w + 2), raising_matrix(n, w)
-            E_down, F = raising_matrix(n, w - 2), lowering_matrix(n, w)
+            F_up, E = lowering_matrix(n, w + 2).map(fraction), raising_matrix(n, w).map(fraction)
+            E_down, F = raising_matrix(n, w - 2).map(fraction), lowering_matrix(n, w).map(fraction)
             for S in block_points(n, w):
                 for j in range(1, n + 1):
                     if j in S:
@@ -1569,4 +1604,4 @@ class TestResidues:
                     else:
                         T = tuple(sorted((*S, j)))
                         term = -(entry(E_down, S, T) * entry(F, T, S))
-                    assert term == fm.residue(n, j) * minus_eps
+                    assert term == fraction(fm.residue(n, j)) * minus_eps

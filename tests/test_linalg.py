@@ -13,6 +13,7 @@ from reference import (
     algebra_block,
     certify_invertible,
     column_basis,
+    fraction,
     invert_matrix,
     reference_column_basis,
     reference_pivot_columns,
@@ -26,9 +27,10 @@ def projectors(n):
     """p_w = F_{w+2} E_w / s_w below the top weight, on both sides."""
     for k in range(1, n + 1):
         w = n - 2 * k
-        s = fm.commutator_scalar(n, k).inv()
+        s = fraction(fm.commutator_scalar(n, k)).inv()
         yield (algebra_block(n, "F", w + 2) @ algebra_block(n, "E", w)).scale(s)
-        yield (fm.lowering_matrix(n, w + 2) @ fm.raising_matrix(n, w)).scale(s)
+        F, E = fm.lowering_matrix(n, w + 2), fm.raising_matrix(n, w)
+        yield (F.map(fraction) @ E.map(fraction)).scale(s)
 
 
 class TestColumnBasis:
