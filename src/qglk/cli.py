@@ -11,7 +11,7 @@ import sys
 
 from . import fm, koszul, superrep
 from .matrix import Matrix
-from .ratfunc import RationalFunction
+from .poly import Poly
 
 ALGEBRA_CAP = 6
 GEOMETRY_DUMP_CAP = 5  # `matrices --side geometry` prints whole blocks
@@ -72,8 +72,8 @@ def _geometry_blocks(n, weight):
     return {
         "E": fm.raising_matrix(n, weight),
         "F": fm.lowering_matrix(n, weight),
-        "K": Matrix.scalar_block(n, weight, RationalFunction.q(n + 1, n)),
-        "H": Matrix.scalar_block(n, weight, RationalFunction.q(n + 1, weight)),
+        "K": Matrix.scalar_block(n, weight, Poly.q(n + 1, n)),
+        "H": Matrix.scalar_block(n, weight, Poly.q(n + 1, weight)),
     }
 
 

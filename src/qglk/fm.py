@@ -21,15 +21,14 @@ normalized algebra blocks (normalized_rep_report).
 
 An entry is kept in the form above, as an EulerEntry (its twist and
 character), which is no fraction: it expands (EulerEntry.expand) only
-where the matrices dump prints it or find_intertwiner lifts its blocks,
-never in a check or a witness.
+where the matrices dump prints it, never in a check or a witness.
 
 Every matrix here is a weight block, a :class:`qglk.matrix.Matrix` that
 carries its two weights, rows and columns labelled by fixed points:
-geometric blocks of EulerEntrys, algebra blocks the Poly blocks of
-:mod:`qglk.superrep` times a unit (Blocks.op).  Only find_intertwiner
-lifts both into the fraction field, once its proof has passed, and it
-returns phi as the pair of bases it maps between, inverting nothing.
+geometric blocks of EulerEntrys (Blocks.op), and the algebra's Poly
+blocks of :mod:`qglk.superrep`, which the point stage multiplies by
+their units' residues.  Nothing here lifts a block into the fraction
+field: intertwiner_report proves that phi exists without building it.
 
 The intertwiner's proof reads ranks, pivot columns and invertibility
 from both actions at a seeded rational point, over F_P with the fixed
@@ -97,7 +96,7 @@ from .grassmann import (
     tangent_gr,
 )
 from .linalg import columns, hstack, pivot_columns, sample_points
-from .matrix import Matrix, bad_entry, entry_witness, k_of, weights, witness, witness_points
+from .matrix import Matrix, bad_entry, entry_witness, k_of, weights, witness, witness_point
 from .poly import P, PointResidues, Poly, _check_fields, _layout
 from .ratfunc import PoleError, RationalFunction
 from .report import Report
@@ -224,7 +223,7 @@ def lowering_unit(n):
 def _functor_matrix(n, source_weight, raising):
     """The one loop behind raising_matrix and lowering_matrix."""
     target_weight = source_weight + (2 if raising else -2)
-    out = Matrix.zero_block(n, source_weight, target_weight, RationalFunction.zero(n + 1))
+    out = Matrix.zero_block(n, source_weight, target_weight, Poly.zero(n + 1))
     unit = None if raising else lowering_unit(n)  # a monomial: it joins the twist
     targets = {}  # T_{S_t} Y of each target fixed point, formed once per block
     for j, Ss in enumerate(out.cols_points):
@@ -373,16 +372,16 @@ SIDES = ("algebra", "geometric")
 
 
 class Blocks:
-    """The E and F blocks of both sides at one n, the geometric relation
-    checks on them and the algebra's Relations, each built once.
+    """The geometric E and F blocks at one n, the relation checks on them
+    and the algebra's Relations, each built once.
 
     The batteries and the intertwiner of one verification share an
     instance, so every premise the intertwiner cites is the outcome its
     battery reports; cmd_verify hands relations to verify_relations too.
-    Blocks come from raising_matrix, lowering_matrix and relations times
-    _unit on first use.  A geometric entry holds its Euler data
-    (EulerEntry), which the proofs, the refutations, the witnesses and the
-    intertwiner's point stage read without expanding it.
+    Blocks come from raising_matrix and lowering_matrix on first use.  A
+    geometric entry holds its Euler data (EulerEntry), which the proofs,
+    the refutations, the witnesses and the intertwiner's point stage read
+    without expanding it.
 
     A geometric square or commutator is checked at every entry, each
     position by a value proven from Euler data; one not proven fails
@@ -401,22 +400,15 @@ class Blocks:
             self._memo[key] = make()
         return self._memo[key]
 
-    def op(self, side, gen, w):
-        """The normalized generator gen (E or F) from weight w on one side.
-        The scaled algebra blocks are find_intertwiner's alone: the checks
-        read relations' decisions, and the point stage its unscaled
-        blocks."""
-        if side == "algebra":
-            block = self.relations.block
-            return self._once((side, gen, w), lambda: block(gen, w).scale(_unit(self.n, gen, w)))
+    def op(self, gen, w):
+        """The geometric generator gen (E or F) from weight w."""
         build = raising_matrix if gen == "E" else lowering_matrix
-        return self._once((side, gen, w), lambda: build(self.n, w))
+        return self._once((gen, w), lambda: build(self.n, w))
 
     def _point(self):
-        """The first of witness_points and its PointResidues, made on first
-        use: the true action makes none."""
-        point = self._once("point", lambda: next(witness_points(self.n + 1)))
-        return point, self._once("residues", lambda: PointResidues(point))
+        """The PointResidues of witness_point, made on first use: the true
+        action makes none."""
+        return self._once("point", lambda: PointResidues(witness_point(self.n + 1)))
 
     def _first_bad(self, products, s=None):
         """(witness, flipped) for A @ B, or A @ B - C @ D for two products,
@@ -429,8 +421,8 @@ class Blocks:
         minus s; else the exact value minus s at the first witness point,
         where residues refute s (_refuted); else the position alone, not
         proven from Euler data."""
-        n, op = self.n, partial(self.op, "geometric")
-        ops = [(op(*left), op(*right)) for left, right in products]
+        n = self.n
+        ops = [(self.op(*left), self.op(*right)) for left, right in products]
         first, last = ops[0]
         block = (n, last.source_weight, first.target_weight)
         gathered = _terms(ops)
@@ -448,8 +440,8 @@ class Blocks:
             if not bad and got != want:
                 if got is not None:
                     bad = witness(block, i, j, got - want)
-                elif _refuted(terms, want, self._point()[1]):
-                    at = self._point()[0]
+                elif _refuted(terms, want, self._point()):
+                    at = witness_point(n + 1)
                     value = sum(c * a.evaluate(at) * b.evaluate(at) for c, a, b in terms)
                     bad = witness(block, i, j, value=value - want.evaluate(at))
                 else:
@@ -577,18 +569,6 @@ def _block_keys(n):
     return [(side, gen, w) for side in SIDES for w in weights(n) + [n + 2] for gen in "EF"]
 
 
-def _with_projectors(at, n, inverse_scalars=None):
-    """Adds to the blocks at[side, gen, w] the projectors
-    at[side, "p", w] = F_{w+2} E_w / s_w of both sides, given 1 / s_w by
-    weight, or without them the products F_{w+2} E_w, as at a sample
-    point (see _at_points)."""
-    for side in SIDES:
-        for w in weights(n):
-            p = at[side, "F", w + 2] @ at[side, "E", w]
-            at[side, "p", w] = p if inverse_scalars is None else p.scale(inverse_scalars[w])
-    return at
-
-
 def _residue_block(block, at, unit=1):
     """The block's residues mod P at the point of ``at`` (a PointResidues),
     each times unit, a residue."""
@@ -598,16 +578,17 @@ def _residue_block(block, at, unit=1):
 
 def _at_points(blocks, seed):
     """Yields, at successive seeded rational points, the residues mod P of
-    the E and F blocks of both sides and the products F_{w+2} E_w in
-    place of the projectors p_w, skipping a point where a denominator of
-    an E or F entry has residue 0 or some s_w does (q = 1 can be drawn).
-    An algebra block is relations' unscaled Poly block, each residue times
-    its unit's (_unit)."""
+    the E and F blocks of both sides, at[side, gen, w], and the products
+    F_{w+2} E_w in place of the projectors p_w = F_{w+2} E_w / s_w,
+    at[side, "p", w], skipping a point where a denominator of an E or F
+    entry has residue 0 or some s_w does (q = 1 can be drawn).  An algebra
+    block is relations' unscaled Poly block, each residue times its
+    unit's (_unit)."""
     n = blocks.n
 
     def reduced(at, side, gen, w):
         if side == "geometric":
-            return _residue_block(blocks.op(side, gen, w), at)
+            return _residue_block(blocks.op(gen, w), at)
         return _residue_block(blocks.relations.block(gen, w), at, _unit(n, gen, w).residue(at))
 
     for point in sample_points(n + 1, seed):
@@ -618,7 +599,10 @@ def _at_points(blocks, seed):
             residues = {key: reduced(at, *key) for key in _block_keys(n)}
         except PoleError:
             continue
-        yield _with_projectors(residues, n)
+        for side in SIDES:
+            for w in weights(n):
+                residues[side, "p", w] = residues[side, "F", w + 2] @ residues[side, "E", w]
+        yield residues
 
 
 def _transported_basis(at, side, w, pivots):
@@ -634,7 +618,7 @@ def _transported_basis(at, side, w, pivots):
 
 def _failed_premises(blocks, gen, w):
     """A witness for each failing premise of "phi intertwines gen at
-    weight w" (see find_intertwiner), algebra side first."""
+    weight w" (see intertwiner_report), algebra side first."""
     n, rel = blocks.n, blocks.relations
     out = []
     for side, square, commutator in (
@@ -655,7 +639,7 @@ def _failed_premises(blocks, gen, w):
 
 
 def _prove_intertwiner(n, seed, blocks):
-    """The proof described in find_intertwiner.  Returns the report and,
+    """The proof described in intertwiner_report.  Returns the report and,
     when the transported bases are square, the pivot columns
     {(side, w): indices} of each p_w."""
     rep = Report(f"intertwiner at n={n}")
@@ -713,9 +697,9 @@ def _prove_intertwiner(n, seed, blocks):
     return rep, pivots
 
 
-def find_intertwiner(n, seed=0xC0FFEE):
+def intertwiner_report(n, seed=0xC0FFEE, blocks=None):
     """Proves that the normalized algebra action and the geometric one are
-    intertwined by a block-diagonal phi, and returns phi in factored form.
+    intertwined by an invertible block-diagonal phi, without building it.
 
     On each side, with s_w the commutator scalar and p_w = F_{w+2} E_w / s_w,
     the pivot columns P_w of p_w and E_{w-2} P_{w-2} form the basis
@@ -742,27 +726,7 @@ def find_intertwiner(n, seed=0xC0FFEE):
 
     A failure quotes the first failing premise and its witness.  E and F
     then act on B_alg and B_geo by the same structure matrices, so
-    phi_w = B_geo[w] B_alg[w]^-1 intertwines.  Returns (bases, report):
-    bases maps each weight w to (B_alg[w], B_geo[w]), square matrices
-    over the fraction field, and is empty unless every check passed.
-    Nothing is inverted; the bases are built only after the proof passes.
+    phi_w = B_geo[w] B_alg[w]^-1 intertwines.  With its premises already
+    in `blocks` it forms no symbolic product.
     """
-    blocks = Blocks(n)
-    rep, pivots = _prove_intertwiner(n, seed, blocks)
-    if not rep.passed:
-        return {}, rep
-    scalars = {w: RationalFunction.from_poly(commutator_scalar(n, k_of(n, w))) for w in weights(n)}
-    inverse = {w: s.inv() for w, s in scalars.items()}
-    lift = {"algebra": RationalFunction.from_poly, "geometric": lambda e: e and e.expand()}
-    at = {key: blocks.op(*key).map(lift[key[0]]) for key in _block_keys(n)}
-    _with_projectors(at, n, inverse)
-    bases = {
-        w: tuple(_transported_basis(at, side, w, pivots) for side in SIDES) for w in weights(n)
-    }
-    return bases, rep
-
-
-def intertwiner_report(n, seed=0xC0FFEE, blocks=None):
-    """The checks of find_intertwiner, without building phi.  With its
-    premises already in `blocks` it forms no symbolic product."""
     return _prove_intertwiner(n, seed, Blocks(n) if blocks is None else blocks)[0]

@@ -7,7 +7,7 @@ are independent over Q, so neither the seed, which only picks the
 point, nor P can fake a certificate: either can only cost one.
 
 Over any ring: columns and hstack rearrange entries.  Nothing here
-inverts a matrix; the intertwiner is returned as its two bases.
+inverts a matrix.
 """
 
 import random

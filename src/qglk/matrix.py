@@ -6,19 +6,11 @@ weights give genuinely empty (0 x m) matrices, so the degenerate shapes
 matter.  Entries test zero by truthiness, so the same type holds the
 symbolic blocks and their residues mod P at a sample point.
 
-Products of rational-function matrices (the intertwiner's bases for
-library callers) sum the nonzero products of each entry in one
-:meth:`RationalFunction.sum`, which cancels against the shared
-denominator once instead of after every pairwise addition.  The
-geometric relation checks of :mod:`qglk.fm` form no such product: each
-position is decided from Euler data, and a failing check's witness is
-read from the decision that failed it.
-
 A weight block is a Matrix that also carries n, source_weight and
 target_weight: one operator between two weight blocks of the N-site
 space, with its rows and columns labelled by k-subsets.  Both
 realizations use it: the algebra blocks over Poly in x_1..x_N, q (they
-depend on q alone) and the functor matrices over the fraction field.
+depend on q alone) and the functor matrices of EulerEntrys.
 Sums, products and comparisons of two blocks check their labels and
 give a block; with a plain matrix on either side they give a plain one.
 A failing block is reported by :func:`witness`, which formats the one
@@ -32,7 +24,6 @@ from functools import cache
 from operator import add, sub
 
 from .grassmann import fixed_points
-from .ratfunc import PoleError, RationalFunction
 
 
 def k_of(n, weight):
@@ -159,23 +150,13 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions do not match")
         out = [[self.zero] * other.ncols for _ in range(self.nrows)]
-        if isinstance(self.zero, RationalFunction):
-            cols = list(zip(*other.rows)) if self.ncols else [()] * other.ncols
-            for row, orow in zip(self.rows, out):
-                for j, col in enumerate(cols):
-                    terms = [a * b for a, b in zip(row, col) if a and b]
-                    if len(terms) == 1:
-                        orow[j] = terms[0]
-                    elif terms:
-                        orow[j] = RationalFunction.sum(self.zero.nvars, terms)
-        else:
-            # each row of other as its nonzero (column, entry) pairs, once
-            sparse = [[(j, b) for j, b in enumerate(brow) if b] for brow in other.rows]
-            for row, orow in zip(self.rows, out):
-                for a, brow in zip(row, sparse):
-                    if brow and a:
-                        for j, b in brow:
-                            orow[j] = orow[j] + a * b
+        # each row of other as its nonzero (column, entry) pairs, once
+        sparse = [[(j, b) for j, b in enumerate(brow) if b] for brow in other.rows]
+        for row, orow in zip(self.rows, out):
+            for a, brow in zip(row, sparse):
+                if brow and a:
+                    for j, b in brow:
+                        orow[j] = orow[j] + a * b
         return Matrix(self.nrows, other.ncols, out, self.zero, block)
 
     def __eq__(self, other):
@@ -213,10 +194,11 @@ def subset_label(S):
     return "{" + ",".join(str(x) for x in S) + "}"
 
 
-def witness_points(nvars):
-    """The seeded integer points (coordinates 2..99) a witness reads."""
+@cache
+def witness_point(nvars):
+    """The seeded integer point (coordinates 2..99) a witness reads."""
     rng = random.Random(0xC0FFEE)
-    return (tuple(rng.randint(2, 99) for _ in range(nvars)) for _ in range(64))
+    return tuple(rng.randint(2, 99) for _ in range(nvars))
 
 
 def bad_entry(block, i, j):
@@ -232,20 +214,13 @@ def bad_entry(block, i, j):
 
 def witness(block, i, j, diff=None, value=None):
     """Entry (i, j) of a weight block, off by diff, as a short witness:
-    bad_entry and diff at the first of witness_points where it has no
-    pole, or value, the difference already evaluated at the first of
-    them."""
-    where = bad_entry(block, i, j)
-    for point in witness_points(block[0] + 1):
-        if value is None:
-            try:
-                value = diff.evaluate(point)
-            except PoleError:
-                continue
-        text = str(value)
-        text = text if len(text) <= 80 else text[:77] + "..."
-        return f"{where} is off by {text} at (x1, ..., q) = {point}"
-    return f"{where} is off by a nonzero rational function"
+    bad_entry and diff at witness_point, or value, the difference already
+    evaluated there.  A Poly diff has no pole at a point with nonzero
+    coordinates."""
+    point = witness_point(block[0] + 1)
+    text = str(diff.evaluate(point) if value is None else value)
+    text = text if len(text) <= 80 else text[:77] + "..."
+    return f"{bad_entry(block, i, j)} is off by {text} at (x1, ..., q) = {point}"
 
 
 def entry_witness(got, want=None):

@@ -5,14 +5,13 @@ A denominator is a multiset of canonical binomial factors X^a - X^b
 handed to a RationalFunction must be +-X^s, which is absorbed into the
 numerator, or +-X^s (X^a - X^b); any other factor, an integer other than
 +-1 included, raises ValueError.  _canonical_factor alone applies this
-rule.  It holds because qglk only ever divides by K-theoretic Euler
-factors 1 - w^-1 of torus weights (qglk.grassmann) and by the commutator
-scalar 1 - q^(2n) (qglk.fm).  Cancellation runs factor by factor through
-exact division by canonical factors, so no multivariate gcd is ever
-needed.  It removes whole canonical factors only, so a fraction need not
-print in lowest terms: (1 - x1 q) / (1 - x1^2 q^2) keeps its factor.
-Equality is the one exact zero test: of the difference, where the
-denominators differ.
+rule.  It holds because qglk divides only by K-theoretic Euler factors
+1 - w^-1 of torus weights (qglk.grassmann).  Cancellation runs factor by
+factor through exact division by canonical factors, so no multivariate
+gcd is ever needed.  It removes whole canonical factors only, so a
+fraction need not print in lowest terms: (1 - x1 q) / (1 - x1^2 q^2)
+keeps its factor.  Equality is the one exact zero test: of the
+difference, where the denominators differ.
 
 Units skip that cancellation.  A one-term numerator c * X^e is a unit
 times an integer, which no canonical factor (two terms) divides
@@ -97,10 +96,6 @@ class RationalFunction:
     def from_poly(cls, p):
         return cls(p.nvars, p)
 
-    @classmethod
-    def q(cls, nvars, e=1):
-        return cls(nvars, Poly.q(nvars, e))
-
     # -- structure -------------------------------------------------------
 
     def __bool__(self):
@@ -141,16 +136,6 @@ class RationalFunction:
         return RationalFunction(
             self.nvars, self.num * other.num, self.den_factors + other.den_factors
         )
-
-    def inv(self):
-        """1 / self.  The numerator becomes the one denominator factor, so
-        it must be +-X^s or +-X^s (X^a - X^b)."""
-        if not self.num:
-            raise ZeroDivisionError("inverse of zero")
-        num = Poly.one(self.nvars)
-        for f, m in self.den_factors:
-            num = num * f**m
-        return RationalFunction(self.nvars, num, ((self.num, 1),))
 
     @classmethod
     def sum(cls, nvars, items):

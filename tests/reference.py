@@ -14,16 +14,19 @@ arithmetic of Poly.evaluate and RationalFunction.evaluate; a Fraction's
 residue mod P, the reference for qglk.poly.PointResidues and the residue
 methods.
 
-Linear algebra over the fraction field: pivot columns by fraction-free
+Linear algebra over the fraction field: the inverse of a fraction whose
+numerator is a unit or a binomial; pivot columns by fraction-free
 (Bareiss) elimination over Poly, which needs no inverse of a general
 polynomial; symbolic Gauss-Jordan inverses, whose pivots must have unit
 or binomial numerators (they do for n <= 2); and the point-sampled pivot
 and invertibility certificates the intertwiner's proof once called.  They
-are references for the proof in qglk.fm and for phi, which qglk.fm
-returns as the pair of bases B_alg, B_geo with phi_w = B_geo[w] B_alg[w]^-1.
-The proof's point stage over Q: the blocks evaluated to Fractions, the
-projectors scaled by 1 / s_w and Gaussian elimination over Q, the
-reference for the stage over F_P of qglk.fm and qglk.linalg.pivot_columns.
+are references for the proof of qglk.fm.intertwiner_report and for phi:
+find_intertwiner runs that proof and then builds phi over the fraction
+field as the pair of bases B_alg, B_geo with
+phi_w = B_geo[w] B_alg[w]^-1, which phi_from_bases inverts.  The proof's
+point stage over Q: the blocks evaluated to Fractions, the projectors
+scaled by 1 / s_w and Gaussian elimination over Q, the reference for the
+stage over F_P of qglk.fm and qglk.linalg.pivot_columns.
 
 The full sweeps: every entry of each geometric square and commutator,
 formed as whole matrices of lifted entries, the reference for the checks of
@@ -305,12 +308,32 @@ def reference_pivot_columns(mat):
     return pivots
 
 
+def lifted_block(blocks, side, gen, w):
+    """The normalized E or F block of gen from weight w on one side over
+    the fraction field: algebra_block, or the geometric block of blocks
+    lifted entry by entry (fraction)."""
+    if side == "algebra":
+        return algebra_block(blocks.n, gen, w)
+    return blocks.op(gen, w).map(fraction)
+
+
+def with_projectors(at, n, inverse_scalars):
+    """Adds to the blocks at[side, gen, w] the projectors
+    at[side, "p", w] = F_{w+2} E_w / s_w of both sides, given 1 / s_w by
+    weight: where fm._at_points keeps the products F_{w+2} E_w mod P."""
+    for side in fm.SIDES:
+        for w in weights(n):
+            p = at[side, "F", w + 2] @ at[side, "E", w]
+            at[side, "p", w] = p.scale(inverse_scalars[w])
+    return at
+
+
 def fraction_points(blocks, seed):
     """The proof's point stage over Q, the reference for fm._at_points:
     at successive seeded rational points, the E and F blocks of both
-    sides (algebra_block for the algebra ones) evaluated to Fractions and
-    the projectors p_w = F_{w+2} E_w / s_w, skipping a point where an
-    entry has a pole or some s_w vanishes."""
+    sides (lifted_block) evaluated to Fractions and the projectors
+    p_w = F_{w+2} E_w / s_w, skipping a point where an entry has a pole
+    or some s_w vanishes."""
     n = blocks.n
     for point in sample_points(n + 1, seed):
         s = {
@@ -321,14 +344,14 @@ def fraction_points(blocks, seed):
             continue
         try:
             at = {
-                (side, gen, w): (
-                    algebra_block(n, gen, w) if side == "algebra" else blocks.op(side, gen, w)
-                ).map(lambda e: reference_rf_evaluate(fraction(e), point) if e else 0)
-                for side, gen, w in fm._block_keys(n)
+                key: lifted_block(blocks, *key).map(
+                    lambda e: reference_rf_evaluate(e, point) if e else 0
+                )
+                for key in fm._block_keys(n)
             }
         except PoleError:
             continue
-        yield fm._with_projectors(at, n, {w: 1 / v for w, v in s.items()})
+        yield with_projectors(at, n, {w: 1 / v for w, v in s.items()})
 
 
 def reference_column_basis(mat):
@@ -380,6 +403,17 @@ def full_symbolic_rank(mat):
     return mat.nrows == mat.ncols and len(reference_column_basis(columns(mat, order))) == mat.ncols
 
 
+def inverse(r):
+    """1 / r for a nonzero RationalFunction r.  The numerator becomes the
+    one denominator factor, so it must be +-X^s or +-X^s (X^a - X^b)."""
+    if not r.num:
+        raise ZeroDivisionError("inverse of zero")
+    num = Poly.one(r.nvars)
+    for f, m in r.den_factors:
+        num = num * f**m
+    return RationalFunction(r.nvars, num, ((r.num, 1),))
+
+
 def invert_matrix(mat, one):
     """Exact inverse by symbolic Gauss-Jordan elimination; raises
     ValueError if the matrix turns out singular."""
@@ -400,7 +434,7 @@ def invert_matrix(mat, one):
         r = best[0]
         work[col], work[r] = work[r], work[col]
         aug[col], aug[r] = aug[r], aug[col]
-        inv = work[col][col].inv()
+        inv = inverse(work[col][col])
         work[col] = [e * inv for e in work[col]]
         aug[col] = [e * inv for e in aug[col]]
         for r2 in range(n):
@@ -411,9 +445,30 @@ def invert_matrix(mat, one):
     return Matrix(n, n, aug, mat.zero)
 
 
+def find_intertwiner(n, seed=0xC0FFEE):
+    """The proof of fm.intertwiner_report, then phi in factored form:
+    (bases, report), bases mapping each weight w to (B_alg[w], B_geo[w]),
+    the square bases B[w] = [P_w | E_{w-2} P_{w-2}] over the fraction
+    field on the pivot columns the proof chose (fm._prove_intertwiner),
+    empty unless every check passed.  Nothing is inverted; the bases are
+    built only after the proof passes."""
+    blocks = fm.Blocks(n)
+    rep, pivots = fm._prove_intertwiner(n, seed, blocks)
+    if not rep.passed:
+        return {}, rep
+    at = {key: lifted_block(blocks, *key) for key in fm._block_keys(n)}
+    scalars = {w: fraction(fm.commutator_scalar(n, k_of(n, w))) for w in weights(n)}
+    with_projectors(at, n, {w: inverse(s) for w, s in scalars.items()})
+    bases = {
+        w: tuple(fm._transported_basis(at, side, w, pivots) for side in fm.SIDES)
+        for w in weights(n)
+    }
+    return bases, rep
+
+
 def phi_from_bases(n, bases):
     """The intertwiner blocks phi_w = B_geo[w] B_alg[w]^-1 from the bases
-    {w: (B_alg[w], B_geo[w])} that fm.find_intertwiner returns; n <= 2,
+    {w: (B_alg[w], B_geo[w])} that find_intertwiner returns; n <= 2,
     where invert_matrix meets only unit or binomial pivots."""
     one = RationalFunction.const(n + 1, 1)
     return {w: geo @ invert_matrix(alg, one) for w, (alg, geo) in bases.items()}
@@ -574,7 +629,7 @@ class FullSweepBlocks(fm.Blocks):
 
     def lifted(self, gen, w):
         """The geometric block of gen from weight w over the fraction field."""
-        return self._once(("lifted", gen, w), lambda: self.op("geometric", gen, w).map(fraction))
+        return self._once(("lifted", gen, w), lambda: self.op(gen, w).map(fraction))
 
     def difference(self, w):
         """FE - EF on the geometric weight-w block."""
@@ -603,9 +658,9 @@ class FullSweepBlocks(fm.Blocks):
 
 
 def reference_dot(zero, row, col):
-    """The entry of a fraction-field product from one row and one column,
-    formed as Matrix.__matmul__ forms it: the nonzero products, one alone
-    or else summed in one RationalFunction.sum."""
+    """The entry of a fraction-field product from one row and one column:
+    the nonzero products, one alone or else summed in one
+    RationalFunction.sum."""
     terms = [a * b for a, b in zip(row, col) if a and b]
     if len(terms) == 1:
         return terms[0]
@@ -644,7 +699,7 @@ class RaisedSumBlocks(fm.Blocks):
     proofs it makes and the witnesses it reads from its decisions."""
 
     def _first_bad(self, products, s=None):
-        op = partial(self.op, "geometric")
+        op = self.op
         ops = [(op(*left).map(fraction), op(*right).map(fraction)) for left, right in products]
         s = None if s is None else fraction(s)
         first, last = ops[0]

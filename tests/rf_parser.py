@@ -3,12 +3,14 @@
 Test helper: expressions such as ``"((q^4 - q^2)*x1 - (q^2 - 1)*x2) / (x1*x2)"``
 are built with RationalFunction arithmetic, so a fixture reads like the
 closed form it pins.  RationalFunction has no / or **: a / b is
-a * b.inv(), b inverted factor by factor, and a^e is a product of e
-copies of a (of a.inv() for e < 0).
+a * inverse(b), b inverted factor by factor, and a^e is a product of e
+copies of a (of inverse(a) for e < 0).
 """
 
 from qglk.poly import Poly
 from qglk.ratfunc import RationalFunction
+
+from reference import inverse
 
 
 class _Parser:
@@ -73,7 +75,7 @@ class _Parser:
                 out = out + self.factor()
             elif ch == "/":
                 self.pos += 1
-                out = out + [f.inv() for f in self.factor()]
+                out = out + [inverse(f) for f in self.factor()]
             else:
                 return out
 
@@ -88,7 +90,7 @@ class _Parser:
             if self.peek() == "-":
                 self.pos += 1
                 neg = True
-            base = [f.inv() for f in out] if neg else out
+            base = [inverse(f) for f in out] if neg else out
             out = base * self.integer()
         return out
 
@@ -103,7 +105,7 @@ class _Parser:
             return [RationalFunction.const(self.nvars, self.integer())]
         if ch == "q":
             self.pos += 1
-            return [RationalFunction.q(self.nvars)]
+            return [RationalFunction.from_poly(Poly.q(self.nvars))]
         if ch == "x":
             self.pos += 1
             i = self.integer()

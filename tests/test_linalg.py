@@ -14,6 +14,7 @@ from reference import (
     certify_invertible,
     column_basis,
     fraction,
+    inverse,
     invert_matrix,
     reference_column_basis,
     reference_pivot_columns,
@@ -27,7 +28,7 @@ def projectors(n):
     """p_w = F_{w+2} E_w / s_w below the top weight, on both sides."""
     for k in range(1, n + 1):
         w = n - 2 * k
-        s = fraction(fm.commutator_scalar(n, k)).inv()
+        s = inverse(fraction(fm.commutator_scalar(n, k)))
         yield (algebra_block(n, "F", w + 2) @ algebra_block(n, "E", w)).scale(s)
         F, E = fm.lowering_matrix(n, w + 2), fm.raising_matrix(n, w)
         yield (F.map(fraction) @ E.map(fraction)).scale(s)

@@ -23,7 +23,6 @@ SRC = ROOT / "src" / "qglk"
 # (module, qualified name, where the caller lives): the package surface
 # whose callers live outside src/
 OUTSIDE_CALLERS = (
-    ("fm", "find_intertwiner", "README.md"),  # the quick tour
     ("grassmann", "Space", "bench/workloads.py"),  # the localize-n6 workload
     ("grassmann", "Space.pushforward_det_tau_power", "bench/workloads.py"),
 )
@@ -123,8 +122,8 @@ def test_outside_callers_still_call():
 
 
 def test_readme_quick_tour_runs(capsys):
-    # the names the README promises (C[0, 0], find_intertwiner,
-    # intertwiner_report, koszul_battery_report) still exist and still run
+    # the names the README promises (C[0, 0], intertwiner_report,
+    # koszul_battery_report) still exist and still run
     readme = (ROOT / "README.md").read_text()
     tour = readme.split("## Quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(tour, "README.md quick tour", "exec"), {})
@@ -194,5 +193,6 @@ def test_traced_names_resolve():
         "superrep.full_matrix",
         "laurent.mul",
         "fm.algebra_matrix",
+        "fm.find_intertwiner",
         "koszul.iterated_cone_report",
     }
